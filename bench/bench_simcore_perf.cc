@@ -22,6 +22,7 @@
 #include "sim/flight.hh"
 #include "sim/latency.hh"
 #include "sim/probe.hh"
+#include "sim/slo.hh"
 #include "sim/sweep.hh"
 #include "sim/timeline.hh"
 
@@ -347,6 +348,74 @@ BM_LatencyHistogramAdd(benchmark::State &state)
     state.SetItemsProcessed(state.iterations() * 1000);
 }
 BENCHMARK(BM_LatencyHistogramAdd);
+
+/** The live SLO tick: one SloEngine::onSample (rolling quantile,
+ *  request count, violation count) against a 16-CPU tracker holding
+ *  ~1M RTT samples — the per-barrier-tick cost a latency-armed fleet
+ *  pays. Enabled-path budget for the latency + SLO sink. */
+void
+BM_SloTickLoaded(benchmark::State &state)
+{
+    constexpr int cpus = 16;
+    RequestTracker tracker;
+    tracker.configure(cpus);
+    tracker.enable();
+    Cycles x = 1;
+    for (int i = 0; i < (1 << 20); ++i) {
+        x = x * 2862933555777941757ULL + 3037000493ULL;
+        // RTTs from ~4 us to ~14 ms at 2.4 GHz.
+        tracker.record(i % cpus, LatencyPhase::Rtt,
+                       10000 + (x >> 31) % 33000000);
+    }
+    SloEngine slo;
+    SloSpec spec;
+    spec.thresholdCycles = 480000; // 200 us
+    spec.burnWindow = 4800000;     // 2 ms
+    slo.addSpec(spec);
+    slo.bind(&tracker);
+    Cycles now = 0;
+    for (auto _ : state) {
+        now += 24000; // the 100 kHz timeline period
+        slo.onSample(now);
+        benchmark::DoNotOptimize(slo);
+    }
+}
+BENCHMARK(BM_SloTickLoaded)->Unit(benchmark::kMicrosecond);
+
+/** Flight-recorder upkeep on a saturated segment: one barrier tick
+ *  (evict, with the near-capacity compaction) plus the 420 pushes
+ *  that arrive between ticks, every record stamped up to 10 ms ahead
+ *  of the clock — the GIC's frontier-dated stamps under overload.
+ *  Enabled-path budget for the flight sink. */
+void
+BM_FlightEvictSaturated(benchmark::State &state)
+{
+    constexpr Cycles period = 24000; // 10 us at 2.4 GHz
+    FlightRecorder fr;
+    fr.configure(/*windowHalf=*/240000, period, /*incidentCap=*/1);
+    fr.enable();
+    const TapId tap = internTap("bench.flight.saturated");
+    Cycles now = 0, x = 1;
+    auto push = [&] {
+        x = x * 2862933555777941757ULL + 3037000493ULL;
+        fr.record(TraceRecord{now + period * (1 + (x >> 33) % 1000), 0,
+                              tap, 0, TraceKind::Instant,
+                              TraceCat::Op});
+    };
+    for (std::size_t i = 0; i < FlightRecorder::segCapacity; ++i)
+        push();
+    // Seal the reference window outside the timed loop.
+    now = 2 * fr.windowHalf();
+    fr.onSample(now);
+    for (auto _ : state) {
+        for (int i = 0; i < 420; ++i)
+            push();
+        now += period;
+        fr.onSample(now);
+    }
+    benchmark::DoNotOptimize(fr.retainedRecords());
+}
+BENCHMARK(BM_FlightEvictSaturated)->Unit(benchmark::kMicrosecond);
 
 /** Cancel-heavy phases (timer retargets, teardown bursts) leave dead
  *  entries in the heap; past the half-dead threshold cancel()

@@ -569,11 +569,15 @@ struct FleetWorld
                    sentAt = at - wire] {
                 // Causal stamps on the server's own track (this CPU's
                 // lane, honoring the one-lane-per-track contract), at
-                // the completion event so every when is at or before
-                // the stamping instant — never ahead of the barrier
-                // clock, which keeps the flight recorder's eviction
-                // simple. Redeem the wire edge, then the queue wait
-                // and service body as spans, then open the response's
+                // the completion event so each of these whens is at
+                // or before the stamping instant. Not every stamp of
+                // the transaction is: injectVirq above runs at
+                // t = max(at, frontier), so the GIC's lrWrite and
+                // edge.lr stamps are future-dated to the CPU frontier,
+                // ahead of the barrier clock. The flight recorder's
+                // expiry index evicts by stamp time either way.
+                // Redeem the wire edge, then the queue wait and
+                // service body as spans, then open the response's
                 // wire edge.
                 const std::uint16_t trk =
                     static_cast<std::uint16_t>(cpu);

@@ -1,6 +1,7 @@
 #include "sim/flight.hh"
 
 #include <algorithm>
+#include <bit>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -82,7 +83,89 @@ FlightRecorder::configure(Cycles windowHalf, Cycles period,
     // first barrier tick past end, so now - begin <= 2W + period.
     // The slack absorbs coarse tick alignment.
     _retention = 2 * window + 8 * period;
+    keyShift = static_cast<unsigned>(std::bit_width(period)) - 1;
     cap = incidentCap;
+}
+
+void
+FlightRecorder::Seg::allocate()
+{
+    ring = std::make_unique<TraceRecord[]>(segCapacity);
+    order = std::make_unique<Link[]>(segCapacity + 1);
+    expiry = std::make_unique<Link[]>(segCapacity + wheelBuckets);
+    clear();
+}
+
+void
+FlightRecorder::Seg::clear()
+{
+    freeHead = noSlot;
+    fresh = 0;
+    wheelLo = 0;
+    count = 0;
+    total = 0;
+    forced = 0;
+    maxForcedWhen = 0;
+    if (!ring)
+        return;
+    // Empty chains are self-linked sentinels. Slots are handed out
+    // fresh before any is recycled, so stale slot links need no sweep.
+    order[segCapacity] = Link{segCapacity, segCapacity};
+    for (std::size_t b = segCapacity; b < segCapacity + wheelBuckets;
+         ++b) {
+        const auto u = static_cast<std::uint16_t>(b);
+        expiry[b] = Link{u, u};
+    }
+}
+
+void
+FlightRecorder::Seg::append(std::uint16_t slot, std::uint64_t key)
+{
+    constexpr std::uint16_t tail = segCapacity;
+    const std::uint16_t last = order[tail].prev;
+    order[slot] = Link{last, tail};
+    order[last].next = slot;
+    order[tail].prev = slot;
+
+    if (key < wheelLo)
+        key = wheelLo;
+    const auto head = static_cast<std::uint16_t>(
+        segCapacity + (key & (wheelBuckets - 1)));
+    const std::uint16_t first = expiry[head].next;
+    expiry[slot] = Link{head, first};
+    expiry[first].prev = slot;
+    expiry[head].next = slot;
+}
+
+void
+FlightRecorder::Seg::unlink(std::uint16_t slot)
+{
+    const Link o = order[slot];
+    order[o.prev].next = o.next;
+    order[o.next].prev = o.prev;
+    const Link e = expiry[slot];
+    expiry[e.prev].next = e.next;
+    expiry[e.next].prev = e.prev;
+    --count;
+}
+
+void
+FlightRecorder::Seg::drop(std::uint16_t slot)
+{
+    unlink(slot);
+    order[slot].next = freeHead;
+    freeHead = slot;
+}
+
+void
+FlightRecorder::Seg::dropStale(std::size_t head, Cycles cut)
+{
+    for (std::size_t x = expiry[head].next; x != head;) {
+        const std::size_t next = expiry[x].next;
+        if (ring[x].when < cut)
+            drop(static_cast<std::uint16_t>(x));
+        x = next;
+    }
 }
 
 void
@@ -92,7 +175,7 @@ FlightRecorder::prepareForParallel(int lanes)
     segs = std::vector<Seg>(static_cast<std::size_t>(lanes));
     if (_enabled) {
         for (Seg &s : segs)
-            s.ring = std::make_unique<TraceRecord[]>(segCapacity);
+            s.allocate();
     }
 }
 
@@ -103,7 +186,7 @@ FlightRecorder::enable()
                    "FlightRecorder::enable() before configure()");
     for (Seg &s : segs) {
         if (!s.ring)
-            s.ring = std::make_unique<TraceRecord[]>(segCapacity);
+            s.allocate();
     }
     nGauges = timeline ? timeline->gaugeCount() : 0;
     rowCap = static_cast<std::size_t>(_retention / _period) + 4;
@@ -132,19 +215,29 @@ void
 FlightRecorder::pushRecord(const TraceRecord &r)
 {
     Seg &s = laneSeg();
-    constexpr std::size_t mask = segCapacity - 1;
+    std::uint16_t slot;
     if (s.count == segCapacity) {
         // Overwriting a record retention has not evicted yet: the
         // window it belonged to may capture incomplete. Count it and
         // remember how recent the loss was so capture can flag it.
-        const TraceRecord &old = s.ring[s.head];
+        slot = s.oldest();
+        const TraceRecord &old = s.ring[slot];
         ++s.forced;
         if (old.when > s.maxForcedWhen)
             s.maxForcedWhen = old.when;
-        --s.count;
+        s.unlink(slot);
+    } else if (s.freeHead != noSlot) {
+        slot = s.freeHead;
+        s.freeHead = s.order[slot].next;
+    } else {
+        slot = static_cast<std::uint16_t>(s.fresh++);
     }
-    s.ring[s.head] = r;
-    s.head = (s.head + 1) & mask;
+    s.ring[slot] = r;
+    // Saturating when + retention: the stamp's expiry instant.
+    const Cycles expires = r.when > UINT64_MAX - _retention
+                               ? UINT64_MAX
+                               : r.when + _retention;
+    s.append(slot, expires >> keyShift);
     ++s.count;
     ++s.total;
 }
@@ -155,40 +248,41 @@ FlightRecorder::evict(Cycles now)
     if (now <= _retention)
         return;
     const Cycles cut = now - _retention;
-    constexpr std::size_t mask = segCapacity - 1;
+    // A record is stale iff when + R < now, so its wheel key is at
+    // most this.
+    const std::uint64_t hiKey = (now - 1) >> keyShift;
     for (Seg &s : segs) {
-        // Pop oldest-first by stamp time. Records may be stamped out
-        // of when-order (frontier charging future-dates span Ends;
-        // completion-time stamping back-dates whole spans), so a
-        // young-stamped record near the tail stops this fast path
+        // Pop oldest-first by insertion. Records may be stamped out
+        // of when-order (frontier charging future-dates GIC and span
+        // stamps; completion-time stamping back-dates whole spans),
+        // so a young-stamped record at the head stops this fast path
         // early — which only under-evicts.
-        while (s.count > 0) {
-            const std::size_t tail =
-                (s.head + segCapacity - s.count) & mask;
-            if (s.ring[tail].when >= cut)
-                break;
-            --s.count;
-        }
+        while (s.count > 0 && s.ring[s.oldest()].when < cut)
+            s.drop(s.oldest());
         // When under-eviction has let the segment grow near capacity,
-        // compact in place: drop every stale record wherever it sits,
-        // preserving relative order (the canonical-merge tiebreak
-        // cares about order, not absolute positions). Barrier
-        // context, so the owning lane is quiescent.
-        if (s.count >= segCapacity - segCapacity / 4) {
-            const std::size_t start =
-                (s.head + segCapacity - s.count) & mask;
-            std::size_t kept = 0;
-            for (std::size_t i = 0; i < s.count; ++i) {
-                const TraceRecord &r =
-                    s.ring[(start + i) & mask];
-                if (r.when < cut)
-                    continue;
-                s.ring[(start + kept) & mask] = r;
-                ++kept;
+        // drop every stale record wherever it sits; the order chain
+        // keeps the survivors' relative order. Barrier context, so
+        // the owning lane is quiescent.
+        if (s.count < segCapacity - segCapacity / 4)
+            continue;
+        if (hiKey < s.wheelLo) {
+            // The clock ran backwards past a previous compaction:
+            // records filed under wheelLo may be stale, so check all.
+            for (std::uint16_t x = s.oldest(); x != segCapacity;) {
+                const std::uint16_t next = s.order[x].next;
+                if (s.ring[x].when < cut)
+                    s.drop(x);
+                x = next;
             }
-            s.head = (start + kept) & mask;
-            s.count = kept;
+            continue;
         }
+        // Every stale record is filed under a key in [wheelLo, hiKey];
+        // one wheel turn covers all keys when the range is wider.
+        const std::uint64_t keys =
+            std::min<std::uint64_t>(hiKey - s.wheelLo + 1, wheelBuckets);
+        for (std::uint64_t k = s.wheelLo; k < s.wheelLo + keys; ++k)
+            s.dropStale(segCapacity + (k & (wheelBuckets - 1)), cut);
+        s.wheelLo = hiKey;
     }
     while (rowCount > 0) {
         const std::size_t tail =
@@ -232,15 +326,16 @@ FlightRecorder::collectWindow(Cycles begin, Cycles end) const
         std::uint64_t pos;
     };
     std::vector<Ref> refs;
-    constexpr std::size_t mask = segCapacity - 1;
     for (const Seg &s : segs) {
-        for (std::size_t i = 0; i < s.count; ++i) {
-            const std::size_t slot =
-                (s.head + segCapacity - s.count + i) & mask;
-            const TraceRecord &r = s.ring[slot];
+        if (!s.ring)
+            continue;
+        std::uint64_t pos = s.total - s.count;
+        for (std::uint16_t x = s.oldest(); x != segCapacity;
+             x = s.order[x].next, ++pos) {
+            const TraceRecord &r = s.ring[x];
             if (r.when < begin || r.when > end)
                 continue;
-            refs.push_back(Ref{r, s.total - s.count + i});
+            refs.push_back(Ref{r, pos});
         }
     }
     std::sort(refs.begin(), refs.end(), [](const Ref &a, const Ref &b) {
@@ -623,13 +718,8 @@ FlightRecorder::writeAnnotationEvents(std::ostream &os,
 void
 FlightRecorder::reset()
 {
-    for (Seg &s : segs) {
-        s.head = 0;
-        s.count = 0;
-        s.total = 0;
-        s.forced = 0;
-        s.maxForcedWhen = 0;
-    }
+    for (Seg &s : segs)
+        s.clear();
     rowHead = 0;
     rowCount = 0;
     pendings.clear();

@@ -124,10 +124,13 @@ struct FlightIncident
 class FlightRecorder
 {
   public:
-    /** Per-lane window ring capacity (records). Sized so a serial
-     *  (single-segment) overload window never wraps; more lanes only
+    /** Per-lane window capacity (records). A saturated serial world
+     *  does wrap it: every 16-VM open-loop overload run overwrites
+     *  live records and exports truncated windows. More lanes only
      *  add capacity. */
     static constexpr std::size_t segCapacity = 1u << 15;
+    /** Expiry-wheel buckets per segment (see Seg). */
+    static constexpr std::size_t wheelBuckets = 1u << 12;
 
     FlightRecorder() = default;
     FlightRecorder(const FlightRecorder &) = delete;
@@ -214,6 +217,12 @@ class FlightRecorder
     /** Records currently retained across all lane segments. */
     std::size_t retainedRecords() const;
 
+    /** Retained records stamped in [begin, end], canonically sorted
+     *  (when, EdgeOut-first, track, per-lane insertion rank) — what
+     *  an incident over that window freezes. */
+    std::vector<TraceRecord> collectWindow(Cycles begin,
+                                           Cycles end) const;
+
     /** The healthy reference window, once sealed. */
     bool referenceSealed() const { return refSealed; }
     Cycles referenceEnd() const { return refEnd; }
@@ -243,17 +252,59 @@ class FlightRecorder
     void reset();
 
   private:
-    /** One lane's window ring. While lanes run it is written only by
-     *  its lane's thread; segment 0 doubles as the setup-context
-     *  segment (the TraceSink clamp). */
+    /** Doubly linked chain node; 16 bits address every slot and
+     *  sentinel of a segment. */
+    struct Link
+    {
+        std::uint16_t prev = 0;
+        std::uint16_t next = 0;
+    };
+    static constexpr std::uint16_t noSlot = 0xffff;
+    static_assert(segCapacity + wheelBuckets <= noSlot,
+                  "flight segment links are 16-bit");
+
+    /**
+     * One lane's retained records. While lanes run it is written only
+     * by its lane's thread; segment 0 doubles as the setup-context
+     * segment (the TraceSink clamp).
+     *
+     * Records sit in a slot pool threaded on two chains. The order
+     * chain keeps insertion order: eviction's fast path and
+     * overwrite-oldest pop its head, and collectWindow's tiebreak is
+     * a record's rank on it. The expiry chains form a bucket wheel
+     * keyed by (when + retention) >> keyShift, so a compaction visits
+     * only the buckets that can hold stale records — O(dropped +
+     * buckets passed) — with a per-record check that keeps stamps
+     * one or more wheel turns ahead exact.
+     */
     struct Seg
     {
-        std::unique_ptr<TraceRecord[]> ring;
-        std::size_t head = 0;  ///< next write slot
+        std::unique_ptr<TraceRecord[]> ring; ///< slot pool
+        /** Insertion order; sentinel at index segCapacity. */
+        std::unique_ptr<Link[]> order;
+        /** Wheel chains; bucket b's sentinel at segCapacity + b. */
+        std::unique_ptr<Link[]> expiry;
+        std::uint16_t freeHead = noSlot; ///< recycled slots via order
+        std::size_t fresh = 0;   ///< slots [fresh, capacity) never used
+        /** Lowest wheel key that can hold a stale record; pushes
+         *  keyed below it file under it. */
+        std::uint64_t wheelLo = 0;
         std::size_t count = 0; ///< live records
         std::uint64_t total = 0;  ///< records ever written here
         std::uint64_t forced = 0; ///< overwrites of unevicted records
         Cycles maxForcedWhen = 0; ///< newest stamp lost to overwrite
+
+        void allocate();
+        void clear();
+        std::uint16_t
+        oldest() const
+        {
+            return order[segCapacity].next;
+        }
+        void append(std::uint16_t slot, std::uint64_t key);
+        void unlink(std::uint16_t slot);
+        void drop(std::uint16_t slot);
+        void dropStale(std::size_t head, Cycles cut);
     };
 
     /** A trigger whose post-window has not elapsed yet. */
@@ -271,8 +322,6 @@ class FlightRecorder
     void appendRow(Cycles now);
     void sealReference(Cycles now);
     void capture(Pending &p, bool clipped);
-    std::vector<TraceRecord> collectWindow(Cycles begin,
-                                           Cycles end) const;
 
     const TimelineSampler *timeline = nullptr;
     const RequestTracker *tracker = nullptr;
@@ -280,6 +329,9 @@ class FlightRecorder
     Cycles window = 0;     ///< half-width W
     Cycles _period = 0;
     Cycles _retention = 0; ///< 2W + 8·period
+    /** Wheel bucket width 2^keyShift: the largest power of two not
+     *  above the period, so a push keys with a shift, not a divide. */
+    unsigned keyShift = 0;
     std::uint32_t cap = 0; ///< captured-incident cap
 
     std::vector<Seg> segs = std::vector<Seg>(1);

@@ -1,5 +1,6 @@
 #include "sim/latency.hh"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <sstream>
@@ -8,35 +9,62 @@
 
 namespace virtsim {
 
+namespace {
+
+/**
+ * Nearest-rank quantile at bucket resolution over `count` samples in
+ * [lo, hi]: the highest value equivalent to the sample of rank
+ * ceil(q * count), clamped into [lo, hi]. `group(g)` and `bucket(i)`
+ * return summed counts, so one walk serves a single histogram and a
+ * fold across lane segments. Whole groups below the rank are skipped,
+ * then one group is walked bucket by bucket.
+ */
+template <class GroupFn, class BucketFn>
 std::uint64_t
-LatencyHistogram::quantile(double q) const
+rankWalk(std::uint64_t count, std::uint64_t lo, std::uint64_t hi,
+         double q, GroupFn group, BucketFn bucket)
 {
-    if (_count == 0)
+    if (count == 0)
         return 0;
     if (q <= 0.0)
-        return _min;
+        return lo;
     if (q >= 1.0)
-        return _max;
-    // Nearest rank: the k-th smallest sample, k = ceil(q * count).
+        return hi;
     std::uint64_t rank = static_cast<std::uint64_t>(
-        std::ceil(q * static_cast<double>(_count)));
+        std::ceil(q * static_cast<double>(count)));
     if (rank < 1)
         rank = 1;
-    if (rank > _count)
-        rank = _count;
+    if (rank > count)
+        rank = count;
     std::uint64_t cum = 0;
-    for (std::size_t i = 0; i < numBuckets; ++i) {
-        cum += buckets[i];
+    std::size_t g = 0;
+    for (; g + 1 < LatencyHistogram::numGroups; ++g) {
+        const std::uint64_t n = group(g);
+        if (cum + n >= rank)
+            break;
+        cum += n;
+    }
+    for (std::size_t i = g << LatencyHistogram::subBucketBits;
+         i < LatencyHistogram::numBuckets; ++i) {
+        cum += bucket(i);
         if (cum >= rank) {
-            // Highest equivalent value, clamped into the exact
-            // observed range.
-            std::uint64_t v = bucketHigh(i);
-            v = v > _max ? _max : v;
-            v = v < _min ? _min : v;
+            std::uint64_t v = LatencyHistogram::bucketHigh(i);
+            v = v > hi ? hi : v;
+            v = v < lo ? lo : v;
             return v;
         }
     }
-    return _max; // unreachable: cum == _count by then
+    return hi; // unreachable: cum == count by then
+}
+
+} // namespace
+
+std::uint64_t
+LatencyHistogram::quantile(double q) const
+{
+    return rankWalk(
+        _count, _min, _max, q, [this](std::size_t g) { return groups[g]; },
+        [this](std::size_t i) { return buckets[i]; });
 }
 
 std::uint64_t
@@ -44,9 +72,17 @@ LatencyHistogram::countAbove(std::uint64_t threshold) const
 {
     if (_count == 0 || threshold >= _max)
         return 0;
+    // The rest of the threshold's group bucket by bucket, then every
+    // later group from the summary.
+    const std::size_t first = bucketOf(threshold) + 1;
+    const std::size_t g = first >> subBucketBits;
     std::uint64_t above = 0;
-    for (std::size_t i = bucketOf(threshold) + 1; i < numBuckets; ++i)
+    const std::size_t groupEnd = std::min((g + 1) << subBucketBits,
+                                          numBuckets);
+    for (std::size_t i = first; i < groupEnd; ++i)
         above += buckets[i];
+    for (std::size_t h = g + 1; h < numGroups; ++h)
+        above += groups[h];
     return above;
 }
 
@@ -54,6 +90,7 @@ void
 LatencyHistogram::reset()
 {
     buckets.fill(0);
+    groups.fill(0);
     _count = 0;
     _sum = 0;
     _min = UINT64_MAX;
@@ -96,9 +133,7 @@ RequestTracker::configure(int nCpus)
 {
     VIRTSIM_ASSERT(nCpus > 0, "RequestTracker needs >= 1 CPU");
     _cpus = nCpus;
-    segs.assign(1, std::vector<LatencyHistogram>(
-                       static_cast<std::size_t>(nCpus) *
-                       numLatencyPhases));
+    allocateSegs(1);
 }
 
 void
@@ -108,10 +143,19 @@ RequestTracker::prepareForParallel(int lanes)
                    "RequestTracker::prepareForParallel() before "
                    "configure()");
     VIRTSIM_ASSERT(lanes >= 1, "need >= 1 lane");
-    segs.assign(static_cast<std::size_t>(lanes),
-                std::vector<LatencyHistogram>(
-                    static_cast<std::size_t>(_cpus) *
-                    numLatencyPhases));
+    allocateSegs(static_cast<std::size_t>(lanes));
+}
+
+void
+RequestTracker::allocateSegs(std::size_t lanes)
+{
+    // Free the old storage first and build each segment in place: no
+    // template segment copied, so the peak is the new storage alone.
+    segs.clear();
+    segs.resize(lanes);
+    for (auto &seg : segs)
+        seg = std::vector<LatencyHistogram>(
+            static_cast<std::size_t>(_cpus + 1) * numLatencyPhases);
 }
 
 void
@@ -120,7 +164,17 @@ RequestTracker::recordEnabled(int cpu, LatencyPhase phase,
 {
     VIRTSIM_ASSERT(cpu >= 0 && cpu < _cpus,
                    "RequestTracker: cpu ", cpu, " out of range");
-    laneSeg()[slotOf(cpu, phase)].add(value);
+    std::vector<LatencyHistogram> &seg = laneSeg();
+    seg[slotOf(cpu, phase)].add(value);
+    seg[slotOf(-1, phase)].add(value);
+}
+
+std::size_t
+RequestTracker::readSlot(int cpu, LatencyPhase phase) const
+{
+    VIRTSIM_ASSERT(cpu >= -1 && cpu < _cpus,
+                   "RequestTracker: cpu ", cpu, " out of range");
+    return slotOf(cpu, phase);
 }
 
 LatencyHistogram
@@ -139,36 +193,27 @@ RequestTracker::aggregate(LatencyPhase phase) const
 {
     LatencyHistogram out;
     for (const auto &seg : segs)
-        for (int c = 0; c < _cpus; ++c)
-            out.merge(seg[slotOf(c, phase)]);
+        out.merge(seg[slotOf(-1, phase)]);
     return out;
 }
 
 std::uint64_t
 RequestTracker::totalCount(LatencyPhase phase, int cpu) const
 {
+    const std::size_t slot = readSlot(cpu, phase);
     std::uint64_t n = 0;
-    for (const auto &seg : segs) {
-        for (int c = 0; c < _cpus; ++c) {
-            if (cpu >= 0 && c != cpu)
-                continue;
-            n += seg[slotOf(c, phase)].count();
-        }
-    }
+    for (const auto &seg : segs)
+        n += seg[slot].count();
     return n;
 }
 
 std::uint64_t
 RequestTracker::totalSum(LatencyPhase phase, int cpu) const
 {
+    const std::size_t slot = readSlot(cpu, phase);
     std::uint64_t n = 0;
-    for (const auto &seg : segs) {
-        for (int c = 0; c < _cpus; ++c) {
-            if (cpu >= 0 && c != cpu)
-                continue;
-            n += seg[slotOf(c, phase)].sum();
-        }
-    }
+    for (const auto &seg : segs)
+        n += seg[slot].sum();
     return n;
 }
 
@@ -176,14 +221,10 @@ std::uint64_t
 RequestTracker::totalAbove(LatencyPhase phase,
                            std::uint64_t threshold, int cpu) const
 {
+    const std::size_t slot = readSlot(cpu, phase);
     std::uint64_t n = 0;
-    for (const auto &seg : segs) {
-        for (int c = 0; c < _cpus; ++c) {
-            if (cpu >= 0 && c != cpu)
-                continue;
-            n += seg[slotOf(c, phase)].countAbove(threshold);
-        }
-    }
+    for (const auto &seg : segs)
+        n += seg[slot].countAbove(threshold);
     return n;
 }
 
@@ -191,49 +232,33 @@ std::uint64_t
 RequestTracker::quantileAcross(LatencyPhase phase, double q,
                                int cpu) const
 {
-    const std::uint64_t total = totalCount(phase, cpu);
-    if (total == 0)
-        return 0;
-    // Exact min/max across the selected slots for clamping.
+    const std::size_t slot = readSlot(cpu, phase);
+    // Exact count and min/max across the lanes for ranking and
+    // clamping.
+    std::uint64_t total = 0;
     std::uint64_t lo = UINT64_MAX, hi = 0;
     for (const auto &seg : segs) {
-        for (int c = 0; c < _cpus; ++c) {
-            if (cpu >= 0 && c != cpu)
-                continue;
-            const LatencyHistogram &h = seg[slotOf(c, phase)];
-            if (h.empty())
-                continue;
-            lo = h.min() < lo ? h.min() : lo;
-            hi = h.max() > hi ? h.max() : hi;
-        }
+        const LatencyHistogram &h = seg[slot];
+        if (h.empty())
+            continue;
+        total += h.count();
+        lo = h.min() < lo ? h.min() : lo;
+        hi = h.max() > hi ? h.max() : hi;
     }
-    if (q <= 0.0)
-        return lo;
-    if (q >= 1.0)
-        return hi;
-    std::uint64_t rank = static_cast<std::uint64_t>(
-        std::ceil(q * static_cast<double>(total)));
-    if (rank < 1)
-        rank = 1;
-    if (rank > total)
-        rank = total;
-    std::uint64_t cum = 0;
-    for (std::size_t i = 0; i < LatencyHistogram::numBuckets; ++i) {
-        for (const auto &seg : segs) {
-            for (int c = 0; c < _cpus; ++c) {
-                if (cpu >= 0 && c != cpu)
-                    continue;
-                cum += seg[slotOf(c, phase)].bucketCount(i);
-            }
-        }
-        if (cum >= rank) {
-            std::uint64_t v = LatencyHistogram::bucketHigh(i);
-            v = v > hi ? hi : v;
-            v = v < lo ? lo : v;
-            return v;
-        }
-    }
-    return hi;
+    return rankWalk(
+        total, lo, hi, q,
+        [&](std::size_t g) {
+            std::uint64_t n = 0;
+            for (const auto &seg : segs)
+                n += seg[slot].groupCount(g);
+            return n;
+        },
+        [&](std::size_t i) {
+            std::uint64_t n = 0;
+            for (const auto &seg : segs)
+                n += seg[slot].bucketCount(i);
+            return n;
+        });
 }
 
 void

@@ -49,7 +49,10 @@ namespace virtsim {
  * (2^s - 1)/low < 2^-m ~= 0.79% — the quantile error bound at every
  * magnitude, covering the full uint64 range in 7424 buckets.
  * Exact count, sum, min and max are tracked alongside, so means are
- * exact and quantiles clamp into the observed range.
+ * exact and quantiles clamp into the observed range. A 58-entry
+ * per-octave group summary rides along, so quantile() and
+ * countAbove() find their octave first and then walk at most one
+ * octave's 128 buckets.
  *
  * merge() is bucket-wise integer addition plus exact count/sum/
  * min/max folds: exact, commutative and associative, which is what
@@ -67,6 +70,10 @@ class LatencyHistogram
     /** Octaves above the exact region: bit widths m+2 .. 64. */
     static constexpr std::size_t numBuckets = static_cast<std::size_t>(
         (64 - subBucketBits + 1) * subBuckets);
+    /** Summary groups: bucket i counts toward group i >> m, so each
+     *  group is one octave's subBuckets buckets (the exact region
+     *  forms the first two). */
+    static constexpr std::size_t numGroups = numBuckets / subBuckets;
 
     /** Bucket index a value lands in. */
     static constexpr std::size_t
@@ -112,7 +119,9 @@ class LatencyHistogram
     void
     add(std::uint64_t v)
     {
-        ++buckets[bucketOf(v)];
+        const std::size_t i = bucketOf(v);
+        ++buckets[i];
+        ++groups[i >> subBucketBits];
         ++_count;
         _sum += v;
         _min = v < _min ? v : _min;
@@ -166,12 +175,22 @@ class LatencyHistogram
         return buckets[i];
     }
 
-    /** Fold another histogram in: exact and order-independent. */
+    /** Summed count of the subBuckets buckets in group g. */
+    std::uint64_t groupCount(std::size_t g) const { return groups[g]; }
+
+    /** Fold another histogram in: exact and order-independent. Empty
+     *  groups of `o` are skipped whole. */
     void
     merge(const LatencyHistogram &o)
     {
-        for (std::size_t i = 0; i < numBuckets; ++i)
-            buckets[i] += o.buckets[i];
+        for (std::size_t g = 0; g < numGroups; ++g) {
+            if (o.groups[g] == 0)
+                continue;
+            groups[g] += o.groups[g];
+            const std::size_t first = g << subBucketBits;
+            for (std::size_t i = first; i < first + subBuckets; ++i)
+                buckets[i] += o.buckets[i];
+        }
         _count += o._count;
         _sum += o._sum;
         _min = o._min < _min ? o._min : _min;
@@ -185,6 +204,10 @@ class LatencyHistogram
 
   private:
     std::array<std::uint64_t, numBuckets> buckets{};
+    /** Per-group sums of `buckets`: reads skip whole empty or
+     *  below-rank groups, visiting at most numGroups + subBuckets
+     *  entries instead of numBuckets. */
+    std::array<std::uint64_t, numGroups> groups{};
     std::uint64_t _count = 0;
     std::uint64_t _sum = 0;
     std::uint64_t _min = UINT64_MAX;
@@ -222,6 +245,10 @@ const char *to_string(LatencyPhase phase);
  * segment 0 — also the only segment a single-lane kernel uses) and
  * does two dozen integer operations on pre-sized arrays: no locks, no
  * allocation. While disabled, record() is one predicted branch.
+ *
+ * Each lane segment also keeps one all-CPU row per phase, which
+ * record() writes beside the per-CPU slot, so a whole-fleet read
+ * (cpu = -1) folds one histogram per lane rather than lanes × CPUs.
  *
  * The read side (merged()/aggregate()/quantile helpers) folds lane
  * segments with LatencyHistogram::merge — exact and order-independent
@@ -277,7 +304,7 @@ class RequestTracker
     LatencyHistogram aggregate(LatencyPhase phase) const;
 
     /** Streaming aggregate count for a phase (no 58 KB copies) —
-     *  cpu = -1 folds every CPU. */
+     *  cpu = -1 reads the all-CPU row. @pre -1 <= cpu < cpus() */
     std::uint64_t totalCount(LatencyPhase phase, int cpu = -1) const;
 
     /** Streaming aggregate sum of recorded values (cycles) — the
@@ -291,8 +318,9 @@ class RequestTracker
                              int cpu = -1) const;
 
     /**
-     * Streaming aggregate quantile: walks the bucket axis summing
-     * lane segments on the fly, so the per-sample cost is bucket
+     * Streaming aggregate quantile: walks the group summaries and
+     * then one group's buckets, summing lane segments on the fly, so
+     * the per-sample cost is at most lanes × (numGroups + subBuckets)
      * visits rather than histogram copies. Used by the SLO engine's
      * per-tick rolling quantile gauge. Same result as
      * aggregate(phase).quantile(q), byte for byte.
@@ -311,13 +339,19 @@ class RequestTracker
 
   private:
     void recordEnabled(int cpu, LatencyPhase phase, Cycles value);
+    /** Zeroed storage for `lanes` segments of the configured CPUs. */
+    void allocateSegs(std::size_t lanes);
 
-    std::size_t
-    slotOf(int cpu, LatencyPhase phase) const
+    /** Row 0 is the all-CPU row (cpu = -1); CPU c owns row c + 1. */
+    static std::size_t
+    slotOf(int cpu, LatencyPhase phase)
     {
-        return static_cast<std::size_t>(cpu) * numLatencyPhases +
+        return static_cast<std::size_t>(cpu + 1) * numLatencyPhases +
                static_cast<std::size_t>(phase);
     }
+
+    /** Slot for a read of `cpu` (-1 = all CPUs), range-checked. */
+    std::size_t readSlot(int cpu, LatencyPhase phase) const;
 
     /** Lane segment the calling thread records into. */
     std::vector<LatencyHistogram> &
@@ -334,8 +368,8 @@ class RequestTracker
     int _cpus = 0;
     bool _enabled = false;
     std::uint64_t lastId = 0;
-    /** [lane][cpu * numLatencyPhases + phase]; one entry in serial
-     *  mode, resized only by configure()/prepareForParallel(). */
+    /** [lane][slotOf(cpu, phase)]; one entry in serial mode,
+     *  resized only by configure()/prepareForParallel(). */
     std::vector<std::vector<LatencyHistogram>> segs;
 };
 

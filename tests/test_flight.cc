@@ -1,19 +1,25 @@
 /**
  * @file
  * Flight-recorder tests: sliding-window retention behind the barrier
- * clock, trigger capture with source merging, overwrite surfacing,
- * incident-export byte-identity across lane counts, the zero-alloc
- * disabled stamp path, and env validation.
+ * clock (differentially against a compacting-ring reference model),
+ * trigger capture with source merging, overwrite surfacing,
+ * incident-export byte-identity across lane counts, the pinned
+ * saturated overload world, the zero-alloc disabled stamp path, and
+ * env validation.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <new>
 #include <sstream>
 #include <string>
+#include <tuple>
+#include <vector>
 
 // ---------------------------------------------------------------------
 // Allocation counter (the test_latency idiom): the disabled flight
@@ -74,7 +80,9 @@ operator delete[](void *p, std::size_t) noexcept
 #include "core/fleet.hh"
 #include "sim/env.hh"
 #include "sim/flight.hh"
+#include "sim/lane.hh"
 #include "sim/probe.hh"
+#include "sim/random.hh"
 
 using namespace virtsim;
 
@@ -149,6 +157,134 @@ overloadFleet()
     return cfg;
 }
 
+/**
+ * Reference model for retention: one ring per lane with the plain
+ * order-preserving O(ring) compaction — the simplest statement of the
+ * eviction semantics. The expiry-indexed recorder must match it
+ * record for record.
+ */
+struct RefRing
+{
+    static constexpr std::size_t cap = FlightRecorder::segCapacity;
+    std::vector<TraceRecord> ring = std::vector<TraceRecord>(cap);
+    std::size_t head = 0;
+    std::size_t count = 0;
+    std::uint64_t total = 0;
+    std::uint64_t forced = 0;
+    Cycles maxForcedWhen = 0;
+    std::uint64_t compactions = 0;
+
+    void
+    push(const TraceRecord &r)
+    {
+        constexpr std::size_t mask = cap - 1;
+        if (count == cap) {
+            const TraceRecord &old = ring[head];
+            ++forced;
+            if (old.when > maxForcedWhen)
+                maxForcedWhen = old.when;
+            --count;
+        }
+        ring[head] = r;
+        head = (head + 1) & mask;
+        ++count;
+        ++total;
+    }
+
+    void
+    evict(Cycles now, Cycles retention)
+    {
+        if (now <= retention)
+            return;
+        const Cycles cut = now - retention;
+        constexpr std::size_t mask = cap - 1;
+        while (count > 0) {
+            const std::size_t tail = (head + cap - count) & mask;
+            if (ring[tail].when >= cut)
+                break;
+            --count;
+        }
+        if (count >= cap - cap / 4) {
+            ++compactions;
+            const std::size_t start = (head + cap - count) & mask;
+            std::size_t kept = 0;
+            for (std::size_t i = 0; i < count; ++i) {
+                const TraceRecord &r = ring[(start + i) & mask];
+                if (r.when < cut)
+                    continue;
+                ring[(start + kept) & mask] = r;
+                ++kept;
+            }
+            head = (start + kept) & mask;
+            count = kept;
+        }
+    }
+
+    struct Ref
+    {
+        TraceRecord rec;
+        std::uint64_t pos;
+    };
+
+    void
+    collect(Cycles begin, Cycles end, std::vector<Ref> &out) const
+    {
+        constexpr std::size_t mask = cap - 1;
+        for (std::size_t i = 0; i < count; ++i) {
+            const TraceRecord &r = ring[(head + cap - count + i) & mask];
+            if (r.when >= begin && r.when <= end)
+                out.push_back(Ref{r, total - count + i});
+        }
+    }
+};
+
+/** The reference canonical merge over several RefRing segments. */
+std::vector<TraceRecord>
+refWindow(const std::vector<RefRing> &segs, Cycles begin, Cycles end)
+{
+    std::vector<RefRing::Ref> refs;
+    for (const RefRing &s : segs)
+        s.collect(begin, end, refs);
+    std::sort(refs.begin(), refs.end(),
+              [](const RefRing::Ref &a, const RefRing::Ref &b) {
+                  const int ka = a.rec.kind == TraceKind::EdgeOut ? 0 : 1;
+                  const int kb = b.rec.kind == TraceKind::EdgeOut ? 0 : 1;
+                  return std::tie(a.rec.when, ka, a.rec.track, a.pos) <
+                         std::tie(b.rec.when, kb, b.rec.track, b.pos);
+              });
+    std::vector<TraceRecord> out;
+    for (const RefRing::Ref &r : refs)
+        out.push_back(r.rec);
+    return out;
+}
+
+bool
+sameRecords(const std::vector<TraceRecord> &a,
+            const std::vector<TraceRecord> &b)
+{
+    if (a.size() != b.size())
+        return false;
+    for (std::size_t i = 0; i < a.size(); ++i) {
+        if (a[i].when != b[i].when || a[i].arg != b[i].arg ||
+            a[i].tap != b[i].tap || a[i].track != b[i].track ||
+            a[i].kind != b[i].kind || a[i].cat != b[i].cat)
+            return false;
+    }
+    return true;
+}
+
+/** 64-bit FNV-1a over a byte string. */
+std::uint64_t
+fnv1a(const std::string &bytes)
+{
+    std::uint64_t h = 0xcbf29ce484222325ULL;
+    for (unsigned char c : bytes) {
+        h ^= c;
+        h *= 0x100000001b3ULL;
+    }
+    return h;
+}
+
 } // namespace
 
 // ---------------------------------------------------------------------
@@ -196,6 +332,100 @@ TEST(FlightRetention, OutOfOrderStampsStayUntilStale)
 
     fr.onSample(50000); // cut = 48200: everything but the young one
     EXPECT_EQ(fr.retainedRecords(), 1u);
+}
+
+TEST(FlightRetention, ExpiryIndexMatchesCompactingRing)
+{
+    // Two lane segments driven with in-order stamps, stamps back-dated
+    // past retention, and stamps future-dated beyond the expiry wheel
+    // (which keep the segments saturated and force overwrites). After
+    // every tick the recorder must hold exactly the reference's
+    // records in the same canonical order, and every captured window
+    // must agree on truncation.
+    constexpr Cycles W = 500, P = 100;
+    FlightRecorder fr;
+    fr.configure(W, P, /*incidentCap=*/1000);
+    fr.prepareForParallel(2);
+    fr.enable();
+    const Cycles R = fr.retention();
+    // Bucket width is 64 cycles here (largest power of two <= P).
+    const Cycles wheelSpan = FlightRecorder::wheelBuckets * 64;
+    std::vector<RefRing> ref(2);
+
+    Random rng(2024);
+    static const TapId taps[] = {internTap("test.flight.diff.a"),
+                                 internTap("test.flight.diff.b")};
+    Cycles now = 0;
+    std::uint64_t seq = 0;
+    std::size_t captured = 0;
+    bool sawForced = false;
+    for (int tick = 0; tick < 300; ++tick) {
+        for (int i = 0; i < 700; ++i) {
+            Cycles when;
+            const double u = rng.uniform();
+            if (u < 0.62) {
+                when = now + rng.below(300);
+            } else if (u < 0.72) {
+                const Cycles back = R + rng.below(6000);
+                when = now > back ? now - back : rng.below(50);
+            } else if (u < 0.86) {
+                when = now + wheelSpan + rng.below(4 * wheelSpan);
+            } else {
+                when = now + rng.below(60000);
+            }
+            when -= when % 10; // coarse stamps: plenty of key ties
+            // Lane 0 takes most stamps so its segment saturates.
+            const int lane = rng.chance(0.8) ? 0 : 1;
+            const TraceRecord r{
+                when, ++seq, taps[rng.below(2)],
+                static_cast<std::uint16_t>(rng.below(3)),
+                rng.chance(0.3) ? TraceKind::EdgeOut : TraceKind::Instant,
+                TraceCat::Op};
+            {
+                LaneScope scope(lane);
+                fr.record(r);
+            }
+            ref[static_cast<std::size_t>(lane)].push(r);
+        }
+        // Mostly period-aligned ticks; some off-grid, one long jump
+        // past a whole wheel turn, and one step backwards.
+        if (tick == 240)
+            now += 3 * wheelSpan;
+        else if (tick == 270)
+            now -= 40 * P;
+        else
+            now += P + (tick % 7 == 3 ? rng.below(P) : 0);
+        if (tick % 9 == 0)
+            fr.trigger(now, "tick");
+        fr.onSample(now);
+        for (RefRing &s : ref)
+            s.evict(now, R);
+
+        std::size_t want = 0;
+        for (const RefRing &s : ref) {
+            want += s.count;
+            sawForced = sawForced || s.forced > 0;
+        }
+        ASSERT_EQ(fr.retainedRecords(), want) << "tick " << tick;
+        ASSERT_TRUE(sameRecords(fr.collectWindow(0, UINT64_MAX),
+                                refWindow(ref, 0, UINT64_MAX)))
+            << "tick " << tick;
+        for (; captured < fr.incidentCount(); ++captured) {
+            const FlightIncident &inc = fr.incident(captured);
+            bool truncated = false;
+            for (const RefRing &s : ref)
+                truncated = truncated || (s.forced > 0 &&
+                                          s.maxForcedWhen >= inc.begin);
+            EXPECT_EQ(inc.truncated, truncated) << "tick " << tick;
+            EXPECT_TRUE(sameRecords(
+                inc.records, refWindow(ref, inc.begin, inc.end)))
+                << "tick " << tick;
+        }
+    }
+    // The drive really compacted, saturated and captured windows.
+    EXPECT_GT(ref[0].compactions, 50u);
+    EXPECT_TRUE(sawForced);
+    EXPECT_GT(captured, 10u);
 }
 
 // ---------------------------------------------------------------------
@@ -314,6 +544,59 @@ TEST(FlightFleet, IncidentReportsByteIdenticalAcrossLaneCounts)
         EXPECT_EQ(slurp(file), ref) << "lanes=" << lanes;
     }
     std::remove(file.c_str());
+}
+
+TEST(FlightFleet, SaturatedOverloadWorldIsPinned)
+{
+    // The 16-VM open-loop overload world (60 us mean interarrival, 4x
+    // bursts, 150 transactions per connection, arrival seed 168) at
+    // one lane, with incidents and latency exported. It fills the
+    // flight ring and tracks 16 CPUs; the digests pin both exports
+    // byte for byte. A change that alters them on purpose updates the
+    // values and says why.
+    const std::string dir = ::testing::TempDir() + "flight_pin";
+    const std::string latency = ::testing::TempDir() + "flight_pin.json";
+    const std::string latencyFile =
+        ::testing::TempDir() + "flight_pin.fleet.json";
+    const std::string incident = dir + "/incident.fleet.000.json";
+    ScopedEnv inc("VIRTSIM_INCIDENTS", dir.c_str());
+    ScopedEnv lat("VIRTSIM_LATENCY", latency.c_str());
+    ScopedEnv w("VIRTSIM_INCIDENT_WINDOW_US", nullptr);
+    ScopedEnv c("VIRTSIM_INCIDENT_CAP", nullptr);
+    ScopedEnv hz("VIRTSIM_TIMELINE_HZ", nullptr);
+    ScopedEnv p99("VIRTSIM_SLO_P99_US", nullptr);
+    ScopedEnv viol("VIRTSIM_SLO_MAX_VIOLATION", nullptr);
+    ScopedEnv vms("VIRTSIM_FLEET_VMS", nullptr);
+    ScopedEnv ia("VIRTSIM_FLEET_INTERARRIVAL_US", nullptr);
+    ScopedEnv bf("VIRTSIM_FLEET_BURST_FACTOR", nullptr);
+    std::remove(incident.c_str());
+    std::remove((dir + "/incident.fleet.001.json").c_str());
+    std::remove(latencyFile.c_str());
+
+    FleetConfig cfg;
+    cfg.nVms = 16;
+    cfg.transactionsPerConn = 150;
+    cfg.openLoop = true;
+    cfg.meanInterarrivalUs = 60.0;
+    cfg.burstRateFactor = 4.0;
+    cfg.latency = true;
+    cfg.arrivalSeed = 168;
+    const FleetResult r = runNetperfRrFleet(cfg, 1);
+    EXPECT_EQ(r.transactions, 76800u);
+    EXPECT_EQ(r.sloBreaches, 1u);
+
+    const std::string incJson = slurp(incident);
+    const std::string latJson = slurp(latencyFile);
+    ASSERT_FALSE(incJson.empty());
+    ASSERT_FALSE(latJson.empty());
+    EXPECT_FALSE(
+        std::filesystem::exists(dir + "/incident.fleet.001.json"));
+    // The ring saturates: the window lost live records to overwrite.
+    EXPECT_NE(incJson.find("\"truncated\":true"), std::string::npos);
+    EXPECT_EQ(fnv1a(incJson), 0xfce6be34514508b7ULL);
+    EXPECT_EQ(fnv1a(latJson), 0xda8e999e63566987ULL);
+    std::remove(incident.c_str());
+    std::remove(latencyFile.c_str());
 }
 
 // ---------------------------------------------------------------------

@@ -9,7 +9,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <cmath>
 #include <cstdlib>
 #include <fstream>
 #include <new>
@@ -20,6 +22,7 @@
 #include "core/netperf.hh"
 #include "core/testbed.hh"
 #include "sim/env.hh"
+#include "sim/lane.hh"
 #include "sim/latency.hh"
 #include "sim/random.hh"
 #include "sim/slo.hh"
@@ -133,6 +136,129 @@ slurp(const std::string &path)
     std::ostringstream os;
     os << is.rdbuf();
     return os.str();
+}
+
+/**
+ * Reference reads: a plain bucket array with exact count/min/max and
+ * full-axis walks. It shares only the bucket scheme (bucketOf /
+ * bucketLow / bucketHigh) with LatencyHistogram, so a wrong group
+ * summary or a wrong all-CPU row cannot hide behind it.
+ */
+struct RefHist
+{
+    std::vector<std::uint64_t> b =
+        std::vector<std::uint64_t>(LatencyHistogram::numBuckets);
+    std::uint64_t count = 0;
+    std::uint64_t lo = UINT64_MAX;
+    std::uint64_t hi = 0;
+
+    void
+    add(std::uint64_t v)
+    {
+        ++b[LatencyHistogram::bucketOf(v)];
+        ++count;
+        lo = std::min(lo, v);
+        hi = std::max(hi, v);
+    }
+
+    void
+    fold(const RefHist &o)
+    {
+        for (std::size_t i = 0; i < b.size(); ++i)
+            b[i] += o.b[i];
+        count += o.count;
+        lo = std::min(lo, o.lo);
+        hi = std::max(hi, o.hi);
+    }
+
+    std::uint64_t
+    quantile(double q) const
+    {
+        if (count == 0)
+            return 0;
+        if (q <= 0.0)
+            return lo;
+        if (q >= 1.0)
+            return hi;
+        const std::uint64_t rank = std::clamp<std::uint64_t>(
+            static_cast<std::uint64_t>(
+                std::ceil(q * static_cast<double>(count))),
+            1, count);
+        std::uint64_t cum = 0;
+        for (std::size_t i = 0; i < b.size(); ++i) {
+            cum += b[i];
+            if (cum >= rank)
+                return std::clamp(LatencyHistogram::bucketHigh(i), lo,
+                                  hi);
+        }
+        return hi;
+    }
+
+    /** Mass of every bucket whose low bound exceeds `threshold`. */
+    std::uint64_t
+    countAbove(std::uint64_t threshold) const
+    {
+        std::uint64_t n = 0;
+        for (std::size_t i = 0; i < b.size(); ++i)
+            if (LatencyHistogram::bucketLow(i) > threshold)
+                n += b[i];
+        return n;
+    }
+};
+
+constexpr double kProbeQuantiles[] = {0.0, 1e-9, 0.5, 0.99, 0.999, 1.0};
+
+/** Thresholds in the exact region, on bucket and group boundaries,
+ *  around recorded values, and inside the saturating top bucket. */
+std::vector<std::uint64_t>
+probeThresholds(const std::vector<std::uint64_t> &values)
+{
+    constexpr std::size_t n = LatencyHistogram::numBuckets;
+    constexpr std::size_t sub = LatencyHistogram::subBuckets;
+    std::vector<std::uint64_t> t = {0,   1,   100, 127, 128,
+                                    255, 256, 257, UINT64_MAX - 1,
+                                    UINT64_MAX};
+    for (std::size_t i : {sub - 1, sub, 2 * sub - 1, 2 * sub,
+                          2 * sub + 1, 5 * sub - 1, 5 * sub, 20 * sub,
+                          20 * sub + 77, n - sub - 1, n - sub, n - 2,
+                          n - 1}) {
+        t.push_back(LatencyHistogram::bucketLow(i));
+        t.push_back(LatencyHistogram::bucketHigh(i));
+    }
+    for (std::size_t i = 0; i < values.size(); i += 97) {
+        t.push_back(values[i]);
+        t.push_back(values[i] - 1);
+        t.push_back(values[i] + 1);
+    }
+    return t;
+}
+
+/** Uniform integer in [lo, hi]. */
+std::uint64_t
+pick(Random &rng, std::uint64_t lo, std::uint64_t hi)
+{
+    return lo + rng.below(hi - lo + 1);
+}
+
+/** Values spanning the exact region, mid octaves and the top bucket. */
+std::uint64_t
+spreadValue(Random &rng)
+{
+    switch (pick(rng, 0, 5)) {
+      case 0:
+        return pick(rng, 0, 300);
+      case 1:
+        return static_cast<std::uint64_t>(rng.exponential(50000.0));
+      case 2:
+        return static_cast<std::uint64_t>(rng.exponential(3e6)) + 1;
+      case 3:
+        return LatencyHistogram::bucketLow(static_cast<std::size_t>(
+            pick(rng, 0, LatencyHistogram::numBuckets - 1)));
+      case 4:
+        return UINT64_MAX - pick(rng, 0, 1000);
+      default:
+        return std::uint64_t{1} << pick(rng, 0, 63);
+    }
 }
 
 } // namespace
@@ -254,6 +380,66 @@ TEST(LatencyHistogramQuantiles, CountAboveExactInExactRegion)
     EXPECT_EQ(h.countAbove(UINT64_MAX), 0u);
 }
 
+TEST(LatencyHistogramQuantiles, GroupSummaryMatchesFullBucketWalk)
+{
+    Random rng(4242);
+    LatencyHistogram empty;
+    const RefHist emptyRef;
+    for (double q : kProbeQuantiles)
+        EXPECT_EQ(empty.quantile(q), emptyRef.quantile(q));
+    EXPECT_EQ(empty.countAbove(0), 0u);
+
+    // Single adds, then the same data folded by merge(): both must
+    // keep the group summary in step with the buckets.
+    LatencyHistogram h, folded;
+    RefHist ref;
+    std::vector<std::uint64_t> values;
+    for (int part = 0; part < 4; ++part) {
+        LatencyHistogram piece;
+        for (int i = 0; i < 2500; ++i) {
+            const std::uint64_t v = spreadValue(rng);
+            h.add(v);
+            piece.add(v);
+            ref.add(v);
+            values.push_back(v);
+        }
+        folded.merge(piece);
+        for (const LatencyHistogram *x : {&h, &folded}) {
+            for (double q : kProbeQuantiles)
+                ASSERT_EQ(x->quantile(q), ref.quantile(q))
+                    << "q=" << q << " part=" << part;
+        }
+    }
+    for (std::uint64_t t : probeThresholds(values)) {
+        ASSERT_EQ(h.countAbove(t), ref.countAbove(t)) << "t=" << t;
+        ASSERT_EQ(folded.countAbove(t), ref.countAbove(t)) << "t=" << t;
+    }
+    for (std::size_t g = 0; g < LatencyHistogram::numGroups; ++g) {
+        std::uint64_t n = 0;
+        for (std::size_t i = 0; i < LatencyHistogram::subBuckets; ++i)
+            n += h.bucketCount(g * LatencyHistogram::subBuckets + i);
+        ASSERT_EQ(h.groupCount(g), n) << "group " << g;
+        ASSERT_EQ(folded.groupCount(g), n) << "group " << g;
+    }
+
+    // Dense exact-region data: every rank lands in the first groups.
+    LatencyHistogram small;
+    RefHist smallRef;
+    for (std::uint64_t v = 0; v < 300; ++v) {
+        small.add(v);
+        smallRef.add(v);
+    }
+    for (double q : kProbeQuantiles)
+        EXPECT_EQ(small.quantile(q), smallRef.quantile(q)) << q;
+    for (std::uint64_t t : probeThresholds({1, 150, 299}))
+        EXPECT_EQ(small.countAbove(t), smallRef.countAbove(t)) << t;
+
+    h.reset();
+    for (std::size_t g = 0; g < LatencyHistogram::numGroups; ++g)
+        ASSERT_EQ(h.groupCount(g), 0u);
+    EXPECT_EQ(h.quantile(0.5), 0u);
+}
+
 // ---------------------------------------------------------------------
 // Merge exactness
 // ---------------------------------------------------------------------
@@ -316,6 +502,53 @@ TEST(RequestTracker, RecordsPerCpuPerPhaseAndAggregates)
         EXPECT_EQ(t.quantileAcross(LatencyPhase::Rtt, q),
                   agg.quantile(q));
 
+    // Random data spread over every lane segment, checked against
+    // plain bucket walks the test keeps itself. CPU 3 stays empty.
+    RequestTracker r;
+    r.configure(4);
+    r.prepareForParallel(3);
+    r.enable();
+    constexpr int kCpus = 4;
+    std::vector<RefHist> ref(kCpus * numLatencyPhases);
+    std::vector<std::uint64_t> values;
+    Random rng(77);
+    for (int i = 0; i < 6000; ++i) {
+        const int lane = static_cast<int>(pick(rng, 0, 2));
+        const int cpu = static_cast<int>(pick(rng, 0, 2));
+        const auto phase = static_cast<LatencyPhase>(
+            pick(rng, 0, numLatencyPhases - 1));
+        const std::uint64_t v = spreadValue(rng);
+        LaneScope scope(lane);
+        r.record(cpu, phase, v);
+        ref[cpu * numLatencyPhases + static_cast<std::size_t>(phase)]
+            .add(v);
+        values.push_back(v);
+    }
+    const std::vector<std::uint64_t> thresholds =
+        probeThresholds(values);
+    for (std::size_t p = 0; p < numLatencyPhases; ++p) {
+        const auto phase = static_cast<LatencyPhase>(p);
+        RefHist all;
+        for (int c = 0; c < kCpus; ++c)
+            all.fold(ref[c * numLatencyPhases + p]);
+        for (int cpu = -1; cpu < kCpus; ++cpu) {
+            const RefHist &want =
+                cpu < 0 ? all : ref[cpu * numLatencyPhases + p];
+            EXPECT_EQ(r.totalCount(phase, cpu), want.count);
+            for (double q : kProbeQuantiles)
+                ASSERT_EQ(r.quantileAcross(phase, q, cpu),
+                          want.quantile(q))
+                    << "phase=" << p << " cpu=" << cpu << " q=" << q;
+            for (std::uint64_t th : thresholds)
+                ASSERT_EQ(r.totalAbove(phase, th, cpu),
+                          want.countAbove(th))
+                    << "phase=" << p << " cpu=" << cpu << " t=" << th;
+        }
+        const LatencyHistogram merged = r.aggregate(phase);
+        for (std::size_t i = 0; i < LatencyHistogram::numBuckets; ++i)
+            ASSERT_EQ(merged.bucketCount(i), all.b[i]) << "bucket " << i;
+    }
+
     // reset() zeroes data but keeps configuration and arming.
     t.reset();
     EXPECT_TRUE(t.enabled());
@@ -326,6 +559,28 @@ TEST(RequestTracker, RecordsPerCpuPerPhaseAndAggregates)
     t.clear();
     EXPECT_FALSE(t.enabled());
     EXPECT_EQ(t.cpus(), 0);
+}
+
+TEST(RequestTrackerDeath, OutOfRangeCpuReadsDie)
+{
+    ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+    RequestTracker t;
+    t.configure(2);
+    t.enable();
+    t.record(1, LatencyPhase::Rtt, 100);
+    // -1 (all CPUs) through cpus() - 1 are valid; anything else used
+    // to read as 0 and must now fail loudly.
+    EXPECT_EQ(t.totalCount(LatencyPhase::Rtt, -1), 1u);
+    EXPECT_EQ(t.totalCount(LatencyPhase::Rtt, 1), 1u);
+    EXPECT_DEATH((void)t.totalCount(LatencyPhase::Rtt, 2),
+                 "out of range");
+    EXPECT_DEATH((void)t.totalSum(LatencyPhase::Rtt, -2),
+                 "out of range");
+    EXPECT_DEATH((void)t.totalAbove(LatencyPhase::Rtt, 10, 5),
+                 "out of range");
+    EXPECT_DEATH((void)t.quantileAcross(LatencyPhase::Rtt, 0.5, 2),
+                 "out of range");
+    EXPECT_DEATH((void)t.merged(2, LatencyPhase::Rtt), "out of range");
 }
 
 TEST(RequestTrackerFastPath, DisabledStampAllocatesNothing)
