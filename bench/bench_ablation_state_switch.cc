@@ -45,12 +45,10 @@ hypercallCyclesFastVgic()
     // Not acquireTestbed(): the cost-table patch below would leak
     // into cached same-config worlds.
     Testbed tb(tc);
-    auto *kvm = dynamic_cast<KvmArm *>(tb.hypervisor());
     // What if reading back VGIC state cost no more than system
     // registers? Patch the machine's cost table before measuring.
     const_cast<CostModel &>(tb.machine().costs())
         .cost(RegClass::Vgic) = {230, 181};
-    (void)kvm;
     MicrobenchSuite suite(tb);
     return suite.run(MicroOp::Hypercall, 20).cycles.mean();
 }

@@ -10,8 +10,9 @@ namespace virtsim {
 HypercallBreakdown
 measureHypercallBreakdown(Testbed &tb)
 {
-    auto *kvm = dynamic_cast<KvmArm *>(tb.hypervisor());
-    VIRTSIM_ASSERT(kvm, "hypercall breakdown requires KVM ARM");
+    const SutKind kind = tb.config().kind;
+    VIRTSIM_ASSERT(kind == SutKind::KvmArm || kind == SutKind::KvmArmVhe,
+                   "hypercall breakdown requires KVM ARM");
 
     Vcpu &v = tb.guest()->vcpu(0);
     TraceSink &sink = tb.machine().trace();
@@ -21,7 +22,7 @@ measureHypercallBreakdown(Testbed &tb)
 
     HypercallBreakdown out;
     const Cycles t0 = std::max(tb.queue().now(), tb.frontier(0));
-    kvm->hypercall(t0, v, [&out, t0](Cycles t1) {
+    tb.hypervisor()->hypercall(t0, v, [&out, t0](Cycles t1) {
         out.hypercallCycles = t1 - t0;
     });
     tb.run();

@@ -49,7 +49,7 @@ struct HypercallBreakdown
 /**
  * Measure the breakdown on a KVM ARM (or VHE) testbed by recording a
  * live hypercall.
- * @pre tb runs KvmArm or KvmArmVhe.
+ * @pre tb runs SutKind::KvmArm or SutKind::KvmArmVhe.
  */
 HypercallBreakdown measureHypercallBreakdown(Testbed &tb);
 

@@ -96,20 +96,16 @@ MicrobenchSuite::setUp(MicroOp op)
         // Dom0 idles between iterations in the paper's setup; the
         // cost of waking it is precisely what this row measures for
         // Xen.
-        if (auto *xa = dynamic_cast<XenArm *>(hv))
-            xa->forceDom0Idle();
-        if (auto *xx = dynamic_cast<XenX86 *>(hv))
-            xx->forceDom0Idle();
+        if (auto *xen = dynamic_cast<XenHypervisor *>(hv))
+            xen->forceDom0Idle();
         break;
       }
       case MicroOp::IoLatencyIn: {
         // The backend signals a blocked VM: the receiving VCPU is
         // idle, and (for Xen) Dom0 is the running signaller.
         tb.setIdle(0, true);
-        if (auto *xa = dynamic_cast<XenArm *>(hv))
-            xa->forceDom0Running();
-        if (auto *xx = dynamic_cast<XenX86 *>(hv))
-            xx->forceDom0Running();
+        if (auto *xen = dynamic_cast<XenHypervisor *>(hv))
+            xen->forceDom0Running();
         break;
       }
       default:

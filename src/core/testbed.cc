@@ -603,19 +603,15 @@ Testbed::buildVirtualized()
 {
     switch (cfg.kind) {
       case SutKind::KvmArm:
-        hv = std::make_unique<KvmArm>(*server);
+      case SutKind::KvmX86:
+        hv = std::make_unique<KvmHypervisor>(*server);
         break;
       case SutKind::KvmArmVhe:
-        hv = std::make_unique<KvmArmVhe>(*server);
+        hv = std::make_unique<KvmHypervisor>(*server, true);
         break;
       case SutKind::XenArm:
-        hv = std::make_unique<XenArm>(*server);
-        break;
-      case SutKind::KvmX86:
-        hv = std::make_unique<KvmX86>(*server);
-        break;
       case SutKind::XenX86:
-        hv = std::make_unique<XenX86>(*server);
+        hv = std::make_unique<XenHypervisor>(*server);
         break;
       case SutKind::Native:
       case SutKind::NativeX86:
@@ -634,26 +630,16 @@ Testbed::buildVirtualized()
     // Paravirtual networking, per Section III ("All VMs used
     // paravirtualized I/O, typical of cloud infrastructure
     // deployments such as Amazon EC2").
-    if (auto *kvm_arm = dynamic_cast<KvmArm *>(hv.get())) {
+    if (auto *kvm = dynamic_cast<KvmHypervisor *>(hv.get())) {
         VhostBackend::Params vp;
         vp.workerPcpu = 4;
         vp.hostIrqPcpu = 5;
-        kvm_arm->attachVirtualNic(vm, vp);
-    } else if (auto *xen_arm = dynamic_cast<XenArm *>(hv.get())) {
+        kvm->attachVirtualNic(vm, vp);
+    } else if (auto *xen = dynamic_cast<XenHypervisor *>(hv.get())) {
         NetbackBackend::Params np;
         np.dom0Pcpu = 4;
         np.zeroCopyGrants = cfg.zeroCopyGrants;
-        xen_arm->attachVirtualNic(vm, np);
-    } else if (auto *kvm_x86 = dynamic_cast<KvmX86 *>(hv.get())) {
-        VhostBackend::Params vp;
-        vp.workerPcpu = 4;
-        vp.hostIrqPcpu = 5;
-        kvm_x86->attachVirtualNic(vm, vp);
-    } else if (auto *xen_x86 = dynamic_cast<XenX86 *>(hv.get())) {
-        NetbackBackend::Params np;
-        np.dom0Pcpu = 4;
-        np.zeroCopyGrants = cfg.zeroCopyGrants;
-        xen_x86->attachVirtualNic(vm, np);
+        xen->attachVirtualNic(vm, np);
     }
 
     hv->onHostDatalinkRx = [this](Cycles t, const Packet &pkt) {

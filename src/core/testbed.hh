@@ -30,11 +30,8 @@
 #include <string>
 
 #include "hv/hypervisor.hh"
-#include "hv/kvm_arm.hh"
-#include "hv/kvm_arm_vhe.hh"
-#include "hv/kvm_x86.hh"
-#include "hv/xen_arm.hh"
-#include "hv/xen_x86.hh"
+#include "hv/kvm.hh"
+#include "hv/xen.hh"
 #include "hw/machine.hh"
 #include "hw/wire.hh"
 #include "os/netstack.hh"

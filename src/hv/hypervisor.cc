@@ -10,7 +10,8 @@ to_string(HvType t)
     return t == HvType::Type1 ? "Type 1" : "Type 2";
 }
 
-Hypervisor::Hypervisor(Machine &m) : mach(m), wse(m.costs())
+Hypervisor::Hypervisor(Machine &m, const std::string &family, bool e2h)
+    : mach(m), wse(m.costs()), pol(ArchPolicy::create(m, wse, family, e2h))
 {
     wse.attachTrace(&m.trace());
 }
@@ -37,6 +38,7 @@ Hypervisor::createVm(const std::string &name, int n_vcpus,
     _vms.push_back(std::make_unique<Vm>(nextVmId++, name, VmKind::Guest,
                                         n_vcpus, pinning));
     Vm &vm = *_vms.back();
+    dists[vm.id()] = std::make_unique<VgicDistributor>(vm);
     // Populate Stage-2 tables with an identity-offset mapping for the
     // VM's RAM (12 GiB per the paper's Section III configuration,
     // 4 KiB granules). Benchmarks touch only a window of it; the map
@@ -84,6 +86,14 @@ Cycles
 Hypervisor::chargeGuest(Cycles t, Vcpu &v, Cycles work)
 {
     return mach.cpu(v.pcpu()).charge(t, work);
+}
+
+VgicDistributor &
+Hypervisor::dist(Vm &vm)
+{
+    auto it = dists.find(vm.id());
+    VIRTSIM_ASSERT(it != dists.end(), "no vgic for vm ", vm.name());
+    return *it->second;
 }
 
 VcpuId

@@ -19,10 +19,12 @@
 #define VIRTSIM_HV_HYPERVISOR_HH
 
 #include <functional>
+#include <map>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "hv/arch_policy.hh"
 #include "hv/vgic.hh"
 #include "hv/vm.hh"
 #include "hv/world_switch.hh"
@@ -55,12 +57,15 @@ enum class VirqDistribution
 };
 
 /**
- * Abstract hypervisor running on one Machine.
+ * Abstract hypervisor running on one Machine: a family's control flow
+ * over the machine architecture's policy.
  */
 class Hypervisor
 {
   public:
-    explicit Hypervisor(Machine &m);
+    /** @p family names the family's stats ("xen" / "kvm"); @p e2h
+     *  selects ARM's VHE policy. */
+    Hypervisor(Machine &m, const std::string &family, bool e2h = false);
     virtual ~Hypervisor() = default;
 
     Hypervisor(const Hypervisor &) = delete;
@@ -93,8 +98,8 @@ class Hypervisor
      * Create a guest VM with n_vcpus VCPUs pinned to the given
      * physical CPUs (Section III methodology: one VCPU per PCPU).
      */
-    virtual Vm &createVm(const std::string &name, int n_vcpus,
-                         const std::vector<PcpuId> &pinning);
+    Vm &createVm(const std::string &name, int n_vcpus,
+                 const std::vector<PcpuId> &pinning);
 
     /** Install interrupt handlers and begin running. Call once after
      *  all VMs are created. The base implementation registers the
@@ -229,8 +234,13 @@ class Hypervisor
     /** Pick the VCPU that receives the next device virtual IRQ. */
     VcpuId pickVirqTarget(Vm &vm);
 
+    /** A VM's virtual distributor (pending virqs per VCPU). */
+    VgicDistributor &dist(Vm &vm);
+
     Machine &mach;
     WorldSwitchEngine wse;
+    std::unique_ptr<const ArchPolicy> pol;
+    std::map<VmId, std::unique_ptr<VgicDistributor>> dists;
     std::vector<std::unique_ptr<Vm>> _vms;
     /** vmMetrics cache, indexed by VM id. */
     std::vector<MetricsDomain *> vmDomains;

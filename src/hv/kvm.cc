@@ -1,4 +1,4 @@
-#include "hv/kvm_arm.hh"
+#include "hv/kvm.hh"
 
 #include "os/kernel.hh"
 #include "sim/log.hh"
@@ -16,6 +16,7 @@ struct KvmTaps
     TapId trapHypercall = internTap("kvm.trap.hypercall");
     TapId trapIrqchip = internTap("kvm.trap.irqchip");
     TapId trapVipi = internTap("kvm.trap.vipi");
+    TapId trapEoi = internTap("kvm.trap.eoi");
     TapId trapVmSwitch = internTap("kvm.trap.vm_switch");
     TapId trapIoOut = internTap("kvm.trap.io_out");
     TapId ioIn = internTap("kvm.io_in");
@@ -25,7 +26,7 @@ struct KvmTaps
     /** Guest-visible operation envelopes (TraceCat::Op): emitted
      *  after their constituent spans so sim/attrib can parent by
      *  interval containment and count operations. Names are shared
-     *  with the other hypervisors so differential reports align. */
+     *  with Xen so differential reports align. */
     TapId opHypercall = internTap("op.hypercall");
     TapId opIrqTrap = internTap("op.irq_trap");
     TapId opVipi = internTap("op.vipi");
@@ -41,38 +42,35 @@ kvmTaps()
     return taps;
 }
 
+std::uint16_t
+track(const Vcpu &v)
+{
+    return static_cast<std::uint16_t>(v.pcpu());
+}
+
 } // namespace
 
-KvmArm::KvmArm(Machine &m)
-    : Hypervisor(m),
+KvmHypervisor::KvmHypervisor(Machine &m, bool vhe)
+    : Hypervisor(m, "kvm", vhe),
+      params(pol->kvm),
       hostCtx(static_cast<std::size_t>(m.numCpus())),
       kickActions(static_cast<std::size_t>(m.numCpus())),
       net(NetstackCosts::linux(m.freq()))
 {
-    VIRTSIM_ASSERT(m.arch() == Arch::Arm, "KvmArm needs an ARM machine");
     // Give every physical CPU a distinguishable host context so that
     // isolation tests can detect cross-context leaks.
     for (std::size_t i = 0; i < hostCtx.size(); ++i)
-        hostCtx[i].regs.fillPattern(0x405700 + i);
-}
-
-Vm &
-KvmArm::createVm(const std::string &name, int n_vcpus,
-                 const std::vector<PcpuId> &pinning)
-{
-    Vm &vm = Hypervisor::createVm(name, n_vcpus, pinning);
-    dists[vm.id()] = std::make_unique<VgicDistributor>(vm);
-    return vm;
+        hostCtx[i].regs.fillPattern(pol->hostRegPattern + i);
 }
 
 TapId
-KvmArm::worldSwitchTap() const
+KvmHypervisor::worldSwitchTap() const
 {
     return kvmTaps().worldSwitch;
 }
 
 void
-KvmArm::start()
+KvmHypervisor::start()
 {
     Hypervisor::start();
     mach.irqChip().setPhysIrqHandler(
@@ -97,198 +95,135 @@ KvmArm::start()
     }
 }
 
-VgicDistributor &
-KvmArm::dist(Vm &vm)
+void
+KvmHypervisor::countWorldSwitch(const Vcpu &v)
 {
-    auto it = dists.find(vm.id());
-    VIRTSIM_ASSERT(it != dists.end(), "no vgic for vm ", vm.name());
-    return *it->second;
+    vmMetrics(v.vm()).counter(kvmTaps().worldSwitch).inc();
+    cpuMetrics(v.pcpu()).counter(kvmTaps().worldSwitch).inc();
 }
 
 Cycles
-KvmArm::exitToHost(Cycles t, Vcpu &v)
+KvmHypervisor::exitToHost(Cycles t, Vcpu &v)
 {
     auto &ctx = hostCtx[static_cast<std::size_t>(v.pcpu())];
     VIRTSIM_ASSERT(ctx.inVm && ctx.loaded == &v,
                    "exitToHost: ", v.name(), " not running on pcpu ",
                    v.pcpu());
     PhysicalCpu &cpu = mach.cpu(v.pcpu());
-    const CostModel &cm = mach.costs();
-
-    // Trap to the EL2 lowvisor and dispatch.
-    Cycles c = cm.trapToEl2 + params.el2Dispatch;
-    // Save the complete VM state to memory — including reading the
-    // VGIC state back from the interrupt controller, the dominant
-    // term (Table III). The host's EL1 state is re-established as
-    // part of the same sequence.
-    c += wse.save(cpu, v.savedRegs(), kvmArmSwitchedState, t + c);
-    // The host needs full hardware access: disable Stage-2 and traps.
-    c += cm.stage2Toggle;
-    // Return to the host kernel in EL1 (second half of the double
-    // trap).
-    c += cm.eretToEl1;
-
-    // Host register values become live (transfer cost accounted
-    // above, in the measured per-class numbers).
-    for (RegClass cls : {RegClass::Gp, RegClass::Fp, RegClass::El1Sys,
-                         RegClass::Timer})
-        cpu.regs().copyClassFrom(ctx.regs, cls);
-
+    const Cycles c = pol->exitToHost(cpu, v.savedRegs(), ctx.regs, t);
     ctx.inVm = false;
     v.setState(VcpuState::InHyp);
-    cpu.setMode(CpuMode::El1);
-    cpu.setContext("host");
+    cpu.setContext(pol->hostContext);
     stats().counter("kvm.vm_exits").inc();
     const Cycles tr = cpu.charge(t, c);
-    const KvmTaps &taps = kvmTaps();
-    trace().span(t, tr, taps.exit, TraceCat::Switch,
-                 static_cast<std::uint16_t>(v.pcpu()), c);
-    vmMetrics(v.vm()).counter(taps.worldSwitch).inc();
-    cpuMetrics(v.pcpu()).counter(taps.worldSwitch).inc();
+    if (pol->tracesTransitions)
+        trace().span(t, tr, kvmTaps().exit, TraceCat::Switch, track(v), c);
+    countWorldSwitch(v);
     return tr;
 }
 
 Cycles
-KvmArm::enterVm(Cycles t, Vcpu &v)
+KvmHypervisor::enterVm(Cycles t, Vcpu &v)
 {
     auto &ctx = hostCtx[static_cast<std::size_t>(v.pcpu())];
     VIRTSIM_ASSERT(!ctx.inVm, "enterVm: pcpu ", v.pcpu(),
                    " already in a VM");
     PhysicalCpu &cpu = mach.cpu(v.pcpu());
-    const CostModel &cm = mach.costs();
-
-    // Preserve the host's live EL1 values before the guest's own
-    // state overwrites them.
-    for (RegClass cls : {RegClass::Gp, RegClass::Fp, RegClass::El1Sys,
-                         RegClass::Timer})
-        ctx.regs.copyClassFrom(cpu.regs(), cls);
-
-    // Any software-pending virtual interrupts get flushed into the
-    // hardware list registers before entry.
-    Cycles flush = 0;
-    VgicDistributor &d = dist(v.vm());
-    while (d.hasPending(v.id())) {
-        const IrqId virq = d.popPending(v.id());
-        if (mach.gic().injectVirq(t, v.pcpu(), virq) < 0) {
-            // No free list register; keep it software-pending.
-            d.setPending(v.id(), virq);
-            break;
-        }
-        flush += mach.gic().lrWriteCost();
-    }
-
-    Cycles c = cm.trapToEl2 + params.el2Dispatch + flush;
-    c += wse.restore(cpu, v.savedRegs(), kvmArmSwitchedState, t + c);
-    c += cm.stage2Toggle; // re-enable Stage-2 translation and traps
-    c += cm.eretToEl1;
-
+    // Software-pending virtual interrupts reach the hardware first.
+    const Cycles flush = pol->flushPending(t, dist(v.vm()), v);
+    const Cycles c = pol->enterGuest(cpu, v.savedRegs(), ctx.regs, t, flush);
     ctx.inVm = true;
     ctx.loaded = &v;
     v.setLoaded(true);
     v.setState(VcpuState::Running);
-    cpu.setMode(CpuMode::El1);
     cpu.setContext(v.name());
     stats().counter("kvm.vm_entries").inc();
     const Cycles tr = cpu.charge(t, c);
-    const KvmTaps &taps = kvmTaps();
-    trace().span(t, tr, taps.enter, TraceCat::Switch,
-                 static_cast<std::uint16_t>(v.pcpu()), c);
-    vmMetrics(v.vm()).counter(taps.worldSwitch).inc();
-    cpuMetrics(v.pcpu()).counter(taps.worldSwitch).inc();
+    if (pol->tracesTransitions)
+        trace().span(t, tr, kvmTaps().enter, TraceCat::Switch, track(v), c);
+    countWorldSwitch(v);
     return tr;
 }
 
 void
-KvmArm::hypercall(Cycles t, Vcpu &v, Done done)
+KvmHypervisor::hypercall(Cycles t, Vcpu &v, Done done)
 {
     const Cycles t1 = exitToHost(t, v);
-    const Cycles t2 =
-        mach.cpu(v.pcpu()).charge(t1, params.hypercallHandler);
+    const Cycles t2 = mach.cpu(v.pcpu()).charge(t1, params.hypercallHandler);
     const Cycles t3 = enterVm(t2, v);
     stats().counter("kvm.hypercalls").inc();
     vmMetrics(v.vm()).histogram(kvmTaps().trapHypercall).add(t3 - t);
-    trace().span(t, t3, kvmTaps().opHypercall, TraceCat::Op,
-                 static_cast<std::uint16_t>(v.pcpu()));
+    trace().span(t, t3, kvmTaps().opHypercall, TraceCat::Op, track(v));
     queue().scheduleAt(t3, [t3, done] { done(t3); });
 }
 
 void
-KvmArm::irqControllerTrap(Cycles t, Vcpu &v, Done done)
+KvmHypervisor::irqControllerTrap(Cycles t, Vcpu &v, Done done)
 {
-    // The distributor access traps to EL2, and because the emulation
-    // lives in the host kernel (Figure 3), the exit must complete all
-    // the way to host EL1.
+    // The access traps, and because the emulation lives in the host
+    // kernel (Figure 3), the exit must complete all the way to it.
     const Cycles t1 = exitToHost(t, v);
-    const Cycles t2 =
-        mach.cpu(v.pcpu()).charge(t1, params.vgicDistEmulation);
+    const Cycles t2 = mach.cpu(v.pcpu()).charge(t1, params.irqchipEmulation);
     const Cycles t3 = enterVm(t2, v);
     stats().counter("kvm.irqchip_traps").inc();
     vmMetrics(v.vm()).histogram(kvmTaps().trapIrqchip).add(t3 - t);
-    trace().span(t, t3, kvmTaps().opIrqTrap, TraceCat::Op,
-                 static_cast<std::uint16_t>(v.pcpu()));
+    trace().span(t, t3, kvmTaps().opIrqTrap, TraceCat::Op, track(v));
     queue().scheduleAt(t3, [t3, done] { done(t3); });
 }
 
 Cycles
-KvmArm::flushAndResume(Cycles t, Vcpu &v, Done done)
+KvmHypervisor::flushAndResume(Cycles t, Vcpu &v, Done done)
 {
-    // Host context on v's pcpu: program the list register(s) and
-    // world-switch back into the VM; the guest then acknowledges the
-    // interrupt from its virtual CPU interface and dispatches.
+    // Host context on v's pcpu: program the pending virq and switch
+    // back into the VM; the guest then acknowledges the interrupt and
+    // dispatches.
     const Cycles te = enterVm(t, v);
     PhysicalCpu &cpu = mach.cpu(v.pcpu());
-    const IrqId virq = mach.gic().guestAckVirq(v.pcpu(), te);
-    Cycles c = mach.gic().guestAckCost() + params.guestIrqDispatch;
+    const IrqId virq = pol->ack(v.pcpu(), te);
     if (virq < 0)
         stats().counter("kvm.spurious_wakeup").inc();
-    const Cycles ta = cpu.charge(te, c);
+    const Cycles ta = cpu.charge(
+        te, mach.costs().irqChipRegAccess + params.guestIrqDispatch);
     queue().scheduleAt(ta, [ta, done] { done(ta); });
-    // After the handler runs the guest completes the interrupt — the
-    // 71-cycle hardware fast path — freeing the list register. This
+    // After the handler runs the guest completes the interrupt. This
     // trails the measurement endpoint (handler entry), as in the
     // paper's methodology.
-    if (virq >= 0)
-        cpu.charge(ta, mach.gic().guestCompleteVirq(v.pcpu(), virq));
+    cpu.charge(ta, pol->completeAfterHandler(v.pcpu(), virq,
+                                             params.eoiEmulation));
     return ta;
 }
 
 void
-KvmArm::injectVirq(Cycles t, Vcpu &v, IrqId virq, Done done)
+KvmHypervisor::injectVirq(Cycles t, Vcpu &v, IrqId virq, Done done)
 {
-    VgicDistributor &d = dist(v.vm());
-    d.setPending(v.id(), virq);
+    dist(v.vm()).setPending(v.id(), virq);
     stats().counter("kvm.virq_injected").inc();
     vmMetrics(v.vm()).counter(kvmTaps().virqInjected).inc();
-    trace().instant(t, kvmTaps().virqInjected, TraceCat::Irq,
-                    static_cast<std::uint16_t>(v.pcpu()),
-                    static_cast<std::uint64_t>(virq));
+    if (pol->tracesTransitions) {
+        trace().instant(t, kvmTaps().virqInjected, TraceCat::Irq, track(v),
+                        static_cast<std::uint64_t>(virq));
+    }
 
+    PhysicalCpu &cpu = mach.cpu(v.pcpu());
     switch (v.state()) {
-      case VcpuState::Running: {
+      case VcpuState::Running:
         // Target is executing guest code: kick it with a physical
-        // SGI; the receiver-side action completes the injection.
+        // IPI; the receiver-side action completes the injection.
         kickActions[static_cast<std::size_t>(v.pcpu())].push_back(
-            [this, &v, done](Cycles th) {
-                flushAndResume(th, v, done);
-            });
-        mach.gic().sendIpi(t, v.pcpu(), sgiRescheduleIrq);
+            [this, &v, done](Cycles th) { flushAndResume(th, v, done); });
+        mach.irqChip().sendIpi(t, v.pcpu(), sgiRescheduleIrq);
         break;
-      }
-      case VcpuState::Idle: {
+      case VcpuState::Idle:
         // Blocked VCPU thread: the full wake path — cross-CPU
         // wake_up, idle exit, schedule, KVM run-loop re-entry — then
         // world switch in.
-        PhysicalCpu &cpu = mach.cpu(v.pcpu());
-        const Cycles tw = cpu.charge(t, params.vcpuWakeFromIdle);
-        flushAndResume(tw, v, done);
+        flushAndResume(cpu.charge(t, params.vcpuWakeFromIdle), v, done);
         break;
-      }
       case VcpuState::InHyp: {
         // Already in the hypervisor on its pcpu; the pending virq
         // rides along with the next VM entry. Approximate the
         // residual cost with the flush that entry will perform.
-        PhysicalCpu &cpu = mach.cpu(v.pcpu());
-        const Cycles tw = cpu.charge(t, mach.gic().lrWriteCost());
+        const Cycles tw = cpu.charge(t, mach.costs().listRegWrite);
         queue().scheduleAt(tw, [tw, done] { done(tw); });
         break;
       }
@@ -296,30 +231,25 @@ KvmArm::injectVirq(Cycles t, Vcpu &v, IrqId virq, Done done)
 }
 
 void
-KvmArm::virtualIpi(Cycles t, Vcpu &src, Vcpu &dst, Done done)
+KvmHypervisor::virtualIpi(Cycles t, Vcpu &src, Vcpu &dst, Done done)
 {
     VIRTSIM_ASSERT(src.pcpu() != dst.pcpu(),
                    "virtual IPI microbenchmark requires distinct pcpus");
     stats().counter("kvm.virtual_ipis").inc();
 
-    // Sender: the GICD_SGIR write traps; emulation happens in the
+    // Sender: the IPI register write traps; emulation happens in the
     // host kernel after a full exit.
     const Cycles t1 = exitToHost(t, src);
-    PhysicalCpu &scpu = mach.cpu(src.pcpu());
-    Cycles c = params.sgiEmulation;
-    c += params.kickInitiate;
-    c += mach.costs().irqChipRegAccess; // physical SGIR write
-    const Cycles t2 = scpu.charge(t1, c);
+    const Cycles t2 = mach.cpu(src.pcpu()).charge(
+        t1, params.ipiEmulation + mach.costs().irqChipRegAccess);
 
     // The kick races ahead; the sender's own re-entry is off the
     // measured path but still consumes its CPU.
     vmMetrics(src.vm()).histogram(kvmTaps().trapVipi).add(t2 - t);
     // The operation envelope closes when the receiver dispatches its
     // handler — after every constituent span, as attribution needs.
-    Done wrapped = [this, t,
-                    track = static_cast<std::uint16_t>(src.pcpu()),
-                    done](Cycles ta) {
-        trace().span(t, ta, kvmTaps().opVipi, TraceCat::Op, track);
+    Done wrapped = [this, t, tr = track(src), done](Cycles ta) {
+        trace().span(t, ta, kvmTaps().opVipi, TraceCat::Op, tr);
         done(ta);
     };
     injectVirq(t2, dst, sgiRescheduleIrq + 8, std::move(wrapped));
@@ -327,25 +257,28 @@ KvmArm::virtualIpi(Cycles t, Vcpu &src, Vcpu &dst, Done done)
 }
 
 void
-KvmArm::virqComplete(Cycles t, Vcpu &v, Done done)
+KvmHypervisor::virqComplete(Cycles t, Vcpu &v, Done done)
 {
-    // The ARM fast path: the VM completes the interrupt directly via
-    // the GIC virtual CPU interface. No trap (Table II: 71 cycles).
-    PhysicalCpu &cpu = mach.cpu(v.pcpu());
-    IrqId virq = -1;
-    for (auto &lr : mach.gic().listRegs(v.pcpu())) {
-        if (!lr.empty() && lr.active) {
-            virq = lr.virq;
-            break;
-        }
+    if (!pol->eoiTraps()) {
+        // The VM completes the interrupt itself (ARM's GIC virtual CPU
+        // interface, Table II: 71 cycles; x86 with vAPIC).
+        const Cycles t1 =
+            mach.cpu(v.pcpu()).charge(t, pol->completeActive(v.pcpu()));
+        queue().scheduleAt(t1, [t1, done] { done(t1); });
+        return;
     }
-    const Cycles c = mach.gic().guestCompleteVirq(v.pcpu(), virq);
-    const Cycles t1 = cpu.charge(t, c);
-    queue().scheduleAt(t1, [t1, done] { done(t1); });
+    // Without vAPIC the EOI write traps — the ARM vs x86 contrast of
+    // Table II (71 vs ~1.5k cycles).
+    const Cycles t1 = exitToHost(t, v);
+    const Cycles t2 = mach.cpu(v.pcpu()).charge(t1, params.eoiEmulation);
+    const Cycles t3 = enterVm(t2, v);
+    stats().counter("kvm.virq_complete_trap").inc();
+    vmMetrics(v.vm()).histogram(kvmTaps().trapEoi).add(t3 - t);
+    queue().scheduleAt(t3, [t3, done] { done(t3); });
 }
 
 void
-KvmArm::vmSwitch(Cycles t, Vcpu &from, Vcpu &to, Done done)
+KvmHypervisor::vmSwitch(Cycles t, Vcpu &from, Vcpu &to, Done done)
 {
     VIRTSIM_ASSERT(from.pcpu() == to.pcpu(),
                    "vm switch is a same-pcpu operation");
@@ -355,38 +288,48 @@ KvmArm::vmSwitch(Cycles t, Vcpu &from, Vcpu &to, Done done)
     const Cycles t1 = exitToHost(t, from);
     from.setState(VcpuState::Idle);
     from.setLoaded(false);
-    const Cycles t2 =
-        mach.cpu(from.pcpu()).charge(t1, params.vcpuSwitchWork);
+    PhysicalCpu &cpu = mach.cpu(from.pcpu());
+    const Cycles t2 = cpu.charge(
+        t1, pol->switchVms(cpu, from.savedRegs(), to.savedRegs(), t1,
+                           params.vcpuSwitchWork));
     const Cycles t3 = enterVm(t2, to);
     stats().counter("kvm.vm_switches").inc();
     vmMetrics(to.vm()).histogram(kvmTaps().trapVmSwitch).add(t3 - t);
-    trace().span(t, t3, kvmTaps().opVmSwitch, TraceCat::Op,
-                 static_cast<std::uint16_t>(from.pcpu()));
+    trace().span(t, t3, kvmTaps().opVmSwitch, TraceCat::Op, track(from));
     queue().scheduleAt(t3, [t3, done] { done(t3); });
 }
 
 void
-KvmArm::ioSignalOut(Cycles t, Vcpu &v, Done done)
+KvmHypervisor::ioSignalOut(Cycles t, Vcpu &v, Done done)
 {
     VIRTSIM_ASSERT(_vhost, "ioSignalOut requires an attached vNIC");
+    PhysicalCpu &cpu = mach.cpu(v.pcpu());
+    stats().counter("kvm.io_signal_out").inc();
+    if (params.ioeventfdFastPath) {
+        // Signalled inside the vmexit loop; the guest re-enters at
+        // once and the measurement ends at the signal.
+        const Cycles t2 =
+            cpu.charge(t, pol->trapHw() + params.ioeventfdSignal);
+        cpu.charge(t2, pol->resumeCost());
+        trace().span(t, t2, kvmTaps().opIoOut, TraceCat::Op, track(v));
+        queue().scheduleAt(t2, [t2, done] { done(t2); });
+        return;
+    }
     // Guest kick -> trap -> host ioeventfd signal -> vhost worker
     // notices. Measurement ends when the virtual device has the
     // signal (Table I).
     const Cycles t1 = exitToHost(t, v);
-    const Cycles t2 =
-        mach.cpu(v.pcpu()).charge(t1, params.ioeventfdSignal);
+    const Cycles t2 = cpu.charge(t1, params.ioeventfdSignal);
     enterVm(t2, v); // guest resumes; off the measured path
     PhysicalCpu &worker = mach.cpu(_vhost->params().workerPcpu);
     const Cycles t3 = worker.charge(t2, params.vhostNotifyLatency);
-    stats().counter("kvm.io_signal_out").inc();
     vmMetrics(v.vm()).histogram(kvmTaps().trapIoOut).add(t3 - t);
-    trace().span(t, t3, kvmTaps().opIoOut, TraceCat::Op,
-                 static_cast<std::uint16_t>(v.pcpu()));
+    trace().span(t, t3, kvmTaps().opIoOut, TraceCat::Op, track(v));
     queue().scheduleAt(t3, [t3, done] { done(t3); });
 }
 
 void
-KvmArm::ioSignalIn(Cycles t, Vcpu &v, Done done)
+KvmHypervisor::ioSignalIn(Cycles t, Vcpu &v, Done done)
 {
     VIRTSIM_ASSERT(_vhost, "ioSignalIn requires an attached vNIC");
     // vhost signals the VM: irqfd from the worker's CPU, then the
@@ -394,19 +337,17 @@ KvmArm::ioSignalIn(Cycles t, Vcpu &v, Done done)
     PhysicalCpu &worker = mach.cpu(_vhost->params().workerPcpu);
     const Cycles t1 = worker.charge(t, params.irqfdInject);
     stats().counter("kvm.io_signal_in").inc();
-    trace().instant(t, kvmTaps().ioIn, TraceCat::Io,
-                    static_cast<std::uint16_t>(v.pcpu()));
-    Done wrapped = [this, t,
-                    track = static_cast<std::uint16_t>(v.pcpu()),
-                    done](Cycles ta) {
-        trace().span(t, ta, kvmTaps().opIoIn, TraceCat::Op, track);
+    if (pol->tracesTransitions)
+        trace().instant(t, kvmTaps().ioIn, TraceCat::Io, track(v));
+    Done wrapped = [this, t, tr = track(v), done](Cycles ta) {
+        trace().span(t, ta, kvmTaps().opIoIn, TraceCat::Op, tr);
         done(ta);
     };
     injectVirq(t1, v, spiNicIrq, std::move(wrapped));
 }
 
 void
-KvmArm::declareShardChannels(ShardedEventKernel &kern)
+KvmHypervisor::declareShardChannels(ShardedEventKernel &kern)
 {
     if (!_vhost)
         return;
@@ -426,7 +367,7 @@ KvmArm::declareShardChannels(ShardedEventKernel &kern)
 }
 
 void
-KvmArm::attachVirtualNic(Vm &vm, VhostBackend::Params vp)
+KvmHypervisor::attachVirtualNic(Vm &vm, VhostBackend::Params vp)
 {
     VIRTSIM_ASSERT(!_vhost, "only one virtual NIC supported");
     netVm = &vm;
@@ -443,12 +384,15 @@ KvmArm::attachVirtualNic(Vm &vm, VhostBackend::Params vp)
 }
 
 void
-KvmArm::deliverPacketToVm(Cycles t, Vm &vm, const Packet &pkt, Done done)
+KvmHypervisor::deliverPacketToVm(Cycles t, Vm &vm, const Packet &pkt,
+                                 Done done)
 {
     VIRTSIM_ASSERT(_vhost && netVm == &vm,
                    "deliverPacketToVm: vm has no attached vNIC");
-    trace().instant(t, kvmTaps().rxDeliver, TraceCat::Io, noTrack,
-                    pkt.seq);
+    if (pol->tracesTransitions) {
+        trace().instant(t, kvmTaps().rxDeliver, TraceCat::Io, noTrack,
+                        pkt.seq);
+    }
     _vhost->hostRxToGuest(t, pkt, true,
                           [this, &vm, pkt, done](Cycles tr) {
                               notifyGuestRx(tr, vm, pkt, done);
@@ -456,7 +400,8 @@ KvmArm::deliverPacketToVm(Cycles t, Vm &vm, const Packet &pkt, Done done)
 }
 
 void
-KvmArm::notifyGuestRx(Cycles t, Vm &vm, const Packet &pkt, Done done)
+KvmHypervisor::notifyGuestRx(Cycles t, Vm &vm, const Packet &pkt,
+                             Done done)
 {
     const VcpuId target = pickVirqTarget(vm);
     Vcpu &v = vm.vcpu(target);
@@ -474,7 +419,9 @@ KvmArm::notifyGuestRx(Cycles t, Vm &vm, const Packet &pkt, Done done)
         done(tg);
     };
 
-    if (v.state() != VcpuState::Idle && t < rxQuietUntil) {
+    const bool polling = params.rxWindowIsCpuBusy ? cpu.frontier() > t
+                                                  : t < rxQuietUntil;
+    if (v.state() != VcpuState::Idle && polling) {
         // The guest's NAPI poll from a just-delivered notification is
         // still active: no further interrupt (virtio EVENT_IDX); the
         // poll loop reaps this descriptor too. Every event outside
@@ -490,18 +437,16 @@ KvmArm::notifyGuestRx(Cycles t, Vm &vm, const Packet &pkt, Done done)
     // Interrupt path: irqfd from the vhost worker, then wake/kick.
     PhysicalCpu &worker = mach.cpu(_vhost->params().workerPcpu);
     const Cycles t1 = worker.charge(t, params.irqfdInject);
-    injectVirq(t1, v, spiNicIrq,
-               [this, &v, guest_pop](Cycles ti) {
-                   const Cycles tg = mach.cpu(v.pcpu())
-                                         .charge(ti,
-                                                 params.guestDriverRxPop);
-                   queue().scheduleAt(tg,
-                                      [tg, guest_pop] { guest_pop(tg); });
-               });
+    injectVirq(t1, v, spiNicIrq, [this, &v, guest_pop](Cycles ti) {
+        const Cycles tg =
+            mach.cpu(v.pcpu()).charge(ti, params.guestDriverRxPop);
+        queue().scheduleAt(tg, [tg, guest_pop] { guest_pop(tg); });
+    });
 }
 
 void
-KvmArm::guestTransmit(Cycles t, Vcpu &v, const Packet &pkt, Done done)
+KvmHypervisor::guestTransmit(Cycles t, Vcpu &v, const Packet &pkt,
+                             Done done)
 {
     VIRTSIM_ASSERT(_vhost, "guestTransmit requires an attached vNIC");
     if (_vhost->txRing().availFull()) {
@@ -518,7 +463,7 @@ KvmArm::guestTransmit(Cycles t, Vcpu &v, const Packet &pkt, Done done)
     VirtioDesc d;
     d.buf = invalidBuffer; // payload stays in guest memory in place
     d.pkt = pkt;
-    const Cycles c = _vhost->txRing().guestPost(d) + 150;
+    const Cycles c = _vhost->txRing().guestPost(d) + params.txPost;
     const Cycles t0 = cpu.charge(t, c);
     txDone[pkt.seq] = std::move(done);
 
@@ -536,8 +481,10 @@ KvmArm::guestTransmit(Cycles t, Vcpu &v, const Packet &pkt, Done done)
     enterVm(t2, v);
     PhysicalCpu &worker = mach.cpu(_vhost->params().workerPcpu);
     const Cycles t3 = worker.charge(t2, params.vhostNotifyLatency);
-    trace().span(t0, t3, kvmTaps().txKick, TraceCat::Io,
-                 static_cast<std::uint16_t>(v.pcpu()), pkt.seq);
+    if (pol->tracesTransitions) {
+        trace().span(t0, t3, kvmTaps().txKick, TraceCat::Io, track(v),
+                     pkt.seq);
+    }
     txPumpActive = true;
     EventFn kick = [this, t3] { pumpTx(t3); };
     if (chIoeventfd)
@@ -547,7 +494,7 @@ KvmArm::guestTransmit(Cycles t, Vcpu &v, const Packet &pkt, Done done)
 }
 
 void
-KvmArm::pumpTx(Cycles t)
+KvmHypervisor::pumpTx(Cycles t)
 {
     if (_vhost->txRing().availDepth() == 0) {
         txPumpActive = false;
@@ -573,7 +520,7 @@ KvmArm::pumpTx(Cycles t)
 }
 
 void
-KvmArm::onPhysIrq(Cycles t, PcpuId cpu, IrqId irq)
+KvmHypervisor::onPhysIrq(Cycles t, PcpuId cpu, IrqId irq)
 {
     if (irq == sgiRescheduleIrq) {
         handleKick(t, cpu);
@@ -583,97 +530,65 @@ KvmArm::onPhysIrq(Cycles t, PcpuId cpu, IrqId irq)
         handleNicIrq(t, cpu);
         return;
     }
-    if (irq == ppiVtimerIrq) {
+    if (irq == pol->vtimerIrq) {
         // The virtual timer fired while a VM ran: the physical
         // interrupt is taken to EL2 and translated into a virtual
         // timer interrupt for the loaded VCPU (Section II).
         auto &ctx = hostCtx[static_cast<std::size_t>(cpu)];
         if (ctx.loaded && ctx.inVm)
-            injectVirq(t, *ctx.loaded, ppiVtimerIrq, [](Cycles) {});
+            injectVirq(t, *ctx.loaded, irq, [](Cycles) {});
         return;
     }
     stats().counter("kvm.unhandled_phys_irq").inc();
 }
 
 void
-KvmArm::handleKick(Cycles t, PcpuId cpu)
+KvmHypervisor::handleKick(Cycles t, PcpuId cpu)
 {
     auto &ctx = hostCtx[static_cast<std::size_t>(cpu)];
-    auto &queue_ = kickActions[static_cast<std::size_t>(cpu)];
+    auto &q = kickActions[static_cast<std::size_t>(cpu)];
 
     Cycles th = t;
     if (ctx.inVm && ctx.loaded) {
-        // Physical IRQ while in guest: full exit, host acknowledges
-        // the SGI (IAR read, handler, EOI write).
+        // Physical IRQ while in guest: full exit, then the host
+        // acknowledges and handles the IPI.
         Vcpu &v = *ctx.loaded;
         th = exitToHost(t, v);
-        const Cycles ack = mach.costs().irqChipRegAccess +
-                           params.reschedIrqHandler +
-                           mach.costs().irqChipRegAccess;
-        th = mach.cpu(cpu).charge(th, ack);
-        if (queue_.empty()) {
+        th = mach.cpu(cpu).charge(
+            th, pol->hostIrqAck() + params.reschedIrqHandler);
+        if (q.empty()) {
             // Spurious kick: just resume the guest.
             enterVm(th, v);
             return;
         }
-        auto action = std::move(queue_.front());
-        queue_.pop_front();
-        action(th);
-        return;
+    } else {
+        // Host context: cheap IRQ handling, then run the action.
+        th = mach.cpu(cpu).charge(t, mach.costs().irqEntryExit);
+        if (q.empty())
+            return;
     }
-    // Host context: cheap IRQ handling, then run the action.
-    th = mach.cpu(cpu).charge(t, mach.costs().irqEntryExit);
-    if (!queue_.empty()) {
-        auto action = std::move(queue_.front());
-        queue_.pop_front();
-        action(th);
-    }
+    auto action = std::move(q.front());
+    q.pop_front();
+    action(th);
 }
 
 void
-KvmArm::handleNicIrq(Cycles t, PcpuId cpu)
+KvmHypervisor::handleNicIrq(Cycles t, PcpuId cpu)
 {
     if (!netVm)
         return;
-    PhysicalCpu &irq_cpu = mach.cpu(cpu);
-    Cycles t1 = irq_cpu.charge(t, net.irqPath);
-
+    const Cycles t1 = mach.cpu(cpu).charge(t, net.irqPath);
     // Drain the rx queue, GRO-coalescing same-flow frames into
     // aggregates the stack processes as one unit.
-    Packet pkt;
-    Packet agg{};
-    int agg_frames = 0;
-    auto flush_agg = [&](Cycles ts) {
-        if (agg_frames == 0)
-            return;
+    for (const auto &agg : groDrain(mach.nic(), net.groFrames)) {
         if (onHostDatalinkRx)
-            onHostDatalinkRx(ts, agg);
-        deliverPacketToVm(ts, *netVm, agg, [](Cycles) {});
-        agg = Packet{};
-        agg_frames = 0;
-    };
-    while (mach.nic().popRx(pkt)) {
-        if (agg_frames == 0) {
-            agg = pkt;
-            agg_frames = 1;
-        } else if (agg.flow == pkt.flow && pkt.bytes >= 200 &&
-                   agg.bytes >= 200 &&
-                   agg_frames < net.groFrames &&
-                   agg.bytes + pkt.bytes <= 64 * 1024) {
-            agg.bytes += pkt.bytes;
-            ++agg_frames;
-        } else {
-            flush_agg(t1);
-            agg = pkt;
-            agg_frames = 1;
-        }
+            onHostDatalinkRx(t1, agg);
+        deliverPacketToVm(t1, *netVm, agg, [](Cycles) {});
     }
-    flush_agg(t1);
 }
 
-
 void
-KvmArm::blockVcpu(Vcpu &v)
+KvmHypervisor::blockVcpu(Vcpu &v)
 {
     auto &ctx = hostCtx[static_cast<std::size_t>(v.pcpu())];
     VIRTSIM_ASSERT(ctx.loaded == &v,

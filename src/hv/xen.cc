@@ -1,4 +1,4 @@
-#include "hv/xen_arm.hh"
+#include "hv/xen.hh"
 
 #include "os/kernel.hh"
 #include "sim/log.hh"
@@ -17,6 +17,7 @@ struct XenTaps
     TapId trapHypercall = internTap("xen.trap.hypercall");
     TapId trapIrqchip = internTap("xen.trap.irqchip");
     TapId trapVipi = internTap("xen.trap.vipi");
+    TapId trapEoi = internTap("xen.trap.eoi");
     TapId trapVmSwitch = internTap("xen.trap.vm_switch");
     TapId trapIoOut = internTap("xen.trap.io_out");
     TapId virqInjected = internTap("xen.virq_injected");
@@ -39,17 +40,24 @@ xenTaps()
     return taps;
 }
 
+std::uint16_t
+track(const Vcpu &v)
+{
+    return static_cast<std::uint16_t>(v.pcpu());
+}
+
 } // namespace
 
-XenArm::XenArm(Machine &m)
-    : Hypervisor(m),
+XenHypervisor::XenHypervisor(Machine &m)
+    : Hypervisor(m, "xen"),
+      params(pol->xen),
       sched(static_cast<std::size_t>(m.numCpus())),
       kickActions(static_cast<std::size_t>(m.numCpus())),
       net(NetstackCosts::linux(m.freq()))
 {
-    VIRTSIM_ASSERT(m.arch() == Arch::Arm, "XenArm needs an ARM machine");
     // Dom0: 4 VCPUs on the upper half of the machine (Section III:
-    // Dom0 capped at 4 VCPUs / 4 GB, pinned away from the DomU).
+    // Dom0 capped at 4 VCPUs / 4 GB, pinned away from the DomU; a PV
+    // instance on x86).
     const int half = m.numCpus() / 2;
     std::vector<PcpuId> dom0_pins;
     for (int i = 0; i < half; ++i)
@@ -60,23 +68,14 @@ XenArm::XenArm(Machine &m)
     evtchn = std::make_unique<EventChannel>(m);
 }
 
-Vm &
-XenArm::createVm(const std::string &name, int n_vcpus,
-                 const std::vector<PcpuId> &pinning)
-{
-    Vm &vm = Hypervisor::createVm(name, n_vcpus, pinning);
-    dists[vm.id()] = std::make_unique<VgicDistributor>(vm);
-    return vm;
-}
-
 TapId
-XenArm::worldSwitchTap() const
+XenHypervisor::worldSwitchTap() const
 {
     return xenTaps().worldSwitch;
 }
 
 void
-XenArm::start()
+XenHypervisor::start()
 {
     Hypervisor::start();
     mach.irqChip().setPhysIrqHandler(
@@ -106,89 +105,69 @@ XenArm::start()
     }
 }
 
-VgicDistributor &
-XenArm::dist(Vm &vm)
+void
+XenHypervisor::countWorldSwitch(const Vcpu &v)
 {
-    auto it = dists.find(vm.id());
-    VIRTSIM_ASSERT(it != dists.end(), "no vgic for vm ", vm.name());
-    return *it->second;
+    vmMetrics(v.vm()).counter(xenTaps().worldSwitch).inc();
+    cpuMetrics(v.pcpu()).counter(xenTaps().worldSwitch).inc();
 }
 
 Cycles
-XenArm::trapToXen(Cycles t, Vcpu &v)
+XenHypervisor::trapToXen(Cycles t, Vcpu &v)
 {
     auto &s = sched[static_cast<std::size_t>(v.pcpu())];
     VIRTSIM_ASSERT(s.current == &v && s.inGuest,
                    "trapToXen: ", v.name(), " not executing");
     PhysicalCpu &cpu = mach.cpu(v.pcpu());
-    const CostModel &cm = mach.costs();
-    const Cycles c = cm.trapToEl2 + cm.cost(RegClass::Gp).save +
+    const Cycles c = pol->trap(cpu, v.savedRegs()) +
                      params.hypercallDispatch;
-    v.savedRegs().copyClassFrom(cpu.regs(), RegClass::Gp);
     s.inGuest = false;
-    cpu.setMode(CpuMode::El2);
     stats().counter("xen.traps").inc();
     const Cycles tr = cpu.charge(t, c);
-    const XenTaps &taps = xenTaps();
-    trace().span(t, tr, taps.trap, TraceCat::Switch,
-                 static_cast<std::uint16_t>(v.pcpu()), c);
-    vmMetrics(v.vm()).counter(taps.worldSwitch).inc();
-    cpuMetrics(v.pcpu()).counter(taps.worldSwitch).inc();
+    if (pol->tracesTransitions)
+        trace().span(t, tr, xenTaps().trap, TraceCat::Switch, track(v), c);
+    countWorldSwitch(v);
     return tr;
 }
 
 Cycles
-XenArm::resumeVm(Cycles t, Vcpu &v)
+XenHypervisor::resumeVm(Cycles t, Vcpu &v)
 {
     auto &s = sched[static_cast<std::size_t>(v.pcpu())];
     VIRTSIM_ASSERT(s.current == &v && !s.inGuest,
                    "resumeVm: ", v.name(), " not trapped");
     PhysicalCpu &cpu = mach.cpu(v.pcpu());
-    const CostModel &cm = mach.costs();
-    const Cycles c = cm.cost(RegClass::Gp).restore + cm.eretToEl1;
-    cpu.regs().copyClassFrom(v.savedRegs(), RegClass::Gp);
+    const Cycles c = pol->resume(cpu, v.savedRegs());
     s.inGuest = true;
-    cpu.setMode(CpuMode::El1);
     const Cycles tr = cpu.charge(t, c);
-    trace().span(t, tr, xenTaps().resume, TraceCat::Switch,
-                 static_cast<std::uint16_t>(v.pcpu()), c);
+    if (pol->tracesTransitions) {
+        trace().span(t, tr, xenTaps().resume, TraceCat::Switch, track(v),
+                     c);
+    }
+    if (params.countsResume)
+        countWorldSwitch(v);
     return tr;
 }
 
 Cycles
-XenArm::switchDomains(Cycles t, Vcpu *from, Vcpu &to, bool charge_sched)
+XenHypervisor::switchDomains(Cycles t, Vcpu *from, Vcpu &to,
+                             bool charge_sched)
 {
     auto &s = sched[static_cast<std::size_t>(to.pcpu())];
     PhysicalCpu &cpu = mach.cpu(to.pcpu());
-    const CostModel &cm = mach.costs();
 
-    Cycles c = 0;
+    Cycles c = pol->saveDomain(cpu, from ? &from->savedRegs() : nullptr, t);
     if (from != nullptr) {
         VIRTSIM_ASSERT(from->pcpu() == to.pcpu(),
                        "domain switch across pcpus");
-        c += wse.save(cpu, from->savedRegs(), xenVmSwitchState, t);
         from->setLoaded(false);
     } else {
-        // Leaving the idle domain: next to nothing to save.
-        c += cm.cost(RegClass::Gp).save;
         stats().counter("xen.idle_domain_switches").inc();
     }
     if (charge_sched)
         c += params.schedWork;
-
-    // Flush software-pending virqs into the list registers.
-    VgicDistributor &d = dist(to.vm());
-    while (d.hasPending(to.id())) {
-        const IrqId virq = d.popPending(to.id());
-        if (mach.gic().injectVirq(t, to.pcpu(), virq) < 0) {
-            d.setPending(to.id(), virq);
-            break;
-        }
-        c += mach.gic().lrWriteCost();
-    }
-
-    c += wse.restore(cpu, to.savedRegs(), xenVmSwitchState, t + c);
-    c += cm.eretToEl1;
+    c += pol->flushPending(t, dist(to.vm()), to);
+    c += pol->restoreDomain(cpu, to.savedRegs(), t + c);
 
     s.current = &to;
     s.inGuest = true;
@@ -197,160 +176,149 @@ XenArm::switchDomains(Cycles t, Vcpu *from, Vcpu &to, bool charge_sched)
     cpu.setContext(to.name());
     stats().counter("xen.domain_switches").inc();
     const Cycles tr = cpu.charge(t, c);
-    const XenTaps &taps = xenTaps();
-    trace().span(t, tr, taps.domainSwitch, TraceCat::Switch,
-                 static_cast<std::uint16_t>(to.pcpu()), c);
-    vmMetrics(to.vm()).counter(taps.worldSwitch).inc();
-    cpuMetrics(to.pcpu()).counter(taps.worldSwitch).inc();
+    if (pol->tracesTransitions) {
+        trace().span(t, tr, xenTaps().domainSwitch, TraceCat::Switch,
+                     track(to), c);
+    }
+    if (params.countsDomainSwitch)
+        countWorldSwitch(to);
     return tr;
 }
 
 Cycles
-XenArm::ensureRunning(Cycles t, Vcpu &v)
+XenHypervisor::ensureRunning(Cycles t, Vcpu &v)
 {
     auto &s = sched[static_cast<std::size_t>(v.pcpu())];
     if (s.current == &v && s.inGuest)
         return t;
-    PhysicalCpu &cpu = mach.cpu(v.pcpu());
     if (s.current == nullptr) {
         // Wake from the idle domain: scheduler wake path, then the
         // register switch-in.
-        const Cycles tw = cpu.charge(t, params.domainWakeFromIdle);
+        const Cycles tw =
+            mach.cpu(v.pcpu()).charge(t, params.domainWakeFromIdle);
         return switchDomains(tw, nullptr, v, false);
     }
     if (s.current == &v && !s.inGuest)
         return resumeVm(t, v);
     // Preempt whoever runs there (full switch).
-    Vcpu *from = s.current;
-    return switchDomains(t, from, v, true);
+    return switchDomains(t, s.current, v, true);
 }
 
 void
-XenArm::hypercall(Cycles t, Vcpu &v, Done done)
+XenHypervisor::hypercall(Cycles t, Vcpu &v, Done done)
 {
-    // The whole round trip happens in EL2: trap, GP save, handler,
-    // GP restore, eret (Table II: 376 cycles).
+    // On ARM the whole round trip happens in EL2: trap, GP save,
+    // handler, GP restore, eret (Table II: 376 cycles).
     const Cycles t1 = trapToXen(t, v);
-    const Cycles t2 = resumeVm(t1, v);
+    const Cycles th = mach.cpu(v.pcpu()).charge(t1, params.hypercallHandler);
+    const Cycles t2 = resumeVm(th, v);
     stats().counter("xen.hypercalls").inc();
     vmMetrics(v.vm()).histogram(xenTaps().trapHypercall).add(t2 - t);
-    trace().span(t, t2, xenTaps().opHypercall, TraceCat::Op,
-                 static_cast<std::uint16_t>(v.pcpu()));
+    trace().span(t, t2, xenTaps().opHypercall, TraceCat::Op, track(v));
     queue().scheduleAt(t2, [t2, done] { done(t2); });
 }
 
 void
-XenArm::irqControllerTrap(Cycles t, Vcpu &v, Done done)
+XenHypervisor::irqControllerTrap(Cycles t, Vcpu &v, Done done)
 {
-    // The distributor is emulated directly in EL2 (Figure 2): no
+    // The interrupt controller is emulated inside Xen (Figure 2): no
     // second world to reach, unlike KVM.
     const Cycles t1 = trapToXen(t, v);
-    const Cycles t2 =
-        mach.cpu(v.pcpu()).charge(t1, params.vgicDistEmulation);
+    const Cycles t2 = mach.cpu(v.pcpu()).charge(t1, params.irqchipEmulation);
     const Cycles t3 = resumeVm(t2, v);
     stats().counter("xen.irqchip_traps").inc();
     vmMetrics(v.vm()).histogram(xenTaps().trapIrqchip).add(t3 - t);
-    trace().span(t, t3, xenTaps().opIrqTrap, TraceCat::Op,
-                 static_cast<std::uint16_t>(v.pcpu()));
+    trace().span(t, t3, xenTaps().opIrqTrap, TraceCat::Op, track(v));
     queue().scheduleAt(t3, [t3, done] { done(t3); });
 }
 
 Cycles
-XenArm::injectIntoRunning(Cycles t, Vcpu &v, Done done)
+XenHypervisor::injectIntoRunning(Cycles t, Vcpu &v, Done done)
 {
-    // A physical SGI arrives while the VCPU executes guest code: Xen
-    // takes it in EL2, acknowledges the GIC, injects the pending virq
-    // into a list register and resumes the guest — no other world is
-    // involved.
+    // A physical IPI arrives while the VCPU executes guest code: Xen
+    // takes it, acknowledges the physical controller, programs the
+    // pending virq and resumes the guest — no other world is involved.
     auto &s = sched[static_cast<std::size_t>(v.pcpu())];
     VIRTSIM_ASSERT(s.current == &v && s.inGuest,
                    "injectIntoRunning: ", v.name(), " not running");
     PhysicalCpu &cpu = mach.cpu(v.pcpu());
-    const CostModel &cm = mach.costs();
+    const Cycles reg = mach.costs().irqChipRegAccess;
 
-    Cycles c = cm.trapToEl2 + cm.cost(RegClass::Gp).save;
-    c += cm.irqChipRegAccess; // physical IAR read
-    c += params.xenIrqDispatch;
-    c += params.vgicInject;
+    Cycles c = pol->trapCost() + reg; // trap, physical ack
+    c += params.xenIrqDispatch + params.vgicInject;
     const IrqId virq = dist(v.vm()).popPending(v.id());
-    if (virq >= 0) {
-        mach.gic().injectVirq(t, v.pcpu(), virq);
-        c += mach.gic().lrWriteCost();
-    }
-    c += cm.irqChipRegAccess; // physical EOI write
-    c += cm.cost(RegClass::Gp).restore + cm.eretToEl1;
-
+    if (virq >= 0)
+        c += pol->inject(t, v.pcpu(), virq);
+    c += reg + pol->resumeCost(); // physical EOI, back to the guest
     // Guest side: acknowledge the virtual interrupt and dispatch.
-    c += mach.gic().guestAckCost() + params.guestIrqDispatch;
+    c += reg + params.guestIrqDispatch;
 
     const Cycles t1 = cpu.charge(t, c);
-    const IrqId acked = mach.gic().guestAckVirq(v.pcpu(), t1);
+    const IrqId acked = pol->ack(v.pcpu(), t1);
     queue().scheduleAt(t1, [t1, done] { done(t1); });
-    // Completion (71-cycle fast path) trails the handler.
-    if (acked >= 0)
-        cpu.charge(t1, mach.gic().guestCompleteVirq(v.pcpu(), acked));
+    // Completion trails the handler.
+    cpu.charge(t1, pol->completeAfterHandler(v.pcpu(), acked,
+                                             params.eoiEmulation));
     return t1;
 }
 
 void
-XenArm::injectVirq(Cycles t, Vcpu &v, IrqId virq, Done done)
+XenHypervisor::kick(Cycles t, PcpuId cpu, std::function<void(Cycles)> action)
+{
+    kickActions[static_cast<std::size_t>(cpu)].push_back(std::move(action));
+    mach.irqChip().sendIpi(t, cpu, sgiRescheduleIrq);
+}
+
+void
+XenHypervisor::injectVirq(Cycles t, Vcpu &v, IrqId virq, Done done)
 {
     dist(v.vm()).setPending(v.id(), virq);
     stats().counter("xen.virq_injected").inc();
     vmMetrics(v.vm()).counter(xenTaps().virqInjected).inc();
-    trace().instant(t, xenTaps().virqInjected, TraceCat::Irq,
-                    static_cast<std::uint16_t>(v.pcpu()),
-                    static_cast<std::uint64_t>(virq));
+    if (pol->tracesTransitions) {
+        trace().instant(t, xenTaps().virqInjected, TraceCat::Irq, track(v),
+                        static_cast<std::uint64_t>(virq));
+    }
 
     auto &s = sched[static_cast<std::size_t>(v.pcpu())];
     if (s.current == &v && s.inGuest) {
-        // Running target: physical SGI so the target PCPU programs
-        // its own list registers.
-        kickActions[static_cast<std::size_t>(v.pcpu())].push_back(
-            [this, &v, done](Cycles th) {
-                injectIntoRunning(th, v, done);
-            });
-        mach.gic().sendIpi(t, v.pcpu(), sgiRescheduleIrq);
+        // Running target: physical IPI so the target PCPU programs
+        // its own virtual interface.
+        kick(t, v.pcpu(), [this, &v, done](Cycles th) {
+            injectIntoRunning(th, v, done);
+        });
         return;
     }
     // Blocked / descheduled target: wake it (possibly switching the
     // PCPU away from the idle domain), then it takes the virq.
-    kickActions[static_cast<std::size_t>(v.pcpu())].push_back(
-        [this, &v, done](Cycles th) {
-            const Cycles tr = ensureRunning(th, v);
-            PhysicalCpu &cpu = mach.cpu(v.pcpu());
-            const Cycles ta = cpu.charge(
-                tr, mach.gic().guestAckCost() + params.guestIrqDispatch);
-            const IrqId acked = mach.gic().guestAckVirq(v.pcpu(), ta);
-            queue().scheduleAt(ta, [ta, done] { done(ta); });
-            if (acked >= 0) {
-                cpu.charge(ta, mach.gic().guestCompleteVirq(v.pcpu(),
-                                                            acked));
-            }
-        });
-    mach.gic().sendIpi(t, v.pcpu(), sgiRescheduleIrq);
+    kick(t, v.pcpu(), [this, &v, done](Cycles th) {
+        const Cycles tr = ensureRunning(th, v);
+        PhysicalCpu &cpu = mach.cpu(v.pcpu());
+        const Cycles ta = cpu.charge(
+            tr, mach.costs().irqChipRegAccess + params.guestIrqDispatch);
+        const IrqId acked = pol->ack(v.pcpu(), ta);
+        queue().scheduleAt(ta, [ta, done] { done(ta); });
+        cpu.charge(ta, pol->complete(v.pcpu(), acked));
+    });
 }
 
 void
-XenArm::virtualIpi(Cycles t, Vcpu &src, Vcpu &dst, Done done)
+XenHypervisor::virtualIpi(Cycles t, Vcpu &src, Vcpu &dst, Done done)
 {
     VIRTSIM_ASSERT(src.pcpu() != dst.pcpu(),
                    "virtual IPI microbenchmark requires distinct pcpus");
     stats().counter("xen.virtual_ipis").inc();
 
-    // Sender: GICD_SGIR write traps into EL2; the SGI emulation runs
-    // right there.
+    // Sender: the IPI register write traps into Xen; the emulation
+    // runs right there.
     const Cycles t1 = trapToXen(t, src);
-    PhysicalCpu &scpu = mach.cpu(src.pcpu());
-    const Cycles t2 = scpu.charge(
-        t1, params.sgiEmulation + mach.costs().irqChipRegAccess);
-
-    vmMetrics(src.vm()).histogram(xenTaps().trapVipi).add(t2 - t);
+    const Cycles t2 = mach.cpu(src.pcpu()).charge(
+        t1, params.ipiEmulation + mach.costs().irqChipRegAccess);
+    if (pol->tracesTransitions)
+        vmMetrics(src.vm()).histogram(xenTaps().trapVipi).add(t2 - t);
     // Operation envelope closes when the receiver dispatches.
-    Done wrapped = [this, t,
-                    track = static_cast<std::uint16_t>(src.pcpu()),
-                    done](Cycles ta) {
-        trace().span(t, ta, xenTaps().opVipi, TraceCat::Op, track);
+    Done wrapped = [this, t, tr = track(src), done](Cycles ta) {
+        trace().span(t, ta, xenTaps().opVipi, TraceCat::Op, tr);
         done(ta);
     };
     injectVirq(t2, dst, sgiRescheduleIrq + 8, std::move(wrapped));
@@ -358,83 +326,79 @@ XenArm::virtualIpi(Cycles t, Vcpu &src, Vcpu &dst, Done done)
 }
 
 void
-XenArm::virqComplete(Cycles t, Vcpu &v, Done done)
+XenHypervisor::virqComplete(Cycles t, Vcpu &v, Done done)
 {
-    // Identical hardware fast path as on KVM: Table II shows 71
-    // cycles for both hypervisors.
-    PhysicalCpu &cpu = mach.cpu(v.pcpu());
-    IrqId virq = -1;
-    for (auto &lr : mach.gic().listRegs(v.pcpu())) {
-        if (!lr.empty() && lr.active) {
-            virq = lr.virq;
-            break;
-        }
+    if (!pol->eoiTraps()) {
+        // The same hardware path as KVM's (Table II: 71 cycles on ARM
+        // for both hypervisors), or x86 with vAPIC.
+        const Cycles t1 =
+            mach.cpu(v.pcpu()).charge(t, pol->completeActive(v.pcpu()));
+        queue().scheduleAt(t1, [t1, done] { done(t1); });
+        return;
     }
-    const Cycles c = mach.gic().guestCompleteVirq(v.pcpu(), virq);
-    const Cycles t1 = cpu.charge(t, c);
-    queue().scheduleAt(t1, [t1, done] { done(t1); });
+    const Cycles t1 = trapToXen(t, v);
+    const Cycles t2 = mach.cpu(v.pcpu()).charge(t1, params.eoiEmulation);
+    const Cycles t3 = resumeVm(t2, v);
+    stats().counter("xen.virq_complete_trap").inc();
+    vmMetrics(v.vm()).histogram(xenTaps().trapEoi).add(t3 - t);
+    queue().scheduleAt(t3, [t3, done] { done(t3); });
 }
 
 void
-XenArm::vmSwitch(Cycles t, Vcpu &from, Vcpu &to, Done done)
+XenHypervisor::vmSwitch(Cycles t, Vcpu &from, Vcpu &to, Done done)
 {
     VIRTSIM_ASSERT(from.pcpu() == to.pcpu(),
                    "vm switch is a same-pcpu operation");
-    // Both worlds live in EL1, so unlike the Hypercall case Xen must
-    // switch the full EL1 state — which is why Table II shows Xen
-    // only slightly ahead of KVM here (8,799 vs 10,387).
-    PhysicalCpu &cpu = mach.cpu(from.pcpu());
-    const Cycles t1 = cpu.charge(t, mach.costs().trapToEl2);
-    auto &s = sched[static_cast<std::size_t>(from.pcpu())];
-    s.inGuest = false;
+    // Both worlds are guests, so unlike the Hypercall case Xen must
+    // switch the full guest state — which is why Table II shows Xen
+    // ARM only slightly ahead of KVM here (8,799 vs 10,387).
+    const Cycles t1 = mach.cpu(from.pcpu()).charge(t, pol->trapHw());
+    sched[static_cast<std::size_t>(from.pcpu())].inGuest = false;
     from.setState(VcpuState::Idle);
     const Cycles t2 = switchDomains(t1, &from, to, true);
     stats().counter("xen.vm_switches").inc();
     vmMetrics(to.vm()).histogram(xenTaps().trapVmSwitch).add(t2 - t);
-    trace().span(t, t2, xenTaps().opVmSwitch, TraceCat::Op,
-                 static_cast<std::uint16_t>(from.pcpu()));
+    trace().span(t, t2, xenTaps().opVmSwitch, TraceCat::Op, track(from));
     queue().scheduleAt(t2, [t2, done] { done(t2); });
 }
 
+Cycles
+XenHypervisor::dom0TakeEvent(Cycles t, Cycles work)
+{
+    Vcpu &d0 = dom0Vcpu();
+    const Cycles tr = ensureRunning(t, d0);
+    const IrqId acked = pol->ack(d0.pcpu(), tr);
+    return mach.cpu(d0.pcpu()).charge(
+        tr, mach.costs().irqChipRegAccess + work +
+                pol->complete(d0.pcpu(), acked));
+}
+
 void
-XenArm::ioSignalOut(Cycles t, Vcpu &v, Done done)
+XenHypervisor::ioSignalOut(Cycles t, Vcpu &v, Done done)
 {
     VIRTSIM_ASSERT(_netback, "ioSignalOut requires an attached vNIC");
     // DomU kick: hypercall into Xen, event-channel notify, signal
     // Dom0 — which is usually idling, so its PCPU must switch away
     // from the idle domain before netback can see the signal.
     const Cycles t1 = trapToXen(t, v);
-    PhysicalCpu &cpu = mach.cpu(v.pcpu());
-    const Cycles t2 = cpu.charge(t1, evtchn->notify(portDom0));
+    const Cycles t2 = mach.cpu(v.pcpu()).charge(t1, evtchn->notify(portDom0));
     stats().counter("xen.io_signal_out").inc();
-    vmMetrics(v.vm()).histogram(xenTaps().trapIoOut).add(t2 - t);
+    if (pol->tracesTransitions)
+        vmMetrics(v.vm()).histogram(xenTaps().trapIoOut).add(t2 - t);
 
-    Done wrapped = [this, t,
-                    track = static_cast<std::uint16_t>(v.pcpu()),
-                    done](Cycles ta) {
-        trace().span(t, ta, xenTaps().opIoOut, TraceCat::Op, track);
-        done(ta);
-    };
-    Vcpu &d0 = dom0Vcpu();
-    kickActions[static_cast<std::size_t>(d0.pcpu())].push_back(
-        [this, &d0, done = std::move(wrapped)](Cycles th) {
-            const Cycles tr = ensureRunning(th, d0);
-            PhysicalCpu &dcpu = mach.cpu(d0.pcpu());
-            Cycles c = mach.gic().guestAckCost() +
-                       params.guestIrqDispatch;
-            const IrqId acked = mach.gic().guestAckVirq(d0.pcpu(), tr);
-            if (acked >= 0)
-                c += mach.gic().guestCompleteVirq(d0.pcpu(), acked);
-            c += params.backendDequeue;
-            const Cycles t3 = dcpu.charge(tr, c);
-            queue().scheduleAt(t3, [t3, done] { done(t3); });
+    kick(t2, dom0Vcpu().pcpu(), [this, t, tr = track(v), done](Cycles th) {
+        const Cycles t3 =
+            dom0TakeEvent(th, params.guestIrqDispatch + params.backendDequeue);
+        queue().scheduleAt(t3, [this, t, tr, t3, done] {
+            trace().span(t, t3, xenTaps().opIoOut, TraceCat::Op, tr);
+            done(t3);
         });
-    mach.gic().sendIpi(t2, d0.pcpu(), sgiRescheduleIrq);
+    });
     resumeVm(t2, v);
 }
 
 void
-XenArm::ioSignalIn(Cycles t, Vcpu &v, Done done)
+XenHypervisor::ioSignalIn(Cycles t, Vcpu &v, Done done)
 {
     VIRTSIM_ASSERT(_netback, "ioSignalIn requires an attached vNIC");
     // Dom0 signals the guest: trap to Xen, event channel, physical
@@ -444,13 +408,10 @@ XenArm::ioSignalIn(Cycles t, Vcpu &v, Done done)
     const Cycles tr = ensureRunning(t, d0); // bench setup: not charged
                                             // when already running
     const Cycles t1 = trapToXen(tr, d0);
-    PhysicalCpu &dcpu = mach.cpu(d0.pcpu());
-    const Cycles t2 = dcpu.charge(t1, evtchn->notify(portDomU));
+    const Cycles t2 = mach.cpu(d0.pcpu()).charge(t1, evtchn->notify(portDomU));
     stats().counter("xen.io_signal_in").inc();
-    Done wrapped = [this, t,
-                    track = static_cast<std::uint16_t>(v.pcpu()),
-                    done](Cycles ta) {
-        trace().span(t, ta, xenTaps().opIoIn, TraceCat::Op, track);
+    Done wrapped = [this, t, tr = track(v), done](Cycles ta) {
+        trace().span(t, ta, xenTaps().opIoIn, TraceCat::Op, tr);
         done(ta);
     };
     injectVirq(t2, v, spiNicIrq, std::move(wrapped));
@@ -458,14 +419,14 @@ XenArm::ioSignalIn(Cycles t, Vcpu &v, Done done)
 }
 
 void
-XenArm::declareShardChannels(ShardedEventKernel &kern)
+XenHypervisor::declareShardChannels(ShardedEventKernel &kern)
 {
     if (!_netback)
         return;
     const NetbackBackend::Params &np = _netback->params();
     // NAPI-to-kthread rx handoff inside Dom0: zero modelled latency
     // on one CPU, so both endpoints resolve to Dom0's lane. The
-    // frontend's tx kick crosses CPUs as a physical SGI and already
+    // frontend's tx kick crosses CPUs as a physical IPI and already
     // rides the machine's per-CPU IPI channels.
     _netback->bindWakeChannel(
         &kern.channel("netback.wake", cpuShard(np.dom0Pcpu),
@@ -473,7 +434,7 @@ XenArm::declareShardChannels(ShardedEventKernel &kern)
 }
 
 void
-XenArm::attachVirtualNic(Vm &vm, NetbackBackend::Params np)
+XenHypervisor::attachVirtualNic(Vm &vm, NetbackBackend::Params np)
 {
     VIRTSIM_ASSERT(!_netback, "only one virtual NIC supported");
     netVm = &vm;
@@ -493,12 +454,15 @@ XenArm::attachVirtualNic(Vm &vm, NetbackBackend::Params np)
 }
 
 void
-XenArm::deliverPacketToVm(Cycles t, Vm &vm, const Packet &pkt, Done done)
+XenHypervisor::deliverPacketToVm(Cycles t, Vm &vm, const Packet &pkt,
+                                 Done done)
 {
     VIRTSIM_ASSERT(_netback && netVm == &vm,
                    "deliverPacketToVm: vm has no attached vNIC");
-    trace().instant(t, xenTaps().rxDeliver, TraceCat::Io, noTrack,
-                    pkt.seq);
+    if (pol->tracesTransitions) {
+        trace().instant(t, xenTaps().rxDeliver, TraceCat::Io, noTrack,
+                        pkt.seq);
+    }
     _netback->dom0RxToDomU(t, pkt, true,
                            [this, &vm, pkt, done](Cycles tr) {
                                notifyGuestRx(tr, vm, pkt, done);
@@ -506,19 +470,17 @@ XenArm::deliverPacketToVm(Cycles t, Vm &vm, const Packet &pkt, Done done)
 }
 
 void
-XenArm::notifyGuestRx(Cycles t, Vm &vm, const Packet &pkt, Done done)
+XenHypervisor::notifyGuestRx(Cycles t, Vm &vm, const Packet &pkt,
+                             Done done)
 {
     const VcpuId target = pickVirqTarget(vm);
     Vcpu &v = vm.vcpu(target);
     const int frames = framesFor(pkt.bytes);
 
-    auto guest_pop = [this, &vm, pkt, frames, done,
-                      target](Cycles ti) {
-        // Frontend reaps one response (and re-grants + reposts a
-        // buffer) per wire frame.
-        PhysicalCpu &vcpu_cpu = mach.cpu(vm.vcpu(target).pcpu());
+    auto guest_pop = [this, &vm, pkt, frames, done, target](Cycles ti) {
         // Event-channel upcall demux precedes the frontend's ring
-        // work on every delivered event.
+        // work; the frontend then reaps one response (and re-grants +
+        // reposts a buffer) per wire frame.
         Cycles c = params.evtchnUpcall;
         for (int i = 0; i < frames; ++i) {
             bool ok = false;
@@ -528,7 +490,7 @@ XenArm::notifyGuestRx(Cycles t, Vm &vm, const Packet &pkt, Done done)
                 _netback->rxRing().frontPost(resp);
             c += params.guestDriverRxPop;
         }
-        const Cycles tg = vcpu_cpu.charge(ti, c);
+        const Cycles tg = mach.cpu(vm.vcpu(target).pcpu()).charge(ti, c);
         queue().scheduleAt(tg, [this, tg, &vm, pkt, done] {
             if (onGuestRx)
                 onGuestRx(tg, vm, pkt);
@@ -551,7 +513,8 @@ XenArm::notifyGuestRx(Cycles t, Vm &vm, const Packet &pkt, Done done)
 }
 
 void
-XenArm::guestTransmit(Cycles t, Vcpu &v, const Packet &pkt, Done done)
+XenHypervisor::guestTransmit(Cycles t, Vcpu &v, const Packet &pkt,
+                             Done done)
 {
     VIRTSIM_ASSERT(_netback, "guestTransmit requires an attached vNIC");
     if (_netback->txRing().full()) {
@@ -565,15 +528,13 @@ XenArm::guestTransmit(Cycles t, Vcpu &v, const Packet &pkt, Done done)
 
     // Frontend: grant each page of the payload, then post the
     // request.
-    const int pages =
-        static_cast<int>((pkt.bytes + 4095) / 4096 == 0
-                             ? 1
-                             : (pkt.bytes + 4095) / 4096);
+    const std::uint32_t pages = (pkt.bytes + 4095) / 4096;
     PvRequest req;
     req.pkt = pkt;
     const BufferId buf = mach.memory().alloc(v.vm().name(), pkt.bytes);
     req.gref = _netback->grantTable().grant(buf, true);
-    Cycles c = static_cast<Cycles>(pages) * params.grantSetup;
+    Cycles c = static_cast<Cycles>(pages == 0 ? 1 : pages) *
+               params.grantSetup;
     c += _netback->txRing().frontPost(req);
     const Cycles t0 = cpu.charge(t, c);
     txDone[pkt.seq] = std::move(done);
@@ -587,31 +548,23 @@ XenArm::guestTransmit(Cycles t, Vcpu &v, const Packet &pkt, Done done)
     // Kick Dom0 via the event channel.
     const Cycles t1 = trapToXen(t0, v);
     const Cycles t2 = cpu.charge(t1, evtchn->notify(portDom0));
-    trace().span(t0, t2, xenTaps().txKick, TraceCat::Io,
-                 static_cast<std::uint16_t>(v.pcpu()), pkt.seq);
+    if (pol->tracesTransitions) {
+        trace().span(t0, t2, xenTaps().txKick, TraceCat::Io, track(v),
+                     pkt.seq);
+    }
     resumeVm(t2, v);
 
-    Vcpu &d0 = dom0Vcpu();
     txPumpActive = true;
-    kickActions[static_cast<std::size_t>(d0.pcpu())].push_back(
-        [this, &d0](Cycles th) {
-            const Cycles tr = ensureRunning(th, d0);
-            PhysicalCpu &dcpu = mach.cpu(d0.pcpu());
-            Cycles c2 = mach.gic().guestAckCost() +
-                        params.guestIrqDispatch +
-                        params.backendDequeue;
-            const IrqId acked = mach.gic().guestAckVirq(d0.pcpu(), tr);
-            if (acked >= 0)
-                c2 += mach.gic().guestCompleteVirq(d0.pcpu(), acked);
-            const Cycles t3 = dcpu.charge(tr, c2);
-            _netback->markTxKick();
-            pumpTx(t3);
-        });
-    mach.gic().sendIpi(t2, d0.pcpu(), sgiRescheduleIrq);
+    kick(t2, dom0Vcpu().pcpu(), [this](Cycles th) {
+        const Cycles t3 =
+            dom0TakeEvent(th, params.guestIrqDispatch + params.backendDequeue);
+        _netback->markTxKick();
+        pumpTx(t3);
+    });
 }
 
 void
-XenArm::pumpTx(Cycles t)
+XenHypervisor::pumpTx(Cycles t)
 {
     if (_netback->txRing().requestDepth() == 0) {
         txPumpActive = false;
@@ -642,14 +595,19 @@ XenArm::pumpTx(Cycles t)
     });
 }
 
-Vcpu &
-XenArm::dom0Vcpu()
+void
+XenHypervisor::idle(Vcpu &v)
 {
-    return _dom0->vcpu(0);
+    auto &s = sched[static_cast<std::size_t>(v.pcpu())];
+    s.current = nullptr;
+    s.inGuest = false;
+    v.setLoaded(false);
+    v.setState(VcpuState::Idle);
+    mach.cpu(v.pcpu()).setContext("idle-domain");
 }
 
 void
-XenArm::scheduleDom0IdleCheck(Cycles t)
+XenHypervisor::scheduleDom0IdleCheck(Cycles t)
 {
     Vcpu &d0 = dom0Vcpu();
     const PcpuId p = d0.pcpu();
@@ -661,8 +619,7 @@ XenArm::scheduleDom0IdleCheck(Cycles t)
     queue().scheduleAt(t + grace, [this, p, gen, &d0] {
         if (idleGen != gen)
             return;
-        auto &s = sched[static_cast<std::size_t>(p)];
-        if (s.current != &d0)
+        if (sched[static_cast<std::size_t>(p)].current != &d0)
             return;
         if (mach.cpu(p).frontier() > queue().now()) {
             // Work arrived (or is still draining) since the check
@@ -670,17 +627,13 @@ XenArm::scheduleDom0IdleCheck(Cycles t)
             scheduleDom0IdleCheck(mach.cpu(p).frontier());
             return;
         }
-        s.current = nullptr;
-        s.inGuest = false;
-        d0.setState(VcpuState::Idle);
-        d0.setLoaded(false);
-        mach.cpu(p).setContext("idle-domain");
+        idle(d0);
         stats().counter("xen.dom0_blocked").inc();
     });
 }
 
 void
-XenArm::onPhysIrq(Cycles t, PcpuId cpu, IrqId irq)
+XenHypervisor::onPhysIrq(Cycles t, PcpuId cpu, IrqId irq)
 {
     if (irq == sgiRescheduleIrq) {
         handleKick(t, cpu);
@@ -690,17 +643,17 @@ XenArm::onPhysIrq(Cycles t, PcpuId cpu, IrqId irq)
         handleNicIrq(t, cpu);
         return;
     }
-    if (irq == ppiVtimerIrq) {
+    if (irq == pol->vtimerIrq) {
         auto &s = sched[static_cast<std::size_t>(cpu)];
         if (s.current && s.inGuest)
-            injectVirq(t, *s.current, ppiVtimerIrq, [](Cycles) {});
+            injectVirq(t, *s.current, irq, [](Cycles) {});
         return;
     }
     stats().counter("xen.unhandled_phys_irq").inc();
 }
 
 void
-XenArm::handleKick(Cycles t, PcpuId cpu)
+XenHypervisor::handleKick(Cycles t, PcpuId cpu)
 {
     auto &q = kickActions[static_cast<std::size_t>(cpu)];
     if (q.empty()) {
@@ -713,34 +666,24 @@ XenArm::handleKick(Cycles t, PcpuId cpu)
 }
 
 void
-XenArm::handleNicIrq(Cycles t, PcpuId cpu)
+XenHypervisor::handleNicIrq(Cycles t, PcpuId cpu)
 {
     if (!netVm)
         return;
-    // The physical interrupt is taken by Xen in EL2 (all physical
-    // interrupts are, while VMs run) and translated into a virtual
-    // IRQ for Dom0, whose PCPU is typically running the idle domain:
-    // this pre-stamp latency is why Xen's send-to-recv leg in
-    // Table V is longer than native.
-    PhysicalCpu &xcpu = mach.cpu(cpu);
-    const CostModel &cm = mach.costs();
-    Cycles c = cm.irqChipRegAccess + params.xenIrqDispatch +
-               params.vgicInject + cm.irqChipRegAccess;
-    const Cycles t1 = xcpu.charge(t, c);
-
-    Vcpu &d0 = dom0Vcpu();
-    const Cycles t2 = ensureRunning(t1, d0);
-    PhysicalCpu &dcpu = mach.cpu(d0.pcpu());
-    Cycles ack_cost = mach.gic().guestAckCost() + net.irqPath;
-    const IrqId acked = mach.gic().guestAckVirq(d0.pcpu(), t2);
-    if (acked >= 0)
-        ack_cost += mach.gic().guestCompleteVirq(d0.pcpu(), acked);
-    const Cycles t3 = dcpu.charge(t2, ack_cost);
+    // The physical interrupt is taken by Xen (all physical interrupts
+    // are, while VMs run) and translated into a virtual IRQ for Dom0,
+    // whose PCPU is typically running the idle domain: this pre-stamp
+    // latency is why Xen's send-to-recv leg in Table V is longer than
+    // native.
+    const Cycles reg = mach.costs().irqChipRegAccess;
+    const Cycles t1 = mach.cpu(cpu).charge(
+        t, reg + params.xenIrqDispatch + params.vgicInject + reg);
+    const Cycles t3 = dom0TakeEvent(t1, net.irqPath);
 
     // Dom0's physical driver drains the NIC, GRO-coalescing.
-    const auto aggs = groDrain(mach.nic(), net.groFrames);
+    PhysicalCpu &dcpu = mach.cpu(dom0Vcpu().pcpu());
     Cycles tcur = t3;
-    for (const auto &agg : aggs) {
+    for (const auto &agg : groDrain(mach.nic(), net.groFrames)) {
         if (onHostDatalinkRx)
             onHostDatalinkRx(tcur, agg);
         deliverPacketToVm(tcur, *netVm, agg, [](Cycles) {});
@@ -749,9 +692,8 @@ XenArm::handleNicIrq(Cycles t, PcpuId cpu)
     scheduleDom0IdleCheck(dcpu.frontier());
 }
 
-
 void
-XenArm::forceDom0Running()
+XenHypervisor::forceDom0Running()
 {
     Vcpu &d0 = dom0Vcpu();
     auto &s = sched[static_cast<std::size_t>(d0.pcpu())];
@@ -763,30 +705,18 @@ XenArm::forceDom0Running()
 }
 
 void
-XenArm::forceDom0Idle()
+XenHypervisor::forceDom0Idle()
 {
-    Vcpu &d0 = dom0Vcpu();
-    auto &s = sched[static_cast<std::size_t>(d0.pcpu())];
-    s.current = nullptr;
-    s.inGuest = false;
-    d0.setLoaded(false);
-    d0.setState(VcpuState::Idle);
-    mach.cpu(d0.pcpu()).setContext("idle-domain");
+    idle(dom0Vcpu());
 }
 
-
 void
-XenArm::blockVcpu(Vcpu &v)
+XenHypervisor::blockVcpu(Vcpu &v)
 {
-    auto &s = sched[static_cast<std::size_t>(v.pcpu())];
-    VIRTSIM_ASSERT(s.current == &v,
+    VIRTSIM_ASSERT(sched[static_cast<std::size_t>(v.pcpu())].current == &v,
                    "blockVcpu: ", v.name(), " not current");
     // Guest blocked: Xen schedules the idle domain onto the PCPU.
-    s.current = nullptr;
-    s.inGuest = false;
-    v.setLoaded(false);
-    v.setState(VcpuState::Idle);
-    mach.cpu(v.pcpu()).setContext("idle-domain");
+    idle(v);
     stats().counter("xen.vcpu_blocked").inc();
 }
 

@@ -1,27 +1,29 @@
 /**
  * @file
- * Xen ARM: the Type 1 hypervisor (paper Sections II, IV).
+ * Xen: the Type 1 hypervisor (paper Sections II, IV), on either ISA.
  *
- * Xen maps naturally onto the ARM virtualization extensions: the
+ * On ARM Xen maps naturally onto the virtualization extensions: the
  * whole hypervisor lives in EL2 with its own register bank, so a
  * hypercall costs "little more than context switching the general
- * purpose registers" — 376 cycles against KVM's 6,500 (Table II).
- * The GIC distributor is emulated directly in EL2, making interrupt
- * traps and virtual IPIs far cheaper than on split-mode KVM.
+ * purpose registers" — 376 cycles against KVM's 6,500 (Table II) — and
+ * the GIC distributor is emulated right there. On x86 the Type 1 /
+ * Type 2 distinction loses that asymmetry: Xen and KVM use the same
+ * VMCS mechanism (1,228 vs 1,300 cycles), and Xen's domain switch is
+ * the slowest VM Switch of all four hypervisors (10,534). The policy
+ * (hv/arch_policy.hh) carries those differences.
  *
- * The flip side is the I/O architecture: Xen itself implements only
+ * What both share is the I/O architecture: Xen itself implements only
  * scheduling, memory management, the interrupt controller and timers.
- * Everything else — device drivers, the network stack — lives in the
- * privileged Dom0 VM. A guest I/O operation therefore involves
- * event-channel signalling between domains, physical IPIs, switching
- * the target PCPU away from the *idle domain*, and grant-mediated
- * data movement, which is why Xen loses to KVM on the paper's I/O
- * latency microbenchmarks and most I/O-heavy applications despite its
- * vastly cheaper transitions.
+ * Device drivers and the network stack live in the privileged Dom0. A
+ * guest I/O operation therefore involves event-channel signalling
+ * between domains, physical IPIs, switching the target PCPU away from
+ * the *idle domain*, and grant-mediated data movement, which is why Xen
+ * loses to KVM on the I/O latency microbenchmarks and most I/O-heavy
+ * applications despite its cheaper transitions.
  */
 
-#ifndef VIRTSIM_HV_XEN_ARM_HH
-#define VIRTSIM_HV_XEN_ARM_HH
+#ifndef VIRTSIM_HV_XEN_HH
+#define VIRTSIM_HV_XEN_HH
 
 #include <deque>
 #include <map>
@@ -34,60 +36,21 @@
 
 namespace virtsim {
 
-/** Software path costs of Xen ARM 4.5. */
-struct XenArmParams
-{
-    /** Hypercall decode + no-op handler in EL2.
-     *  [derived] Hypercall (376) = trap + GP save + this + GP
-     *  restore + eret. */
-    Cycles hypercallDispatch = 16;
-    /** GIC distributor emulation in EL2. [derived] Interrupt
-     *  Controller Trap (1,356) minus the hypercall skeleton. */
-    Cycles vgicDistEmulation = 980;
-    /** GICD_SGIR (IPI) emulation: distributor lock, per-target rank
-     *  bookkeeping, vcpu kick logic — far heavier than a plain
-     *  distributor read. [derived] closes Virtual IPI (5,978). */
-    Cycles sgiEmulation = 3280;
-    /** Xen's do_IRQ body for a physical interrupt taken in EL2. */
-    Cycles xenIrqDispatch = 150;
-    /** vgic_vcpu_inject_irq software path (excl. LR write). */
-    Cycles vgicInject = 300;
-    /** Credit-scheduler work on a domain switch. [derived]
-     *  VM Switch (8,799) minus trap/eret and full state switch. */
-    Cycles schedWork = 3067;
-    /** Waking a blocked VCPU of an idle domain: vcpu_wake, credit
-     *  accounting, idle-domain exit on the target PCPU — everything
-     *  up to the register switch-in. [derived] from the I/O Latency
-     *  rows (16,491 / 15,650); its ~5.5 us magnitude is the paper's
-     *  "Xen must first switch from the idle domain" cost. */
-    Cycles domainWakeFromIdle = 13100;
-    /** Guest vector entry to handler dispatch. */
-    Cycles guestIrqDispatch = 100;
-    /** Netback noticing a pending event channel once Dom0 runs. */
-    Cycles backendDequeue = 510;
-    /** Frontend driver: reap one rx response + re-grant + repost. */
-    Cycles guestDriverRxPop = 1400;
-    /** Guest-side event-channel upcall demux: the Linux evtchn
-     *  path from vector entry to the bound handler is markedly
-     *  heavier than a native IRQ path. [calibrated] */
-    Cycles evtchnUpcall = 5280; // ~2.2 us
-    /** Frontend cost of granting one page for I/O. */
-    Cycles grantSetup = 450;
-};
-
 /**
- * The Xen ARM hypervisor model.
+ * The Xen 4.5 model.
  */
-class XenArm : public Hypervisor
+class XenHypervisor : public Hypervisor
 {
   public:
-    explicit XenArm(Machine &m);
+    explicit XenHypervisor(Machine &m);
 
-    std::string name() const override { return "Xen ARM"; }
+    std::string
+    name() const override
+    {
+        return std::string("Xen ") + pol->name;
+    }
     HvType type() const override { return HvType::Type1; }
 
-    Vm &createVm(const std::string &name, int n_vcpus,
-                 const std::vector<PcpuId> &pinning) override;
     void start() override;
     TapId worldSwitchTap() const override;
     void declareShardChannels(ShardedEventKernel &kern) override;
@@ -106,19 +69,19 @@ class XenArm : public Hypervisor
     void guestTransmit(Cycles t, Vcpu &v, const Packet &pkt,
                        Done done) override;
 
-    /** @name EL2 primitives (public for tests) */
+    /** @name Transition primitives (public for tests) */
     ///@{
     /** Trap into Xen: hardware trap + GP save + dispatch. */
     Cycles trapToXen(Cycles t, Vcpu &v);
 
-    /** Return to the trapped VM: GP restore + eret. */
+    /** Return to the trapped VM: GP restore + eret / VM entry. */
     Cycles resumeVm(Cycles t, Vcpu &v);
 
     /**
-     * Full domain switch on one PCPU: save the outgoing world's EL1
-     * state (the idle domain has almost none), run the scheduler,
-     * restore the incoming VCPU. from == nullptr means the PCPU was
-     * running the idle domain.
+     * Full domain switch on one PCPU: save the outgoing world (the
+     * idle domain has almost none), run the scheduler, restore the
+     * incoming VCPU. from == nullptr means the PCPU was running the
+     * idle domain.
      */
     Cycles switchDomains(Cycles t, Vcpu *from, Vcpu &to,
                          bool charge_sched = true);
@@ -142,11 +105,11 @@ class XenArm : public Hypervisor
     ///@}
 
     NetbackBackend *netback() { return _netback.get(); }
-    const NetstackCosts &netCosts() const { return net; }
 
-    XenArmParams params;
+    /** Software path costs on this machine's ISA. */
+    const XenParams &params;
 
-  protected:
+  private:
     /** What a physical CPU is currently running. */
     struct PcpuSched
     {
@@ -157,11 +120,15 @@ class XenArm : public Hypervisor
         bool inGuest = false;
     };
 
-    VgicDistributor &dist(Vm &vm);
-
     void onPhysIrq(Cycles t, PcpuId cpu, IrqId irq);
     void handleNicIrq(Cycles t, PcpuId cpu);
     void handleKick(Cycles t, PcpuId cpu);
+
+    /** Count one world switch against v's VM and PCPU. */
+    void countWorldSwitch(const Vcpu &v);
+
+    /** Put v's PCPU on the idle domain (no cycles charged). */
+    void idle(Vcpu &v);
 
     /**
      * Ensure a VCPU is running on its PCPU at time t, waking it from
@@ -171,21 +138,27 @@ class XenArm : public Hypervisor
     Cycles ensureRunning(Cycles t, Vcpu &v);
 
     /** Receiver-side completion of a virq injection into a VCPU that
-     *  is executing guest code (physical SGI path). */
+     *  is executing guest code (physical IPI path). */
     Cycles injectIntoRunning(Cycles t, Vcpu &v, Done done);
+
+    /** Dom0, woken if needed at t, takes its event-channel virq and
+     *  does @p work. @return when the work is done. */
+    Cycles dom0TakeEvent(Cycles t, Cycles work);
+
+    /** Queue an action for a PCPU and send it the kick IPI at t. */
+    void kick(Cycles t, PcpuId cpu, std::function<void(Cycles)> action);
 
     void notifyGuestRx(Cycles t, Vm &vm, const Packet &pkt, Done done);
     void pumpTx(Cycles t);
 
     /** Dom0's VCPU0, which hosts the physical driver and netback. */
-    Vcpu &dom0Vcpu();
+    Vcpu &dom0Vcpu() { return _dom0->vcpu(0); }
 
     /** Arrange for Dom0 to block (yield to the idle domain) if it
      *  stays quiescent for a grace period. */
     void scheduleDom0IdleCheck(Cycles t);
 
     std::unique_ptr<Vm> _dom0;
-    std::map<VmId, std::unique_ptr<VgicDistributor>> dists;
     std::vector<PcpuSched> sched;
     std::vector<std::deque<std::function<void(Cycles)>>> kickActions;
     std::unique_ptr<NetbackBackend> _netback;
@@ -200,8 +173,7 @@ class XenArm : public Hypervisor
     bool txPumpActive = false;
     /** End of the current NAPI-poll window: rx events landing
      *  inside it ride the in-progress notification instead of
-     *  raising another interrupt (virtio EVENT_IDX / event-channel
-     *  masking). */
+     *  raising another interrupt (event-channel masking). */
     Cycles rxQuietUntil = 0;
     /** Frames waiting for tx ring space (netfront backpressure). */
     std::deque<std::pair<Vcpu *, std::pair<Packet, Done>>> txBacklog;
@@ -210,4 +182,4 @@ class XenArm : public Hypervisor
 
 } // namespace virtsim
 
-#endif // VIRTSIM_HV_XEN_ARM_HH
+#endif // VIRTSIM_HV_XEN_HH

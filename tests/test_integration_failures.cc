@@ -93,7 +93,7 @@ TEST(FailureInjection, XenTxBackpressureDrainsEventually)
     tb.run();
     EXPECT_EQ(completions, n);
     // Grant bookkeeping balanced: everything granted was released.
-    auto *xen = dynamic_cast<XenArm *>(tb.hypervisor());
+    auto *xen = dynamic_cast<XenHypervisor *>(tb.hypervisor());
     ASSERT_NE(xen, nullptr);
     // 256 rx prefill grants remain; all tx grants were ended.
     EXPECT_EQ(xen->netback()->grantTable().activeGrants(), 256u);

@@ -17,11 +17,11 @@ struct KvmArmFixture : public ::testing::Test
 {
     KvmArmFixture() : tb(TestbedConfig{.kind = SutKind::KvmArm})
     {
-        kvm = dynamic_cast<KvmArm *>(tb.hypervisor());
+        kvm = dynamic_cast<KvmHypervisor *>(tb.hypervisor());
     }
 
     Testbed tb;
-    KvmArm *kvm = nullptr;
+    KvmHypervisor *kvm = nullptr;
 };
 
 } // namespace

@@ -73,7 +73,7 @@ TEST(X86, IoSignalOutUsesIoeventfdFastPath)
 TEST(XenX86, VmSwitchIsTheSlowestOfAllFour)
 {
     Testbed tb(TestbedConfig{.kind = SutKind::XenX86});
-    auto *xen = dynamic_cast<XenX86 *>(tb.hypervisor());
+    auto *xen = dynamic_cast<XenHypervisor *>(tb.hypervisor());
     ASSERT_NE(xen, nullptr);
     Vm &vm1 = xen->createVm("vm1", 4, {0, 1, 2, 3});
     Cycles done_at = 0;
@@ -113,7 +113,7 @@ TEST(Vhe, HypercallNearTheType1FastPath)
 TEST(Vhe, NoEl1StateMovesOnTransition)
 {
     Testbed tb(TestbedConfig{.kind = SutKind::KvmArmVhe});
-    auto *vhe = dynamic_cast<KvmArmVhe *>(tb.hypervisor());
+    auto *vhe = dynamic_cast<KvmHypervisor *>(tb.hypervisor());
     ASSERT_NE(vhe, nullptr);
     Vcpu &v = tb.guest()->vcpu(0);
     TraceSink &sink = tb.trace();
@@ -139,7 +139,7 @@ TEST(Vhe, VmSwitchStillMovesTheFullEl1World)
     // VHE removes the host from EL1; VMs still live there, so
     // VM-to-VM switches keep their cost.
     Testbed tb(TestbedConfig{.kind = SutKind::KvmArmVhe});
-    auto *vhe = dynamic_cast<KvmArmVhe *>(tb.hypervisor());
+    auto *vhe = dynamic_cast<KvmHypervisor *>(tb.hypervisor());
     Vm &vm1 = vhe->createVm("vm1", 4, {0, 1, 2, 3});
     Cycles done_at = 0;
     vhe->vmSwitch(0, tb.guest()->vcpu(0), vm1.vcpu(0),

@@ -16,11 +16,11 @@ struct XenArmFixture : public ::testing::Test
 {
     XenArmFixture() : tb(TestbedConfig{.kind = SutKind::XenArm})
     {
-        xen = dynamic_cast<XenArm *>(tb.hypervisor());
+        xen = dynamic_cast<XenHypervisor *>(tb.hypervisor());
     }
 
     Testbed tb;
-    XenArm *xen = nullptr;
+    XenHypervisor *xen = nullptr;
 };
 
 } // namespace
