@@ -128,10 +128,8 @@ constexpr std::initializer_list<RegClass> vheVmState = {
 class ArmPolicy final : public ArchPolicy
 {
   public:
-    ArmPolicy(Machine &m, WorldSwitchEngine &wse, const std::string &fam,
-              bool e2h)
-        : ArchPolicy(m, wse, fam, e2h ? armVheTraits : armTraits),
-          e2h(e2h)
+    ArmPolicy(Machine &m, WorldSwitchEngine &wse, bool e2h)
+        : ArchPolicy(m, wse, e2h ? armVheTraits : armTraits), e2h(e2h)
     {
     }
 
@@ -214,18 +212,22 @@ class ArmPolicy final : public ArchPolicy
                Cycles t, Cycles flush) const override
     {
         const CostModel &cm = costs();
-        if (!e2h) {
+        Cycles c = kvm.entryDispatch + flush;
+        if (e2h) {
+            // Already in EL2: restore the GP registers and eret.
+            c += wse.restore(cpu, guest, {RegClass::Gp}, t + c);
+        } else {
             // Preserve the host's live EL1 values before the guest's
-            // own state overwrites them.
+            // own state overwrites them, trap back to EL2, restore
+            // everything and re-enable Stage-2 and traps.
             for (RegClass cls : hostEl1State)
                 host.copyClassFrom(cpu.regs(), cls);
+            c += cm.trapToEl2;
+            c += wse.restore(cpu, guest, kvmArmSwitchedState, t + c);
+            c += cm.stage2Toggle;
         }
-        Cycles c = (e2h ? 0 : cm.trapToEl2) + kvm.entryDispatch + flush;
-        c += e2h ? wse.restore(cpu, guest, {RegClass::Gp}, t + c)
-                 : wse.restore(cpu, guest, kvmArmSwitchedState, t + c);
-        c += (e2h ? 0 : cm.stage2Toggle) + cm.eretToEl1;
         cpu.setMode(CpuMode::El1);
-        return c;
+        return c + cm.eretToEl1;
     }
 
     Cycles
@@ -314,8 +316,10 @@ class ArmPolicy final : public ArchPolicy
 class X86Policy final : public ArchPolicy
 {
   public:
-    X86Policy(Machine &m, WorldSwitchEngine &wse, const std::string &fam)
-        : ArchPolicy(m, wse, fam, x86Traits)
+    X86Policy(Machine &m, WorldSwitchEngine &wse, const std::string &family)
+        : ArchPolicy(m, wse, x86Traits),
+          eoiTrapStat(family + ".virq_complete_trap"),
+          vapicStat(family + ".virq_complete_vapic")
     {
     }
 
@@ -421,7 +425,7 @@ class X86Policy final : public ArchPolicy
         // in Table II's delivery latency.
         if (acked < 0 || !eoiTraps())
             return 0;
-        mach.stats().counter(family + ".virq_complete_trap").inc();
+        mach.stats().counter(eoiTrapStat).inc();
         return trapCost() + emulation + resumeCost();
     }
 
@@ -430,7 +434,7 @@ class X86Policy final : public ArchPolicy
     Cycles
     completeActive(PcpuId) const override
     {
-        mach.stats().counter(family + ".virq_complete_vapic").inc();
+        mach.stats().counter(vapicStat).inc();
         return costs().irqChipRegAccess;
     }
 
@@ -448,6 +452,10 @@ class X86Policy final : public ArchPolicy
         cpu.regs().copyClassFrom(area, RegClass::Gp);
         cpu.regs().copyClassFrom(area, RegClass::Vmcs);
     }
+
+    /** The owning family's EOI stats ("kvm.virq_complete_trap"...). */
+    const std::string eoiTrapStat;
+    const std::string vapicStat;
 };
 
 } // namespace
@@ -460,7 +468,7 @@ ArchPolicy::create(Machine &m, WorldSwitchEngine &wse,
         VIRTSIM_ASSERT(!e2h, "VHE needs an ARM machine");
         return std::make_unique<X86Policy>(m, wse, family);
     }
-    return std::make_unique<ArmPolicy>(m, wse, family, e2h);
+    return std::make_unique<ArmPolicy>(m, wse, e2h);
 }
 
 } // namespace virtsim

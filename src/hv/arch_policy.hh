@@ -177,14 +177,17 @@ class ArchPolicy : public ArchTraits
 {
   public:
     /**
-     * The policy for m's architecture. @p family ("xen" / "kvm")
-     * prefixes the stats the policy counts; @p e2h selects ARM's VHE
-     * variant (rejected on other ISAs).
+     * The policy for m's architecture, moving state through @p wse.
+     * @p family ("xen" / "kvm") prefixes the stats the policy counts;
+     * @p e2h selects ARM's VHE variant (rejected on other ISAs).
      */
     static std::unique_ptr<const ArchPolicy>
     create(Machine &m, WorldSwitchEngine &wse, const std::string &family,
            bool e2h = false);
     virtual ~ArchPolicy() = default;
+
+    ArchPolicy(const ArchPolicy &) = delete;
+    ArchPolicy &operator=(const ArchPolicy &) = delete;
 
     /** @name Type 1 transitions (Xen)
      *  A trap into an EL2 / root-mode hypervisor that moves only what
@@ -256,9 +259,8 @@ class ArchPolicy : public ArchTraits
     ///@}
 
   protected:
-    ArchPolicy(Machine &m, WorldSwitchEngine &wse, const std::string &family,
-               const ArchTraits &traits)
-        : ArchTraits(traits), mach(m), wse(wse), family(family)
+    ArchPolicy(Machine &m, WorldSwitchEngine &wse, const ArchTraits &traits)
+        : ArchTraits(traits), mach(m), wse(wse)
     {
     }
 
@@ -266,8 +268,6 @@ class ArchPolicy : public ArchTraits
 
     Machine &mach;
     WorldSwitchEngine &wse;
-    /** Stat-name prefix of the owning family ("xen" / "kvm"). */
-    const std::string family;
 };
 
 } // namespace virtsim

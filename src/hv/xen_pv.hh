@@ -68,7 +68,7 @@ class XenPvRing
  * Xen event channels: the notification fabric between domains and
  * the hypervisor. Setting a pending bit is cheap; the expensive part
  * — possibly having to schedule the target domain in from the idle
- * domain — is charged by XenArm/XenX86 when delivering.
+ * domain — is charged by XenHypervisor when delivering.
  */
 class EventChannel
 {

@@ -58,7 +58,7 @@ TEST(CostModel, XenHypercallComponentsSumTo376)
 {
     // Paper: Xen ARM hypercall = trap + GP save + handler + GP
     // restore + eret = 376 cycles. The handler (16 cycles) lives in
-    // XenArmParams; the hardware parts must leave room for it.
+    // XenParams; the hardware parts must leave room for it.
     const CostModel m = CostModel::armAtlas();
     EXPECT_EQ(m.trapToEl2 + m.cost(RegClass::Gp).save +
                   m.cost(RegClass::Gp).restore + m.eretToEl1,

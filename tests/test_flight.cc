@@ -31,10 +31,16 @@ namespace {
 std::atomic<std::uint64_t> g_news{0};
 
 void *
-countedAlloc(std::size_t size)
+countedMalloc(std::size_t size) noexcept
 {
     g_news.fetch_add(1, std::memory_order_relaxed);
-    if (void *p = std::malloc(size ? size : 1))
+    return std::malloc(size ? size : 1);
+}
+
+void *
+countedAlloc(std::size_t size)
+{
+    if (void *p = countedMalloc(size))
         return p;
     throw std::bad_alloc();
 }
@@ -51,6 +57,33 @@ void *
 operator new[](std::size_t size)
 {
     return countedAlloc(size);
+}
+
+// The nothrow forms too (std::stable_sort takes its buffer from
+// them): every form must pair with the free() below, or a sanitizer
+// runtime's own nothrow new meets this file's delete.
+void *
+operator new(std::size_t size, const std::nothrow_t &) noexcept
+{
+    return countedMalloc(size);
+}
+
+void *
+operator new[](std::size_t size, const std::nothrow_t &) noexcept
+{
+    return countedMalloc(size);
+}
+
+void
+operator delete(void *p, const std::nothrow_t &) noexcept
+{
+    std::free(p);
+}
+
+void
+operator delete[](void *p, const std::nothrow_t &) noexcept
+{
+    std::free(p);
 }
 
 void

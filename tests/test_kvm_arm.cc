@@ -1,8 +1,8 @@
 /**
  * @file
- * Tests for the split-mode KVM ARM model: transition state machine,
- * emergent Table II costs, injection paths, and state isolation
- * between guest and host.
+ * Tests for the KVM model: the transition state machine, injection
+ * paths and guest/host state isolation on KVM ARM, KVM x86 and VHE,
+ * and split-mode KVM ARM's emergent Table II costs.
  */
 
 #include <gtest/gtest.h>
@@ -24,12 +24,79 @@ struct KvmArmFixture : public ::testing::Test
     KvmHypervisor *kvm = nullptr;
 };
 
+/** One KVM configuration and the name it reports. */
+struct KvmCase
+{
+    SutKind kind;
+    const char *name;
+};
+
+/** The KVM family on each ISA and VHE: behaviour the policy must not
+ *  change. */
+struct KvmFamily : public ::testing::TestWithParam<KvmCase>
+{
+    KvmFamily() : tb(TestbedConfig{.kind = GetParam().kind})
+    {
+        kvm = dynamic_cast<KvmHypervisor *>(tb.hypervisor());
+    }
+
+    Testbed tb;
+    KvmHypervisor *kvm = nullptr;
+};
+
+std::string
+caseName(const ::testing::TestParamInfo<KvmCase> &info)
+{
+    switch (info.param.kind) {
+      case SutKind::KvmArm:
+        return "KvmArm";
+      case SutKind::KvmX86:
+        return "KvmX86";
+      default:
+        return "KvmArmVhe";
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllIsas, KvmFamily,
+    ::testing::Values(KvmCase{SutKind::KvmArm, "KVM ARM"},
+                      KvmCase{SutKind::KvmX86, "KVM x86"},
+                      KvmCase{SutKind::KvmArmVhe, "KVM ARM (VHE)"}),
+    caseName);
+
+/** Table II I/O latency rows of the two measured KVMs. */
+struct KvmIoCase
+{
+    SutKind kind;
+    Cycles out;
+    Cycles in;
+};
+
+struct KvmIoRows : public ::testing::TestWithParam<KvmIoCase>
+{
+    KvmIoRows() : tb(TestbedConfig{.kind = GetParam().kind})
+    {
+        kvm = dynamic_cast<KvmHypervisor *>(tb.hypervisor());
+    }
+
+    Testbed tb;
+    KvmHypervisor *kvm = nullptr;
+};
+
+INSTANTIATE_TEST_SUITE_P(
+    BothIsas, KvmIoRows,
+    ::testing::Values(KvmIoCase{SutKind::KvmArm, 6024, 13872},
+                      KvmIoCase{SutKind::KvmX86, 560, 18923}),
+    [](const ::testing::TestParamInfo<KvmIoCase> &info) {
+        return info.param.kind == SutKind::KvmArm ? "KvmArm" : "KvmX86";
+    });
+
 } // namespace
 
-TEST_F(KvmArmFixture, IdentifiesAsType2)
+TEST_P(KvmFamily, IdentifiesAsType2)
 {
     ASSERT_NE(kvm, nullptr);
-    EXPECT_EQ(kvm->name(), "KVM ARM");
+    EXPECT_EQ(kvm->name(), GetParam().name);
     EXPECT_EQ(kvm->type(), HvType::Type2);
     EXPECT_EQ(to_string(kvm->type()), "Type 2");
 }
@@ -53,20 +120,20 @@ TEST_F(KvmArmFixture, ExitAndEnterSplitPerTable3)
     EXPECT_EQ(enter - exit, 12u + 260u + 1506u + 60u + 12u);
 }
 
-TEST_F(KvmArmFixture, ExitRequiresRunningVcpu)
+TEST_P(KvmFamily, ExitRequiresRunningVcpu)
 {
     Vcpu &v = tb.guest()->vcpu(0);
     kvm->exitToHost(0, v);
     EXPECT_DEATH(kvm->exitToHost(100, v), "not running");
 }
 
-TEST_F(KvmArmFixture, EnterRequiresFreePcpu)
+TEST_P(KvmFamily, EnterRequiresFreePcpu)
 {
     Vcpu &v = tb.guest()->vcpu(0);
     EXPECT_DEATH(kvm->enterVm(0, v), "already in a VM");
 }
 
-TEST_F(KvmArmFixture, GuestStateSurvivesHypercalls)
+TEST_P(KvmFamily, GuestStateSurvivesHypercalls)
 {
     Vcpu &v = tb.guest()->vcpu(0);
     tb.machine().cpu(0).regs().fillPattern(0x60e57);
@@ -99,7 +166,7 @@ TEST_F(KvmArmFixture, VirqCompletionIsTheArmFastPath)
     EXPECT_EQ(tb.machine().stats().counterValue("kvm.vm_exits"), 0u);
 }
 
-TEST_F(KvmArmFixture, InjectToRunningVcpuUsesKick)
+TEST_P(KvmFamily, InjectToRunningVcpuUsesKick)
 {
     Vcpu &v = tb.guest()->vcpu(1);
     Cycles handled = 0;
@@ -113,7 +180,7 @@ TEST_F(KvmArmFixture, InjectToRunningVcpuUsesKick)
     EXPECT_EQ(tb.machine().stats().counterValue("kvm.vm_entries"), 1u);
 }
 
-TEST_F(KvmArmFixture, InjectToIdleVcpuPaysWakePath)
+TEST_P(KvmFamily, InjectToIdleVcpuPaysWakePath)
 {
     Vcpu &v = tb.guest()->vcpu(1);
     kvm->blockVcpu(v);
@@ -138,7 +205,7 @@ TEST_F(KvmArmFixture, VmSwitchMatchesTable2)
     EXPECT_EQ(done_at, 10387u); // Table II
 }
 
-TEST_F(KvmArmFixture, VmSwitchIsolatesRegisterState)
+TEST_P(KvmFamily, VmSwitchIsolatesRegisterState)
 {
     Vm &vm1 = kvm->createVm("vm1", 4, {0, 1, 2, 3});
     auto sig = [](std::uint64_t tag) {
@@ -165,13 +232,13 @@ TEST_F(KvmArmFixture, VmSwitchIsolatesRegisterState)
     EXPECT_TRUE(vm0_ok);
 }
 
-TEST_F(KvmArmFixture, IoSignalsMatchTable2)
+TEST_P(KvmIoRows, IoSignalsMatchTable2)
 {
     Vcpu &v = tb.guest()->vcpu(0);
     Cycles out_at = 0;
     kvm->ioSignalOut(0, v, [&](Cycles t) { out_at = t; });
     tb.run();
-    EXPECT_EQ(out_at, 6024u); // Table II
+    EXPECT_EQ(out_at, GetParam().out); // Table II
 
     kvm->blockVcpu(v);
     // Measure from the VCPU's quiescent point (its frontier), as the
@@ -180,10 +247,10 @@ TEST_F(KvmArmFixture, IoSignalsMatchTable2)
     Cycles in_at = 0;
     kvm->ioSignalIn(t0, v, [&](Cycles t) { in_at = t; });
     tb.run();
-    EXPECT_EQ(in_at - t0, 13872u); // Table II
+    EXPECT_EQ(in_at - t0, GetParam().in); // Table II
 }
 
-TEST_F(KvmArmFixture, TransmitSuppressesKicksWhilePumping)
+TEST_P(KvmFamily, TransmitSuppressesKicksWhilePumping)
 {
     Vcpu &v = tb.guest()->vcpu(0);
     for (int i = 0; i < 8; ++i) {
@@ -202,7 +269,7 @@ TEST_F(KvmArmFixture, TransmitSuppressesKicksWhilePumping)
     EXPECT_LT(tb.machine().stats().counterValue("kvm.vm_exits"), 8u);
 }
 
-TEST_F(KvmArmFixture, DeliverPacketReachesGuestDriver)
+TEST_P(KvmFamily, DeliverPacketReachesGuestDriver)
 {
     Packet p;
     p.flow = 9;

@@ -1,7 +1,8 @@
 /**
  * @file
- * Tests for the Xen ARM model: EL2-resident fast paths, Dom0/idle
- * domain scheduling, and the Dom0-mediated I/O architecture.
+ * Tests for the Xen model: Dom0/idle-domain scheduling and the
+ * Dom0-mediated I/O architecture on both ISAs, and Xen ARM's
+ * EL2-resident fast paths.
  */
 
 #include <gtest/gtest.h>
@@ -23,9 +24,37 @@ struct XenArmFixture : public ::testing::Test
     XenHypervisor *xen = nullptr;
 };
 
+/** One Xen configuration with its Table II I/O latency rows. */
+struct XenCase
+{
+    SutKind kind;
+    double ioOut;
+    double ioIn;
+};
+
+/** The Xen family on each ISA: behaviour the policy must not change. */
+struct XenFamily : public ::testing::TestWithParam<XenCase>
+{
+    XenFamily() : tb(TestbedConfig{.kind = GetParam().kind})
+    {
+        xen = dynamic_cast<XenHypervisor *>(tb.hypervisor());
+    }
+
+    Testbed tb;
+    XenHypervisor *xen = nullptr;
+};
+
+INSTANTIATE_TEST_SUITE_P(
+    BothIsas, XenFamily,
+    ::testing::Values(XenCase{SutKind::XenArm, 16491.0, 15650.0},
+                      XenCase{SutKind::XenX86, 11262.0, 10050.0}),
+    [](const ::testing::TestParamInfo<XenCase> &info) {
+        return info.param.kind == SutKind::XenArm ? "XenArm" : "XenX86";
+    });
+
 } // namespace
 
-TEST_F(XenArmFixture, IdentifiesAsType1WithDom0)
+TEST_P(XenFamily, IdentifiesAsType1WithDom0)
 {
     ASSERT_NE(xen, nullptr);
     EXPECT_EQ(xen->type(), HvType::Type1);
@@ -82,22 +111,23 @@ TEST_F(XenArmFixture, VmSwitchMovesFullEl1State)
     EXPECT_EQ(done_at, 8799u); // Table II: barely better than KVM
 }
 
-TEST_F(XenArmFixture, IoSignalOutWakesDom0FromIdle)
+TEST_P(XenFamily, IoSignalOutWakesDom0FromIdle)
 {
     xen->forceDom0Idle();
     Cycles done_at = 0;
     xen->ioSignalOut(0, tb.guest()->vcpu(0),
                      [&](Cycles t) { done_at = t; });
     tb.run();
-    // Table II: 16,491 — dominated by the idle-domain switch.
-    EXPECT_NEAR(static_cast<double>(done_at), 16491.0, 16491.0 * 0.05);
+    // Table II (ARM 16,491): dominated by the idle-domain switch.
+    const double paper = GetParam().ioOut;
+    EXPECT_NEAR(static_cast<double>(done_at), paper, paper * 0.05);
     EXPECT_EQ(
         tb.machine().stats().counterValue("xen.idle_domain_switches"),
         1u);
     EXPECT_EQ(xen->dom0().vcpu(0).state(), VcpuState::Running);
 }
 
-TEST_F(XenArmFixture, IoSignalInWakesDomU)
+TEST_P(XenFamily, IoSignalInWakesDomU)
 {
     xen->forceDom0Running();
     tb.setIdle(0, true);
@@ -106,11 +136,11 @@ TEST_F(XenArmFixture, IoSignalInWakesDomU)
     xen->ioSignalIn(t0, tb.guest()->vcpu(0),
                     [&](Cycles t) { done_at = t; });
     tb.run();
-    EXPECT_NEAR(static_cast<double>(done_at - t0), 15650.0,
-                15650.0 * 0.05);
+    const double paper = GetParam().ioIn;
+    EXPECT_NEAR(static_cast<double>(done_at - t0), paper, paper * 0.05);
 }
 
-TEST_F(XenArmFixture, Dom0BlocksAfterQuiescence)
+TEST_P(XenFamily, Dom0BlocksAfterQuiescence)
 {
     xen->forceDom0Running();
     // A packet through the NIC puts Dom0 to work, after which the
@@ -126,7 +156,7 @@ TEST_F(XenArmFixture, Dom0BlocksAfterQuiescence)
               0u);
 }
 
-TEST_F(XenArmFixture, RxPathUsesGrantCopies)
+TEST_P(XenFamily, RxPathUsesGrantCopies)
 {
     Packet p;
     p.flow = 3;
@@ -142,7 +172,7 @@ TEST_F(XenArmFixture, RxPathUsesGrantCopies)
               1500u);
 }
 
-TEST_F(XenArmFixture, TransmitFlowsThroughDom0ToWire)
+TEST_P(XenFamily, TransmitFlowsThroughDom0ToWire)
 {
     Vcpu &v = tb.guest()->vcpu(0);
     Packet p;
@@ -172,7 +202,7 @@ TEST_F(XenArmFixture, VirqCompletionSharesTheArmFastPath)
     EXPECT_EQ(done_at, 71u); // identical to KVM (Table II)
 }
 
-TEST_F(XenArmFixture, TrapRequiresExecutingVcpu)
+TEST_P(XenFamily, TrapRequiresExecutingVcpu)
 {
     Vcpu &v = tb.guest()->vcpu(0);
     xen->blockVcpu(v);
