@@ -100,13 +100,12 @@ constexpr KvmParams kvmX86{
     .rxWindowIsCpuBusy = true,
 };
 
-constexpr ArchTraits armTraits{"ARM", xenArm, kvmArm, CpuMode::El1,
-                               "host", 0x405700, ppiVtimerIrq, true};
+constexpr ArchTraits armTraits{"ARM", xenArm, kvmArm, "host", 0x405700,
+                               ppiVtimerIrq, true};
 constexpr ArchTraits armVheTraits{"ARM (VHE)", xenArm, kvmArmVhe,
-                                  CpuMode::El1, "host-el2", 0x405700,
-                                  ppiVtimerIrq, true};
-constexpr ArchTraits x86Traits{"x86", xenX86, kvmX86,
-                               CpuMode::KernelNonRoot, "host", 0x860000,
+                                  "host-el2", 0x405700, ppiVtimerIrq,
+                                  true};
+constexpr ArchTraits x86Traits{"x86", xenX86, kvmX86, "host", 0x860000,
                                -1, false};
 
 /** Host EL1 state a split-mode exit makes live again. */

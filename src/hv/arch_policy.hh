@@ -151,8 +151,6 @@ struct ArchTraits
     const char *name;
     const XenParams &xen;
     const KvmParams &kvm;
-    /** Mode a VCPU executes guest code in. */
-    CpuMode guestMode;
     /** KVM's host context label once it has the CPU. */
     const char *hostContext;
     /** Fill pattern base of KVM's per-CPU host register contexts, so

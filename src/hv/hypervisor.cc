@@ -96,6 +96,13 @@ Hypervisor::dist(Vm &vm)
     return *it->second;
 }
 
+void
+Hypervisor::countWorldSwitch(const Vcpu &v)
+{
+    vmMetrics(v.vm()).counter(worldSwitchTap()).inc();
+    cpuMetrics(v.pcpu()).counter(worldSwitchTap()).inc();
+}
+
 VcpuId
 Hypervisor::pickVirqTarget(Vm &vm)
 {

@@ -237,6 +237,16 @@ class Hypervisor
     /** A VM's virtual distributor (pending virqs per VCPU). */
     VgicDistributor &dist(Vm &vm);
 
+    /** Count one world switch against v's VM and PCPU. */
+    void countWorldSwitch(const Vcpu &v);
+
+    /** Trace track of v's physical CPU. */
+    static std::uint16_t
+    track(const Vcpu &v)
+    {
+        return static_cast<std::uint16_t>(v.pcpu());
+    }
+
     Machine &mach;
     WorldSwitchEngine wse;
     std::unique_ptr<const ArchPolicy> pol;

@@ -42,12 +42,6 @@ kvmTaps()
     return taps;
 }
 
-std::uint16_t
-track(const Vcpu &v)
-{
-    return static_cast<std::uint16_t>(v.pcpu());
-}
-
 } // namespace
 
 KvmHypervisor::KvmHypervisor(Machine &m, bool vhe)
@@ -93,13 +87,6 @@ KvmHypervisor::start()
             }
         }
     }
-}
-
-void
-KvmHypervisor::countWorldSwitch(const Vcpu &v)
-{
-    vmMetrics(v.vm()).counter(kvmTaps().worldSwitch).inc();
-    cpuMetrics(v.pcpu()).counter(kvmTaps().worldSwitch).inc();
 }
 
 Cycles

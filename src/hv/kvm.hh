@@ -105,9 +105,6 @@ class KvmHypervisor : public Hypervisor
     void handleKick(Cycles t, PcpuId cpu);
     void handleNicIrq(Cycles t, PcpuId cpu);
 
-    /** Count one world switch against v's VM and PCPU. */
-    void countWorldSwitch(const Vcpu &v);
-
     /** Host-context work: inject a pending virq into a VCPU that the
      *  host has just kicked out of guest mode, then re-enter. Fires
      *  done after the guest acknowledges and dispatches. */

@@ -40,12 +40,6 @@ xenTaps()
     return taps;
 }
 
-std::uint16_t
-track(const Vcpu &v)
-{
-    return static_cast<std::uint16_t>(v.pcpu());
-}
-
 } // namespace
 
 XenHypervisor::XenHypervisor(Machine &m)
@@ -103,13 +97,6 @@ XenHypervisor::start()
         _dom0->vcpu(i).setState(VcpuState::Idle);
         mach.cpu(_dom0->vcpu(i).pcpu()).setContext("idle-domain");
     }
-}
-
-void
-XenHypervisor::countWorldSwitch(const Vcpu &v)
-{
-    vmMetrics(v.vm()).counter(xenTaps().worldSwitch).inc();
-    cpuMetrics(v.pcpu()).counter(xenTaps().worldSwitch).inc();
 }
 
 Cycles

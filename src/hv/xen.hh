@@ -124,9 +124,6 @@ class XenHypervisor : public Hypervisor
     void handleNicIrq(Cycles t, PcpuId cpu);
     void handleKick(Cycles t, PcpuId cpu);
 
-    /** Count one world switch against v's VM and PCPU. */
-    void countWorldSwitch(const Vcpu &v);
-
     /** Put v's PCPU on the idle domain (no cycles charged). */
     void idle(Vcpu &v);
 
