@@ -24,10 +24,12 @@ struct XenArmFixture : public ::testing::Test
     XenHypervisor *xen = nullptr;
 };
 
-/** One Xen configuration with its Table II I/O latency rows. */
+/** One Xen configuration, its name and its Table II I/O latency
+ *  rows. */
 struct XenCase
 {
     SutKind kind;
+    const char *name;
     double ioOut;
     double ioIn;
 };
@@ -46,8 +48,8 @@ struct XenFamily : public ::testing::TestWithParam<XenCase>
 
 INSTANTIATE_TEST_SUITE_P(
     BothIsas, XenFamily,
-    ::testing::Values(XenCase{SutKind::XenArm, 16491.0, 15650.0},
-                      XenCase{SutKind::XenX86, 11262.0, 10050.0}),
+    ::testing::Values(XenCase{SutKind::XenArm, "Xen ARM", 16491.0, 15650.0},
+                      XenCase{SutKind::XenX86, "Xen x86", 11262.0, 10050.0}),
     [](const ::testing::TestParamInfo<XenCase> &info) {
         return info.param.kind == SutKind::XenArm ? "XenArm" : "XenX86";
     });
@@ -57,6 +59,7 @@ INSTANTIATE_TEST_SUITE_P(
 TEST_P(XenFamily, IdentifiesAsType1WithDom0)
 {
     ASSERT_NE(xen, nullptr);
+    EXPECT_EQ(xen->name(), GetParam().name);
     EXPECT_EQ(xen->type(), HvType::Type1);
     EXPECT_EQ(xen->dom0().kind(), VmKind::Dom0);
     EXPECT_EQ(xen->dom0().numVcpus(), 4);
