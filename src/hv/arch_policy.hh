@@ -169,7 +169,7 @@ struct ArchTraits
  * How one ISA implements the mechanisms both families compose: its
  * traits plus the code that moves state and drives the interrupt
  * controller. Transition methods move the registers, set the CPU mode
- * and return the cost; the caller charges it.
+ * where it changes and return the cost; the caller charges it.
  */
 class ArchPolicy : public ArchTraits
 {
