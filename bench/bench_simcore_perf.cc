@@ -18,6 +18,7 @@
 #include "core/netperf.hh"
 #include "core/testbed.hh"
 #include "hv/world_switch.hh"
+#include "hw/machine.hh"
 #include "sim/event_queue.hh"
 #include "sim/flight.hh"
 #include "sim/latency.hh"
@@ -177,6 +178,21 @@ BM_NetperfRrTransaction(benchmark::State &state)
     state.SetItemsProcessed(state.iterations() * 50);
 }
 BENCHMARK(BM_NetperfRrTransaction);
+
+/** One machine-counter bump on the hot path, the way the hw models
+ *  count: Nic::receiveFromWire bumps nic.rx_packets per frame. */
+void
+BM_MachineCounterInc(benchmark::State &state)
+{
+    EventQueue eq;
+    Machine m(eq, MachineConfig::hpMoonshotM400());
+    const TapId rxPackets = internTap("nic.rx_packets");
+    for (auto _ : state)
+        m.counters().counter(rxPackets).inc();
+    benchmark::DoNotOptimize(m.counters().value(rxPackets));
+    state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_MachineCounterInc);
 
 /** The Figure 4 application sweep, end to end, at a fixed thread
  *  count. Compare Serial vs Parallel to see the sweep-runner win on

@@ -35,7 +35,10 @@ cmake -B build-asan -S . \
       -DVIRTSIM_SANITIZE=address,undefined \
       -DCMAKE_BUILD_TYPE=RelWithDebInfo >/dev/null
 cmake --build build-asan -j "$jobs"
-ctest --test-dir build-asan --output-on-failure -j "$jobs"
+# halt_on_error makes a UBSan report fail its test instead of
+# scrolling past in the log (ASan reports are fatal by default).
+UBSAN_OPTIONS=halt_on_error=1 ctest --test-dir build-asan \
+    --output-on-failure -j "$jobs"
 
 echo "== ubsan: build + trace/attribution tests =="
 cmake -B build-ubsan -S . \

@@ -224,16 +224,18 @@ struct FleetWorld
         serveTap = internTap("fleet.serve");
         edgeWireTap();
 
-        // Warm the tap intern table and the stat-counter registry
-        // from the setup thread (inject -> ack -> complete leaves the
-        // LR array clean), then pre-size the metrics arrays: the
-        // lanes bump these counters concurrently, and counter() must
-        // not reallocate under them.
+        // Warm the lazily interned taps of the virq path (the LR
+        // causal edge) from the setup thread (inject -> ack ->
+        // complete leaves the LR array clean), then pre-size the
+        // machine's counter domain and metrics arrays: the lanes
+        // bump these counters concurrently, and counter() must not
+        // reallocate under them. The machine's components interned
+        // their counter taps when they were constructed.
         gic->injectVirq(0, 0, spiNicIrq);
         gic->guestAckVirq(0);
         gic->guestCompleteVirq(0, spiNicIrq);
         mach->probe().warmTraceHealth();
-        mach->metrics().prepareForParallel(cfg.nCpus);
+        mach->prepareForParallel(cfg.nCpus);
 
         armObservability(lanes);
 

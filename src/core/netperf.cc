@@ -31,6 +31,18 @@ rrTaps()
     return taps;
 }
 
+/** Machine counters of every frame the receive path drops: NIC ring
+ *  overflow and the netback / vhost backends' backlog and ring-full
+ *  drops. */
+struct RxDropTaps
+{
+    TapId nic = internTap("nic.rx_dropped");
+    TapId netbackNoRequest = internTap("netback.rx_no_request");
+    TapId netbackBacklog = internTap("netback.rx_backlog_dropped");
+    TapId vhostNoDescriptor = internTap("vhost.rx_no_descriptor");
+    TapId vhostBacklog = internTap("vhost.rx_backlog_dropped");
+};
+
 /** Per-transaction timestamps, rebuilt from the trace after the run. */
 struct RrStamps
 {
@@ -273,13 +285,13 @@ runNetperfStream(Testbed &tb, NetperfStreamConfig cfg)
     out.seconds = cfg.windowSeconds;
     out.gbps = static_cast<double>(delivered_bytes) * 8.0 /
                cfg.windowSeconds / 1e9;
-    out.framesDropped =
-        tb.machine().stats().counterValue("nic.rx_dropped") +
-        tb.machine().stats().counterValue("netback.rx_no_request") +
-        tb.machine().stats().counterValue(
-            "netback.rx_backlog_dropped") +
-        tb.machine().stats().counterValue("vhost.rx_no_descriptor") +
-        tb.machine().stats().counterValue("vhost.rx_backlog_dropped");
+    static const RxDropTaps drops;
+    const MetricsDomain &counters = tb.machine().counters();
+    out.framesDropped = counters.value(drops.nic) +
+                        counters.value(drops.netbackNoRequest) +
+                        counters.value(drops.netbackBacklog) +
+                        counters.value(drops.vhostNoDescriptor) +
+                        counters.value(drops.vhostBacklog);
     return out;
 }
 

@@ -90,7 +90,7 @@ Testbed::Testbed(TestbedConfig config)
     // that spreads CPUs across lanes.
     server = std::make_unique<Machine>(kern, MachineShardPlan{}, mc);
     wire_ = std::make_unique<Wire>(
-        eq, server->stats(), server->freq().cycles(wireOneWayUs),
+        eq, server->counters(), server->freq().cycles(wireOneWayUs),
         &server->probe());
     // Both wire legs are declared channels (the NIC-to-client edge
     // of the shard model); with client and NIC on the device shard
@@ -502,7 +502,7 @@ Testbed::attribution()
 void
 Testbed::beginRun()
 {
-    server->stats().reset();
+    server->counters().reset();
     server->probe().reset();
     // Histogram counts went back to zero; the burn-window bases the
     // live SLO state holds would be stale against them.

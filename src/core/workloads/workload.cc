@@ -14,6 +14,16 @@
 
 namespace virtsim {
 
+namespace {
+
+struct AppTaps
+{
+    TapId retransmits = internTap("app.retransmits");
+    TapId completed = internTap("app.completed");
+};
+
+} // namespace
+
 double
 runCpuWorkload(Testbed &tb, const CpuWorkloadParams &p)
 {
@@ -114,6 +124,8 @@ runCpuWorkload(Testbed &tb, const CpuWorkloadParams &p)
 double
 runRequestResponse(Testbed &tb, const ServerAppParams &p)
 {
+    static const AppTaps taps;
+    MetricsDomain &counters = tb.machine().counters();
     tb.beginRun();
     const Frequency f = tb.freq();
     const NetstackCosts &net = tb.netCosts();
@@ -157,7 +169,7 @@ runRequestResponse(Testbed &tb, const ServerAppParams &p)
                     static_cast<std::int64_t>(p.responseBytes);
                 lastProgress[kv.first] = t;
                 ++retransmits;
-                tb.machine().stats().counter("app.retransmits").inc();
+                counters.counter(taps.retransmits).inc();
                 tb.clientSend(t, req);
             }
         }
@@ -263,7 +275,7 @@ runRequestResponse(Testbed &tb, const ServerAppParams &p)
         acked.erase(pkt.flow);
         lastProgress.erase(pkt.flow);
         ++completed;
-        tb.machine().stats().counter("app.completed").inc();
+        counters.counter(taps.completed).inc();
         if (t >= t_start && t < t_end)
             ++completed_in_window;
         if (t < t_end + tb.wireLatency()) {

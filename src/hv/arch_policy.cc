@@ -317,8 +317,8 @@ class X86Policy final : public ArchPolicy
   public:
     X86Policy(Machine &m, WorldSwitchEngine &wse, const std::string &family)
         : ArchPolicy(m, wse, x86Traits),
-          eoiTrapStat(family + ".virq_complete_trap"),
-          vapicStat(family + ".virq_complete_vapic")
+          eoiTrapTap(internTap(family + ".virq_complete_trap")),
+          vapicTap(internTap(family + ".virq_complete_vapic"))
     {
     }
 
@@ -424,7 +424,7 @@ class X86Policy final : public ArchPolicy
         // in Table II's delivery latency.
         if (acked < 0 || !eoiTraps())
             return 0;
-        mach.stats().counter(eoiTrapStat).inc();
+        mach.counters().counter(eoiTrapTap).inc();
         return trapCost() + emulation + resumeCost();
     }
 
@@ -433,7 +433,7 @@ class X86Policy final : public ArchPolicy
     Cycles
     completeActive(PcpuId) const override
     {
-        mach.stats().counter(vapicStat).inc();
+        mach.counters().counter(vapicTap).inc();
         return costs().irqChipRegAccess;
     }
 
@@ -452,9 +452,9 @@ class X86Policy final : public ArchPolicy
         cpu.regs().copyClassFrom(area, RegClass::Vmcs);
     }
 
-    /** The owning family's EOI stats ("kvm.virq_complete_trap"...). */
-    const std::string eoiTrapStat;
-    const std::string vapicStat;
+    /** The owning family's EOI counters ("kvm.virq_complete_trap"...). */
+    const TapId eoiTrapTap;
+    const TapId vapicTap;
 };
 
 } // namespace

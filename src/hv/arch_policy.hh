@@ -176,7 +176,7 @@ class ArchPolicy : public ArchTraits
   public:
     /**
      * The policy for m's architecture, moving state through @p wse.
-     * @p family ("xen" / "kvm") prefixes the stats the policy counts;
+     * @p family ("xen" / "kvm") prefixes the counters the policy bumps;
      * @p e2h selects ARM's VHE variant (rejected on other ISAs).
      */
     static std::unique_ptr<const ArchPolicy>

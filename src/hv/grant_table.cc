@@ -11,6 +11,11 @@ struct GrantTaps
     TapId map = internTap("grant.map");
     TapId unmap = internTap("grant.unmap");
     TapId copy = internTap("grant.copy");
+    /** Machine counters (Machine::counters()). */
+    TapId granted = internTap("grant.granted");
+    TapId maps = internTap("grant.maps");
+    TapId unmaps = internTap("grant.unmaps");
+    TapId copies = internTap("grant.copies");
 };
 
 const GrantTaps &
@@ -25,6 +30,7 @@ grantTaps()
 GrantTable::GrantTable(Machine &m, Vm &granter)
     : mach(m), granter(granter)
 {
+    grantTaps(); // intern before a sharded run freezes the counters
 }
 
 GrantRef
@@ -36,7 +42,7 @@ GrantTable::grant(BufferId buf, bool readonly)
                    " own (owner: ", mach.memory().owner(buf), ")");
     const GrantRef ref = nextRef++;
     grants[ref] = Entry{buf, readonly, false};
-    mach.stats().counter("grant.granted").inc();
+    mach.counters().counter(grantTaps().granted).inc();
     return ref;
 }
 
@@ -57,7 +63,7 @@ GrantTable::map(GrantRef ref)
     VIRTSIM_ASSERT(it != grants.end(), "mapping unknown grant ", ref);
     VIRTSIM_ASSERT(!it->second.mapped, "double map of grant ", ref);
     it->second.mapped = true;
-    mach.stats().counter("grant.maps").inc();
+    mach.counters().counter(grantTaps().maps).inc();
     mach.trace().instant(mach.queue().now(), grantTaps().map,
                          TraceCat::Io, noTrack,
                          static_cast<std::uint64_t>(ref));
@@ -71,7 +77,7 @@ GrantTable::unmap(GrantRef ref)
     VIRTSIM_ASSERT(it != grants.end(), "unmapping unknown grant ", ref);
     VIRTSIM_ASSERT(it->second.mapped, "unmap of unmapped grant ", ref);
     it->second.mapped = false;
-    mach.stats().counter("grant.unmaps").inc();
+    mach.counters().counter(grantTaps().unmaps).inc();
     mach.trace().instant(mach.queue().now(), grantTaps().unmap,
                          TraceCat::Io, noTrack,
                          static_cast<std::uint64_t>(ref));
@@ -88,7 +94,7 @@ GrantTable::copy(GrantRef ref, std::uint32_t bytes)
 {
     auto it = grants.find(ref);
     VIRTSIM_ASSERT(it != grants.end(), "copy via unknown grant ", ref);
-    mach.stats().counter("grant.copies").inc();
+    mach.counters().counter(grantTaps().copies).inc();
     mach.trace().instant(mach.queue().now(), grantTaps().copy,
                          TraceCat::Io, noTrack, bytes);
     return grantCopyFixedCost() + mach.memory().copyCost(bytes);

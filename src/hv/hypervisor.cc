@@ -4,6 +4,23 @@
 
 namespace virtsim {
 
+namespace {
+
+struct HvTaps
+{
+    TapId vmsCreated = internTap("hv.vms_created");
+    TapId started = internTap("hv.started");
+};
+
+const HvTaps &
+hvTaps()
+{
+    static const HvTaps taps;
+    return taps;
+}
+
+} // namespace
+
 std::string
 to_string(HvType t)
 {
@@ -14,6 +31,7 @@ Hypervisor::Hypervisor(Machine &m, const std::string &family, bool e2h)
     : mach(m), wse(m.costs()), pol(ArchPolicy::create(m, wse, family, e2h))
 {
     wse.attachTrace(&m.trace());
+    hvTaps(); // intern before a sharded run freezes the counters
 }
 
 MetricsDomain &
@@ -43,14 +61,14 @@ Hypervisor::createVm(const std::string &name, int n_vcpus,
     // VM's RAM (12 GiB per the paper's Section III configuration,
     // 4 KiB granules). Benchmarks touch only a window of it; the map
     // is kept sparse and filled on demand by fault handling instead.
-    stats().counter("hv.vms_created").inc();
+    counters().counter(hvTaps().vmsCreated).inc();
     return vm;
 }
 
 void
 Hypervisor::start()
 {
-    stats().counter("hv.started").inc();
+    counters().counter(hvTaps().started).inc();
 
     // Per-VM timeline gauges. Guest VMs only (_vms excludes Xen's
     // Dom0/idle domains), in creation order so exports are

@@ -63,7 +63,7 @@ enum class VirqDistribution
 class Hypervisor
 {
   public:
-    /** @p family names the family's stats ("xen" / "kvm"); @p e2h
+    /** @p family names the family's counters ("xen" / "kvm"); @p e2h
      *  selects ARM's VHE policy. */
     Hypervisor(Machine &m, const std::string &family, bool e2h = false);
     virtual ~Hypervisor() = default;
@@ -75,7 +75,7 @@ class Hypervisor
     virtual HvType type() const = 0;
 
     Machine &machine() { return mach; }
-    StatRegistry &stats() { return mach.stats(); }
+    MetricsDomain &counters() { return mach.counters(); }
     EventQueue &queue() { return mach.queue(); }
     WorldSwitchEngine &switchEngine() { return wse; }
 

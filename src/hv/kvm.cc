@@ -33,6 +33,22 @@ struct KvmTaps
     TapId opVmSwitch = internTap("op.vm_switch");
     TapId opIoOut = internTap("op.io_out");
     TapId opIoIn = internTap("op.io_in");
+    /** Machine counters (Machine::counters()). */
+    TapId vmExits = internTap("kvm.vm_exits");
+    TapId vmEntries = internTap("kvm.vm_entries");
+    TapId hypercalls = internTap("kvm.hypercalls");
+    TapId irqchipTraps = internTap("kvm.irqchip_traps");
+    TapId spuriousWakeup = internTap("kvm.spurious_wakeup");
+    TapId virtualIpis = internTap("kvm.virtual_ipis");
+    TapId virqCompleteTrap = internTap("kvm.virq_complete_trap");
+    TapId vmSwitches = internTap("kvm.vm_switches");
+    TapId ioSignalOut = internTap("kvm.io_signal_out");
+    TapId ioSignalIn = internTap("kvm.io_signal_in");
+    TapId rxNotificationSuppressed =
+        internTap("kvm.rx_notification_suppressed");
+    TapId txBackpressure = internTap("kvm.tx_backpressure");
+    TapId txKickSuppressed = internTap("kvm.tx_kick_suppressed");
+    TapId unhandledPhysIrq = internTap("kvm.unhandled_phys_irq");
 };
 
 const KvmTaps &
@@ -55,6 +71,7 @@ KvmHypervisor::KvmHypervisor(Machine &m, bool vhe)
     // isolation tests can detect cross-context leaks.
     for (std::size_t i = 0; i < hostCtx.size(); ++i)
         hostCtx[i].regs.fillPattern(pol->hostRegPattern + i);
+    kvmTaps(); // intern before a sharded run freezes the counters
 }
 
 TapId
@@ -101,7 +118,7 @@ KvmHypervisor::exitToHost(Cycles t, Vcpu &v)
     ctx.inVm = false;
     v.setState(VcpuState::InHyp);
     cpu.setContext(pol->hostContext);
-    stats().counter("kvm.vm_exits").inc();
+    counters().counter(kvmTaps().vmExits).inc();
     const Cycles tr = cpu.charge(t, c);
     if (pol->tracesTransitions)
         trace().span(t, tr, kvmTaps().exit, TraceCat::Switch, track(v), c);
@@ -124,7 +141,7 @@ KvmHypervisor::enterVm(Cycles t, Vcpu &v)
     v.setLoaded(true);
     v.setState(VcpuState::Running);
     cpu.setContext(v.name());
-    stats().counter("kvm.vm_entries").inc();
+    counters().counter(kvmTaps().vmEntries).inc();
     const Cycles tr = cpu.charge(t, c);
     if (pol->tracesTransitions)
         trace().span(t, tr, kvmTaps().enter, TraceCat::Switch, track(v), c);
@@ -138,7 +155,7 @@ KvmHypervisor::hypercall(Cycles t, Vcpu &v, Done done)
     const Cycles t1 = exitToHost(t, v);
     const Cycles t2 = mach.cpu(v.pcpu()).charge(t1, params.hypercallHandler);
     const Cycles t3 = enterVm(t2, v);
-    stats().counter("kvm.hypercalls").inc();
+    counters().counter(kvmTaps().hypercalls).inc();
     vmMetrics(v.vm()).histogram(kvmTaps().trapHypercall).add(t3 - t);
     trace().span(t, t3, kvmTaps().opHypercall, TraceCat::Op, track(v));
     queue().scheduleAt(t3, [t3, done] { done(t3); });
@@ -152,7 +169,7 @@ KvmHypervisor::irqControllerTrap(Cycles t, Vcpu &v, Done done)
     const Cycles t1 = exitToHost(t, v);
     const Cycles t2 = mach.cpu(v.pcpu()).charge(t1, params.irqchipEmulation);
     const Cycles t3 = enterVm(t2, v);
-    stats().counter("kvm.irqchip_traps").inc();
+    counters().counter(kvmTaps().irqchipTraps).inc();
     vmMetrics(v.vm()).histogram(kvmTaps().trapIrqchip).add(t3 - t);
     trace().span(t, t3, kvmTaps().opIrqTrap, TraceCat::Op, track(v));
     queue().scheduleAt(t3, [t3, done] { done(t3); });
@@ -168,7 +185,7 @@ KvmHypervisor::flushAndResume(Cycles t, Vcpu &v, Done done)
     PhysicalCpu &cpu = mach.cpu(v.pcpu());
     const IrqId virq = pol->ack(v.pcpu(), te);
     if (virq < 0)
-        stats().counter("kvm.spurious_wakeup").inc();
+        counters().counter(kvmTaps().spuriousWakeup).inc();
     const Cycles ta = cpu.charge(
         te, mach.costs().irqChipRegAccess + params.guestIrqDispatch);
     queue().scheduleAt(ta, [ta, done] { done(ta); });
@@ -184,7 +201,7 @@ void
 KvmHypervisor::injectVirq(Cycles t, Vcpu &v, IrqId virq, Done done)
 {
     dist(v.vm()).setPending(v.id(), virq);
-    stats().counter("kvm.virq_injected").inc();
+    counters().counter(kvmTaps().virqInjected).inc();
     vmMetrics(v.vm()).counter(kvmTaps().virqInjected).inc();
     if (pol->tracesTransitions) {
         trace().instant(t, kvmTaps().virqInjected, TraceCat::Irq, track(v),
@@ -222,7 +239,7 @@ KvmHypervisor::virtualIpi(Cycles t, Vcpu &src, Vcpu &dst, Done done)
 {
     VIRTSIM_ASSERT(src.pcpu() != dst.pcpu(),
                    "virtual IPI microbenchmark requires distinct pcpus");
-    stats().counter("kvm.virtual_ipis").inc();
+    counters().counter(kvmTaps().virtualIpis).inc();
 
     // Sender: the IPI register write traps; emulation happens in the
     // host kernel after a full exit.
@@ -259,7 +276,7 @@ KvmHypervisor::virqComplete(Cycles t, Vcpu &v, Done done)
     const Cycles t1 = exitToHost(t, v);
     const Cycles t2 = mach.cpu(v.pcpu()).charge(t1, params.eoiEmulation);
     const Cycles t3 = enterVm(t2, v);
-    stats().counter("kvm.virq_complete_trap").inc();
+    counters().counter(kvmTaps().virqCompleteTrap).inc();
     vmMetrics(v.vm()).histogram(kvmTaps().trapEoi).add(t3 - t);
     queue().scheduleAt(t3, [t3, done] { done(t3); });
 }
@@ -280,7 +297,7 @@ KvmHypervisor::vmSwitch(Cycles t, Vcpu &from, Vcpu &to, Done done)
         t1, pol->switchVms(cpu, from.savedRegs(), to.savedRegs(), t1,
                            params.vcpuSwitchWork));
     const Cycles t3 = enterVm(t2, to);
-    stats().counter("kvm.vm_switches").inc();
+    counters().counter(kvmTaps().vmSwitches).inc();
     vmMetrics(to.vm()).histogram(kvmTaps().trapVmSwitch).add(t3 - t);
     trace().span(t, t3, kvmTaps().opVmSwitch, TraceCat::Op, track(from));
     queue().scheduleAt(t3, [t3, done] { done(t3); });
@@ -291,7 +308,7 @@ KvmHypervisor::ioSignalOut(Cycles t, Vcpu &v, Done done)
 {
     VIRTSIM_ASSERT(_vhost, "ioSignalOut requires an attached vNIC");
     PhysicalCpu &cpu = mach.cpu(v.pcpu());
-    stats().counter("kvm.io_signal_out").inc();
+    counters().counter(kvmTaps().ioSignalOut).inc();
     if (params.ioeventfdFastPath) {
         // Signalled inside the vmexit loop; the guest re-enters at
         // once and the measurement ends at the signal.
@@ -323,7 +340,7 @@ KvmHypervisor::ioSignalIn(Cycles t, Vcpu &v, Done done)
     // injection path (wake or kick depending on the VCPU state).
     PhysicalCpu &worker = mach.cpu(_vhost->params().workerPcpu);
     const Cycles t1 = worker.charge(t, params.irqfdInject);
-    stats().counter("kvm.io_signal_in").inc();
+    counters().counter(kvmTaps().ioSignalIn).inc();
     if (pol->tracesTransitions)
         trace().instant(t, kvmTaps().ioIn, TraceCat::Io, track(v));
     Done wrapped = [this, t, tr = track(v), done](Cycles ta) {
@@ -414,7 +431,7 @@ KvmHypervisor::notifyGuestRx(Cycles t, Vm &vm, const Packet &pkt,
         // poll loop reaps this descriptor too. Every event outside
         // the window pays a full interrupt — the per-event delivery
         // cost that saturates VCPU0 in Section V.
-        stats().counter("kvm.rx_notification_suppressed").inc();
+        counters().counter(kvmTaps().rxNotificationSuppressed).inc();
         const Cycles tg = cpu.charge(t, params.guestDriverRxPop);
         queue().scheduleAt(tg, [tg, guest_pop] { guest_pop(tg); });
         return;
@@ -440,7 +457,7 @@ KvmHypervisor::guestTransmit(Cycles t, Vcpu &v, const Packet &pkt,
         // Ring full: the virtio driver stops the queue until the
         // backend frees descriptors (TCP backpressure).
         txBacklog.emplace_back(&v, std::make_pair(pkt, std::move(done)));
-        stats().counter("kvm.tx_backpressure").inc();
+        counters().counter(kvmTaps().txBackpressure).inc();
         return;
     }
     PhysicalCpu &cpu = mach.cpu(v.pcpu());
@@ -457,7 +474,7 @@ KvmHypervisor::guestTransmit(Cycles t, Vcpu &v, const Packet &pkt,
     if (txPumpActive) {
         // Backend is actively draining the ring: notification
         // suppressed, no kick, no exit.
-        stats().counter("kvm.tx_kick_suppressed").inc();
+        counters().counter(kvmTaps().txKickSuppressed).inc();
         return;
     }
 
@@ -526,7 +543,7 @@ KvmHypervisor::onPhysIrq(Cycles t, PcpuId cpu, IrqId irq)
             injectVirq(t, *ctx.loaded, irq, [](Cycles) {});
         return;
     }
-    stats().counter("kvm.unhandled_phys_irq").inc();
+    counters().counter(kvmTaps().unhandledPhysIrq).inc();
 }
 
 void

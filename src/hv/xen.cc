@@ -31,6 +31,24 @@ struct XenTaps
     TapId opVmSwitch = internTap("op.vm_switch");
     TapId opIoOut = internTap("op.io_out");
     TapId opIoIn = internTap("op.io_in");
+    /** Machine counters (Machine::counters()). */
+    TapId traps = internTap("xen.traps");
+    TapId idleDomainSwitches = internTap("xen.idle_domain_switches");
+    TapId domainSwitches = internTap("xen.domain_switches");
+    TapId hypercalls = internTap("xen.hypercalls");
+    TapId irqchipTraps = internTap("xen.irqchip_traps");
+    TapId virtualIpis = internTap("xen.virtual_ipis");
+    TapId virqCompleteTrap = internTap("xen.virq_complete_trap");
+    TapId vmSwitches = internTap("xen.vm_switches");
+    TapId ioSignalOut = internTap("xen.io_signal_out");
+    TapId ioSignalIn = internTap("xen.io_signal_in");
+    TapId rxEventSuppressed = internTap("xen.rx_event_suppressed");
+    TapId txBackpressure = internTap("xen.tx_backpressure");
+    TapId txKickSuppressed = internTap("xen.tx_kick_suppressed");
+    TapId dom0Blocked = internTap("xen.dom0_blocked");
+    TapId unhandledPhysIrq = internTap("xen.unhandled_phys_irq");
+    TapId spuriousKick = internTap("xen.spurious_kick");
+    TapId vcpuBlocked = internTap("xen.vcpu_blocked");
 };
 
 const XenTaps &
@@ -60,6 +78,7 @@ XenHypervisor::XenHypervisor(Machine &m)
                                  dom0_pins);
     dists[0] = std::make_unique<VgicDistributor>(*_dom0);
     evtchn = std::make_unique<EventChannel>(m);
+    xenTaps(); // intern before a sharded run freezes the counters
 }
 
 TapId
@@ -109,7 +128,7 @@ XenHypervisor::trapToXen(Cycles t, Vcpu &v)
     const Cycles c = pol->trap(cpu, v.savedRegs()) +
                      params.hypercallDispatch;
     s.inGuest = false;
-    stats().counter("xen.traps").inc();
+    counters().counter(xenTaps().traps).inc();
     const Cycles tr = cpu.charge(t, c);
     if (pol->tracesTransitions)
         trace().span(t, tr, xenTaps().trap, TraceCat::Switch, track(v), c);
@@ -149,7 +168,7 @@ XenHypervisor::switchDomains(Cycles t, Vcpu *from, Vcpu &to,
                        "domain switch across pcpus");
         from->setLoaded(false);
     } else {
-        stats().counter("xen.idle_domain_switches").inc();
+        counters().counter(xenTaps().idleDomainSwitches).inc();
     }
     if (charge_sched)
         c += params.schedWork;
@@ -161,7 +180,7 @@ XenHypervisor::switchDomains(Cycles t, Vcpu *from, Vcpu &to,
     to.setLoaded(true);
     to.setState(VcpuState::Running);
     cpu.setContext(to.name());
-    stats().counter("xen.domain_switches").inc();
+    counters().counter(xenTaps().domainSwitches).inc();
     const Cycles tr = cpu.charge(t, c);
     if (pol->tracesTransitions) {
         trace().span(t, tr, xenTaps().domainSwitch, TraceCat::Switch,
@@ -199,7 +218,7 @@ XenHypervisor::hypercall(Cycles t, Vcpu &v, Done done)
     const Cycles t1 = trapToXen(t, v);
     const Cycles th = mach.cpu(v.pcpu()).charge(t1, params.hypercallHandler);
     const Cycles t2 = resumeVm(th, v);
-    stats().counter("xen.hypercalls").inc();
+    counters().counter(xenTaps().hypercalls).inc();
     vmMetrics(v.vm()).histogram(xenTaps().trapHypercall).add(t2 - t);
     trace().span(t, t2, xenTaps().opHypercall, TraceCat::Op, track(v));
     queue().scheduleAt(t2, [t2, done] { done(t2); });
@@ -213,7 +232,7 @@ XenHypervisor::irqControllerTrap(Cycles t, Vcpu &v, Done done)
     const Cycles t1 = trapToXen(t, v);
     const Cycles t2 = mach.cpu(v.pcpu()).charge(t1, params.irqchipEmulation);
     const Cycles t3 = resumeVm(t2, v);
-    stats().counter("xen.irqchip_traps").inc();
+    counters().counter(xenTaps().irqchipTraps).inc();
     vmMetrics(v.vm()).histogram(xenTaps().trapIrqchip).add(t3 - t);
     trace().span(t, t3, xenTaps().opIrqTrap, TraceCat::Op, track(v));
     queue().scheduleAt(t3, [t3, done] { done(t3); });
@@ -260,7 +279,7 @@ void
 XenHypervisor::injectVirq(Cycles t, Vcpu &v, IrqId virq, Done done)
 {
     dist(v.vm()).setPending(v.id(), virq);
-    stats().counter("xen.virq_injected").inc();
+    counters().counter(xenTaps().virqInjected).inc();
     vmMetrics(v.vm()).counter(xenTaps().virqInjected).inc();
     if (pol->tracesTransitions) {
         trace().instant(t, xenTaps().virqInjected, TraceCat::Irq, track(v),
@@ -294,7 +313,7 @@ XenHypervisor::virtualIpi(Cycles t, Vcpu &src, Vcpu &dst, Done done)
 {
     VIRTSIM_ASSERT(src.pcpu() != dst.pcpu(),
                    "virtual IPI microbenchmark requires distinct pcpus");
-    stats().counter("xen.virtual_ipis").inc();
+    counters().counter(xenTaps().virtualIpis).inc();
 
     // Sender: the IPI register write traps into Xen; the emulation
     // runs right there.
@@ -326,7 +345,7 @@ XenHypervisor::virqComplete(Cycles t, Vcpu &v, Done done)
     const Cycles t1 = trapToXen(t, v);
     const Cycles t2 = mach.cpu(v.pcpu()).charge(t1, params.eoiEmulation);
     const Cycles t3 = resumeVm(t2, v);
-    stats().counter("xen.virq_complete_trap").inc();
+    counters().counter(xenTaps().virqCompleteTrap).inc();
     vmMetrics(v.vm()).histogram(xenTaps().trapEoi).add(t3 - t);
     queue().scheduleAt(t3, [t3, done] { done(t3); });
 }
@@ -343,7 +362,7 @@ XenHypervisor::vmSwitch(Cycles t, Vcpu &from, Vcpu &to, Done done)
     sched[static_cast<std::size_t>(from.pcpu())].inGuest = false;
     from.setState(VcpuState::Idle);
     const Cycles t2 = switchDomains(t1, &from, to, true);
-    stats().counter("xen.vm_switches").inc();
+    counters().counter(xenTaps().vmSwitches).inc();
     vmMetrics(to.vm()).histogram(xenTaps().trapVmSwitch).add(t2 - t);
     trace().span(t, t2, xenTaps().opVmSwitch, TraceCat::Op, track(from));
     queue().scheduleAt(t2, [t2, done] { done(t2); });
@@ -369,7 +388,7 @@ XenHypervisor::ioSignalOut(Cycles t, Vcpu &v, Done done)
     // from the idle domain before netback can see the signal.
     const Cycles t1 = trapToXen(t, v);
     const Cycles t2 = mach.cpu(v.pcpu()).charge(t1, evtchn->notify(portDom0));
-    stats().counter("xen.io_signal_out").inc();
+    counters().counter(xenTaps().ioSignalOut).inc();
     if (pol->tracesTransitions)
         vmMetrics(v.vm()).histogram(xenTaps().trapIoOut).add(t2 - t);
 
@@ -396,7 +415,7 @@ XenHypervisor::ioSignalIn(Cycles t, Vcpu &v, Done done)
                                             // when already running
     const Cycles t1 = trapToXen(tr, d0);
     const Cycles t2 = mach.cpu(d0.pcpu()).charge(t1, evtchn->notify(portDomU));
-    stats().counter("xen.io_signal_in").inc();
+    counters().counter(xenTaps().ioSignalIn).inc();
     Done wrapped = [this, t, tr = track(v), done](Cycles ta) {
         trace().span(t, ta, xenTaps().opIoIn, TraceCat::Op, tr);
         done(ta);
@@ -487,7 +506,7 @@ XenHypervisor::notifyGuestRx(Cycles t, Vm &vm, const Packet &pkt,
 
     if (v.state() != VcpuState::Idle && t < rxQuietUntil) {
         // Event channel masked while the frontend polls the ring.
-        stats().counter("xen.rx_event_suppressed").inc();
+        counters().counter(xenTaps().rxEventSuppressed).inc();
         guest_pop(t);
         return;
     }
@@ -508,7 +527,7 @@ XenHypervisor::guestTransmit(Cycles t, Vcpu &v, const Packet &pkt,
         // Ring full: netfront blocks the frame until netback frees
         // slots (TCP backpressure).
         txBacklog.emplace_back(&v, std::make_pair(pkt, std::move(done)));
-        stats().counter("xen.tx_backpressure").inc();
+        counters().counter(xenTaps().txBackpressure).inc();
         return;
     }
     PhysicalCpu &cpu = mach.cpu(v.pcpu());
@@ -528,7 +547,7 @@ XenHypervisor::guestTransmit(Cycles t, Vcpu &v, const Packet &pkt,
     txBufs[pkt.seq] = std::make_pair(req.gref, buf);
 
     if (txPumpActive) {
-        stats().counter("xen.tx_kick_suppressed").inc();
+        counters().counter(xenTaps().txKickSuppressed).inc();
         return;
     }
 
@@ -615,7 +634,7 @@ XenHypervisor::scheduleDom0IdleCheck(Cycles t)
             return;
         }
         idle(d0);
-        stats().counter("xen.dom0_blocked").inc();
+        counters().counter(xenTaps().dom0Blocked).inc();
     });
 }
 
@@ -636,7 +655,7 @@ XenHypervisor::onPhysIrq(Cycles t, PcpuId cpu, IrqId irq)
             injectVirq(t, *s.current, irq, [](Cycles) {});
         return;
     }
-    stats().counter("xen.unhandled_phys_irq").inc();
+    counters().counter(xenTaps().unhandledPhysIrq).inc();
 }
 
 void
@@ -644,7 +663,7 @@ XenHypervisor::handleKick(Cycles t, PcpuId cpu)
 {
     auto &q = kickActions[static_cast<std::size_t>(cpu)];
     if (q.empty()) {
-        stats().counter("xen.spurious_kick").inc();
+        counters().counter(xenTaps().spuriousKick).inc();
         return;
     }
     auto action = std::move(q.front());
@@ -704,7 +723,7 @@ XenHypervisor::blockVcpu(Vcpu &v)
                    "blockVcpu: ", v.name(), " not current");
     // Guest blocked: Xen schedules the idle domain onto the PCPU.
     idle(v);
-    stats().counter("xen.vcpu_blocked").inc();
+    counters().counter(xenTaps().vcpuBlocked).inc();
 }
 
 } // namespace virtsim

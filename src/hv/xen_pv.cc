@@ -4,9 +4,29 @@
 
 namespace virtsim {
 
+namespace {
+
+struct PvTaps
+{
+    TapId frontPost = internTap("xenpv.front_post");
+    TapId backPop = internTap("xenpv.back_pop");
+    TapId backRespond = internTap("xenpv.back_respond");
+    TapId evtchnNotify = internTap("xenpv.evtchn_notify");
+};
+
+const PvTaps &
+pvTaps()
+{
+    static const PvTaps taps;
+    return taps;
+}
+
+} // namespace
+
 XenPvRing::XenPvRing(Machine &m, std::size_t capacity)
     : mach(m), capacity(capacity)
 {
+    pvTaps(); // intern before a sharded run freezes the counters
 }
 
 Cycles
@@ -14,7 +34,7 @@ XenPvRing::frontPost(const PvRequest &req)
 {
     VIRTSIM_ASSERT(!full(), "PV ring overflow");
     reqs.push_back(req);
-    mach.stats().counter("xenpv.front_post").inc();
+    mach.counters().counter(pvTaps().frontPost).inc();
     return ringOpCost();
 }
 
@@ -28,7 +48,7 @@ XenPvRing::backPop(PvRequest &out, bool &ok)
     out = reqs.front();
     reqs.pop_front();
     ok = true;
-    mach.stats().counter("xenpv.back_pop").inc();
+    mach.counters().counter(pvTaps().backPop).inc();
     return ringOpCost() + mach.costs().cacheLineTransfer;
 }
 
@@ -36,7 +56,7 @@ Cycles
 XenPvRing::backRespond(const PvRequest &req)
 {
     resps.push_back(req);
-    mach.stats().counter("xenpv.back_respond").inc();
+    mach.counters().counter(pvTaps().backRespond).inc();
     return ringOpCost();
 }
 
@@ -62,6 +82,7 @@ XenPvRing::ringOpCost() const
 
 EventChannel::EventChannel(Machine &m) : mach(m)
 {
+    pvTaps(); // intern before a sharded run freezes the counters
 }
 
 int
@@ -78,7 +99,7 @@ EventChannel::notify(int port)
                    static_cast<std::size_t>(port) < bits.size(),
                    "bad event channel port ", port);
     bits[static_cast<std::size_t>(port)] = true;
-    mach.stats().counter("xenpv.evtchn_notify").inc();
+    mach.counters().counter(pvTaps().evtchnNotify).inc();
     // Setting the pending bit in the shared info page.
     return 70;
 }

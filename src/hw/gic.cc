@@ -11,10 +11,17 @@ namespace {
 /** Taps interned once; the chip hot paths then use plain ids. */
 struct ChipTaps
 {
+    TapId externalRaised = internTap("irqchip.external_raised");
+    TapId ppiRaised = internTap("irqchip.ppi_raised");
     TapId ipiSent = internTap("irqchip.ipi_sent");
     TapId virqInjected = internTap("gic.virq_injected");
     TapId lrWrite = internTap("gic.lr_write");
     TapId lrOverflow = internTap("gic.lr_overflow");
+    TapId guestAck = internTap("gic.guest_ack");
+    TapId guestComplete = internTap("gic.guest_complete");
+    TapId spuriousComplete = internTap("gic.spurious_complete");
+    TapId apicVirqInjected = internTap("apic.virq_injected");
+    TapId apicGuestAck = internTap("apic.guest_ack");
     TapId irqDeliver = internTap("ev.irq_deliver");
 };
 
@@ -28,9 +35,10 @@ chipTaps()
 } // namespace
 
 IrqChip::IrqChip(EventQueue &eq, const CostModel &cm,
-                 StatRegistry &stats, Probe *probe)
-    : eq(eq), cm(cm), stats(stats), probe(probe)
+                 MetricsDomain &counters, Probe *probe)
+    : eq(eq), cm(cm), counters(counters), probe(probe)
 {
+    chipTaps(); // intern before a sharded run freezes the counters
 }
 
 PcpuId
@@ -43,21 +51,21 @@ IrqChip::externalRoute(IrqId irq) const
 void
 IrqChip::raiseExternal(Cycles t, IrqId irq)
 {
-    stats.counter("irqchip.external_raised").inc();
+    counters.counter(chipTaps().externalRaised).inc();
     deliver(t, externalRoute(irq), irq);
 }
 
 void
 IrqChip::raisePpi(Cycles t, PcpuId cpu, IrqId irq)
 {
-    stats.counter("irqchip.ppi_raised").inc();
+    counters.counter(chipTaps().ppiRaised).inc();
     deliver(t, cpu, irq);
 }
 
 void
 IrqChip::sendIpi(Cycles t, PcpuId target, IrqId irq)
 {
-    stats.counter("irqchip.ipi_sent").inc();
+    counters.counter(chipTaps().ipiSent).inc();
     std::uint64_t token = 0;
     if (probe) {
         probe->metrics.machine().counter(chipTaps().ipiSent).inc();
@@ -125,9 +133,9 @@ IrqChip::deliver(Cycles t, PcpuId cpu, IrqId irq)
         [this, t, cpu, irq] { handler(t, cpu, irq); });
 }
 
-Gic::Gic(EventQueue &eq, const CostModel &cm, StatRegistry &stats,
+Gic::Gic(EventQueue &eq, const CostModel &cm, MetricsDomain &counters,
          int n_cpus, Probe *probe)
-    : IrqChip(eq, cm, stats, probe),
+    : IrqChip(eq, cm, counters, probe),
       lrs(static_cast<std::size_t>(n_cpus))
 {
 }
@@ -141,7 +149,7 @@ Gic::injectVirq(Cycles t, PcpuId cpu, IrqId virq)
             regs[i].virq = virq;
             regs[i].pending = true;
             regs[i].active = false;
-            stats.counter("gic.virq_injected").inc();
+            counters.counter(chipTaps().virqInjected).inc();
             if (probe) {
                 auto &mach = probe->metrics.machine();
                 mach.counter(chipTaps().virqInjected).inc();
@@ -156,7 +164,7 @@ Gic::injectVirq(Cycles t, PcpuId cpu, IrqId virq)
             return static_cast<int>(i);
         }
     }
-    stats.counter("gic.lr_overflow").inc();
+    counters.counter(chipTaps().lrOverflow).inc();
     if (probe) {
         probe->metrics.machine().counter(chipTaps().lrOverflow).inc();
         probe->metrics.cpu(cpu).counter(chipTaps().lrOverflow).inc();
@@ -180,7 +188,7 @@ Gic::guestAckVirq(PcpuId cpu, Cycles t)
         if (!lr.empty() && lr.pending) {
             lr.pending = false;
             lr.active = true;
-            stats.counter("gic.guest_ack").inc();
+            counters.counter(chipTaps().guestAck).inc();
             if (probe && lr.edgeToken != 0 && t != 0) {
                 probe->trace.edgeIn(t, lr.edgeToken, edgeLrTap(),
                                     TraceCat::Irq,
@@ -200,13 +208,13 @@ Gic::guestCompleteVirq(PcpuId cpu, IrqId virq)
     for (auto &lr : regs) {
         if (lr.virq == virq && lr.active) {
             lr.clear();
-            stats.counter("gic.guest_complete").inc();
+            counters.counter(chipTaps().guestComplete).inc();
             return cm.virqCompletionInVm;
         }
     }
     // Completing an interrupt that is not active is a guest bug in a
     // real system; tolerate it but count it.
-    stats.counter("gic.spurious_complete").inc();
+    counters.counter(chipTaps().spuriousComplete).inc();
     return cm.virqCompletionInVm;
 }
 
@@ -221,9 +229,9 @@ Gic::anyVirqLive(PcpuId cpu) const
     return false;
 }
 
-Apic::Apic(EventQueue &eq, const CostModel &cm, StatRegistry &stats,
+Apic::Apic(EventQueue &eq, const CostModel &cm, MetricsDomain &counters,
            int n_cpus, Probe *probe)
-    : IrqChip(eq, cm, stats, probe),
+    : IrqChip(eq, cm, counters, probe),
       pendingVirq(static_cast<std::size_t>(n_cpus), -1)
 {
 }
@@ -235,7 +243,7 @@ Apic::injectVirq(Cycles t, PcpuId cpu, IrqId virq)
                    static_cast<std::size_t>(cpu) < pendingVirq.size(),
                    "bad pcpu ", cpu);
     pendingVirq[static_cast<std::size_t>(cpu)] = virq;
-    stats.counter("apic.virq_injected").inc();
+    counters.counter(chipTaps().apicVirqInjected).inc();
     if (probe) {
         probe->metrics.machine().counter(chipTaps().virqInjected).inc();
         probe->trace.instant(t, chipTaps().lrWrite, TraceCat::Irq,
@@ -252,7 +260,7 @@ Apic::guestAckVirq(PcpuId cpu)
     const IrqId virq = slot;
     slot = -1;
     if (virq >= 0)
-        stats.counter("apic.guest_ack").inc();
+        counters.counter(chipTaps().apicGuestAck).inc();
     return virq;
 }
 

@@ -35,7 +35,6 @@
 #include "sim/channel.hh"
 #include "sim/event_queue.hh"
 #include "sim/probe.hh"
-#include "sim/stats.hh"
 #include "sim/types.hh"
 
 namespace virtsim {
@@ -60,7 +59,7 @@ class IrqChip
 
     /** probe is optional: standalone chips (unit tests) pass none and
      *  skip trace/metrics emission. */
-    IrqChip(EventQueue &eq, const CostModel &cm, StatRegistry &stats,
+    IrqChip(EventQueue &eq, const CostModel &cm, MetricsDomain &counters,
             Probe *probe = nullptr);
     virtual ~IrqChip() = default;
 
@@ -132,7 +131,7 @@ class IrqChip
 
     EventQueue &eq;
     const CostModel &cm;
-    StatRegistry &stats;
+    MetricsDomain &counters;
     Probe *probe; ///< may be null (standalone chip)
     Handler handler;
     std::map<IrqId, PcpuId> routes;
@@ -168,7 +167,7 @@ inline constexpr std::size_t numListRegs = 4;
 class Gic : public IrqChip
 {
   public:
-    Gic(EventQueue &eq, const CostModel &cm, StatRegistry &stats,
+    Gic(EventQueue &eq, const CostModel &cm, MetricsDomain &counters,
         int n_cpus, Probe *probe = nullptr);
 
     /** @name Hypervisor-side (EL2) virtual interface control */
@@ -237,7 +236,7 @@ class Gic : public IrqChip
 class Apic : public IrqChip
 {
   public:
-    Apic(EventQueue &eq, const CostModel &cm, StatRegistry &stats,
+    Apic(EventQueue &eq, const CostModel &cm, MetricsDomain &counters,
          int n_cpus, Probe *probe = nullptr);
 
     /**

@@ -88,23 +88,23 @@ MachineConfig::dellR320()
 
 Machine::Machine(EventQueue &eq, MachineConfig config)
     : cfg(std::move(config)), eq(eq),
-      _mmu(cfg.costs, _stats, cfg.nCpus, &_probe),
-      _memory(cfg.costs, _stats)
+      _mmu(cfg.costs, _counters, cfg.nCpus, &_probe),
+      _memory(cfg.costs, _counters)
 {
     VIRTSIM_ASSERT(cfg.nCpus > 0, "machine needs at least one cpu");
     for (int i = 0; i < cfg.nCpus; ++i)
         cpus.push_back(std::make_unique<PhysicalCpu>(i, eq, cfg.costs));
 
     if (cfg.costs.arch == Arch::Arm) {
-        chip = std::make_unique<Gic>(eq, cfg.costs, _stats, cfg.nCpus,
+        chip = std::make_unique<Gic>(eq, cfg.costs, _counters, cfg.nCpus,
                                      &_probe);
     } else {
-        chip = std::make_unique<Apic>(eq, cfg.costs, _stats, cfg.nCpus,
+        chip = std::make_unique<Apic>(eq, cfg.costs, _counters, cfg.nCpus,
                                       &_probe);
     }
 
     _timers = std::make_unique<TimerBank>(eq, *chip, cfg.nCpus);
-    _nic = std::make_unique<Nic>(eq, *chip, _stats, cfg.costs.freq,
+    _nic = std::make_unique<Nic>(eq, *chip, _counters, cfg.costs.freq,
                                  cfg.nicParams);
 
     registerTimelineGauges();
@@ -113,8 +113,8 @@ Machine::Machine(EventQueue &eq, MachineConfig config)
 Machine::Machine(ShardedEventKernel &kern,
                  const MachineShardPlan &plan, MachineConfig config)
     : cfg(std::move(config)), eq(kern.lane(plan.deviceLane)),
-      _kern(&kern), _mmu(cfg.costs, _stats, cfg.nCpus, &_probe),
-      _memory(cfg.costs, _stats)
+      _kern(&kern), _mmu(cfg.costs, _counters, cfg.nCpus, &_probe),
+      _memory(cfg.costs, _counters)
 {
     VIRTSIM_ASSERT(cfg.nCpus > 0, "machine needs at least one cpu");
     VIRTSIM_ASSERT(plan.cpuLane.empty() ||
@@ -136,10 +136,10 @@ Machine::Machine(ShardedEventKernel &kern,
     }
 
     if (cfg.costs.arch == Arch::Arm) {
-        chip = std::make_unique<Gic>(eq, cfg.costs, _stats, cfg.nCpus,
+        chip = std::make_unique<Gic>(eq, cfg.costs, _counters, cfg.nCpus,
                                      &_probe);
     } else {
-        chip = std::make_unique<Apic>(eq, cfg.costs, _stats, cfg.nCpus,
+        chip = std::make_unique<Apic>(eq, cfg.costs, _counters, cfg.nCpus,
                                       &_probe);
     }
 
@@ -160,7 +160,7 @@ Machine::Machine(ShardedEventKernel &kern,
                      std::move(ipi));
 
     _timers = std::make_unique<TimerBank>(eq, *chip, cfg.nCpus);
-    _nic = std::make_unique<Nic>(eq, *chip, _stats, cfg.costs.freq,
+    _nic = std::make_unique<Nic>(eq, *chip, _counters, cfg.costs.freq,
                                  cfg.nicParams);
 
     registerTimelineGauges();
@@ -219,18 +219,13 @@ Machine::registerTimelineGauges()
     tl.addGauge("nic.rx_queue", [this] {
         return static_cast<std::int64_t>(_nic->rxQueueDepth());
     });
-    // counterValue() takes const std::string&; the names live in
-    // statics so a sampling tick never constructs a heap-backed
-    // temporary ("mmu.stage2_fault" is past libstdc++'s 15-char SSO).
-    static const std::string rxDroppedKey{"nic.rx_dropped"};
-    static const std::string stage2FaultKey{"mmu.stage2_fault"};
-    tl.addRateGauge("nic.rx_drop.rate", [this] {
-        return static_cast<std::int64_t>(
-            _stats.counterValue(rxDroppedKey));
+    const TapId rxDropped = internTap("nic.rx_dropped");
+    const TapId stage2Fault = internTap("mmu.stage2_fault");
+    tl.addRateGauge("nic.rx_drop.rate", [this, rxDropped] {
+        return static_cast<std::int64_t>(_counters.value(rxDropped));
     });
-    tl.addRateGauge("mmu.stage2_fault.rate", [this] {
-        return static_cast<std::int64_t>(
-            _stats.counterValue(stage2FaultKey));
+    tl.addRateGauge("mmu.stage2_fault.rate", [this, stage2Fault] {
+        return static_cast<std::int64_t>(_counters.value(stage2Fault));
     });
 }
 
@@ -244,10 +239,11 @@ Machine::reset()
     _mmu.reset();
     _memory.reset();
     _nic->reset();
-    // clear(), not reset(): reset keeps registered keys alive, so a
-    // recycled machine would render zero-valued rows a fresh one has
-    // never heard of.
-    _stats.clear();
+    // Fresh domains, not reset(): reset keeps registered taps alive,
+    // so a recycled machine would list zero-valued rows a fresh one
+    // has never heard of. A fresh counter domain also drops a
+    // sharded run's growth freeze.
+    _counters = MetricsDomain(counterDomainName);
     _probe.metrics.clear();
     _probe.trace.clear();
     _probe.profiler.reset();

@@ -26,7 +26,6 @@
 #include "sim/event_queue.hh"
 #include "sim/probe.hh"
 #include "sim/shard.hh"
-#include "sim/stats.hh"
 
 namespace virtsim {
 
@@ -140,7 +139,18 @@ class Machine
     const Frequency &freq() const { return cfg.costs.freq; }
 
     EventQueue &queue() { return eq; }
-    StatRegistry &stats() { return _stats; }
+
+    /**
+     * The machine's event counters (traps, world switches, grant
+     * copies, packets, ...), keyed by interned TapId: a bump is an
+     * array index and a relaxed atomic add, with no string and no
+     * lock. Each counting file interns its taps in its component's
+     * constructor, so a sharded world can freeze the domain with
+     * prepareForParallel() before its lanes run. Private to the
+     * machine: MetricsRegistry::snapshot() never sees it.
+     */
+    MetricsDomain &counters() { return _counters; }
+    const MetricsDomain &counters() const { return _counters; }
 
     /** Queue PhysicalCpu `id` schedules on (its lane queue under a
      *  shard plan; the machine queue otherwise). */
@@ -150,6 +160,20 @@ class Machine
     Probe &probe() { return _probe; }
     TraceSink &trace() { return _probe.trace; }
     MetricsRegistry &metrics() { return _probe.metrics; }
+
+    /**
+     * Freeze the counter domain and the metrics registry (with
+     * per-CPU domains for nCpus CPUs) at the currently interned tap
+     * set, so shard lanes may bump counters concurrently. Call once,
+     * from the setup thread, before the lanes run; a tap first
+     * interned afterwards fails its first bump.
+     */
+    void
+    prepareForParallel(int nCpus)
+    {
+        _counters.prepareForParallel(internedTapCount());
+        _probe.metrics.prepareForParallel(nCpus);
+    }
 
     int numCpus() const { return static_cast<int>(cpus.size()); }
     PhysicalCpu &cpu(PcpuId id);
@@ -170,10 +194,10 @@ class Machine
     /**
      * Return the machine to its just-constructed state so a cached
      * instance is indistinguishable from a cold-built one: CPUs,
-     * interrupt chip, timers, TLBs, memory and NIC rewound; stats and
-     * metrics registries *cleared* (registrations dropped, not just
-     * zeroed — a reset-but-registered counter would render rows a
-     * fresh machine lacks); trace ring and profiler emptied. Does NOT
+     * interrupt chip, timers, TLBs, memory and NIC rewound; counter
+     * domain and metrics registry *cleared* (registrations dropped,
+     * not just zeroed — a reset-but-registered counter would render
+     * rows a fresh machine lacks); trace ring and profiler emptied. Does NOT
      * touch the trace sink's enabled flag, capacity or observer, nor
      * the NIC's onWireTx hook — those belong to the harness (Testbed)
      * that owns the machine. Does not drain the event queue either:
@@ -182,6 +206,8 @@ class Machine
     void reset();
 
   private:
+    static constexpr const char *counterDomainName = "machine.counters";
+
     /**
      * Register this machine's hardware gauges with the timeline
      * sampler: per-CPU exception level / run mode and busy-cycle
@@ -198,7 +224,7 @@ class Machine
      *  plain EventQueue constructor. Lets world-wide gauges sum over
      *  lanes instead of reporting one lane's share. */
     ShardedEventKernel *_kern = nullptr;
-    StatRegistry _stats;
+    MetricsDomain _counters{counterDomainName};
     Probe _probe;
     std::vector<std::unique_ptr<PhysicalCpu>> cpus;
     std::unique_ptr<IrqChip> chip;

@@ -4,9 +4,28 @@
 
 namespace virtsim {
 
-MainMemory::MainMemory(const CostModel &cm, StatRegistry &stats)
-    : cm(cm), stats(stats)
+namespace {
+
+struct MemTaps
 {
+    TapId buffersAllocated = internTap("mem.buffers_allocated");
+    TapId bytesCopied = internTap("mem.bytes_copied");
+    TapId copies = internTap("mem.copies");
+};
+
+const MemTaps &
+memTaps()
+{
+    static const MemTaps taps;
+    return taps;
+}
+
+} // namespace
+
+MainMemory::MainMemory(const CostModel &cm, MetricsDomain &counters)
+    : cm(cm), counters(counters)
+{
+    memTaps(); // intern before a sharded run freezes the counters
 }
 
 BufferId
@@ -14,7 +33,7 @@ MainMemory::alloc(const std::string &owner, std::uint32_t bytes)
 {
     const BufferId id = nextId++;
     buffers[id] = Buffer{owner, bytes};
-    stats.counter("mem.buffers_allocated").inc();
+    counters.counter(memTaps().buffersAllocated).inc();
     return id;
 }
 
@@ -49,8 +68,8 @@ MainMemory::size(BufferId id) const
 Cycles
 MainMemory::copyCost(std::uint32_t bytes)
 {
-    stats.counter("mem.bytes_copied").inc(bytes);
-    stats.counter("mem.copies").inc();
+    counters.counter(memTaps().bytesCopied).inc(bytes);
+    counters.counter(memTaps().copies).inc();
     // Round up to whole KiB; small copies still pay setup of ~1 KiB.
     const std::uint32_t kib = (bytes + 1023) / 1024;
     return static_cast<Cycles>(kib == 0 ? 1 : kib) * cm.copyPerKb;

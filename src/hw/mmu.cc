@@ -86,11 +86,33 @@ Tlb::invalidateAll()
     order.clear();
 }
 
-Mmu::Mmu(const CostModel &cm, StatRegistry &stats, int n_cpus,
+namespace {
+
+struct MmuTaps
+{
+    TapId tlbHit = internTap("mmu.tlb_hit");
+    TapId tlbMiss = internTap("mmu.tlb_miss");
+    TapId stage2Fault = internTap("mmu.stage2_fault");
+    TapId broadcastInvalidate = internTap("mmu.broadcast_invalidate");
+    TapId broadcastInvalidateVmid =
+        internTap("mmu.broadcast_invalidate_vmid");
+};
+
+const MmuTaps &
+mmuTaps()
+{
+    static const MmuTaps taps;
+    return taps;
+}
+
+} // namespace
+
+Mmu::Mmu(const CostModel &cm, MetricsDomain &counters, int n_cpus,
          Probe *probe)
-    : cm(cm), stats(stats), probe(probe),
+    : cm(cm), counters(counters), probe(probe),
       tlbs(static_cast<std::size_t>(n_cpus))
 {
+    mmuTaps(); // intern before a sharded run freezes the counters
 }
 
 std::pair<std::optional<Pa>, Cycles>
@@ -98,19 +120,19 @@ Mmu::translate(PcpuId cpu, const Stage2Tables &tables, Ipa ipa)
 {
     Tlb &t = tlb(cpu);
     if (t.lookup(tables.vmid(), ipa)) {
-        stats.counter("mmu.tlb_hit").inc();
+        counters.counter(mmuTaps().tlbHit).inc();
         const auto pa = tables.lookup(ipa);
         VIRTSIM_ASSERT(pa, "TLB hit for unmapped page; stale TLB entry: "
                        "vmid=", tables.vmid(), " ipa=", ipa);
         return {pa, 0};
     }
-    stats.counter("mmu.tlb_miss").inc();
+    counters.counter(mmuTaps().tlbMiss).inc();
     const Cycles cost = cm.pageTableWalk + cm.stage2WalkExtra;
     const auto pa = tables.lookup(ipa);
     if (!pa) {
-        stats.counter("mmu.stage2_fault").inc();
+        counters.counter(mmuTaps().stage2Fault).inc();
         if (probe) {
-            static const TapId tap = internTap("mmu.stage2_fault");
+            const TapId tap = mmuTaps().stage2Fault;
             probe->metrics.machine().counter(tap).inc();
             probe->metrics.cpu(cpu).counter(tap).inc();
         }
@@ -125,7 +147,7 @@ Mmu::invalidatePageBroadcast(VmId vmid, Ipa ipa)
 {
     for (auto &t : tlbs)
         t.invalidatePage(vmid, ipa);
-    stats.counter("mmu.broadcast_invalidate").inc();
+    counters.counter(mmuTaps().broadcastInvalidate).inc();
     if (cm.arch == Arch::Arm) {
         // Hardware DVM broadcast: single instruction on the initiator.
         return cm.tlbInvalidateBroadcast;
@@ -142,7 +164,7 @@ Mmu::invalidateVmidBroadcast(VmId vmid)
 {
     for (auto &t : tlbs)
         t.invalidateVmid(vmid);
-    stats.counter("mmu.broadcast_invalidate_vmid").inc();
+    counters.counter(mmuTaps().broadcastInvalidateVmid).inc();
     if (cm.arch == Arch::Arm)
         return cm.tlbInvalidateBroadcast;
     return cm.tlbInvalidateBroadcast +

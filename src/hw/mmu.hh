@@ -28,7 +28,6 @@
 
 #include "hw/cost_model.hh"
 #include "sim/probe.hh"
-#include "sim/stats.hh"
 #include "sim/types.hh"
 
 namespace virtsim {
@@ -122,7 +121,7 @@ class Mmu
 {
   public:
     /** probe is optional: standalone MMUs (unit tests) pass none. */
-    Mmu(const CostModel &cm, StatRegistry &stats, int n_cpus,
+    Mmu(const CostModel &cm, MetricsDomain &counters, int n_cpus,
         Probe *probe = nullptr);
 
     /**
@@ -161,7 +160,7 @@ class Mmu
 
   private:
     const CostModel &cm;
-    StatRegistry &stats;
+    MetricsDomain &counters;
     Probe *probe; ///< may be null (standalone MMU)
     std::vector<Tlb> tlbs;
 };

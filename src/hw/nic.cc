@@ -6,27 +6,49 @@
 
 namespace virtsim {
 
-Nic::Nic(EventQueue &eq, IrqChip &chip, StatRegistry &stats,
-         const Frequency &freq, Params params)
-    : eq(eq), chip(chip), stats(stats), freq(freq), params(params)
+namespace {
+
+struct NicTaps
 {
+    TapId rxPackets = internTap("nic.rx_packets");
+    TapId rxBytes = internTap("nic.rx_bytes");
+    TapId rxDropped = internTap("nic.rx_dropped");
+    TapId rxCoalesced = internTap("nic.rx_coalesced");
+    TapId txPackets = internTap("nic.tx_packets");
+    TapId txBytes = internTap("nic.tx_bytes");
+};
+
+const NicTaps &
+nicTaps()
+{
+    static const NicTaps taps;
+    return taps;
 }
 
-Nic::Nic(EventQueue &eq, IrqChip &chip, StatRegistry &stats,
+} // namespace
+
+Nic::Nic(EventQueue &eq, IrqChip &chip, MetricsDomain &counters,
+         const Frequency &freq, Params params)
+    : eq(eq), chip(chip), counters(counters), freq(freq), params(params)
+{
+    nicTaps(); // intern before a sharded run freezes the counters
+}
+
+Nic::Nic(EventQueue &eq, IrqChip &chip, MetricsDomain &counters,
          const Frequency &freq)
-    : Nic(eq, chip, stats, freq, Params{})
+    : Nic(eq, chip, counters, freq, Params{})
 {
 }
 
 void
 Nic::receiveFromWire(Cycles t, const Packet &pkt)
 {
-    stats.counter("nic.rx_packets").inc();
-    stats.counter("nic.rx_bytes").inc(pkt.bytes);
+    counters.counter(nicTaps().rxPackets).inc();
+    counters.counter(nicTaps().rxBytes).inc(pkt.bytes);
     const Cycles ready = t + params.rxDmaLatency;
     eq.scheduleAt(ready, [this, ready, pkt] {
         if (rxQueue.size() >= params.rxQueueCap) {
-            stats.counter("nic.rx_dropped").inc();
+            counters.counter(nicTaps().rxDropped).inc();
             return;
         }
         rxQueue.push_back(pkt);
@@ -35,7 +57,7 @@ Nic::receiveFromWire(Cycles t, const Packet &pkt)
             // but arm the end-of-window flush so a burst that stops
             // mid-window is still delivered (real adaptive
             // moderation fires at the window boundary).
-            stats.counter("nic.rx_coalesced").inc();
+            counters.counter(nicTaps().rxCoalesced).inc();
             if (!windowIrqPending) {
                 windowIrqPending = true;
                 eq.scheduleAt(coalesceUntil, [this] {
@@ -64,8 +86,8 @@ Nic::popRx(Packet &out)
 void
 Nic::transmit(Cycles t, const Packet &pkt)
 {
-    stats.counter("nic.tx_packets").inc();
-    stats.counter("nic.tx_bytes").inc(pkt.bytes);
+    counters.counter(nicTaps().txPackets).inc();
+    counters.counter(nicTaps().txBytes).inc(pkt.bytes);
     const Cycles fetch_done = t + params.txDmaLatency;
     // Serialize onto the wire at line rate: packets queue behind the
     // transmitter when the CPU outruns 10 GbE.

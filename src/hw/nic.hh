@@ -20,7 +20,7 @@
 #include "hw/cost_model.hh"
 #include "hw/gic.hh"
 #include "sim/event_queue.hh"
-#include "sim/stats.hh"
+#include "sim/probe.hh"
 #include "sim/types.hh"
 
 namespace virtsim {
@@ -60,10 +60,10 @@ class Nic
         std::size_t rxQueueCap = 4096;
     };
 
-    Nic(EventQueue &eq, IrqChip &chip, StatRegistry &stats,
+    Nic(EventQueue &eq, IrqChip &chip, MetricsDomain &counters,
         const Frequency &freq, Params params);
 
-    Nic(EventQueue &eq, IrqChip &chip, StatRegistry &stats,
+    Nic(EventQueue &eq, IrqChip &chip, MetricsDomain &counters,
         const Frequency &freq);
 
     /** @name Wire side */
@@ -107,7 +107,7 @@ class Nic
   private:
     EventQueue &eq;
     IrqChip &chip;
-    StatRegistry &stats;
+    MetricsDomain &counters;
     Frequency freq;
     Params params;
     std::deque<Packet> rxQueue;

@@ -5,11 +5,35 @@
 
 namespace virtsim {
 
+namespace {
+
+struct WireTaps
+{
+    TapId toServer = internTap("wire.to_server");
+    TapId toClient = internTap("wire.to_client");
+};
+
+const WireTaps &
+wireTaps()
+{
+    static const WireTaps taps;
+    return taps;
+}
+
+} // namespace
+
+Wire::Wire(EventQueue &eq, MetricsDomain &counters,
+           Cycles one_way_latency, Probe *probe)
+    : eq(eq), counters(counters), latency(one_way_latency), probe(probe)
+{
+    wireTaps(); // intern before a sharded run freezes the counters
+}
+
 void
 Wire::sendToServer(Cycles t, const Packet &pkt)
 {
     VIRTSIM_ASSERT(toServer, "wire has no server endpoint");
-    stats.counter("wire.to_server").inc();
+    counters.counter(wireTaps().toServer).inc();
     std::uint64_t token = 0;
     if (probe)
         token = probe->trace.edgeOut(t, edgeWireTap(), TraceCat::Io);
@@ -35,7 +59,7 @@ void
 Wire::sendToClient(Cycles t, const Packet &pkt)
 {
     VIRTSIM_ASSERT(toClient, "wire has no client endpoint");
-    stats.counter("wire.to_client").inc();
+    counters.counter(wireTaps().toClient).inc();
     std::uint64_t token = 0;
     if (probe)
         token = probe->trace.edgeOut(t, edgeWireTap(), TraceCat::Io);

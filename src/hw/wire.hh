@@ -19,7 +19,6 @@
 #include "sim/channel.hh"
 #include "sim/event_queue.hh"
 #include "sim/probe.hh"
-#include "sim/stats.hh"
 #include "sim/types.hh"
 
 namespace virtsim {
@@ -35,11 +34,8 @@ class Wire
 
     /** probe is optional: when given, each transit stamps a causal
      *  edge ("edge.wire") linking tx and rx across the link. */
-    Wire(EventQueue &eq, StatRegistry &stats, Cycles one_way_latency,
-         Probe *probe = nullptr)
-        : eq(eq), stats(stats), latency(one_way_latency), probe(probe)
-    {
-    }
+    Wire(EventQueue &eq, MetricsDomain &counters,
+         Cycles one_way_latency, Probe *probe = nullptr);
 
     void setServerEndpoint(Endpoint e) { toServer = std::move(e); }
     void setClientEndpoint(Endpoint e) { toClient = std::move(e); }
@@ -68,7 +64,7 @@ class Wire
 
   private:
     EventQueue &eq;
-    StatRegistry &stats;
+    MetricsDomain &counters;
     Cycles latency;
     Probe *probe; ///< may be null (standalone wire)
     Endpoint toServer;

@@ -5,12 +5,33 @@
 
 namespace virtsim {
 
+namespace {
+
+struct NetbackTaps
+{
+    TapId copiesBatched = internTap("grant.copies_batched");
+    TapId mapsBatched = internTap("grant.maps_batched");
+    TapId rxBacklogDropped = internTap("netback.rx_backlog_dropped");
+    TapId rxNoRequest = internTap("netback.rx_no_request");
+    TapId txSpuriousKick = internTap("netback.tx_spurious_kick");
+};
+
+const NetbackTaps &
+netbackTaps()
+{
+    static const NetbackTaps taps;
+    return taps;
+}
+
+} // namespace
+
 NetbackBackend::NetbackBackend(Machine &m, Vm &dom0, Vm &domU,
                                const NetstackCosts &net, Params params)
     : mach(m), dom0(dom0), domU(domU), net(net), p(params),
       grants(m, domU), rx(m), tx(m)
 {
     VIRTSIM_ASSERT(p.dom0Pcpu < m.numCpus(), "dom0 pinned outside machine");
+    netbackTaps(); // intern before a sharded run freezes the counters
 
     // PV ring and grant-table gauges on Dom0's CPU track; same
     // lifetime argument as the vhost gauges (sampler cleared before
@@ -55,7 +76,7 @@ NetbackBackend::transferCost(GrantRef ref, std::uint32_t bytes,
             return grants.copy(ref, bytes);
         // Ride in the current GNTTABOP_copy batch: pay the per-op
         // validation + memcpy but not the hypercall entry.
-        mach.stats().counter("grant.copies_batched").inc();
+        mach.counters().counter(netbackTaps().copiesBatched).inc();
         return grantCopyBatchedFixedCost() +
                mach.memory().copyCost(bytes);
     }
@@ -66,7 +87,7 @@ NetbackBackend::transferCost(GrantRef ref, std::uint32_t bytes,
     // cannot be avoided either way.
     if (!batched)
         return grants.map(ref) + grants.unmap(ref);
-    mach.stats().counter("grant.maps_batched").inc();
+    mach.counters().counter(netbackTaps().mapsBatched).inc();
     const Cycles amortized = mach.freq().cycles(0.35) * 2;
     // Charge the unmap's TLB invalidation exactly as GrantTable
     // does, without the hypercall entry cost.
@@ -83,7 +104,7 @@ NetbackBackend::dom0RxToDomU(Cycles t, const Packet &pkt,
     if (rxJobs.size() >= rxJobCap) {
         // Count dropped frames, not aggregates, so conservation
         // accounting stays exact.
-        mach.stats().counter("netback.rx_backlog_dropped")
+        mach.counters().counter(netbackTaps().rxBacklogDropped)
             .inc(static_cast<std::uint64_t>(framesFor(pkt.bytes)));
         return;
     }
@@ -167,7 +188,7 @@ NetbackBackend::pumpRx(Cycles t)
             // remainder of the aggregate is dropped, but whatever
             // was already copied must still be delivered (and its
             // ring slots returned), or the ring slowly leaks away.
-            mach.stats().counter("netback.rx_no_request").inc();
+            mach.counters().counter(netbackTaps().rxNoRequest).inc();
             break;
         }
         const std::uint32_t chunk =
@@ -211,7 +232,7 @@ NetbackBackend::domUTx(Cycles t,
     PvRequest req;
     Cycles cost = tx.backPop(req, ok);
     if (!ok) {
-        mach.stats().counter("netback.tx_spurious_kick").inc();
+        mach.counters().counter(netbackTaps().txSpuriousKick).inc();
         return;
     }
     // When the tx ring is backed up, netback stays in its inner loop

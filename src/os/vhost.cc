@@ -6,6 +6,24 @@
 
 namespace virtsim {
 
+namespace {
+
+struct VhostTaps
+{
+    TapId rxBacklogDropped = internTap("vhost.rx_backlog_dropped");
+    TapId rxNoDescriptor = internTap("vhost.rx_no_descriptor");
+    TapId txSpuriousKick = internTap("vhost.tx_spurious_kick");
+};
+
+const VhostTaps &
+vhostTaps()
+{
+    static const VhostTaps taps;
+    return taps;
+}
+
+} // namespace
+
 VhostBackend::VhostBackend(Machine &m, Vm &guest,
                            const NetstackCosts &net, Params params)
     : mach(m), guest(guest), net(net), p(params),
@@ -14,6 +32,7 @@ VhostBackend::VhostBackend(Machine &m, Vm &guest,
     VIRTSIM_ASSERT(p.workerPcpu < m.numCpus() &&
                    p.hostIrqPcpu < m.numCpus(),
                    "vhost pinned outside machine");
+    vhostTaps(); // intern before a sharded run freezes the counters
 
     // Virtio/vhost queue-depth gauges, on the worker's CPU track.
     // The backend outlives the sampler's use of these captures: the
@@ -71,7 +90,7 @@ VhostBackend::hostRxToGuest(Cycles t, const Packet &pkt,
     // worker drains its queue in simulated-time order so ring state
     // advances in step with the clock.
     if (rxJobs.size() >= rxJobCap) {
-        mach.stats().counter("vhost.rx_backlog_dropped")
+        mach.counters().counter(vhostTaps().rxBacklogDropped)
             .inc(static_cast<std::uint64_t>(framesFor(pkt.bytes)));
         return;
     }
@@ -115,7 +134,7 @@ VhostBackend::pumpRx(Cycles t)
     Cycles cost = rx.hostPop(desc, ok);
     if (!ok) {
         // Guest hasn't replenished rx descriptors; account a drop.
-        mach.stats().counter("vhost.rx_no_descriptor").inc();
+        mach.counters().counter(vhostTaps().rxNoDescriptor).inc();
         mach.queue().scheduleAt(t, [this, t] { pumpRx(t); });
         return;
     }
@@ -140,7 +159,7 @@ VhostBackend::txFromGuest(Cycles t,
     VirtioDesc desc;
     Cycles cost = tx.hostPop(desc, ok);
     if (!ok) {
-        mach.stats().counter("vhost.tx_spurious_kick").inc();
+        mach.counters().counter(vhostTaps().txSpuriousKick).inc();
         return;
     }
     // Streaming transmit keeps the worker and the stack hot:

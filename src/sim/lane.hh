@@ -20,8 +20,12 @@ namespace virtsim {
 
 namespace detail {
 /** Lane the current thread is executing events for; -1 outside lane
- *  execution (setup, coordinator, export). Written only by LaneScope. */
-extern thread_local int tl_exec_lane;
+ *  execution (setup, coordinator, export). Written only by LaneScope.
+ *  Inline with a constant initializer, so every access is a direct
+ *  TLS load with no wrapper call (an extern thread_local goes through
+ *  the compiler's TLS init wrapper, which UBSan flags on crew
+ *  threads). */
+inline thread_local int tl_exec_lane = -1;
 } // namespace detail
 
 /** Lane the calling thread is currently executing events for, or -1

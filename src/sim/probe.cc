@@ -456,8 +456,10 @@ MetricsDomain::reset()
 {
     for (Counter &c : counters)
         c.reset();
-    for (HistogramStat &h : hists)
-        h.reset();
+    for (auto &h : hists) {
+        if (h)
+            h->reset();
+    }
 }
 
 MetricsRegistry::MetricsRegistry()

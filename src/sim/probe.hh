@@ -657,7 +657,8 @@ struct RelaxedFlag
  * prepareForParallel() the counter() path performs no vector growth,
  * so lanes may bump counters in a shared domain concurrently (Counter
  * is internally atomic, the used-flag store is relaxed atomic).
- * Histograms are NOT lane-safe and must stay confined to one lane.
+ * Histograms are NOT lane-safe and must stay confined to one lane
+ * (whose first histogram() call allocates the tap's histogram).
  */
 class MetricsDomain
 {
@@ -699,10 +700,8 @@ class MetricsDomain
             counters.resize(tapCount + 1);
             used.resize(counters.size());
         }
-        if (hists.size() < tapCount + 1) {
+        if (hists.size() < tapCount + 1)
             hists.resize(tapCount + 1);
-            histUsed.resize(hists.size());
-        }
         parallelPrepared = true;
     }
 
@@ -727,10 +726,10 @@ class MetricsDomain
                            "prepareForParallel(); intern and warm ",
                            "taps before the parallel phase");
             hists.resize(i + 1);
-            histUsed.resize(hists.size());
         }
-        histUsed[i].set();
-        return hists[i];
+        if (!hists[i])
+            hists[i] = std::make_unique<HistogramStat>();
+        return *hists[i];
     }
 
     /**
@@ -772,9 +771,9 @@ class MetricsDomain
     forEachHistogram(Fn &&fn) const
     {
         for (std::size_t i = 0; i < hists.size(); ++i) {
-            if (histUsed[i].get()) {
+            if (hists[i]) {
                 fn(TapId::fromRaw(static_cast<std::uint32_t>(i)),
-                   hists[i]);
+                   *hists[i]);
             }
         }
     }
@@ -783,8 +782,9 @@ class MetricsDomain
     std::string _name;
     std::vector<Counter> counters;
     std::vector<RelaxedFlag> used;
-    std::vector<HistogramStat> hists;
-    std::vector<RelaxedFlag> histUsed;
+    /** Allocated on first use, so pre-sizing a domain for every
+     *  interned tap costs a pointer per tap, not a histogram. */
+    std::vector<std::unique_ptr<HistogramStat>> hists;
     /** Once set, the tap-indexed arrays are frozen: growth would
      *  race with concurrent shard-lane readers. */
     bool parallelPrepared = false;

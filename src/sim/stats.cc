@@ -111,48 +111,4 @@ HistogramStat::render() const
     return oss.str();
 }
 
-std::uint64_t
-StatRegistry::counterValue(const std::string &name) const
-{
-    std::shared_lock lock(mtx);
-    auto it = counters.find(name);
-    return it == counters.end() ? 0 : it->second.value();
-}
-
-void
-StatRegistry::reset()
-{
-    std::unique_lock lock(mtx);
-    for (auto &kv : counters)
-        kv.second.reset();
-    for (auto &kv : stats)
-        kv.second.reset();
-}
-
-void
-StatRegistry::clear()
-{
-    std::unique_lock lock(mtx);
-    counters.clear();
-    stats.clear();
-}
-
-std::string
-StatRegistry::render() const
-{
-    std::ostringstream oss;
-    for (const auto &kv : counters)
-        oss << kv.first << " = " << kv.second.value() << "\n";
-    for (const auto &kv : stats) {
-        oss << kv.first << ": n=" << kv.second.count();
-        if (!kv.second.empty()) {
-            oss << " mean=" << kv.second.mean()
-                << " min=" << kv.second.min()
-                << " max=" << kv.second.max();
-        }
-        oss << "\n";
-    }
-    return oss.str();
-}
-
 } // namespace virtsim

@@ -18,9 +18,6 @@
 #include <atomic>
 #include <bit>
 #include <cstdint>
-#include <map>
-#include <mutex>
-#include <shared_mutex>
 #include <string>
 #include <vector>
 
@@ -30,11 +27,11 @@ namespace virtsim {
  * A monotonically increasing event counter.
  *
  * Increments are relaxed atomics so counters shared across sharded
- * kernel lanes (e.g. a Machine's StatRegistry fed from several CPU
+ * kernel lanes (e.g. a Machine's counter domain fed from several CPU
  * shards) stay exact without locking; addition commutes, so the final
  * value is independent of thread interleaving and runs remain
  * byte-identical at every VIRTSIM_SHARDS setting. Copy semantics are
- * value snapshots (needed by the std::map registry nodes).
+ * value snapshots (needed by the tap-indexed MetricsDomain vectors).
  */
 class Counter
 {
@@ -210,72 +207,6 @@ class HistogramStat
     std::uint64_t _sum = 0;
     std::uint64_t _min = UINT64_MAX;
     std::uint64_t _max = 0;
-};
-
-/**
- * A named registry of counters and sample stats, used by machines and
- * hypervisors to expose what happened during a run (VM exits, IPIs,
- * grant copies, packets, ...). Keys are created on first use.
- */
-class StatRegistry
-{
-  public:
-    /**
-     * Counter by name, created on first use. Safe to call from
-     * concurrent shard lanes: lookup takes a shared lock, first-use
-     * insertion upgrades to exclusive. std::map nodes never move, so
-     * returned references stay valid across later insertions.
-     */
-    Counter &
-    counter(const std::string &name)
-    {
-        {
-            std::shared_lock lock(mtx);
-            auto it = counters.find(name);
-            if (it != counters.end())
-                return it->second;
-        }
-        std::unique_lock lock(mtx);
-        return counters[name];
-    }
-
-    /** SampleStat by name. NOT lane-safe: sample accumulators must
-     *  stay confined to a single shard lane (they are in practice:
-     *  each is fed from one component's lane). */
-    SampleStat &stat(const std::string &name) { return stats[name]; }
-
-    const std::map<std::string, Counter> &allCounters() const
-    {
-        return counters;
-    }
-    const std::map<std::string, SampleStat> &allStats() const
-    {
-        return stats;
-    }
-
-    /** Value of a counter, or zero if it was never touched. */
-    std::uint64_t counterValue(const std::string &name) const;
-
-    void reset();
-
-    /**
-     * Drop every registration, not just the values. reset() keeps the
-     * key set, so a registry that has seen a run renders zero-valued
-     * rows a fresh registry would not have; clear() restores the
-     * exact never-used state, which testbed reuse needs to stay
-     * byte-identical with a cold-built world.
-     */
-    void clear();
-
-    /** Render all counters and stat summaries, one per line. */
-    std::string render() const;
-
-  private:
-    /** Guards the counters map structure (not the Counter values,
-     *  which are internally atomic). */
-    mutable std::shared_mutex mtx;
-    std::map<std::string, Counter> counters;
-    std::map<std::string, SampleStat> stats;
 };
 
 } // namespace virtsim

@@ -21,8 +21,8 @@ struct GicFixture : public ::testing::Test
 {
     EventQueue eq;
     CostModel cm = CostModel::armAtlas();
-    StatRegistry stats;
-    Gic gic{eq, cm, stats, 4};
+    MetricsDomain counters{"test"};
+    Gic gic{eq, cm, counters, 4};
 };
 
 } // namespace
@@ -69,7 +69,7 @@ TEST_F(GicFixture, ListRegisterOverflow)
     for (std::size_t i = 0; i < numListRegs; ++i)
         EXPECT_GE(gic.injectVirq(0, 0, 40 + static_cast<IrqId>(i)), 0);
     EXPECT_EQ(gic.injectVirq(0, 0, 50), -1);
-    EXPECT_EQ(stats.counterValue("gic.lr_overflow"), 1u);
+    EXPECT_EQ(counters.value(internTap("gic.lr_overflow")), 1u);
 }
 
 TEST_F(GicFixture, AckWithNothingPendingReturnsMinusOne)
@@ -88,8 +88,8 @@ TEST(Apic, InjectAndAck)
 {
     EventQueue eq;
     CostModel cm = CostModel::x86Xeon();
-    StatRegistry stats;
-    Apic apic(eq, cm, stats, 4);
+    MetricsDomain counters{"test"};
+    Apic apic(eq, cm, counters, 4);
     EXPECT_TRUE(apic.guestEoiTraps()); // the paper's vAPIC-less Xeons
     apic.injectVirq(0, 2, 33);
     EXPECT_EQ(apic.guestAckVirq(2), 33);
@@ -102,8 +102,8 @@ TEST(TimerBank, FiresAtDeadlineOnOwnCpu)
 {
     EventQueue eq;
     CostModel cm = CostModel::armAtlas();
-    StatRegistry stats;
-    Gic gic(eq, cm, stats, 4);
+    MetricsDomain counters{"test"};
+    Gic gic(eq, cm, counters, 4);
     TimerBank timers(eq, gic, 4);
     PcpuId cpu = -1;
     Cycles when = 0;
@@ -124,8 +124,8 @@ TEST(TimerBank, CancelSuppressesFire)
 {
     EventQueue eq;
     CostModel cm = CostModel::armAtlas();
-    StatRegistry stats;
-    Gic gic(eq, cm, stats, 2);
+    MetricsDomain counters{"test"};
+    Gic gic(eq, cm, counters, 2);
     TimerBank timers(eq, gic, 2);
     int fired = 0;
     gic.setPhysIrqHandler([&](Cycles, PcpuId, IrqId) { ++fired; });
@@ -139,8 +139,8 @@ TEST(TimerBank, ReprogramReplacesDeadline)
 {
     EventQueue eq;
     CostModel cm = CostModel::armAtlas();
-    StatRegistry stats;
-    Gic gic(eq, cm, stats, 2);
+    MetricsDomain counters{"test"};
+    Gic gic(eq, cm, counters, 2);
     TimerBank timers(eq, gic, 2);
     std::vector<Cycles> fires;
     gic.setPhysIrqHandler(
@@ -200,8 +200,8 @@ TEST(Tlb, InvalidateVmidIsSelective)
 TEST(Mmu, TranslateChargesWalkOnMissOnly)
 {
     CostModel cm = CostModel::armAtlas();
-    StatRegistry stats;
-    Mmu mmu(cm, stats, 2);
+    MetricsDomain counters{"test"};
+    Mmu mmu(cm, counters, 2);
     Stage2Tables t(1);
     t.map(0x40, 0x80);
 
@@ -222,13 +222,13 @@ TEST(Mmu, TranslateChargesWalkOnMissOnly)
 TEST(Mmu, FaultOnUnmapped)
 {
     CostModel cm = CostModel::armAtlas();
-    StatRegistry stats;
-    Mmu mmu(cm, stats, 1);
+    MetricsDomain counters{"test"};
+    Mmu mmu(cm, counters, 1);
     Stage2Tables t(1);
     auto [pa, cost] = mmu.translate(0, t, 0x999);
     EXPECT_FALSE(pa.has_value());
     EXPECT_GT(cost, 0u);
-    EXPECT_EQ(stats.counterValue("mmu.stage2_fault"), 1u);
+    EXPECT_EQ(counters.value(internTap("mmu.stage2_fault")), 1u);
 }
 
 TEST(Mmu, BroadcastInvalidateReachesAllCpusAndChargesByArch)
@@ -237,7 +237,7 @@ TEST(Mmu, BroadcastInvalidateReachesAllCpusAndChargesByArch)
     // scales with CPU count on x86.
     CostModel arm = CostModel::armAtlas();
     CostModel x86 = CostModel::x86Xeon();
-    StatRegistry s1, s2;
+    MetricsDomain s1{"arm"}, s2{"x86"};
     Mmu marm(arm, s1, 8), mx86(x86, s2, 8);
     Stage2Tables t(1);
     t.map(0x1, 0x2);
@@ -258,8 +258,8 @@ TEST(Mmu, BroadcastInvalidateReachesAllCpusAndChargesByArch)
 TEST(MmuDeath, StaleTlbEntryIsABug)
 {
     CostModel cm = CostModel::armAtlas();
-    StatRegistry stats;
-    Mmu mmu(cm, stats, 1);
+    MetricsDomain counters{"test"};
+    Mmu mmu(cm, counters, 1);
     Stage2Tables t(1);
     t.map(0x7, 0x8);
     (void)mmu.translate(0, t, 0x7);

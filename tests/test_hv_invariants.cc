@@ -116,13 +116,13 @@ TEST_P(HvInvariant, GuestChargeDoesNotInvolveTheHypervisor)
     // work must not produce exits.
     Testbed tb(TestbedConfig{.kind = GetParam()});
     const auto exits_before =
-        tb.machine().stats().counterValue("kvm.vm_exits") +
-        tb.machine().stats().counterValue("xen.traps");
+        tb.machine().counters().value(internTap("kvm.vm_exits")) +
+        tb.machine().counters().value(internTap("xen.traps"));
     tb.charge(0, 1, 1000000);
     tb.run();
     const auto exits_after =
-        tb.machine().stats().counterValue("kvm.vm_exits") +
-        tb.machine().stats().counterValue("xen.traps");
+        tb.machine().counters().value(internTap("kvm.vm_exits")) +
+        tb.machine().counters().value(internTap("xen.traps"));
     EXPECT_EQ(exits_before, exits_after);
     EXPECT_EQ(tb.machine().cpu(1).busyCycles(), 1000000u);
 }
@@ -144,7 +144,7 @@ TEST_P(HvInvariant, TransmitConservesPackets)
     }
     tb.run();
     EXPECT_EQ(client_got, n);
-    EXPECT_EQ(tb.machine().stats().counterValue("nic.tx_packets"),
+    EXPECT_EQ(tb.machine().counters().value(internTap("nic.tx_packets")),
               static_cast<std::uint64_t>(n));
 }
 
@@ -166,12 +166,12 @@ TEST_P(HvInvariant, RxPathDeliversEveryAcceptedPacket)
     }
     tb.run();
     const std::uint64_t dropped =
-        tb.machine().stats().counterValue("nic.rx_dropped") +
-        tb.machine().stats().counterValue("netback.rx_no_request") +
-        tb.machine().stats().counterValue(
-            "netback.rx_backlog_dropped") +
-        tb.machine().stats().counterValue("vhost.rx_no_descriptor") +
-        tb.machine().stats().counterValue("vhost.rx_backlog_dropped");
+        tb.machine().counters().value(internTap("nic.rx_dropped")) +
+        tb.machine().counters().value(internTap("netback.rx_no_request")) +
+        tb.machine().counters().value(
+            internTap("netback.rx_backlog_dropped")) +
+        tb.machine().counters().value(internTap("vhost.rx_no_descriptor")) +
+        tb.machine().counters().value(internTap("vhost.rx_backlog_dropped"));
     EXPECT_EQ(delivered + dropped, n);
     EXPECT_EQ(dropped, 0u);
 }

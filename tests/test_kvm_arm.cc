@@ -163,7 +163,7 @@ TEST_F(KvmArmFixture, VirqCompletionIsTheArmFastPath)
     kvm->virqComplete(0, v, [&](Cycles t) { done_at = t; });
     tb.run();
     EXPECT_EQ(done_at, 71u); // Table II: no trap
-    EXPECT_EQ(tb.machine().stats().counterValue("kvm.vm_exits"), 0u);
+    EXPECT_EQ(tb.machine().counters().value(internTap("kvm.vm_exits")), 0u);
 }
 
 TEST_P(KvmFamily, InjectToRunningVcpuUsesKick)
@@ -174,10 +174,10 @@ TEST_P(KvmFamily, InjectToRunningVcpuUsesKick)
     tb.run();
     EXPECT_GT(handled, 0u);
     // Kick = SGI + full exit + re-entry on the target.
-    EXPECT_EQ(tb.machine().stats().counterValue("irqchip.ipi_sent"),
+    EXPECT_EQ(tb.machine().counters().value(internTap("irqchip.ipi_sent")),
               1u);
-    EXPECT_EQ(tb.machine().stats().counterValue("kvm.vm_exits"), 1u);
-    EXPECT_EQ(tb.machine().stats().counterValue("kvm.vm_entries"), 1u);
+    EXPECT_EQ(tb.machine().counters().value(internTap("kvm.vm_exits")), 1u);
+    EXPECT_EQ(tb.machine().counters().value(internTap("kvm.vm_entries")), 1u);
 }
 
 TEST_P(KvmFamily, InjectToIdleVcpuPaysWakePath)
@@ -190,7 +190,7 @@ TEST_P(KvmFamily, InjectToIdleVcpuPaysWakePath)
     tb.run();
     // Wake path: vcpuWakeFromIdle dominates; no SGI needed.
     EXPECT_GT(handled, kvm->params.vcpuWakeFromIdle);
-    EXPECT_EQ(tb.machine().stats().counterValue("irqchip.ipi_sent"),
+    EXPECT_EQ(tb.machine().counters().value(internTap("irqchip.ipi_sent")),
               0u);
     EXPECT_EQ(v.state(), VcpuState::Running);
 }
@@ -261,12 +261,12 @@ TEST_P(KvmFamily, TransmitSuppressesKicksWhilePumping)
         kvm->guestTransmit(tb.queue().now(), v, p, [](Cycles) {});
     }
     tb.run();
-    EXPECT_EQ(tb.machine().stats().counterValue("nic.tx_packets"), 8u);
+    EXPECT_EQ(tb.machine().counters().value(internTap("nic.tx_packets")), 8u);
     EXPECT_GT(
-        tb.machine().stats().counterValue("kvm.tx_kick_suppressed"),
+        tb.machine().counters().value(internTap("kvm.tx_kick_suppressed")),
         0u);
     // Far fewer exits than packets: notification suppression works.
-    EXPECT_LT(tb.machine().stats().counterValue("kvm.vm_exits"), 8u);
+    EXPECT_LT(tb.machine().counters().value(internTap("kvm.vm_exits")), 8u);
 }
 
 TEST_P(KvmFamily, DeliverPacketReachesGuestDriver)

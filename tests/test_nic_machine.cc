@@ -65,7 +65,7 @@ TEST_F(NicFixture, CoalescingSuppressesBurstIrqs)
     eq.run();
     EXPECT_EQ(irqs, 2);
     EXPECT_EQ(m.nic().rxQueueDepth(), 10u);
-    EXPECT_EQ(m.stats().counterValue("nic.rx_coalesced"), 9u);
+    EXPECT_EQ(m.counters().value(internTap("nic.rx_coalesced")), 9u);
 }
 
 TEST_F(NicFixture, RxQueueCapDrops)
@@ -74,7 +74,7 @@ TEST_F(NicFixture, RxQueueCapDrops)
     for (std::size_t i = 0; i < cfg.nicParams.rxQueueCap + 50; ++i)
         m.nic().receiveFromWire(static_cast<Cycles>(i), mkPacket(1, 60));
     eq.run();
-    EXPECT_EQ(m.stats().counterValue("nic.rx_dropped"), 50u);
+    EXPECT_EQ(m.counters().value(internTap("nic.rx_dropped")), 50u);
 }
 
 TEST_F(NicFixture, TxSerializesAtLineRate)
@@ -95,11 +95,32 @@ TEST_F(NicFixture, TxSerializesAtLineRate)
     EXPECT_EQ(ser, 2880u);
 }
 
+TEST(MachineCountersDeath, LateTapAfterPrepareForParallelDies)
+{
+    // Machine::prepareForParallel() is the freeze a sharded fleet
+    // applies before its lanes run: the component constructors have
+    // interned every counter tap by then, so a tap interned later has
+    // no slot and its first bump must fail, not grow the array under
+    // concurrent lanes.
+    ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+    EXPECT_DEATH(
+        {
+            EventQueue eq;
+            Machine m(eq, MachineConfig::hpMoonshotM400());
+            m.prepareForParallel(m.numCpus());
+            m.nic().receiveFromWire(0, mkPacket(1, 60)); // interned
+            m.counters()
+                .counter(internTap("nic_machine.test.never.warmed"))
+                .inc();
+        },
+        "machine.counters.*after prepareForParallel");
+}
+
 TEST(Wire, DeliversBothDirectionsWithLatency)
 {
     EventQueue eq;
-    StatRegistry stats;
-    Wire wire(eq, stats, 1000);
+    MetricsDomain counters{"test"};
+    Wire wire(eq, counters, 1000);
     Cycles server_at = 0, client_at = 0;
     wire.setServerEndpoint(
         [&](Cycles t, const Packet &) { server_at = t; });
@@ -116,8 +137,8 @@ TEST(Wire, DeliversBothDirectionsWithLatency)
 TEST(MainMemory, OwnershipAndCopyCosts)
 {
     CostModel cm = CostModel::armAtlas();
-    StatRegistry stats;
-    MainMemory mem(cm, stats);
+    MetricsDomain counters{"test"};
+    MainMemory mem(cm, counters);
     const BufferId b = mem.alloc("vm0", 4096);
     EXPECT_TRUE(mem.valid(b));
     EXPECT_EQ(mem.owner(b), "vm0");
@@ -126,14 +147,14 @@ TEST(MainMemory, OwnershipAndCopyCosts)
     EXPECT_EQ(mem.copyCost(1), cm.copyPerKb); // setup floor
     mem.free(b);
     EXPECT_FALSE(mem.valid(b));
-    EXPECT_EQ(stats.counterValue("mem.copies"), 2u);
+    EXPECT_EQ(counters.value(internTap("mem.copies")), 2u);
 }
 
 TEST(MainMemoryDeath, DoubleFreePanics)
 {
     CostModel cm = CostModel::armAtlas();
-    StatRegistry stats;
-    MainMemory mem(cm, stats);
+    MetricsDomain counters{"test"};
+    MainMemory mem(cm, counters);
     const BufferId b = mem.alloc("host", 64);
     mem.free(b);
     EXPECT_DEATH(mem.free(b), "double free");

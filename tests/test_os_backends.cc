@@ -84,7 +84,7 @@ TEST_F(BackendFixture, VhostRxDropsWithoutDescriptors)
                         [&](Cycles) { delivered = true; });
     eq.run();
     EXPECT_FALSE(delivered);
-    EXPECT_EQ(m.stats().counterValue("vhost.rx_no_descriptor"), 1u);
+    EXPECT_EQ(m.counters().value(internTap("vhost.rx_no_descriptor")), 1u);
 }
 
 TEST_F(BackendFixture, VhostRxJobsSerializeOnWorker)
@@ -124,8 +124,8 @@ TEST_F(BackendFixture, NetbackRxGrantCopiesPerFrame)
                     [&](Cycles t) { ready_at = t; });
     eq.run();
     EXPECT_GT(ready_at, 0u);
-    EXPECT_EQ(m.stats().counterValue("grant.copies") +
-                  m.stats().counterValue("grant.copies_batched"),
+    EXPECT_EQ(m.counters().value(internTap("grant.copies")) +
+                  m.counters().value(internTap("grant.copies_batched")),
               3u);
     EXPECT_EQ(nb.rxRing().responseDepth(), 3u);
 }
@@ -146,7 +146,7 @@ TEST_F(BackendFixture, NetbackPartialDeliveryOnRingExhaustion)
                     [&](Cycles) { delivered = true; });
     eq.run();
     EXPECT_TRUE(delivered); // what was copied still flows
-    EXPECT_EQ(m.stats().counterValue("netback.rx_no_request"), 1u);
+    EXPECT_EQ(m.counters().value(internTap("netback.rx_no_request")), 1u);
     EXPECT_EQ(nb.rxRing().responseDepth(), 2u);
 }
 

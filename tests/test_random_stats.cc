@@ -1,13 +1,16 @@
 /**
  * @file
- * Unit and property tests for the PRNG and the statistics
- * accumulators.
+ * Unit and property tests for the PRNG, the statistics accumulators
+ * and the machine's counter domain.
  */
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <map>
+#include <string>
 
+#include "hw/machine.hh"
 #include "sim/random.hh"
 #include "sim/stats.hh"
 
@@ -137,24 +140,47 @@ TEST(Counter, IncrementAndReset)
     EXPECT_EQ(c.value(), 0u);
 }
 
-TEST(StatRegistry, CreatesOnFirstUse)
+namespace {
+
+/** The machine's counter domain as (tap name, value) rows. */
+std::map<std::string, std::uint64_t>
+counterRows(const Machine &m)
 {
-    StatRegistry reg;
-    reg.counter("a").inc(3);
-    reg.stat("b").add(1.5);
-    EXPECT_EQ(reg.counterValue("a"), 3u);
-    EXPECT_EQ(reg.counterValue("missing"), 0u);
-    EXPECT_EQ(reg.allStats().at("b").count(), 1u);
+    std::map<std::string, std::uint64_t> rows;
+    m.counters().forEachCounter([&rows](TapId tap, std::uint64_t v) {
+        rows[tapName(tap)] = v;
+    });
+    return rows;
 }
 
-TEST(StatRegistry, RenderMentionsEverything)
+} // namespace
+
+TEST(MachineCounters, CreatesOnFirstUse)
 {
-    StatRegistry reg;
-    reg.counter("exits").inc(7);
-    reg.stat("latency").add(2.0);
-    const std::string out = reg.render();
-    EXPECT_NE(out.find("exits = 7"), std::string::npos);
-    EXPECT_NE(out.find("latency"), std::string::npos);
+    EventQueue eq;
+    Machine m(eq, MachineConfig::hpMoonshotM400());
+    const TapId a = internTap("test.machine_counters.a");
+    EXPECT_EQ(counterRows(m).count("test.machine_counters.a"), 0u);
+    m.counters().counter(a).inc(3);
+    EXPECT_EQ(m.counters().value(a), 3u);
+    EXPECT_EQ(counterRows(m).at("test.machine_counters.a"), 3u);
+    // Private to the machine: the metrics export never lists it.
+    EXPECT_EQ(m.metrics().snapshot().render().find(
+                  "test.machine_counters.a"),
+              std::string::npos);
+}
+
+TEST(MachineCounters, UntouchedTapReadsZero)
+{
+    EventQueue eq;
+    Machine m(eq, MachineConfig::hpMoonshotM400());
+    m.counters().counter(internTap("test.machine_counters.exits")).inc(7);
+    const TapId untouched = internTap("test.machine_counters.untouched");
+    EXPECT_EQ(m.counters().value(untouched), 0u);
+    // Reading registers nothing; every touched tap is listed.
+    const auto rows = counterRows(m);
+    EXPECT_EQ(rows.count("test.machine_counters.untouched"), 0u);
+    EXPECT_EQ(rows.at("test.machine_counters.exits"), 7u);
 }
 
 /** Property: percentile is monotone in p and bounded by min/max. */

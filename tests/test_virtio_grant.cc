@@ -115,7 +115,7 @@ TEST_F(IoFixture, GrantUnmapIncludesTlbMaintenance)
     const Cycles unmap = gt.unmap(ref);
     EXPECT_GE(unmap, gt.grantUnmapFixedCost() +
                          m.costs().tlbInvalidateBroadcast);
-    EXPECT_EQ(m.stats().counterValue("mmu.broadcast_invalidate"), 1u);
+    EXPECT_EQ(m.counters().value(internTap("mmu.broadcast_invalidate")), 1u);
 }
 
 TEST_F(IoFixture, GrantRejectsForeignBuffer)

@@ -39,8 +39,8 @@ TEST(X86, EoiTrapsWithoutVapic)
                                   [&](Cycles t) { done_at = t; });
     tb.run();
     EXPECT_EQ(done_at, 1556u); // Table II: ~22x the ARM fast path
-    EXPECT_GT(tb.machine().stats().counterValue(
-                  "kvm.virq_complete_trap"),
+    EXPECT_GT(tb.machine().counters().value(
+                  internTap("kvm.virq_complete_trap")),
               0u);
 }
 
@@ -57,7 +57,7 @@ TEST(X86, VapicRemovesTheEoiTrap)
                                   [&](Cycles t) { done_at = t; });
     tb.run();
     EXPECT_LT(done_at, 200u);
-    EXPECT_EQ(tb.machine().stats().counterValue("kvm.vm_exits"), 0u);
+    EXPECT_EQ(tb.machine().counters().value(internTap("kvm.vm_exits")), 0u);
 }
 
 TEST(X86, IoSignalOutUsesIoeventfdFastPath)

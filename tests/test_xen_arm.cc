@@ -100,7 +100,7 @@ TEST_F(XenArmFixture, IrqTrapStaysInEl2)
     tb.run();
     EXPECT_EQ(done_at, 1356u); // Table II
     // No domain switches: the distributor is emulated in EL2.
-    EXPECT_EQ(tb.machine().stats().counterValue("xen.domain_switches"),
+    EXPECT_EQ(tb.machine().counters().value(internTap("xen.domain_switches")),
               0u);
 }
 
@@ -125,7 +125,7 @@ TEST_P(XenFamily, IoSignalOutWakesDom0FromIdle)
     const double paper = GetParam().ioOut;
     EXPECT_NEAR(static_cast<double>(done_at), paper, paper * 0.05);
     EXPECT_EQ(
-        tb.machine().stats().counterValue("xen.idle_domain_switches"),
+        tb.machine().counters().value(internTap("xen.idle_domain_switches")),
         1u);
     EXPECT_EQ(xen->dom0().vcpu(0).state(), VcpuState::Running);
 }
@@ -155,7 +155,7 @@ TEST_P(XenFamily, Dom0BlocksAfterQuiescence)
     tb.clientSend(1000, p);
     tb.run();
     EXPECT_EQ(xen->dom0().vcpu(0).state(), VcpuState::Idle);
-    EXPECT_GT(tb.machine().stats().counterValue("xen.dom0_blocked"),
+    EXPECT_GT(tb.machine().counters().value(internTap("xen.dom0_blocked")),
               0u);
 }
 
@@ -170,8 +170,8 @@ TEST_P(XenFamily, RxPathUsesGrantCopies)
     tb.clientSend(1000, p);
     tb.run();
     EXPECT_EQ(vm_rx, 1);
-    EXPECT_GE(tb.machine().stats().counterValue("grant.copies"), 1u);
-    EXPECT_GE(tb.machine().stats().counterValue("mem.bytes_copied"),
+    EXPECT_GE(tb.machine().counters().value(internTap("grant.copies")), 1u);
+    EXPECT_GE(tb.machine().counters().value(internTap("mem.bytes_copied")),
               1500u);
 }
 
@@ -186,11 +186,11 @@ TEST_P(XenFamily, TransmitFlowsThroughDom0ToWire)
     xen->guestTransmit(0, v, p, [&](Cycles t) { sent = t; });
     tb.run();
     EXPECT_GT(sent, 0u);
-    EXPECT_EQ(tb.machine().stats().counterValue("nic.tx_packets"), 1u);
+    EXPECT_EQ(tb.machine().counters().value(internTap("nic.tx_packets")), 1u);
     // The payload crossed the isolation boundary via a grant.
-    EXPECT_GE(tb.machine().stats().counterValue("grant.copies") +
-                  tb.machine().stats().counterValue(
-                      "grant.copies_batched"),
+    EXPECT_GE(tb.machine().counters().value(internTap("grant.copies")) +
+                  tb.machine().counters().value(
+                      internTap("grant.copies_batched")),
               1u);
 }
 
