@@ -44,7 +44,6 @@
 #include "core/fleet.hh"
 #include "core/report.hh"
 #include "hw/machine.hh"
-#include "sim/env.hh"
 
 using namespace virtsim;
 
@@ -66,13 +65,13 @@ contains(const std::string &hay, const std::string &needle)
 }
 
 FleetResult
-runScenario(const char *name, const FleetConfig &cfg, int lanes,
+runScenario(const char *name, const FleetConfig &cfg,
             const Frequency &freq)
 {
     const std::string path = std::string("latency_") + name + ".json";
     setenv("VIRTSIM_LATENCY", path.c_str(), 1);
     std::cout << "== " << name << " ==\n";
-    const FleetResult r = runNetperfRrFleet(cfg, lanes);
+    const FleetResult r = runNetperfRrFleet(cfg);
     const double meanRttUs =
         r.transactions == 0
             ? 0.0
@@ -95,15 +94,13 @@ main()
               << "Request-level observability acceptance: HDR"
                  " histograms, phase decomposition, SLO engine.\n\n";
 
-    const int lanes = static_cast<int>(
-        envPositiveCount("VIRTSIM_SHARDS", 64).value_or(2));
     const Frequency freq =
         MachineConfig::hpMoonshotM400().costs.freq;
 
     // The bench owns its export paths; the fleet tags them ".fleet".
     FleetConfig nominal;
     const FleetResult rNominal =
-        runScenario("nominal", nominal, lanes, freq);
+        runScenario("nominal", nominal, freq);
 
     FleetConfig over;
     // Freeze forensic context around the breach: one incident per
@@ -117,7 +114,7 @@ main()
     over.meanInterarrivalUs = 60.0;
     over.burstRateFactor = 4.0;
     const FleetResult rOver =
-        runScenario("overload", over, lanes, freq);
+        runScenario("overload", over, freq);
 
     const std::string overJson = slurp("latency_overload.fleet.json");
 

@@ -418,7 +418,7 @@ BM_FlightEvictSaturated(benchmark::State &state)
                               tap, 0, TraceKind::Instant,
                               TraceCat::Op});
     };
-    for (std::size_t i = 0; i < FlightRecorder::segCapacity; ++i)
+    for (std::size_t i = 0; i < FlightRecorder::windowCapacity; ++i)
         push();
     // Seal the reference window outside the timed loop.
     now = 2 * fr.windowHalf();
@@ -465,93 +465,44 @@ BM_EventQueueCancelCompact(benchmark::State &state)
 }
 BENCHMARK(BM_EventQueueCancelCompact);
 
-/** The sharded kernel on the 4-CPU netperf RR fleet world. Serial
- *  (one lane) vs four lanes; the modelled results are byte-identical
- *  (asserted in test_shard), so the pair isolates the wall-clock
- *  effect of conservative-lookahead parallel rounds.
- *  bench_compare.sh reports the serial/sharded ratio as its speedup
- *  line; the parallel win only materializes on a multicore host. */
+/** The default 4-CPU netperf RR fleet world, sinks off: the event
+ *  queue and the fleet's dispatch path. (The name predates the
+ *  single-queue fleet; it is kept so the committed baseline still
+ *  gates it.) */
 void
-shardedFleetBench(benchmark::State &state, int lanes)
+BM_ShardedKernelSerial(benchmark::State &state)
 {
     FleetConfig cfg; // 4 CPUs x 32 conns x 250 transactions
     std::uint64_t tx = 0;
     for (auto _ : state) {
-        const FleetResult r = runNetperfRrFleet(cfg, lanes);
+        const FleetResult r = runNetperfRrFleet(cfg);
         tx = r.transactions;
         benchmark::DoNotOptimize(tx);
         benchmark::DoNotOptimize(r.checksum);
     }
     state.SetItemsProcessed(state.iterations() *
                             static_cast<std::int64_t>(tx));
-}
-
-void
-BM_ShardedKernelSerial(benchmark::State &state)
-{
-    shardedFleetBench(state, 1);
 }
 BENCHMARK(BM_ShardedKernelSerial)->Unit(benchmark::kMillisecond);
 
+/** Fleet scale: hundreds of VMs, skewed load. VM 0 is a hot spot (24
+ *  connections); the rest serve one connection each and go idle
+ *  early. */
 void
-BM_ShardedKernelShards4(benchmark::State &state)
-{
-    shardedFleetBench(state, 4);
-}
-BENCHMARK(BM_ShardedKernelShards4)->Unit(benchmark::kMillisecond);
-
-/** Four lanes with trace recording forced on (lane-local ring
- *  segments, per-lane profiler histograms — no export). Against
- *  BM_ShardedKernelShards4 this isolates the stamping overhead of
- *  the lane-partitioned observability path; bench_compare.sh reports
- *  the ratio as its traced-overhead line. */
-void
-BM_ShardedKernelTraced(benchmark::State &state)
-{
-    FleetConfig cfg;
-    cfg.trace = true;
-    std::uint64_t tx = 0;
-    for (auto _ : state) {
-        const FleetResult r = runNetperfRrFleet(cfg, 4);
-        tx = r.transactions;
-        benchmark::DoNotOptimize(tx);
-        benchmark::DoNotOptimize(r.checksum);
-    }
-    state.SetItemsProcessed(state.iterations() *
-                            static_cast<std::int64_t>(tx));
-}
-BENCHMARK(BM_ShardedKernelTraced)->Unit(benchmark::kMillisecond);
-
-/** Fleet-scale round loops: hundreds of VM lanes, skewed load. VM 0
- *  is a hot spot (24 connections); the rest serve one connection
- *  each and go idle early, so most rounds run with a handful of
- *  runnable lanes out of hundreds. This is the shape the sparse
- *  coordinator exists for — per-round cost O(active lanes + traffic
- *  edges) — and the Dense variants rerun the identical world on the
- *  O(lanes^2) reference coordinator (byte-identical results,
- *  asserted in test_fleet_scale). bench_compare.sh reports the
- *  dense/sparse ratio as the fleet-scale speedup line; unlike the
- *  crew-parallelism lines it does not need a multicore host, since
- *  the win is coordinator arithmetic, not thread count. */
-void
-fleetScaleBench(benchmark::State &state, int vms, bool dense)
+fleetScaleBench(benchmark::State &state, int vms)
 {
     FleetConfig cfg;
     cfg.nVms = vms;
     cfg.transactionsPerConn = 8;
     cfg.connsByVm.assign(static_cast<std::size_t>(vms), 1);
     cfg.connsByVm[0] = 24;
-    if (dense)
-        ::setenv("VIRTSIM_SHARD_DENSE", "1", 1);
     std::uint64_t tx = 0;
     for (auto _ : state) {
-        const FleetResult r = runNetperfRrFleet(cfg, vms);
+        const FleetResult r = runNetperfRrFleet(cfg);
         tx = r.transactions;
         benchmark::DoNotOptimize(tx);
         benchmark::DoNotOptimize(r.checksum);
     }
-    if (dense)
-        ::unsetenv("VIRTSIM_SHARD_DENSE");
     state.SetItemsProcessed(state.iterations() *
                             static_cast<std::int64_t>(tx));
 }
@@ -559,30 +510,16 @@ fleetScaleBench(benchmark::State &state, int vms, bool dense)
 void
 BM_FleetScale64(benchmark::State &state)
 {
-    fleetScaleBench(state, 64, false);
+    fleetScaleBench(state, 64);
 }
 BENCHMARK(BM_FleetScale64)->Unit(benchmark::kMillisecond);
 
 void
-BM_FleetScale64Dense(benchmark::State &state)
-{
-    fleetScaleBench(state, 64, true);
-}
-BENCHMARK(BM_FleetScale64Dense)->Unit(benchmark::kMillisecond);
-
-void
 BM_FleetScale256(benchmark::State &state)
 {
-    fleetScaleBench(state, 256, false);
+    fleetScaleBench(state, 256);
 }
 BENCHMARK(BM_FleetScale256)->Unit(benchmark::kMillisecond);
-
-void
-BM_FleetScale256Dense(benchmark::State &state)
-{
-    fleetScaleBench(state, 256, true);
-}
-BENCHMARK(BM_FleetScale256Dense)->Unit(benchmark::kMillisecond);
 
 } // namespace
 

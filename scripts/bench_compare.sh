@@ -109,39 +109,6 @@ if missing:
     for name in missing:
         print(f"  MISSING: {name}", file=sys.stderr)
 
-# Informational: the sharded-kernel parallel win on this host. The
-# two benches compute byte-identical results, so the ratio is pure
-# wall clock; expect >= 1.5x on a >= 4-core host and <= 1x on a
-# single core (the crew cannot beat serial without real CPUs).
-serial = cur.get("BM_ShardedKernelSerial")
-sharded = cur.get("BM_ShardedKernelShards4")
-if serial and sharded:
-    print(f"bench_compare: sharded-kernel speedup "
-          f"(serial / 4 lanes): {serial / sharded:.2f}x")
-
-# Informational: what the lane-partitioned observability path costs
-# while stamping. Traced runs the same world with trace recording
-# (ring segments + per-lane profiler histograms) forced on; the ratio
-# is the per-record overhead, expected within a few percent of 1x.
-traced = cur.get("BM_ShardedKernelTraced")
-if sharded and traced:
-    print(f"bench_compare: traced sharded overhead "
-          f"(traced / untraced, 4 lanes): {traced / sharded:.2f}x")
-
-# Informational: the sparse coordinator's win on fleet-scale lane
-# counts. Each pair runs the identical skewed fleet world (results
-# byte-identical) under the sparse worklist coordinator vs the dense
-# O(lanes^2) reference; the ratio is pure coordinator cost, so it
-# holds on any host — expect >= 2x at 256 VMs and growing with lane
-# count, the O(active lanes + traffic edges) scaling story.
-for vms in (64, 256):
-    sparse = cur.get(f"BM_FleetScale{vms}")
-    dense = cur.get(f"BM_FleetScale{vms}Dense")
-    if sparse and dense:
-        print(f"bench_compare: fleet-scale sparse-coordinator "
-              f"speedup (dense / sparse, {vms} VMs): "
-              f"{dense / sparse:.2f}x")
-
 sys.exit(1 if failed else 0)
 PYEOF
 

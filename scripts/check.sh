@@ -10,8 +10,9 @@
 #            runs the trace/attribution tests (test_probe,
 #            test_attrib), which shift and cast raw 24-byte records;
 #            standalone UBSan catches what ASan's interceptors mask.
-#   tsan:    (--with-tsan) ThreadSanitizer ctest in build-tsan/ —
-#            exercises the parallel sweep runner's thread pool.
+#   tsan:    (--with-tsan) ThreadSanitizer in build-tsan/ — runs the
+#            suites that drive the parallel sweep runner's thread
+#            pool (test_sweep, test_testbed, test_figure).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -54,15 +55,14 @@ if [[ "$with_tsan" == 1 ]]; then
     cmake -B build-tsan -S . \
           -DVIRTSIM_SANITIZE=thread \
           -DCMAKE_BUILD_TYPE=RelWithDebInfo >/dev/null
-    cmake --build build-tsan -j "$jobs"
-    # The parallel sweep paths, the sharded kernel's crew, and the
-    # lane-partitioned observability sinks (test_probe's concurrent
-    # stamping, barrier timeline sampling, deferred observer flushes)
-    # are what TSan is here for; force both parallelism knobs on so
-    # the suite exercises them even on a single-core host (TSan
-    # interleaves threads regardless of core count).
-    VIRTSIM_JOBS=4 VIRTSIM_SHARDS=4 ctest --test-dir build-tsan \
-        --output-on-failure -j "$jobs"
+    cmake --build build-tsan -j "$jobs" \
+          --target test_sweep test_testbed test_figure
+    # The sweep pool is the one multithreaded part of the simulator;
+    # force four jobs so the suites exercise it even on a single-core
+    # host (TSan interleaves threads regardless of core count).
+    VIRTSIM_JOBS=4 TSAN_OPTIONS=halt_on_error=1 \
+        ctest --test-dir build-tsan --output-on-failure -j "$jobs" \
+        -R 'test_(sweep|testbed|figure)$'
 fi
 
 echo "check.sh: all passes OK"

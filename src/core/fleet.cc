@@ -16,8 +16,6 @@
 #include "sim/latency.hh"
 #include "sim/log.hh"
 #include "sim/random.hh"
-#include "sim/shard.hh"
-#include "sim/shard_profile.hh"
 #include "sim/slo.hh"
 
 namespace virtsim {
@@ -45,11 +43,11 @@ envPath(const char *name)
 }
 
 /** One persistent TCP_RR connection. All fields except `cpu` are
- *  client-side state, touched only by lane-0 events. `remaining`
- *  counts responses still owed in the closed loop, arrivals still to
- *  depart in the open loop. Request departure times are threaded
- *  through the event chain rather than stored here — open-loop
- *  connections can have several requests in flight at once. */
+ *  client-side state. `remaining` counts responses still owed in the
+ *  closed loop, arrivals still to depart in the open loop. Request
+ *  departure times are threaded through the event chain rather than
+ *  stored here — open-loop connections can have several requests in
+ *  flight at once. */
 struct FleetConn
 {
     int cpu = 0;
@@ -63,7 +61,7 @@ struct FleetConn
 struct FleetWorld
 {
     FleetConfig cfg;
-    ShardedEventKernel kern;
+    EventQueue eq;
     MachineConfig mc;
     std::unique_ptr<Machine> mach;
     Gic *gic = nullptr;
@@ -79,7 +77,6 @@ struct FleetWorld
     std::string metricsPath;
     std::string flamePath;
     std::string timelinePath;
-    std::string shardProfilePath;
     std::string latencyPath;
     double timelineHz = 100000.0;
     std::unique_ptr<CausalAnalyzer> attrib;
@@ -103,9 +100,8 @@ struct FleetWorld
         return static_cast<std::uint16_t>(cfg.nCpus);
     }
 
-    /** Open-loop arrival state, touched only by lane-0 events (and
-     *  the setup thread): one RNG stream per connection plus the
-     *  global MMPP burst chain with its own stream. */
+    /** Open-loop arrival state: one RNG stream per connection plus
+     *  the global MMPP burst chain with its own stream. */
     std::vector<Random> arrivalRng;
     Random burstRng{1};
     bool bursting = false;
@@ -120,10 +116,9 @@ struct FleetWorld
                    : cfg.connsByVm[static_cast<std::size_t>(i)];
     }
 
-    FleetWorld(const FleetConfig &c, int lanes)
-        : cfg(c), kern(lanes), mc(MachineConfig::hpMoonshotM400())
+    explicit FleetWorld(const FleetConfig &c)
+        : cfg(c), mc(MachineConfig::hpMoonshotM400())
     {
-        VIRTSIM_ASSERT(lanes >= 1, "fleet needs >= 1 lane");
         // The VM-count scale axis: each VM is one netperf-RR service
         // pinned to its own vCPU, so the machine is sized to the VM
         // count. The env override lets CI and benches sweep fleet
@@ -168,47 +163,14 @@ struct FleetWorld
                            cfg.meanCalmUs > 0.0,
                        "open-loop arrival parameters must be positive");
 
-        MachineShardPlan plan;
-        if (cfg.roundRobinPlan) {
-            plan.deviceLane = 0;
-            plan.cpuLane.resize(static_cast<std::size_t>(cfg.nCpus));
-            for (int i = 0; i < cfg.nCpus; ++i)
-                plan.cpuLane[static_cast<std::size_t>(i)] = i % lanes;
-        } else {
-            // Balanced packing by static per-VM weight: a VM's event
-            // traffic is proportional to its connection count, and
-            // the client side (lane 0) handles every connection's
-            // completions, so it is preloaded with the fleet total —
-            // VMs prefer other lanes while any remain. (A profiling
-            // warmup's per-lane event counts, kern.stats(), would
-            // serve as weights the same way for workloads whose cost
-            // is not connection-proportional.)
-            std::vector<std::uint64_t> w(
-                static_cast<std::size_t>(cfg.nCpus));
-            std::uint64_t total = 0;
-            for (int i = 0; i < cfg.nCpus; ++i) {
-                w[static_cast<std::size_t>(i)] =
-                    static_cast<std::uint64_t>(connsOf(i));
-                total += w[static_cast<std::size_t>(i)];
-            }
-            plan = MachineShardPlan::balanced(cfg.nCpus, lanes, w,
-                                              total);
-        }
-        // Nothing in this world sends an IPI; see the header comment.
-        plan.ipiChannels = false;
-
-        mach = std::make_unique<Machine>(kern, plan, mc);
+        mach = std::make_unique<Machine>(eq, mc);
         gic = static_cast<Gic *>(&mach->irqChip());
         wire = mach->freq().cycles(cfg.wireUs);
 
         for (int i = 0; i < cfg.nCpus; ++i) {
             const std::string n = "cpu" + std::to_string(i);
-            req.push_back(&kern.channel("fleet.req." + n,
-                                        deviceShard, cpuShard(i),
-                                        wire));
-            rsp.push_back(&kern.channel("fleet.rsp." + n,
-                                        cpuShard(i), deviceShard,
-                                        wire));
+            req.push_back(&eq.channel("fleet.req." + n, wire));
+            rsp.push_back(&eq.channel("fleet.rsp." + n, wire));
         }
 
         // Latency/SLO configuration must precede the tap warm-up:
@@ -225,23 +187,20 @@ struct FleetWorld
         edgeWireTap();
 
         // Warm the lazily interned taps of the virq path (the LR
-        // causal edge) from the setup thread (inject -> ack ->
-        // complete leaves the LR array clean), then pre-size the
-        // machine's counter domain and metrics arrays: the lanes
-        // bump these counters concurrently, and counter() must not
-        // reallocate under them. The machine's components interned
-        // their counter taps when they were constructed.
+        // causal edge; inject -> ack -> complete leaves the LR array
+        // clean), then freeze the machine's counter domain and
+        // metrics arrays. The machine's components interned their
+        // counter taps when they were constructed.
         gic->injectVirq(0, 0, spiNicIrq);
         gic->guestAckVirq(0);
         gic->guestCompleteVirq(0, spiNicIrq);
         mach->probe().warmTraceHealth();
         mach->prepareForParallel(cfg.nCpus);
 
-        armObservability(lanes);
+        armObservability();
 
-        // VM 0's connections first, then VM 1's, and so on — a fixed
-        // index order independent of shard plan and lane count, which
-        // is what keeps the checksum byte-identical across both.
+        // VM 0's connections first, then VM 1's, and so on — the
+        // fixed index order the checksum folds.
         for (int i = 0; i < cfg.nCpus; ++i) {
             for (int j = 0; j < connsOf(i); ++j) {
                 FleetConn conn;
@@ -254,9 +213,7 @@ struct FleetWorld
         if (cfg.openLoop) {
             // One independent stream per connection, derived from the
             // single seed with a golden-ratio stride; the burst chain
-            // gets its own. Every draw happens in lane-0 events, so
-            // the draw order — and with it every arrival instant — is
-            // the serial lane-0 event order at any lane count.
+            // gets its own.
             arrivalRng.reserve(conns.size());
             for (std::size_t k = 0; k < conns.size(); ++k) {
                 arrivalRng.emplace_back(
@@ -318,27 +275,25 @@ struct FleetWorld
     }
 
     /**
-     * Arm the observability sinks the environment asked for, the
-     * fleet way: everything lane-partitioned, nothing serialized.
-     * Called after the tap warm-up above — prepareForParallel freezes
-     * the tap-indexed arrays, so every tap the run will stamp must be
+     * Arm the observability sinks the environment asked for. Called
+     * after the tap warm-up above — prepareForParallel freezes the
+     * tap-indexed arrays, so every tap the run will stamp must be
      * interned first.
      */
     void
-    armObservability(int lanes)
+    armObservability()
     {
         tracePath = envPath("VIRTSIM_TRACE");
         metricsPath = envPath("VIRTSIM_METRICS");
         flamePath = envPath("VIRTSIM_FLAME");
         timelinePath = envPath("VIRTSIM_TIMELINE");
-        shardProfilePath = envPath("VIRTSIM_SHARD_PROFILE");
         incidentsDir = envPath("VIRTSIM_INCIDENTS");
         if (const auto hz = envPositiveCount("VIRTSIM_TIMELINE_HZ",
                                              std::uint64_t{1} << 40)) {
             timelineHz = static_cast<double>(*hz);
         }
         // Incident forensics needs both the stamping tee (trace) and
-        // the barrier-tick maintenance hook (timeline), so arming it
+        // the sampling-tick maintenance hook (timeline), so arming it
         // arms both.
         const bool incidentsOn = !incidentsDir.empty();
 
@@ -350,25 +305,21 @@ struct FleetWorld
                 probe.trace.setCapacity(
                     static_cast<std::size_t>(*cap));
             probe.trace.enable();
-            probe.trace.prepareForParallel(lanes);
         }
         if (!flamePath.empty()) {
-            // The analyzer streams through the deferred observer at
-            // every lane count: the kernel flushes records to it in
-            // canonical merged order at each barrier round, so the
-            // folded stacks come out byte-identical whether one lane
-            // stamped everything or eight did.
+            // The analyzer streams through the deferred observer: the
+            // run flushes records to it in canonical merged order at
+            // every sampling instant.
             attrib = std::make_unique<CausalAnalyzer>("fleet");
             probe.trace.setObserver(attrib.get());
             probe.trace.setObserverDeferred(true);
         }
         if (latencyOn) {
             probe.latency.enable();
-            probe.latency.prepareForParallel(lanes);
         }
         // As in the testbed, sampling also arms under VIRTSIM_TRACE
-        // alone so the Perfetto export carries counter tracks. The
-        // kernel samples gauges between rounds (sampleTick) — the
+        // alone so the Perfetto export carries counter tracks. run()
+        // samples gauges between runs of the queue (sampleTick) — the
         // fleet never runs the in-queue tick chain. Latency tracking
         // also arms it: the SLO engine's burn windows and rolling
         // quantile gauges live in the sampling tick.
@@ -398,7 +349,6 @@ struct FleetWorld
                 probe.timeline.period(), icap);
             flight.bind(&probe.timeline,
                         latencyOn ? &probe.latency : nullptr);
-            flight.prepareForParallel(lanes);
             flight.enable();
             probe.trace.setFlightRecorder(&flight);
             FlightRecorder *fr = &flight;
@@ -419,16 +369,8 @@ struct FleetWorld
             }
         }
         if (cfg.trace || !tracePath.empty() || !metricsPath.empty() ||
-            !flamePath.empty() || !timelinePath.empty()) {
-            probe.profiler.prepareForParallel(lanes,
-                                              internedTapCount());
-            for (int i = 0; i < lanes; ++i)
-                kern.lane(i).setProfiler(&probe.profiler);
-        }
-        if (probe.trace.enabled() || probe.timeline.enabled())
-            kern.attachProbe(&probe);
-        if (!shardProfilePath.empty())
-            kern.enableShardProfile();
+            !flamePath.empty() || !timelinePath.empty())
+            eq.setProfiler(&probe.profiler);
     }
 
     /** Write every armed export. Called once, after the run. */
@@ -436,12 +378,9 @@ struct FleetWorld
     exportObservability()
     {
         const TimelineSampler &tl = mach->probe().timeline;
-        const ShardProfile *sp = kern.shardProfile().enabled()
-                                     ? &kern.shardProfile()
-                                     : nullptr;
         if (!tracePath.empty()) {
             exportChromeTrace(perTagPath(tracePath), mach->trace(),
-                              mach->freq(), "fleet", &tl, sp,
+                              mach->freq(), "fleet", &tl,
                               flight.enabled() ? &flight : nullptr);
         }
         if (!incidentsDir.empty() && flight.enabled()) {
@@ -451,11 +390,6 @@ struct FleetWorld
                 renderIncidentSummary(flight, mach->freq());
             if (!s.empty())
                 inform("\n", s);
-        }
-        if (!shardProfilePath.empty()) {
-            exportShardProfile(perTagPath(shardProfilePath),
-                               kern.shardProfile());
-            inform("\n", renderShardSummary(kern.shardProfile()));
         }
         if (!flamePath.empty() && attrib)
             attrib->writeFoldedFile(perTagPath(flamePath), "fleet");
@@ -494,14 +428,6 @@ struct FleetWorld
             tl.publishAnomalies(mach->metrics());
             if (slo.armed())
                 slo.publish(mach->metrics());
-            if (envPositiveCount("VIRTSIM_SHARD_STATS", 1)) {
-                // Every lane has joined by export time, so the
-                // single-threaded publisher may intern the sparse,
-                // lane-count-dependent shard taps that could not be
-                // pre-warmed before prepareForParallel().
-                mach->metrics().endParallel();
-                kern.publishStats(mach->metrics());
-            }
             const std::string path = perTagPath(metricsPath);
             std::ofstream os(path);
             if (!os) {
@@ -513,16 +439,14 @@ struct FleetWorld
     }
 
     /** Dispatch a request: leaves the client at `depart`, hits the
-     *  server CPU one wire flight later. Runs on lane 0 (or the
-     *  setup thread for the initial burst). */
+     *  server CPU one wire flight later. */
     void
     sendRequest(std::size_t connIdx, Cycles depart)
     {
         const int cpu = conns[connIdx].cpu;
         const Cycles at = depart + wire;
         // Open the client->server wire edge on the client's
-        // pseudo-track (stamped from lane 0/setup only, so one lane
-        // owns the track). The token rides the event chain and is
+        // pseudo-track. The token rides the event chain and is
         // redeemed on the server CPU's track, linking the two tracks
         // in the incident window's causal graph.
         const std::uint64_t token = mach->trace().edgeOut(
@@ -533,8 +457,8 @@ struct FleetWorld
             });
     }
 
-    /** The server side of one transaction, on the CPU's own lane:
-     *  NIC interrupt, LR injection, guest ack, service body, virq
+    /** The server side of one transaction on its CPU: NIC
+     *  interrupt, LR injection, guest ack, service body, virq
      *  completion — the paper's receive path — then the response
      *  leaves as a separate tx-softirq event. The departure time
      *  (at - wire) rides the event chain so the client can account
@@ -556,10 +480,10 @@ struct FleetWorld
         cost += gic->guestCompleteVirq(cpu, virq);
         const Cycles done = p.charge(t, cost);
 
-        // Phase stamps on the server's own lane: the request's wire
-        // flight, the queue wait in front of this CPU and the service
-        // body. Together with the stamps in completeTransaction they
-        // record the exact identity
+        // Phase stamps on the server: the request's wire flight, the
+        // queue wait in front of this CPU and the service body.
+        // Together with the stamps in completeTransaction they record
+        // the exact identity
         //   rtt = wire + server_queue + service + wire.
         RequestTracker &lat = mach->probe().latency;
         lat.record(cpu, LatencyPhase::WireFlight, wire);
@@ -569,14 +493,13 @@ struct FleetWorld
         mach->cpuQueue(cpu).scheduleAt(
             done, [this, connIdx, cpu, at, t, done, token,
                    sentAt = at - wire] {
-                // Causal stamps on the server's own track (this CPU's
-                // lane, honoring the one-lane-per-track contract), at
-                // the completion event so each of these whens is at
-                // or before the stamping instant. Not every stamp of
-                // the transaction is: injectVirq above runs at
+                // Causal stamps on the server's own track, at the
+                // completion event so each of these whens is at or
+                // before the stamping instant. Not every stamp of the
+                // transaction is: injectVirq above runs at
                 // t = max(at, frontier), so the GIC's lrWrite and
                 // edge.lr stamps are future-dated to the CPU frontier,
-                // ahead of the barrier clock. The flight recorder's
+                // ahead of the queue clock. The flight recorder's
                 // expiry index evicts by stamp time either way.
                 // Redeem the wire edge, then the queue wait and
                 // service body as spans, then open the response's
@@ -599,7 +522,7 @@ struct FleetWorld
             });
     }
 
-    /** Client receives the response (lane 0): account the RTT and,
+    /** Client receives the response: account the RTT and,
      *  in the closed loop with transactions remaining, think then
      *  send the next one. Open-loop departures are driven by the
      *  arrival chain instead. */
@@ -625,7 +548,7 @@ struct FleetWorld
     }
 
     /** Next open-loop inter-arrival gap for connection `k`, at the
-     *  rate the current MMPP state dictates. Lane 0 only. */
+     *  rate the current MMPP state dictates. */
     Cycles
     drawInterarrival(std::size_t k)
     {
@@ -637,13 +560,13 @@ struct FleetWorld
             1, mach->freq().cycles(arrivalRng[k].exponential(mean)));
     }
 
-    /** Open-loop arrival for connection `k` at `when` (lane 0): the
+    /** Open-loop arrival for connection `k` at `when`: the
      *  request departs regardless of outstanding responses, and the
      *  chain reschedules itself while arrivals remain. */
     void
     scheduleArrival(std::size_t k, Cycles when)
     {
-        kern.lane(0).scheduleAt(when, [this, k, when] {
+        eq.scheduleAt(when, [this, k, when] {
             sendRequest(k, when);
             --arrivalsLeft;
             if (--conns[k].remaining > 0)
@@ -651,13 +574,13 @@ struct FleetWorld
         });
     }
 
-    /** MMPP state flip (lane 0): toggle burst/calm and reschedule
+    /** MMPP state flip: toggle burst/calm and reschedule
      *  after an exponential sojourn — unless every arrival has
      *  already departed, so the run can drain. */
     void
     scheduleBurstFlip(Cycles when)
     {
-        kern.lane(0).scheduleAt(when, [this, when] {
+        eq.scheduleAt(when, [this, when] {
             bursting = !bursting;
             if (arrivalsLeft == 0)
                 return;
@@ -667,6 +590,25 @@ struct FleetWorld
                 1, mach->freq().cycles(burstRng.exponential(mean)));
             scheduleBurstFlip(when + dt);
         });
+    }
+
+    /**
+     * Run the queue dry, sampling the timeline (when armed) at every
+     * period-aligned instant. The deferred trace observer is flushed
+     * after every stretch between two instants and once at the end.
+     * @return the final simulated time.
+     */
+    Cycles
+    drain()
+    {
+        TimelineSampler &tl = mach->probe().timeline;
+        TraceSink *trace = &mach->trace();
+        if (tl.enabled())
+            tl.runSampled(eq, [trace] { trace->flushObserver(); });
+        else
+            eq.run();
+        trace->flushObserver();
+        return eq.now();
     }
 
     FleetResult
@@ -692,7 +634,7 @@ struct FleetWorld
         }
 
         FleetResult r;
-        r.finalTime = kern.run();
+        r.finalTime = drain();
         // Flush incident windows still waiting on their post-trigger
         // half before anything exports.
         if (flight.enabled())
@@ -720,9 +662,6 @@ struct FleetWorld
         mix(r.finalTime);
         r.checksum = h;
 
-        r.rounds = kern.stats().rounds;
-        r.parallelRounds = kern.stats().parallelRounds;
-        r.laneDispatches = kern.stats().laneDispatches;
         exportObservability();
         return r;
     }
@@ -731,9 +670,9 @@ struct FleetWorld
 } // namespace
 
 FleetResult
-runNetperfRrFleet(const FleetConfig &cfg, int lanes)
+runNetperfRrFleet(const FleetConfig &cfg, int /*lanes*/)
 {
-    FleetWorld world(cfg, lanes);
+    FleetWorld world(cfg);
     return world.run();
 }
 

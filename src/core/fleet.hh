@@ -1,39 +1,25 @@
 /**
  * @file
- * A multi-CPU netperf TCP_RR fleet: the sharded kernel's parallel
- * showcase world.
+ * A multi-CPU netperf TCP_RR fleet: the request-level observability
+ * and scale-out world.
  *
  * The paper's multicore experiments (Section V.C) run one netperf
  * instance per core; this world models that shape directly — a bank
  * of server CPUs each serving a set of persistent request/response
- * connections from a client behind the 10 GbE wire. Unlike the
- * single-flow testbed worlds (whose hypervisor run queues, backend
- * rings and workload frontiers are all zero-latency coupled, so they
- * must collapse onto one lane), the per-CPU request streams here only
- * interact through the wire. That makes the wire's one-way latency a
- * real conservative lookahead, so the per-CPU lanes genuinely run in
- * parallel.
+ * connections from a client behind the 10 GbE wire. The per-CPU
+ * request streams interact only through the wire, declared as
+ * per-CPU latency edges "fleet.req.cpu<i>" (client -> cpu) and
+ * "fleet.rsp.cpu<i>" (cpu -> client) whose latency is the wire's
+ * one-way flight time.
  *
- * Topology under VIRTSIM_SHARDS = N:
- *  - lane 0: the client (all connections) and the device shard,
- *  - PhysicalCpu i: the lane MachineShardPlan::balanced() packs it
- *    onto — per-VM connection counts as weights, the client's total
- *    preloading lane 0 so VMs prefer other lanes while any remain
- *    (FleetConfig::roundRobinPlan restores the legacy i mod N
- *    assignment; results are byte-identical either way),
- *  - per-CPU channels "fleet.req.cpu<i>" (client -> cpu) and
- *    "fleet.rsp.cpu<i>" (cpu -> client), lookahead = the wire's
- *    one-way flight time.
- *
- * The machine's IPI channels are opted out (MachineShardPlan
- * ::ipiChannels): nothing here sends an IPI, and their ~360-cycle
- * lookahead would otherwise throttle every lane's horizon to IPI
- * quanta instead of wire quanta.
+ * The world runs on one EventQueue. With the timeline armed (any of
+ * the latency, trace, timeline or incident exports), the run stops at
+ * every period-aligned instant to sample the gauges: a sample at t
+ * sees every event below t and none at or after t.
  *
  * Every modelled quantity (per-connection RTT sums, CPU frontiers,
- * the final clock) depends only on per-connection and per-CPU state,
- * so results are byte-identical at any lane count — the determinism
- * property the sharded kernel promises, and what test_shard verifies.
+ * the final clock) depends only on per-connection and per-CPU state;
+ * the checksum folds them in a fixed connection order.
  */
 
 #ifndef VIRTSIM_CORE_FLEET_HH
@@ -67,20 +53,9 @@ struct FleetConfig
     /**
      * Per-VM connection counts — the load-skew axis. Empty = uniform
      * (connsPerCpu everywhere); otherwise one entry per VM, each >=
-     * 1, and connsPerCpu is ignored. Skewed fleets are what
-     * balanced() planning packs: the per-VM counts double as the
-     * static per-shard weights.
+     * 1, and connsPerCpu is ignored.
      */
     std::vector<int> connsByVm;
-    /**
-     * Use the legacy round-robin shard plan (VM i on lane i mod
-     * lanes) instead of MachineShardPlan::balanced() packing by
-     * per-VM connection weight. Modelled results are byte-identical
-     * either way — the kernel's determinism bar guarantees the plan
-     * only moves wall-clock, never results — so this exists for
-     * differential tests and plan comparisons.
-     */
-    bool roundRobinPlan = false;
     /** Request/response transactions each connection performs. */
     int transactionsPerConn = 250;
     /** One-way wire latency in microseconds (client <-> server). */
@@ -149,11 +124,8 @@ inline constexpr double fleetDefaultSloP99Us = 200.0;
 /**
  * What a fleet run produced.
  *
- * finalTime/transactions/totalRttCycles/checksum are modelled
- * quantities: byte-identical at every lane count. rounds and
- * parallelRounds describe the host-side execution and legitimately
- * differ with the lane count — they are reported for telemetry and
- * excluded from determinism comparisons.
+ * rounds/parallelRounds/laneDispatches remain for callers that still
+ * read them; a run always reports one round on one lane (1 / 0 / 1).
  */
 struct FleetResult
 {
@@ -165,21 +137,15 @@ struct FleetResult
     std::uint64_t checksum = 0;
 
     /** SLO objectives that failed end-of-run judgment (0 while
-     *  latency tracking is off). Modelled: derived from exact merged
-     *  histogram counts, so lane-count independent. */
+     *  latency tracking is off). */
     std::uint64_t sloBreaches = 0;
     /** Watchdog anomaly windows the timeline recorded (0 while the
-     *  timeline is off). Sampling instants are period-aligned
-     *  simulated times, so also lane-count independent. */
+     *  timeline is off). */
     std::uint64_t anomalies = 0;
 
-    std::uint64_t rounds = 0;         ///< host-side, lane-dependent
-    std::uint64_t parallelRounds = 0; ///< host-side, lane-dependent
-    /** Lane executions the coordinator dispatched; laneDispatches /
-     *  rounds is the mean runnable-lane count per round, the number
-     *  the sparse coordinator's idle-lane elision keeps far below
-     *  the lane count on big mostly-idle fleets. Host-side. */
-    std::uint64_t laneDispatches = 0;
+    std::uint64_t rounds = 1;
+    std::uint64_t parallelRounds = 0;
+    std::uint64_t laneDispatches = 1;
 
     bool
     sameModelledResult(const FleetResult &o) const
@@ -193,9 +159,9 @@ struct FleetResult
     }
 };
 
-/** Run the fleet on a sharded kernel with the given lane count
- *  (1 = the serial kernel). */
-FleetResult runNetperfRrFleet(const FleetConfig &cfg, int lanes);
+/** Run the fleet. `lanes` is accepted and ignored: the fleet runs on
+ *  one event queue. */
+FleetResult runNetperfRrFleet(const FleetConfig &cfg, int lanes = 1);
 
 } // namespace virtsim
 

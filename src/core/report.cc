@@ -7,7 +7,6 @@
 #include "sim/flight.hh"
 #include "sim/latency.hh"
 #include "sim/log.hh"
-#include "sim/shard_profile.hh"
 #include "sim/timeline.hh"
 #include "sim/units.hh"
 
@@ -217,80 +216,6 @@ renderTimelineSummary(const TimelineSampler &timeline,
             << formatFixed(freq.us(an.begin), 1) << "us - "
             << formatFixed(freq.us(an.end), 1) << "us, peak "
             << an.peak << "\n";
-    }
-    return oss.str();
-}
-
-std::string
-renderShardSummary(const ShardProfile &profile)
-{
-    if (!profile.enabled())
-        return "";
-    const std::size_t n = profile.lanes.size();
-    std::ostringstream oss;
-    oss << "Shard profile: " << n << " lanes ("
-        << profile.lanesProfiled() << " active), " << profile.rounds
-        << " rounds (" << profile.parallelRounds << " parallel), "
-        << formatFixed(
-               static_cast<double>(profile.wallNs) / 1e6, 2)
-        << " ms wall, speedup x"
-        << formatFixed(profile.speedupEstimate(), 2) << "\n";
-
-    TextTable t({"lane", "events", "busy ms", "wait ms", "stall ms",
-                 "stall rounds"});
-    // Sparse like the export: a fleet-scale kernel keeps spare
-    // lanes, and 200 all-zero rows would bury the table's signal.
-    for (std::size_t i = 0; i < n; ++i) {
-        const ShardProfile::Lane &l = profile.lanes[i];
-        if (l.busyNs == 0 && l.stallNs == 0 && l.events == 0 &&
-            l.stallRounds == 0)
-            continue;
-        t.addRow({"lane" + std::to_string(i),
-                  std::to_string(l.events),
-                  formatFixed(static_cast<double>(l.busyNs) / 1e6, 2),
-                  formatFixed(
-                      static_cast<double>(profile.waitNs(i)) / 1e6, 2),
-                  formatFixed(static_cast<double>(l.stallNs) / 1e6, 2),
-                  std::to_string(l.stallRounds)});
-    }
-    oss << t.render();
-
-    // Top critical channels: the in-edges whose lookahead bound a
-    // stalled lane's horizon most often — ranked, worst first.
-    struct Edge
-    {
-        std::uint64_t rounds;
-        std::size_t dst, src;
-    };
-    std::vector<Edge> edges;
-    for (std::size_t d = 0; d < n; ++d) {
-        for (std::size_t s = 0; s < n; ++s) {
-            const std::uint64_t r = profile.critRounds[d * n + s];
-            if (r > 0)
-                edges.push_back({r, d, s});
-        }
-    }
-    std::sort(edges.begin(), edges.end(),
-              [](const Edge &a, const Edge &b) {
-                  if (a.rounds != b.rounds)
-                      return a.rounds > b.rounds;
-                  if (a.dst != b.dst)
-                      return a.dst < b.dst;
-                  return a.src < b.src;
-              });
-    if (edges.empty()) {
-        oss << "Critical channels: none (no horizon stalls)\n";
-        return oss.str();
-    }
-    oss << "Critical channels (stalled rounds, worst first):\n";
-    const std::size_t top = std::min<std::size_t>(edges.size(), 5);
-    for (std::size_t i = 0; i < top; ++i) {
-        const Edge &e = edges[i];
-        const std::string &name =
-            profile.critChannel[e.dst * n + e.src];
-        oss << "  lane" << e.src << " -> lane" << e.dst << ": "
-            << e.rounds << " rounds"
-            << (name.empty() ? "" : " via \"" + name + "\"") << "\n";
     }
     return oss.str();
 }

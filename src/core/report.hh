@@ -17,7 +17,6 @@ class FlightRecorder;
 class Frequency;
 class RequestTracker;
 class TimelineSampler;
-struct ShardProfile;
 
 /**
  * A simple right-aligned text table.
@@ -71,21 +70,11 @@ std::string renderTimelineSummary(
     const std::vector<std::string> &gauges);
 
 /**
- * Multi-line summary of a parallel-kernel profile (sim/shard_profile):
- * realized speedup, a per-lane busy/wait/stall wall-time table, and
- * the top critical channels — which declared lookahead to tighten for
- * the run to scale further. Empty string when the profile was never
- * armed. Host wall-clock numbers: print next to bench tables, never
- * diff byte-for-byte.
- */
-std::string renderShardSummary(const ShardProfile &profile);
-
-/**
  * Multi-line summary of a request-latency tracker (sim/latency) for
  * bench stdout: one row per recorded phase with count, mean and the
- * tail quantiles in microseconds, from the lane-merged aggregate
- * histograms — so the printed numbers match the virtsim-latency-1
- * export byte for byte. Empty string when nothing was recorded.
+ * tail quantiles in microseconds, from the aggregate histograms — so
+ * the printed numbers match the virtsim-latency-1 export byte for
+ * byte. Empty string when nothing was recorded.
  */
 std::string renderLatencySummary(const RequestTracker &latency,
                                  const Frequency &freq);

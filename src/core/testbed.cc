@@ -71,8 +71,7 @@ archOf(SutKind k)
 }
 
 Testbed::Testbed(TestbedConfig config)
-    : cfg(config), kern(shardLanes()), eq(kern.lane(0)),
-      rng(config.seed),
+    : cfg(config), rng(config.seed),
       net(NetstackCosts::linux(
           (archOf(config.kind) == Arch::Arm ? CostModel::armAtlas()
                                             : CostModel::x86Xeon())
@@ -81,25 +80,14 @@ Testbed::Testbed(TestbedConfig config)
     MachineConfig mc = archOf(cfg.kind) == Arch::Arm
                            ? MachineConfig::hpMoonshotM400()
                            : MachineConfig::dellR320();
-    // Default plan: every CPU on the device lane. A classic testbed
-    // world is coupled end to end through zero-latency shared state
-    // (hypervisor run queues, backend rings, workload frontiers), so
-    // it must collapse onto one lane whatever VIRTSIM_SHARDS says;
-    // the declared channels then degenerate to plain scheduleAt and
-    // results stay byte-identical. core/fleet.hh builds the plan
-    // that spreads CPUs across lanes.
-    server = std::make_unique<Machine>(kern, MachineShardPlan{}, mc);
+    server = std::make_unique<Machine>(eq, mc);
     wire_ = std::make_unique<Wire>(
         eq, server->counters(), server->freq().cycles(wireOneWayUs),
         &server->probe());
-    // Both wire legs are declared channels (the NIC-to-client edge
-    // of the shard model); with client and NIC on the device shard
-    // they resolve same-lane here.
+    // Both wire legs are declared latency edges.
     wire_->bindChannels(
-        &kern.channel("wire.to_server", deviceShard, deviceShard,
-                      wire_->oneWayLatency()),
-        &kern.channel("wire.to_client", deviceShard, deviceShard,
-                      wire_->oneWayLatency()));
+        &eq.channel("wire.to_server", wire_->oneWayLatency()),
+        &eq.channel("wire.to_client", wire_->oneWayLatency()));
 
     wire_->setServerEndpoint([this](Cycles t, const Packet &pkt) {
         server->nic().receiveFromWire(t, pkt);
@@ -154,14 +142,6 @@ Testbed::Testbed(TestbedConfig config)
     if (const auto hz = envPositiveCount("VIRTSIM_TIMELINE_HZ",
                                          std::uint64_t{1} << 40)) {
         timelineHz = static_cast<double>(*hz);
-    }
-    // VIRTSIM_SHARD_PROFILE=<file> records the parallel-kernel wall
-    // time profile (per-lane busy/wait/stall, critical channels) and
-    // writes it as JSON at teardown. Host-clock measurements — not
-    // part of the byte-identity guarantee the other exports meet.
-    if (const char *p = std::getenv("VIRTSIM_SHARD_PROFILE")) {
-        if (*p)
-            shardProfilePath = p;
     }
     // VIRTSIM_LATENCY=<file> arms per-request phase histograms and
     // the SLO engine, and writes the virtsim-latency-1 JSON at
@@ -242,22 +222,9 @@ Testbed::applyObservability()
                          ".q_us") < 0) {
             slo.installTimeline(tl, server->freq());
         }
-        // Shard health on the timeline rides the same explicit
-        // opt-in as the counter snapshot below: gauge values are
-        // lane-dependent, so the default timeline export must stay
-        // byte-identical at every VIRTSIM_SHARDS. registerGauges
-        // itself stays lane-count safe — three aggregates always,
-        // per-lane depth/horizon/lag only below its per-lane cap.
-        if (envPositiveCount("VIRTSIM_SHARD_STATS", 1) &&
-            tl.findGauge("shard.lanes_live") < 0) {
-            kern.registerGauges(tl);
-        }
         if (incidentsOn && !flightArmed) {
             // Arm last — enable() sizes tick-row storage from the
             // gauge count, so every registration above must be done.
-            // Classic worlds stamp from lane 0 only, so the default
-            // single-segment window ring suffices (the trace sink is
-            // not lane-partitioned here either).
             flightArmed = true;
             const double winUs =
                 envPositiveReal("VIRTSIM_INCIDENT_WINDOW_US", 1e9)
@@ -296,15 +263,6 @@ Testbed::applyObservability()
         !flamePath.empty() || !timelinePath.empty()) {
         eq.setProfiler(&server->probe().profiler);
     }
-    if (!shardProfilePath.empty())
-        kern.enableShardProfile();
-    // No serial fallback: sinks are lane-partitioned and exports
-    // merge them in canonical order (sim/probe), so the parallel
-    // round path and the serial path produce identical bytes. Classic
-    // worlds place every model component on lane 0 (default
-    // MachineShardPlan), so all stamping lands in segment 0 and the
-    // in-queue timeline tick chain keeps its exact semantics at any
-    // VIRTSIM_SHARDS.
 }
 
 void
@@ -381,8 +339,7 @@ Testbed::exportObservability()
 {
     if (tracePath.empty() && metricsPath.empty() &&
         flamePath.empty() && timelinePath.empty() &&
-        shardProfilePath.empty() && latencyPath.empty() &&
-        incidentsDir.empty()) {
+        latencyPath.empty() && incidentsDir.empty()) {
         return;
     }
     // Once per run: a cached testbed exports when its lease is
@@ -397,11 +354,6 @@ Testbed::exportObservability()
     static std::mutex export_mutex;
     std::lock_guard<std::mutex> lock(export_mutex);
     const TimelineSampler &tl = server->probe().timeline;
-    // The shard profile merges into the Perfetto export as counter
-    // tracks only when explicitly armed, keeping the default trace
-    // free of host-timing noise.
-    const ShardProfile *sp =
-        kern.shardProfile().enabled() ? &kern.shardProfile() : nullptr;
     // Capture incident windows still waiting on their post-trigger
     // half before the trace annotations and incident files write.
     if (flight.enabled())
@@ -409,7 +361,7 @@ Testbed::exportObservability()
     if (!tracePath.empty()) {
         exportChromeTrace(perKindPath(tracePath, cfg.kind),
                           server->trace(), server->freq(),
-                          to_string(cfg.kind), &tl, sp,
+                          to_string(cfg.kind), &tl,
                           flight.enabled() ? &flight : nullptr);
     }
     if (!incidentsDir.empty() && flight.enabled()) {
@@ -424,11 +376,6 @@ Testbed::exportObservability()
             renderIncidentSummary(flight, server->freq());
         if (!s.empty())
             inform("\n", s);
-    }
-    if (!shardProfilePath.empty()) {
-        exportShardProfile(perKindPath(shardProfilePath, cfg.kind),
-                           kern.shardProfile());
-        inform("\n", renderShardSummary(kern.shardProfile()));
     }
     if (!flamePath.empty() && _attrib) {
         _attrib->writeFoldedFile(perKindPath(flamePath, cfg.kind),
@@ -470,12 +417,6 @@ Testbed::exportObservability()
         tl.publishAnomalies(server->metrics());
         if (slo.armed())
             slo.publish(server->metrics());
-        // Shard health is lane-dependent by nature (round counts,
-        // per-lane horizons), so it only enters the snapshot on
-        // explicit request — the default export stays byte-identical
-        // at every VIRTSIM_SHARDS setting.
-        if (envPositiveCount("VIRTSIM_SHARD_STATS", 1))
-            kern.publishStats(server->metrics());
         const std::string path = perKindPath(metricsPath, cfg.kind);
         std::ofstream os(path);
         if (!os) {
@@ -521,7 +462,7 @@ Testbed::reset()
     // eq.reset() only runs capture destructors, never the callbacks.
     hv.reset();
     guestVm = nullptr;
-    kern.reset();
+    eq.reset();
     server->reset();
 
     // An attribution() user enabled the sink and attached the
@@ -651,9 +592,9 @@ Testbed::buildVirtualized()
             onVmRx(t, pkt);
     };
 
-    // Backend wake and kick edges join the kernel's channel table
+    // Backend wake and kick edges join the queue's channel table
     // (idempotent across reset rebuilds).
-    hv->declareShardChannels(kern);
+    hv->declareShardChannels(eq);
     hv->start();
 }
 

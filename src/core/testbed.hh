@@ -96,16 +96,6 @@ class Testbed
 
     const TestbedConfig &config() const { return cfg; }
     EventQueue &queue() { return eq; }
-
-    /** The sharded event kernel the testbed runs on (lane count from
-     *  VIRTSIM_SHARDS). Every component of a classic testbed world
-     *  lives on lane 0 — hypervisor run queues, backend rings and the
-     *  workload surface share state at zero latency, which the
-     *  sharding model only permits within one lane — so execution and
-     *  output are byte-identical at every VIRTSIM_SHARDS value. The
-     *  multi-lane fleet world (core/fleet.hh) is where extra lanes
-     *  carry real work. */
-    ShardedEventKernel &kernel() { return kern; }
     Machine &machine() { return *server; }
     Random &random() { return rng; }
     Probe &probe() { return server->probe(); }
@@ -214,14 +204,14 @@ class Testbed
     Cycles wireLatency() const { return wire_->oneWayLatency(); }
     ///@}
 
-    /** Drain the event kernel. @return final simulated time. */
+    /** Drain the event queue. @return final simulated time. */
     Cycles
     run()
     {
         // One predicted branch when sampling is off; otherwise arm
         // the first sampling tick before the queue starts draining.
         server->probe().timeline.ensureScheduled(eq);
-        return kern.run();
+        return eq.run();
     }
 
     /** The machine's timeline sampler (gauge series + watchdog). */
@@ -299,9 +289,7 @@ class Testbed
     Vcpu &vcpuOf(int lcpu);
 
     TestbedConfig cfg;
-    /** Declared before eq: eq aliases lane 0. */
-    ShardedEventKernel kern;
-    EventQueue &eq;
+    EventQueue eq;
     Random rng;
     std::unique_ptr<Machine> server;
     std::unique_ptr<Hypervisor> hv;
@@ -312,8 +300,6 @@ class Testbed
     std::string metricsPath; ///< VIRTSIM_METRICS destination, if set
     std::string flamePath;   ///< VIRTSIM_FLAME destination, if set
     std::string timelinePath; ///< VIRTSIM_TIMELINE destination, if set
-    /** VIRTSIM_SHARD_PROFILE destination, if set. */
-    std::string shardProfilePath;
     std::string latencyPath; ///< VIRTSIM_LATENCY destination, if set
     bool latencyWanted = false; ///< enableLatency() was called
     /** VIRTSIM_INCIDENTS destination directory, if set. */

@@ -30,7 +30,7 @@ grantTaps()
 GrantTable::GrantTable(Machine &m, Vm &granter)
     : mach(m), granter(granter)
 {
-    grantTaps(); // intern before a sharded run freezes the counters
+    grantTaps(); // intern before prepareForParallel() freezes counters
 }
 
 GrantRef

@@ -109,17 +109,17 @@ class Hypervisor
 
     /**
      * Declare this hypervisor family's cross-CPU interactions as
-     * shard channels on the kernel the machine runs on, and bind them
+     * latency edges on the queue the machine runs on, and bind them
      * to the components that send through them (backend worker
-     * wakeups, ioeventfd kicks). The machine's per-CPU IPI channels —
-     * which carry VCPU kicks, virtual IPIs and Xen's event-channel
-     * notifications — are declared by its shard-aware constructor.
-     * Harnesses call this after the I/O backends are attached and
-     * before start(); declarations are idempotent by channel name, so
-     * a rebuild on a long-lived kernel is safe. The base
-     * implementation declares nothing.
+     * wakeups, ioeventfd kicks). The interrupt chip's IPI edge —
+     * which carries VCPU kicks, virtual IPIs and Xen's event-channel
+     * notifications — is declared by the chip itself. Harnesses call
+     * this after the I/O backends are attached and before start();
+     * declarations are idempotent by channel name, so a rebuild on a
+     * long-lived queue is safe. The base implementation declares
+     * nothing.
      */
-    virtual void declareShardChannels(ShardedEventKernel &) {}
+    virtual void declareShardChannels(EventQueue &) {}
 
     /**
      * Tap id of this family's per-VM world-switch counter

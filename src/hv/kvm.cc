@@ -71,7 +71,7 @@ KvmHypervisor::KvmHypervisor(Machine &m, bool vhe)
     // isolation tests can detect cross-context leaks.
     for (std::size_t i = 0; i < hostCtx.size(); ++i)
         hostCtx[i].regs.fillPattern(pol->hostRegPattern + i);
-    kvmTaps(); // intern before a sharded run freezes the counters
+    kvmTaps(); // intern before prepareForParallel() freezes counters
 }
 
 TapId
@@ -351,23 +351,16 @@ KvmHypervisor::ioSignalIn(Cycles t, Vcpu &v, Done done)
 }
 
 void
-KvmHypervisor::declareShardChannels(ShardedEventKernel &kern)
+KvmHypervisor::declareShardChannels(EventQueue &eq)
 {
     if (!_vhost)
         return;
-    const VhostBackend::Params &vp = _vhost->params();
-    // Softirq-to-worker rx handoff: zero modelled latency, so the
-    // host IRQ CPU and the vhost worker must share a lane (the kernel
-    // checks at declaration).
-    _vhost->bindWakeChannel(
-        &kern.channel("vhost.wake", cpuShard(vp.hostIrqPcpu),
-                      cpuShard(vp.workerPcpu), 0));
+    // Softirq-to-worker rx handoff: zero modelled latency.
+    _vhost->bindWakeChannel(&eq.channel("vhost.wake", 0));
     // Guest tx kick: any VCPU may trap and signal the ioeventfd; the
-    // kthread notify latency is the conservative lookahead that lets
-    // the kick cross lanes.
-    chIoeventfd = &kern.channel("kvm.ioeventfd", anyShard,
-                                cpuShard(vp.workerPcpu),
-                                params.vhostNotifyLatency);
+    // worker sees it no sooner than the kthread notify latency.
+    chIoeventfd =
+        &eq.channel("kvm.ioeventfd", params.vhostNotifyLatency);
 }
 
 void

@@ -59,7 +59,7 @@ class KvmHypervisor : public Hypervisor
 
     void start() override;
     TapId worldSwitchTap() const override;
-    void declareShardChannels(ShardedEventKernel &kern) override;
+    void declareShardChannels(EventQueue &eq) override;
 
     void hypercall(Cycles t, Vcpu &v, Done done) override;
     void irqControllerTrap(Cycles t, Vcpu &v, Done done) override;

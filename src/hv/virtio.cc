@@ -25,7 +25,7 @@ virtioTaps()
 VirtioQueue::VirtioQueue(Machine &m, Vm &guest, std::size_t capacity)
     : mach(m), guest(guest), capacity(capacity)
 {
-    virtioTaps(); // intern before a sharded run freezes the counters
+    virtioTaps(); // intern before prepareForParallel() freezes counters
 }
 
 Cycles

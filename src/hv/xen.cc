@@ -78,7 +78,7 @@ XenHypervisor::XenHypervisor(Machine &m)
                                  dom0_pins);
     dists[0] = std::make_unique<VgicDistributor>(*_dom0);
     evtchn = std::make_unique<EventChannel>(m);
-    xenTaps(); // intern before a sharded run freezes the counters
+    xenTaps(); // intern before prepareForParallel() freezes counters
 }
 
 TapId
@@ -425,18 +425,14 @@ XenHypervisor::ioSignalIn(Cycles t, Vcpu &v, Done done)
 }
 
 void
-XenHypervisor::declareShardChannels(ShardedEventKernel &kern)
+XenHypervisor::declareShardChannels(EventQueue &eq)
 {
     if (!_netback)
         return;
-    const NetbackBackend::Params &np = _netback->params();
     // NAPI-to-kthread rx handoff inside Dom0: zero modelled latency
-    // on one CPU, so both endpoints resolve to Dom0's lane. The
-    // frontend's tx kick crosses CPUs as a physical IPI and already
-    // rides the machine's per-CPU IPI channels.
-    _netback->bindWakeChannel(
-        &kern.channel("netback.wake", cpuShard(np.dom0Pcpu),
-                      cpuShard(np.dom0Pcpu), 0));
+    // on one CPU. The frontend's tx kick crosses CPUs as a physical
+    // IPI and already rides the interrupt chip's IPI edge.
+    _netback->bindWakeChannel(&eq.channel("netback.wake", 0));
 }
 
 void

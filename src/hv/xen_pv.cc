@@ -26,7 +26,7 @@ pvTaps()
 XenPvRing::XenPvRing(Machine &m, std::size_t capacity)
     : mach(m), capacity(capacity)
 {
-    pvTaps(); // intern before a sharded run freezes the counters
+    pvTaps(); // intern before prepareForParallel() freezes counters
 }
 
 Cycles
@@ -82,7 +82,7 @@ XenPvRing::ringOpCost() const
 
 EventChannel::EventChannel(Machine &m) : mach(m)
 {
-    pvTaps(); // intern before a sharded run freezes the counters
+    pvTaps(); // intern before prepareForParallel() freezes counters
 }
 
 int

@@ -2,7 +2,6 @@
 
 #include "sim/attrib.hh"
 #include "sim/log.hh"
-#include "sim/shard.hh"
 
 namespace virtsim {
 
@@ -36,9 +35,10 @@ chipTaps()
 
 IrqChip::IrqChip(EventQueue &eq, const CostModel &cm,
                  MetricsDomain &counters, Probe *probe)
-    : eq(eq), cm(cm), counters(counters), probe(probe)
+    : eq(eq), cm(cm), counters(counters), probe(probe),
+      ipi(eq.channel("ipi", cm.ipiFlight))
 {
-    chipTaps(); // intern before a sharded run freezes the counters
+    chipTaps(); // intern before prepareForParallel() freezes counters
 }
 
 PcpuId
@@ -86,40 +86,7 @@ IrqChip::sendIpi(Cycles t, PcpuId target, IrqId irq)
         }
         handler(td, target, irq);
     };
-    // The IPI flight time is the cross-shard lookahead: when bound,
-    // the send goes through the target CPU's declared channel and may
-    // safely cross lanes.
-    if (static_cast<std::size_t>(target) < ipiCh.size() &&
-        ipiCh[static_cast<std::size_t>(target)]) {
-        ipiCh[static_cast<std::size_t>(target)]->send(
-            td, chipTaps().irqDeliver, std::move(fire));
-    } else {
-        // No channel for this target: the IPI must stay on the
-        // target's own lane (deliveryQueue asserts that when the
-        // chip is shard-bound, e.g. under a plan that opted out of
-        // IPI channels).
-        deliveryQueue(target).scheduleAt(td, chipTaps().irqDeliver,
-                                         std::move(fire));
-    }
-}
-
-EventQueue &
-IrqChip::deliveryQueue(PcpuId cpu)
-{
-    if (static_cast<std::size_t>(cpu) < cpuQueues.size() &&
-        cpuQueues[static_cast<std::size_t>(cpu)]) {
-        // Zero-latency delivery is only sound within one lane: a
-        // raiseExternal/raisePpi for a CPU on another lane must
-        // instead be modelled through a channel with real latency.
-        const int lane = ShardedEventKernel::currentLane();
-        VIRTSIM_ASSERT(
-            lane < 0 ||
-                lane == cpuLanes[static_cast<std::size_t>(cpu)],
-            "zero-latency IRQ delivery to cpu ", cpu,
-            " from another lane; route it through a channel");
-        return *cpuQueues[static_cast<std::size_t>(cpu)];
-    }
-    return eq;
+    ipi.send(td, chipTaps().irqDeliver, std::move(fire));
 }
 
 void
@@ -128,7 +95,7 @@ IrqChip::deliver(Cycles t, PcpuId cpu, IrqId irq)
     VIRTSIM_ASSERT(handler, "no physical IRQ handler installed");
     // Schedule rather than call: delivery must respect event ordering
     // even when t == now.
-    deliveryQueue(cpu).scheduleAt(
+    eq.scheduleAt(
         t, chipTaps().irqDeliver,
         [this, t, cpu, irq] { handler(t, cpu, irq); });
 }

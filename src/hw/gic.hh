@@ -93,24 +93,6 @@ class IrqChip
     /** Cycle cost of one controller register access. */
     Cycles regAccessCost() const { return cm.irqChipRegAccess; }
 
-    /**
-     * Bind the chip to a sharded machine: deliveries land on each
-     * target CPU's own lane queue, and IPIs travel through the
-     * declared from-any channels (lookahead = ipiFlight), one per
-     * target CPU. Unbound chips (the default; unit tests, classic
-     * single-lane worlds) keep scheduling on their constructor queue.
-     * cpuQueue[i]/cpuLane[i]/ipiChannel[i] describe PhysicalCpu i.
-     */
-    void
-    bindShards(std::vector<EventQueue *> cpuQueue,
-               std::vector<int> cpuLane,
-               std::vector<ShardChannel *> ipiChannel)
-    {
-        cpuQueues = std::move(cpuQueue);
-        cpuLanes = std::move(cpuLane);
-        ipiCh = std::move(ipiChannel);
-    }
-
     /** Drop the installed handler, routing table, and any
      *  architecture-specific virtual-interrupt state, returning the
      *  chip to its just-constructed state. */
@@ -125,20 +107,14 @@ class IrqChip
     /** Deliver irq at cpu at time t by invoking the handler. */
     void deliver(Cycles t, PcpuId cpu, IrqId irq);
 
-    /** Queue delivery to this CPU lands on (its lane queue when
-     *  shard-bound, else the chip's constructor queue). */
-    EventQueue &deliveryQueue(PcpuId cpu);
-
     EventQueue &eq;
     const CostModel &cm;
     MetricsDomain &counters;
     Probe *probe; ///< may be null (standalone chip)
     Handler handler;
     std::map<IrqId, PcpuId> routes;
-    /** Shard bindings (empty when unbound). */
-    std::vector<EventQueue *> cpuQueues;
-    std::vector<int> cpuLanes;
-    std::vector<ShardChannel *> ipiCh;
+    /** Every IPI travels this edge; its latency is ipiFlight. */
+    ShardChannel &ipi;
 };
 
 /**

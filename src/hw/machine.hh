@@ -25,7 +25,6 @@
 #include "hw/vtimer.hh"
 #include "sim/event_queue.hh"
 #include "sim/probe.hh"
-#include "sim/shard.hh"
 
 namespace virtsim {
 
@@ -48,87 +47,12 @@ struct MachineConfig
 };
 
 /**
- * How a machine's components map onto the shards of a sharded kernel
- * (sim/shard.hh). The standard assignment gives PhysicalCpu i shard
- * 1+i and the device side (NIC, timers, wire, client) shard 0; this
- * plan then says which *lane* each of those shards runs on. The
- * default plan (everything on one lane) reproduces the serial kernel
- * exactly. Any two components coupled through zero-latency shared
- * state — a hypervisor's run queues, vhost worker and vring, client
- * and server of a MAERTS stream — must share a lane; only the
- * channel-mediated interactions (IPIs, the wire) may cross lanes.
- */
-struct MachineShardPlan
-{
-    /** Lane of PhysicalCpu i; empty = every CPU on deviceLane. */
-    std::vector<int> cpuLane;
-    /** Lane of shard 0 (devices, wire, client). */
-    int deviceLane = 0;
-    /**
-     * Declare the per-CPU from-any IPI channels. The channels are
-     * what lets IPIs cross lanes, but their lookahead (ipiFlight,
-     * ~360 cycles) is the tightest latency in the machine, so the
-     * conservative horizon of every lane shrinks to IPI quanta even
-     * in worlds that never send one. A world that routes all of its
-     * cross-CPU interaction through its own channels and sends no
-     * cross-lane IPIs may opt out; the delivery-queue lane assert
-     * still catches an IPI that then tries to cross lanes.
-     */
-    bool ipiChannels = true;
-
-    int
-    laneFor(PcpuId cpu) const
-    {
-        return cpuLane.empty()
-                   ? deviceLane
-                   : cpuLane[static_cast<std::size_t>(cpu)];
-    }
-
-    /**
-     * Load-balanced planning: pack nCpus per-CPU shards onto at most
-     * maxLanes lanes by longest-processing-time greedy packing —
-     * heaviest shard first onto the least-loaded lane, ties broken
-     * toward the lowest lane (and, among equal weights, the lowest
-     * CPU), so the plan is a pure function of its inputs.
-     *
-     * weights[i] estimates CPU i's event traffic: per-shard event
-     * counts from a profiling warmup (ShardedEventKernel::stats()
-     * lane events after a short representative run), or static
-     * weights like per-VM connection counts. Empty = uniform.
-     * deviceWeight preloads lane 0 with the device/wire/client
-     * side's share so CPUs prefer other lanes while any remain.
-     *
-     * The kernel's determinism bar (modelled results byte-identical
-     * at every VIRTSIM_SHARDS) already guarantees the plan cannot
-     * change results — only wall-clock balance. This is what lets
-     * VIRTSIM_SHARDS stay far below the CPU count on huge fleets:
-     * 256 VMs on a 16-lane kernel get ~16 CPUs per lane instead of
-     * demanding 257 lanes.
-     */
-    static MachineShardPlan
-    balanced(int nCpus, int maxLanes,
-             const std::vector<std::uint64_t> &weights = {},
-             std::uint64_t deviceWeight = 0);
-};
-
-/**
  * A running machine instance.
  */
 class Machine
 {
   public:
     Machine(EventQueue &eq, MachineConfig config);
-
-    /**
-     * Shard-aware construction: CPUs schedule on the lanes the plan
-     * assigns, the interrupt chip's IPIs travel through declared
-     * from-any channels (lookahead = ipiFlight), and the machine's
-     * shards are registered with the kernel. With a default plan and
-     * a single-lane kernel this is behaviorally identical to the
-     * EventQueue constructor.
-     */
-    Machine(ShardedEventKernel &kern, const MachineShardPlan &plan,
-            MachineConfig config);
 
     Machine(const Machine &) = delete;
     Machine &operator=(const Machine &) = delete;
@@ -145,15 +69,14 @@ class Machine
      * copies, packets, ...), keyed by interned TapId: a bump is an
      * array index and a relaxed atomic add, with no string and no
      * lock. Each counting file interns its taps in its component's
-     * constructor, so a sharded world can freeze the domain with
-     * prepareForParallel() before its lanes run. Private to the
-     * machine: MetricsRegistry::snapshot() never sees it.
+     * constructor, so a world can freeze the domain with
+     * prepareForParallel() before it runs. Private to the machine:
+     * MetricsRegistry::snapshot() never sees it.
      */
     MetricsDomain &counters() { return _counters; }
     const MetricsDomain &counters() const { return _counters; }
 
-    /** Queue PhysicalCpu `id` schedules on (its lane queue under a
-     *  shard plan; the machine queue otherwise). */
+    /** Queue PhysicalCpu `id` schedules on (the machine queue). */
     EventQueue &cpuQueue(PcpuId id) { return cpu(id).queue(); }
 
     /** Observability bundle (trace sink + metrics + profiler). */
@@ -164,9 +87,8 @@ class Machine
     /**
      * Freeze the counter domain and the metrics registry (with
      * per-CPU domains for nCpus CPUs) at the currently interned tap
-     * set, so shard lanes may bump counters concurrently. Call once,
-     * from the setup thread, before the lanes run; a tap first
-     * interned afterwards fails its first bump.
+     * set. Call once, before the run; a tap first interned
+     * afterwards fails its first bump.
      */
     void
     prepareForParallel(int nCpus)
@@ -220,10 +142,6 @@ class Machine
 
     MachineConfig cfg;
     EventQueue &eq;
-    /** Owning kernel under shard-aware construction; null for the
-     *  plain EventQueue constructor. Lets world-wide gauges sum over
-     *  lanes instead of reporting one lane's share. */
-    ShardedEventKernel *_kern = nullptr;
     MetricsDomain _counters{counterDomainName};
     Probe _probe;
     std::vector<std::unique_ptr<PhysicalCpu>> cpus;

@@ -25,7 +25,7 @@ memTaps()
 MainMemory::MainMemory(const CostModel &cm, MetricsDomain &counters)
     : cm(cm), counters(counters)
 {
-    memTaps(); // intern before a sharded run freezes the counters
+    memTaps(); // intern before prepareForParallel() freezes counters
 }
 
 BufferId

@@ -26,7 +26,7 @@ Wire::Wire(EventQueue &eq, MetricsDomain &counters,
            Cycles one_way_latency, Probe *probe)
     : eq(eq), counters(counters), latency(one_way_latency), probe(probe)
 {
-    wireTaps(); // intern before a sharded run freezes the counters
+    wireTaps(); // intern before prepareForParallel() freezes counters
 }
 
 void

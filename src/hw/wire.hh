@@ -41,11 +41,10 @@ class Wire
     void setClientEndpoint(Endpoint e) { toClient = std::move(e); }
 
     /**
-     * Route the two wire legs through declared shard channels
-     * (lookahead = the one-way latency) instead of the raw queue.
-     * The harness declares them so the wire's causal edges double as
-     * the client<->server lookahead when the simulation is sharded;
-     * unbound wires (unit tests) keep scheduling on their own queue.
+     * Route the two wire legs through declared latency edges
+     * (latency = the one-way latency) instead of the raw queue, so a
+     * delivery sooner than the wire allows fails loudly. Unbound
+     * wires (unit tests) keep scheduling on their own queue.
      */
     void
     bindChannels(ShardChannel *to_server, ShardChannel *to_client)

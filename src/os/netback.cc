@@ -31,7 +31,7 @@ NetbackBackend::NetbackBackend(Machine &m, Vm &dom0, Vm &domU,
       grants(m, domU), rx(m), tx(m)
 {
     VIRTSIM_ASSERT(p.dom0Pcpu < m.numCpus(), "dom0 pinned outside machine");
-    netbackTaps(); // intern before a sharded run freezes the counters
+    netbackTaps(); // intern before prepareForParallel() freezes counters
 
     // PV ring and grant-table gauges on Dom0's CPU track; same
     // lifetime argument as the vhost gauges (sampler cleared before

@@ -98,10 +98,9 @@ class NetbackBackend
     void markTxKick() { txFresh = true; }
 
     /**
-     * Route the NAPI-to-kthread wakeup through a declared shard
-     * channel (zero modelled latency: both run on Dom0's CPU, so the
-     * endpoints must share a lane). Unbound backends schedule on the
-     * machine queue, exactly as before.
+     * Route the NAPI-to-kthread wakeup through a declared channel
+     * (zero modelled latency: both run on Dom0's CPU). Unbound
+     * backends schedule on the machine queue, exactly as before.
      */
     void bindWakeChannel(ShardChannel *ch) { wakeCh = ch; }
 

@@ -32,7 +32,7 @@ VhostBackend::VhostBackend(Machine &m, Vm &guest,
     VIRTSIM_ASSERT(p.workerPcpu < m.numCpus() &&
                    p.hostIrqPcpu < m.numCpus(),
                    "vhost pinned outside machine");
-    vhostTaps(); // intern before a sharded run freezes the counters
+    vhostTaps(); // intern before prepareForParallel() freezes counters
 
     // Virtio/vhost queue-depth gauges, on the worker's CPU track.
     // The backend outlives the sampler's use of these captures: the

@@ -95,10 +95,8 @@ class VhostBackend
     const Params &params() const { return p; }
 
     /**
-     * Route the softirq-to-worker wakeup through a declared shard
-     * channel. The handoff has zero modelled latency, so the IRQ CPU
-     * and the worker CPU must share a lane (the sharded kernel
-     * enforces this at declaration). Unbound backends schedule on the
+     * Route the softirq-to-worker wakeup through a declared channel
+     * (zero modelled latency). Unbound backends schedule on the
      * machine queue, exactly as before.
      */
     void bindWakeChannel(ShardChannel *ch) { wakeCh = ch; }

@@ -540,10 +540,9 @@ buildGraphImpl(ForEach &&forEach)
         }
         g.edges.push_back(std::move(e));
     }
-    // `outs` iterates in token order, and tokens encode the stamping
-    // lane — a lane-count-dependent order. Re-sort edges by payload so
-    // downstream consumers (critical-path tie-breaks, incident JSON)
-    // are byte-identical at every VIRTSIM_SHARDS.
+    // `outs` iterates in token order, which is stamping order. Re-sort
+    // edges by payload so downstream consumers (critical-path
+    // tie-breaks, incident JSON) depend only on what was recorded.
     std::sort(g.edges.begin(), g.edges.end(),
               [](const CausalGraph::Edge &a,
                  const CausalGraph::Edge &b) {

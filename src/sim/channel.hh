@@ -1,91 +1,35 @@
 /**
  * @file
- * Explicit cross-shard channels for the sharded event kernel.
+ * Named cross-CPU latency edges.
  *
- * Every cross-CPU interaction in the simulated machine already flows
- * through a small set of mechanisms with *nonzero modelled latency*:
- * IPIs (CostModel::ipiFlight), GIC list-register programming followed
- * by guest ack, the 10 GbE wire (Wire::oneWayLatency), and backend
- * worker wakeups. A ShardChannel names one such mechanism, declares
- * its minimum latency, and becomes the only way the owning component
- * schedules work across shard boundaries.
+ * Every cross-CPU interaction in the simulated machine flows through a
+ * small set of mechanisms with *nonzero modelled latency*: IPIs
+ * (CostModel::ipiFlight), the 10 GbE wire (Wire::oneWayLatency) and
+ * backend worker wakeups. A ShardChannel names one such mechanism and
+ * declares its minimum latency; the owning component schedules the
+ * far side's work through it.
  *
- * The declared minimum latency is the *lookahead* of conservative
- * parallel discrete-event simulation (Chandy-Misra-Bryant family): if
- * every message from shard A to shard B arrives at least L cycles
- * after the event that sent it, then B can safely execute all events
- * earlier than clock(A) + L without waiting for A. The sharded kernel
- * (sim/shard.hh) aggregates the per-channel declarations into a
- * lane-to-lane lookahead matrix and computes each lane's safe horizon
- * from it.
- *
- * Sends through a channel whose endpoints live on the same lane
- * degenerate to a plain EventQueue::scheduleAt on that lane — exactly
- * the serial kernel's behavior, byte for byte. Cross-lane sends are
- * buffered in per-lane-pair mailboxes and merged deterministically at
- * the next synchronization round. Channel declarations are therefore
- * free when the simulation is not actually partitioned
- * (VIRTSIM_SHARDS=1, the default).
+ * A send is a plain EventQueue::scheduleAt on the world's one queue,
+ * plus a model invariant: a message never arrives sooner than its
+ * declared latency after the current simulated time. A component that
+ * undershoots its own declared latency fails loudly instead of
+ * quietly modelling a faster machine.
  */
 
 #ifndef VIRTSIM_SIM_CHANNEL_HH
 #define VIRTSIM_SIM_CHANNEL_HH
 
-#include <atomic>
-#include <cstdint>
 #include <string>
 
 #include "sim/event_queue.hh"
+#include "sim/log.hh"
 #include "sim/types.hh"
 
 namespace virtsim {
 
-class ShardedEventKernel;
-
 /**
- * Identifier of a shard: a partition of the simulated world whose
- * components share one event lane. Convention (hw/machine.cc,
- * core/testbed.cc): shard 0 holds the device/wire/client side, shard
- * 1+i holds PhysicalCpu i. Several shards may map onto one lane
- * (laneOf); components coupled through zero-latency shared state must
- * map to the same lane.
- */
-using ShardId = int;
-
-/** Shard 0: NIC, wire, client model, timers. */
-inline constexpr ShardId deviceShard = 0;
-
-/** Wildcard source for channels any shard may send through (IPIs:
- *  the sender is whichever CPU executes the send). */
-inline constexpr ShardId anyShard = -1;
-
-/** Shard of PhysicalCpu `cpu` under the standard assignment. */
-constexpr ShardId
-cpuShard(PcpuId cpu)
-{
-    return 1 + cpu;
-}
-
-/**
- * One directed lane-to-lane edge of the channel graph, as aggregated
- * by the kernel from every channel declaration: `peer` is the other
- * endpoint's lane and `look` the tightest declared lookahead on the
- * edge. The kernel keeps per-lane in/out adjacency lists of these so
- * the per-round LBTS propagation walks O(edges declared), not the
- * full lane × lane matrix — the matrix is only the build-time
- * aggregation structure, never the per-round working set.
- */
-struct LaneEdge
-{
-    int peer;
-    Cycles look;
-};
-
-/**
- * One declared cross-shard edge. Obtained from
- * ShardedEventKernel::channel(); never constructed directly. Sends
- * are deterministic for a fixed workload regardless of how shards map
- * to lanes or threads.
+ * One declared latency edge. Obtained from EventQueue::channel();
+ * never constructed directly.
  */
 class ShardChannel
 {
@@ -94,14 +38,10 @@ class ShardChannel
     ShardChannel &operator=(const ShardChannel &) = delete;
 
     /**
-     * Schedule fn at absolute time `when` on the destination shard's
-     * lane.
-     * @pre when is at least the sending lane's current time plus
-     *      lookahead() — the declared minimum latency is a contract,
-     *      checked, not a hint.
-     * @return the event id when the send was same-lane (cancellable,
-     *         exactly scheduleAt); invalidEventId for cross-lane
-     *         sends, which cannot be cancelled once in flight.
+     * Schedule fn at absolute time `when`.
+     * @pre when >= now() + latency() — the declared minimum latency
+     *      is a contract, checked, not a hint.
+     * @return the event id (cancellable, exactly scheduleAt's).
      */
     EventId
     send(Cycles when, EventFn fn)
@@ -111,50 +51,31 @@ class ShardChannel
 
     /** Labeled variant; the label feeds the kernel profiler exactly
      *  as the labeled scheduleAt does. */
-    EventId send(Cycles when, TapId label, EventFn fn);
+    EventId
+    send(Cycles when, TapId label, EventFn fn)
+    {
+        VIRTSIM_ASSERT(when >= q.now() + _latency, "channel '", _name,
+                       "' send at ", when, " violates declared latency ",
+                       _latency, " from time ", q.now());
+        return q.scheduleAt(when, label, std::move(fn));
+    }
 
     const std::string &name() const { return _name; }
-    ShardId srcShard() const { return src; }
-    ShardId dstShard() const { return dst; }
 
-    /** Declared minimum latency (the conservative lookahead). */
-    Cycles lookahead() const { return look; }
-
-    /** Whether the endpoints resolved to different lanes (if not,
-     *  every send is a plain same-lane scheduleAt). */
-    bool crossLane() const { return _crossLane; }
-
-    /** Lane messages through this channel arrive on. */
-    int dstLane() const { return _dstLane; }
-
-    /** Messages sent so far (same-lane and cross-lane alike). */
-    std::uint64_t
-    sent() const
-    {
-        return _sent.load(std::memory_order_relaxed);
-    }
+    /** Declared minimum latency. */
+    Cycles latency() const { return _latency; }
 
   private:
-    friend class ShardedEventKernel;
+    friend class EventQueue;
 
-    ShardChannel(ShardedEventKernel *kern, std::string name,
-                 ShardId src, ShardId dst, Cycles look, int dstLane,
-                 bool crossLane)
-        : kern(kern), _name(std::move(name)), src(src), dst(dst),
-          look(look), _dstLane(dstLane), _crossLane(crossLane)
+    ShardChannel(EventQueue &q, std::string name, Cycles latency)
+        : q(q), _name(std::move(name)), _latency(latency)
     {
     }
 
-    ShardedEventKernel *kern;
+    EventQueue &q;
     std::string _name;
-    ShardId src;
-    ShardId dst;
-    Cycles look;
-    int _dstLane;
-    bool _crossLane;
-    /** Relaxed: from-any channels (IPIs) are sent through by several
-     *  lanes concurrently; the total is order-independent. */
-    std::atomic<std::uint64_t> _sent{0};
+    Cycles _latency;
 };
 
 } // namespace virtsim

@@ -3,7 +3,27 @@
 #include <algorithm>
 #include <utility>
 
+#include "sim/channel.hh"
+
 namespace virtsim {
+
+EventQueue::EventQueue() = default;
+
+EventQueue::~EventQueue() = default;
+
+ShardChannel &
+EventQueue::channel(std::string name, Cycles latency)
+{
+    for (auto &ch : channels) {
+        if (ch->_name == name) {
+            ch->_latency = std::min(ch->_latency, latency);
+            return *ch;
+        }
+    }
+    channels.push_back(std::unique_ptr<ShardChannel>(
+        new ShardChannel(*this, std::move(name), latency)));
+    return *channels.back();
+}
 
 void
 EventQueue::siftUp(std::size_t pos)

@@ -36,6 +36,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "sim/inline_function.hh"
@@ -44,6 +45,8 @@
 #include "sim/types.hh"
 
 namespace virtsim {
+
+class ShardChannel;
 
 /** Callback type fired when an event's time arrives. Captures are
  *  stored inline; oversized captures fail to compile. */
@@ -67,7 +70,8 @@ inline constexpr Cycles noPendingEvent = ~Cycles{0};
 class EventQueue
 {
   public:
-    EventQueue() = default;
+    EventQueue();
+    ~EventQueue();
 
     EventQueue(const EventQueue &) = delete;
     EventQueue &operator=(const EventQueue &) = delete;
@@ -177,8 +181,7 @@ class EventQueue
     /**
      * Earliest pending event's timestamp, or noPendingEvent when the
      * queue is drained. Dead entries surfacing at the top are purged
-     * as a side effect. This is the lane-clock probe the sharded
-     * kernel's conservative horizon computation is built on.
+     * as a side effect.
      */
     Cycles
     nextEventTime()
@@ -190,9 +193,9 @@ class EventQueue
     /**
      * Fire every event with timestamp strictly below bound, leaving
      * the clock at the last fired event (unlike runUntil, the clock
-     * is NOT advanced to the bound). Used by the sharded kernel to
-     * advance one lane to its conservative horizon: events at or past
-     * the bound might still be preceded by a cross-shard message.
+     * is NOT advanced to the bound). The fleet runs to each timeline
+     * sampling instant this way, so a sample at t sees every event
+     * below t and none at or after it.
      * @return number of events fired.
      */
     std::size_t runBefore(Cycles bound);
@@ -230,6 +233,16 @@ class EventQueue
     /** Drop all pending events (used between experiment repetitions).
      *  Arena slots are retained and recycled by later schedules. */
     void clear();
+
+    /**
+     * Declare a named latency edge on this queue (sim/channel.hh).
+     * Redeclaring a name — a harness rebuilding its world on a
+     * long-lived queue — returns the existing channel with the
+     * tighter of the two latencies. Channels survive clear() and
+     * reset().
+     * @return a stable reference, valid for the queue's lifetime.
+     */
+    ShardChannel &channel(std::string name, Cycles latency);
 
     /** clear() plus rewind simulated time and the tie-break sequence
      *  to zero, so a recycled queue schedules and fires in exactly
@@ -352,6 +365,7 @@ class EventQueue
     std::uint64_t nextSeq = 0;
     std::uint64_t _compactions = 0;
     EventKernelProfiler *profiler = nullptr;
+    std::vector<std::unique_ptr<ShardChannel>> channels;
 };
 
 } // namespace virtsim

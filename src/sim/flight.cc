@@ -9,7 +9,6 @@
 #include <sstream>
 #include <tuple>
 
-#include "sim/lane.hh"
 #include "sim/log.hh"
 
 namespace virtsim {
@@ -80,7 +79,7 @@ FlightRecorder::configure(Cycles windowHalf, Cycles period,
     window = windowHalf;
     _period = period;
     // Covers any window at its capture tick: capture runs at the
-    // first barrier tick past end, so now - begin <= 2W + period.
+    // first sampling tick past end, so now - begin <= 2W + period.
     // The slack absorbs coarse tick alignment.
     _retention = 2 * window + 8 * period;
     keyShift = static_cast<unsigned>(std::bit_width(period)) - 1;
@@ -88,16 +87,16 @@ FlightRecorder::configure(Cycles windowHalf, Cycles period,
 }
 
 void
-FlightRecorder::Seg::allocate()
+FlightRecorder::Store::allocate()
 {
-    ring = std::make_unique<TraceRecord[]>(segCapacity);
-    order = std::make_unique<Link[]>(segCapacity + 1);
-    expiry = std::make_unique<Link[]>(segCapacity + wheelBuckets);
+    ring = std::make_unique<TraceRecord[]>(windowCapacity);
+    order = std::make_unique<Link[]>(windowCapacity + 1);
+    expiry = std::make_unique<Link[]>(windowCapacity + wheelBuckets);
     clear();
 }
 
 void
-FlightRecorder::Seg::clear()
+FlightRecorder::Store::clear()
 {
     freeHead = noSlot;
     fresh = 0;
@@ -110,8 +109,8 @@ FlightRecorder::Seg::clear()
         return;
     // Empty chains are self-linked sentinels. Slots are handed out
     // fresh before any is recycled, so stale slot links need no sweep.
-    order[segCapacity] = Link{segCapacity, segCapacity};
-    for (std::size_t b = segCapacity; b < segCapacity + wheelBuckets;
+    order[windowCapacity] = Link{windowCapacity, windowCapacity};
+    for (std::size_t b = windowCapacity; b < windowCapacity + wheelBuckets;
          ++b) {
         const auto u = static_cast<std::uint16_t>(b);
         expiry[b] = Link{u, u};
@@ -119,9 +118,9 @@ FlightRecorder::Seg::clear()
 }
 
 void
-FlightRecorder::Seg::append(std::uint16_t slot, std::uint64_t key)
+FlightRecorder::Store::append(std::uint16_t slot, std::uint64_t key)
 {
-    constexpr std::uint16_t tail = segCapacity;
+    constexpr std::uint16_t tail = windowCapacity;
     const std::uint16_t last = order[tail].prev;
     order[slot] = Link{last, tail};
     order[last].next = slot;
@@ -130,7 +129,7 @@ FlightRecorder::Seg::append(std::uint16_t slot, std::uint64_t key)
     if (key < wheelLo)
         key = wheelLo;
     const auto head = static_cast<std::uint16_t>(
-        segCapacity + (key & (wheelBuckets - 1)));
+        windowCapacity + (key & (wheelBuckets - 1)));
     const std::uint16_t first = expiry[head].next;
     expiry[slot] = Link{head, first};
     expiry[first].prev = slot;
@@ -138,7 +137,7 @@ FlightRecorder::Seg::append(std::uint16_t slot, std::uint64_t key)
 }
 
 void
-FlightRecorder::Seg::unlink(std::uint16_t slot)
+FlightRecorder::Store::unlink(std::uint16_t slot)
 {
     const Link o = order[slot];
     order[o.prev].next = o.next;
@@ -150,7 +149,7 @@ FlightRecorder::Seg::unlink(std::uint16_t slot)
 }
 
 void
-FlightRecorder::Seg::drop(std::uint16_t slot)
+FlightRecorder::Store::drop(std::uint16_t slot)
 {
     unlink(slot);
     order[slot].next = freeHead;
@@ -158,7 +157,7 @@ FlightRecorder::Seg::drop(std::uint16_t slot)
 }
 
 void
-FlightRecorder::Seg::dropStale(std::size_t head, Cycles cut)
+FlightRecorder::Store::dropStale(std::size_t head, Cycles cut)
 {
     for (std::size_t x = expiry[head].next; x != head;) {
         const std::size_t next = expiry[x].next;
@@ -169,14 +168,38 @@ FlightRecorder::Seg::dropStale(std::size_t head, Cycles cut)
 }
 
 void
-FlightRecorder::prepareForParallel(int lanes)
+FlightRecorder::Store::evictBefore(Cycles cut, std::uint64_t hiKey)
 {
-    VIRTSIM_ASSERT(lanes >= 1, "flight recorder needs >= 1 lane");
-    segs = std::vector<Seg>(static_cast<std::size_t>(lanes));
-    if (_enabled) {
-        for (Seg &s : segs)
-            s.allocate();
+    // Pop oldest-first by insertion. Records may be stamped out of
+    // when-order (frontier charging future-dates GIC and span stamps;
+    // completion-time stamping back-dates whole spans), so a
+    // young-stamped record at the head stops this fast path early —
+    // which only under-evicts.
+    while (count > 0 && ring[oldest()].when < cut)
+        drop(oldest());
+    // When under-eviction has let the store grow near capacity, drop
+    // every stale record wherever it sits; the order chain keeps the
+    // survivors' relative order.
+    if (count < windowCapacity - windowCapacity / 4)
+        return;
+    if (hiKey < wheelLo) {
+        // The clock ran backwards past a previous compaction: records
+        // filed under wheelLo may be stale, so check all.
+        for (std::uint16_t x = oldest(); x != windowCapacity;) {
+            const std::uint16_t next = order[x].next;
+            if (ring[x].when < cut)
+                drop(x);
+            x = next;
+        }
+        return;
     }
+    // Every stale record is filed under a key in [wheelLo, hiKey]; one
+    // wheel turn covers all keys when the range is wider.
+    const std::uint64_t keys =
+        std::min<std::uint64_t>(hiKey - wheelLo + 1, wheelBuckets);
+    for (std::uint64_t k = wheelLo; k < wheelLo + keys; ++k)
+        dropStale(windowCapacity + (k & (wheelBuckets - 1)), cut);
+    wheelLo = hiKey;
 }
 
 void
@@ -184,10 +207,8 @@ FlightRecorder::enable()
 {
     VIRTSIM_ASSERT(window > 0 && _period > 0,
                    "FlightRecorder::enable() before configure()");
-    for (Seg &s : segs) {
-        if (!s.ring)
-            s.allocate();
-    }
+    if (!store.ring)
+        store.allocate();
     nGauges = timeline ? timeline->gaugeCount() : 0;
     rowCap = static_cast<std::size_t>(_retention / _period) + 4;
     rowWhen = std::make_unique<Cycles[]>(rowCap);
@@ -200,23 +221,12 @@ FlightRecorder::enable()
     _enabled = true;
 }
 
-FlightRecorder::Seg &
-FlightRecorder::laneSeg()
-{
-    const int l = currentExecLane();
-    const std::size_t i =
-        (l < 1 || static_cast<std::size_t>(l) >= segs.size())
-            ? 0
-            : static_cast<std::size_t>(l);
-    return segs[i];
-}
-
 void
 FlightRecorder::pushRecord(const TraceRecord &r)
 {
-    Seg &s = laneSeg();
+    Store &s = store;
     std::uint16_t slot;
-    if (s.count == segCapacity) {
+    if (s.count == windowCapacity) {
         // Overwriting a record retention has not evicted yet: the
         // window it belonged to may capture incomplete. Count it and
         // remember how recent the loss was so capture can flag it.
@@ -251,39 +261,7 @@ FlightRecorder::evict(Cycles now)
     // A record is stale iff when + R < now, so its wheel key is at
     // most this.
     const std::uint64_t hiKey = (now - 1) >> keyShift;
-    for (Seg &s : segs) {
-        // Pop oldest-first by insertion. Records may be stamped out
-        // of when-order (frontier charging future-dates GIC and span
-        // stamps; completion-time stamping back-dates whole spans),
-        // so a young-stamped record at the head stops this fast path
-        // early — which only under-evicts.
-        while (s.count > 0 && s.ring[s.oldest()].when < cut)
-            s.drop(s.oldest());
-        // When under-eviction has let the segment grow near capacity,
-        // drop every stale record wherever it sits; the order chain
-        // keeps the survivors' relative order. Barrier context, so
-        // the owning lane is quiescent.
-        if (s.count < segCapacity - segCapacity / 4)
-            continue;
-        if (hiKey < s.wheelLo) {
-            // The clock ran backwards past a previous compaction:
-            // records filed under wheelLo may be stale, so check all.
-            for (std::uint16_t x = s.oldest(); x != segCapacity;) {
-                const std::uint16_t next = s.order[x].next;
-                if (s.ring[x].when < cut)
-                    s.drop(x);
-                x = next;
-            }
-            continue;
-        }
-        // Every stale record is filed under a key in [wheelLo, hiKey];
-        // one wheel turn covers all keys when the range is wider.
-        const std::uint64_t keys =
-            std::min<std::uint64_t>(hiKey - s.wheelLo + 1, wheelBuckets);
-        for (std::uint64_t k = s.wheelLo; k < s.wheelLo + keys; ++k)
-            s.dropStale(segCapacity + (k & (wheelBuckets - 1)), cut);
-        s.wheelLo = hiKey;
-    }
+    store.evictBefore(cut, hiKey);
     while (rowCount > 0) {
         const std::size_t tail =
             (rowHead + rowCap - rowCount) % rowCap;
@@ -315,22 +293,18 @@ FlightRecorder::appendRow(Cycles now)
 std::vector<TraceRecord>
 FlightRecorder::collectWindow(Cycles begin, Cycles end) const
 {
-    // Canonical merge: the TraceSink::forEachMerged key. Records
-    // sharing a track are stamped by one lane, so the per-lane write
-    // position breaks (when, kind, track) ties deterministically and
-    // the result is a pure function of the record multiset —
-    // byte-identical at every lane count.
+    // Canonical merge: the TraceSink::forEachMerged key, with the
+    // write position breaking (when, kind, track) ties.
     struct Ref
     {
         TraceRecord rec;
         std::uint64_t pos;
     };
     std::vector<Ref> refs;
-    for (const Seg &s : segs) {
-        if (!s.ring)
-            continue;
+    const Store &s = store;
+    if (s.ring) {
         std::uint64_t pos = s.total - s.count;
-        for (std::uint16_t x = s.oldest(); x != segCapacity;
+        for (std::uint16_t x = s.oldest(); x != windowCapacity;
              x = s.order[x].next, ++pos) {
             const TraceRecord &r = s.ring[x];
             if (r.when < begin || r.when > end)
@@ -449,10 +423,8 @@ FlightRecorder::capture(Pending &p, bool clipped)
     inc.begin = p.begin;
     inc.end = p.end;
     inc.clipped = clipped;
-    for (const Seg &s : segs) {
-        if (s.forced > 0 && s.maxForcedWhen >= inc.begin)
-            inc.truncated = true;
-    }
+    inc.truncated =
+        store.forced > 0 && store.maxForcedWhen >= inc.begin;
 
     inc.records = collectWindow(inc.begin, inc.end);
 
@@ -546,10 +518,7 @@ FlightRecorder::incident(std::size_t i) const
 std::size_t
 FlightRecorder::retainedRecords() const
 {
-    std::size_t n = 0;
-    for (const Seg &s : segs)
-        n += s.count;
-    return n;
+    return store.count;
 }
 
 std::string
@@ -718,8 +687,7 @@ FlightRecorder::writeAnnotationEvents(std::ostream &os,
 void
 FlightRecorder::reset()
 {
-    for (Seg &s : segs)
-        s.clear();
+    store.clear();
     rowHead = 0;
     rowCount = 0;
     pendings.clear();

@@ -13,29 +13,27 @@
  * window into a structured incident the instant a trigger fires.
  *
  * Cost model mirrors TraceSink: the stamping tee (record()) is one
- * predictable branch while disabled and lane-local ring stores while
- * enabled — zero cross-lane synchronization, zero allocation. All
- * bookkeeping (eviction, reference sealing, incident capture) runs in
- * a timeline post-sample hook: barrier context, every lane quiescent,
- * at period-aligned simulated instants — so it is race-free and its
- * results are lane-count independent.
+ * predictable branch while disabled and ring stores while enabled —
+ * zero allocation. All bookkeeping (eviction, reference sealing,
+ * incident capture) runs in a timeline post-sample hook at
+ * period-aligned simulated instants.
  *
  * Window model: a trigger at simulated time t freezes [t−W, t+W]
  * (W = VIRTSIM_INCIDENT_WINDOW_US, owned by the world that arms the
  * recorder). Records are retained for R = 2W + 8·period behind the
- * barrier clock, which always covers a full window at the moment it
- * is captured: capture happens at the first barrier tick strictly
+ * sampling clock, which always covers a full window at the moment it
+ * is captured: capture happens at the first sampling tick strictly
  * after t+W, i.e. at now ≤ t+W+period, and now − (t−W) ≤ 2W+period
  * < R. Span End records may be stamped *ahead* of the event that
  * produced them (frontier charging), so eviction is driven by the
- * barrier clock only — never by stamped record times.
+ * sampling clock only — never by stamped record times.
  *
  * Trigger sources: watchdog anomaly open/close (TimelineSampler's
  * anomaly hook) and SLO burn breach (SloEngine's breach hook).
  * Same-tick firings merge into one incident. Each captured incident
  * carries: the in-window record multiset (canonically sorted — the
- * same key TraceSink::forEachMerged uses, so bytes are identical at
- * every VIRTSIM_SHARDS), a CausalAnalyzer blame report over just the
+ * same key TraceSink::forEachMerged uses), a CausalAnalyzer blame
+ * report over just the
  * window, the window's critical path, a blame diff against a healthy
  * reference window sealed early in the run ("what changed when the
  * anomaly started"), in-window gauge series, and per-phase latency
@@ -76,12 +74,12 @@ struct FlightIncident
     /** Run ended before the post-trigger half of the window elapsed;
      *  end was clamped to the final time. */
     bool clipped = false;
-    /** A lane ring overwrote records stamped at/after begin — the
+    /** The window ring overwrote records stamped at/after begin — the
      *  window may be missing context (surfaced, never silent). */
     bool truncated = false;
 
     /** In-window records, canonically sorted (when, EdgeOut-first,
-     *  track, per-lane write position). */
+     *  track, write position). */
     std::vector<TraceRecord> records;
 
     /** Per-primitive self-cycle blame over just the window. */
@@ -116,20 +114,18 @@ struct FlightIncident
  * (TraceSink::setFlightRecorder) and by a timeline post-sample hook.
  *
  * Setup order: configure() the window, bind() the timeline and
- * request tracker, prepareForParallel() alongside the sink, then
- * enable() *last* — after every gauge is registered (installTimeline,
- * registerGauges) — since enable() sizes the tick-row storage from
- * the bound timeline's gauge count.
+ * request tracker, then enable() *last* — after every gauge is
+ * registered (installTimeline) — since enable() sizes the tick-row
+ * storage from the bound timeline's gauge count.
  */
 class FlightRecorder
 {
   public:
-    /** Per-lane window capacity (records). A saturated serial world
-     *  does wrap it: every 16-VM open-loop overload run overwrites
-     *  live records and exports truncated windows. More lanes only
-     *  add capacity. */
-    static constexpr std::size_t segCapacity = 1u << 15;
-    /** Expiry-wheel buckets per segment (see Seg). */
+    /** Window capacity (records). A saturated world does wrap it:
+     *  every 16-VM open-loop overload run overwrites live records and
+     *  exports truncated windows. */
+    static constexpr std::size_t windowCapacity = 1u << 15;
+    /** Expiry-wheel buckets (see Store). */
     static constexpr std::size_t wheelBuckets = 1u << 12;
 
     FlightRecorder() = default;
@@ -153,15 +149,9 @@ class FlightRecorder
         tracker = lat;
     }
 
-    /** Partition the window ring into `lanes` lane-local segments
-     *  (the TraceSink shape). Setup thread only. */
-    void prepareForParallel(int lanes);
-
-    int laneCount() const { return static_cast<int>(segs.size()); }
-
-    /** Arm recording. Allocates the ring segments and tick-row
-     *  storage; call after configure()/bind()/prepareForParallel()
-     *  and after the bound timeline registered every gauge. */
+    /** Arm recording. Allocates the window ring and tick-row
+     *  storage; call after configure()/bind() and after the bound
+     *  timeline registered every gauge. */
     void enable();
 
     void disable() { _enabled = false; }
@@ -172,7 +162,7 @@ class FlightRecorder
 
     /** @name Stamping tee
      *  Hot path, called for every TraceSink push. Disabled: one
-     *  predictable branch. Enabled: lane-local ring stores only. */
+     *  predictable branch. Enabled: ring stores only. */
     ///@{
     void
     record(const TraceRecord &r)
@@ -187,8 +177,8 @@ class FlightRecorder
      * Open a pending incident around simulated instant `now`.
      * Triggers at the same instant merge into one incident; beyond
      * the incident cap the firing is counted in incidentsDropped().
-     * Barrier/setup context only (trigger sources are timeline and
-     * SLO hooks, which run at barrier ticks).
+     * Trigger sources are timeline and SLO hooks, which run at
+     * sampling ticks.
      */
     void trigger(Cycles now, std::string source);
 
@@ -198,7 +188,7 @@ class FlightRecorder
 
     /**
      * Window maintenance, run as a timeline post-sample hook at every
-     * barrier tick: evict records and tick rows past retention,
+     * sampling tick: evict records and tick rows past retention,
      * append the tick row (gauge values + latency cumulatives), seal
      * the healthy reference window once 2W of run has elapsed, and
      * capture any pending incident whose window has fully elapsed.
@@ -214,11 +204,11 @@ class FlightRecorder
     /** Trigger firings lost to the incident cap. */
     std::uint64_t incidentsDropped() const { return _dropped; }
 
-    /** Records currently retained across all lane segments. */
+    /** Records currently retained. */
     std::size_t retainedRecords() const;
 
     /** Retained records stamped in [begin, end], canonically sorted
-     *  (when, EdgeOut-first, track, per-lane insertion rank) — what
+     *  (when, EdgeOut-first, track, insertion rank) — what
      *  an incident over that window freezes. */
     std::vector<TraceRecord> collectWindow(Cycles begin,
                                            Cycles end) const;
@@ -253,36 +243,32 @@ class FlightRecorder
 
   private:
     /** Doubly linked chain node; 16 bits address every slot and
-     *  sentinel of a segment. */
+     *  sentinel of the store. */
     struct Link
     {
         std::uint16_t prev = 0;
         std::uint16_t next = 0;
     };
     static constexpr std::uint16_t noSlot = 0xffff;
-    static_assert(segCapacity + wheelBuckets <= noSlot,
-                  "flight segment links are 16-bit");
+    static_assert(windowCapacity + wheelBuckets <= noSlot,
+                  "flight store links are 16-bit");
 
     /**
-     * One lane's retained records. While lanes run it is written only
-     * by its lane's thread; segment 0 doubles as the setup-context
-     * segment (the TraceSink clamp).
-     *
-     * Records sit in a slot pool threaded on two chains. The order
-     * chain keeps insertion order: eviction's fast path and
-     * overwrite-oldest pop its head, and collectWindow's tiebreak is
-     * a record's rank on it. The expiry chains form a bucket wheel
-     * keyed by (when + retention) >> keyShift, so a compaction visits
-     * only the buckets that can hold stale records — O(dropped +
-     * buckets passed) — with a per-record check that keeps stamps
-     * one or more wheel turns ahead exact.
+     * The retained records. Records sit in a slot pool threaded on
+     * two chains. The order chain keeps insertion order: eviction's
+     * fast path and overwrite-oldest pop its head, and
+     * collectWindow's tiebreak is a record's rank on it. The expiry
+     * chains form a bucket wheel keyed by (when + retention) >>
+     * keyShift, so a compaction visits only the buckets that can hold
+     * stale records — O(dropped + buckets passed) — with a per-record
+     * check that keeps stamps one or more wheel turns ahead exact.
      */
-    struct Seg
+    struct Store
     {
         std::unique_ptr<TraceRecord[]> ring; ///< slot pool
-        /** Insertion order; sentinel at index segCapacity. */
+        /** Insertion order; sentinel at index windowCapacity. */
         std::unique_ptr<Link[]> order;
-        /** Wheel chains; bucket b's sentinel at segCapacity + b. */
+        /** Wheel chains; bucket b's sentinel at windowCapacity + b. */
         std::unique_ptr<Link[]> expiry;
         std::uint16_t freeHead = noSlot; ///< recycled slots via order
         std::size_t fresh = 0;   ///< slots [fresh, capacity) never used
@@ -290,7 +276,7 @@ class FlightRecorder
          *  keyed below it file under it. */
         std::uint64_t wheelLo = 0;
         std::size_t count = 0; ///< live records
-        std::uint64_t total = 0;  ///< records ever written here
+        std::uint64_t total = 0;  ///< records ever written
         std::uint64_t forced = 0; ///< overwrites of unevicted records
         Cycles maxForcedWhen = 0; ///< newest stamp lost to overwrite
 
@@ -299,12 +285,15 @@ class FlightRecorder
         std::uint16_t
         oldest() const
         {
-            return order[segCapacity].next;
+            return order[windowCapacity].next;
         }
         void append(std::uint16_t slot, std::uint64_t key);
         void unlink(std::uint16_t slot);
         void drop(std::uint16_t slot);
         void dropStale(std::size_t head, Cycles cut);
+        /** Drop records stamped before `cut`; every stale record is
+         *  filed under a wheel key at most `hiKey`. */
+        void evictBefore(Cycles cut, std::uint64_t hiKey);
     };
 
     /** A trigger whose post-window has not elapsed yet. */
@@ -316,7 +305,6 @@ class FlightRecorder
         std::vector<std::string> sources;
     };
 
-    Seg &laneSeg();
     void pushRecord(const TraceRecord &r);
     void evict(Cycles now);
     void appendRow(Cycles now);
@@ -334,7 +322,7 @@ class FlightRecorder
     unsigned keyShift = 0;
     std::uint32_t cap = 0; ///< captured-incident cap
 
-    std::vector<Seg> segs = std::vector<Seg>(1);
+    Store store;
 
     /** Tick-row ring: per-tick gauge values and latency cumulatives,
      *  laid out flat (row r at r·stride). */

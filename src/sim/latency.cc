@@ -15,9 +15,8 @@ namespace {
  * Nearest-rank quantile at bucket resolution over `count` samples in
  * [lo, hi]: the highest value equivalent to the sample of rank
  * ceil(q * count), clamped into [lo, hi]. `group(g)` and `bucket(i)`
- * return summed counts, so one walk serves a single histogram and a
- * fold across lane segments. Whole groups below the rank are skipped,
- * then one group is walked bucket by bucket.
+ * return the histogram's group and bucket counts. Whole groups below
+ * the rank are skipped, then one group is walked bucket by bucket.
  */
 template <class GroupFn, class BucketFn>
 std::uint64_t
@@ -133,29 +132,10 @@ RequestTracker::configure(int nCpus)
 {
     VIRTSIM_ASSERT(nCpus > 0, "RequestTracker needs >= 1 CPU");
     _cpus = nCpus;
-    allocateSegs(1);
-}
-
-void
-RequestTracker::prepareForParallel(int lanes)
-{
-    VIRTSIM_ASSERT(_cpus > 0,
-                   "RequestTracker::prepareForParallel() before "
-                   "configure()");
-    VIRTSIM_ASSERT(lanes >= 1, "need >= 1 lane");
-    allocateSegs(static_cast<std::size_t>(lanes));
-}
-
-void
-RequestTracker::allocateSegs(std::size_t lanes)
-{
-    // Free the old storage first and build each segment in place: no
-    // template segment copied, so the peak is the new storage alone.
-    segs.clear();
-    segs.resize(lanes);
-    for (auto &seg : segs)
-        seg = std::vector<LatencyHistogram>(
-            static_cast<std::size_t>(_cpus + 1) * numLatencyPhases);
+    // Free the old storage first, so the peak is the new table alone.
+    table.clear();
+    table = std::vector<LatencyHistogram>(
+        static_cast<std::size_t>(_cpus + 1) * numLatencyPhases);
 }
 
 void
@@ -164,17 +144,16 @@ RequestTracker::recordEnabled(int cpu, LatencyPhase phase,
 {
     VIRTSIM_ASSERT(cpu >= 0 && cpu < _cpus,
                    "RequestTracker: cpu ", cpu, " out of range");
-    std::vector<LatencyHistogram> &seg = laneSeg();
-    seg[slotOf(cpu, phase)].add(value);
-    seg[slotOf(-1, phase)].add(value);
+    table[slotOf(cpu, phase)].add(value);
+    table[slotOf(-1, phase)].add(value);
 }
 
-std::size_t
-RequestTracker::readSlot(int cpu, LatencyPhase phase) const
+const LatencyHistogram &
+RequestTracker::slot(int cpu, LatencyPhase phase) const
 {
     VIRTSIM_ASSERT(cpu >= -1 && cpu < _cpus,
                    "RequestTracker: cpu ", cpu, " out of range");
-    return slotOf(cpu, phase);
+    return table[slotOf(cpu, phase)];
 }
 
 LatencyHistogram
@@ -182,98 +161,53 @@ RequestTracker::merged(int cpu, LatencyPhase phase) const
 {
     VIRTSIM_ASSERT(cpu >= 0 && cpu < _cpus,
                    "RequestTracker: cpu ", cpu, " out of range");
-    LatencyHistogram out;
-    for (const auto &seg : segs)
-        out.merge(seg[slotOf(cpu, phase)]);
-    return out;
+    return table[slotOf(cpu, phase)];
 }
 
 LatencyHistogram
 RequestTracker::aggregate(LatencyPhase phase) const
 {
-    LatencyHistogram out;
-    for (const auto &seg : segs)
-        out.merge(seg[slotOf(-1, phase)]);
-    return out;
+    return slot(-1, phase);
 }
 
 std::uint64_t
 RequestTracker::totalCount(LatencyPhase phase, int cpu) const
 {
-    const std::size_t slot = readSlot(cpu, phase);
-    std::uint64_t n = 0;
-    for (const auto &seg : segs)
-        n += seg[slot].count();
-    return n;
+    return slot(cpu, phase).count();
 }
 
 std::uint64_t
 RequestTracker::totalSum(LatencyPhase phase, int cpu) const
 {
-    const std::size_t slot = readSlot(cpu, phase);
-    std::uint64_t n = 0;
-    for (const auto &seg : segs)
-        n += seg[slot].sum();
-    return n;
+    return slot(cpu, phase).sum();
 }
 
 std::uint64_t
 RequestTracker::totalAbove(LatencyPhase phase,
                            std::uint64_t threshold, int cpu) const
 {
-    const std::size_t slot = readSlot(cpu, phase);
-    std::uint64_t n = 0;
-    for (const auto &seg : segs)
-        n += seg[slot].countAbove(threshold);
-    return n;
+    return slot(cpu, phase).countAbove(threshold);
 }
 
 std::uint64_t
 RequestTracker::quantileAcross(LatencyPhase phase, double q,
                                int cpu) const
 {
-    const std::size_t slot = readSlot(cpu, phase);
-    // Exact count and min/max across the lanes for ranking and
-    // clamping.
-    std::uint64_t total = 0;
-    std::uint64_t lo = UINT64_MAX, hi = 0;
-    for (const auto &seg : segs) {
-        const LatencyHistogram &h = seg[slot];
-        if (h.empty())
-            continue;
-        total += h.count();
-        lo = h.min() < lo ? h.min() : lo;
-        hi = h.max() > hi ? h.max() : hi;
-    }
-    return rankWalk(
-        total, lo, hi, q,
-        [&](std::size_t g) {
-            std::uint64_t n = 0;
-            for (const auto &seg : segs)
-                n += seg[slot].groupCount(g);
-            return n;
-        },
-        [&](std::size_t i) {
-            std::uint64_t n = 0;
-            for (const auto &seg : segs)
-                n += seg[slot].bucketCount(i);
-            return n;
-        });
+    return slot(cpu, phase).quantile(q);
 }
 
 void
 RequestTracker::reset()
 {
-    for (auto &seg : segs)
-        for (auto &h : seg)
-            h.reset();
+    for (auto &h : table)
+        h.reset();
     lastId = 0;
 }
 
 void
 RequestTracker::clear()
 {
-    segs.clear();
+    table.clear();
     _cpus = 0;
     _enabled = false;
     lastId = 0;

@@ -1,7 +1,7 @@
 /**
  * @file
  * Request-latency observability: a bounded-memory HDR-style histogram
- * and a lane-partitioned per-request phase tracker.
+ * and a per-request phase tracker.
  *
  * ROADMAP item 1 asks for p99/p999 tail percentiles and SLO violation
  * rates, not just the paper's means. SampleStat answers exact
@@ -11,17 +11,14 @@
  * LatencyHistogram fills the gap: log-linear buckets (HdrHistogram's
  * scheme) give a fixed <=0.79% relative error at every magnitude in a
  * fixed 58 KB footprint, and merging is bucket-wise integer addition —
- * exact and order-independent, so per-lane shards fold into the same
- * view a serial run records directly (the PR 7 determinism bar).
+ * exact and order-independent.
  *
  * RequestTracker layers the fleet/request model on top: per-CPU
  * histograms for each latency phase of a request/response transaction
  * (RTT plus its decomposition into client think, wire flight, server
- * queue wait, and service), partitioned per execution lane exactly
- * like TraceSink ring segments and the EventKernelProfiler arrays —
- * record() writes only the calling lane's own pre-sized storage, so
- * the hot stamp path performs no allocation and no cross-lane
- * synchronization, and the disabled path is one predicted branch.
+ * queue wait, and service). record() writes pre-sized storage, so
+ * the hot stamp path performs no allocation, and the disabled path is
+ * one predicted branch.
  */
 
 #ifndef VIRTSIM_SIM_LATENCY_HH
@@ -33,7 +30,6 @@
 #include <string>
 #include <vector>
 
-#include "sim/lane.hh"
 #include "sim/log.hh"
 #include "sim/types.hh"
 
@@ -55,8 +51,8 @@ namespace virtsim {
  * octave's 128 buckets.
  *
  * merge() is bucket-wise integer addition plus exact count/sum/
- * min/max folds: exact, commutative and associative, which is what
- * makes per-lane shards deterministic to merge in any order.
+ * min/max folds: exact, commutative and associative, so histograms
+ * merge deterministically in any order.
  */
 class LatencyHistogram
 {
@@ -235,38 +231,21 @@ inline constexpr std::size_t numLatencyPhases = 5;
 const char *to_string(LatencyPhase phase);
 
 /**
- * Per-CPU, per-phase latency recording with lane-partitioned storage.
+ * Per-CPU, per-phase latency recording.
  *
- * Life cycle mirrors the other lane-native sinks: configure(nCpus)
- * sizes the serial (single-segment) storage, prepareForParallel(lanes)
- * re-partitions it so each kernel lane owns a private histogram array,
- * enable() arms recording. record() then indexes the calling thread's
- * lane segment (clamping the setup/export context, lane -1, to
- * segment 0 — also the only segment a single-lane kernel uses) and
- * does two dozen integer operations on pre-sized arrays: no locks, no
- * allocation. While disabled, record() is one predicted branch.
- *
- * Each lane segment also keeps one all-CPU row per phase, which
- * record() writes beside the per-CPU slot, so a whole-fleet read
- * (cpu = -1) folds one histogram per lane rather than lanes × CPUs.
- *
- * The read side (merged()/aggregate()/quantile helpers) folds lane
- * segments with LatencyHistogram::merge — exact and order-independent
- * — so every derived number is byte-identical at any lane count.
- * Reads must not race recording: call them from the setup/export
- * context or a barrier (timeline sample hooks run at barrier rounds
- * with all lanes quiescent).
+ * configure(nCpus) sizes the table, enable() arms recording. record()
+ * then does two dozen integer operations on pre-sized arrays: no
+ * locks, no allocation. While disabled, record() is one predicted
+ * branch. Beside each per-CPU slot, record() also writes one all-CPU
+ * row per phase, so a whole-fleet read (cpu = -1) reads one histogram
+ * rather than folding every CPU's.
  */
 class RequestTracker
 {
   public:
-    /** Size storage for `nCpus` server CPUs, one (serial) segment.
-     *  Drops previously recorded data. */
+    /** Size storage for `nCpus` server CPUs. Drops previously
+     *  recorded data. */
     void configure(int nCpus);
-
-    /** Re-partition into `lanes` private segments. @pre configured.
-     *  Call from the setup thread before lanes run. */
-    void prepareForParallel(int lanes);
 
     /** Arm recording. @pre configured. */
     void
@@ -281,14 +260,13 @@ class RequestTracker
 
     int cpus() const { return _cpus; }
 
-    /** Fresh request id. Client-side only: call from one lane (the
-     *  fleet's lane 0) or the setup thread. */
+    /** Fresh request id (client side). */
     std::uint64_t nextRequestId() { return ++lastId; }
     std::uint64_t requestsIssued() const { return lastId; }
 
     /** Record one phase latency for a request served by `cpu`. The
      *  hot path: one predicted branch when disabled, zero-alloc
-     *  lane-local bucket increments when enabled. */
+     *  bucket increments when enabled. */
     void
     record(int cpu, LatencyPhase phase, Cycles value)
     {
@@ -297,39 +275,34 @@ class RequestTracker
         recordEnabled(cpu, phase, value);
     }
 
-    /** Lane-merged histogram for one (cpu, phase) slot. */
+    /** Histogram for one (cpu, phase) slot. @pre 0 <= cpu < cpus() */
     LatencyHistogram merged(int cpu, LatencyPhase phase) const;
 
-    /** Lane-merged histogram for a phase across every CPU. */
+    /** Histogram for a phase across every CPU. */
     LatencyHistogram aggregate(LatencyPhase phase) const;
 
-    /** Streaming aggregate count for a phase (no 58 KB copies) —
-     *  cpu = -1 reads the all-CPU row. @pre -1 <= cpu < cpus() */
+    /** Sample count for a phase — cpu = -1 reads the all-CPU row.
+     *  @pre -1 <= cpu < cpus() */
     std::uint64_t totalCount(LatencyPhase phase, int cpu = -1) const;
 
-    /** Streaming aggregate sum of recorded values (cycles) — the
-     *  flight recorder's per-window mean comes from delta(sum)/
-     *  delta(count) between two barrier instants. */
+    /** Sum of recorded values (cycles) — the flight recorder's
+     *  per-window mean comes from delta(sum)/delta(count) between two
+     *  sampling instants. */
     std::uint64_t totalSum(LatencyPhase phase, int cpu = -1) const;
 
-    /** Streaming aggregate of LatencyHistogram::countAbove. */
+    /** LatencyHistogram::countAbove of the slot. */
     std::uint64_t totalAbove(LatencyPhase phase,
                              std::uint64_t threshold,
                              int cpu = -1) const;
 
-    /**
-     * Streaming aggregate quantile: walks the group summaries and
-     * then one group's buckets, summing lane segments on the fly, so
-     * the per-sample cost is at most lanes × (numGroups + subBuckets)
-     * visits rather than histogram copies. Used by the SLO engine's
-     * per-tick rolling quantile gauge. Same result as
-     * aggregate(phase).quantile(q), byte for byte.
-     */
+    /** LatencyHistogram::quantile of the slot, read in place (no
+     *  58 KB copy) — the SLO engine's per-tick rolling quantile
+     *  gauge. */
     std::uint64_t quantileAcross(LatencyPhase phase, double q,
                                  int cpu = -1) const;
 
-    /** Zero recorded data; keep configuration, partitioning and the
-     *  enabled flag (the Probe::reset() contract, like
+    /** Zero recorded data; keep configuration and the enabled flag
+     *  (the Probe::reset() contract, like
      *  TimelineSampler::resetSeries). */
     void reset();
 
@@ -339,8 +312,6 @@ class RequestTracker
 
   private:
     void recordEnabled(int cpu, LatencyPhase phase, Cycles value);
-    /** Zeroed storage for `lanes` segments of the configured CPUs. */
-    void allocateSegs(std::size_t lanes);
 
     /** Row 0 is the all-CPU row (cpu = -1); CPU c owns row c + 1. */
     static std::size_t
@@ -350,27 +321,14 @@ class RequestTracker
                static_cast<std::size_t>(phase);
     }
 
-    /** Slot for a read of `cpu` (-1 = all CPUs), range-checked. */
-    std::size_t readSlot(int cpu, LatencyPhase phase) const;
-
-    /** Lane segment the calling thread records into. */
-    std::vector<LatencyHistogram> &
-    laneSeg()
-    {
-        const int l = currentExecLane();
-        const std::size_t li =
-            (l < 1 || static_cast<std::size_t>(l) >= segs.size())
-                ? 0
-                : static_cast<std::size_t>(l);
-        return segs[li];
-    }
+    /** Slot of a read of `cpu` (-1 = all CPUs), range-checked. */
+    const LatencyHistogram &slot(int cpu, LatencyPhase phase) const;
 
     int _cpus = 0;
     bool _enabled = false;
     std::uint64_t lastId = 0;
-    /** [lane][slotOf(cpu, phase)]; one entry in serial mode,
-     *  resized only by configure()/prepareForParallel(). */
-    std::vector<std::vector<LatencyHistogram>> segs;
+    /** [slotOf(cpu, phase)], sized by configure(). */
+    std::vector<LatencyHistogram> table;
 };
 
 class Frequency;
@@ -383,7 +341,7 @@ class Frequency;
  * cross-check the exported values (scripts/validate_latency.py).
  * `sloJson` is a pre-rendered JSON array of SLO verdicts (sim/slo) or
  * empty for "[]"; latency stays below slo in the include graph.
- * Deterministic: derived from lane-merged exact integers only.
+ * Deterministic: derived from exact integers only.
  */
 std::string renderLatencyJson(const RequestTracker &tracker,
                               const Frequency &freq,

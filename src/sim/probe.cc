@@ -10,7 +10,6 @@
 
 #include "sim/flight.hh"
 #include "sim/log.hh"
-#include "sim/shard_profile.hh"
 
 namespace virtsim {
 
@@ -141,27 +140,11 @@ TraceSink::setCapacity(std::size_t records)
     while (n < records)
         n <<= 1;
     cap = n;
-    for (Seg &s : segs) {
-        // Uninitialized on purpose: slots are write-before-read, and
-        // a zero-fill here would fault in every page of a ring most
-        // runs only partially use.
-        s.ring = std::make_unique_for_overwrite<TraceRecord[]>(n);
-        s.head = 0;
-        s.total = 0;
-        s.truncated = 0;
-        s.edgeSeq = 0;
-        s.obsMark = 0;
-    }
-}
-
-void
-TraceSink::prepareForParallel(int lanes)
-{
-    VIRTSIM_ASSERT(lanes >= 1 && lanes <= maxLanes,
-                   "bad trace lane count ", lanes);
-    segs.resize(static_cast<std::size_t>(lanes));
-    if (cap > 0)
-        setCapacity(cap); // re-ring every segment, dropping records
+    // Uninitialized on purpose: slots are write-before-read, and a
+    // zero-fill here would fault in every page of a ring most runs
+    // only partially use.
+    ring = std::make_unique_for_overwrite<TraceRecord[]>(n);
+    clear();
 }
 
 bool
@@ -173,33 +156,27 @@ TraceSink::mergeLess(const MergeRef &a, const MergeRef &b)
         return a.kindPrio < b.kindPrio;
     if (a.track != b.track)
         return a.track < b.track;
-    if (a.seg != b.seg)
-        return a.seg < b.seg;
     return a.pos < b.pos;
 }
 
 std::vector<TraceSink::MergeRef>
-TraceSink::mergeOrder() const
+TraceSink::mergeOrder(std::uint64_t mark) const
 {
+    const std::size_t n = size();
+    const std::uint64_t first = _total - n;
+    const std::uint64_t from = mark > first ? mark : first;
     std::vector<MergeRef> order;
-    order.reserve(size());
-    for (std::size_t si = 0; si < segs.size(); ++si) {
-        const Seg &s = segs[si];
-        const std::size_t n = segSize(s);
-        const std::uint64_t first = s.total - n;
-        for (std::size_t i = 0; i < n; ++i) {
-            const std::size_t slot =
-                s.total <= cap ? i : (s.head + i) & (cap - 1);
-            const TraceRecord &r = s.ring[slot];
-            order.push_back({r.when, first + i,
-                             static_cast<std::uint32_t>(si),
-                             static_cast<std::uint32_t>(slot), r.track,
-                             static_cast<std::uint8_t>(
-                                 r.kind == TraceKind::EdgeOut ? 0
-                                                              : 1)});
-        }
+    order.reserve(static_cast<std::size_t>(_total - from));
+    for (std::uint64_t i = from; i < _total; ++i) {
+        const std::size_t slot =
+            slotOf(static_cast<std::size_t>(i - first));
+        const TraceRecord &r = ring[slot];
+        order.push_back({r.when, i, static_cast<std::uint32_t>(slot),
+                         r.track,
+                         static_cast<std::uint8_t>(
+                             r.kind == TraceKind::EdgeOut ? 0 : 1)});
     }
-    // No ties: (seg, pos) is unique, so the non-stable sort is
+    // No ties: pos is unique, so the non-stable sort is
     // deterministic.
     std::sort(order.begin(), order.end(), mergeLess);
     return order;
@@ -210,34 +187,10 @@ TraceSink::flushObserver()
 {
     if (!obs || !obsDeferred)
         return;
-    std::vector<MergeRef> batch;
-    for (std::size_t si = 0; si < segs.size(); ++si) {
-        Seg &s = segs[si];
-        const std::size_t n = segSize(s);
-        const std::uint64_t first = s.total - n;
-        const std::uint64_t from =
-            s.obsMark > first ? s.obsMark : first;
-        for (std::uint64_t i = from; i < s.total; ++i) {
-            const auto idx = static_cast<std::size_t>(i - first);
-            const std::size_t slot =
-                s.total <= cap ? idx : (s.head + idx) & (cap - 1);
-            batch.push_back({s.ring[slot].when, i,
-                             static_cast<std::uint32_t>(si),
-                             static_cast<std::uint32_t>(slot),
-                             s.ring[slot].track,
-                             static_cast<std::uint8_t>(
-                                 s.ring[slot].kind ==
-                                         TraceKind::EdgeOut
-                                     ? 0
-                                     : 1)});
-        }
-        s.obsMark = s.total;
-    }
-    if (batch.empty())
-        return;
-    std::sort(batch.begin(), batch.end(), mergeLess);
+    const std::vector<MergeRef> batch = mergeOrder(obsMark);
+    obsMark = _total;
     for (const MergeRef &m : batch)
-        obs->onTraceRecord(segs[m.seg].ring[m.slot]);
+        obs->onTraceRecord(ring[m.slot]);
 }
 
 std::optional<Cycles>
@@ -277,40 +230,10 @@ TraceSink::between(std::uint64_t flow, TapId from, TapId to) const
     return std::nullopt;
 }
 
-namespace {
-
-/** Emit a shard profile's per-lane wall-time splits as Chrome counter
- *  events ("ph":"C"), one track per lane, pinned at ts 0 (the values
- *  are whole-run host-time totals, not simulated-time samples). */
-void
-writeShardProfileCounters(std::ostream &os, const ShardProfile &p)
-{
-    for (std::size_t i = 0; i < p.lanes.size(); ++i) {
-        const ShardProfile::Lane &ln = p.lanes[i];
-        // Sparse like the JSON export: spare fleet lanes that never
-        // ran or stalled get no counter track.
-        if (ln.busyNs == 0 && ln.stallNs == 0 && ln.events == 0 &&
-            ln.stallRounds == 0)
-            continue;
-        os << ",\n{\"ph\":\"C\",\"pid\":0,\"tid\":0,\"ts\":0.0000,"
-              "\"name\":\"shard.lane"
-           << i << ".walltime_us\",\"cat\":\"shard\",\"args\":{"
-              "\"busy\":"
-           << formatUs(static_cast<double>(ln.busyNs) / 1e3)
-           << ",\"wait\":"
-           << formatUs(static_cast<double>(p.waitNs(i)) / 1e3)
-           << ",\"stall\":"
-           << formatUs(static_cast<double>(ln.stallNs) / 1e3) << "}}";
-    }
-}
-
-} // namespace
-
 void
 writeChromeTrace(std::ostream &os, const TraceSink &sink,
                  const Frequency &freq, const std::string &process,
                  const TimelineSampler *timeline,
-                 const ShardProfile *profile,
                  const FlightRecorder *flight)
 {
     os << "{\"traceEvents\":[\n";
@@ -348,9 +271,8 @@ writeChromeTrace(std::ostream &os, const TraceSink &sink,
            << "}}";
     }
 
-    // Raw edge tokens encode the issuing lane, so their values depend
-    // on the lane partition; renumber flows by first appearance in
-    // canonical merged order, which does not.
+    // Renumber flows by first appearance in canonical merged order,
+    // so flow ids do not depend on stamping order.
     std::unordered_map<std::uint64_t, std::uint64_t> flowIds;
     sink.forEachMerged([&os, &freq, &flowIds](const TraceRecord &r) {
         // Causal edges render as Chrome flow events: an arrow from
@@ -387,12 +309,6 @@ writeChromeTrace(std::ostream &os, const TraceSink &sink,
     if (timeline)
         timeline->writeCounterEvents(os, freq);
 
-    // Per-lane kernel wall-time splits render alongside, one counter
-    // track per lane. Host-clock measurements: only merged in when
-    // explicitly passed, so deterministic exports stay deterministic.
-    if (profile)
-        writeShardProfileCounters(os, *profile);
-
     // Captured incident windows annotate the timeline so the forensic
     // JSON and the Perfetto view line up on the same instants.
     if (flight)
@@ -407,7 +323,6 @@ bool
 exportChromeTrace(const std::string &path, const TraceSink &sink,
                   const Frequency &freq, const std::string &process,
                   const TimelineSampler *timeline,
-                  const ShardProfile *profile,
                   const FlightRecorder *flight)
 {
     std::ofstream os(path);
@@ -420,8 +335,7 @@ exportChromeTrace(const std::string &path, const TraceSink &sink,
              " dropped records, ", sink.truncatedSpans(),
              " truncated spans (raise VIRTSIM_TRACE_CAPACITY)");
     }
-    writeChromeTrace(os, sink, freq, process, timeline, profile,
-                     flight);
+    writeChromeTrace(os, sink, freq, process, timeline, flight);
     return true;
 }
 
@@ -502,16 +416,6 @@ MetricsRegistry::prepareForParallel(int nCpus)
         dom->prepareForParallel(taps);
     for (auto &dom : _cpus)
         dom->prepareForParallel(taps);
-}
-
-void
-MetricsRegistry::endParallel()
-{
-    _machine->endParallel();
-    for (auto &[key, dom] : _vms)
-        dom->endParallel();
-    for (auto &dom : _cpus)
-        dom->endParallel();
 }
 
 void
@@ -675,55 +579,21 @@ MetricsSnapshot::toJson() const
     return out;
 }
 
-void
-EventKernelProfiler::prepareForParallel(int lanes,
-                                        std::size_t tapCount)
-{
-    VIRTSIM_ASSERT(lanes >= 1, "bad profiler lane count ", lanes);
-    hists.clear();
-    // Raw tap ids are 1-based; slot 0 holds the invalid label.
-    laneHists.assign(static_cast<std::size_t>(lanes),
-                     std::vector<HistogramStat>(tapCount + 1));
-}
-
-std::size_t
-EventKernelProfiler::labelLimit() const
-{
-    return laneHists.empty() ? hists.size() : laneHists[0].size();
-}
-
-HistogramStat
-EventKernelProfiler::mergedAt(std::size_t i) const
-{
-    HistogramStat h;
-    for (const std::vector<HistogramStat> &lane : laneHists) {
-        if (i < lane.size())
-            h.merge(lane[i]);
-    }
-    return h;
-}
-
 const HistogramStat *
 EventKernelProfiler::histogram(TapId label) const
 {
     const std::size_t i = label.raw();
-    if (laneHists.empty()) {
-        if (i >= hists.size() || hists[i].count() == 0)
-            return nullptr;
-        return &hists[i];
-    }
-    if (i >= labelLimit())
+    if (i >= hists.size() || hists[i].count() == 0)
         return nullptr;
-    mergeScratch = mergedAt(i);
-    return mergeScratch.count() == 0 ? nullptr : &mergeScratch;
+    return &hists[i];
 }
 
 std::string
 EventKernelProfiler::render() const
 {
     std::vector<std::pair<std::string, HistogramStat>> rows;
-    for (std::size_t i = 0; i < labelLimit(); ++i) {
-        HistogramStat h = laneHists.empty() ? hists[i] : mergedAt(i);
+    for (std::size_t i = 0; i < hists.size(); ++i) {
+        const HistogramStat &h = hists[i];
         if (h.count() == 0)
             continue;
         const TapId tap = TapId::fromRaw(static_cast<std::uint32_t>(i));

@@ -37,7 +37,6 @@
 #include <string_view>
 #include <vector>
 
-#include "sim/lane.hh"
 #include "sim/latency.hh"
 #include "sim/log.hh"
 #include "sim/stats.hh"
@@ -47,7 +46,6 @@
 
 namespace virtsim {
 
-struct ShardProfile;
 class FlightRecorder;
 
 /**
@@ -135,7 +133,7 @@ struct TraceRecord
 
 static_assert(sizeof(TraceRecord) == 24, "TraceRecord grew");
 
-/** Feed one record into a flight recorder's lane-local window ring.
+/** Feed one record into a flight recorder's window ring.
  *  Defined in sim/flight.cc; declared here so TraceSink::push can tee
  *  without including the flight header (probe.hh sits below it). */
 void flightRecordBridge(FlightRecorder &fr, const TraceRecord &r);
@@ -155,32 +153,21 @@ class TraceObserver
 };
 
 /**
- * Fixed-capacity ring buffer of trace records, partitioned into
- * lane-local segments. Disabled by default: every stamping call is
- * then a single predictable branch. When a segment is full its oldest
- * records are overwritten and counted in dropped() — overflow is
- * never silent (the exporter and reports surface the count).
+ * Fixed-capacity ring buffer of trace records. Disabled by default:
+ * every stamping call is then a single predictable branch. When the
+ * ring is full its oldest records are overwritten and counted in
+ * dropped() — overflow is never silent (the exporter and reports
+ * surface the count).
  *
- * Lane model: the sink owns one ring segment per kernel lane
- * (prepareForParallel(); one segment — the classic serial shape — by
- * default). A stamping call writes only the calling thread's own
- * segment (currentExecLane(), clamped to segment 0 for setup-context
- * stamping), so concurrent lanes never synchronize, share a cache
- * line, or contend while stamping. Exports visit the segments through
- * a canonical merge (see forEachMerged) whose order is a pure
- * function of the record multiset, making exported bytes identical at
- * every lane count as long as no records were dropped. Capacity is
- * per segment.
+ * Exports visit the ring through a canonical merge (see
+ * forEachMerged): records sorted by time, with a fixed tie-break, so
+ * an export does not depend on the order in which same-instant
+ * records happened to be stamped.
  */
 class TraceSink
 {
   public:
     static constexpr std::size_t defaultCapacity = 1u << 15;
-
-    /** Edge tokens reserve this many low bits for the issuing lane,
-     *  so per-lane token sequences never collide. */
-    static constexpr int laneTokenBits = 10;
-    static constexpr int maxLanes = 1 << laneTokenBits;
 
     /** Start recording (allocates the ring on first use). */
     void
@@ -195,68 +182,41 @@ class TraceSink
     bool enabled() const { return _enabled; }
 
     /**
-     * Resize each lane segment (rounded up to a power of two) and
-     * drop all records. Call before enabling, or between runs.
+     * Resize the ring (rounded up to a power of two) and drop all
+     * records. Call before enabling, or between runs.
      */
     void setCapacity(std::size_t records);
 
-    /** Capacity of each lane segment. */
     std::size_t capacity() const { return cap; }
 
-    /**
-     * Partition the sink into `lanes` ring segments (dropping any
-     * held records), so each kernel lane stamps into its own segment
-     * with zero cross-lane synchronization. Call from the setup
-     * thread, before lanes run. A single-lane world needs no call:
-     * the default single segment is the serial shape.
-     */
-    void prepareForParallel(int lanes);
-
-    int laneCount() const { return static_cast<int>(segs.size()); }
-
     /** Drop all records, the dropped/truncated counts and the edge
-     *  token sequences; capacity, segmentation, the enabled flag and
-     *  any attached observer are retained. */
+     *  token sequence; capacity, the enabled flag and any attached
+     *  observer are retained. */
     void
     clear()
     {
-        for (Seg &s : segs) {
-            s.head = 0;
-            s.total = 0;
-            s.truncated = 0;
-            s.edgeSeq = 0;
-            s.obsMark = 0;
-        }
+        head = 0;
+        _total = 0;
+        truncated = 0;
+        edgeSeq = 0;
+        obsMark = 0;
     }
 
-    /** Records currently retained, across all segments. */
+    /** Records currently retained. */
     std::size_t
     size() const
     {
-        std::size_t n = 0;
-        for (const Seg &s : segs)
-            n += segSize(s);
-        return n;
+        return _total < cap ? static_cast<std::size_t>(_total) : cap;
     }
 
-    /** Records ever written (retained + dropped), all segments. */
-    std::uint64_t
-    total() const
-    {
-        std::uint64_t n = 0;
-        for (const Seg &s : segs)
-            n += s.total;
-        return n;
-    }
+    /** Records ever written (retained + dropped). */
+    std::uint64_t total() const { return _total; }
 
-    /** Records overwritten because a segment wrapped. */
+    /** Records overwritten because the ring wrapped. */
     std::uint64_t
     dropped() const
     {
-        std::uint64_t n = 0;
-        for (const Seg &s : segs)
-            n += s.total > cap ? s.total - cap : 0;
-        return n;
+        return _total > cap ? _total - cap : 0;
     }
 
     /**
@@ -267,14 +227,7 @@ class TraceSink
      * reports and the exporter surface it, and Probe::syncTraceHealth
      * publishes it into the metrics snapshot.
      */
-    std::uint64_t
-    truncatedSpans() const
-    {
-        std::uint64_t n = 0;
-        for (const Seg &s : segs)
-            n += s.truncated;
-        return n;
-    }
+    std::uint64_t truncatedSpans() const { return truncated; }
 
     /** Attach (or detach, with nullptr) a streaming observer that
      *  sees every record pushed while the sink is enabled. */
@@ -282,35 +235,27 @@ class TraceSink
 
     TraceObserver *observer() const { return obs; }
 
-    /**
-     * Tee every pushed record into a flight recorder's sliding window
-     * (or stop, with nullptr). Unlike observers there is no deferred
-     * mode: the recorder keeps lane-partitioned rings of its own, so
-     * the tee is lane-local and race-free from concurrent stamping
-     * lanes.
-     */
+    /** Tee every pushed record into a flight recorder's sliding
+     *  window (or stop, with nullptr). */
     void setFlightRecorder(FlightRecorder *fr) { flight_ = fr; }
 
     FlightRecorder *flightRecorder() const { return flight_; }
 
     /**
-     * Switch observer dispatch from inline (at every push, on the
-     * stamping thread — the classic streaming mode) to deferred:
-     * records accumulate in their lane segments and are delivered in
-     * canonical merged order by flushObserver(), which the sharded
-     * kernel calls at every barrier round. Multi-lane worlds MUST use
-     * deferred mode — inline dispatch from concurrent lanes would
-     * race on the observer.
+     * Switch observer dispatch from inline (at every push — the
+     * classic streaming mode) to deferred: records accumulate in the
+     * ring and are delivered in canonical merged order by
+     * flushObserver(), which the fleet calls at every timeline
+     * sampling instant.
      */
     void setObserverDeferred(bool on) { obsDeferred = on; }
     bool observerDeferred() const { return obsDeferred; }
 
     /**
-     * Deliver every not-yet-delivered record to the observer, merged
-     * across segments in canonical order. Call between rounds (or
-     * after a run) from one thread. Records a segment overwrote
-     * before a flush reached them are lost to the observer and show
-     * up in dropped() — flush at least once per ring-fill to stream
+     * Deliver every not-yet-delivered record to the observer in
+     * canonical merged order. Records the ring overwrote before a
+     * flush reached them are lost to the observer and show up in
+     * dropped() — flush at least once per ring-fill to stream
      * losslessly.
      */
     void flushObserver();
@@ -386,11 +331,9 @@ class TraceSink
      * backend wakeup) and return its token. The token travels with
      * the simulated payload and is redeemed by edgeIn() where the
      * effect lands, linking spans on different tracks into one causal
-     * graph. A token is (per-lane sequence << laneTokenBits) | lane —
-     * nonzero, never reused across lanes without any cross-lane
-     * counter, reset by clear(). Token *values* depend on the lane
-     * partition; exporters renumber flows by first appearance in
-     * canonical merged order, which does not.
+     * graph. Tokens are a nonzero sequence, reset by clear();
+     * exporters renumber flows by first appearance in canonical
+     * merged order.
      * @return 0 when disabled (edgeIn ignores token 0).
      */
     std::uint64_t
@@ -399,12 +342,9 @@ class TraceSink
     {
         if (!_enabled) [[likely]]
             return 0;
-        Seg &s = laneSeg();
-        const std::uint64_t token =
-            (++s.edgeSeq << laneTokenBits) |
-            static_cast<std::uint64_t>(&s - segs.data());
-        push(s, TraceRecord{when, token, tap, track, TraceKind::EdgeOut,
-                            cat});
+        const std::uint64_t token = ++edgeSeq;
+        push(TraceRecord{when, token, tap, track, TraceKind::EdgeOut,
+                         cat});
         return token;
     }
 
@@ -423,26 +363,15 @@ class TraceSink
 
     /** @name Analysis */
     ///@{
-    /** i-th retained record, i in [0, size()): segment concatenation
-     *  order — segment 0 in write order, then segment 1, and so on.
-     *  With one segment (the classic serial shape) this is exactly
-     *  historical write order. */
+    /** i-th retained record in write order, i in [0, size()). */
     const TraceRecord &
     at(std::size_t i) const
     {
-        for (const Seg &s : segs) {
-            const std::size_t n = segSize(s);
-            if (i < n)
-                return s.ring[s.total <= cap
-                                  ? i
-                                  : (s.head + i) & (cap - 1)];
-            i -= n;
-        }
-        VIRTSIM_ASSERT(false, "TraceSink::at(): index out of range");
-        return segs[0].ring[0];
+        VIRTSIM_ASSERT(i < size(), "TraceSink::at(): index out of range");
+        return ring[slotOf(i)];
     }
 
-    /** Visit retained records in concatenation order (see at()). */
+    /** Visit retained records in write order. */
     template <typename Fn>
     void
     forEach(Fn &&fn) const
@@ -453,40 +382,28 @@ class TraceSink
     }
 
     /** Visit only records written at or after a total() watermark
-     *  taken earlier (records before it may have been dropped).
-     *  Single-segment sinks only — post-hoc incremental analysis of
-     *  classic worlds; lane-partitioned sinks stream through the
-     *  deferred observer instead. */
+     *  taken earlier (records before it may have been dropped). */
     template <typename Fn>
     void
     forEachSince(std::uint64_t mark, Fn &&fn) const
     {
-        VIRTSIM_ASSERT(segs.size() == 1,
-                       "forEachSince() needs a single-segment sink");
-        const Seg &s = segs[0];
-        const std::uint64_t first = s.total - segSize(s);
+        const std::uint64_t first = _total - size();
         const std::uint64_t from = mark > first ? mark : first;
-        for (std::uint64_t i = from; i < s.total; ++i)
+        for (std::uint64_t i = from; i < _total; ++i)
             fn(at(static_cast<std::size_t>(i - first)));
     }
 
     /**
-     * Visit every retained record, merged across segments in
-     * canonical order: ascending (when, EdgeOut-before-other-kinds,
-     * track, lane, per-lane write position). Under the stamping
-     * contract that records sharing a track are stamped by a single
-     * lane, ties inside one lane keep model order and cross-lane ties
-     * cannot share a track — the order is a pure function of the
-     * retained record multiset, so exports built from it are
-     * byte-identical at every lane count. Cold path: sorts an index
-     * of size() entries per call.
+     * Visit every retained record in canonical order: ascending
+     * (when, EdgeOut-before-other-kinds, track, write position).
+     * Cold path: sorts an index of size() entries per call.
      */
     template <typename Fn>
     void
     forEachMerged(Fn &&fn) const
     {
-        for (const MergeRef &m : mergeOrder())
-            fn(segs[m.seg].ring[m.slot]);
+        for (const MergeRef &m : mergeOrder(0))
+            fn(ring[m.slot]);
     }
 
     /** First tap stamp of the given flow, if retained. */
@@ -505,29 +422,11 @@ class TraceSink
     ///@}
 
   private:
-    /** One lane's ring segment. While lanes run it is written only by
-     *  its lane's thread; segment 0 doubles as the setup-context
-     *  segment (lane -1 clamps to it). */
-    struct Seg
-    {
-        /** Ring storage, allocated uninitialized: slots beyond the
-         *  retained count are never read, and skipping the zero-fill
-         *  keeps per-run setup from faulting in pages the run never
-         *  touches. */
-        std::unique_ptr<TraceRecord[]> ring;
-        std::size_t head = 0;        ///< next write position
-        std::uint64_t total = 0;     ///< records ever written here
-        std::uint64_t truncated = 0; ///< span opens lost to overwrite
-        std::uint64_t edgeSeq = 0;   ///< last edge sequence issued
-        std::uint64_t obsMark = 0;   ///< total already flushed to obs
-    };
-
     /** Sort key for the canonical merge; see forEachMerged(). */
     struct MergeRef
     {
         Cycles when;
-        std::uint64_t pos;     ///< per-segment absolute write index
-        std::uint32_t seg;
+        std::uint64_t pos;     ///< absolute write index
         std::uint32_t slot;    ///< ring slot holding the record
         std::uint16_t track;
         std::uint8_t kindPrio; ///< 0 for EdgeOut, 1 otherwise
@@ -535,56 +434,51 @@ class TraceSink
 
     static bool mergeLess(const MergeRef &a, const MergeRef &b);
 
-    /** Canonical visiting order over all retained records. */
-    std::vector<MergeRef> mergeOrder() const;
+    /** Canonical order over the retained records written at or
+     *  after the total() watermark `mark`. */
+    std::vector<MergeRef> mergeOrder(std::uint64_t mark) const;
 
+    /** Ring slot of the i-th retained record. */
     std::size_t
-    segSize(const Seg &s) const
+    slotOf(std::size_t i) const
     {
-        return s.total < cap ? static_cast<std::size_t>(s.total) : cap;
-    }
-
-    /** The calling thread's segment: its execution lane, clamped to
-     *  segment 0 for setup-context stamping (lane -1) and for sinks
-     *  never partitioned by prepareForParallel(). */
-    Seg &
-    laneSeg()
-    {
-        const int l = currentExecLane();
-        const std::size_t i =
-            (l < 1 || static_cast<std::size_t>(l) >= segs.size())
-                ? 0
-                : static_cast<std::size_t>(l);
-        return segs[i];
+        return _total <= cap ? i : (head + i) & (cap - 1);
     }
 
     void
-    push(Seg &s, const TraceRecord &r)
+    push(const TraceRecord &r)
     {
-        if (s.total >= cap) {
+        if (_total >= cap) {
             // About to overwrite: losing a span's opening edge makes
             // post-hoc pairing unsound, so count it instead of
             // letting between()/analysis mispair silently.
-            const TraceRecord &old = s.ring[s.head];
+            const TraceRecord &old = ring[head];
             if (old.kind == TraceKind::Begin ||
                 (old.kind == TraceKind::Instant &&
                  old.cat == TraceCat::Tap)) {
-                ++s.truncated;
+                ++truncated;
             }
         }
-        s.ring[s.head] = r;
-        s.head = (s.head + 1) & (cap - 1);
-        ++s.total;
+        ring[head] = r;
+        head = (head + 1) & (cap - 1);
+        ++_total;
         if (flight_)
             flightRecordBridge(*flight_, r);
         if (obs && !obsDeferred)
             obs->onTraceRecord(r);
     }
 
-    void push(const TraceRecord &r) { push(laneSeg(), r); }
-
-    std::vector<Seg> segs = std::vector<Seg>(1);
-    std::size_t cap = 0; ///< per-segment capacity, power of two
+    /** Ring storage, allocated uninitialized: slots beyond the
+     *  retained count are never read, and skipping the zero-fill
+     *  keeps per-run setup from faulting in pages the run never
+     *  touches. */
+    std::unique_ptr<TraceRecord[]> ring;
+    std::size_t cap = 0;          ///< ring capacity, power of two
+    std::size_t head = 0;         ///< next write position
+    std::uint64_t _total = 0;     ///< records ever written
+    std::uint64_t truncated = 0;  ///< span opens lost to overwrite
+    std::uint64_t edgeSeq = 0;    ///< last edge token issued
+    std::uint64_t obsMark = 0;    ///< total already flushed to obs
     TraceObserver *obs = nullptr; ///< streaming consumer, not owned
     FlightRecorder *flight_ = nullptr; ///< window tee, not owned
     bool obsDeferred = false;     ///< deliver at flushObserver() only
@@ -597,19 +491,15 @@ class TraceSink
  * a thread named "cpu<N>"; timestamps convert to microseconds at the
  * machine frequency. Dropped records are reported in the metadata.
  * Records are emitted in canonical merged order (forEachMerged) with
- * flow ids renumbered by first appearance, so the bytes are identical
- * at every lane count. When a timeline with stored samples is passed,
- * its series are merged in as counter tracks ("ph":"C") so gauges
- * render on the same Perfetto timeline as spans and flow arrows; a
- * shard profile likewise merges in as per-lane wall-time counter
- * tracks (host-time measurements — pass it only when its run-to-run
- * variance is acceptable in the output).
+ * flow ids renumbered by first appearance. When a timeline with
+ * stored samples is passed, its series are merged in as counter
+ * tracks ("ph":"C") so gauges render on the same Perfetto timeline as
+ * spans and flow arrows.
  */
 void writeChromeTrace(std::ostream &os, const TraceSink &sink,
                       const Frequency &freq,
                       const std::string &process = "virtsim",
                       const TimelineSampler *timeline = nullptr,
-                      const ShardProfile *profile = nullptr,
                       const FlightRecorder *flight = nullptr);
 
 /** writeChromeTrace to a file, warning on stderr when the sink lost
@@ -620,13 +510,12 @@ bool exportChromeTrace(const std::string &path, const TraceSink &sink,
                        const Frequency &freq,
                        const std::string &process = "virtsim",
                        const TimelineSampler *timeline = nullptr,
-                       const ShardProfile *profile = nullptr,
                        const FlightRecorder *flight = nullptr);
 
-/** A copyable relaxed-atomic byte flag. Used for MetricsDomain's
- *  used-tap marks so concurrent shard lanes can register the same tap
- *  without a data race, while the flag array stays resizable (plain
- *  std::atomic is not copy-insertable into a vector). */
+/** A copyable relaxed-atomic byte flag: MetricsDomain's used-tap
+ *  marks, safe to set from several threads while the flag array stays
+ *  resizable (plain std::atomic is not copy-insertable into a
+ *  vector). */
 struct RelaxedFlag
 {
     RelaxedFlag() = default;
@@ -653,12 +542,11 @@ struct RelaxedFlag
  * Lookup is an array index off the tap id — cheap enough to leave on
  * unconditionally in hypervisor paths.
  *
- * Concurrency contract under the sharded kernel: after
- * prepareForParallel() the counter() path performs no vector growth,
- * so lanes may bump counters in a shared domain concurrently (Counter
- * is internally atomic, the used-flag store is relaxed atomic).
- * Histograms are NOT lane-safe and must stay confined to one lane
- * (whose first histogram() call allocates the tap's histogram).
+ * After prepareForParallel() the counter() path performs no vector
+ * growth (Counter is internally atomic, the used-flag store is relaxed
+ * atomic), so counters could be bumped from several threads;
+ * histograms could not. No world does that today: every world runs on
+ * one event queue.
  */
 class MetricsDomain
 {
@@ -672,9 +560,8 @@ class MetricsDomain
     {
         const std::size_t i = tap.raw();
         if (i >= counters.size()) {
-            // Growing under a concurrent reader is UB; once the
-            // domain is prepared for parallel lanes a late-interned
-            // tap is a deterministic failure, not a latent race.
+            // Once the domain is frozen a late-interned tap is a
+            // deterministic failure, not a resize.
             VIRTSIM_ASSERT(!parallelPrepared,
                            "tap ", i, " in domain '", _name,
                            "' first touched after ",
@@ -689,9 +576,8 @@ class MetricsDomain
 
     /**
      * Pre-size the tap-indexed arrays to cover ids [0, tapCount), so
-     * later counter()/histogram() calls never reallocate. Must be
-     * called (with internedTapCount()) before this domain is touched
-     * from concurrent shard lanes.
+     * later counter()/histogram() calls never reallocate. Call with
+     * internedTapCount().
      */
     void
     prepareForParallel(std::size_t tapCount)
@@ -704,16 +590,6 @@ class MetricsDomain
             hists.resize(tapCount + 1);
         parallelPrepared = true;
     }
-
-    /**
-     * Lift the prepareForParallel() growth freeze once the parallel
-     * phase is over (every lane joined). Post-run publishers may
-     * then intern late taps again from a single thread — the shard
-     * health counters use this: their per-lane rows are sparse and
-     * lane-count-dependent, so pre-warming every possible name would
-     * defeat the point of sparse publication.
-     */
-    void endParallel() { parallelPrepared = false; }
 
     HistogramStat &
     histogram(TapId tap)
@@ -785,8 +661,7 @@ class MetricsDomain
     /** Allocated on first use, so pre-sizing a domain for every
      *  interned tap costs a pointer per tap, not a histogram. */
     std::vector<std::unique_ptr<HistogramStat>> hists;
-    /** Once set, the tap-indexed arrays are frozen: growth would
-     *  race with concurrent shard-lane readers. */
+    /** Once set, the tap-indexed arrays are frozen. */
     bool parallelPrepared = false;
 };
 
@@ -854,14 +729,10 @@ class MetricsRegistry
      * Pre-create the per-CPU domains for nCpus CPUs and pre-size
      * every existing domain for all currently interned taps, so no
      * domain lookup or counter registration allocates afterwards.
-     * Call once (from one thread) before shard lanes run in parallel;
-     * has no effect on snapshot contents.
+     * Call once, before the run; has no effect on snapshot
+     * contents.
      */
     void prepareForParallel(int nCpus);
-
-    /** Lift every domain's growth freeze after the parallel phase
-     *  (see MetricsDomain::endParallel). */
-    void endParallel();
 
     /** Zero all counters and histograms in every domain. */
     void reset();
@@ -891,13 +762,6 @@ class MetricsRegistry
  * (how far ahead work is scheduled — the shape of the event kernel's
  * workload). Installed into an EventQueue via setProfiler(); when not
  * installed the kernel pays one predictable branch per event.
- *
- * Under the sharded kernel, call prepareForParallel() and install the
- * profiler into every lane: record() then lands in the calling
- * thread's own lane-local histogram array (fixed-size — no growth, no
- * sharing, no synchronization) and the read side merges lanes into
- * one deterministic view (HistogramStat::merge is exact and
- * order-independent).
  */
 class EventKernelProfiler
 {
@@ -906,63 +770,22 @@ class EventKernelProfiler
     record(TapId label, Cycles wait)
     {
         const std::size_t i = label.raw();
-        if (!laneHists.empty()) {
-            const int l = currentExecLane();
-            const std::size_t li =
-                (l < 1 || static_cast<std::size_t>(l) >= laneHists.size())
-                    ? 0
-                    : static_cast<std::size_t>(l);
-            std::vector<HistogramStat> &h = laneHists[li];
-            VIRTSIM_ASSERT(i < h.size(),
-                           "tap interned after "
-                           "EventKernelProfiler::prepareForParallel()");
-            h[i].add(wait);
-            return;
-        }
         if (i >= hists.size())
             hists.resize(i + 1);
         hists[i].add(wait);
     }
 
-    /**
-     * Partition into `lanes` histogram arrays pre-sized for every tap
-     * interned so far (see internedTapCount()), so concurrent lanes
-     * record without synchronization. Call from the setup thread
-     * after all event labels are interned; recording a later-interned
-     * label is a deterministic assert. reset() drops the partition.
-     */
-    void prepareForParallel(int lanes, std::size_t tapCount);
-
-    /**
-     * Histogram for a label, or null if never recorded. Lanes merged;
-     * the pointer aliases a scratch slot that the next histogram()
-     * call reuses, so copy (or finish reading) before asking for
-     * another label.
-     */
+    /** Histogram for a label, or null if never recorded. */
     const HistogramStat *histogram(TapId label) const;
 
-    void
-    reset()
-    {
-        hists.clear();
-        laneHists.clear();
-    }
+    void reset() { hists.clear(); }
 
     /** One line per label, sorted by name; the invalid label renders
-     *  as "(unlabeled)". Lanes merged. */
+     *  as "(unlabeled)". */
     std::string render() const;
 
   private:
-    /** Lanes-merged histogram for raw id i (count 0 if never hit). */
-    HistogramStat mergedAt(std::size_t i) const;
-
-    std::size_t labelLimit() const;
-
-    std::vector<HistogramStat> hists; ///< serial mode, by raw tap id
-    /** Parallel mode: [lane][raw tap id], fixed-size after
-     *  prepareForParallel(). Non-empty iff parallel mode is armed. */
-    std::vector<std::vector<HistogramStat>> laneHists;
-    mutable HistogramStat mergeScratch; ///< histogram() return slot
+    std::vector<HistogramStat> hists; ///< by raw tap id
 };
 
 /**

@@ -43,9 +43,7 @@ SloEngine::installTimeline(TimelineSampler &tl, const Frequency &freq)
                     [this, i] { return live[i].burning; });
         tl.addRule(base, base + ".burn", 1, 0);
     }
-    // Refresh runs before gauges are read on each tick, in barrier
-    // context (all lanes quiescent) — the one race-free point to
-    // fold lane-local histograms.
+    // Refresh runs before gauges are read on each tick.
     tl.addSampleHook([this](Cycles now) { onSample(now); });
 }
 

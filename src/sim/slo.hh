@@ -6,10 +6,10 @@
  * SRE idiom: "quantile q of phase P stays at or under threshold T,
  * and no more than fraction F of requests exceed T", judged both
  * end-of-run and continuously over burn-rate windows of simulated
- * time. The engine reads the lane-merged RequestTracker histograms —
- * exact integer counts, so every verdict is byte-identical at every
- * VIRTSIM_SHARDS/VIRTSIM_JOBS setting — and surfaces breaches through
- * three channels:
+ * time. The engine reads the RequestTracker histograms — exact
+ * integer counts, so every verdict is byte-identical at every
+ * VIRTSIM_JOBS setting — and surfaces breaches through three
+ * channels:
  *
  *  - timeline gauges: "slo.<name>.q_us" (the rolling observed
  *    quantile, a Perfetto counter track) and "slo.<name>.burn"
@@ -20,12 +20,9 @@
  *  - metrics: "slo.<name>.violations" / ".requests" / ".breached"
  *    machine counters in the snapshot.
  *
- * Live evaluation runs in a timeline sample hook: the sharded kernel
- * samples at barrier rounds with every lane quiescent, which is the
- * only point a cross-lane histogram read is race-free — and because
- * sample instants are period-aligned simulated times, the readings
- * (and therefore burn verdicts and anomalies) are lane-count
- * independent.
+ * Live evaluation runs in a timeline sample hook at period-aligned
+ * simulated instants, so the readings (and therefore burn verdicts
+ * and anomalies) are a pure function of the model.
  */
 
 #ifndef VIRTSIM_SIM_SLO_HH
@@ -153,8 +150,8 @@ class SloEngine
 
     /**
      * Refresh rolling readings and close elapsed burn windows at
-     * simulated instant `now`. Runs in the timeline sample hook —
-     * barrier context, all lanes quiescent. Public for tests.
+     * simulated instant `now`. Runs in the timeline sample hook.
+     * Public for tests.
      */
     void onSample(Cycles now);
 

@@ -26,12 +26,9 @@ namespace virtsim {
 /**
  * A monotonically increasing event counter.
  *
- * Increments are relaxed atomics so counters shared across sharded
- * kernel lanes (e.g. a Machine's counter domain fed from several CPU
- * shards) stay exact without locking; addition commutes, so the final
- * value is independent of thread interleaving and runs remain
- * byte-identical at every VIRTSIM_SHARDS setting. Copy semantics are
- * value snapshots (needed by the tap-indexed MetricsDomain vectors).
+ * Increments are relaxed atomics, so a counter stays exact if it is
+ * ever bumped from several threads. Copy semantics are value
+ * snapshots (needed by the tap-indexed MetricsDomain vectors).
  */
 class Counter
 {
@@ -179,21 +176,6 @@ class HistogramStat
     bucketOf(std::uint64_t sample)
     {
         return static_cast<std::size_t>(std::bit_width(sample));
-    }
-
-    /** Fold another histogram in. Exact and order-independent —
-     *  bucket-wise sums plus exact count/sum/min/max — so per-lane
-     *  profiler shards merge into the same view the serial run
-     *  records directly. */
-    void
-    merge(const HistogramStat &o)
-    {
-        for (std::size_t i = 0; i < buckets.size(); ++i)
-            buckets[i] += o.buckets[i];
-        _count += o._count;
-        _sum += o._sum;
-        _min = std::min(_min, o._min);
-        _max = std::max(_max, o._max);
     }
 
     void reset();

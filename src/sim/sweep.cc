@@ -233,12 +233,6 @@ publishSweepPoolStats(MetricsRegistry &metrics)
     set("sweep.pool.worker_wakes", s.workerWakes);
 }
 
-bool
-inSweepTask()
-{
-    return in_sweep_task;
-}
-
 namespace sweep_detail {
 
 void

@@ -74,13 +74,6 @@ struct SweepPoolStats
 /** Snapshot of the pool counters. */
 SweepPoolStats sweepPoolStats();
 
-/** True on a thread currently executing a sweep task. Nested
- *  parallelism guards (the sweep runner itself, the sharded event
- *  kernel) use this to fall back to their serial paths — which are
- *  byte-identical by construction — instead of oversubscribing the
- *  host from inside a pool worker. */
-bool inSweepTask();
-
 /**
  * Publish the pool counters into machine-domain metrics
  * ("sweep.pool.threads", "sweep.pool.parallel_sweeps", ...).

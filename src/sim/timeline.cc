@@ -283,6 +283,23 @@ TimelineSampler::sampleTick(Cycles now)
         h(now);
 }
 
+Cycles
+TimelineSampler::runSampled(EventQueue &eq,
+                            InlineFunction<void()> afterStretch)
+{
+    VIRTSIM_ASSERT(_enabled, "runSampled() on a disabled sampler");
+    Cycles tickAt = (eq.now() + _period - 1) / _period * _period;
+    for (Cycles next;
+         (next = eq.nextEventTime()) != noPendingEvent;) {
+        for (; tickAt <= next; tickAt += _period)
+            sampleTick(tickAt);
+        eq.runBefore(tickAt);
+        if (afterStretch)
+            afterStretch();
+    }
+    return eq.now();
+}
+
 void
 TimelineSampler::tick(EventQueue &eq)
 {

@@ -102,11 +102,8 @@ class TimelineSampler
 
     /**
      * Register a hook that runs at the top of every sampling tick,
-     * before any gauge is read. Sampling ticks execute with every
-     * kernel lane quiescent (the barrier under the sharded kernel,
-     * plain event context otherwise), so a hook is the one place a
-     * consumer may fold lane-partitioned observability state —
-     * the SLO engine refreshes its rolling-quantile readings here.
+     * before any gauge is read — the SLO engine refreshes its
+     * rolling-quantile readings here.
      * Hooks run in registration order; like gauges, registration
      * must be deterministic. Kept by resetSeries(), dropped by
      * clear().
@@ -168,15 +165,26 @@ class TimelineSampler
     /**
      * Take one sample of every gauge at simulated instant `now`, as
      * the in-queue tick does but without touching an event queue.
-     * The sharded kernel drives this from its barrier rounds at
-     * period-aligned instants (all lanes quiescent and past every
-     * event below `now`), giving the same time-only semantics at
-     * every lane count: a sample at instant t reads state after all
-     * events with time < t and before any event at time >= t.
+     * The fleet drives this between runs of its queue to each
+     * period-aligned instant: a sample at instant t reads state
+     * after all events with time < t and before any event at
+     * time >= t.
      * No-op while disabled. Do not mix with the in-queue tick chain
      * in one run.
      */
     void sampleTick(Cycles now);
+
+    /**
+     * Run `eq` dry, stopping at every period-aligned instant t from
+     * eq.now() on to sampleTick(t): each sample sees every event
+     * below t and none at or after t. `afterStretch`, if set, runs
+     * after each stretch of events between two instants. Do not mix
+     * with the in-queue tick chain in one run.
+     * @pre enabled()
+     * @return the final simulated time.
+     */
+    Cycles runSampled(EventQueue &eq,
+                      InlineFunction<void()> afterStretch = nullptr);
 
     /** Samples stored for gauge `g` (after change deduplication). */
     std::uint32_t sampleCount(std::size_t g) const;

@@ -9,6 +9,7 @@
 
 #include <vector>
 
+#include "sim/channel.hh"
 #include "sim/event_queue.hh"
 
 using namespace virtsim;
@@ -362,4 +363,33 @@ TEST(EventQueueCompaction, SmallHeapsSkipCompaction)
     eq.run();
     EXPECT_EQ(eq.deadEntries(), 0u);
     EXPECT_EQ(eq.pending(), 0u);
+}
+
+TEST(ShardChannel, RedeclarationReusesAndTightens)
+{
+    EventQueue eq;
+    ShardChannel &a = eq.channel("t.req", 100);
+    EXPECT_EQ(a.latency(), 100u);
+    // A world rebuilt on a long-lived queue redeclares its edges: the
+    // same channel comes back, keeping the tighter latency.
+    ShardChannel &b = eq.channel("t.req", 150);
+    EXPECT_EQ(&a, &b);
+    EXPECT_EQ(b.latency(), 100u);
+    EXPECT_EQ(eq.channel("t.req", 60).latency(), 60u);
+    EXPECT_NE(&eq.channel("t.rsp", 100), &a);
+}
+
+TEST(ShardChannelDeath, SendSoonerThanLatencyDies)
+{
+    // The minimum-latency invariant: a message never arrives sooner
+    // than its channel's declared latency after the sending instant.
+    ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+    EXPECT_DEATH(
+        {
+            EventQueue eq;
+            ShardChannel &ch = eq.channel("t.req", 100);
+            eq.scheduleAt(50, [&ch] { ch.send(149, [] {}); });
+            eq.run();
+        },
+        "violates declared latency");
 }

@@ -1,11 +1,10 @@
 /**
  * @file
- * Flight-recorder tests: sliding-window retention behind the barrier
+ * Flight-recorder tests: sliding-window retention behind the sampling
  * clock (differentially against a compacting-ring reference model),
- * trigger capture with source merging, overwrite surfacing,
- * incident-export byte-identity across lane counts, the pinned
- * saturated overload world, the zero-alloc disabled stamp path, and
- * env validation.
+ * trigger capture with source merging, overwrite surfacing, the
+ * fleet's incident export, the pinned saturated overload world, the
+ * zero-alloc disabled stamp path, and env validation.
  */
 
 #include <gtest/gtest.h>
@@ -113,7 +112,6 @@ operator delete[](void *p, std::size_t) noexcept
 #include "core/fleet.hh"
 #include "sim/env.hh"
 #include "sim/flight.hh"
-#include "sim/lane.hh"
 #include "sim/probe.hh"
 #include "sim/random.hh"
 
@@ -191,14 +189,14 @@ overloadFleet()
 }
 
 /**
- * Reference model for retention: one ring per lane with the plain
+ * Reference model for retention: one ring with the plain
  * order-preserving O(ring) compaction — the simplest statement of the
  * eviction semantics. The expiry-indexed recorder must match it
  * record for record.
  */
 struct RefRing
 {
-    static constexpr std::size_t cap = FlightRecorder::segCapacity;
+    static constexpr std::size_t cap = FlightRecorder::windowCapacity;
     std::vector<TraceRecord> ring = std::vector<TraceRecord>(cap);
     std::size_t head = 0;
     std::size_t count = 0;
@@ -271,13 +269,12 @@ struct RefRing
     }
 };
 
-/** The reference canonical merge over several RefRing segments. */
+/** The reference canonical order over a RefRing's window. */
 std::vector<TraceRecord>
-refWindow(const std::vector<RefRing> &segs, Cycles begin, Cycles end)
+refWindow(const RefRing &ring, Cycles begin, Cycles end)
 {
     std::vector<RefRing::Ref> refs;
-    for (const RefRing &s : segs)
-        s.collect(begin, end, refs);
+    ring.collect(begin, end, refs);
     std::sort(refs.begin(), refs.end(),
               [](const RefRing::Ref &a, const RefRing::Ref &b) {
                   const int ka = a.rec.kind == TraceKind::EdgeOut ? 0 : 1;
@@ -357,8 +354,8 @@ TEST(FlightRetention, OutOfOrderStampsStayUntilStale)
     // segment nears capacity (the compaction path), and the young
     // record itself must survive.
     fr.record(rec(100000));
-    const std::size_t fill = FlightRecorder::segCapacity -
-                             FlightRecorder::segCapacity / 4 + 8;
+    const std::size_t fill = FlightRecorder::windowCapacity -
+                             FlightRecorder::windowCapacity / 4 + 8;
     for (std::size_t i = 1; i < fill; ++i)
         fr.record(rec(10));
     ASSERT_EQ(fr.retainedRecords(), fill);
@@ -369,21 +366,20 @@ TEST(FlightRetention, OutOfOrderStampsStayUntilStale)
 
 TEST(FlightRetention, ExpiryIndexMatchesCompactingRing)
 {
-    // Two lane segments driven with in-order stamps, stamps back-dated
-    // past retention, and stamps future-dated beyond the expiry wheel
-    // (which keep the segments saturated and force overwrites). After
+    // Driven with in-order stamps, stamps back-dated past retention,
+    // and stamps future-dated beyond the expiry wheel (which keep the
+    // ring saturated and force overwrites). After
     // every tick the recorder must hold exactly the reference's
     // records in the same canonical order, and every captured window
     // must agree on truncation.
     constexpr Cycles W = 500, P = 100;
     FlightRecorder fr;
     fr.configure(W, P, /*incidentCap=*/1000);
-    fr.prepareForParallel(2);
     fr.enable();
     const Cycles R = fr.retention();
     // Bucket width is 64 cycles here (largest power of two <= P).
     const Cycles wheelSpan = FlightRecorder::wheelBuckets * 64;
-    std::vector<RefRing> ref(2);
+    RefRing ref;
 
     Random rng(2024);
     static const TapId taps[] = {internTap("test.flight.diff.a"),
@@ -407,18 +403,13 @@ TEST(FlightRetention, ExpiryIndexMatchesCompactingRing)
                 when = now + rng.below(60000);
             }
             when -= when % 10; // coarse stamps: plenty of key ties
-            // Lane 0 takes most stamps so its segment saturates.
-            const int lane = rng.chance(0.8) ? 0 : 1;
             const TraceRecord r{
                 when, ++seq, taps[rng.below(2)],
                 static_cast<std::uint16_t>(rng.below(3)),
                 rng.chance(0.3) ? TraceKind::EdgeOut : TraceKind::Instant,
                 TraceCat::Op};
-            {
-                LaneScope scope(lane);
-                fr.record(r);
-            }
-            ref[static_cast<std::size_t>(lane)].push(r);
+            fr.record(r);
+            ref.push(r);
         }
         // Mostly period-aligned ticks; some off-grid, one long jump
         // past a whole wheel turn, and one step backwards.
@@ -431,24 +422,16 @@ TEST(FlightRetention, ExpiryIndexMatchesCompactingRing)
         if (tick % 9 == 0)
             fr.trigger(now, "tick");
         fr.onSample(now);
-        for (RefRing &s : ref)
-            s.evict(now, R);
-
-        std::size_t want = 0;
-        for (const RefRing &s : ref) {
-            want += s.count;
-            sawForced = sawForced || s.forced > 0;
-        }
-        ASSERT_EQ(fr.retainedRecords(), want) << "tick " << tick;
+        ref.evict(now, R);
+        sawForced = sawForced || ref.forced > 0;
+        ASSERT_EQ(fr.retainedRecords(), ref.count) << "tick " << tick;
         ASSERT_TRUE(sameRecords(fr.collectWindow(0, UINT64_MAX),
                                 refWindow(ref, 0, UINT64_MAX)))
             << "tick " << tick;
         for (; captured < fr.incidentCount(); ++captured) {
             const FlightIncident &inc = fr.incident(captured);
-            bool truncated = false;
-            for (const RefRing &s : ref)
-                truncated = truncated || (s.forced > 0 &&
-                                          s.maxForcedWhen >= inc.begin);
+            const bool truncated =
+                ref.forced > 0 && ref.maxForcedWhen >= inc.begin;
             EXPECT_EQ(inc.truncated, truncated) << "tick " << tick;
             EXPECT_TRUE(sameRecords(
                 inc.records, refWindow(ref, inc.begin, inc.end)))
@@ -456,7 +439,7 @@ TEST(FlightRetention, ExpiryIndexMatchesCompactingRing)
         }
     }
     // The drive really compacted, saturated and captured windows.
-    EXPECT_GT(ref[0].compactions, 50u);
+    EXPECT_GT(ref.compactions, 50u);
     EXPECT_TRUE(sawForced);
     EXPECT_GT(captured, 10u);
 }
@@ -538,9 +521,9 @@ TEST(FlightCapture, RingOverwriteSurfacesAsTruncated)
     FlightRecorder fr;
     fr.configure(500, 100, 4);
     fr.enable();
-    // One segment holds segCapacity records; pushing past that with
+    // The ring holds windowCapacity records; pushing past that with
     // in-window stamps forces overwrites which must mark the window.
-    for (std::size_t i = 0; i < FlightRecorder::segCapacity + 64; ++i)
+    for (std::size_t i = 0; i < FlightRecorder::windowCapacity + 64; ++i)
         fr.record(rec(5000));
     fr.trigger(5000, "watchdog.x.open");
     fr.onSample(5600);
@@ -552,7 +535,7 @@ TEST(FlightCapture, RingOverwriteSurfacesAsTruncated)
 // Fleet integration: determinism and export
 // ---------------------------------------------------------------------
 
-TEST(FlightFleet, IncidentReportsByteIdenticalAcrossLaneCounts)
+TEST(FlightFleet, IncidentReportNamesRuleAndIsDeterministic)
 {
     const std::string dir = ::testing::TempDir() + "flight_inc";
     const std::string file = dir + "/incident.fleet.000.json";
@@ -560,7 +543,7 @@ TEST(FlightFleet, IncidentReportsByteIdenticalAcrossLaneCounts)
     const FleetConfig cfg = overloadFleet();
 
     std::remove(file.c_str());
-    const FleetResult serial = runNetperfRrFleet(cfg, 1);
+    const FleetResult first = runNetperfRrFleet(cfg);
     const std::string ref = slurp(file);
     ASSERT_FALSE(ref.empty());
     EXPECT_NE(ref.find("\"schema\":\"virtsim-incident-1\""),
@@ -569,21 +552,18 @@ TEST(FlightFleet, IncidentReportsByteIdenticalAcrossLaneCounts)
     // A saturated fleet has a nonempty latency-critical chain.
     EXPECT_EQ(ref.find("\"steps\":[]"), std::string::npos);
 
-    for (int lanes : {8, 64}) {
-        std::remove(file.c_str());
-        const FleetResult r = runNetperfRrFleet(cfg, lanes);
-        EXPECT_TRUE(serial.sameModelledResult(r))
-            << "lanes=" << lanes;
-        EXPECT_EQ(slurp(file), ref) << "lanes=" << lanes;
-    }
+    std::remove(file.c_str());
+    const FleetResult again = runNetperfRrFleet(cfg);
+    EXPECT_TRUE(first.sameModelledResult(again));
+    EXPECT_EQ(slurp(file), ref);
     std::remove(file.c_str());
 }
 
 TEST(FlightFleet, SaturatedOverloadWorldIsPinned)
 {
     // The 16-VM open-loop overload world (60 us mean interarrival, 4x
-    // bursts, 150 transactions per connection, arrival seed 168) at
-    // one lane, with incidents and latency exported. It fills the
+    // bursts, 150 transactions per connection, arrival seed 168),
+    // with incidents and latency exported. It fills the
     // flight ring and tracks 16 CPUs; the digests pin both exports
     // byte for byte. A change that alters them on purpose updates the
     // values and says why.
@@ -614,7 +594,7 @@ TEST(FlightFleet, SaturatedOverloadWorldIsPinned)
     cfg.burstRateFactor = 4.0;
     cfg.latency = true;
     cfg.arrivalSeed = 168;
-    const FleetResult r = runNetperfRrFleet(cfg, 1);
+    const FleetResult r = runNetperfRrFleet(cfg);
     EXPECT_EQ(r.transactions, 76800u);
     EXPECT_EQ(r.sloBreaches, 1u);
 
@@ -693,7 +673,7 @@ TEST(FlightEnvDeath, RejectsGarbageWindowAndCap)
         ScopedEnv w("VIRTSIM_INCIDENT_WINDOW_US", "nope");
         FleetConfig cfg = overloadFleet();
         cfg.transactionsPerConn = 2;
-        EXPECT_DEATH((void)runNetperfRrFleet(cfg, 1),
+        EXPECT_DEATH((void)runNetperfRrFleet(cfg),
                      "VIRTSIM_INCIDENT_WINDOW_US");
     }
 }

@@ -1,10 +1,9 @@
 /**
  * @file
  * Request-latency observability (sim/latency, sim/slo): histogram
- * bucket math and error bounds, exact merges, lane-partitioned
- * tracking, the zero-allocation stamp path, fleet export determinism
- * across lane counts, SLO breach detection, and the validated env
- * knobs.
+ * bucket math and error bounds, exact merges, per-CPU tracking, the
+ * zero-allocation stamp path, fleet export determinism, SLO breach
+ * detection, and the validated env knobs.
  */
 
 #include <gtest/gtest.h>
@@ -22,7 +21,6 @@
 #include "core/netperf.hh"
 #include "core/testbed.hh"
 #include "sim/env.hh"
-#include "sim/lane.hh"
 #include "sim/latency.hh"
 #include "sim/random.hh"
 #include "sim/slo.hh"
@@ -480,10 +478,7 @@ TEST(RequestTracker, RecordsPerCpuPerPhaseAndAggregates)
 {
     RequestTracker t;
     t.configure(2);
-    t.prepareForParallel(3);
     t.enable();
-    // Setup-thread records clamp into segment 0; the read side folds
-    // all segments, so the numbers must come out regardless.
     t.record(0, LatencyPhase::Rtt, 100);
     t.record(0, LatencyPhase::Rtt, 300);
     t.record(1, LatencyPhase::Rtt, 200);
@@ -502,23 +497,20 @@ TEST(RequestTracker, RecordsPerCpuPerPhaseAndAggregates)
         EXPECT_EQ(t.quantileAcross(LatencyPhase::Rtt, q),
                   agg.quantile(q));
 
-    // Random data spread over every lane segment, checked against
-    // plain bucket walks the test keeps itself. CPU 3 stays empty.
+    // Random data, checked against plain bucket walks the test keeps
+    // itself. CPU 3 stays empty.
     RequestTracker r;
     r.configure(4);
-    r.prepareForParallel(3);
     r.enable();
     constexpr int kCpus = 4;
     std::vector<RefHist> ref(kCpus * numLatencyPhases);
     std::vector<std::uint64_t> values;
     Random rng(77);
     for (int i = 0; i < 6000; ++i) {
-        const int lane = static_cast<int>(pick(rng, 0, 2));
         const int cpu = static_cast<int>(pick(rng, 0, 2));
         const auto phase = static_cast<LatencyPhase>(
             pick(rng, 0, numLatencyPhases - 1));
         const std::uint64_t v = spreadValue(rng);
-        LaneScope scope(lane);
         r.record(cpu, phase, v);
         ref[cpu * numLatencyPhases + static_cast<std::size_t>(phase)]
             .add(v);
@@ -601,7 +593,6 @@ TEST(RequestTrackerFastPath, EnabledStampAllocatesNothing)
     // pre-sized bucket increments only.
     RequestTracker t;
     t.configure(4);
-    t.prepareForParallel(2);
     t.enable();
     const std::uint64_t before = g_news.load();
     for (int i = 0; i < 10000; ++i)
@@ -674,7 +665,7 @@ TEST(SloEngine, VerdictsJsonWellFormed)
 // Fleet integration: export determinism and SLO breaches
 // ---------------------------------------------------------------------
 
-TEST(FleetLatencyExport, ByteIdenticalAcrossLaneCounts)
+TEST(FleetLatencyExport, NominalFleetPassesAndReruns)
 {
     const std::string base =
         ::testing::TempDir() + "test_latency_fleet.json";
@@ -684,23 +675,20 @@ TEST(FleetLatencyExport, ByteIdenticalAcrossLaneCounts)
     ScopedEnv e("VIRTSIM_LATENCY", base.c_str());
     const FleetConfig cfg = smallFleet();
 
-    FleetResult serial = runNetperfRrFleet(cfg, 1);
+    const FleetResult first = runNetperfRrFleet(cfg);
     const std::string ref = slurp(path);
     ASSERT_FALSE(ref.empty());
     EXPECT_NE(ref.find("virtsim-latency-1"), std::string::npos);
     EXPECT_NE(ref.find("\"name\":\"rtt_p99\""), std::string::npos);
     // The nominal fleet meets the default objective.
     EXPECT_NE(ref.find("\"pass\":true"), std::string::npos);
-    EXPECT_EQ(serial.sloBreaches, 0u);
-    EXPECT_EQ(serial.anomalies, 0u);
+    EXPECT_EQ(first.sloBreaches, 0u);
+    EXPECT_EQ(first.anomalies, 0u);
 
-    for (int lanes : {2, 8}) {
-        std::remove(path.c_str());
-        const FleetResult r = runNetperfRrFleet(cfg, lanes);
-        EXPECT_TRUE(serial.sameModelledResult(r))
-            << "lanes=" << lanes;
-        EXPECT_EQ(slurp(path), ref) << "lanes=" << lanes;
-    }
+    std::remove(path.c_str());
+    const FleetResult again = runNetperfRrFleet(cfg);
+    EXPECT_TRUE(first.sameModelledResult(again));
+    EXPECT_EQ(slurp(path), ref);
     std::remove(path.c_str());
 }
 
@@ -722,13 +710,13 @@ TEST(FleetSlo, OverloadTripsBreachAndAnomaly)
     spec.burnWindow = 2400000; // 1 ms windows
     cfg.slos.push_back(spec);
 
-    const FleetResult r = runNetperfRrFleet(cfg, 2);
+    const FleetResult r = runNetperfRrFleet(cfg);
     EXPECT_GE(r.sloBreaches, 1u);
     EXPECT_GE(r.anomalies, 1u);
 
     // Determinism holds under overload too (breach counts included:
     // sameModelledResult compares them).
-    const FleetResult r2 = runNetperfRrFleet(cfg, 1);
+    const FleetResult r2 = runNetperfRrFleet(cfg);
     EXPECT_TRUE(r.sameModelledResult(r2));
 }
 
@@ -822,7 +810,7 @@ TEST(FleetEnvDeath, RejectsGarbageBurstFactor)
     ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
     ScopedEnv e("VIRTSIM_FLEET_BURST_FACTOR", "fast");
     FleetConfig cfg = smallFleet();
-    EXPECT_DEATH((void)runNetperfRrFleet(cfg, 1),
+    EXPECT_DEATH((void)runNetperfRrFleet(cfg),
                  "must be a positive number");
 }
 

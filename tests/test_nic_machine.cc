@@ -97,11 +97,10 @@ TEST_F(NicFixture, TxSerializesAtLineRate)
 
 TEST(MachineCountersDeath, LateTapAfterPrepareForParallelDies)
 {
-    // Machine::prepareForParallel() is the freeze a sharded fleet
-    // applies before its lanes run: the component constructors have
-    // interned every counter tap by then, so a tap interned later has
-    // no slot and its first bump must fail, not grow the array under
-    // concurrent lanes.
+    // Machine::prepareForParallel() is the freeze the fleet applies
+    // before it runs: the component constructors have interned every
+    // counter tap by then, so a tap interned later has no slot and
+    // its first bump must fail, not grow the array.
     ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
     EXPECT_DEATH(
         {

@@ -12,11 +12,10 @@
 #include <cstdlib>
 #include <fstream>
 #include <new>
-#include <optional>
 #include <sstream>
-#include <thread>
 #include <vector>
 
+#include "core/fleet.hh"
 #include "core/microbench.hh"
 #include "core/netperf.hh"
 #include "core/testbed.hh"
@@ -410,12 +409,9 @@ TEST(TraceSink, EdgeRecordsCarryTokensAndExport)
     sink.enable();
     const std::uint64_t t1 = sink.edgeOut(100, tap, TraceCat::Irq, 0);
     const std::uint64_t t2 = sink.edgeOut(110, tap, TraceCat::Irq, 0);
-    EXPECT_NE(t1, 0u);
-    // Tokens are (per-lane sequence << laneTokenBits) | lane; setup-
-    // context stamping lands in lane segment 0, so consecutive tokens
-    // step by one full lane stride.
-    EXPECT_EQ(t1, std::uint64_t{1} << TraceSink::laneTokenBits);
-    EXPECT_EQ(t2, t1 + (std::uint64_t{1} << TraceSink::laneTokenBits));
+    // Tokens are a nonzero sequence.
+    EXPECT_EQ(t1, 1u);
+    EXPECT_EQ(t2, 2u);
     sink.edgeIn(150, t1, tap, TraceCat::Irq, 1);
     sink.edgeIn(0, 0, tap, TraceCat::Irq, 1); // token 0: no-op
     EXPECT_EQ(sink.size(), 3u);
@@ -432,8 +428,7 @@ TEST(TraceSink, EdgeRecordsCarryTokensAndExport)
     // clear() restarts the token sequence with the rest of the state.
     sink.clear();
     sink.enable();
-    EXPECT_EQ(sink.edgeOut(10, tap, TraceCat::Irq, 0),
-              std::uint64_t{1} << TraceSink::laneTokenBits);
+    EXPECT_EQ(sink.edgeOut(10, tap, TraceCat::Irq, 0), 1u);
 }
 
 TEST(TraceSink, NestedSpansPairLikeAStack)
@@ -469,9 +464,8 @@ TEST(TraceSink, NestedSpansPairLikeAStack)
 }
 
 // ---------------------------------------------------------------------
-// Lane-partitioned sinks (ISSUE 7 tentpole): per-lane ring segments,
-// the canonical export-time merge, the deferred observer, and exact
-// overflow accounting under multi-lane stamping.
+// The canonical export-time merge, the deferred observer, and exact
+// overflow accounting.
 // ---------------------------------------------------------------------
 
 namespace {
@@ -479,68 +473,76 @@ namespace {
 /**
  * Stamp one small multi-CPU "world" into a sink: a span and a tap per
  * track, cross-track causal edges, and a same-timestamp collision
- * between tracks. When `partitioned`, each track's records are
- * stamped under that track's LaneScope — the sharded-kernel shape;
- * otherwise everything lands in segment 0, the classic serial shape.
- * Either way the logical record multiset is identical.
+ * between tracks. `reversed` stamps the tracks in the opposite order;
+ * the logical record multiset is identical either way.
  */
 void
-stampWorld(TraceSink &sink, bool partitioned)
+stampWorld(TraceSink &sink, bool reversed)
 {
     const TapId svc = internTap("merge.test.svc");
     const TapId tapStamp = internTap("merge.test.tap");
     const TapId edge = internTap("merge.test.edge");
     std::uint64_t tok[3] = {0, 0, 0};
-    for (int cpu = 0; cpu < 3; ++cpu) {
-        std::optional<LaneScope> scope;
-        if (partitioned)
-            scope.emplace(cpu);
+    for (int i = 0; i < 3; ++i) {
+        const int cpu = reversed ? 2 - i : i;
         const auto track = static_cast<std::uint16_t>(cpu);
         const Cycles base = 100 * (cpu + 1);
         sink.span(base, base + 40, svc, TraceCat::Op, track);
         sink.stamp(base + 10, 7, tapStamp, track);
         // Same instant on every track: the canonical order must break
-        // the tie by track, not by which lane flushed first.
+        // the tie by track, not by stamping order.
         sink.instant(500, tapStamp, TraceCat::Sched, track);
         tok[cpu] = sink.edgeOut(base + 20, edge, TraceCat::Irq,
                                 track);
     }
-    for (int cpu = 0; cpu < 3; ++cpu) {
+    for (int i = 0; i < 3; ++i) {
+        const int cpu = reversed ? 2 - i : i;
         const int dst = (cpu + 1) % 3;
-        std::optional<LaneScope> scope;
-        if (partitioned)
-            scope.emplace(dst);
         sink.edgeIn(600 + 10 * cpu, tok[cpu], edge, TraceCat::Irq,
                     static_cast<std::uint16_t>(dst));
     }
 }
 
+std::string
+slurp(const std::string &path)
+{
+    std::ifstream is(path);
+    std::ostringstream os;
+    os << is.rdbuf();
+    return os.str();
+}
+
+/** The unsigned integer right after `needle` in a JSON document. */
+std::uint64_t
+numberAfter(const std::string &json, const std::string &needle)
+{
+    const std::size_t at = json.find(needle);
+    EXPECT_NE(at, std::string::npos) << needle;
+    if (at == std::string::npos)
+        return 0;
+    return std::stoull(json.substr(at + needle.size()));
+}
+
 } // namespace
 
-TEST(TraceSink, CanonicalMergeIsPartitionInvariant)
+TEST(TraceSink, CanonicalMergeIgnoresStampOrder)
 {
-    // The byte-identity bar at unit scale: the same logical records,
-    // stamped once through a single-segment sink and once spread over
-    // three lane segments, must export byte-identically — the merge
-    // order is a pure function of the record multiset, and flow ids
-    // are renumbered by first appearance so lane-encoded token values
-    // never leak into the bytes.
-    TraceSink serial;
-    serial.enable();
-    stampWorld(serial, false);
+    // The same logical records stamped in two different orders must
+    // export byte-identically: the merge order is a pure function of
+    // the record multiset, and flow ids are renumbered by first
+    // appearance so token values never leak into the bytes.
+    TraceSink forward;
+    forward.enable();
+    stampWorld(forward, false);
 
-    TraceSink sharded;
-    sharded.enable();
-    sharded.prepareForParallel(3);
-    stampWorld(sharded, true);
+    TraceSink reversed;
+    reversed.enable();
+    stampWorld(reversed, true);
 
-    EXPECT_EQ(serial.laneCount(), 1);
-    EXPECT_EQ(sharded.laneCount(), 3);
-    EXPECT_EQ(serial.size(), sharded.size());
-
+    EXPECT_EQ(forward.size(), reversed.size());
     std::ostringstream a, b;
-    writeChromeTrace(a, serial, Frequency(2.4));
-    writeChromeTrace(b, sharded, Frequency(2.4));
+    writeChromeTrace(a, forward, Frequency(2.4));
+    writeChromeTrace(b, reversed, Frequency(2.4));
     ASSERT_FALSE(a.str().empty());
     EXPECT_EQ(a.str(), b.str());
     JsonChecker checker(a.str());
@@ -561,22 +563,15 @@ TEST(TraceSink, DeferredObserverDeliversCanonicalOrderPerFlush)
     const TapId tap = internTap("merge.test.deferred");
     TraceSink sink;
     sink.enable();
-    sink.prepareForParallel(2);
     Collector obs;
     sink.setObserver(&obs);
     sink.setObserverDeferred(true);
 
-    // Lane 1 stamps earlier simulated times than lane 0 stamped
-    // before it: nothing reaches the observer until the flush, and
-    // the flush delivers time-sorted, not arrival-sorted.
-    {
-        LaneScope lane(0);
-        sink.instant(300, tap, TraceCat::Sched, 0);
-    }
-    {
-        LaneScope lane(1);
-        sink.instant(100, tap, TraceCat::Sched, 1);
-    }
+    // A later simulated time stamped first: nothing reaches the
+    // observer until the flush, and the flush delivers time-sorted,
+    // not stamp-sorted.
+    sink.instant(300, tap, TraceCat::Sched, 0);
+    sink.instant(100, tap, TraceCat::Sched, 1);
     EXPECT_TRUE(obs.seen.empty());
     sink.flushObserver();
     ASSERT_EQ(obs.seen.size(), 2u);
@@ -584,10 +579,7 @@ TEST(TraceSink, DeferredObserverDeliversCanonicalOrderPerFlush)
     EXPECT_EQ(obs.seen[1].when, 300u);
 
     // A second flush delivers only what arrived in between.
-    {
-        LaneScope lane(1);
-        sink.instant(400, tap, TraceCat::Sched, 1);
-    }
+    sink.instant(400, tap, TraceCat::Sched, 1);
     sink.flushObserver();
     ASSERT_EQ(obs.seen.size(), 3u);
     EXPECT_EQ(obs.seen[2].when, 400u);
@@ -595,69 +587,52 @@ TEST(TraceSink, DeferredObserverDeliversCanonicalOrderPerFlush)
     EXPECT_EQ(obs.seen.size(), 3u);
 }
 
-TEST(TraceSink, OverflowCountsExactUnderMultiLaneStamping)
+TEST(TraceSink, OverflowCountsExactAndDeterministic)
 {
+    // Unit scale: 20 writes into an 8-slot ring. Totals and losses
+    // come out exact, not approximate.
     const TapId tap = internTap("merge.test.overflow");
     TraceSink sink;
     sink.setCapacity(8);
-    sink.prepareForParallel(2);
     sink.enable();
-    for (int lane = 0; lane < 2; ++lane) {
-        LaneScope scope(lane);
-        for (int i = 0; i < 20; ++i) {
-            sink.stamp(static_cast<Cycles>(10 * i + lane), 1, tap,
-                       static_cast<std::uint16_t>(lane));
-        }
-    }
-    // 20 writes into an 8-slot segment on each lane: totals and
-    // losses must come out exact, not approximate — overflow is
-    // accounted per segment and summed.
-    EXPECT_EQ(sink.total(), 40u);
-    EXPECT_EQ(sink.size(), 16u);
-    EXPECT_EQ(sink.dropped(), 24u);
+    for (int i = 0; i < 20; ++i)
+        sink.stamp(static_cast<Cycles>(10 * i), 1, tap, 0);
+    EXPECT_EQ(sink.total(), 20u);
+    EXPECT_EQ(sink.size(), 8u);
+    EXPECT_EQ(sink.dropped(), sink.total() - sink.capacity());
     // Every overwritten record was a Tap instant, so each one also
     // counts as a truncated span open.
-    EXPECT_EQ(sink.truncatedSpans(), 24u);
-}
+    EXPECT_EQ(sink.truncatedSpans(), 12u);
 
-TEST(TraceSinkConcurrent, ParallelStampingNeverSynchronizes)
-{
-    // The zero-synchronization stamping contract, in the shape TSan
-    // hunts: four real threads stamping concurrently into one enabled
-    // sink, each under its own LaneScope. Every record must land, and
-    // the post-hoc accounting and canonical merge must agree.
-    constexpr int lanes = 4;
-    constexpr int perLane = 8192;
-    const TapId tap = internTap("merge.test.concurrent");
-    TraceSink sink;
-    sink.setCapacity(perLane);
-    sink.prepareForParallel(lanes);
-    sink.enable();
+    // World scale: the fleet writes W records with a ring big enough
+    // to keep them all; with a 256-record ring the metrics export
+    // must report exactly W - 256 dropped, and a rerun must export
+    // the same bytes.
+    FleetConfig cfg;
+    cfg.connsPerCpu = 8;
+    cfg.transactionsPerConn = 40;
+    ::setenv("VIRTSIM_TRACE", "probe_ovf_tr.json", 1);
+    ::setenv("VIRTSIM_METRICS", "probe_ovf_m.json", 1);
+    ::setenv("VIRTSIM_TRACE_CAPACITY", "1048576", 1);
+    (void)runNetperfRrFleet(cfg);
+    const std::string lossless = slurp("probe_ovf_tr.fleet.json");
+    EXPECT_EQ(numberAfter(lossless, "\"droppedRecords\":"), 0u);
+    const std::uint64_t written =
+        numberAfter(lossless, "\"recordCount\":");
+    ASSERT_GT(written, 256u);
 
-    std::vector<std::thread> crew;
-    for (int lane = 0; lane < lanes; ++lane) {
-        crew.emplace_back([&sink, tap, lane] {
-            LaneScope scope(lane);
-            for (int i = 0; i < perLane; ++i) {
-                sink.stamp(static_cast<Cycles>(i * lanes + lane), 1,
-                           tap, static_cast<std::uint16_t>(lane));
-            }
-        });
-    }
-    for (std::thread &t : crew)
-        t.join();
-
-    EXPECT_EQ(sink.total(),
-              static_cast<std::uint64_t>(lanes) * perLane);
-    EXPECT_EQ(sink.dropped(), 0u);
-    Cycles last = 0;
-    std::size_t visited = 0;
-    sink.forEachMerged([&](const TraceRecord &r) {
-        EXPECT_GE(r.when, last);
-        last = r.when;
-        ++visited;
-    });
-    EXPECT_EQ(visited, sink.size());
+    ::setenv("VIRTSIM_TRACE_CAPACITY", "256", 1);
+    (void)runNetperfRrFleet(cfg);
+    const std::string first = slurp("probe_ovf_m.fleet.json");
+    (void)runNetperfRrFleet(cfg);
+    const std::string rerun = slurp("probe_ovf_m.fleet.json");
+    ::unsetenv("VIRTSIM_TRACE_CAPACITY");
+    ::unsetenv("VIRTSIM_METRICS");
+    ::unsetenv("VIRTSIM_TRACE");
+    EXPECT_EQ(numberAfter(first, "\"trace.health.dropped_records\","
+                                 "\"value\":"),
+              written - 256);
+    EXPECT_EQ(first, rerun);
 }
 
 TEST(ChromeTrace, ExportIsWellFormedJson)
@@ -773,10 +748,8 @@ TEST(Metrics, DomainsAccumulateByTap)
 
 TEST(MetricsDeath, LateTapAfterPrepareForParallelDies)
 {
-    // prepareForParallel() freezes the tap-indexed arrays so shard
-    // lanes may bump counters concurrently. A tap first touched after
-    // the freeze would have to grow the vector under those readers —
-    // a data race; it must fail deterministically instead.
+    // prepareForParallel() freezes the tap-indexed arrays. A tap
+    // first touched after the freeze must fail deterministically.
     ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
     EXPECT_DEATH(
         {
@@ -837,49 +810,6 @@ TEST(EventKernelProfiler, RecordsDispatchLatencyPerLabel)
     const std::string rendered = prof.render();
     EXPECT_NE(rendered.find("probe.test.event"), std::string::npos);
     EXPECT_NE(rendered.find("(unlabeled)"), std::string::npos);
-}
-
-TEST(EventKernelProfiler, LaneHistogramsMergeDeterministically)
-{
-    // Parallel mode: each lane records into its own fixed-size
-    // histogram array; the read side must merge lanes exactly — same
-    // count/sum/min/max and the same rendering as a serial profiler
-    // fed the identical samples.
-    const TapId label = internTap("probe.test.lanemerge");
-    EventKernelProfiler serial;
-    EventKernelProfiler parallel;
-    parallel.prepareForParallel(4, internedTapCount());
-
-    const Cycles waits[] = {5, 80, 3, 1200, 64, 7, 80, 9};
-    for (int i = 0; i < 8; ++i) {
-        serial.record(label, waits[i]);
-        LaneScope scope(i % 4);
-        parallel.record(label, waits[i]);
-    }
-
-    const HistogramStat *h = parallel.histogram(label);
-    ASSERT_NE(h, nullptr);
-    EXPECT_EQ(h->count(), 8u);
-    EXPECT_EQ(h->min(), 3u);
-    EXPECT_EQ(h->max(), 1200u);
-    EXPECT_EQ(h->sum(), 5u + 80 + 3 + 1200 + 64 + 7 + 80 + 9);
-    EXPECT_EQ(parallel.render(), serial.render());
-}
-
-TEST(EventKernelProfilerDeath, LateLabelAfterPrepareDies)
-{
-    ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
-    EXPECT_DEATH(
-        {
-            EventKernelProfiler prof;
-            prof.prepareForParallel(2, internedTapCount());
-            // Interning after the partition froze the arrays must be
-            // a deterministic failure, not an out-of-bounds store
-            // under a concurrent lane.
-            const TapId late = internTap("probe.test.late.label");
-            prof.record(late, 10);
-        },
-        "interned after");
 }
 
 TEST(Probe, TraceEnvExportsLoadableJson)

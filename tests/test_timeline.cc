@@ -261,6 +261,35 @@ TEST(Timeline, SamplesGaugesWithChangeDedup)
     EXPECT_GE(tl.tickCount(), 10u);
 }
 
+TEST(Timeline, RunSampledSeesEventsBelowTheInstantOnly)
+{
+    // The sample-at-t rule the fleet runs on: the sample at t reads
+    // the model after every event below t and before any event at t.
+    EventQueue eq;
+    TimelineSampler tl;
+    std::int64_t level = 0;
+    tl.addGauge("test.level", [&level] { return level; });
+    tl.enable(100);
+    eq.scheduleAt(199, [&level] { level += 1; });
+    eq.scheduleAt(200, [&level] { level += 10; });
+    eq.scheduleAt(350, [&level] { level += 100; });
+    int stretches = 0;
+    EXPECT_EQ(tl.runSampled(eq, [&stretches] { ++stretches; }), 350u);
+
+    // Ticks at 0, 100, 200 and 300; dedup stores the changes only.
+    EXPECT_EQ(tl.tickCount(), 4u);
+    EXPECT_EQ(stretches, 3);
+    ASSERT_EQ(tl.sampleCount(0), 3u);
+    const TimelineSample *s = tl.samplesFor(0);
+    EXPECT_EQ(s[0].when, 0u);
+    EXPECT_EQ(s[0].value, 0);
+    EXPECT_EQ(s[1].when, 200u); // sees 199, not 200
+    EXPECT_EQ(s[1].value, 1);
+    EXPECT_EQ(s[2].when, 300u);
+    EXPECT_EQ(s[2].value, 11);
+    EXPECT_EQ(level, 111);
+}
+
 TEST(Timeline, RateGaugeStoresPerPeriodDeltas)
 {
     EventQueue eq;
