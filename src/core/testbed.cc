@@ -84,10 +84,6 @@ Testbed::Testbed(TestbedConfig config)
     wire_ = std::make_unique<Wire>(
         eq, server->counters(), server->freq().cycles(wireOneWayUs),
         &server->probe());
-    // Both wire legs are declared latency edges.
-    wire_->bindChannels(
-        &eq.channel("wire.to_server", wire_->oneWayLatency()),
-        &eq.channel("wire.to_client", wire_->oneWayLatency()));
 
     wire_->setServerEndpoint([this](Cycles t, const Packet &pkt) {
         server->nic().receiveFromWire(t, pkt);

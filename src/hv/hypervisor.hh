@@ -109,15 +109,14 @@ class Hypervisor
 
     /**
      * Declare this hypervisor family's cross-CPU interactions as
-     * latency edges on the queue the machine runs on, and bind them
-     * to the components that send through them (backend worker
-     * wakeups, ioeventfd kicks). The interrupt chip's IPI edge —
-     * which carries VCPU kicks, virtual IPIs and Xen's event-channel
-     * notifications — is declared by the chip itself. Harnesses call
-     * this after the I/O backends are attached and before start();
-     * declarations are idempotent by channel name, so a rebuild on a
-     * long-lived queue is safe. The base implementation declares
-     * nothing.
+     * latency edges on the queue the machine runs on (KVM's
+     * ioeventfd kick). The interrupt chip's IPI edge — which carries
+     * VCPU kicks, virtual IPIs and Xen's event-channel notifications —
+     * and the wire's legs are declared by those components. Harnesses
+     * call this after the I/O backends are attached and before
+     * start(); declarations are idempotent by channel name, so a
+     * rebuild on a long-lived queue is safe. The base implementation
+     * declares nothing.
      */
     virtual void declareShardChannels(EventQueue &) {}
 

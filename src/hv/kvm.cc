@@ -355,8 +355,6 @@ KvmHypervisor::declareShardChannels(EventQueue &eq)
 {
     if (!_vhost)
         return;
-    // Softirq-to-worker rx handoff: zero modelled latency.
-    _vhost->bindWakeChannel(&eq.channel("vhost.wake", 0));
     // Guest tx kick: any VCPU may trap and signal the ioeventfd; the
     // worker sees it no sooner than the kthread notify latency.
     chIoeventfd =

@@ -425,17 +425,6 @@ XenHypervisor::ioSignalIn(Cycles t, Vcpu &v, Done done)
 }
 
 void
-XenHypervisor::declareShardChannels(EventQueue &eq)
-{
-    if (!_netback)
-        return;
-    // NAPI-to-kthread rx handoff inside Dom0: zero modelled latency
-    // on one CPU. The frontend's tx kick crosses CPUs as a physical
-    // IPI and already rides the interrupt chip's IPI edge.
-    _netback->bindWakeChannel(&eq.channel("netback.wake", 0));
-}
-
-void
 XenHypervisor::attachVirtualNic(Vm &vm, NetbackBackend::Params np)
 {
     VIRTSIM_ASSERT(!_netback, "only one virtual NIC supported");

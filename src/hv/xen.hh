@@ -53,7 +53,6 @@ class XenHypervisor : public Hypervisor
 
     void start() override;
     TapId worldSwitchTap() const override;
-    void declareShardChannels(EventQueue &eq) override;
 
     void hypercall(Cycles t, Vcpu &v, Done done) override;
     void irqControllerTrap(Cycles t, Vcpu &v, Done done) override;

@@ -24,7 +24,9 @@ wireTaps()
 
 Wire::Wire(EventQueue &eq, MetricsDomain &counters,
            Cycles one_way_latency, Probe *probe)
-    : eq(eq), counters(counters), latency(one_way_latency), probe(probe)
+    : counters(counters), latency(one_way_latency), probe(probe),
+      chToServer(eq.channel("wire.to_server", one_way_latency)),
+      chToClient(eq.channel("wire.to_client", one_way_latency))
 {
     wireTaps(); // intern before prepareForParallel() freezes counters
 }
@@ -49,10 +51,7 @@ Wire::sendToServer(Cycles t, const Packet &pkt)
         }
         toServer(t + latency, pkt);
     };
-    if (chToServer)
-        chToServer->send(t + latency, std::move(deliver));
-    else
-        eq.scheduleAt(t + latency, std::move(deliver));
+    chToServer.send(t + latency, std::move(deliver));
 }
 
 void
@@ -72,10 +71,7 @@ Wire::sendToClient(Cycles t, const Packet &pkt)
         }
         toClient(t + latency, pkt);
     };
-    if (chToClient)
-        chToClient->send(t + latency, std::move(deliver));
-    else
-        eq.scheduleAt(t + latency, std::move(deliver));
+    chToClient.send(t + latency, std::move(deliver));
 }
 
 } // namespace virtsim

@@ -40,19 +40,6 @@ class Wire
     void setServerEndpoint(Endpoint e) { toServer = std::move(e); }
     void setClientEndpoint(Endpoint e) { toClient = std::move(e); }
 
-    /**
-     * Route the two wire legs through declared latency edges
-     * (latency = the one-way latency) instead of the raw queue, so a
-     * delivery sooner than the wire allows fails loudly. Unbound
-     * wires (unit tests) keep scheduling on their own queue.
-     */
-    void
-    bindChannels(ShardChannel *to_server, ShardChannel *to_client)
-    {
-        chToServer = to_server;
-        chToClient = to_client;
-    }
-
     /** Client -> server direction. */
     void sendToServer(Cycles t, const Packet &pkt);
 
@@ -62,14 +49,15 @@ class Wire
     Cycles oneWayLatency() const { return latency; }
 
   private:
-    EventQueue &eq;
     MetricsDomain &counters;
     Cycles latency;
     Probe *probe; ///< may be null (standalone wire)
     Endpoint toServer;
     Endpoint toClient;
-    ShardChannel *chToServer = nullptr; ///< may be null (unbound)
-    ShardChannel *chToClient = nullptr; ///< may be null (unbound)
+    /** The two legs, declared on the queue as "wire.to_server" and
+     *  "wire.to_client" with the one-way latency. */
+    ShardChannel &chToServer;
+    ShardChannel &chToClient;
 };
 
 } // namespace virtsim

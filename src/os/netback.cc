@@ -119,11 +119,7 @@ NetbackBackend::dom0RxToDomU(Cycles t, const Packet &pkt,
     rxPumpActive = true;
     PhysicalCpu &cpu = mach.cpu(p.dom0Pcpu);
     const Cycles start = std::max(t, cpu.frontier());
-    EventFn wake = [this, start] { pumpRx(start); };
-    if (wakeCh)
-        wakeCh->send(start, std::move(wake));
-    else
-        mach.queue().scheduleAt(start, std::move(wake));
+    mach.queue().scheduleAt(start, [this, start] { pumpRx(start); });
 }
 
 void

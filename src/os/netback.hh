@@ -24,7 +24,6 @@
 #include "hw/machine.hh"
 #include "os/kernel.hh"
 #include "os/netstack.hh"
-#include "sim/channel.hh"
 #include "sim/types.hh"
 
 namespace virtsim {
@@ -97,13 +96,6 @@ class NetbackBackend
     /** Note an event-channel kick: the next domUTx is a cold run. */
     void markTxKick() { txFresh = true; }
 
-    /**
-     * Route the NAPI-to-kthread wakeup through a declared channel
-     * (zero modelled latency: both run on Dom0's CPU). Unbound
-     * backends schedule on the machine queue, exactly as before.
-     */
-    void bindWakeChannel(ShardChannel *ch) { wakeCh = ch; }
-
     XenPvRing &rxRing() { return rx; }
     XenPvRing &txRing() { return tx; }
     GrantTable &grantTable() { return grants; }
@@ -148,7 +140,6 @@ class NetbackBackend
     XenPvRing rx;
     XenPvRing tx;
     std::deque<RxJob> rxJobs;
-    ShardChannel *wakeCh = nullptr;
     bool rxPumpActive = false;
     bool txFresh = true;
     bool rxFresh = true;

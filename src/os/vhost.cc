@@ -106,11 +106,7 @@ VhostBackend::hostRxToGuest(Cycles t, const Packet &pkt,
     rxPumpActive = true;
     PhysicalCpu &worker = mach.cpu(p.workerPcpu);
     const Cycles start = std::max(at_tap, worker.frontier());
-    EventFn wake = [this, start] { pumpRx(start); };
-    if (wakeCh)
-        wakeCh->send(start, std::move(wake));
-    else
-        mach.queue().scheduleAt(start, std::move(wake));
+    mach.queue().scheduleAt(start, [this, start] { pumpRx(start); });
 }
 
 void

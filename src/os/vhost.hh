@@ -23,7 +23,6 @@
 #include "hv/virtio.hh"
 #include "hw/machine.hh"
 #include "os/netstack.hh"
-#include "sim/channel.hh"
 #include "sim/types.hh"
 
 namespace virtsim {
@@ -94,13 +93,6 @@ class VhostBackend
 
     const Params &params() const { return p; }
 
-    /**
-     * Route the softirq-to-worker wakeup through a declared channel
-     * (zero modelled latency). Unbound backends schedule on the
-     * machine queue, exactly as before.
-     */
-    void bindWakeChannel(ShardChannel *ch) { wakeCh = ch; }
-
     /** Depth of the rx work queue (for tests). */
     std::size_t rxBacklogDepth() const { return rxJobs.size(); }
 
@@ -124,7 +116,6 @@ class VhostBackend
     VirtioQueue rx;
     VirtioQueue tx;
     std::deque<RxJob> rxJobs;
-    ShardChannel *wakeCh = nullptr;
     bool rxPumpActive = false;
     static constexpr std::size_t rxJobCap = 256;
     Cycles lastRxAt = 0;
