@@ -611,11 +611,12 @@ TEST(TraceSink, OverflowCountsExactAndDeterministic)
     FleetConfig cfg;
     cfg.connsPerCpu = 8;
     cfg.transactionsPerConn = 40;
-    ::setenv("VIRTSIM_TRACE", "probe_ovf_tr.json", 1);
-    ::setenv("VIRTSIM_METRICS", "probe_ovf_m.json", 1);
+    const std::string dir = ::testing::TempDir();
+    ::setenv("VIRTSIM_TRACE", (dir + "probe_ovf_tr.json").c_str(), 1);
+    ::setenv("VIRTSIM_METRICS", (dir + "probe_ovf_m.json").c_str(), 1);
     ::setenv("VIRTSIM_TRACE_CAPACITY", "1048576", 1);
     (void)runNetperfRrFleet(cfg);
-    const std::string lossless = slurp("probe_ovf_tr.fleet.json");
+    const std::string lossless = slurp(dir + "probe_ovf_tr.fleet.json");
     EXPECT_EQ(numberAfter(lossless, "\"droppedRecords\":"), 0u);
     const std::uint64_t written =
         numberAfter(lossless, "\"recordCount\":");
@@ -623,9 +624,9 @@ TEST(TraceSink, OverflowCountsExactAndDeterministic)
 
     ::setenv("VIRTSIM_TRACE_CAPACITY", "256", 1);
     (void)runNetperfRrFleet(cfg);
-    const std::string first = slurp("probe_ovf_m.fleet.json");
+    const std::string first = slurp(dir + "probe_ovf_m.fleet.json");
     (void)runNetperfRrFleet(cfg);
-    const std::string rerun = slurp("probe_ovf_m.fleet.json");
+    const std::string rerun = slurp(dir + "probe_ovf_m.fleet.json");
     ::unsetenv("VIRTSIM_TRACE_CAPACITY");
     ::unsetenv("VIRTSIM_METRICS");
     ::unsetenv("VIRTSIM_TRACE");
