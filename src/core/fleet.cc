@@ -91,8 +91,8 @@ struct FleetWorld
      *  client side stamps on a pseudo-track one past the last CPU. */
     std::string incidentsDir;
     FlightRecorder flight;
-    TapId queueTap;
-    TapId serveTap;
+    TapId queueTap = internTap("fleet.queue");
+    TapId serveTap = internTap("fleet.serve");
 
     std::uint16_t
     clientTrack() const
@@ -173,30 +173,16 @@ struct FleetWorld
             rsp.push_back(&eq.channel("fleet.rsp." + n, wire));
         }
 
-        // Latency/SLO configuration must precede the tap warm-up:
-        // SloEngine::warmTaps() interns the slo.*/watchdog.* taps the
-        // export path stamps, and prepareForParallel below freezes
-        // the tap-indexed metric arrays.
-        armLatency();
-
-        // The incident critical path walks causal spans on the
-        // request path; intern their taps (and the wire-edge tap)
-        // before the freeze below.
-        queueTap = internTap("fleet.queue");
-        serveTap = internTap("fleet.serve");
-        edgeWireTap();
-
-        // Warm the lazily interned taps of the virq path (the LR
-        // causal edge; inject -> ack -> complete leaves the LR array
-        // clean), then freeze the machine's counter domain and
-        // metrics arrays. The machine's components interned their
-        // counter taps when they were constructed.
+        // A virq round trip at t=0 (inject -> ack -> complete leaves
+        // the LR array clean). It changes nothing in the run, but it
+        // bumps the machine-domain gic.virq_injected counter once,
+        // and the pinned metrics export counts it
+        // (tests/golden/fleet_exports*/metrics.fleet.json).
         gic->injectVirq(0, 0, spiNicIrq);
         gic->guestAckVirq(0);
         gic->guestCompleteVirq(0, spiNicIrq);
-        mach->probe().warmTraceHealth();
-        mach->prepareForParallel(cfg.nCpus);
 
+        armLatency();
         armObservability();
 
         // VM 0's connections first, then VM 1's, and so on — the
@@ -230,9 +216,8 @@ struct FleetWorld
 
     /**
      * Read the latency/SLO environment and configure the tracker and
-     * the SLO engine. Runs before the metrics freeze — see the call
-     * site. The default objective (when cfg.slos is empty) is the
-     * fleet contract: p99 RTT within fleetDefaultSloP99Us with at
+     * the SLO engine. The default objective (when cfg.slos is empty)
+     * is the fleet contract: p99 RTT within fleetDefaultSloP99Us with at
      * most 1% of requests above it, judged live over 2 ms burn
      * windows. VIRTSIM_SLO_P99_US / VIRTSIM_SLO_MAX_VIOLATION
      * override the threshold / tolerated fraction of every spec.
@@ -271,15 +256,9 @@ struct FleetWorld
         for (SloSpec &s : specs)
             slo.addSpec(std::move(s));
         slo.bind(&mach->probe().latency);
-        slo.warmTaps();
     }
 
-    /**
-     * Arm the observability sinks the environment asked for. Called
-     * after the tap warm-up above — prepareForParallel freezes the
-     * tap-indexed arrays, so every tap the run will stamp must be
-     * interned first.
-     */
+    /** Arm the observability sinks the environment asked for. */
     void
     armObservability()
     {

@@ -55,7 +55,7 @@ std::string describe(MicroOp op);
 struct MicroResult
 {
     MicroOp op;
-    SampleStat cycles; ///< per-iteration cost in cycles
+    CycleSummary cycles; ///< per-iteration cost in cycles
 };
 
 /** One configuration's full Table I column. */

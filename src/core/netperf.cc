@@ -192,10 +192,10 @@ runNetperfRr(Testbed &tb, NetperfRrConfig cfg)
         sink.disable();
 
     // Aggregate the measured window (skip warmup). Legs accumulate
-    // in cycle-valued LatencyHistograms rather than SampleStat: the
-    // sums (and so the Table V means) stay exact integers, memory
-    // stays bounded at any transaction count, and the same
-    // histograms answer tail-quantile queries.
+    // in cycle-valued LatencyHistograms: the sums (and so the Table V
+    // means) stay exact integers, memory stays bounded at any
+    // transaction count, and the same histograms answer tail-quantile
+    // queries.
     NetperfRrResult out;
     LatencyHistogram s2r, r2s, r2vr, vr2vs, vs2s;
     const auto meanUs = [&f](const LatencyHistogram &h) {

@@ -194,10 +194,6 @@ Testbed::applyObservability()
                 def.maxViolationFraction = *f;
             slo.addSpec(std::move(def));
             slo.bind(&p.latency);
-            // The testbed never freezes its metric domains
-            // (classic worlds stay serial), but keep the fleet's
-            // intern-before-use discipline anyway.
-            slo.warmTaps();
         }
     }
     // Sampling also arms under VIRTSIM_TRACE alone so the Perfetto

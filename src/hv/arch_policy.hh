@@ -160,7 +160,7 @@ struct ArchTraits
      *  (the ARM vtimer PPI); -1 where no such line exists. */
     IrqId vtimerIrq;
     /** Whether transitions emit their spans, I/O paths their instants,
-     *  and Xen its per-leg trap histograms. Only the ARM models were
+     *  and Xen its per-leg trap summaries. Only the ARM models were
      *  instrumented this finely. */
     bool tracesTransitions;
 };

@@ -30,7 +30,6 @@ grantTaps()
 GrantTable::GrantTable(Machine &m, Vm &granter)
     : mach(m), granter(granter)
 {
-    grantTaps(); // intern before prepareForParallel() freezes counters
 }
 
 GrantRef

@@ -31,7 +31,6 @@ Hypervisor::Hypervisor(Machine &m, const std::string &family, bool e2h)
     : mach(m), wse(m.costs()), pol(ArchPolicy::create(m, wse, family, e2h))
 {
     wse.attachTrace(&m.trace());
-    hvTaps(); // intern before prepareForParallel() freezes counters
 }
 
 MetricsDomain &

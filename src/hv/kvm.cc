@@ -71,7 +71,6 @@ KvmHypervisor::KvmHypervisor(Machine &m, bool vhe)
     // isolation tests can detect cross-context leaks.
     for (std::size_t i = 0; i < hostCtx.size(); ++i)
         hostCtx[i].regs.fillPattern(pol->hostRegPattern + i);
-    kvmTaps(); // intern before prepareForParallel() freezes counters
 }
 
 TapId
@@ -156,7 +155,7 @@ KvmHypervisor::hypercall(Cycles t, Vcpu &v, Done done)
     const Cycles t2 = mach.cpu(v.pcpu()).charge(t1, params.hypercallHandler);
     const Cycles t3 = enterVm(t2, v);
     counters().counter(kvmTaps().hypercalls).inc();
-    vmMetrics(v.vm()).histogram(kvmTaps().trapHypercall).add(t3 - t);
+    vmMetrics(v.vm()).summary(kvmTaps().trapHypercall).add(t3 - t);
     trace().span(t, t3, kvmTaps().opHypercall, TraceCat::Op, track(v));
     queue().scheduleAt(t3, [t3, done] { done(t3); });
 }
@@ -170,7 +169,7 @@ KvmHypervisor::irqControllerTrap(Cycles t, Vcpu &v, Done done)
     const Cycles t2 = mach.cpu(v.pcpu()).charge(t1, params.irqchipEmulation);
     const Cycles t3 = enterVm(t2, v);
     counters().counter(kvmTaps().irqchipTraps).inc();
-    vmMetrics(v.vm()).histogram(kvmTaps().trapIrqchip).add(t3 - t);
+    vmMetrics(v.vm()).summary(kvmTaps().trapIrqchip).add(t3 - t);
     trace().span(t, t3, kvmTaps().opIrqTrap, TraceCat::Op, track(v));
     queue().scheduleAt(t3, [t3, done] { done(t3); });
 }
@@ -249,7 +248,7 @@ KvmHypervisor::virtualIpi(Cycles t, Vcpu &src, Vcpu &dst, Done done)
 
     // The kick races ahead; the sender's own re-entry is off the
     // measured path but still consumes its CPU.
-    vmMetrics(src.vm()).histogram(kvmTaps().trapVipi).add(t2 - t);
+    vmMetrics(src.vm()).summary(kvmTaps().trapVipi).add(t2 - t);
     // The operation envelope closes when the receiver dispatches its
     // handler — after every constituent span, as attribution needs.
     Done wrapped = [this, t, tr = track(src), done](Cycles ta) {
@@ -277,7 +276,7 @@ KvmHypervisor::virqComplete(Cycles t, Vcpu &v, Done done)
     const Cycles t2 = mach.cpu(v.pcpu()).charge(t1, params.eoiEmulation);
     const Cycles t3 = enterVm(t2, v);
     counters().counter(kvmTaps().virqCompleteTrap).inc();
-    vmMetrics(v.vm()).histogram(kvmTaps().trapEoi).add(t3 - t);
+    vmMetrics(v.vm()).summary(kvmTaps().trapEoi).add(t3 - t);
     queue().scheduleAt(t3, [t3, done] { done(t3); });
 }
 
@@ -298,7 +297,7 @@ KvmHypervisor::vmSwitch(Cycles t, Vcpu &from, Vcpu &to, Done done)
                            params.vcpuSwitchWork));
     const Cycles t3 = enterVm(t2, to);
     counters().counter(kvmTaps().vmSwitches).inc();
-    vmMetrics(to.vm()).histogram(kvmTaps().trapVmSwitch).add(t3 - t);
+    vmMetrics(to.vm()).summary(kvmTaps().trapVmSwitch).add(t3 - t);
     trace().span(t, t3, kvmTaps().opVmSwitch, TraceCat::Op, track(from));
     queue().scheduleAt(t3, [t3, done] { done(t3); });
 }
@@ -327,7 +326,7 @@ KvmHypervisor::ioSignalOut(Cycles t, Vcpu &v, Done done)
     enterVm(t2, v); // guest resumes; off the measured path
     PhysicalCpu &worker = mach.cpu(_vhost->params().workerPcpu);
     const Cycles t3 = worker.charge(t2, params.vhostNotifyLatency);
-    vmMetrics(v.vm()).histogram(kvmTaps().trapIoOut).add(t3 - t);
+    vmMetrics(v.vm()).summary(kvmTaps().trapIoOut).add(t3 - t);
     trace().span(t, t3, kvmTaps().opIoOut, TraceCat::Op, track(v));
     queue().scheduleAt(t3, [t3, done] { done(t3); });
 }

@@ -25,7 +25,6 @@ virtioTaps()
 VirtioQueue::VirtioQueue(Machine &m, Vm &guest, std::size_t capacity)
     : mach(m), guest(guest), capacity(capacity)
 {
-    virtioTaps(); // intern before prepareForParallel() freezes counters
 }
 
 Cycles

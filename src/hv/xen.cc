@@ -78,7 +78,6 @@ XenHypervisor::XenHypervisor(Machine &m)
                                  dom0_pins);
     dists[0] = std::make_unique<VgicDistributor>(*_dom0);
     evtchn = std::make_unique<EventChannel>(m);
-    xenTaps(); // intern before prepareForParallel() freezes counters
 }
 
 TapId
@@ -219,7 +218,7 @@ XenHypervisor::hypercall(Cycles t, Vcpu &v, Done done)
     const Cycles th = mach.cpu(v.pcpu()).charge(t1, params.hypercallHandler);
     const Cycles t2 = resumeVm(th, v);
     counters().counter(xenTaps().hypercalls).inc();
-    vmMetrics(v.vm()).histogram(xenTaps().trapHypercall).add(t2 - t);
+    vmMetrics(v.vm()).summary(xenTaps().trapHypercall).add(t2 - t);
     trace().span(t, t2, xenTaps().opHypercall, TraceCat::Op, track(v));
     queue().scheduleAt(t2, [t2, done] { done(t2); });
 }
@@ -233,7 +232,7 @@ XenHypervisor::irqControllerTrap(Cycles t, Vcpu &v, Done done)
     const Cycles t2 = mach.cpu(v.pcpu()).charge(t1, params.irqchipEmulation);
     const Cycles t3 = resumeVm(t2, v);
     counters().counter(xenTaps().irqchipTraps).inc();
-    vmMetrics(v.vm()).histogram(xenTaps().trapIrqchip).add(t3 - t);
+    vmMetrics(v.vm()).summary(xenTaps().trapIrqchip).add(t3 - t);
     trace().span(t, t3, xenTaps().opIrqTrap, TraceCat::Op, track(v));
     queue().scheduleAt(t3, [t3, done] { done(t3); });
 }
@@ -321,7 +320,7 @@ XenHypervisor::virtualIpi(Cycles t, Vcpu &src, Vcpu &dst, Done done)
     const Cycles t2 = mach.cpu(src.pcpu()).charge(
         t1, params.ipiEmulation + mach.costs().irqChipRegAccess);
     if (pol->tracesTransitions)
-        vmMetrics(src.vm()).histogram(xenTaps().trapVipi).add(t2 - t);
+        vmMetrics(src.vm()).summary(xenTaps().trapVipi).add(t2 - t);
     // Operation envelope closes when the receiver dispatches.
     Done wrapped = [this, t, tr = track(src), done](Cycles ta) {
         trace().span(t, ta, xenTaps().opVipi, TraceCat::Op, tr);
@@ -346,7 +345,7 @@ XenHypervisor::virqComplete(Cycles t, Vcpu &v, Done done)
     const Cycles t2 = mach.cpu(v.pcpu()).charge(t1, params.eoiEmulation);
     const Cycles t3 = resumeVm(t2, v);
     counters().counter(xenTaps().virqCompleteTrap).inc();
-    vmMetrics(v.vm()).histogram(xenTaps().trapEoi).add(t3 - t);
+    vmMetrics(v.vm()).summary(xenTaps().trapEoi).add(t3 - t);
     queue().scheduleAt(t3, [t3, done] { done(t3); });
 }
 
@@ -363,7 +362,7 @@ XenHypervisor::vmSwitch(Cycles t, Vcpu &from, Vcpu &to, Done done)
     from.setState(VcpuState::Idle);
     const Cycles t2 = switchDomains(t1, &from, to, true);
     counters().counter(xenTaps().vmSwitches).inc();
-    vmMetrics(to.vm()).histogram(xenTaps().trapVmSwitch).add(t2 - t);
+    vmMetrics(to.vm()).summary(xenTaps().trapVmSwitch).add(t2 - t);
     trace().span(t, t2, xenTaps().opVmSwitch, TraceCat::Op, track(from));
     queue().scheduleAt(t2, [t2, done] { done(t2); });
 }
@@ -390,7 +389,7 @@ XenHypervisor::ioSignalOut(Cycles t, Vcpu &v, Done done)
     const Cycles t2 = mach.cpu(v.pcpu()).charge(t1, evtchn->notify(portDom0));
     counters().counter(xenTaps().ioSignalOut).inc();
     if (pol->tracesTransitions)
-        vmMetrics(v.vm()).histogram(xenTaps().trapIoOut).add(t2 - t);
+        vmMetrics(v.vm()).summary(xenTaps().trapIoOut).add(t2 - t);
 
     kick(t2, dom0Vcpu().pcpu(), [this, t, tr = track(v), done](Cycles th) {
         const Cycles t3 =

@@ -26,7 +26,6 @@ pvTaps()
 XenPvRing::XenPvRing(Machine &m, std::size_t capacity)
     : mach(m), capacity(capacity)
 {
-    pvTaps(); // intern before prepareForParallel() freezes counters
 }
 
 Cycles
@@ -82,7 +81,6 @@ XenPvRing::ringOpCost() const
 
 EventChannel::EventChannel(Machine &m) : mach(m)
 {
-    pvTaps(); // intern before prepareForParallel() freezes counters
 }
 
 int

@@ -38,7 +38,6 @@ IrqChip::IrqChip(EventQueue &eq, const CostModel &cm,
     : eq(eq), cm(cm), counters(counters), probe(probe),
       ipi(eq.channel("ipi", cm.ipiFlight))
 {
-    chipTaps(); // intern before prepareForParallel() freezes counters
 }
 
 PcpuId

@@ -118,8 +118,7 @@ Machine::reset()
     _nic->reset();
     // Fresh domains, not reset(): reset keeps registered taps alive,
     // so a recycled machine would list zero-valued rows a fresh one
-    // has never heard of. A fresh counter domain also drops a
-    // prepareForParallel() growth freeze.
+    // has never heard of.
     _counters = MetricsDomain(counterDomainName);
     _probe.metrics.clear();
     _probe.trace.clear();

@@ -67,11 +67,8 @@ class Machine
     /**
      * The machine's event counters (traps, world switches, grant
      * copies, packets, ...), keyed by interned TapId: a bump is an
-     * array index and a relaxed atomic add, with no string and no
-     * lock. Each counting file interns its taps in its component's
-     * constructor, so a world can freeze the domain with
-     * prepareForParallel() before it runs. Private to the machine:
-     * MetricsRegistry::snapshot() never sees it.
+     * array index and an add, with no string and no lock. Private to
+     * the machine: MetricsRegistry::snapshot() never sees it.
      */
     MetricsDomain &counters() { return _counters; }
     const MetricsDomain &counters() const { return _counters; }
@@ -83,19 +80,6 @@ class Machine
     Probe &probe() { return _probe; }
     TraceSink &trace() { return _probe.trace; }
     MetricsRegistry &metrics() { return _probe.metrics; }
-
-    /**
-     * Freeze the counter domain and the metrics registry (with
-     * per-CPU domains for nCpus CPUs) at the currently interned tap
-     * set. Call once, before the run; a tap first interned
-     * afterwards fails its first bump.
-     */
-    void
-    prepareForParallel(int nCpus)
-    {
-        _counters.prepareForParallel(internedTapCount());
-        _probe.metrics.prepareForParallel(nCpus);
-    }
 
     int numCpus() const { return static_cast<int>(cpus.size()); }
     PhysicalCpu &cpu(PcpuId id);

@@ -25,7 +25,6 @@ memTaps()
 MainMemory::MainMemory(const CostModel &cm, MetricsDomain &counters)
     : cm(cm), counters(counters)
 {
-    memTaps(); // intern before prepareForParallel() freezes counters
 }
 
 BufferId

@@ -112,7 +112,6 @@ Mmu::Mmu(const CostModel &cm, MetricsDomain &counters, int n_cpus,
     : cm(cm), counters(counters), probe(probe),
       tlbs(static_cast<std::size_t>(n_cpus))
 {
-    mmuTaps(); // intern before prepareForParallel() freezes counters
 }
 
 std::pair<std::optional<Pa>, Cycles>

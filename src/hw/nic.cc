@@ -31,7 +31,6 @@ Nic::Nic(EventQueue &eq, IrqChip &chip, MetricsDomain &counters,
          const Frequency &freq, Params params)
     : eq(eq), chip(chip), counters(counters), freq(freq), params(params)
 {
-    nicTaps(); // intern before prepareForParallel() freezes counters
 }
 
 Nic::Nic(EventQueue &eq, IrqChip &chip, MetricsDomain &counters,

@@ -28,7 +28,6 @@ Wire::Wire(EventQueue &eq, MetricsDomain &counters,
       chToServer(eq.channel("wire.to_server", one_way_latency)),
       chToClient(eq.channel("wire.to_client", one_way_latency))
 {
-    wireTaps(); // intern before prepareForParallel() freezes counters
 }
 
 void

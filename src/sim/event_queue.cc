@@ -154,7 +154,7 @@ EventQueue::step()
     _now = top.when;
     popTop();
     Slot &s = slotAt(top.slot);
-    if (profiler && top.slot < profMeta.size()) {
+    if (profiler && top.slot < profMeta.size()) [[unlikely]] {
         const ProfMeta &m = profMeta[top.slot];
         profiler->record(m.label, top.when - m.enqueuedAt);
     }

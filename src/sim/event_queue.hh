@@ -95,7 +95,7 @@ class EventQueue
 
     /**
      * Schedule fn with a label the kernel profiler (if attached)
-     * aggregates queue-wait histograms under. With no profiler the
+     * aggregates queue-wait summaries under. With no profiler the
      * label costs one predictable branch.
      */
     EventId

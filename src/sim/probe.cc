@@ -105,14 +105,6 @@ tapName(TapId tap)
     return t.names[tap.raw()];
 }
 
-std::size_t
-internedTapCount()
-{
-    InternTable &t = internTable();
-    std::lock_guard<std::mutex> lock(t.mu);
-    return t.names.size() - 1;
-}
-
 const char *
 to_string(TraceCat cat)
 {
@@ -356,24 +348,12 @@ Probe::syncTraceHealth()
 }
 
 void
-Probe::warmTraceHealth()
-{
-    // Interning alone is enough: prepareForParallel() sizes the
-    // counter arrays from internedTapCount(), and no counter row is
-    // registered until a sync actually reports loss.
-    internTap("trace.health.dropped_records");
-    internTap("trace.health.truncated_spans");
-}
-
-void
 MetricsDomain::reset()
 {
     for (Counter &c : counters)
         c.reset();
-    for (auto &h : hists) {
-        if (h)
-            h->reset();
-    }
+    for (CycleSummary &s : summaries)
+        s.reset();
 }
 
 MetricsRegistry::MetricsRegistry()
@@ -406,19 +386,6 @@ MetricsRegistry::cpu(int pcpu)
 }
 
 void
-MetricsRegistry::prepareForParallel(int nCpus)
-{
-    const std::size_t taps = internedTapCount();
-    if (nCpus > 0)
-        cpu(nCpus - 1); // materialize cpu:0 .. cpu:nCpus-1
-    _machine->prepareForParallel(taps);
-    for (auto &[key, dom] : _vms)
-        dom->prepareForParallel(taps);
-    for (auto &dom : _cpus)
-        dom->prepareForParallel(taps);
-}
-
-void
 MetricsRegistry::reset()
 {
     _machine->reset();
@@ -446,8 +413,8 @@ MetricsRegistry::snapshot() const
             snap.counters.push_back(
                 {dom.name(), tapName(tap), value});
         });
-        dom.forEachHistogram([&snap, &dom](TapId tap,
-                                           const HistogramStat &h) {
+        dom.forEachSummary([&snap, &dom](TapId tap,
+                                         const CycleSummary &h) {
             MetricsSnapshot::HistogramRow row;
             row.domain = dom.name();
             row.name = tapName(tap);
@@ -528,7 +495,7 @@ MetricsSnapshot::brief() const
         else if (r.name.find("virq") != std::string::npos)
             d.virqs += r.value;
     }
-    // Trap costs are recorded as per-reason histograms; their sample
+    // Trap costs are recorded as per-reason cycle summaries; their sample
     // counts are the trap counts.
     for (const HistogramRow &r : histograms) {
         if (r.domain.rfind("vm:", 0) != 0)
@@ -579,22 +546,22 @@ MetricsSnapshot::toJson() const
     return out;
 }
 
-const HistogramStat *
-EventKernelProfiler::histogram(TapId label) const
+const CycleSummary *
+EventKernelProfiler::summary(TapId label) const
 {
     const std::size_t i = label.raw();
-    if (i >= hists.size() || hists[i].count() == 0)
+    if (i >= summaries.size() || summaries[i].empty())
         return nullptr;
-    return &hists[i];
+    return &summaries[i];
 }
 
 std::string
 EventKernelProfiler::render() const
 {
-    std::vector<std::pair<std::string, HistogramStat>> rows;
-    for (std::size_t i = 0; i < hists.size(); ++i) {
-        const HistogramStat &h = hists[i];
-        if (h.count() == 0)
+    std::vector<std::pair<std::string, CycleSummary>> rows;
+    for (std::size_t i = 0; i < summaries.size(); ++i) {
+        const CycleSummary &h = summaries[i];
+        if (h.empty())
             continue;
         const TapId tap = TapId::fromRaw(static_cast<std::uint32_t>(i));
         rows.emplace_back(tap.valid() ? tapName(tap) : "(unlabeled)",

@@ -90,9 +90,6 @@ TapId internTap(std::string_view name);
 /** Name of an interned tap ("?" for the invalid id). */
 std::string tapName(TapId tap);
 
-/** Number of interned taps (invalid id excluded). */
-std::size_t internedTapCount();
-
 /** Record shape: a point event, one end of a span, or one end of a
  *  cross-CPU causal edge (arg carries the edge token). */
 enum class TraceKind : std::uint8_t
@@ -512,41 +509,13 @@ bool exportChromeTrace(const std::string &path, const TraceSink &sink,
                        const TimelineSampler *timeline = nullptr,
                        const FlightRecorder *flight = nullptr);
 
-/** A copyable relaxed-atomic byte flag: MetricsDomain's used-tap
- *  marks, safe to set from several threads while the flag array stays
- *  resizable (plain std::atomic is not copy-insertable into a
- *  vector). */
-struct RelaxedFlag
-{
-    RelaxedFlag() = default;
-    RelaxedFlag(const RelaxedFlag &o)
-        : v(o.v.load(std::memory_order_relaxed))
-    {}
-    RelaxedFlag &
-    operator=(const RelaxedFlag &o)
-    {
-        v.store(o.v.load(std::memory_order_relaxed),
-                std::memory_order_relaxed);
-        return *this;
-    }
-
-    void set() { v.store(1, std::memory_order_relaxed); }
-    bool get() const { return v.load(std::memory_order_relaxed) != 0; }
-
-    std::atomic<std::uint8_t> v{0};
-};
-
 /**
  * One level of the metrics hierarchy (machine, one VM, or one CPU):
- * counters and bounded-memory cycle histograms keyed by TapId.
- * Lookup is an array index off the tap id — cheap enough to leave on
- * unconditionally in hypervisor paths.
- *
- * After prepareForParallel() the counter() path performs no vector
- * growth (Counter is internally atomic, the used-flag store is relaxed
- * atomic), so counters could be bumped from several threads;
- * histograms could not. No world does that today: every world runs on
- * one event queue.
+ * counters and exact cycle summaries keyed by TapId. Lookup is an
+ * array index off the tap id — cheap enough to leave on
+ * unconditionally in hypervisor paths. A tap is registered (listed by
+ * the forEach visitors) from its first counter()/summary() call;
+ * the arrays grow to cover it then.
  */
 class MetricsDomain
 {
@@ -560,52 +529,23 @@ class MetricsDomain
     {
         const std::size_t i = tap.raw();
         if (i >= counters.size()) {
-            // Once the domain is frozen a late-interned tap is a
-            // deterministic failure, not a resize.
-            VIRTSIM_ASSERT(!parallelPrepared,
-                           "tap ", i, " in domain '", _name,
-                           "' first touched after ",
-                           "prepareForParallel(); intern and warm ",
-                           "taps before the parallel phase");
             counters.resize(i + 1);
-            used.resize(counters.size());
+            counterUsed.resize(i + 1);
         }
-        used[i].set();
+        counterUsed[i] = 1;
         return counters[i];
     }
 
-    /**
-     * Pre-size the tap-indexed arrays to cover ids [0, tapCount), so
-     * later counter()/histogram() calls never reallocate. Call with
-     * internedTapCount().
-     */
-    void
-    prepareForParallel(std::size_t tapCount)
-    {
-        if (counters.size() < tapCount + 1) {
-            counters.resize(tapCount + 1);
-            used.resize(counters.size());
-        }
-        if (hists.size() < tapCount + 1)
-            hists.resize(tapCount + 1);
-        parallelPrepared = true;
-    }
-
-    HistogramStat &
-    histogram(TapId tap)
+    CycleSummary &
+    summary(TapId tap)
     {
         const std::size_t i = tap.raw();
-        if (i >= hists.size()) {
-            VIRTSIM_ASSERT(!parallelPrepared,
-                           "tap ", i, " in domain '", _name,
-                           "' first touched after ",
-                           "prepareForParallel(); intern and warm ",
-                           "taps before the parallel phase");
-            hists.resize(i + 1);
+        if (i >= summaries.size()) {
+            summaries.resize(i + 1);
+            summaryUsed.resize(i + 1);
         }
-        if (!hists[i])
-            hists[i] = std::make_unique<HistogramStat>();
-        return *hists[i];
+        summaryUsed[i] = 1;
+        return summaries[i];
     }
 
     /**
@@ -619,12 +559,12 @@ class MetricsDomain
     value(TapId tap) const
     {
         const std::size_t i = tap.raw();
-        if (i >= counters.size() || !used[i].get())
+        if (i >= counters.size() || !counterUsed[i])
             return 0;
         return counters[i].value();
     }
 
-    /** Zero every counter and histogram; registered taps stay
+    /** Zero every counter and summary; registered taps stay
      *  registered so reruns report the same rows. */
     void reset();
 
@@ -634,22 +574,22 @@ class MetricsDomain
     forEachCounter(Fn &&fn) const
     {
         for (std::size_t i = 0; i < counters.size(); ++i) {
-            if (used[i].get()) {
+            if (counterUsed[i]) {
                 fn(TapId::fromRaw(static_cast<std::uint32_t>(i)),
                    counters[i].value());
             }
         }
     }
 
-    /** Visit used histograms as (tap, stat). */
+    /** Visit used summaries as (tap, summary). */
     template <typename Fn>
     void
-    forEachHistogram(Fn &&fn) const
+    forEachSummary(Fn &&fn) const
     {
-        for (std::size_t i = 0; i < hists.size(); ++i) {
-            if (hists[i]) {
+        for (std::size_t i = 0; i < summaries.size(); ++i) {
+            if (summaryUsed[i]) {
                 fn(TapId::fromRaw(static_cast<std::uint32_t>(i)),
-                   *hists[i]);
+                   summaries[i]);
             }
         }
     }
@@ -657,12 +597,9 @@ class MetricsDomain
   private:
     std::string _name;
     std::vector<Counter> counters;
-    std::vector<RelaxedFlag> used;
-    /** Allocated on first use, so pre-sizing a domain for every
-     *  interned tap costs a pointer per tap, not a histogram. */
-    std::vector<std::unique_ptr<HistogramStat>> hists;
-    /** Once set, the tap-indexed arrays are frozen. */
-    bool parallelPrepared = false;
+    std::vector<std::uint8_t> counterUsed;
+    std::vector<CycleSummary> summaries;
+    std::vector<std::uint8_t> summaryUsed;
 };
 
 /** Deterministic, name-sorted snapshot of a MetricsRegistry. */
@@ -678,6 +615,7 @@ struct MetricsSnapshot
                                const CounterRow &) = default;
     };
 
+    /** One tap's CycleSummary (the JSON "histograms" rows). */
     struct HistogramRow
     {
         std::string domain;
@@ -725,16 +663,7 @@ class MetricsRegistry
     /** Per-physical-CPU domain (rendered as "cpu:<N>"). */
     MetricsDomain &cpu(int pcpu);
 
-    /**
-     * Pre-create the per-CPU domains for nCpus CPUs and pre-size
-     * every existing domain for all currently interned taps, so no
-     * domain lookup or counter registration allocates afterwards.
-     * Call once, before the run; has no effect on snapshot
-     * contents.
-     */
-    void prepareForParallel(int nCpus);
-
-    /** Zero all counters and histograms in every domain. */
+    /** Zero all counters and summaries in every domain. */
     void reset();
 
     /** Drop every domain and registration, returning to the
@@ -757,7 +686,7 @@ class MetricsRegistry
 };
 
 /**
- * Event-kernel dispatch profiler: per-label histograms of the latency
+ * Event-kernel dispatch profiler: per-label summaries of the latency
  * between an event's scheduling time and the simulated time it fired
  * (how far ahead work is scheduled — the shape of the event kernel's
  * workload). Installed into an EventQueue via setProfiler(); when not
@@ -770,22 +699,22 @@ class EventKernelProfiler
     record(TapId label, Cycles wait)
     {
         const std::size_t i = label.raw();
-        if (i >= hists.size())
-            hists.resize(i + 1);
-        hists[i].add(wait);
+        if (i >= summaries.size())
+            summaries.resize(i + 1);
+        summaries[i].add(wait);
     }
 
-    /** Histogram for a label, or null if never recorded. */
-    const HistogramStat *histogram(TapId label) const;
+    /** Summary for a label, or null if never recorded. */
+    const CycleSummary *summary(TapId label) const;
 
-    void reset() { hists.clear(); }
+    void reset() { summaries.clear(); }
 
     /** One line per label, sorted by name; the invalid label renders
      *  as "(unlabeled)". */
     std::string render() const;
 
   private:
-    std::vector<HistogramStat> hists; ///< by raw tap id
+    std::vector<CycleSummary> summaries; ///< by raw tap id
 };
 
 /**
@@ -819,16 +748,6 @@ struct Probe
      * byte-identically with or without this call.
      */
     void syncTraceHealth();
-
-    /**
-     * Intern the trace-health tap names now. A world that calls
-     * MetricsRegistry::prepareForParallel() must warm these first:
-     * syncTraceHealth() runs at export time, long after the domains
-     * froze their tap arrays, and a lossy trace would otherwise be
-     * the first (fatal) late intern. Interning adds no counter rows,
-     * so clean snapshots are unchanged.
-     */
-    void warmTraceHealth();
 };
 
 } // namespace virtsim

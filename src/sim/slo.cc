@@ -10,21 +10,6 @@
 namespace virtsim {
 
 void
-SloEngine::warmTaps() const
-{
-    internTap("watchdog.anomalies");
-    internTap("watchdog.anomalies_dropped");
-    for (const SloSpec &s : specs_) {
-        internTap("slo." + s.name + ".requests");
-        internTap("slo." + s.name + ".violations");
-        internTap("slo." + s.name + ".breached");
-        // The watchdog rule this engine installs is named
-        // "slo.<name>"; publishAnomalies prefixes "watchdog.".
-        internTap("watchdog.slo." + s.name);
-    }
-}
-
-void
 SloEngine::installTimeline(TimelineSampler &tl, const Frequency &freq)
 {
     VIRTSIM_ASSERT(tracker != nullptr,

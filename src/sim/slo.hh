@@ -102,10 +102,8 @@ struct SloVerdict
 
 /**
  * Judges a set of SloSpecs against one RequestTracker. Setup order:
- * addSpec() the objectives, bind() the tracker, warmTaps() before the
- * owning world freezes its metrics domains
- * (MetricsRegistry::prepareForParallel), installTimeline() after the
- * world's own gauges are registered. Everything else is driven by the
+ * addSpec() the objectives, bind() the tracker, installTimeline() after
+ * the world's own gauges are registered. Everything else is driven by the
  * timeline (onSample via the sample hook) and the export path
  * (judge/publish/verdictsJson).
  */
@@ -130,15 +128,6 @@ class SloEngine
     bool armed() const { return !specs_.empty(); }
 
     void bind(const RequestTracker *t) { tracker = t; }
-
-    /**
-     * Intern every metric tap this engine (and the watchdog rules it
-     * installs) may create at export time. Must run before the
-     * owning world calls MetricsRegistry::prepareForParallel() — the
-     * domains freeze their tap-indexed arrays there, and a breach
-     * would otherwise be the first (fatal) late intern.
-     */
-    void warmTaps() const;
 
     /**
      * Register the gauges, watchdog rules and the sample hook with a

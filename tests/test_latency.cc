@@ -24,7 +24,6 @@
 #include "sim/latency.hh"
 #include "sim/random.hh"
 #include "sim/slo.hh"
-#include "sim/stats.hh"
 
 // ---------------------------------------------------------------------
 // Binary-wide allocation counter (the test_probe.cc idiom): the
@@ -322,10 +321,9 @@ TEST(LatencyHistogramBuckets, BucketIndexIsMonotone)
 
 TEST(LatencyHistogramQuantiles, WithinRelativeErrorOfExact)
 {
-    // Same stream into the exact-but-unbounded SampleStat world
-    // (nearest-rank reference) and the bounded histogram; the
-    // histogram's quantiles must stay within the 2^-7 relative error
-    // bound at every magnitude.
+    // Same stream into an exact sorted-vector reference (nearest
+    // rank) and the bounded histogram; the histogram's quantiles must
+    // stay within the 2^-7 relative error bound at every magnitude.
     Random rng(1234);
     LatencyHistogram h;
     std::vector<std::uint64_t> all;
@@ -750,7 +748,7 @@ TEST(TestbedLatency, NetperfMeetsDefaultObjective)
 }
 
 // ---------------------------------------------------------------------
-// Env knob validation and the SampleStat ceiling
+// Env knob validation
 // ---------------------------------------------------------------------
 
 TEST(LatencyEnvDeath, RejectsGarbageAndOutOfRange)
@@ -812,17 +810,4 @@ TEST(FleetEnvDeath, RejectsGarbageBurstFactor)
     FleetConfig cfg = smallFleet();
     EXPECT_DEATH((void)runNetperfRrFleet(cfg),
                  "must be a positive number");
-}
-
-TEST(SampleStatDeath, UnboundedFeedHitsTheCeiling)
-{
-    ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
-    EXPECT_DEATH(
-        {
-            SampleStat s;
-            for (std::size_t i = 0; i <= SampleStat::maxSamples;
-                 ++i)
-                s.add(1.0);
-        },
-        "bounded-memory LatencyHistogram");
 }

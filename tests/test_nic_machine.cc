@@ -95,26 +95,6 @@ TEST_F(NicFixture, TxSerializesAtLineRate)
     EXPECT_EQ(ser, 2880u);
 }
 
-TEST(MachineCountersDeath, LateTapAfterPrepareForParallelDies)
-{
-    // Machine::prepareForParallel() is the freeze the fleet applies
-    // before it runs: the component constructors have interned every
-    // counter tap by then, so a tap interned later has no slot and
-    // its first bump must fail, not grow the array.
-    ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
-    EXPECT_DEATH(
-        {
-            EventQueue eq;
-            Machine m(eq, MachineConfig::hpMoonshotM400());
-            m.prepareForParallel(m.numCpus());
-            m.nic().receiveFromWire(0, mkPacket(1, 60)); // interned
-            m.counters()
-                .counter(internTap("nic_machine.test.never.warmed"))
-                .inc();
-        },
-        "machine.counters.*after prepareForParallel");
-}
-
 TEST(Wire, DeliversBothDirectionsWithLatency)
 {
     EventQueue eq;

@@ -6,7 +6,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cmath>
 #include <map>
 #include <string>
 
@@ -82,51 +81,47 @@ TEST(Random, ChanceExtremes)
     }
 }
 
-TEST(SampleStat, BasicMoments)
+TEST(CycleSummary, ExactCountSumMinMaxMean)
 {
-    SampleStat s;
-    for (double v : {1.0, 2.0, 3.0, 4.0})
+    CycleSummary s;
+    EXPECT_TRUE(s.empty());
+    for (std::uint64_t v : {3u, 0u, 1000u, 1u, 2u})
         s.add(v);
-    EXPECT_EQ(s.count(), 4u);
-    EXPECT_DOUBLE_EQ(s.mean(), 2.5);
-    EXPECT_DOUBLE_EQ(s.min(), 1.0);
-    EXPECT_DOUBLE_EQ(s.max(), 4.0);
-    EXPECT_DOUBLE_EQ(s.sum(), 10.0);
-    EXPECT_NEAR(s.stddev(), std::sqrt(1.25), 1e-12);
+    EXPECT_FALSE(s.empty());
+    EXPECT_EQ(s.count(), 5u);
+    EXPECT_EQ(s.sum(), 1006u);
+    EXPECT_EQ(s.min(), 0u);
+    EXPECT_EQ(s.max(), 1000u);
+    EXPECT_DOUBLE_EQ(s.mean(), 1006.0 / 5.0);
 }
 
-TEST(SampleStat, PercentileNearestRank)
+TEST(CycleSummary, SingleSample)
 {
-    SampleStat s;
-    for (int i = 1; i <= 100; ++i)
-        s.add(static_cast<double>(i));
-    EXPECT_DOUBLE_EQ(s.percentile(0), 1.0);
-    EXPECT_DOUBLE_EQ(s.percentile(100), 100.0);
-    EXPECT_NEAR(s.median(), 50.5, 1e-9);
-    EXPECT_NEAR(s.percentile(90), 90.1, 0.2);
-}
-
-TEST(SampleStat, SingleSample)
-{
-    SampleStat s;
-    s.add(42.0);
+    CycleSummary s;
+    s.add(42);
+    EXPECT_EQ(s.min(), 42u);
+    EXPECT_EQ(s.max(), 42u);
     EXPECT_DOUBLE_EQ(s.mean(), 42.0);
-    EXPECT_DOUBLE_EQ(s.median(), 42.0);
-    EXPECT_DOUBLE_EQ(s.stddev(), 0.0);
 }
 
-TEST(SampleStat, ResetClears)
+TEST(CycleSummary, ResetClears)
 {
-    SampleStat s;
-    s.add(1.0);
+    CycleSummary s;
+    s.add(7);
+    s.add(9);
     s.reset();
     EXPECT_TRUE(s.empty());
-    EXPECT_DOUBLE_EQ(s.sum(), 0.0);
+    EXPECT_EQ(s.count(), 0u);
+    EXPECT_EQ(s.sum(), 0u);
+    // A reset summary starts a fresh envelope.
+    s.add(5);
+    EXPECT_EQ(s.min(), 5u);
+    EXPECT_EQ(s.max(), 5u);
 }
 
-TEST(SampleStatDeath, EmptyMeanPanics)
+TEST(CycleSummaryDeath, EmptyMeanPanics)
 {
-    SampleStat s;
+    CycleSummary s;
     EXPECT_DEATH((void)s.mean(), "mean of empty");
 }
 
@@ -182,28 +177,3 @@ TEST(MachineCounters, UntouchedTapReadsZero)
     EXPECT_EQ(rows.count("test.machine_counters.untouched"), 0u);
     EXPECT_EQ(rows.at("test.machine_counters.exits"), 7u);
 }
-
-/** Property: percentile is monotone in p and bounded by min/max. */
-class PercentileMonotoneTest : public ::testing::TestWithParam<int>
-{
-};
-
-TEST_P(PercentileMonotoneTest, MonotoneAndBounded)
-{
-    Random r(static_cast<std::uint64_t>(GetParam()));
-    SampleStat s;
-    const int n = 50 + GetParam() * 37;
-    for (int i = 0; i < n; ++i)
-        s.add(r.uniform(-100.0, 100.0));
-    double prev = s.min();
-    for (double p = 0; p <= 100.0; p += 2.5) {
-        const double v = s.percentile(p);
-        EXPECT_GE(v, prev - 1e-9);
-        EXPECT_GE(v, s.min());
-        EXPECT_LE(v, s.max());
-        prev = v;
-    }
-}
-
-INSTANTIATE_TEST_SUITE_P(Sizes, PercentileMonotoneTest,
-                         ::testing::Range(1, 9));
