@@ -12,7 +12,9 @@
 #            standalone UBSan catches what ASan's interceptors mask.
 #   tsan:    (--with-tsan) ThreadSanitizer in build-tsan/ — runs the
 #            suites that drive the parallel sweep runner's thread
-#            pool (test_sweep, test_testbed, test_figure).
+#            pool (test_sweep, test_testbed, test_figure, test_attrib,
+#            test_microbench). Metrics counters are plain integers, so
+#            this pass is what shows no world is shared by workers.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -56,13 +58,14 @@ if [[ "$with_tsan" == 1 ]]; then
           -DVIRTSIM_SANITIZE=thread \
           -DCMAKE_BUILD_TYPE=RelWithDebInfo >/dev/null
     cmake --build build-tsan -j "$jobs" \
-          --target test_sweep test_testbed test_figure
+          --target test_sweep test_testbed test_figure \
+                   test_attrib test_microbench
     # The sweep pool is the one multithreaded part of the simulator;
     # force four jobs so the suites exercise it even on a single-core
     # host (TSan interleaves threads regardless of core count).
     VIRTSIM_JOBS=4 TSAN_OPTIONS=halt_on_error=1 \
         ctest --test-dir build-tsan --output-on-failure -j "$jobs" \
-        -R 'test_(sweep|testbed|figure)$'
+        -R 'test_(sweep|testbed|figure|attrib|microbench)$'
 fi
 
 echo "check.sh: all passes OK"
