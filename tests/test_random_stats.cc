@@ -81,39 +81,26 @@ TEST(Random, ChanceExtremes)
     }
 }
 
-TEST(CycleSummary, ExactCountSumMinMaxMean)
+TEST(CycleSummary, ExactMomentsAndReset)
 {
     CycleSummary s;
     EXPECT_TRUE(s.empty());
-    for (std::uint64_t v : {3u, 0u, 1000u, 1u, 2u})
-        s.add(v);
-    EXPECT_FALSE(s.empty());
-    EXPECT_EQ(s.count(), 5u);
-    EXPECT_EQ(s.sum(), 1006u);
-    EXPECT_EQ(s.min(), 0u);
-    EXPECT_EQ(s.max(), 1000u);
-    EXPECT_DOUBLE_EQ(s.mean(), 1006.0 / 5.0);
-}
-
-TEST(CycleSummary, SingleSample)
-{
-    CycleSummary s;
     s.add(42);
     EXPECT_EQ(s.min(), 42u);
     EXPECT_EQ(s.max(), 42u);
     EXPECT_DOUBLE_EQ(s.mean(), 42.0);
-}
-
-TEST(CycleSummary, ResetClears)
-{
-    CycleSummary s;
-    s.add(7);
-    s.add(9);
+    for (std::uint64_t v : {3u, 0u, 1000u, 1u, 2u})
+        s.add(v);
+    EXPECT_EQ(s.count(), 6u);
+    EXPECT_EQ(s.sum(), 1048u);
+    EXPECT_EQ(s.min(), 0u);
+    EXPECT_EQ(s.max(), 1000u);
+    EXPECT_DOUBLE_EQ(s.mean(), 1048.0 / 6.0);
+    // reset() empties the summary and starts a fresh envelope.
     s.reset();
     EXPECT_TRUE(s.empty());
     EXPECT_EQ(s.count(), 0u);
     EXPECT_EQ(s.sum(), 0u);
-    // A reset summary starts a fresh envelope.
     s.add(5);
     EXPECT_EQ(s.min(), 5u);
     EXPECT_EQ(s.max(), 5u);
