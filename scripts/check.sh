@@ -4,7 +4,8 @@
 #
 # Usage: scripts/check.sh [--with-tsan]
 #
-#   tier-1:  cmake + build + ctest in build/        (the seed gate)
+#   tier-1:  cmake + build + ctest in build/        (the seed gate),
+#            and no file under tests/ may be git-ignored
 #   asan:    AddressSanitizer+UBSan ctest in build-asan/
 #   ubsan:   standalone UndefinedBehaviorSanitizer in build-ubsan/ —
 #            runs the trace/attribution tests (test_probe,
@@ -32,6 +33,14 @@ echo "== tier-1: build + ctest =="
 cmake -B build -S . >/dev/null
 cmake --build build -j "$jobs"
 ctest --test-dir build --output-on-failure -j "$jobs"
+# A git-ignored file under tests/ never reaches a clone: a golden
+# there passes here and is missing everywhere else.
+ignored="$(git ls-files --others --ignored --exclude-standard -- tests/)"
+if [[ -n "$ignored" ]]; then
+    echo "check.sh: git ignores these test files:" >&2
+    echo "$ignored" >&2
+    exit 1
+fi
 
 echo "== asan+ubsan: build + ctest =="
 cmake -B build-asan -S . \

@@ -10,8 +10,10 @@
 # WORKDIR/stdout.txt and WORKDIR/stderr.txt, and every file under
 # GOLDEN_DIR is checked against the file of the same relative path in
 # WORKDIR: byte for byte, or, for a golden named <file>.sha256, by the
-# SHA-256 digest of <file> (used for exports over 64 KB). GOLDEN is
-# optional when GOLDEN_DIR holds stdout.txt.
+# SHA-256 digest of <file> (used for exports over 64 KB). Every file
+# the run writes under WORKDIR must have one of the two goldens, so a
+# lost or never-recorded golden fails the test instead of passing
+# unchecked. GOLDEN is optional when GOLDEN_DIR holds stdout.txt.
 #
 # The transcripts pin the paper's tables: a change that moves any
 # printed number fails here. To record a deliberate change, rebuild
@@ -87,6 +89,15 @@ if(GOLDEN_DIR)
             execute_process(COMMAND diff -u "${GOLDEN_DIR}/${rel}"
                                     "${WORKDIR}/${rel}")
             list(APPEND failed "${rel}")
+        endif()
+    endforeach()
+
+    file(GLOB_RECURSE outputs RELATIVE "${WORKDIR}" "${WORKDIR}/*")
+    list(SORT outputs)
+    foreach(rel IN LISTS outputs)
+        if(NOT EXISTS "${GOLDEN_DIR}/${rel}" AND
+           NOT EXISTS "${GOLDEN_DIR}/${rel}.sha256")
+            list(APPEND failed "${rel} (no golden)")
         endif()
     endforeach()
 endif()
