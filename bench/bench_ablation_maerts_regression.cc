@@ -38,8 +38,8 @@ main()
             TestbedConfig tc;
             tc.kind = c.first;
             tc.tsoRegression = c.second;
-            TestbedLease tb = acquireTestbed(tc);
-            return runNetperfMaerts(*tb).gbps;
+            Testbed tb(tc);
+            return runNetperfMaerts(tb).gbps;
         });
     const double native = gbps[0];
     const double xen_regressed = gbps[1];

@@ -31,8 +31,8 @@ hypercallCycles(SutKind kind)
 {
     TestbedConfig tc;
     tc.kind = kind;
-    TestbedLease tb = acquireTestbed(tc);
-    MicrobenchSuite suite(*tb);
+    Testbed tb(tc);
+    MicrobenchSuite suite(tb);
     return suite.run(MicroOp::Hypercall, 20).cycles.mean();
 }
 
@@ -42,8 +42,6 @@ hypercallCyclesFastVgic()
 {
     TestbedConfig tc;
     tc.kind = SutKind::KvmArm;
-    // Not acquireTestbed(): the cost-table patch below would leak
-    // into cached same-config worlds.
     Testbed tb(tc);
     // What if reading back VGIC state cost no more than system
     // registers? Patch the machine's cost table before measuring.

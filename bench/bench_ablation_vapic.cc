@@ -27,8 +27,8 @@ micro(SutKind kind, bool vapic, MicroOp op)
     TestbedConfig tc;
     tc.kind = kind;
     tc.vApic = vapic;
-    TestbedLease tb = acquireTestbed(tc);
-    MicrobenchSuite suite(*tb);
+    Testbed tb(tc);
+    MicrobenchSuite suite(tb);
     return suite.run(op, 20).cycles.mean();
 }
 
@@ -43,13 +43,13 @@ memcachedOverhead(SutKind kind, bool vapic)
     AppBenchRow row;
     TestbedConfig nat;
     nat.kind = SutKind::NativeX86;
-    TestbedLease nat_tb = acquireTestbed(nat);
-    const double native = mem.run(*nat_tb);
+    Testbed nat_tb(nat);
+    const double native = mem.run(nat_tb);
     TestbedConfig tc;
     tc.kind = kind;
     tc.vApic = vapic;
-    TestbedLease tb = acquireTestbed(tc);
-    return native / mem.run(*tb);
+    Testbed tb(tc);
+    return native / mem.run(tb);
 }
 
 } // namespace

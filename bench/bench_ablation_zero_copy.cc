@@ -41,8 +41,8 @@ main()
             TestbedConfig tc;
             tc.kind = c.first;
             tc.zeroCopyGrants = c.second;
-            TestbedLease tb = acquireTestbed(tc);
-            return runNetperfStream(*tb).gbps;
+            Testbed tb(tc);
+            return runNetperfStream(tb).gbps;
         });
     const double native_arm = gbps[0];
     const double native_x86 = gbps[1];

@@ -228,10 +228,10 @@ BM_Figure4SweepParallel(benchmark::State &state)
 }
 BENCHMARK(BM_Figure4SweepParallel)->Unit(benchmark::kMillisecond);
 
-/** Repeated small sweeps over a fixed configuration set: the
- *  persistent-pool + testbed-cache case. After the first iteration
- *  every cell is a pool-thread wake plus a Testbed::reset() instead
- *  of a thread spawn plus full world construction. */
+/** Repeated small sweeps over a fixed configuration set on the
+ *  persistent pool: after the first iteration every cell is a
+ *  pool-thread wake instead of a thread spawn, plus a full world
+ *  construction. */
 void
 BM_SweepPoolReuse(benchmark::State &state)
 {
@@ -243,8 +243,8 @@ BM_SweepPoolReuse(benchmark::State &state)
         const auto cells = parallelSweep(kinds, [](SutKind kind) {
             TestbedConfig tc;
             tc.kind = kind;
-            TestbedLease tb = acquireTestbed(tc);
-            MicrobenchSuite suite(*tb);
+            Testbed tb(tc);
+            MicrobenchSuite suite(tb);
             return suite.run(MicroOp::Hypercall, 20).cycles.mean();
         });
         benchmark::DoNotOptimize(cells.data());

@@ -64,22 +64,22 @@ main()
         (void)paper;
         TestbedConfig tc;
         tc.kind = kind;
-        TestbedLease tb = acquireTestbed(tc);
-        CausalAnalyzer &an = tb->attribution();
+        Testbed tb(tc);
+        CausalAnalyzer &an = tb.attribution();
         an.setLabel(to_string(kind));
-        results.push_back(runNetperfRr(*tb));
-        briefs.push_back(tb->metrics().snapshot().brief());
-        blames.push_back(an.report(&tb->trace()));
+        results.push_back(runNetperfRr(tb));
+        briefs.push_back(tb.metrics().snapshot().brief());
+        blames.push_back(an.report(&tb.trace()));
         // When VIRTSIM_TIMELINE / VIRTSIM_TRACE armed the sampler,
         // gate on the watchdog: a paper-config run must be
         // anomaly-free or the table's numbers are suspect.
-        const TimelineSampler &tl = tb->timeline();
+        const TimelineSampler &tl = tb.timeline();
         if (tl.enabled()) {
             anomalies += tl.anomalyCount();
             timelines.push_back(
                 to_string(kind) + "\n" +
                 renderTimelineSummary(
-                    tl, tb->freq(),
+                    tl, tb.freq(),
                     {"cpu0.el", "cpu0.gic.lr_used", "nic.rx_queue",
                      "virtio.rx.avail", "vhost.rx_backlog",
                      "xenring.rx.requests", "event_queue.depth"}));
@@ -87,8 +87,8 @@ main()
         // When VIRTSIM_LATENCY armed request tracking, gate on the
         // SLO engine too: every paper configuration must meet the
         // round-trip objective (default or VIRTSIM_SLO_P99_US).
-        if (tb->latency().enabled())
-            sloBreaches += tb->sloBreaches();
+        if (tb.latency().enabled())
+            sloBreaches += tb.sloBreaches();
     }
 
     TextTable table({"", "Native", "KVM", "Xen"});

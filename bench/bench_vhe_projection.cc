@@ -28,8 +28,8 @@ micro(SutKind kind, MicroOp op)
 {
     TestbedConfig tc;
     tc.kind = kind;
-    TestbedLease tb = acquireTestbed(tc);
-    MicrobenchSuite suite(*tb);
+    Testbed tb(tc);
+    MicrobenchSuite suite(tb);
     return suite.run(op, 30).cycles.mean();
 }
 

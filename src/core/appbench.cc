@@ -39,16 +39,14 @@ runAppBenchRow(Workload &w, const AppBenchOptions &opt)
     }
 
     if (need_arm) {
-        TestbedLease tb =
-            acquireTestbed(configFor(SutKind::Native, opt));
-        row.nativeScoreArm = w.run(*tb);
+        Testbed tb(configFor(SutKind::Native, opt));
+        row.nativeScoreArm = w.run(tb);
         VIRTSIM_ASSERT(row.nativeScoreArm > 0,
                        w.name(), ": zero native ARM score");
     }
     if (need_x86) {
-        TestbedLease tb =
-            acquireTestbed(configFor(SutKind::NativeX86, opt));
-        row.nativeScoreX86 = w.run(*tb);
+        Testbed tb(configFor(SutKind::NativeX86, opt));
+        row.nativeScoreX86 = w.run(tb);
         VIRTSIM_ASSERT(row.nativeScoreX86 > 0,
                        w.name(), ": zero native x86 score");
     }
@@ -63,9 +61,9 @@ runAppBenchRow(Workload &w, const AppBenchOptions &opt)
             row.cells.push_back(cell);
             continue;
         }
-        TestbedLease tb = acquireTestbed(configFor(k, opt));
-        cell.score = w.run(*tb);
-        cell.metricsBrief = tb->metrics().snapshot().brief();
+        Testbed tb(configFor(k, opt));
+        cell.score = w.run(tb);
+        cell.metricsBrief = tb.metrics().snapshot().brief();
         const double native = archOf(k) == Arch::Arm
                                   ? row.nativeScoreArm
                                   : row.nativeScoreX86;

@@ -216,17 +216,17 @@ runMicrobenchSweep(const std::vector<SutKind> &kinds, int iterations,
     return parallelSweep(kinds, [iterations, attribution](SutKind kind) {
         TestbedConfig tc;
         tc.kind = kind;
-        TestbedLease tb = acquireTestbed(tc);
+        Testbed tb(tc);
         CausalAnalyzer *an = nullptr;
         if (attribution) {
-            an = &tb->attribution();
+            an = &tb.attribution();
             an->setLabel(to_string(kind));
         }
-        MicrobenchSuite suite(*tb);
+        MicrobenchSuite suite(tb);
         MicroSweepColumn col{kind, suite.runAll(iterations), {}, {}};
-        col.metrics = tb->metrics().snapshot();
+        col.metrics = tb.metrics().snapshot();
         if (an)
-            col.blame = an->report(&tb->trace());
+            col.blame = an->report(&tb.trace());
         return col;
     });
 }

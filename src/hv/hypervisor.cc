@@ -72,8 +72,8 @@ Hypervisor::start()
     // Per-VM timeline gauges. Guest VMs only (_vms excludes Xen's
     // Dom0/idle domains), in creation order so exports are
     // deterministic. Captures are stable: VM/VCPU storage never
-    // moves, metrics domains are held by pointer, and the sampler is
-    // cleared before any of them is torn down (Machine::reset()).
+    // moves, metrics domains are held by pointer, and the sampler
+    // takes its last sample before the hypervisor is torn down.
     TimelineSampler &tl = mach.probe().timeline;
     const TapId ws = worldSwitchTap();
     for (const auto &vmPtr : _vms) {

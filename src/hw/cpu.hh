@@ -116,11 +116,6 @@ class PhysicalCpu
     const CostModel &costs() const { return cm; }
     EventQueue &queue() { return eq; }
 
-    /** Return to the just-constructed state: frontier and busy time
-     *  rewound, mode restored for the machine architecture, context
-     *  "idle", registers zeroed. */
-    void reset();
-
   private:
     PcpuId _id;
     EventQueue &eq;

@@ -106,37 +106,6 @@ Machine::registerTimelineGauges()
     });
 }
 
-void
-Machine::reset()
-{
-    for (auto &c : cpus)
-        c->reset();
-    chip->reset();
-    _timers->reset();
-    _mmu.reset();
-    _memory.reset();
-    _nic->reset();
-    // Fresh domains, not reset(): reset keeps registered taps alive,
-    // so a recycled machine would list zero-valued rows a fresh one
-    // has never heard of.
-    _counters = MetricsDomain(counterDomainName);
-    _probe.metrics.clear();
-    _probe.trace.clear();
-    _probe.profiler.reset();
-    // Drop gauge registrations wholesale and re-register the hardware
-    // set in constructor order; hypervisor and backend gauges
-    // re-register when the harness rebuilds those layers, so a
-    // recycled machine's timeline is gauge-for-gauge identical to a
-    // fresh one. clear() also drops the enable/period configuration —
-    // the harness (Testbed::applyObservability) re-arms it.
-    _probe.timeline.clear();
-    // Same contract as the timeline: back to the never-configured
-    // state; the harness re-arms request-latency tracking if it wants
-    // it (Testbed::applyObservability).
-    _probe.latency.clear();
-    registerTimelineGauges();
-}
-
 PhysicalCpu &
 Machine::cpu(PcpuId id)
 {

@@ -97,20 +97,6 @@ class Machine
     MainMemory &memory() { return _memory; }
     Nic &nic() { return *_nic; }
 
-    /**
-     * Return the machine to its just-constructed state so a cached
-     * instance is indistinguishable from a cold-built one: CPUs,
-     * interrupt chip, timers, TLBs, memory and NIC rewound; counter
-     * domain and metrics registry *cleared* (registrations dropped,
-     * not just zeroed — a reset-but-registered counter would render
-     * rows a fresh machine lacks); trace ring and profiler emptied. Does NOT
-     * touch the trace sink's enabled flag, capacity or observer, nor
-     * the NIC's onWireTx hook — those belong to the harness (Testbed)
-     * that owns the machine. Does not drain the event queue either:
-     * the queue is shared with the harness, which resets it.
-     */
-    void reset();
-
   private:
     static constexpr const char *counterDomainName = "machine.counters";
 
@@ -119,8 +105,6 @@ class Machine
      * sampler: per-CPU exception level / run mode and busy-cycle
      * rate, GIC list-register occupancy (ARM), event-queue depth,
      * NIC rx queue depth and drop rate, and the stage-2 fault rate.
-     * Called from the constructor and again from reset() (reset
-     * clears the sampler, mirroring the metrics registry).
      */
     void registerTimelineGauges();
 

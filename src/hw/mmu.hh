@@ -149,15 +149,6 @@ class Mmu
 
     int numCpus() const { return static_cast<int>(tlbs.size()); }
 
-    /** Invalidate every TLB (cost-free: recycling a machine, not a
-     *  modelled hardware operation). */
-    void
-    reset()
-    {
-        for (Tlb &t : tlbs)
-            t.invalidateAll();
-    }
-
   private:
     const CostModel &cm;
     MetricsDomain &counters;

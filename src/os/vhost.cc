@@ -35,7 +35,7 @@ VhostBackend::VhostBackend(Machine &m, Vm &guest,
 
     // Virtio/vhost queue-depth gauges, on the worker's CPU track.
     // The backend outlives the sampler's use of these captures: the
-    // harness clears the sampler (Machine::reset) before tearing the
+    // sampler takes its last sample before the harness tears the
     // hypervisor — and with it this backend — down.
     TimelineSampler &tl = m.probe().timeline;
     const auto track = static_cast<std::uint16_t>(p.workerPcpu);

@@ -395,14 +395,6 @@ MetricsRegistry::reset()
         dom->reset();
 }
 
-void
-MetricsRegistry::clear()
-{
-    _machine = std::make_unique<MetricsDomain>("machine");
-    _vms.clear();
-    _cpus.clear();
-}
-
 MetricsSnapshot
 MetricsRegistry::snapshot() const
 {

@@ -20,12 +20,10 @@
  * Worker threads are created lazily on the first parallel sweep and
  * persist for the life of the process: back-to-back sweeps (the
  * bench harness, parameter grids, repeated Figure 4 runs) reuse the
- * same threads instead of paying spawn/join per call. Reuse also
- * keeps each worker's thread_local state alive across sweeps, which
- * the testbed cache (core/testbed.hh) builds on. A sweep that throws
- * sets an abort flag so the remaining task indices are abandoned
- * rather than drained; the first exception is rethrown on the
- * calling thread.
+ * same threads instead of paying spawn/join per call. A sweep that
+ * throws sets an abort flag so the remaining task indices are
+ * abandoned rather than drained; the first exception is rethrown on
+ * the calling thread.
  *
  * Thread count comes from the VIRTSIM_JOBS environment variable
  * (default: std::thread::hardware_concurrency). VIRTSIM_JOBS=1

@@ -175,8 +175,8 @@ TimelineSampler::scheduleOn(EventQueue &eq)
     if (scheduled)
         return;
     scheduled = true;
-    // Ticks land on period-aligned simulated timestamps so a reset
-    // run (time rewound to zero) reproduces a fresh run exactly.
+    // Ticks land on period-aligned simulated timestamps, so the
+    // sample instants do not depend on when the sampler was armed.
     const Cycles now = eq.now();
     const Cycles first =
         (now % _period == 0) ? now : ((now / _period) + 1) * _period;
@@ -358,24 +358,6 @@ TimelineSampler::resetSeries()
     _anomaliesDropped = 0;
     _dropped = 0;
     _ticks = 0;
-    scheduled = false;
-}
-
-void
-TimelineSampler::clear()
-{
-    series.clear();
-    rules.clear();
-    hooks.clear();
-    postHooks.clear();
-    anomalyHook.reset();
-    anomalyBuf.reset();
-    anomalyUsed = 0;
-    _anomaliesDropped = 0;
-    _dropped = 0;
-    _ticks = 0;
-    _period = 0;
-    _enabled = false;
     scheduled = false;
 }
 

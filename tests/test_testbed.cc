@@ -6,12 +6,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
-#include <fstream>
-#include <map>
-#include <sstream>
-#include <string>
-
 #include "core/microbench.hh"
 #include "core/netperf.hh"
 #include "core/testbed.hh"
@@ -175,65 +169,10 @@ TEST(Testbed, CompleteVirqMatchesArchitecture)
 }
 
 // ---------------------------------------------------------------------
-// Testbed reset and the per-worker cache (core/testbed acquireTestbed).
-// Reset must be *fresh-equivalent*: a recycled world runs any workload
-// to byte-identical results, which is what keeps sweep output
-// independent of VIRTSIM_JOBS and VIRTSIM_POOL_CACHE.
+// Testbed::reset() rebuilds the testbed in place from its config: a
+// dirtied world must then run any workload to the same results as a
+// newly constructed one.
 // ---------------------------------------------------------------------
-
-namespace {
-
-/** Scoped environment override; restores the prior value on exit. */
-class ScopedEnv
-{
-  public:
-    ScopedEnv(const char *name, const char *value) : name(name)
-    {
-        const char *prev = std::getenv(name);
-        if (prev)
-            saved = prev;
-        had = prev != nullptr;
-        if (value)
-            ::setenv(name, value, 1);
-        else
-            ::unsetenv(name);
-    }
-
-    ~ScopedEnv()
-    {
-        if (had)
-            ::setenv(name.c_str(), saved.c_str(), 1);
-        else
-            ::unsetenv(name.c_str());
-    }
-
-  private:
-    std::string name;
-    std::string saved;
-    bool had = false;
-};
-
-/** The machine's counter domain as (tap name, value) rows. */
-std::map<std::string, std::uint64_t>
-counterRows(const Machine &m)
-{
-    std::map<std::string, std::uint64_t> rows;
-    m.counters().forEachCounter([&rows](TapId tap, std::uint64_t v) {
-        rows[tapName(tap)] = v;
-    });
-    return rows;
-}
-
-std::string
-slurp(const std::string &path)
-{
-    std::ifstream in(path);
-    std::ostringstream oss;
-    oss << in.rdbuf();
-    return oss.str();
-}
-
-} // namespace
 
 TEST(TestbedReset, VirtualizedResetMatchesFreshConstruction)
 {
@@ -282,189 +221,4 @@ TEST(TestbedReset, NativeResetMatchesFreshConstruction)
     EXPECT_EQ(recycled.queue().now(), fresh.queue().now());
     EXPECT_EQ(recycled.metrics().snapshot().toJson(),
               fresh.metrics().snapshot().toJson());
-}
-
-TEST(TestbedCache, ReusesIdleEntryOfEqualConfig)
-{
-    ASSERT_TRUE(testbedCacheEnabled());
-    const TestbedConfig tc{.kind = SutKind::KvmArm, .seed = 777};
-    const TestbedCacheStats before = testbedCacheStats();
-    Testbed *first = nullptr;
-    {
-        TestbedLease l = acquireTestbed(tc);
-        first = l.get();
-        ASSERT_NE(first, nullptr);
-    }
-    {
-        TestbedLease l = acquireTestbed(tc);
-        EXPECT_EQ(l.get(), first); // same world, reset and reissued
-    }
-    const TestbedCacheStats after = testbedCacheStats();
-    EXPECT_EQ(after.misses, before.misses + 1);
-    EXPECT_EQ(after.hits, before.hits + 1);
-}
-
-TEST(TestbedCache, RecycledCountersMatchColdBuild)
-{
-    // The hw/hv counters of a world reissued by the cache must read
-    // exactly like a cold-built world's after the same workload: same
-    // taps registered, same values.
-    ASSERT_TRUE(testbedCacheEnabled());
-    for (const SutKind kind : {SutKind::KvmArm, SutKind::XenArm}) {
-        SCOPED_TRACE(to_string(kind));
-        const TestbedConfig tc{.kind = kind, .seed = 4242};
-        Testbed *first = nullptr;
-        {
-            TestbedLease l = acquireTestbed(tc);
-            first = l.get();
-            // Dirty pass with a different workload, so counters the
-            // measured run never touches are registered too.
-            MicrobenchSuite dirty(*l);
-            (void)dirty.runAll(2);
-        }
-        std::map<std::string, std::uint64_t> recycled;
-        {
-            TestbedLease l = acquireTestbed(tc);
-            ASSERT_EQ(l.get(), first); // reset and reissued
-            (void)runNetperfRr(*l);
-            recycled = counterRows(l->machine());
-        }
-        Testbed cold(tc);
-        (void)runNetperfRr(cold);
-        const auto fresh = counterRows(cold.machine());
-        EXPECT_EQ(recycled, fresh);
-        EXPECT_GT(fresh.at("nic.rx_packets"), 0u);
-        EXPECT_GT(fresh.at(kind == SutKind::KvmArm ? "kvm.vm_exits"
-                                                   : "xen.traps"),
-                  0u);
-    }
-}
-
-TEST(TestbedCache, ConcurrentLeasesGetDistinctWorlds)
-{
-    // A leased entry must never be handed out again before release —
-    // aliasing two users onto one EventQueue would corrupt both.
-    const TestbedConfig tc{.kind = SutKind::XenArm, .seed = 778};
-    TestbedLease a = acquireTestbed(tc);
-    TestbedLease b = acquireTestbed(tc);
-    EXPECT_NE(a.get(), b.get());
-}
-
-TEST(TestbedCache, DistinctConfigsGetDistinctWorlds)
-{
-    TestbedConfig a{.kind = SutKind::XenArm, .seed = 779};
-    TestbedConfig b = a;
-    b.zeroCopyGrants = true;
-    TestbedLease la = acquireTestbed(a);
-    TestbedLease lb = acquireTestbed(b);
-    EXPECT_NE(la.get(), lb.get());
-}
-
-TEST(TestbedCache, EnvKnobsDisableCaching)
-{
-    {
-        ScopedEnv e("VIRTSIM_POOL_CACHE", "0");
-        EXPECT_FALSE(testbedCacheEnabled());
-    }
-    // Observability no longer bypasses the cache: exports flush at
-    // lease release and reset() restores every sink, so cached runs
-    // export byte-identically to cold builds (see
-    // ObservabilityExportsMatchColdBuilds below).
-    {
-        ScopedEnv e("VIRTSIM_TRACE", "/tmp/trace.json");
-        EXPECT_TRUE(testbedCacheEnabled());
-    }
-    {
-        ScopedEnv e("VIRTSIM_METRICS", "/tmp/metrics.json");
-        EXPECT_TRUE(testbedCacheEnabled());
-    }
-    {
-        ScopedEnv e("VIRTSIM_FLAME", "/tmp/flame.folded");
-        EXPECT_TRUE(testbedCacheEnabled());
-    }
-    EXPECT_TRUE(testbedCacheEnabled());
-}
-
-TEST(TestbedCache, ObservabilityExportsMatchColdBuilds)
-{
-    // The cache no longer auto-bypasses when a sink is armed; the
-    // lease flushes exports on release and reset() re-arms them, so a
-    // cached world must produce the same export bytes as a cold one.
-    ScopedEnv m("VIRTSIM_METRICS", "/tmp/tb_obs_metrics.json");
-    ScopedEnv t("VIRTSIM_TIMELINE", "/tmp/tb_obs_timeline.json");
-
-    // Unique seed: an earlier test's cached world for this config
-    // would have been built without the sinks armed.
-    const TestbedConfig tc{.kind = SutKind::KvmArm, .seed = 79001};
-    NetperfRrConfig nc;
-    nc.transactions = 25;
-
-    struct Exports
-    {
-        std::string metrics, timeline;
-        bool operator==(const Exports &o) const
-        {
-            return metrics == o.metrics && timeline == o.timeline;
-        }
-    };
-    auto runOnce = [&] {
-        {
-            TestbedLease l = acquireTestbed(tc);
-            (void)runNetperfRr(*l.get(), nc);
-        } // lease release flushes the exports
-        return Exports{slurp("/tmp/tb_obs_metrics.kvm_arm.json"),
-                       slurp("/tmp/tb_obs_timeline.kvm_arm.json")};
-    };
-
-    Exports cold;
-    {
-        ScopedEnv off("VIRTSIM_POOL_CACHE", "0");
-        cold = runOnce();
-    }
-    ASSERT_FALSE(cold.metrics.empty());
-    ASSERT_FALSE(cold.timeline.empty());
-
-    const TestbedCacheStats before = testbedCacheStats();
-    const Exports cachedMiss = runOnce(); // builds the cache entry
-    const Exports cachedHit = runOnce();  // reset() + rerun
-    const TestbedCacheStats after = testbedCacheStats();
-    EXPECT_EQ(after.misses, before.misses + 1);
-    EXPECT_EQ(after.hits, before.hits + 1);
-
-    EXPECT_TRUE(cachedMiss == cold) << "cache-miss export differs";
-    EXPECT_TRUE(cachedHit == cold) << "cache-hit export differs";
-}
-
-TEST(TestbedCache, BypassedLeaseOwnsItsWorld)
-{
-    ScopedEnv e("VIRTSIM_POOL_CACHE", "0");
-    const TestbedCacheStats before = testbedCacheStats();
-    const TestbedConfig tc{.kind = SutKind::KvmArm, .seed = 780};
-    {
-        TestbedLease l = acquireTestbed(tc);
-        ASSERT_NE(l.get(), nullptr);
-        EXPECT_TRUE(l->virtualized());
-    }
-    const TestbedCacheStats after = testbedCacheStats();
-    EXPECT_EQ(after.hits, before.hits);
-    EXPECT_EQ(after.misses, before.misses);
-}
-
-TEST(TestbedCache, AttributionSurvivesReuse)
-{
-    // reset() detaches the analyzer and disables the sink; a repeat
-    // attribution() user on a cache hit must get a live pipeline and
-    // identical blame both passes.
-    const TestbedConfig tc{.kind = SutKind::KvmArm, .seed = 781};
-    std::uint64_t ops[2] = {0, 0};
-    for (int pass = 0; pass < 2; ++pass) {
-        TestbedLease tb = acquireTestbed(tc);
-        CausalAnalyzer &an = tb->attribution();
-        MicrobenchSuite suite(*tb);
-        (void)suite.run(MicroOp::Hypercall, 5);
-        const BlameReport r = an.report(&tb->trace());
-        EXPECT_FALSE(r.terms.empty()) << "pass " << pass;
-        ops[pass] = r.operations;
-    }
-    EXPECT_EQ(ops[0], ops[1]);
 }

@@ -2,9 +2,9 @@
  * @file
  * Tests for the simulated-time telemetry subsystem (sim/timeline):
  * gauge sampling, change deduplication, rate gauges, the anomaly
- * watchdog, reset semantics, export determinism across sweep widths
- * and Testbed::reset(), env-knob validation, and the zero-allocation
- * guarantee of the sampling paths.
+ * watchdog, reset semantics, export determinism across sweep widths,
+ * env-knob validation, and the zero-allocation guarantee of the
+ * sampling paths.
  */
 
 #include <gtest/gtest.h>
@@ -627,33 +627,6 @@ TEST(Timeline, ExportsAreIdenticalAcrossSweepWidths)
             << "column " << i << " sampled nothing";
         EXPECT_EQ(serial[i], wide[i]) << "column " << i;
     }
-}
-
-TEST(Timeline, TestbedResetRebuildsSamplerState)
-{
-    TestbedConfig tc;
-    tc.kind = SutKind::KvmArm;
-
-    Testbed tb(tc);
-    tb.enableTimeline(1e6);
-    MicrobenchSuite first(tb);
-    first.run(MicroOp::Hypercall, 10);
-    const std::string fresh = tb.timeline().renderJson(tb.freq());
-    const std::size_t gauges = tb.timeline().gaugeCount();
-    const std::size_t rules = tb.timeline().ruleCount();
-    EXPECT_GT(gauges, 0u);
-    EXPECT_GT(rules, 0u);
-
-    // reset() tears the hypervisor down and clears the sampler; the
-    // rebuilt world must re-register the same gauges and rules and
-    // reproduce the fresh run byte-for-byte.
-    tb.reset();
-    EXPECT_EQ(tb.timeline().gaugeCount(), gauges);
-    EXPECT_EQ(tb.timeline().ruleCount(), rules);
-    EXPECT_TRUE(tb.timeline().enabled());
-    MicrobenchSuite second(tb);
-    second.run(MicroOp::Hypercall, 10);
-    EXPECT_EQ(tb.timeline().renderJson(tb.freq()), fresh);
 }
 
 TEST(Timeline, NetperfRrRunIsAnomalyFree)
