@@ -173,16 +173,6 @@ struct FleetWorld
             rsp.push_back(&eq.channel("fleet.rsp." + n, wire));
         }
 
-        // A virq round trip at t=0 (inject -> ack -> complete leaves
-        // the LR array clean). It changes nothing in the run, but it
-        // bumps the machine-domain gic.virq_injected counter once,
-        // and the VIRTSIM_METRICS export reports that count (19,201
-        // injections for the 19,200 transactions of
-        // bench_fleet_latency's overload run).
-        gic->injectVirq(0, 0, spiNicIrq);
-        gic->guestAckVirq(0);
-        gic->guestCompleteVirq(0, spiNicIrq);
-
         armLatency();
         armObservability();
 
