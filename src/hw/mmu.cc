@@ -79,13 +79,6 @@ Tlb::invalidateVmid(VmId vmid)
     }
 }
 
-void
-Tlb::invalidateAll()
-{
-    entries.clear();
-    order.clear();
-}
-
 namespace {
 
 struct MmuTaps

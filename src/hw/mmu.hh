@@ -95,9 +95,6 @@ class Tlb
     /** Invalidate everything belonging to a VMID. */
     void invalidateVmid(VmId vmid);
 
-    /** Invalidate everything. */
-    void invalidateAll();
-
     std::size_t size() const { return entries.size(); }
 
   private:

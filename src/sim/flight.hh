@@ -154,7 +154,6 @@ class FlightRecorder
      *  timeline registered every gauge. */
     void enable();
 
-    void disable() { _enabled = false; }
     bool enabled() const { return _enabled; }
 
     Cycles windowHalf() const { return window; }
