@@ -9,6 +9,7 @@
 #include <benchmark/benchmark.h>
 
 #include <cstdlib>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -18,6 +19,8 @@
 #include "core/netperf.hh"
 #include "core/testbed.hh"
 #include "hv/world_switch.hh"
+#include "hw/cost_model.hh"
+#include "hw/cpu.hh"
 #include "hw/machine.hh"
 #include "sim/event_queue.hh"
 #include "sim/flight.hh"
@@ -467,6 +470,42 @@ BM_EventQueueCancelCompact(benchmark::State &state)
     state.SetItemsProcessed(state.iterations() * 4096);
 }
 BENCHMARK(BM_EventQueueCancelCompact);
+
+/** A fleet's event shape: 16 CPUs, each with a completion backlog of
+ *  ~1.6k events behind its frontier (fleet_observed's measured
+ *  depth), plus 512 plain arrival events. Every completion goes
+ *  through PhysicalCpu::run, so only each CPU's earliest completion
+ *  sits in the event heap. */
+void
+BM_EventQueueCpuBacklog(benchmark::State &state)
+{
+    constexpr int cpus = 16, backlog = 1600, arrivals = 512;
+    const CostModel cm = CostModel::armAtlas();
+    EventQueue eq;
+    std::vector<std::unique_ptr<PhysicalCpu>> cpu;
+    for (int c = 0; c < cpus; ++c)
+        cpu.push_back(std::make_unique<PhysicalCpu>(c, eq, cm));
+    std::uint64_t fired = 0;
+    for (auto _ : state) {
+        const Cycles base = eq.now();
+        for (int i = 0; i < backlog; ++i) {
+            for (int c = 0; c < cpus; ++c) {
+                cpu[static_cast<std::size_t>(c)]->run(
+                    base, 100 + static_cast<Cycles>((i + c) % 7),
+                    [&fired] { ++fired; });
+            }
+        }
+        for (int a = 0; a < arrivals; ++a) {
+            eq.scheduleAt(base + static_cast<Cycles>(a) * 311,
+                          [&fired] { ++fired; });
+        }
+        eq.run();
+        benchmark::DoNotOptimize(fired);
+    }
+    state.SetItemsProcessed(state.iterations() *
+                            (cpus * backlog + arrivals));
+}
+BENCHMARK(BM_EventQueueCpuBacklog)->Unit(benchmark::kMicrosecond);
 
 /** The default 4-CPU netperf RR fleet world, sinks off: the event
  *  queue and the fleet's dispatch path. (The name predates the

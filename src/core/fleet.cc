@@ -338,9 +338,6 @@ struct FleetWorld
                 });
             }
         }
-        if (cfg.trace || !tracePath.empty() || !metricsPath.empty() ||
-            !flamePath.empty() || !timelinePath.empty())
-            eq.setProfiler(&probe.profiler);
     }
 
     /** Write every armed export. Called once, after the run. */
@@ -448,7 +445,9 @@ struct FleetWorld
         const IrqId virq = gic->guestAckVirq(cpu, t);
         cost += cfg.requestWork;
         cost += gic->guestCompleteVirq(cpu, virq);
-        const Cycles done = p.charge(t, cost);
+        // t is at or past the frontier, so the service runs
+        // [t, t + cost) and p.run below completes it at done.
+        const Cycles done = t + cost;
 
         // Phase stamps on the server: the request's wire flight, the
         // queue wait in front of this CPU and the service body.
@@ -460,9 +459,9 @@ struct FleetWorld
         lat.record(cpu, LatencyPhase::ServerQueue, t - at);
         lat.record(cpu, LatencyPhase::Service, cost);
 
-        mach->cpuQueue(cpu).scheduleAt(
-            done, [this, connIdx, cpu, at, t, done, token,
-                   sentAt = at - wire] {
+        p.run(
+            t, cost, [this, connIdx, cpu, at, t, done, token,
+                      sentAt = at - wire] {
                 // Causal stamps on the server's own track, at the
                 // completion event so each of these whens is at or
                 // before the stamping instant. Not every stamp of the

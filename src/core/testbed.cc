@@ -103,8 +103,7 @@ Testbed::Testbed(TestbedConfig config)
 
     // Observability opt-in: VIRTSIM_TRACE=<file> records and exports
     // a Perfetto-loadable trace; VIRTSIM_METRICS=<file> dumps the
-    // metrics snapshot as JSON. Either also attaches the event-kernel
-    // dispatch profiler.
+    // metrics snapshot as JSON.
     // VIRTSIM_TRACE_CAPACITY=<records> resizes the ring before it is
     // enabled (rounded up to a power of two; 24 bytes per record).
     // Numeric knobs parse through envPositiveCount, which fatal()s on
@@ -247,10 +246,6 @@ Testbed::applyObservability()
                     });
             }
         }
-    }
-    if (!tracePath.empty() || !metricsPath.empty() ||
-        !flamePath.empty() || !timelinePath.empty()) {
-        eq.setProfiler(&server->probe().profiler);
     }
 }
 

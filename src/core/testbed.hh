@@ -111,7 +111,7 @@ class Testbed
 
     /**
      * Reset run-scoped observability (stats, counters, trace records,
-     * profiler) so back-to-back workloads on one testbed report
+     * timeline series) so back-to-back workloads on one testbed report
      * independent numbers. Workload entry points call this; tap
      * registrations and the trace-enabled flag survive.
      */
@@ -253,8 +253,8 @@ class Testbed
     void buildVirtualized();
     /** Apply the VIRTSIM_TRACE/METRICS/FLAME/TIMELINE/LATENCY/
      *  INCIDENTS opt-ins captured at construction and the enable*()
-     *  calls (trace enable, analyzer attach, profiler hookup, sampler
-     *  arming + watchdog rules, SLO and flight recorder). Idempotent:
+     *  calls (trace enable, analyzer attach, sampler arming +
+     *  watchdog rules, SLO and flight recorder). Idempotent:
      *  each enable*() call re-applies the whole set. */
     void applyObservability();
     /** Write every export armed at construction (VIRTSIM_TRACE /

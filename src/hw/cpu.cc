@@ -98,7 +98,9 @@ void
 PhysicalCpu::run(Cycles ready, Cycles cost, EventFn fn)
 {
     const Cycles done = charge(ready, cost);
-    eq.scheduleAt(done, std::move(fn));
+    if (stream == 0) [[unlikely]]
+        stream = eq.openStream();
+    eq.scheduleOn(stream, done, std::move(fn));
 }
 
 double

@@ -85,7 +85,12 @@ class PhysicalCpu
      */
     Cycles charge(Cycles ready, Cycles cost);
 
-    /** charge() and then run fn at the completion time. */
+    /**
+     * charge() and then run fn at the completion time, on this CPU's
+     * in-order stream of the event queue (EventQueue::scheduleOn):
+     * completions never go backwards, so the CPU's backlog waits
+     * outside the event heap. Not cancellable.
+     */
     void run(Cycles ready, Cycles cost, EventFn fn);
 
     /** Time at which the CPU becomes free. */
@@ -114,7 +119,6 @@ class PhysicalCpu
     const RegFile &regs() const { return _regs; }
 
     const CostModel &costs() const { return cm; }
-    EventQueue &queue() { return eq; }
 
   private:
     PcpuId _id;
@@ -122,6 +126,7 @@ class PhysicalCpu
     const CostModel &cm;
     Cycles _frontier = 0;
     Cycles _busy = 0;
+    StreamId stream = 0; ///< opened on the first run()
     CpuMode _mode;
     std::string _context = "idle";
     RegFile _regs;

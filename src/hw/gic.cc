@@ -21,7 +21,6 @@ struct ChipTaps
     TapId spuriousComplete = internTap("gic.spurious_complete");
     TapId apicVirqInjected = internTap("apic.virq_injected");
     TapId apicGuestAck = internTap("apic.guest_ack");
-    TapId irqDeliver = internTap("ev.irq_deliver");
 };
 
 const ChipTaps &
@@ -85,7 +84,7 @@ IrqChip::sendIpi(Cycles t, PcpuId target, IrqId irq)
         }
         handler(td, target, irq);
     };
-    ipi.send(td, chipTaps().irqDeliver, std::move(fire));
+    ipi.send(td, std::move(fire));
 }
 
 void
@@ -94,9 +93,7 @@ IrqChip::deliver(Cycles t, PcpuId cpu, IrqId irq)
     VIRTSIM_ASSERT(handler, "no physical IRQ handler installed");
     // Schedule rather than call: delivery must respect event ordering
     // even when t == now.
-    eq.scheduleAt(
-        t, chipTaps().irqDeliver,
-        [this, t, cpu, irq] { handler(t, cpu, irq); });
+    eq.scheduleAt(t, [this, t, cpu, irq] { handler(t, cpu, irq); });
 }
 
 Gic::Gic(EventQueue &eq, const CostModel &cm, MetricsDomain &counters,

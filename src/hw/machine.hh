@@ -73,10 +73,8 @@ class Machine
     MetricsDomain &counters() { return _counters; }
     const MetricsDomain &counters() const { return _counters; }
 
-    /** Queue PhysicalCpu `id` schedules on (the machine queue). */
-    EventQueue &cpuQueue(PcpuId id) { return cpu(id).queue(); }
-
-    /** Observability bundle (trace sink + metrics + profiler). */
+    /** Observability bundle (trace sink, metrics, timeline, request
+     *  latency). */
     Probe &probe() { return _probe; }
     TraceSink &trace() { return _probe.trace; }
     MetricsRegistry &metrics() { return _probe.metrics; }

@@ -46,18 +46,10 @@ class ShardChannel
     EventId
     send(Cycles when, EventFn fn)
     {
-        return send(when, TapId(), std::move(fn));
-    }
-
-    /** Labeled variant; the label feeds the kernel profiler exactly
-     *  as the labeled scheduleAt does. */
-    EventId
-    send(Cycles when, TapId label, EventFn fn)
-    {
         VIRTSIM_ASSERT(when >= q.now() + _latency, "channel '", _name,
                        "' send at ", when, " violates declared latency ",
                        _latency, " from time ", q.now());
-        return q.scheduleAt(when, label, std::move(fn));
+        return q.scheduleAt(when, std::move(fn));
     }
 
     const std::string &name() const { return _name; }

@@ -25,6 +25,26 @@ EventQueue::channel(std::string name, Cycles latency)
     return *channels.back();
 }
 
+StreamId
+EventQueue::openStream()
+{
+    VIRTSIM_ASSERT(streams.size() < (std::size_t{1} << tagBits) - 1,
+                   "too many streams on one queue");
+    streams.emplace_back();
+    return static_cast<StreamId>(streams.size());
+}
+
+void
+EventQueue::Stream::grow()
+{
+    // Unwrap into a ring twice the size; head restarts at 0.
+    std::vector<HeapEntry> bigger(ring.empty() ? 16 : ring.size() * 2);
+    for (std::size_t i = 0; i < count; ++i)
+        bigger[i] = ring[(head + i) & (ring.size() - 1)];
+    ring = std::move(bigger);
+    head = 0;
+}
+
 void
 EventQueue::siftUp(std::size_t pos)
 {
@@ -71,6 +91,21 @@ EventQueue::popTop()
         heap[0] = moved;
         siftDown(0);
     }
+}
+
+void
+EventQueue::advanceStream(std::uint32_t tag)
+{
+    Stream &st = streams[tag - 1];
+    if (st.count == 0) {
+        st.inHeap = false;
+        popTop();
+        return;
+    }
+    // The successor's key is no earlier than the head's, so it can
+    // only sink: the heap order is what pushing it would have given.
+    heap[0] = st.pop();
+    siftDown(0);
 }
 
 void
@@ -152,12 +187,13 @@ EventQueue::step()
     const HeapEntry top = heap.front();
     VIRTSIM_ASSERT(top.when >= _now, "event in the past");
     _now = top.when;
-    popTop();
-    Slot &s = slotAt(top.slot);
-    if (profiler && top.slot < profMeta.size()) [[unlikely]] {
-        const ProfMeta &m = profMeta[top.slot];
-        profiler->record(m.label, top.when - m.enqueuedAt);
+    if (const std::uint32_t tag = top.seq & (seqStep - 1); tag != 0)
+        [[unlikely]] {
+        advanceStream(tag);
+    } else {
+        popTop();
     }
+    Slot &s = slotAt(top.slot);
     // Move the callback out and recycle the slot *before* firing so
     // the callback can freely schedule into the vacated slot.
     EventFn fn = std::move(s.fn);
@@ -176,6 +212,14 @@ EventQueue::clear()
         if (s.gen == e.gen)
             releaseSlot(e.slot, s);
         heap.pop_back();
+    }
+    for (Stream &st : streams) {
+        while (st.count != 0) {
+            const HeapEntry e = st.pop();
+            releaseSlot(e.slot, slotAt(e.slot));
+        }
+        st.last = 0;
+        st.inHeap = false;
     }
     liveCount = 0;
     deadCount = 0;

@@ -25,10 +25,26 @@
  *  - cancel() is O(1) lazy deletion: the slot is recycled
  *    immediately and the heap entry is discarded when it surfaces,
  *    detected by a per-slot generation count.
+ *  - In-order streams keep backlogs out of the heap. A stream is a
+ *    sequence of events whose times never decrease, such as a CPU's
+ *    completions scheduled at its ever-advancing frontier
+ *    (PhysicalCpu::run). Only the stream's earliest event sits in
+ *    the heap; the rest wait in the stream's FIFO ring, each with the
+ *    (time, seq) key it was given when scheduled. When the head
+ *    fires, its successor takes the top slot and sifts down. The
+ *    order is exact: every waiting event's key is above its stream's
+ *    head, which is in the heap, so the heap top is still the least
+ *    key of all pending events, and events fire in the same total
+ *    (time, seq) order as if each had been pushed by scheduleAt. A
+ *    heap entry's seq carries the stream in its low 16 bits (0 for
+ *    plain events), which leaves the order unchanged and costs the
+ *    plain path nothing but one [[unlikely]] branch in step().
+ *    Stream events cannot be cancelled.
  *
- * In steady state scheduleAt/step/cancel never touch the allocator;
- * the only allocations are arena chunks and amortized heap-vector
- * growth up to the run's high-water mark of in-flight events.
+ * In steady state scheduleAt/scheduleOn/step/cancel never touch the
+ * allocator; the only allocations are arena chunks, stream rings and
+ * amortized heap-vector growth up to the run's high-water mark of
+ * in-flight events.
  */
 
 #ifndef VIRTSIM_SIM_EVENT_QUEUE_HH
@@ -41,7 +57,6 @@
 
 #include "sim/inline_function.hh"
 #include "sim/log.hh"
-#include "sim/probe.hh"
 #include "sim/types.hh"
 
 namespace virtsim {
@@ -59,6 +74,10 @@ using EventId = std::uint64_t;
 
 /** Never names an event. */
 inline constexpr EventId invalidEventId = 0;
+
+/** Names an in-order stream of one EventQueue (EventQueue::openStream);
+ *  0 is never a stream. */
+using StreamId = std::uint16_t;
 
 /** Returned by EventQueue::nextEventTime() when nothing is pending;
  *  later than any representable event time. */
@@ -79,7 +98,8 @@ class EventQueue
     /** Current simulated time in cycles. */
     Cycles now() const { return _now; }
 
-    /** Number of events not yet fired (cancelled events excluded). */
+    /** Number of events not yet fired (cancelled events excluded),
+     *  stream backlogs included. */
     std::size_t pending() const { return liveCount; }
 
     /**
@@ -90,28 +110,13 @@ class EventQueue
     EventId
     scheduleAt(Cycles when, EventFn fn)
     {
-        return scheduleAt(when, TapId(), std::move(fn));
-    }
-
-    /**
-     * Schedule fn with a label the kernel profiler (if attached)
-     * aggregates queue-wait summaries under. With no profiler the
-     * label costs one predictable branch.
-     */
-    EventId
-    scheduleAt(Cycles when, TapId label, EventFn fn)
-    {
         VIRTSIM_ASSERT(when >= _now, "scheduling into the past: when=",
                        when, " now=", _now);
         const std::uint32_t slot = allocSlot();
         Slot &s = slotAt(slot);
         s.fn = std::move(fn);
-        if (profiler) {
-            if (profMeta.size() <= slot)
-                profMeta.resize(slot + 1);
-            profMeta[slot] = ProfMeta{_now, label};
-        }
-        heap.push_back(HeapEntry{when, nextSeq++, slot, s.gen});
+        heap.push_back(HeapEntry{when, nextSeq, slot, s.gen});
+        nextSeq += seqStep;
         siftUp(heap.size() - 1);
         ++liveCount;
         return idOf(slot, s.gen);
@@ -124,20 +129,49 @@ class EventQueue
         return scheduleAt(_now + delay, std::move(fn));
     }
 
-    /** Labeled scheduleAfter; see the labeled scheduleAt. */
-    EventId
-    scheduleAfter(Cycles delay, TapId label, EventFn fn)
-    {
-        return scheduleAt(_now + delay, label, std::move(fn));
-    }
+    /**
+     * Open an in-order stream: a sequence of events whose times never
+     * decrease (a CPU's completions behind its frontier). Opening
+     * allocates the stream's bookkeeping only; its ring allocates on
+     * the first event that has to wait behind another.
+     * @return the stream's id, never 0. Streams survive clear() and
+     *         reset().
+     */
+    StreamId openStream();
 
     /**
-     * Attach (or detach, with nullptr) a profiler recording
-     * queue-wait time per event label at every dispatch. Slots
-     * carry the label/enqueue timestamp only while attached, so the
-     * hot path is unchanged when profiling is off.
+     * Schedule fn at when on stream id. The event fires in exactly
+     * the (time, sequence) order scheduleAt would give it; only the
+     * stream's earliest event occupies the heap.
+     * @pre when >= now() and when >= the stream's previous event.
+     *      Stream events cannot be cancelled.
      */
-    void setProfiler(EventKernelProfiler *p) { profiler = p; }
+    void
+    scheduleOn(StreamId id, Cycles when, EventFn fn)
+    {
+        VIRTSIM_ASSERT(when >= _now, "scheduling into the past: when=",
+                       when, " now=", _now);
+        VIRTSIM_ASSERT(id != 0 && id <= streams.size(),
+                       "no stream ", id);
+        Stream &st = streams[id - 1];
+        VIRTSIM_ASSERT(when >= st.last, "stream ", id,
+                       " goes backwards: when=", when, " after ",
+                       st.last);
+        st.last = when;
+        const std::uint32_t slot = allocSlot();
+        Slot &s = slotAt(slot);
+        s.fn = std::move(fn);
+        const HeapEntry e{when, nextSeq | id, slot, s.gen};
+        nextSeq += seqStep;
+        ++liveCount;
+        if (st.inHeap) {
+            st.push(e);
+        } else {
+            st.inHeap = true;
+            heap.push_back(e);
+            siftUp(heap.size() - 1);
+        }
+    }
 
     /**
      * Cancel a pending event in O(1) amortized. The slot is recycled
@@ -172,7 +206,8 @@ class EventQueue
      *  compaction or as they surface). */
     std::size_t deadEntries() const { return deadCount; }
 
-    /** Heap slots in use, live plus dead (for hygiene tests). */
+    /** Heap slots in use, live plus dead (for hygiene tests). Of a
+     *  stream only its earliest event is counted. */
     std::size_t heapSize() const { return heap.size(); }
 
     /** Times the heap was compacted to purge dead entries. */
@@ -230,8 +265,9 @@ class EventQueue
     /** Fire exactly one event, if any. @return true if one fired. */
     bool step();
 
-    /** Drop all pending events (used between experiment repetitions).
-     *  Arena slots are retained and recycled by later schedules. */
+    /** Drop all pending events, stream backlogs included (used
+     *  between experiment repetitions). Arena slots are retained and
+     *  recycled by later schedules. */
     void clear();
 
     /**
@@ -271,20 +307,43 @@ class EventQueue
     };
 
     /** One arena cell: the callback and its reuse generation. Kept
-     *  minimal so the arena stays cache-dense; profiling metadata
-     *  lives in the parallel profMeta array, touched only while a
-     *  profiler is attached. */
+     *  minimal so the arena stays cache-dense. */
     struct Slot
     {
         EventFn fn;
         std::uint32_t gen = 0;
     };
 
-    /** Per-slot enqueue metadata for the kernel profiler. */
-    struct ProfMeta
+    /** One in-order stream. Its earliest event sits in the heap;
+     *  the rest wait in a FIFO ring with the keys they were given
+     *  when scheduled. */
+    struct Stream
     {
-        Cycles enqueuedAt = 0;
-        TapId label;
+        std::vector<HeapEntry> ring; ///< power-of-two capacity or empty
+        std::size_t head = 0;        ///< index of the oldest waiter
+        std::size_t count = 0;       ///< waiters (head excluded)
+        Cycles last = 0;             ///< latest time scheduled
+        bool inHeap = false;         ///< the stream has a heap entry
+
+        void
+        push(const HeapEntry &e)
+        {
+            if (count == ring.size())
+                grow();
+            ring[(head + count) & (ring.size() - 1)] = e;
+            ++count;
+        }
+
+        HeapEntry
+        pop()
+        {
+            const HeapEntry e = ring[head];
+            head = (head + 1) & (ring.size() - 1);
+            --count;
+            return e;
+        }
+
+        void grow();
     };
 
     static constexpr std::size_t heapArity = 4;
@@ -295,6 +354,11 @@ class EventQueue
      *  never move or shrink. */
     static constexpr std::size_t chunkShift = 6;
     static constexpr std::size_t chunkSlots = 1u << chunkShift;
+    /** A heap entry's seq is the scheduling sequence number shifted
+     *  past a 16-bit stream tag (0 for plain events), so the tag
+     *  never changes the order of two entries. */
+    static constexpr unsigned tagBits = 16;
+    static constexpr std::uint64_t seqStep = std::uint64_t{1} << tagBits;
 
     /** Strict (time, sequence) order; seq is unique, so this is a
      *  total order and heap pops are fully deterministic. */
@@ -344,6 +408,9 @@ class EventQueue
 
     /** Pop the top heap entry (which must exist). */
     void popTop();
+    /** Replace the top heap entry, the head of stream tag, with the
+     *  stream's next event, or pop it if the stream has none. */
+    void advanceStream(std::uint32_t tag);
     /** Discard cancelled entries surfacing at the top. */
     void purgeTop();
     /** Drop every dead entry and re-heapify the survivors. */
@@ -355,16 +422,13 @@ class EventQueue
     std::vector<std::unique_ptr<Slot[]>> chunks;
     std::size_t slotCount = 0;
     std::vector<std::uint32_t> freeSlots; ///< LIFO free slot stack
-    /** Enqueue time + label per slot, maintained only while a
-     *  profiler is attached (empty and never touched otherwise). */
-    std::vector<ProfMeta> profMeta;
     std::vector<HeapEntry> heap;          ///< 4-ary implicit min-heap
     std::size_t liveCount = 0;            ///< pending minus cancelled
     std::size_t deadCount = 0;            ///< cancelled entries in heap
     Cycles _now = 0;
-    std::uint64_t nextSeq = 0;
+    std::uint64_t nextSeq = 0;            ///< advances by seqStep
     std::uint64_t _compactions = 0;
-    EventKernelProfiler *profiler = nullptr;
+    std::vector<Stream> streams; ///< by id - 1
     std::vector<std::unique_ptr<ShardChannel>> channels;
 };
 

@@ -253,7 +253,6 @@ class RequestTracker
                        "RequestTracker::enable() before configure()");
         _enabled = true;
     }
-    void disable() { _enabled = false; }
     bool enabled() const { return _enabled; }
 
     int cpus() const { return _cpus; }

@@ -538,40 +538,4 @@ MetricsSnapshot::toJson() const
     return out;
 }
 
-const CycleSummary *
-EventKernelProfiler::summary(TapId label) const
-{
-    const std::size_t i = label.raw();
-    if (i >= summaries.size() || summaries[i].empty())
-        return nullptr;
-    return &summaries[i];
-}
-
-std::string
-EventKernelProfiler::render() const
-{
-    std::vector<std::pair<std::string, CycleSummary>> rows;
-    for (std::size_t i = 0; i < summaries.size(); ++i) {
-        const CycleSummary &h = summaries[i];
-        if (h.empty())
-            continue;
-        const TapId tap = TapId::fromRaw(static_cast<std::uint32_t>(i));
-        rows.emplace_back(tap.valid() ? tapName(tap) : "(unlabeled)",
-                          h);
-    }
-    std::sort(rows.begin(), rows.end(),
-              [](const auto &a, const auto &b) {
-                  return a.first < b.first;
-              });
-    std::string out;
-    for (const auto &[name, h] : rows) {
-        char buf[64];
-        std::snprintf(buf, sizeof(buf), "%.1f", h.mean());
-        out += name + " : n=" + std::to_string(h.count()) +
-               " min=" + std::to_string(h.min()) + " mean=" + buf +
-               " max=" + std::to_string(h.max()) + "\n";
-    }
-    return out;
-}
-
 } // namespace virtsim

@@ -1,8 +1,8 @@
 /**
  * @file
  * Structured observability: interned trace taps, a fixed-capacity
- * ring-buffer trace sink with span events, a hierarchical metrics
- * registry, and an event-kernel dispatch profiler.
+ * ring-buffer trace sink with span events, and a hierarchical metrics
+ * registry.
  *
  * This subsystem replaces the old string-keyed Tracer and is the
  * simulator's substitute for the paper's measurement apparatus:
@@ -63,7 +63,7 @@ class TapId
     constexpr std::uint32_t raw() const { return idx; }
 
     /** Rebuild an id from raw() — for containers indexed by raw id
-     *  (MetricsDomain, EventKernelProfiler), not for minting ids. */
+     *  (MetricsDomain), not for minting ids. */
     static constexpr TapId
     fromRaw(std::uint32_t raw)
     {
@@ -678,47 +678,14 @@ class MetricsRegistry
 };
 
 /**
- * Event-kernel dispatch profiler: per-label summaries of the latency
- * between an event's scheduling time and the simulated time it fired
- * (how far ahead work is scheduled — the shape of the event kernel's
- * workload). Installed into an EventQueue via setProfiler(); when not
- * installed the kernel pays one predictable branch per event.
- */
-class EventKernelProfiler
-{
-  public:
-    void
-    record(TapId label, Cycles wait)
-    {
-        const std::size_t i = label.raw();
-        if (i >= summaries.size())
-            summaries.resize(i + 1);
-        summaries[i].add(wait);
-    }
-
-    /** Summary for a label, or null if never recorded. */
-    const CycleSummary *summary(TapId label) const;
-
-    void reset() { summaries.clear(); }
-
-    /** One line per label, sorted by name; the invalid label renders
-     *  as "(unlabeled)". */
-    std::string render() const;
-
-  private:
-    std::vector<CycleSummary> summaries; ///< by raw tap id
-};
-
-/**
  * The observability bundle a Machine owns: trace sink + metrics +
- * event-kernel profiler + timeline sampler + request-latency tracker,
- * reset together between workload runs.
+ * timeline sampler + request-latency tracker, reset together between
+ * workload runs.
  */
 struct Probe
 {
     TraceSink trace;
     MetricsRegistry metrics;
-    EventKernelProfiler profiler;
     TimelineSampler timeline;
     RequestTracker latency;
 
@@ -727,7 +694,6 @@ struct Probe
     {
         trace.clear();
         metrics.reset();
-        profiler.reset();
         timeline.resetSeries();
         latency.reset();
     }

@@ -144,7 +144,6 @@ class TimelineSampler
     /** Arm sampling at the given simulated-time period. Idempotent;
      *  allocates the per-gauge sample buffers on first call. */
     void enable(Cycles period);
-    void disable() { _enabled = false; }
     bool enabled() const { return _enabled; }
     Cycles period() const { return _period; }
 

@@ -6,6 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+#include <vector>
+
 #include "hw/cost_model.hh"
 #include "hw/cpu.hh"
 #include "sim/event_queue.hh"
@@ -127,6 +130,35 @@ TEST(PhysicalCpu, RunFiresAtCompletion)
     cpu.run(10, 90, [&] { fired_at = eq.now(); });
     eq.run();
     EXPECT_EQ(fired_at, 100u);
+}
+
+TEST(PhysicalCpu, RunCompletionsInterleaveWithPlainEventsInOrder)
+{
+    // Completions fire at the end of each charged interval, and an
+    // event of the same cycle fires in scheduling order whether it
+    // is a completion (on the CPU's stream) or a plain event.
+    EventQueue eq;
+    const CostModel cm = CostModel::armAtlas();
+    PhysicalCpu a(0, eq, cm), b(1, eq, cm);
+    std::vector<std::pair<char, Cycles>> order;
+    auto mark = [&](char tag) {
+        return [&order, &eq, tag] { order.emplace_back(tag, eq.now()); };
+    };
+    eq.scheduleAt(100, mark('p'));  // before a's completion at 100
+    a.run(10, 90, mark('a'));       // [10, 100)
+    a.run(0, 50, mark('A'));        // queues behind: [100, 150)
+    b.run(50, 50, mark('b'));       // [50, 100), after a's at 100
+    eq.scheduleAt(100, mark('q'));  // after all three at 100
+    eq.scheduleAt(150, mark('r'));  // ties A's completion, after it
+    a.run(300, 0, mark('z'));       // idle gap, zero cost: at 300
+    eq.run();
+    const std::vector<std::pair<char, Cycles>> want{
+        {'p', 100}, {'a', 100}, {'b', 100}, {'q', 100},
+        {'A', 150}, {'r', 150}, {'z', 300}};
+    EXPECT_EQ(order, want);
+    EXPECT_EQ(a.frontier(), 300u);
+    EXPECT_EQ(a.busyCycles(), 140u);
+    EXPECT_EQ(b.frontier(), 100u);
 }
 
 TEST(RegFile, PatternRoundTrip)

@@ -7,6 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <random>
 #include <vector>
 
 #include "sim/channel.hh"
@@ -392,4 +395,235 @@ TEST(ShardChannelDeath, SendSoonerThanLatencyDies)
             eq.run();
         },
         "violates declared latency");
+}
+
+// ---------------------------------------------------------------------
+// In-order streams: only a stream's earliest event sits in the heap,
+// yet the merged fire order is exactly scheduleAt's (time, seq) order.
+// ---------------------------------------------------------------------
+
+namespace {
+
+/**
+ * Runs one queue through a seeded random workload: several streams
+ * plus plain events, same-cycle ties, and callbacks that schedule
+ * more events. With useStreams false every event goes through
+ * scheduleAt, giving the reference order. Both runs draw the same
+ * numbers as long as they fire in the same order.
+ */
+struct StreamWorkload
+{
+    static constexpr int nStreams = 5;
+
+    StreamWorkload(EventQueue &eq, bool useStreams, std::uint64_t seed)
+        : eq(eq), useStreams(useStreams), rng(seed)
+    {
+        if (useStreams) {
+            for (int s = 0; s < nStreams; ++s)
+                ids.push_back(eq.openStream());
+        }
+    }
+
+    void
+    schedule(int depth)
+    {
+        const int id = nextId++;
+        EventFn fn = [this, id, depth] { fire(id, depth); };
+        const std::uint64_t pick = rng() % (nStreams + 2);
+        if (pick < nStreams) {
+            // Small steps keep ties with the stream's own previous
+            // event and with other streams common.
+            Cycles &last = streamLast[pick];
+            last = std::max(last, eq.now()) + rng() % 3;
+            if (useStreams)
+                eq.scheduleOn(ids[pick], last, std::move(fn));
+            else
+                eq.scheduleAt(last, std::move(fn));
+        } else {
+            eq.scheduleAt(eq.now() + rng() % 6, std::move(fn));
+        }
+    }
+
+    void
+    fire(int id, int depth)
+    {
+        log.push_back({id, eq.now()});
+        if (depth < 4) {
+            const std::uint64_t children = rng() % 3;
+            for (std::uint64_t c = 0; c < children; ++c)
+                schedule(depth + 1);
+        }
+    }
+
+    struct Fired
+    {
+        int id;
+        Cycles at;
+        bool operator==(const Fired &) const = default;
+    };
+
+    EventQueue &eq;
+    bool useStreams;
+    std::mt19937_64 rng;
+    std::vector<StreamId> ids;
+    Cycles streamLast[nStreams] = {};
+    int nextId = 0;
+    std::vector<Fired> log;
+};
+
+} // namespace
+
+TEST(EventQueueStream, MergedOrderMatchesPlainQueueUnderRandomLoad)
+{
+    for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+        EventQueue subject, reference;
+        StreamWorkload a(subject, true, seed), b(reference, false, seed);
+        for (int i = 0; i < 150; ++i) {
+            a.schedule(0);
+            b.schedule(0);
+        }
+        // Alternate the three bounded drains, then run dry; the two
+        // queues must agree after every stretch, not only at the end.
+        std::mt19937_64 bounds(seed * 7919);
+        for (int round = 0; round < 30; ++round) {
+            const Cycles bound = subject.now() + bounds() % 8;
+            switch (round % 3) {
+              case 0:
+                EXPECT_EQ(subject.runBefore(bound),
+                          reference.runBefore(bound));
+                break;
+              case 1:
+                subject.runUntil(bound);
+                reference.runUntil(bound);
+                break;
+              default:
+                EXPECT_EQ(subject.step(), reference.step());
+                break;
+            }
+            ASSERT_EQ(subject.now(), reference.now()) << "seed " << seed;
+            ASSERT_EQ(subject.pending(), reference.pending());
+            ASSERT_EQ(subject.nextEventTime(), reference.nextEventTime());
+        }
+        subject.run();
+        reference.run();
+        ASSERT_GT(a.log.size(), 300u);
+        ASSERT_EQ(a.log, b.log) << "seed " << seed;
+        EXPECT_EQ(subject.pending(), 0u);
+        EXPECT_EQ(subject.heapSize(), 0u);
+    }
+}
+
+TEST(EventQueueStream, BacklogStaysOutOfTheHeap)
+{
+    // fleet_observed's shape: 16 CPUs with a deep completion backlog
+    // each, plus plain arrival events.
+    constexpr std::size_t streams = 16, backlog = 2000, plain = 512;
+    EventQueue eq;
+    std::vector<StreamId> ids;
+    for (std::size_t s = 0; s < streams; ++s)
+        ids.push_back(eq.openStream());
+    std::size_t maxHeap = 0;
+    std::vector<Cycles> fired;
+    auto probe = [&] {
+        fired.push_back(eq.now());
+        maxHeap = std::max(maxHeap, eq.heapSize());
+    };
+    for (std::size_t i = 0; i < backlog; ++i) {
+        for (std::size_t s = 0; s < streams; ++s)
+            eq.scheduleOn(ids[s], i * 10 + s % 7, probe);
+    }
+    for (std::size_t i = 0; i < plain; ++i)
+        eq.scheduleAt((i * 7919) % (backlog * 10), probe);
+    EXPECT_EQ(eq.pending(), streams * backlog + plain);
+    EXPECT_LE(eq.heapSize(), streams + plain);
+    eq.run();
+    ASSERT_EQ(fired.size(), streams * backlog + plain);
+    EXPECT_TRUE(std::is_sorted(fired.begin(), fired.end()));
+    EXPECT_LE(maxHeap, streams + plain);
+    EXPECT_EQ(eq.heapSize(), 0u);
+}
+
+namespace {
+
+/** Callback that counts its live copies, to check that dropping a
+ *  queue's events destroys every one of them. */
+struct Counted
+{
+    explicit Counted(int *live) : live(live) { ++*live; }
+    Counted(const Counted &o) noexcept : live(o.live) { ++*live; }
+    ~Counted() { --*live; }
+    Counted &operator=(const Counted &) = delete;
+    void operator()() const {}
+    int *live;
+};
+
+/** Backlog three streams and a few plain events. */
+void
+fillBacklog(EventQueue &eq, const std::vector<StreamId> &ids, int *live)
+{
+    for (Cycles t = 0; t < 40; ++t) {
+        for (StreamId id : ids)
+            eq.scheduleOn(id, eq.now() + t, Counted(live));
+        if (t % 8 == 0)
+            eq.scheduleAt(eq.now() + t, Counted(live));
+    }
+}
+
+} // namespace
+
+TEST(EventQueueStream, ClearAndResetDestroyBackloggedCallbacks)
+{
+    int live = 0;
+    EventQueue eq;
+    const std::vector<StreamId> ids{eq.openStream(), eq.openStream(),
+                                    eq.openStream()};
+    fillBacklog(eq, ids, &live);
+    EXPECT_EQ(live, 3 * 40 + 5);
+    eq.runUntil(10);
+    eq.clear();
+    EXPECT_EQ(live, 0);
+    EXPECT_EQ(eq.pending(), 0u);
+    EXPECT_EQ(eq.heapSize(), 0u);
+    EXPECT_FALSE(eq.step());
+
+    // After clear() the clock stays; a stream may restart below its
+    // dropped events' times as long as it is not in the past.
+    fillBacklog(eq, ids, &live);
+    eq.reset();
+    EXPECT_EQ(live, 0);
+    EXPECT_EQ(eq.now(), 0u);
+}
+
+TEST(EventQueueStream, RerunAfterResetMatchesFreshQueue)
+{
+    EventQueue recycled;
+    {
+        StreamWorkload warm(recycled, true, 99);
+        for (int i = 0; i < 100; ++i)
+            warm.schedule(0);
+        recycled.runUntil(20); // leave backlogs behind
+    }
+    recycled.reset();
+    EventQueue fresh;
+    // A workload opens its own streams; the recycled queue keeps the
+    // warm-up's five too, so the two use different ids.
+    StreamWorkload a(recycled, true, 5), b(fresh, true, 5);
+    for (int i = 0; i < 150; ++i) {
+        a.schedule(0);
+        b.schedule(0);
+    }
+    recycled.run();
+    fresh.run();
+    ASSERT_GT(a.log.size(), 150u);
+    EXPECT_EQ(a.log, b.log);
+    EXPECT_EQ(recycled.now(), fresh.now());
+}
+
+TEST(EventQueueStreamDeath, SchedulingBeforeTheStreamsLastEventPanics)
+{
+    EventQueue eq;
+    const StreamId id = eq.openStream();
+    eq.scheduleOn(id, 100, [] {});
+    // Later than now() but earlier than the stream's last event.
+    EXPECT_DEATH(eq.scheduleOn(id, 99, [] {}), "goes backwards");
 }

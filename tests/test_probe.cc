@@ -2,7 +2,7 @@
  * @file
  * Tests for the structured observability subsystem (sim/probe):
  * tap interning, the ring-buffer trace sink, Chrome-trace/Perfetto
- * export, the metrics registry, and the event-kernel profiler.
+ * export and the metrics registry.
  */
 
 #include <gtest/gtest.h>
@@ -786,28 +786,6 @@ TEST(Metrics, LateTapRegistersLikeAnEarlyOne)
     ASSERT_EQ(zeroed.histograms.size(), after.histograms.size());
     EXPECT_EQ(zeroed.counters.back().value, 0u);
     EXPECT_EQ(zeroed.histograms.back().count, 0u);
-}
-
-TEST(EventKernelProfiler, RecordsDispatchLatencyPerLabel)
-{
-    EventQueue eq;
-    EventKernelProfiler prof;
-    eq.setProfiler(&prof);
-    const TapId label = internTap("probe.test.event");
-    int fired = 0;
-    eq.scheduleAfter(10, label, [&fired] { ++fired; });
-    eq.scheduleAfter(50, label, [&fired] { ++fired; });
-    eq.scheduleAt(70, [&fired] { ++fired; }); // unlabeled
-    eq.run();
-    EXPECT_EQ(fired, 3);
-    const CycleSummary *h = prof.summary(label);
-    ASSERT_NE(h, nullptr);
-    EXPECT_EQ(h->count(), 2u);
-    EXPECT_EQ(h->min(), 10u);
-    EXPECT_EQ(h->max(), 50u);
-    const std::string rendered = prof.render();
-    EXPECT_NE(rendered.find("probe.test.event"), std::string::npos);
-    EXPECT_NE(rendered.find("(unlabeled)"), std::string::npos);
 }
 
 TEST(Probe, TraceEnvExportsLoadableJson)
