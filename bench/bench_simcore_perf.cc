@@ -112,6 +112,43 @@ BM_EventQueueChurn(benchmark::State &state)
 }
 BENCHMARK(BM_EventQueueChurn);
 
+/** BM_EventQueueChurn at fleet_closed's heap depth: 2,048
+ *  self-rescheduling chains with strides spread over 1-4,096 cycles,
+ *  so every pop sifts through a six-level heap and the surfacing
+ *  chains arrive in no particular order. */
+void
+BM_EventQueueDeepChurn(benchmark::State &state)
+{
+    EventQueue eq;
+    std::uint64_t fired = 0;
+    constexpr std::uint64_t chains = 2048;
+    constexpr Cycles horizon = 4096;
+    struct Chain
+    {
+        EventQueue *eq;
+        std::uint64_t *fired;
+        Cycles stride;
+        void
+        operator()() const
+        {
+            ++*fired;
+            eq->scheduleAfter(stride, *this);
+        }
+    };
+    for (std::uint64_t c = 0; c < chains; ++c) {
+        // A multiplicative hash scatters the strides over the chains.
+        const Cycles stride = 1 + (c * 2654435761u) % horizon;
+        eq.scheduleAfter(c % horizon, Chain{&eq, &fired, stride});
+    }
+    for (auto _ : state) {
+        const std::uint64_t before = fired;
+        eq.runUntil(eq.now() + horizon);
+        benchmark::DoNotOptimize(fired - before);
+    }
+    state.SetItemsProcessed(static_cast<std::int64_t>(fired));
+}
+BENCHMARK(BM_EventQueueDeepChurn);
+
 /** clear()-then-reschedule between repetitions, as the experiment
  *  harness does; checks arena recycling after bulk teardown. */
 void

@@ -480,11 +480,10 @@ KvmHypervisor::guestTransmit(Cycles t, Vcpu &v, const Packet &pkt,
                      pkt.seq);
     }
     txPumpActive = true;
-    EventFn kick = [this, t3] { pumpTx(t3); };
     if (chIoeventfd)
-        chIoeventfd->send(t3, std::move(kick));
+        chIoeventfd->send(t3, [this, t3] { pumpTx(t3); });
     else
-        queue().scheduleAt(t3, std::move(kick));
+        queue().scheduleAt(t3, [this, t3] { pumpTx(t3); });
 }
 
 void

@@ -94,15 +94,6 @@ PhysicalCpu::charge(Cycles ready, Cycles cost)
     return _frontier;
 }
 
-void
-PhysicalCpu::run(Cycles ready, Cycles cost, EventFn fn)
-{
-    const Cycles done = charge(ready, cost);
-    if (stream == 0) [[unlikely]]
-        stream = eq.openStream();
-    eq.scheduleOn(stream, done, std::move(fn));
-}
-
 double
 PhysicalCpu::utilization(Cycles now) const
 {

@@ -22,6 +22,7 @@
 #include <array>
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "hw/arch.hh"
@@ -91,7 +92,15 @@ class PhysicalCpu
      * completions never go backwards, so the CPU's backlog waits
      * outside the event heap. Not cancellable.
      */
-    void run(Cycles ready, Cycles cost, EventFn fn);
+    template <typename F>
+    void
+    run(Cycles ready, Cycles cost, F &&fn)
+    {
+        const Cycles done = charge(ready, cost);
+        if (stream == 0) [[unlikely]]
+            stream = eq.openStream();
+        eq.scheduleOn(stream, done, std::forward<F>(fn));
+    }
 
     /** Time at which the CPU becomes free. */
     Cycles frontier() const { return _frontier; }

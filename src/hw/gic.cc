@@ -76,15 +76,14 @@ IrqChip::sendIpi(Cycles t, PcpuId target, IrqId irq)
     // track.
     VIRTSIM_ASSERT(handler, "no physical IRQ handler installed");
     const Cycles td = t + cm.ipiFlight;
-    EventFn fire = [this, td, target, irq, token] {
+    ipi.send(td, [this, td, target, irq, token] {
         if (probe) {
             probe->trace.edgeIn(td, token, edgeIpiTap(),
                                 TraceCat::Irq,
                                 static_cast<std::uint16_t>(target));
         }
         handler(td, target, irq);
-    };
-    ipi.send(td, std::move(fire));
+    });
 }
 
 void

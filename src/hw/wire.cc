@@ -38,7 +38,7 @@ Wire::sendToServer(Cycles t, const Packet &pkt)
     std::uint64_t token = 0;
     if (probe)
         token = probe->trace.edgeOut(t, edgeWireTap(), TraceCat::Io);
-    EventFn deliver = [this, t, pkt, token] {
+    chToServer.send(t + latency, [this, t, pkt, token] {
         if (probe) {
             probe->trace.edgeIn(t + latency, token, edgeWireTap(),
                                 TraceCat::Io);
@@ -49,8 +49,7 @@ Wire::sendToServer(Cycles t, const Packet &pkt)
                                   latency);
         }
         toServer(t + latency, pkt);
-    };
-    chToServer.send(t + latency, std::move(deliver));
+    });
 }
 
 void
@@ -61,7 +60,7 @@ Wire::sendToClient(Cycles t, const Packet &pkt)
     std::uint64_t token = 0;
     if (probe)
         token = probe->trace.edgeOut(t, edgeWireTap(), TraceCat::Io);
-    EventFn deliver = [this, t, pkt, token] {
+    chToClient.send(t + latency, [this, t, pkt, token] {
         if (probe) {
             probe->trace.edgeIn(t + latency, token, edgeWireTap(),
                                 TraceCat::Io);
@@ -69,8 +68,7 @@ Wire::sendToClient(Cycles t, const Packet &pkt)
                                   latency);
         }
         toClient(t + latency, pkt);
-    };
-    chToClient.send(t + latency, std::move(deliver));
+    });
 }
 
 } // namespace virtsim

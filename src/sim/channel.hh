@@ -20,6 +20,7 @@
 #define VIRTSIM_SIM_CHANNEL_HH
 
 #include <string>
+#include <utility>
 
 #include "sim/event_queue.hh"
 #include "sim/log.hh"
@@ -43,13 +44,14 @@ class ShardChannel
      *      is a contract, checked, not a hint.
      * @return the event id (cancellable, exactly scheduleAt's).
      */
+    template <typename F>
     EventId
-    send(Cycles when, EventFn fn)
+    send(Cycles when, F &&fn)
     {
         VIRTSIM_ASSERT(when >= q.now() + _latency, "channel '", _name,
                        "' send at ", when, " violates declared latency ",
                        _latency, " from time ", q.now());
-        return q.scheduleAt(when, std::move(fn));
+        return q.scheduleAt(when, std::forward<F>(fn));
     }
 
     const std::string &name() const { return _name; }

@@ -49,9 +49,10 @@ void
 EventQueue::siftUp(std::size_t pos)
 {
     const HeapEntry e = heap[pos];
+    const Key k = keyOf(e);
     while (pos > 0) {
         const std::size_t parent = (pos - 1) / heapArity;
-        if (!firesBefore(e, heap[parent]))
+        if (k >= keyOf(heap[parent]))
             break;
         heap[pos] = heap[parent];
         pos = parent;
@@ -59,22 +60,43 @@ EventQueue::siftUp(std::size_t pos)
     heap[pos] = e;
 }
 
+std::size_t
+EventQueue::leastChild(std::size_t first, std::size_t n) const
+{
+    if (first + heapArity <= n) [[likely]] {
+        // A two-round tournament of selects: which child wins is data,
+        // not control flow, so a random heap costs no mispredictions.
+        const Key k0 = keyOf(heap[first]), k1 = keyOf(heap[first + 1]);
+        const Key k2 = keyOf(heap[first + 2]), k3 = keyOf(heap[first + 3]);
+        const bool b01 = k1 < k0, b23 = k3 < k2;
+        const std::size_t i01 = first + b01, i23 = first + 2 + b23;
+        const Key k01 = b01 ? k1 : k0, k23 = b23 ? k3 : k2;
+        // A mask rather than ?: here, which compilers turn back into
+        // a branch.
+        const std::size_t pick = -static_cast<std::size_t>(k23 < k01);
+        return (i23 & pick) | (i01 & ~pick);
+    }
+    // The one node with fewer than four children.
+    std::size_t best = first;
+    for (std::size_t c = first + 1; c < n; ++c) {
+        if (keyOf(heap[c]) < keyOf(heap[best]))
+            best = c;
+    }
+    return best;
+}
+
 void
 EventQueue::siftDown(std::size_t pos)
 {
     const HeapEntry e = heap[pos];
+    const Key k = keyOf(e);
     const std::size_t n = heap.size();
     for (;;) {
         const std::size_t first = pos * heapArity + 1;
         if (first >= n)
             break;
-        const std::size_t last = std::min(first + heapArity, n);
-        std::size_t best = first;
-        for (std::size_t c = first + 1; c < last; ++c) {
-            if (firesBefore(heap[c], heap[best]))
-                best = c;
-        }
-        if (!firesBefore(heap[best], e))
+        const std::size_t best = leastChild(first, n);
+        if (keyOf(heap[best]) >= k)
             break;
         heap[pos] = heap[best];
         pos = best;
@@ -83,14 +105,31 @@ EventQueue::siftDown(std::size_t pos)
 }
 
 void
+EventQueue::replaceTop(const HeapEntry &e)
+{
+    // Floyd's bottom-up pop: walk the hole from the root to a leaf
+    // along the least children without comparing against e, then
+    // place e there and sift it up. A replacement usually belongs
+    // near the bottom, so this does about one compare per level
+    // where a plain sift-down does two.
+    const std::size_t n = heap.size();
+    std::size_t pos = 0;
+    for (std::size_t first = 1; first < n; first = pos * heapArity + 1) {
+        const std::size_t best = leastChild(first, n);
+        heap[pos] = heap[best];
+        pos = best;
+    }
+    heap[pos] = e;
+    siftUp(pos);
+}
+
+void
 EventQueue::popTop()
 {
     const HeapEntry moved = heap.back();
     heap.pop_back();
-    if (!heap.empty()) {
-        heap[0] = moved;
-        siftDown(0);
-    }
+    if (!heap.empty())
+        replaceTop(moved);
 }
 
 void
@@ -102,10 +141,9 @@ EventQueue::advanceStream(std::uint32_t tag)
         popTop();
         return;
     }
-    // The successor's key is no earlier than the head's, so it can
-    // only sink: the heap order is what pushing it would have given.
-    heap[0] = st.pop();
-    siftDown(0);
+    // The successor's key is above the head's, so the heap order is
+    // what pushing it would have given.
+    replaceTop(st.pop());
 }
 
 void
@@ -193,13 +231,17 @@ EventQueue::step()
     } else {
         popTop();
     }
+    // Fire the callback where it sits: chunks never move, so slots
+    // the callback allocates (arena growth included) leave it in
+    // place. Bumping gen first makes the event's own id stale, so
+    // cancelling it from inside returns false; the slot joins the
+    // free list only once the call is over.
     Slot &s = slotAt(top.slot);
-    // Move the callback out and recycle the slot *before* firing so
-    // the callback can freely schedule into the vacated slot.
-    EventFn fn = std::move(s.fn);
-    releaseSlot(top.slot, s);
+    ++s.gen;
     --liveCount;
-    fn();
+    s.fn();
+    s.fn.reset();
+    freeSlots.push_back(top.slot);
     return true;
 }
 

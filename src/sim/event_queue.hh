@@ -17,11 +17,22 @@
  *    through a LIFO free list. Chunks never move, so growing the
  *    arena relocates nothing, and freshly-freed (cache-hot) slots
  *    are reused first.
+ *  - A callback is built in its slot and fired where it sits: the
+ *    scheduling calls forward the callable into the slot
+ *    (InlineFunction::assign), and step() calls it in place, then
+ *    destroys it and frees the slot once it returns. The capture is
+ *    never relocated; it stays valid while the callback schedules
+ *    (and so grows the arena), cancels or clears.
  *  - The ready queue is a 4-ary implicit min-heap whose entries
  *    carry their (time, seq) sort key inline: sifting compares and
  *    moves small contiguous PODs and never dereferences the arena.
  *    The 4-ary layout halves the tree depth of a binary heap and
- *    keeps each sift level within two cache lines.
+ *    keeps each sift level within two cache lines. The least of
+ *    four children is picked by comparing (time, seq) as one
+ *    128-bit key, with selects rather than branches. A pop is
+ *    Floyd's bottom-up one: the hole walks from the root to a leaf
+ *    along the least children, and the replacement entry is placed
+ *    there and sifts up, typically not far.
  *  - cancel() is O(1) lazy deletion: the slot is recycled
  *    immediately and the heap entry is discarded when it surfaces,
  *    detected by a per-slot generation count.
@@ -31,7 +42,7 @@
  *    (PhysicalCpu::run). Only the stream's earliest event sits in
  *    the heap; the rest wait in the stream's FIFO ring, each with the
  *    (time, seq) key it was given when scheduled. When the head
- *    fires, its successor takes the top slot and sifts down. The
+ *    fires, its successor replaces it at the heap top. The
  *    order is exact: every waiting event's key is above its stream's
  *    head, which is in the heap, so the heap top is still the least
  *    key of all pending events, and events fire in the same total
@@ -107,14 +118,15 @@ class EventQueue
      * @pre when >= now(), otherwise the simulation would go backwards.
      * @return a handle that can cancel the event while pending.
      */
+    template <typename F>
     EventId
-    scheduleAt(Cycles when, EventFn fn)
+    scheduleAt(Cycles when, F &&fn)
     {
         VIRTSIM_ASSERT(when >= _now, "scheduling into the past: when=",
                        when, " now=", _now);
         const std::uint32_t slot = allocSlot();
         Slot &s = slotAt(slot);
-        s.fn = std::move(fn);
+        s.fn.assign(std::forward<F>(fn));
         heap.push_back(HeapEntry{when, nextSeq, slot, s.gen});
         nextSeq += seqStep;
         siftUp(heap.size() - 1);
@@ -123,10 +135,11 @@ class EventQueue
     }
 
     /** Schedule fn to run delay cycles from now. */
+    template <typename F>
     EventId
-    scheduleAfter(Cycles delay, EventFn fn)
+    scheduleAfter(Cycles delay, F &&fn)
     {
-        return scheduleAt(_now + delay, std::move(fn));
+        return scheduleAt(_now + delay, std::forward<F>(fn));
     }
 
     /**
@@ -146,8 +159,9 @@ class EventQueue
      * @pre when >= now() and when >= the stream's previous event.
      *      Stream events cannot be cancelled.
      */
+    template <typename F>
     void
-    scheduleOn(StreamId id, Cycles when, EventFn fn)
+    scheduleOn(StreamId id, Cycles when, F &&fn)
     {
         VIRTSIM_ASSERT(when >= _now, "scheduling into the past: when=",
                        when, " now=", _now);
@@ -160,7 +174,7 @@ class EventQueue
         st.last = when;
         const std::uint32_t slot = allocSlot();
         Slot &s = slotAt(slot);
-        s.fn = std::move(fn);
+        s.fn.assign(std::forward<F>(fn));
         const HeapEntry e{when, nextSeq | id, slot, s.gen};
         nextSeq += seqStep;
         ++liveCount;
@@ -360,14 +374,15 @@ class EventQueue
     static constexpr unsigned tagBits = 16;
     static constexpr std::uint64_t seqStep = std::uint64_t{1} << tagBits;
 
-    /** Strict (time, sequence) order; seq is unique, so this is a
-     *  total order and heap pops are fully deterministic. */
-    static bool
-    firesBefore(const HeapEntry &a, const HeapEntry &b)
+    /** An entry's (time, sequence) sort key as one unsigned 128-bit
+     *  integer, so one compare orders two entries. seq is unique, so
+     *  this is a total order and heap pops are fully deterministic. */
+    using Key = unsigned __int128;
+
+    static Key
+    keyOf(const HeapEntry &e)
     {
-        if (a.when != b.when)
-            return a.when < b.when;
-        return a.seq < b.seq;
+        return Key{e.when} << 64 | e.seq;
     }
 
     Slot &
@@ -390,7 +405,8 @@ class EventQueue
     }
 
     /** Recycle a slot: destroy the callback and bump gen so any
-     *  outstanding EventId / heap entry for it turns stale. */
+     *  outstanding EventId / heap entry for it turns stale. step()
+     *  does the same in two halves around the call. */
     void
     releaseSlot(std::uint32_t slot, Slot &s)
     {
@@ -408,6 +424,8 @@ class EventQueue
 
     /** Pop the top heap entry (which must exist). */
     void popTop();
+    /** Replace the top heap entry (which must exist) with e. */
+    void replaceTop(const HeapEntry &e);
     /** Replace the top heap entry, the head of stream tag, with the
      *  stream's next event, or pop it if the stream has none. */
     void advanceStream(std::uint32_t tag);
@@ -417,6 +435,9 @@ class EventQueue
     void compact();
     void siftUp(std::size_t pos);
     void siftDown(std::size_t pos);
+    /** Index of the least of the children [first, n) of one node;
+     *  first < n. */
+    std::size_t leastChild(std::size_t first, std::size_t n) const;
 
     /** Arena of callback slots, in chunks that never relocate. */
     std::vector<std::unique_ptr<Slot[]>> chunks;

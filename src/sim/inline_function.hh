@@ -17,6 +17,8 @@
  *
  * Deliberately minimal: move-only, no allocator fallback, no
  * target_type introspection. Calling an empty InlineFunction panics.
+ * assign() builds a callable directly in the buffer, which lets the
+ * event queue construct each callback in its arena slot.
  */
 
 #ifndef VIRTSIM_SIM_INLINE_FUNCTION_HH
@@ -56,27 +58,7 @@ class InlineFunction<R(Args...), Capacity>
                   std::is_invocable_r_v<R, D &, Args...>>>
     InlineFunction(F &&f)
     {
-        static_assert(sizeof(D) <= Capacity,
-                      "event callback capture exceeds the inline "
-                      "buffer; shrink the capture (box rarely-used "
-                      "state, capture pointers not objects) rather "
-                      "than reintroducing per-event heap allocation");
-        static_assert(alignof(D) <= alignof(std::max_align_t),
-                      "over-aligned event callback capture");
-        static_assert(std::is_nothrow_move_constructible_v<D>,
-                      "event callbacks must be nothrow-movable (the "
-                      "event arena relocates them)");
-        ::new (static_cast<void *>(buf)) D(std::forward<F>(f));
-        call = [](void *p, Args... args) -> R {
-            return (*std::launder(reinterpret_cast<D *>(p)))(
-                std::forward<Args>(args)...);
-        };
-        relocateOrDestroy = [](void *src, void *dst) noexcept {
-            D *s = std::launder(reinterpret_cast<D *>(src));
-            if (dst)
-                ::new (dst) D(std::move(*s));
-            s->~D();
-        };
+        construct<D>(std::forward<F>(f));
     }
 
     InlineFunction(InlineFunction &&other) noexcept { moveFrom(other); }
@@ -105,6 +87,29 @@ class InlineFunction<R(Args...), Capacity>
 
     explicit operator bool() const noexcept { return call != nullptr; }
 
+    /**
+     * Replace the held callable with f, constructed directly in this
+     * function's buffer: no temporary InlineFunction and no
+     * relocation. Given an InlineFunction rvalue, this is a move
+     * assignment.
+     */
+    template <typename F>
+    void
+    assign(F &&f)
+    {
+        using D = std::decay_t<F>;
+        if constexpr (std::is_same_v<D, InlineFunction>) {
+            static_assert(!std::is_lvalue_reference_v<F>,
+                          "InlineFunction is move-only");
+            *this = std::move(f);
+        } else {
+            static_assert(std::is_invocable_r_v<R, D &, Args...>,
+                          "callable has the wrong signature");
+            reset();
+            construct<D>(std::forward<F>(f));
+        }
+    }
+
     /** Destroy the held callable, leaving the function empty. */
     void
     reset() noexcept
@@ -116,6 +121,34 @@ class InlineFunction<R(Args...), Capacity>
     }
 
   private:
+    /** Build a D from f in buf; the function must be empty. */
+    template <typename D, typename F>
+    void
+    construct(F &&f)
+    {
+        static_assert(sizeof(D) <= Capacity,
+                      "event callback capture exceeds the inline "
+                      "buffer; shrink the capture (box rarely-used "
+                      "state, capture pointers not objects) rather "
+                      "than reintroducing per-event heap allocation");
+        static_assert(alignof(D) <= alignof(std::max_align_t),
+                      "over-aligned event callback capture");
+        static_assert(std::is_nothrow_move_constructible_v<D>,
+                      "event callbacks must be nothrow-movable (an "
+                      "InlineFunction relocates them when moved)");
+        ::new (static_cast<void *>(buf)) D(std::forward<F>(f));
+        call = [](void *p, Args... args) -> R {
+            return (*std::launder(reinterpret_cast<D *>(p)))(
+                std::forward<Args>(args)...);
+        };
+        relocateOrDestroy = [](void *src, void *dst) noexcept {
+            D *s = std::launder(reinterpret_cast<D *>(src));
+            if (dst)
+                ::new (dst) D(std::move(*s));
+            s->~D();
+        };
+    }
+
     void
     moveFrom(InlineFunction &other) noexcept
     {

@@ -8,8 +8,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cstdint>
 #include <random>
+#include <set>
+#include <utility>
 #include <vector>
 
 #include "sim/channel.hh"
@@ -626,4 +629,294 @@ TEST(EventQueueStreamDeath, SchedulingBeforeTheStreamsLastEventPanics)
     eq.scheduleOn(id, 100, [] {});
     // Later than now() but earlier than the stream's last event.
     EXPECT_DEATH(eq.scheduleOn(id, 99, [] {}), "goes backwards");
+}
+
+// ---------------------------------------------------------------------
+// Differential test against a reference that shares no code with the
+// heap: a std::set of (time, sequence) keys. The stream tests above
+// compare two queues built on the same heap, so a heap bug that
+// misorders events would misorder both alike; here every firing must
+// be the set's least key.
+// ---------------------------------------------------------------------
+
+namespace {
+
+/**
+ * Drives one queue through a seeded random mix of plain and stream
+ * events, same-cycle ties, nested schedules from inside callbacks and
+ * cancel bursts that force compaction, mirroring every pending event
+ * in a std::set keyed on (time, scheduling order).
+ */
+struct DifferentialWorkload
+{
+    using Key = std::pair<Cycles, std::uint64_t>;
+    static constexpr int nStreams = 3;
+
+    explicit DifferentialWorkload(std::uint64_t seed) : rng(seed)
+    {
+        for (int s = 0; s < nStreams; ++s)
+            streams.push_back(eq.openStream());
+    }
+
+    /** Schedule one event, plain or on a stream, near now. */
+    void
+    schedule(int depth)
+    {
+        const std::uint64_t seq = nextSeq++;
+        auto fn = [this, seq, depth] { fire(seq, depth); };
+        const std::uint64_t pick = rng() % 8;
+        Cycles when;
+        if (pick < nStreams) {
+            Cycles &last = streamLast[pick];
+            last = std::max(last, eq.now()) + rng() % 4;
+            when = last;
+            eq.scheduleOn(streams[pick], when, fn);
+        } else {
+            // Mostly a wide spread, often a tie with the current cycle
+            // or its neighbours.
+            when = eq.now() + (rng() % 3 == 0 ? rng() % 3 : rng() % 400);
+            cancellable.push_back({eq.scheduleAt(when, fn), {when, seq}});
+        }
+        reference.insert({when, seq});
+    }
+
+    /** Cancel n random plain events, fired or not: the queue and the
+     *  reference must agree on which were still pending. */
+    void
+    cancelSome(std::size_t n)
+    {
+        for (; n > 0 && !cancellable.empty(); --n) {
+            const std::size_t i = rng() % cancellable.size();
+            const auto [id, key] = cancellable[i];
+            cancellable[i] = cancellable.back();
+            cancellable.pop_back();
+            const bool wasPending = reference.erase(key) == 1;
+            if (eq.cancel(id) != wasPending)
+                ++mismatches;
+        }
+    }
+
+    void
+    fire(std::uint64_t seq, int depth)
+    {
+        ++fired;
+        if (reference.empty() ||
+            *reference.begin() != Key{eq.now(), seq}) {
+            ++mismatches;
+        }
+        reference.erase({eq.now(), seq});
+        if (depth < 3) {
+            for (std::uint64_t c = rng() % 3; c > 0; --c)
+                schedule(depth + 1);
+        }
+        if (rng() % 4 == 0)
+            cancelSome(1);
+    }
+
+    /** The queue's observable state matches the reference's. */
+    void
+    expectInStep(std::uint64_t seed) const
+    {
+        ASSERT_EQ(eq.pending(), reference.size()) << "seed " << seed;
+        ASSERT_EQ(mismatches, 0u) << "seed " << seed;
+    }
+
+    EventQueue eq;
+    std::mt19937_64 rng;
+    std::vector<StreamId> streams;
+    Cycles streamLast[nStreams] = {};
+    std::uint64_t nextSeq = 0;
+    std::set<Key> reference;
+    std::vector<std::pair<EventId, Key>> cancellable;
+    std::size_t fired = 0;
+    std::size_t mismatches = 0;
+};
+
+} // namespace
+
+TEST(EventQueueDifferential, FiresInReferenceSetOrder)
+{
+    std::uint64_t compactions = 0;
+    for (std::uint64_t seed = 1; seed <= 12; ++seed) {
+        DifferentialWorkload w(seed);
+        EventQueue &eq = w.eq;
+        std::mt19937_64 drains(seed * 104729);
+        for (int round = 0; round < 60; ++round) {
+            for (int i = 0; i < 40; ++i)
+                w.schedule(0);
+            // Every fourth round a cancel burst: with the heap well
+            // past the compaction floor this tips dead entries over
+            // half of it.
+            if (round % 4 == 3)
+                w.cancelSome(w.cancellable.size() * 3 / 4);
+            const std::size_t before = w.fired;
+            const Cycles start = eq.now();
+            const Cycles bound = start + drains() % 200;
+            switch (drains() % 3) {
+              case 0: {
+                const std::size_t n = eq.runBefore(bound);
+                EXPECT_EQ(n, w.fired - before);
+                ASSERT_TRUE(w.reference.empty() ||
+                            w.reference.begin()->first >= bound);
+                break;
+              }
+              case 1:
+                eq.runUntil(bound);
+                ASSERT_EQ(eq.now(), bound);
+                ASSERT_TRUE(w.reference.empty() ||
+                            w.reference.begin()->first > bound);
+                break;
+              default:
+                for (int k = 0; k < 25; ++k)
+                    eq.step();
+                break;
+            }
+            w.expectInStep(seed);
+            ASSERT_EQ(eq.nextEventTime(),
+                      w.reference.empty() ? noPendingEvent
+                                          : w.reference.begin()->first)
+                << "seed " << seed;
+        }
+        eq.run();
+        w.expectInStep(seed);
+        EXPECT_TRUE(w.reference.empty());
+        EXPECT_GT(w.fired, 2000u);
+        compactions += eq.compactions();
+    }
+    EXPECT_GT(compactions, 0u) << "the workload never compacted";
+}
+
+// ---------------------------------------------------------------------
+// In-place firing: step() calls each callback where it sits in the
+// arena and recycles the slot only once the call returns.
+// ---------------------------------------------------------------------
+
+TEST(EventQueueInPlace, ArenaGrowthDuringACallbackLeavesItsCaptureIntact)
+{
+    EventQueue eq;
+    const std::array<std::uint64_t, 8> tag{1, 2, 3, 5, 8, 13, 21, 34};
+    std::array<std::uint64_t, 8> seen{};
+    int fired = 0;
+    eq.scheduleAt(1, [&eq, &seen, &fired, tag] {
+        // Far more slots than the arena holds: it grows by many
+        // chunks while this capture is live.
+        for (int i = 0; i < 1500; ++i)
+            eq.scheduleAfter(1 + i % 3, [&fired] { ++fired; });
+        seen = tag;
+    });
+    eq.run();
+    EXPECT_EQ(seen, tag);
+    EXPECT_EQ(fired, 1500);
+}
+
+TEST(EventQueueInPlace, CancellingTheFiringEventReturnsFalse)
+{
+    EventQueue eq;
+    EventId self = invalidEventId;
+    bool cancelled = true;
+    std::size_t pendingInside = 99;
+    self = eq.scheduleAt(5, [&] {
+        pendingInside = eq.pending();
+        cancelled = eq.cancel(self);
+    });
+    eq.scheduleAt(6, [] {});
+    eq.run();
+    EXPECT_FALSE(cancelled);
+    EXPECT_EQ(pendingInside, 1u) << "a firing event is no longer pending";
+    EXPECT_EQ(eq.now(), 6u);
+}
+
+TEST(EventQueueInPlace, ACallbackMayClearItsOwnQueue)
+{
+    int live = 0;
+    int liveAfterClear = -1;
+    EventQueue eq;
+    const StreamId id = eq.openStream();
+    eq.scheduleAt(1, [&eq, &live, &liveAfterClear, c = Counted(&live)] {
+        eq.clear();
+        liveAfterClear = live;
+    });
+    for (Cycles t = 2; t < 12; ++t) {
+        eq.scheduleAt(t, Counted(&live));
+        eq.scheduleOn(id, t, Counted(&live));
+    }
+    EXPECT_EQ(live, 21);
+    EXPECT_EQ(eq.run(), 1u);
+    // Only the firing callback's own capture survived clear(), and
+    // it went once the call returned.
+    EXPECT_EQ(liveAfterClear, 1);
+    EXPECT_EQ(live, 0);
+    EXPECT_EQ(eq.pending(), 0u);
+    int fired = 0;
+    eq.scheduleAt(3, [&fired] { ++fired; });
+    eq.scheduleOn(id, 3, [&fired] { ++fired; });
+    eq.run();
+    EXPECT_EQ(fired, 2);
+}
+
+namespace {
+
+/** Counts its live copies, copies and moves, destructions and calls,
+ *  and calls that found a destruction count other than one per
+ *  earlier call. */
+struct Tracked
+{
+    struct Counts
+    {
+        int live = 0;
+        int copiesAndMoves = 0;
+        int destroyed = 0;
+        int calls = 0;
+        int callsOutOfStep = 0;
+    };
+
+    explicit Tracked(Counts *c) : c(c) { ++c->live; }
+    Tracked(const Tracked &o) noexcept : c(o.c)
+    {
+        ++c->live;
+        ++c->copiesAndMoves;
+    }
+    ~Tracked()
+    {
+        --c->live;
+        ++c->destroyed;
+    }
+    Tracked &operator=(const Tracked &) = delete;
+
+    /** Every earlier callback is gone by now; this one is not. */
+    void
+    operator()() const
+    {
+        c->callsOutOfStep += c->destroyed != c->calls;
+        ++c->calls;
+    }
+
+    Counts *c;
+};
+
+} // namespace
+
+TEST(EventQueueInPlace, EachCaptureIsDestroyedOnceAfterItReturns)
+{
+    Tracked::Counts counts;
+    EventQueue eq;
+    const StreamId id = eq.openStream();
+    const Tracked cb(&counts);
+    for (Cycles t = 1; t <= 50; ++t) {
+        eq.scheduleAt(t, cb);
+        eq.scheduleOn(id, t, cb);
+    }
+    // Built in its slot: one copy from cb per event, never a move.
+    EXPECT_EQ(counts.copiesAndMoves, 100);
+    EXPECT_EQ(counts.live, 101);
+    counts.destroyed = 0;
+    while (eq.step()) {
+        ASSERT_EQ(counts.destroyed, counts.calls)
+            << "a fired callback was destroyed other than once";
+    }
+    EXPECT_EQ(counts.calls, 100);
+    EXPECT_EQ(counts.callsOutOfStep, 0)
+        << "a callback was destroyed before it ran";
+    EXPECT_EQ(counts.copiesAndMoves, 100) << "firing moved a callback";
+    EXPECT_EQ(counts.live, 1);
 }

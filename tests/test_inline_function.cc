@@ -101,6 +101,63 @@ TEST(InlineFunction, FullCapacityCaptureFits)
     EXPECT_EQ(f(), 9);
 }
 
+namespace {
+
+/** Counts how often it is copied and moved. */
+struct CopyMoveCounter
+{
+    CopyMoveCounter(int *copies, int *moves) : copies(copies), moves(moves)
+    {
+    }
+    CopyMoveCounter(const CopyMoveCounter &o) noexcept
+        : copies(o.copies), moves(o.moves)
+    {
+        ++*copies;
+    }
+    CopyMoveCounter(CopyMoveCounter &&o) noexcept
+        : copies(o.copies), moves(o.moves)
+    {
+        ++*moves;
+    }
+    int *copies;
+    int *moves;
+};
+
+} // namespace
+
+TEST(InlineFunction, AssignConstructsInPlace)
+{
+    int copies = 0, moves = 0;
+    auto lambda = [c = CopyMoveCounter(&copies, &moves)] {
+        return *c.copies;
+    };
+    ASSERT_EQ(copies + moves, 0);
+
+    // assign() builds the callable in the buffer: one copy of the
+    // lambda and no move.
+    InlineFunction<int()> f = [] { return -1; };
+    f.assign(lambda);
+    EXPECT_EQ(copies, 1);
+    EXPECT_EQ(moves, 0);
+    EXPECT_EQ(f(), 1);
+
+    // Assigning through a temporary InlineFunction relocates the
+    // capture once more.
+    copies = moves = 0;
+    f = InlineFunction<int()>(lambda);
+    EXPECT_EQ(copies, 1);
+    EXPECT_EQ(moves, 1);
+
+    // Given an InlineFunction, assign() moves it in.
+    copies = moves = 0;
+    InlineFunction<int()> g;
+    g.assign(std::move(f));
+    EXPECT_FALSE(static_cast<bool>(f));
+    EXPECT_EQ(copies, 0);
+    EXPECT_EQ(moves, 1);
+    EXPECT_EQ(g(), 0);
+}
+
 TEST(InlineFunctionDeath, CallingEmptyPanics)
 {
     InlineFunction<void()> f;
