@@ -86,7 +86,7 @@ main()
         }
         // When VIRTSIM_LATENCY armed request tracking, gate on the
         // SLO engine too: every paper configuration must meet the
-        // round-trip objective (default or VIRTSIM_SLO_P99_US).
+        // testbed's 500 us p99 round-trip objective.
         if (tb.latency().enabled())
             sloBreaches += tb.sloBreaches();
     }

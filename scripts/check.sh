@@ -5,7 +5,9 @@
 # Usage: scripts/check.sh [--with-tsan]
 #
 #   tier-1:  cmake + build + ctest in build/        (the seed gate),
-#            and no file under tests/ may be git-ignored
+#            no file under tests/ may be git-ignored, and every
+#            VIRTSIM_* variable src/ reads is in README's knob list
+#            (scripts/check_knobs.sh)
 #   asan:    AddressSanitizer+UBSan ctest in build-asan/
 #   ubsan:   standalone UndefinedBehaviorSanitizer in build-ubsan/ —
 #            runs the trace/attribution tests (test_probe,
@@ -41,6 +43,7 @@ if [[ -n "$ignored" ]]; then
     echo "$ignored" >&2
     exit 1
 fi
+scripts/check_knobs.sh
 
 echo "== asan+ubsan: build + ctest =="
 cmake -B build-asan -S . \

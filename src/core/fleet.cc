@@ -1,46 +1,22 @@
 #include "core/fleet.hh"
 
-#include <cstdlib>
-#include <fstream>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
-#include "core/report.hh"
+#include "core/observe.hh"
 #include "hw/gic.hh"
 #include "hw/machine.hh"
-#include "sim/attrib.hh"
 #include "sim/channel.hh"
 #include "sim/env.hh"
-#include "sim/flight.hh"
 #include "sim/latency.hh"
 #include "sim/log.hh"
 #include "sim/random.hh"
-#include "sim/slo.hh"
 
 namespace virtsim {
 
 namespace {
-
-/** "out.json" -> "out.fleet.json": fleet exports carry their own tag
- *  so a bench run arming both a testbed world and the fleet never
- *  clobbers one export with the other. */
-std::string
-perTagPath(const std::string &path)
-{
-    const std::size_t dot = path.rfind('.');
-    if (dot == std::string::npos ||
-        path.find('/', dot) != std::string::npos)
-        return path + ".fleet";
-    return path.substr(0, dot) + ".fleet" + path.substr(dot);
-}
-
-std::string
-envPath(const char *name)
-{
-    const char *p = std::getenv(name);
-    return (p && *p) ? std::string(p) : std::string();
-}
 
 /** One persistent TCP_RR connection. All fields except `cpu` are
  *  client-side state. `remaining` counts responses still owed in the
@@ -71,26 +47,13 @@ struct FleetWorld
     std::vector<FleetConn> conns;
     std::uint64_t transactions = 0;
 
-    /** Observability opt-ins (same env knobs as core/testbed, with a
-     *  ".fleet" path tag). */
-    std::string tracePath;
-    std::string metricsPath;
-    std::string flamePath;
-    std::string timelinePath;
-    std::string latencyPath;
-    double timelineHz = 100000.0;
-    std::unique_ptr<CausalAnalyzer> attrib;
-    /** Request-latency tracking armed (cfg.latency or
-     *  VIRTSIM_LATENCY). */
-    bool latencyOn = false;
-    SloEngine slo;
+    /** Every sink, armed once the machine and its channels exist;
+     *  exports carry the "fleet" tag. */
+    std::optional<Observability> obs;
 
-    /** Incident forensics (VIRTSIM_INCIDENTS): the flight recorder
-     *  plus the causal span/edge taps the request path stamps so an
-     *  incident window reconstructs a nonempty critical path. The
-     *  client side stamps on a pseudo-track one past the last CPU. */
-    std::string incidentsDir;
-    FlightRecorder flight;
+    /** The causal span taps the request path stamps, so an incident
+     *  window reconstructs a nonempty critical path. The client side
+     *  stamps on a pseudo-track one past the last CPU. */
     TapId queueTap = internTap("fleet.queue");
     TapId serveTap = internTap("fleet.serve");
 
@@ -143,20 +106,6 @@ struct FleetWorld
             VIRTSIM_ASSERT(k >= 1, "connsByVm entries must be >= 1");
         mc.name = "fleet";
         mc.nCpus = cfg.nCpus;
-
-        // Overload injection from the environment: a burst factor
-        // switches the fleet to open-loop MMPP arrivals so CI can
-        // drive the same binary past its SLO without a code change.
-        if (const auto bf =
-                envPositiveReal("VIRTSIM_FLEET_BURST_FACTOR", 1e6)) {
-            cfg.openLoop = true;
-            cfg.burstRateFactor = *bf;
-        }
-        if (const auto us = envPositiveReal(
-                "VIRTSIM_FLEET_INTERARRIVAL_US", 1e9)) {
-            cfg.openLoop = true;
-            cfg.meanInterarrivalUs = *us;
-        }
         VIRTSIM_ASSERT(cfg.meanInterarrivalUs > 0.0 &&
                            cfg.burstRateFactor > 0.0 &&
                            cfg.meanBurstUs > 0.0 &&
@@ -173,8 +122,16 @@ struct FleetWorld
             rsp.push_back(&eq.channel("fleet.rsp." + n, wire));
         }
 
-        armLatency();
-        armObservability();
+        // The run drains in sampled stretches, so the analyzer takes
+        // its records at each flush, in canonical merged order.
+        ObserveConfig oc;
+        oc.label = "fleet";
+        oc.slos = cfg.slos;
+        oc.sloP99Us = fleetDefaultSloP99Us;
+        oc.deferAnalyzer = true;
+        oc.trace = cfg.trace;
+        oc.latency = cfg.latency;
+        obs.emplace(*mach, std::move(oc));
 
         // VM 0's connections first, then VM 1's, and so on — the
         // fixed index order the checksum folds.
@@ -202,206 +159,6 @@ struct FleetWorld
             arrivalsLeft =
                 conns.size() *
                 static_cast<std::uint64_t>(cfg.transactionsPerConn);
-        }
-    }
-
-    /**
-     * Read the latency/SLO environment and configure the tracker and
-     * the SLO engine. The default objective (when cfg.slos is empty)
-     * is the fleet contract: p99 RTT within fleetDefaultSloP99Us with at
-     * most 1% of requests above it, judged live over 2 ms burn
-     * windows. VIRTSIM_SLO_P99_US / VIRTSIM_SLO_MAX_VIOLATION
-     * override the threshold / tolerated fraction of every spec.
-     */
-    void
-    armLatency()
-    {
-        latencyPath = envPath("VIRTSIM_LATENCY");
-        latencyOn = cfg.latency || !latencyPath.empty();
-        if (!latencyOn)
-            return;
-        mach->probe().latency.configure(cfg.nCpus);
-
-        std::vector<SloSpec> specs = cfg.slos;
-        if (specs.empty()) {
-            SloSpec def;
-            def.name = "rtt_p99";
-            def.phase = LatencyPhase::Rtt;
-            def.quantile = 0.99;
-            def.thresholdCycles =
-                mach->freq().cycles(fleetDefaultSloP99Us);
-            def.maxViolationFraction = 0.01;
-            def.burnWindow = mach->freq().cycles(2000.0);
-            specs.push_back(def);
-        }
-        if (const auto us =
-                envPositiveReal("VIRTSIM_SLO_P99_US", 1e12)) {
-            for (SloSpec &s : specs)
-                s.thresholdCycles = mach->freq().cycles(*us);
-        }
-        if (const auto f =
-                envUnitFraction("VIRTSIM_SLO_MAX_VIOLATION")) {
-            for (SloSpec &s : specs)
-                s.maxViolationFraction = *f;
-        }
-        for (SloSpec &s : specs)
-            slo.addSpec(std::move(s));
-        slo.bind(&mach->probe().latency);
-    }
-
-    /** Arm the observability sinks the environment asked for. */
-    void
-    armObservability()
-    {
-        tracePath = envPath("VIRTSIM_TRACE");
-        metricsPath = envPath("VIRTSIM_METRICS");
-        flamePath = envPath("VIRTSIM_FLAME");
-        timelinePath = envPath("VIRTSIM_TIMELINE");
-        incidentsDir = envPath("VIRTSIM_INCIDENTS");
-        if (const auto hz = envPositiveCount("VIRTSIM_TIMELINE_HZ",
-                                             std::uint64_t{1} << 40)) {
-            timelineHz = static_cast<double>(*hz);
-        }
-        // Incident forensics needs both the stamping tee (trace) and
-        // the sampling-tick maintenance hook (timeline), so arming it
-        // arms both.
-        const bool incidentsOn = !incidentsDir.empty();
-
-        Probe &probe = mach->probe();
-        if (cfg.trace || !tracePath.empty() || !flamePath.empty() ||
-            incidentsOn) {
-            if (const auto cap = envPositiveCount(
-                    "VIRTSIM_TRACE_CAPACITY", std::uint64_t{1} << 32))
-                probe.trace.setCapacity(
-                    static_cast<std::size_t>(*cap));
-            probe.trace.enable();
-        }
-        if (!flamePath.empty()) {
-            // The analyzer streams through the deferred observer: the
-            // run flushes records to it in canonical merged order at
-            // every sampling instant.
-            attrib = std::make_unique<CausalAnalyzer>("fleet");
-            probe.trace.setObserver(attrib.get());
-            probe.trace.setObserverDeferred(true);
-        }
-        if (latencyOn) {
-            probe.latency.enable();
-        }
-        // As in the testbed, sampling also arms under VIRTSIM_TRACE
-        // alone so the Perfetto export carries counter tracks. run()
-        // samples gauges between runs of the queue (sampleTick) — the
-        // fleet never runs the in-queue tick chain. Latency tracking
-        // also arms it: the SLO engine's burn windows and rolling
-        // quantile gauges live in the sampling tick.
-        if (!timelinePath.empty() || !tracePath.empty() ||
-            latencyOn || incidentsOn) {
-            const Cycles period = std::max<Cycles>(
-                1,
-                mach->freq().cyclesFromSeconds(1.0 / timelineHz));
-            probe.timeline.enable(period);
-        }
-        // After the machine's own gauges so registration order (the
-        // export order) is stable.
-        if (slo.armed())
-            slo.installTimeline(probe.timeline, mach->freq());
-        if (incidentsOn) {
-            // enable() last: it sizes tick rows from the gauge count,
-            // so every registration (machine + SLO) must be done.
-            const double winUs =
-                envPositiveReal("VIRTSIM_INCIDENT_WINDOW_US", 1e9)
-                    .value_or(100.0);
-            const std::uint32_t icap = static_cast<std::uint32_t>(
-                envPositiveCount("VIRTSIM_INCIDENT_CAP",
-                                 std::uint64_t{1} << 20)
-                    .value_or(16));
-            flight.configure(
-                std::max<Cycles>(1, mach->freq().cycles(winUs)),
-                probe.timeline.period(), icap);
-            flight.bind(&probe.timeline,
-                        latencyOn ? &probe.latency : nullptr);
-            flight.enable();
-            probe.trace.setFlightRecorder(&flight);
-            FlightRecorder *fr = &flight;
-            probe.timeline.addPostSampleHook(
-                [fr](Cycles now) { fr->onSample(now); });
-            const TimelineSampler *tlp = &probe.timeline;
-            probe.timeline.setAnomalyHook(
-                [fr, tlp](Cycles now, std::uint32_t ri, bool open) {
-                    fr->onAnomaly(now, tlp->ruleName(ri), open);
-                });
-            if (slo.armed()) {
-                SloEngine *se = &slo;
-                slo.setBreachHook([fr, se](Cycles now,
-                                           std::size_t i) {
-                    fr->trigger(now, "slo." + se->specs()[i].name +
-                                         ".burn");
-                });
-            }
-        }
-    }
-
-    /** Write every armed export. Called once, after the run. */
-    void
-    exportObservability()
-    {
-        const TimelineSampler &tl = mach->probe().timeline;
-        if (!tracePath.empty()) {
-            exportChromeTrace(perTagPath(tracePath), mach->trace(),
-                              mach->freq(), "fleet", &tl,
-                              flight.enabled() ? &flight : nullptr);
-        }
-        if (!incidentsDir.empty() && flight.enabled()) {
-            flight.exportIncidents(incidentsDir, mach->freq(),
-                                   "fleet");
-            const std::string s =
-                renderIncidentSummary(flight, mach->freq());
-            if (!s.empty())
-                inform("\n", s);
-        }
-        if (!flamePath.empty() && attrib)
-            attrib->writeFoldedFile(perTagPath(flamePath), "fleet");
-        if (!timelinePath.empty()) {
-            const std::string path = perTagPath(timelinePath);
-            std::ofstream os(path);
-            if (!os) {
-                warn("cannot open timeline file ", path);
-            } else if (path.size() > 4 &&
-                       path.compare(path.size() - 4, 4, ".csv") ==
-                           0) {
-                os << tl.renderCsv(mach->freq());
-            } else {
-                os << tl.renderJson(mach->freq()) << "\n";
-            }
-        }
-        if (!latencyPath.empty()) {
-            const std::string path = perTagPath(latencyPath);
-            std::ofstream os(path);
-            if (!os) {
-                warn("cannot open latency file ", path);
-            } else {
-                os << renderLatencyJson(
-                          mach->probe().latency, mach->freq(),
-                          "fleet",
-                          slo.armed()
-                              ? slo.verdictsJson(mach->freq())
-                              : std::string())
-                   << "\n";
-            }
-            inform("\n", renderLatencySummary(mach->probe().latency,
-                                              mach->freq()));
-        }
-        if (!metricsPath.empty()) {
-            mach->probe().syncTraceHealth();
-            tl.publishAnomalies(mach->metrics());
-            if (slo.armed())
-                slo.publish(mach->metrics());
-            const std::string path = perTagPath(metricsPath);
-            std::ofstream os(path);
-            if (!os) {
-                warn("cannot open metrics file ", path);
-            } else {
-                os << mach->metrics().snapshot().toJson() << "\n";
-            }
         }
     }
 
@@ -604,13 +361,8 @@ struct FleetWorld
 
         FleetResult r;
         r.finalTime = drain();
-        // Flush incident windows still waiting on their post-trigger
-        // half before anything exports.
-        if (flight.enabled())
-            flight.finalize(r.finalTime);
         r.transactions = transactions;
-        if (slo.armed())
-            r.sloBreaches = slo.breaches();
+        r.sloBreaches = obs->sloBreaches();
         r.anomalies = mach->probe().timeline.anomalyCount();
 
         std::uint64_t h = 1469598103934665603ULL;
@@ -631,7 +383,7 @@ struct FleetWorld
         mix(r.finalTime);
         r.checksum = h;
 
-        exportObservability();
+        obs->finish(r.finalTime);
         return r;
     }
 };

@@ -40,12 +40,12 @@ struct FleetConfig
     /** Server CPUs (one netperf service per CPU). */
     int nCpus = 4;
     /**
-     * Server VMs, the cloud-consolidation scale axis (ROADMAP item
-     * 1): each VM is one netperf-RR service pinned to its own vCPU,
-     * so nVms > 0 sizes the machine to nVms CPUs and overrides
-     * nCpus. 0 (the default) keeps the classic one-service-per-CPU
-     * shape of nCpus. VIRTSIM_FLEET_VMS overrides from the
-     * environment, validated against maxFleetVms.
+     * Server VMs, the cloud-consolidation scale axis: each VM is one
+     * netperf-RR service pinned to its own vCPU, so nVms > 0 sizes
+     * the machine to nVms CPUs and overrides nCpus. 0 (the default)
+     * keeps the classic one-service-per-CPU shape of nCpus.
+     * VIRTSIM_FLEET_VMS=<n> overrides it from the environment, up to
+     * maxFleetVms.
      */
     int nVms = 0;
     /** Persistent TCP_RR connections per server CPU. */
@@ -118,7 +118,7 @@ inline constexpr int maxFleetVms = 256;
 /** Default fleet SLO threshold on p99 RTT, microseconds. Roomy for
  *  the default closed-loop fleet (whose steady-state RTT is governed
  *  by connsPerCpu * service time), tight enough that open-loop
- *  overload trips it. Override per spec or via VIRTSIM_SLO_P99_US. */
+ *  overload trips it. FleetConfig::slos replaces the default spec. */
 inline constexpr double fleetDefaultSloP99Us = 200.0;
 
 /**

@@ -122,8 +122,8 @@ runNetperfRr(Testbed &tb, NetperfRrConfig cfg)
         });
     };
 
-    // Request-latency tracker (armed by VIRTSIM_LATENCY through
-    // Testbed::applyObservability; a predicted branch otherwise).
+    // Request-latency tracker (armed by VIRTSIM_LATENCY or
+    // TestbedConfig::latency; a predicted branch otherwise).
     // The client-side stamps live here: RTT from the departure
     // bookkeeping below, think time when the next request is
     // scheduled. Warmup transactions are excluded, matching the

@@ -1,13 +1,6 @@
 #include "core/testbed.hh"
 
-#include <cctype>
-#include <cstdlib>
-#include <fstream>
-#include <mutex>
-
-#include "core/report.hh"
 #include "os/kernel.hh"
-#include "sim/env.hh"
 #include "sim/log.hh"
 
 namespace virtsim {
@@ -23,8 +16,7 @@ constexpr double wireOneWayUs = 12.0;
  *  microseconds. Like the watchdog thresholds, it sits well above
  *  every paper-configuration round trip (tens of microseconds,
  *  Table V), so a breach flags a genuinely pathological run rather
- *  than normal virtualization overhead. VIRTSIM_SLO_P99_US
- *  overrides. */
+ *  than normal virtualization overhead. */
 constexpr double testbedDefaultSloP99Us = 500.0;
 
 } // namespace
@@ -101,160 +93,18 @@ Testbed::Testbed(TestbedConfig config)
     else
         buildNative();
 
-    // Observability opt-in: VIRTSIM_TRACE=<file> records and exports
-    // a Perfetto-loadable trace; VIRTSIM_METRICS=<file> dumps the
-    // metrics snapshot as JSON.
-    // VIRTSIM_TRACE_CAPACITY=<records> resizes the ring before it is
-    // enabled (rounded up to a power of two; 24 bytes per record).
-    // Numeric knobs parse through envPositiveCount, which fatal()s on
-    // garbage instead of silently keeping the default.
-    if (const auto cap = envPositiveCount("VIRTSIM_TRACE_CAPACITY",
-                                          std::uint64_t{1} << 32)) {
-        server->trace().setCapacity(static_cast<std::size_t>(*cap));
-    }
-    if (const char *p = std::getenv("VIRTSIM_TRACE")) {
-        if (*p)
-            tracePath = p;
-    }
-    if (const char *p = std::getenv("VIRTSIM_METRICS")) {
-        if (*p)
-            metricsPath = p;
-    }
-    // VIRTSIM_FLAME=<file> streams blame through the causal analyzer
-    // and writes a folded-stack file (flamegraph.pl input) at
-    // teardown.
-    if (const char *p = std::getenv("VIRTSIM_FLAME")) {
-        if (*p)
-            flamePath = p;
-    }
-    // VIRTSIM_TIMELINE=<file> samples gauges and writes the series
-    // (JSON, or CSV when the path ends in .csv) at teardown;
-    // VIRTSIM_TIMELINE_HZ tunes the simulated-time sampling rate.
-    if (const char *p = std::getenv("VIRTSIM_TIMELINE")) {
-        if (*p)
-            timelinePath = p;
-    }
-    if (const auto hz = envPositiveCount("VIRTSIM_TIMELINE_HZ",
-                                         std::uint64_t{1} << 40)) {
-        timelineHz = static_cast<double>(*hz);
-    }
-    // VIRTSIM_LATENCY=<file> arms per-request phase histograms and
-    // the SLO engine, and writes the virtsim-latency-1 JSON at
-    // teardown. VIRTSIM_SLO_P99_US / VIRTSIM_SLO_MAX_VIOLATION
-    // override the objective's threshold / tolerated fraction.
-    if (const char *p = std::getenv("VIRTSIM_LATENCY")) {
-        if (*p)
-            latencyPath = p;
-    }
-    // VIRTSIM_INCIDENTS=<dir> arms the always-on flight recorder and
-    // writes one virtsim-incident-1 JSON per captured incident into
-    // the directory at teardown. VIRTSIM_INCIDENT_WINDOW_US /
-    // VIRTSIM_INCIDENT_CAP size the frozen window and the capture cap.
-    if (const char *p = std::getenv("VIRTSIM_INCIDENTS")) {
-        if (*p)
-            incidentsDir = p;
-    }
-    applyObservability();
+    ObserveConfig oc;
+    oc.label = to_string(cfg.kind);
+    oc.sloP99Us = testbedDefaultSloP99Us;
+    oc.timeline = cfg.timeline;
+    oc.latency = cfg.latency;
+    oc.rules = [this](TimelineSampler &tl) { installWatchdogRules(tl); };
+    obs.emplace(*server, std::move(oc));
 }
 
 void
-Testbed::applyObservability()
+Testbed::installWatchdogRules(TimelineSampler &tl)
 {
-    // Incident forensics needs both the stamping tee (trace sink) and
-    // the timeline tick chain, so arming it arms both.
-    const bool incidentsOn = !incidentsDir.empty();
-    if (!tracePath.empty() || incidentsOn)
-        server->trace().enable();
-    if (!flamePath.empty())
-        attribution();
-    const bool latencyOn = latencyWanted || !latencyPath.empty();
-    if (latencyOn) {
-        Probe &p = server->probe();
-        if (!p.latency.enabled()) {
-            p.latency.configure(server->numCpus());
-            p.latency.enable();
-        }
-        if (!slo.armed()) {
-            SloSpec def;
-            def.name = "rtt_p99";
-            def.phase = LatencyPhase::Rtt;
-            def.quantile = 0.99;
-            def.thresholdCycles =
-                server->freq().cycles(testbedDefaultSloP99Us);
-            def.maxViolationFraction = 0.01;
-            def.burnWindow = server->freq().cycles(2000.0);
-            if (const auto us =
-                    envPositiveReal("VIRTSIM_SLO_P99_US", 1e12))
-                def.thresholdCycles = server->freq().cycles(*us);
-            if (const auto f =
-                    envUnitFraction("VIRTSIM_SLO_MAX_VIOLATION"))
-                def.maxViolationFraction = *f;
-            slo.addSpec(std::move(def));
-            slo.bind(&p.latency);
-        }
-    }
-    // Sampling also arms under VIRTSIM_TRACE alone so the Perfetto
-    // export carries counter tracks next to its spans and flows, and
-    // under latency tracking: SLO burn windows evaluate in the
-    // timeline sample hook.
-    if (timelineWanted || !timelinePath.empty() ||
-        !tracePath.empty() || latencyOn || incidentsOn) {
-        const Cycles period = std::max<Cycles>(
-            1, server->freq().cyclesFromSeconds(1.0 / timelineHz));
-        TimelineSampler &tl = server->probe().timeline;
-        tl.enable(period);
-        installWatchdogRules();
-        // A repeat call (enableTimeline/enableLatency after
-        // construction) must not install the SLO gauges twice.
-        if (slo.armed() &&
-            tl.findGauge("slo." + slo.specs().front().name +
-                         ".q_us") < 0) {
-            slo.installTimeline(tl, server->freq());
-        }
-        if (incidentsOn && !flight.enabled()) {
-            // Arm last — enable() sizes tick-row storage from the
-            // gauge count, so every registration above must be done.
-            const double winUs =
-                envPositiveReal("VIRTSIM_INCIDENT_WINDOW_US", 1e9)
-                    .value_or(100.0);
-            const std::uint32_t icap = static_cast<std::uint32_t>(
-                envPositiveCount("VIRTSIM_INCIDENT_CAP",
-                                 std::uint64_t{1} << 20)
-                    .value_or(16));
-            Probe &p = server->probe();
-            flight.configure(
-                std::max<Cycles>(1, server->freq().cycles(winUs)),
-                tl.period(), icap);
-            flight.bind(&tl, p.latency.enabled() ? &p.latency
-                                                 : nullptr);
-            flight.enable();
-            server->trace().setFlightRecorder(&flight);
-            FlightRecorder *fr = &flight;
-            tl.addPostSampleHook(
-                [fr](Cycles now) { fr->onSample(now); });
-            const TimelineSampler *tlp = &tl;
-            tl.setAnomalyHook(
-                [fr, tlp](Cycles now, std::uint32_t ri, bool open) {
-                    fr->onAnomaly(now, tlp->ruleName(ri), open);
-                });
-            if (slo.armed()) {
-                SloEngine *se = &slo;
-                slo.setBreachHook(
-                    [fr, se](Cycles now, std::size_t i) {
-                        fr->trigger(now, "slo." + se->specs()[i].name +
-                                             ".burn");
-                    });
-            }
-        }
-    }
-}
-
-void
-Testbed::installWatchdogRules()
-{
-    TimelineSampler &tl = server->probe().timeline;
-    if (tl.ruleCount() > 0)
-        return;
     const Frequency &f = server->freq();
     // Thresholds sit well above anything the paper-config workloads
     // produce, so anomalies flag genuinely pathological states (a
@@ -290,130 +140,9 @@ Testbed::installWatchdogRules()
         tl.addRule("rx_drop_burst", "nic.rx_drop.rate", 8, 0);
 }
 
-namespace {
-
-/** "out.json" + KVM ARM -> "out.kvm_arm.json": benches that build
- *  several testbeds export one distinct file per configuration
- *  instead of clobbering a shared path. */
-std::string
-perKindPath(const std::string &path, SutKind kind)
-{
-    std::string tag = to_string(kind);
-    for (char &c : tag)
-        c = std::isalnum(static_cast<unsigned char>(c))
-                ? static_cast<char>(
-                      std::tolower(static_cast<unsigned char>(c)))
-                : '_';
-    const std::size_t dot = path.rfind('.');
-    if (dot == std::string::npos || path.find('/', dot) !=
-                                        std::string::npos)
-        return path + "." + tag;
-    return path.substr(0, dot) + "." + tag + path.substr(dot);
-}
-
-} // namespace
-
 Testbed::~Testbed()
 {
-    exportObservability();
-}
-
-void
-Testbed::exportObservability()
-{
-    if (tracePath.empty() && metricsPath.empty() &&
-        flamePath.empty() && timelinePath.empty() &&
-        latencyPath.empty() && incidentsDir.empty()) {
-        return;
-    }
-    // Parallel sweeps tear testbeds down from worker threads; exports
-    // go one at a time. Same-kind testbeds still share a path (last
-    // writer wins); distinct configurations never clobber each other.
-    static std::mutex export_mutex;
-    std::lock_guard<std::mutex> lock(export_mutex);
-    const TimelineSampler &tl = server->probe().timeline;
-    // Capture incident windows still waiting on their post-trigger
-    // half before the trace annotations and incident files write.
-    if (flight.enabled())
-        flight.finalize(eq.now());
-    if (!tracePath.empty()) {
-        exportChromeTrace(perKindPath(tracePath, cfg.kind),
-                          server->trace(), server->freq(),
-                          to_string(cfg.kind), &tl,
-                          flight.enabled() ? &flight : nullptr);
-    }
-    if (!incidentsDir.empty() && flight.enabled()) {
-        std::string tag = to_string(cfg.kind);
-        for (char &c : tag)
-            c = std::isalnum(static_cast<unsigned char>(c))
-                    ? static_cast<char>(std::tolower(
-                          static_cast<unsigned char>(c)))
-                    : '_';
-        flight.exportIncidents(incidentsDir, server->freq(), tag);
-        const std::string s =
-            renderIncidentSummary(flight, server->freq());
-        if (!s.empty())
-            inform("\n", s);
-    }
-    if (!flamePath.empty() && _attrib) {
-        _attrib->writeFoldedFile(perKindPath(flamePath, cfg.kind),
-                                 to_string(cfg.kind));
-    }
-    if (!timelinePath.empty()) {
-        const std::string path = perKindPath(timelinePath, cfg.kind);
-        std::ofstream os(path);
-        if (!os) {
-            warn("cannot open timeline file ", path);
-        } else if (path.size() > 4 &&
-                   path.compare(path.size() - 4, 4, ".csv") == 0) {
-            os << tl.renderCsv(server->freq());
-        } else {
-            os << tl.renderJson(server->freq()) << "\n";
-        }
-    }
-    if (!latencyPath.empty()) {
-        const std::string path = perKindPath(latencyPath, cfg.kind);
-        std::ofstream os(path);
-        if (!os) {
-            warn("cannot open latency file ", path);
-        } else {
-            os << renderLatencyJson(
-                      server->probe().latency, server->freq(),
-                      to_string(cfg.kind),
-                      slo.armed() ? slo.verdictsJson(server->freq())
-                                  : std::string())
-               << "\n";
-        }
-        inform("\n", renderLatencySummary(server->probe().latency,
-                                          server->freq()));
-    }
-    if (!metricsPath.empty()) {
-        server->probe().syncTraceHealth();
-        // Watchdog findings land in the snapshot too, so a metrics
-        // dump carries the anomaly verdict even when nobody keeps
-        // the timeline file.
-        tl.publishAnomalies(server->metrics());
-        if (slo.armed())
-            slo.publish(server->metrics());
-        const std::string path = perKindPath(metricsPath, cfg.kind);
-        std::ofstream os(path);
-        if (!os) {
-            warn("cannot open metrics file ", path);
-        } else {
-            os << server->metrics().snapshot().toJson() << "\n";
-        }
-    }
-}
-
-CausalAnalyzer &
-Testbed::attribution()
-{
-    if (!_attrib) {
-        _attrib = std::make_unique<CausalAnalyzer>();
-        server->trace().enable();
-        server->trace().setObserver(_attrib.get());
-    }
-    return *_attrib;
+    obs->finish(eq.now());
 }
 
 void
@@ -421,12 +150,7 @@ Testbed::beginRun()
 {
     server->counters().reset();
     server->probe().reset();
-    // Histogram counts went back to zero; the burn-window bases the
-    // live SLO state holds would be stale against them.
-    slo.reset();
-    flight.reset();
-    if (_attrib)
-        _attrib->reset();
+    obs->reset();
 }
 
 void

@@ -27,18 +27,17 @@
 #include <deque>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <string>
 
+#include "core/observe.hh"
 #include "hv/hypervisor.hh"
 #include "hv/kvm.hh"
 #include "hv/xen.hh"
 #include "hw/machine.hh"
 #include "hw/wire.hh"
 #include "os/netstack.hh"
-#include "sim/attrib.hh"
-#include "sim/flight.hh"
 #include "sim/random.hh"
-#include "sim/slo.hh"
 
 namespace virtsim {
 
@@ -76,6 +75,13 @@ struct TestbedConfig
     bool tsoRegression = true;
     /** PRNG seed; equal seeds give bit-identical runs. */
     std::uint64_t seed = 42;
+    /** Sample the timeline (gauge series + watchdog) without
+     *  VIRTSIM_TIMELINE; no file is written. */
+    bool timeline = false;
+    /** Track request latency and judge the SLO without
+     *  VIRTSIM_LATENCY (no file is written); arms the timeline too,
+     *  since the SLO burn windows evaluate in its sample hook. */
+    bool latency = false;
 };
 
 /**
@@ -106,7 +112,7 @@ class Testbed
      * keeps sweep workers lock-free and reports deterministic
      * regardless of VIRTSIM_JOBS.
      */
-    CausalAnalyzer &attribution();
+    CausalAnalyzer &attribution() { return obs->attribution(); }
     const NetstackCosts &netCosts() const { return net; }
 
     /**
@@ -206,65 +212,24 @@ class Testbed
     /** The machine's timeline sampler (gauge series + watchdog). */
     TimelineSampler &timeline() { return server->probe().timeline; }
 
-    /**
-     * Programmatically arm timeline sampling at the given rate, as if
-     * VIRTSIM_TIMELINE_HZ were set (no file export unless a path was
-     * configured too). For tests and benches that want the series or
-     * the watchdog in-process.
-     */
-    void
-    enableTimeline(double hz)
-    {
-        timelineWanted = true;
-        timelineHz = hz;
-        applyObservability();
-    }
-
-    /**
-     * Programmatically arm request-latency tracking and the SLO
-     * engine, as if VIRTSIM_LATENCY were set (no file export unless a
-     * path was configured too). Also arms timeline sampling — the SLO
-     * burn windows evaluate in the sample hook.
-     */
-    void
-    enableLatency()
-    {
-        latencyWanted = true;
-        applyObservability();
-    }
-
     /** The per-request phase histograms (sim/latency). Disabled until
-     *  VIRTSIM_LATENCY or enableLatency() arms tracking. */
+     *  VIRTSIM_LATENCY or TestbedConfig::latency arms tracking. */
     RequestTracker &latency() { return server->probe().latency; }
 
     /** The SLO engine judging this testbed's request latency; unarmed
      *  (no specs) until latency tracking is enabled. */
-    SloEngine &sloEngine() { return slo; }
+    SloEngine &sloEngine() { return obs->slo(); }
 
     /** Failing end-of-run SLO verdicts so far; 0 when unarmed. */
-    std::uint64_t
-    sloBreaches() const
-    {
-        return slo.armed() ? slo.breaches() : 0;
-    }
+    std::uint64_t sloBreaches() const { return obs->sloBreaches(); }
 
   private:
     void buildNative();
     void buildVirtualized();
-    /** Apply the VIRTSIM_TRACE/METRICS/FLAME/TIMELINE/LATENCY/
-     *  INCIDENTS opt-ins captured at construction and the enable*()
-     *  calls (trace enable, analyzer attach, sampler arming +
-     *  watchdog rules, SLO and flight recorder). Idempotent:
-     *  each enable*() call re-applies the whole set. */
-    void applyObservability();
-    /** Write every export armed at construction (VIRTSIM_TRACE /
-     *  METRICS / FLAME / TIMELINE / LATENCY / INCIDENTS). The
-     *  destructor calls it; no-op with no export armed. */
-    void exportObservability();
     /** Install the default watchdog rule set over the registered
      *  gauges (stalled VCPU, sustained LR saturation, NIC queue
-     *  bound, rx-drop burst). No-op if rules are already present. */
-    void installWatchdogRules();
+     *  bound, rx-drop burst). */
+    void installWatchdogRules(TimelineSampler &tl);
     PhysicalCpu &lcpuOf(int lcpu);
     Vcpu &vcpuOf(int lcpu);
 
@@ -276,26 +241,8 @@ class Testbed
     std::unique_ptr<Wire> wire_;
     Vm *guestVm = nullptr;
     NetstackCosts net;
-    std::string tracePath;   ///< VIRTSIM_TRACE destination, if set
-    std::string metricsPath; ///< VIRTSIM_METRICS destination, if set
-    std::string flamePath;   ///< VIRTSIM_FLAME destination, if set
-    std::string timelinePath; ///< VIRTSIM_TIMELINE destination, if set
-    std::string latencyPath; ///< VIRTSIM_LATENCY destination, if set
-    bool latencyWanted = false; ///< enableLatency() was called
-    /** VIRTSIM_INCIDENTS destination directory, if set. */
-    std::string incidentsDir;
-    /** Judges request latency against the configured objectives (the
-     *  default netperf-RR contract unless env overrides apply). */
-    SloEngine slo;
-    /** Incident forensics: armed by applyObservability() under
-     *  VIRTSIM_INCIDENTS, flushed in exportObservability(). */
-    FlightRecorder flight;
-    /** Sampling rate in simulated Hz (VIRTSIM_TIMELINE_HZ or
-     *  enableTimeline()); 100 kHz default keeps a Table V run well
-     *  inside the per-series capacity. */
-    double timelineHz = 100000.0;
-    bool timelineWanted = false; ///< enableTimeline() was called
-    std::unique_ptr<CausalAnalyzer> _attrib;
+    /** Armed last in the constructor, over the built machine. */
+    std::optional<Observability> obs;
     std::uint64_t txSeq = 0;
     /** Native-mode pending IPI completions per CPU. */
     std::array<std::deque<Done>, 8> nativeIpiDone;

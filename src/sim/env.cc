@@ -2,7 +2,6 @@
 
 #include <cctype>
 #include <cerrno>
-#include <cmath>
 #include <cstdlib>
 
 #include "sim/log.hh"
@@ -35,57 +34,6 @@ envPositiveCount(const char *name, std::uint64_t max)
     if (v == 0)
         fatal(name, " must be positive, got \"", p, "\"");
     return static_cast<std::uint64_t>(v);
-}
-
-namespace {
-
-/** Shared real-number front end: nullopt when unset/empty, the parsed
- *  value on clean decimal input, fatal() otherwise. Signs are
- *  rejected up front so "-0.5" reports as a sign error rather than a
- *  range error. */
-std::optional<double>
-envReal(const char *name, const char *what)
-{
-    const char *p = std::getenv(name);
-    if (p == nullptr || *p == '\0')
-        return std::nullopt;
-    const char *digits = p;
-    while (std::isspace(static_cast<unsigned char>(*digits)))
-        ++digits;
-    if (*digits == '-' || *digits == '+')
-        fatal(name, " must be ", what, ", got \"", p, "\"");
-    errno = 0;
-    char *end = nullptr;
-    const double v = std::strtod(p, &end);
-    if (end == p || *end != '\0' || !std::isfinite(v))
-        fatal(name, " must be ", what, ", got \"", p, "\"");
-    return v;
-}
-
-} // namespace
-
-std::optional<double>
-envPositiveReal(const char *name, double max)
-{
-    const auto v = envReal(name, "a positive number");
-    if (!v)
-        return std::nullopt;
-    if (!(*v > 0.0))
-        fatal(name, " must be positive, got ", *v);
-    if (*v > max)
-        fatal(name, " out of range (max ", max, "), got ", *v);
-    return v;
-}
-
-std::optional<double>
-envUnitFraction(const char *name)
-{
-    const auto v = envReal(name, "a fraction in [0,1]");
-    if (!v)
-        return std::nullopt;
-    if (!(*v >= 0.0 && *v <= 1.0))
-        fatal(name, " must be a fraction in [0,1], got ", *v);
-    return v;
 }
 
 } // namespace virtsim

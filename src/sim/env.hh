@@ -29,28 +29,6 @@ std::optional<std::uint64_t> envPositiveCount(const char *name,
                                               std::uint64_t max =
                                                   UINT64_MAX);
 
-/**
- * Parse environment variable `name` as a strictly positive real
- * number (decimal notation, e.g. "60" or "12.5").
- * @return nullopt when unset or empty; the value otherwise.
- *
- * fatal()s on non-numeric text, trailing garbage, a leading sign,
- * zero, non-finite values, or values above `max`.
- */
-std::optional<double> envPositiveReal(const char *name,
-                                      double max = 1e18);
-
-/**
- * Parse environment variable `name` as a fraction in [0, 1]
- * (e.g. "0.01"). Zero is allowed — "no violations tolerated" is a
- * meaningful SLO.
- * @return nullopt when unset or empty; the value otherwise.
- *
- * fatal()s on non-numeric text, trailing garbage, a leading sign, or
- * values outside [0, 1].
- */
-std::optional<double> envUnitFraction(const char *name);
-
 } // namespace virtsim
 
 #endif // VIRTSIM_SIM_ENV_HH

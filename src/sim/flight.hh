@@ -19,10 +19,10 @@
  * period-aligned simulated instants.
  *
  * Window model: a trigger at simulated time t freezes [t−W, t+W]
- * (W = VIRTSIM_INCIDENT_WINDOW_US, owned by the world that arms the
- * recorder). Records are retained for R = 2W + 8·period behind the
- * sampling clock, which always covers a full window at the moment it
- * is captured: capture happens at the first sampling tick strictly
+ * (W = 100 us, set by core/observe, which arms the recorder).
+ * Records are retained for R = 2W + 8·period behind the sampling
+ * clock, which always covers a full window at the moment it is
+ * captured: capture happens at the first sampling tick strictly
  * after t+W, i.e. at now ≤ t+W+period, and now − (t−W) ≤ 2W+period
  * < R. Span End records may be stamped *ahead* of the event that
  * produced them (frontier charging), so eviction is driven by the

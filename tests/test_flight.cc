@@ -110,7 +110,6 @@ operator delete[](void *p, std::size_t) noexcept
 }
 
 #include "core/fleet.hh"
-#include "sim/env.hh"
 #include "sim/flight.hh"
 #include "sim/probe.hh"
 #include "sim/random.hh"
@@ -574,14 +573,7 @@ TEST(FlightFleet, SaturatedOverloadWorldIsPinned)
     const std::string incident = dir + "/incident.fleet.000.json";
     ScopedEnv inc("VIRTSIM_INCIDENTS", dir.c_str());
     ScopedEnv lat("VIRTSIM_LATENCY", latency.c_str());
-    ScopedEnv w("VIRTSIM_INCIDENT_WINDOW_US", nullptr);
-    ScopedEnv c("VIRTSIM_INCIDENT_CAP", nullptr);
-    ScopedEnv hz("VIRTSIM_TIMELINE_HZ", nullptr);
-    ScopedEnv p99("VIRTSIM_SLO_P99_US", nullptr);
-    ScopedEnv viol("VIRTSIM_SLO_MAX_VIOLATION", nullptr);
     ScopedEnv vms("VIRTSIM_FLEET_VMS", nullptr);
-    ScopedEnv ia("VIRTSIM_FLEET_INTERARRIVAL_US", nullptr);
-    ScopedEnv bf("VIRTSIM_FLEET_BURST_FACTOR", nullptr);
     std::remove(incident.c_str());
     std::remove((dir + "/incident.fleet.001.json").c_str());
     std::remove(latencyFile.c_str());
@@ -638,51 +630,4 @@ TEST(FlightFastPath, EnabledStampAllocatesNothing)
     for (int i = 0; i < 4096; ++i)
         fr.record(r);
     EXPECT_EQ(g_news.load(), before);
-}
-
-// ---------------------------------------------------------------------
-// Environment validation
-// ---------------------------------------------------------------------
-
-TEST(FlightEnvDeath, RejectsGarbageWindowAndCap)
-{
-    ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
-    {
-        ScopedEnv e("VIRTSIM_INCIDENT_WINDOW_US", "banana");
-        EXPECT_DEATH(
-            (void)envPositiveReal("VIRTSIM_INCIDENT_WINDOW_US"),
-            "must be a positive number");
-    }
-    {
-        ScopedEnv e("VIRTSIM_INCIDENT_WINDOW_US", "0");
-        EXPECT_DEATH(
-            (void)envPositiveReal("VIRTSIM_INCIDENT_WINDOW_US"),
-            "must be positive");
-    }
-    {
-        ScopedEnv e("VIRTSIM_INCIDENT_CAP", "-1");
-        EXPECT_DEATH(
-            (void)envPositiveCount("VIRTSIM_INCIDENT_CAP"),
-            "must be a positive integer");
-    }
-    // The armed fleet world reads both through the same validators:
-    // garbage is fatal at construction, not at first incident.
-    {
-        ScopedEnv inc("VIRTSIM_INCIDENTS",
-                      (::testing::TempDir() + "flight_env").c_str());
-        ScopedEnv w("VIRTSIM_INCIDENT_WINDOW_US", "nope");
-        FleetConfig cfg = overloadFleet();
-        cfg.transactionsPerConn = 2;
-        EXPECT_DEATH((void)runNetperfRrFleet(cfg),
-                     "VIRTSIM_INCIDENT_WINDOW_US");
-    }
-}
-
-TEST(FlightEnv, ParsesCleanValues)
-{
-    ScopedEnv w("VIRTSIM_INCIDENT_WINDOW_US", "250.5");
-    ScopedEnv c("VIRTSIM_INCIDENT_CAP", "8");
-    EXPECT_EQ(envPositiveReal("VIRTSIM_INCIDENT_WINDOW_US").value(),
-              250.5);
-    EXPECT_EQ(envPositiveCount("VIRTSIM_INCIDENT_CAP").value(), 8u);
 }

@@ -20,7 +20,6 @@
 #include "core/fleet.hh"
 #include "core/netperf.hh"
 #include "core/testbed.hh"
-#include "sim/env.hh"
 #include "sim/latency.hh"
 #include "sim/random.hh"
 #include "sim/slo.hh"
@@ -721,8 +720,8 @@ TEST(TestbedLatency, NetperfMeetsDefaultObjective)
 {
     TestbedConfig tc;
     tc.kind = SutKind::KvmArm;
+    tc.latency = true;
     Testbed tb(tc);
-    tb.enableLatency();
     runNetperfRr(tb);
     EXPECT_GT(
         tb.latency().totalCount(LatencyPhase::Rtt), 0u);
@@ -740,69 +739,4 @@ TEST(TestbedLatency, NetperfMeetsDefaultObjective)
         tb.latency().aggregate(LatencyPhase::Service).mean();
     EXPECT_LT(parts, rtt);
     (void)f;
-}
-
-// ---------------------------------------------------------------------
-// Env knob validation
-// ---------------------------------------------------------------------
-
-TEST(LatencyEnvDeath, RejectsGarbageAndOutOfRange)
-{
-    ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
-    {
-        ScopedEnv e("VIRTSIM_SLO_P99_US", "banana");
-        EXPECT_DEATH((void)envPositiveReal("VIRTSIM_SLO_P99_US"),
-                     "must be a positive number");
-    }
-    {
-        ScopedEnv e("VIRTSIM_SLO_P99_US", "-3.5");
-        EXPECT_DEATH((void)envPositiveReal("VIRTSIM_SLO_P99_US"),
-                     "must be a positive number");
-    }
-    {
-        ScopedEnv e("VIRTSIM_SLO_P99_US", "0");
-        EXPECT_DEATH((void)envPositiveReal("VIRTSIM_SLO_P99_US"),
-                     "must be positive");
-    }
-    {
-        ScopedEnv e("VIRTSIM_SLO_MAX_VIOLATION", "2.0");
-        EXPECT_DEATH(
-            (void)envUnitFraction("VIRTSIM_SLO_MAX_VIOLATION"),
-            "must be a fraction");
-    }
-    {
-        ScopedEnv e("VIRTSIM_SLO_MAX_VIOLATION", "0.5x");
-        EXPECT_DEATH(
-            (void)envUnitFraction("VIRTSIM_SLO_MAX_VIOLATION"),
-            "must be a fraction");
-    }
-}
-
-TEST(LatencyEnv, ParsesCleanValues)
-{
-    {
-        ScopedEnv e("VIRTSIM_SLO_P99_US", nullptr);
-        EXPECT_FALSE(envPositiveReal("VIRTSIM_SLO_P99_US"));
-    }
-    {
-        ScopedEnv e("VIRTSIM_SLO_P99_US", "123.5");
-        const auto v = envPositiveReal("VIRTSIM_SLO_P99_US");
-        ASSERT_TRUE(v);
-        EXPECT_DOUBLE_EQ(*v, 123.5);
-    }
-    {
-        ScopedEnv e("VIRTSIM_SLO_MAX_VIOLATION", "0");
-        const auto v = envUnitFraction("VIRTSIM_SLO_MAX_VIOLATION");
-        ASSERT_TRUE(v);
-        EXPECT_DOUBLE_EQ(*v, 0.0);
-    }
-}
-
-TEST(FleetEnvDeath, RejectsGarbageBurstFactor)
-{
-    ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
-    ScopedEnv e("VIRTSIM_FLEET_BURST_FACTOR", "fast");
-    FleetConfig cfg = smallFleet();
-    EXPECT_DEATH((void)runNetperfRrFleet(cfg),
-                 "must be a positive number");
 }
