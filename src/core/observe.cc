@@ -1,5 +1,6 @@
 #include "core/observe.hh"
 
+#include <algorithm>
 #include <cctype>
 #include <cstdlib>
 #include <fstream>
@@ -96,8 +97,8 @@ Observability::Observability(Machine &machine, ObserveConfig config)
             config.slos.push_back(def);
         }
         for (SloSpec &s : config.slos)
-            slo_.addSpec(std::move(s));
-        slo_.bind(&p.latency);
+            slo.addSpec(std::move(s));
+        slo.bind(&p.latency);
     }
     // Sampling also arms under VIRTSIM_TRACE alone, so the Perfetto
     // export carries counter tracks next to its spans, and under
@@ -110,8 +111,8 @@ Observability::Observability(Machine &machine, ObserveConfig config)
     tl.enable(std::max<Cycles>(1, f.cyclesFromSeconds(1.0 / timelineHz)));
     if (config.rules)
         config.rules(tl);
-    if (slo_.armed())
-        slo_.installTimeline(tl, f);
+    if (slo.armed())
+        slo.installTimeline(tl, f);
     if (!incidentsOn)
         return;
     // Arm last: enable() sizes tick-row storage from the gauge count,
@@ -127,9 +128,9 @@ Observability::Observability(Machine &machine, ObserveConfig config)
     tl.setAnomalyHook([fr, tlp](Cycles now, std::uint32_t ri, bool open) {
         fr->onAnomaly(now, tlp->ruleName(ri), open);
     });
-    if (slo_.armed()) {
-        SloEngine *se = &slo_;
-        slo_.setBreachHook([fr, se](Cycles now, std::size_t i) {
+    if (slo.armed()) {
+        SloEngine *se = &slo;
+        slo.setBreachHook([fr, se](Cycles now, std::size_t i) {
             fr->trigger(now, "slo." + se->specs()[i].name + ".burn");
         });
     }
@@ -153,7 +154,7 @@ Observability::reset()
 {
     // Histogram counts went back to zero; the burn-window bases the
     // live SLO state holds would be stale against them.
-    slo_.reset();
+    slo.reset();
     flight.reset();
     if (attrib)
         attrib->reset();
@@ -209,7 +210,7 @@ Observability::finish(Cycles now)
             warn("cannot open latency file ", path);
         } else {
             os << renderLatencyJson(p.latency, f, label,
-                                    slo_.armed() ? slo_.verdictsJson(f)
+                                    slo.armed() ? slo.verdictsJson(f)
                                                  : std::string())
                << "\n";
         }
@@ -221,8 +222,8 @@ Observability::finish(Cycles now)
         // dump carries the anomaly verdict even when nobody keeps the
         // timeline file.
         tl.publishAnomalies(p.metrics);
-        if (slo_.armed())
-            slo_.publish(p.metrics);
+        if (slo.armed())
+            slo.publish(p.metrics);
         const std::string path = taggedPath(metricsPath, tag);
         std::ofstream os(path);
         if (!os)

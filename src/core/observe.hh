@@ -86,13 +86,11 @@ class Observability
      *  VIRTSIM_FLAME makes that call at construction. */
     CausalAnalyzer &attribution();
 
-    SloEngine &slo() { return slo_; }
-
     /** Failing end-of-run SLO verdicts so far; 0 when unarmed. */
     std::uint64_t
     sloBreaches() const
     {
-        return slo_.armed() ? slo_.breaches() : 0;
+        return slo.armed() ? slo.breaches() : 0;
     }
 
     /** Forget run-scoped sink state (SLO windows, flight recorder,
@@ -114,7 +112,7 @@ class Observability
     std::string timelinePath;
     std::string latencyPath;
     std::string incidentsDir;
-    SloEngine slo_;
+    SloEngine slo;
     FlightRecorder flight;
     std::unique_ptr<CausalAnalyzer> attrib;
 };

@@ -216,10 +216,6 @@ class Testbed
      *  VIRTSIM_LATENCY or TestbedConfig::latency arms tracking. */
     RequestTracker &latency() { return server->probe().latency; }
 
-    /** The SLO engine judging this testbed's request latency; unarmed
-     *  (no specs) until latency tracking is enabled. */
-    SloEngine &sloEngine() { return obs->slo(); }
-
     /** Failing end-of-run SLO verdicts so far; 0 when unarmed. */
     std::uint64_t sloBreaches() const { return obs->sloBreaches(); }
 
