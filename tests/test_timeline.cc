@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdio>
 #include <cstdlib>
 #include <new>
 #include <string>
@@ -700,13 +701,21 @@ TEST(TimelineEnv, InvalidTraceCapacityIsFatal)
 
 TEST(TimelineEnv, TimelinePathArmsTheSampler)
 {
+    const std::string dir = ::testing::TempDir();
     ScopedEnv path("VIRTSIM_TIMELINE",
-                   "/tmp/virtsim_test_timeline_env.json");
-    TestbedConfig tc;
-    tc.kind = SutKind::KvmArm;
-    Testbed tb(tc);
-    EXPECT_TRUE(tb.timeline().enabled());
-    // 2.4 GHz / 100 kHz = 24000 cycles per sample.
-    EXPECT_EQ(tb.timeline().period(), 24000u);
-    EXPECT_GT(tb.timeline().ruleCount(), 0u);
+                   (dir + "virtsim_test_timeline_env.json").c_str());
+    {
+        TestbedConfig tc;
+        tc.kind = SutKind::KvmArm;
+        Testbed tb(tc);
+        EXPECT_TRUE(tb.timeline().enabled());
+        // 2.4 GHz / 100 kHz = 24000 cycles per sample.
+        EXPECT_EQ(tb.timeline().period(), 24000u);
+        EXPECT_GT(tb.timeline().ruleCount(), 0u);
+    }
+    // The testbed wrote its export on destruction.
+    EXPECT_EQ(
+        std::remove(
+            (dir + "virtsim_test_timeline_env.kvm_arm.json").c_str()),
+        0);
 }
