@@ -368,25 +368,6 @@ BM_DeadLatencyStamp(benchmark::State &state)
 }
 BENCHMARK(BM_DeadLatencyStamp);
 
-/** The dead-flight fast path: the flight-recorder tee fires on every
- *  TraceSink push, so with no VIRTSIM_INCIDENTS armed record() must
- *  stay one predicted branch per call (the tests assert the
- *  allocation-free part). */
-void
-BM_DeadFlightStamp(benchmark::State &state)
-{
-    FlightRecorder fr; // never enabled
-    const TraceRecord r{0, 0, internTap("bench.deadflight"), 0,
-                        TraceKind::Instant, TraceCat::Op};
-    for (auto _ : state) {
-        for (int i = 0; i < 1000; ++i)
-            fr.record(r);
-        benchmark::DoNotOptimize(fr);
-    }
-    state.SetItemsProcessed(state.iterations() * 1000);
-}
-BENCHMARK(BM_DeadFlightStamp);
-
 /** The live stamp path: bucket increments on pre-sized per-CPU and
  *  all-CPU arrays — the per-transaction observability cost a
  *  latency-tracked fleet pays, times five phases. */
@@ -441,40 +422,47 @@ BM_SloTickLoaded(benchmark::State &state)
 }
 BENCHMARK(BM_SloTickLoaded)->Unit(benchmark::kMicrosecond);
 
-/** Flight-recorder upkeep on a saturated segment: one barrier tick
- *  (evict, with the near-capacity compaction) plus the 420 pushes
- *  that arrive between ticks, every record stamped up to 10 ms ahead
- *  of the clock — the GIC's frontier-dated stamps under overload.
- *  Enabled-path budget for the flight sink. */
+/** One incident captured from a full 32 Ki trace ring whose every
+ *  record falls in the window: the window collect (filter and
+ *  canonical sort), the blame analyzer and the critical path. The
+ *  records mimic a fleet transaction (a service span, then a wire edge
+ *  to the next of 16 CPUs). Enabled-path budget for the flight sink,
+ *  whose stamping path is the trace sink's own. */
 void
-BM_FlightEvictSaturated(benchmark::State &state)
+BM_FlightCaptureFullRing(benchmark::State &state)
 {
-    constexpr Cycles period = 24000; // 10 us at 2.4 GHz
-    FlightRecorder fr;
-    fr.configure(/*windowHalf=*/240000, period, /*incidentCap=*/1);
-    fr.enable();
-    const TapId tap = internTap("bench.flight.saturated");
-    Cycles now = 0, x = 1;
-    auto push = [&] {
-        x = x * 2862933555777941757ULL + 3037000493ULL;
-        fr.record(TraceRecord{now + period * (1 + (x >> 33) % 1000), 0,
-                              tap, 0, TraceKind::Instant,
-                              TraceCat::Op});
-    };
-    for (std::size_t i = 0; i < FlightRecorder::windowCapacity; ++i)
-        push();
-    // Seal the reference window outside the timed loop.
-    now = 2 * fr.windowHalf();
-    fr.onSample(now);
-    for (auto _ : state) {
-        for (int i = 0; i < 420; ++i)
-            push();
-        now += period;
-        fr.onSample(now);
+    constexpr Cycles W = 240000, period = 24000; // 100 us, 10 us
+    TraceSink sink;
+    sink.enable();
+    const TapId serve = internTap("bench.flight.serve");
+    const TapId wire = internTap("bench.flight.wire");
+    const Cycles at = 4 * W;
+    const std::size_t txns = sink.capacity() / 4;
+    const Cycles step = 2 * W / txns;
+    for (std::size_t k = 0; k < txns; ++k) {
+        const auto trk = static_cast<std::uint16_t>(k % 16);
+        const Cycles t0 = at - W + k * step;
+        sink.span(t0, t0 + 10000, serve, TraceCat::Op, trk);
+        const std::uint64_t tok =
+            sink.edgeOut(t0 + 10000, wire, TraceCat::Io, trk);
+        sink.edgeIn(t0 + 38800, tok, wire, TraceCat::Io,
+                    static_cast<std::uint16_t>((k + 1) % 16));
     }
-    benchmark::DoNotOptimize(fr.retainedRecords());
+    FlightRecorder fr;
+    fr.configure(W, period, /*incidentCap=*/1);
+    fr.bind(&sink, nullptr, nullptr);
+    fr.enable();
+    for (auto _ : state) {
+        state.PauseTiming();
+        fr.reset();
+        fr.onSample(2 * W); // seal the (empty) reference window
+        state.ResumeTiming();
+        fr.trigger(at, "bench");
+        fr.onSample(at + W + period);
+        benchmark::DoNotOptimize(fr.incident(0).records.data());
+    }
 }
-BENCHMARK(BM_FlightEvictSaturated)->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_FlightCaptureFullRing)->Unit(benchmark::kMicrosecond);
 
 /** Cancel-heavy phases (timer retargets, teardown bursts) leave dead
  *  entries in the heap; past the half-dead threshold cancel()

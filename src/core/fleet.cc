@@ -225,8 +225,8 @@ struct FleetWorld
                 // transaction is: injectVirq above runs at
                 // t = max(at, frontier), so the GIC's lrWrite and
                 // edge.lr stamps are future-dated to the CPU frontier,
-                // ahead of the queue clock. The flight recorder's
-                // expiry index evicts by stamp time either way.
+                // ahead of the queue clock. An incident window selects
+                // records by stamp, so it sees them either way.
                 // Redeem the wire edge, then the queue wait and
                 // service body as spans, then open the response's
                 // wire edge.

@@ -74,8 +74,8 @@ Observability::Observability(Machine &machine, ObserveConfig config)
     if (const auto cap = envPositiveCount("VIRTSIM_TRACE_CAPACITY",
                                           std::uint64_t{1} << 32))
         p.trace.setCapacity(static_cast<std::size_t>(*cap));
-    // The flight recorder is a second consumer of the stamping tee
-    // and keeps its books in the sampling tick, so incidents arm the
+    // The flight recorder reads its windows from the trace ring and
+    // keeps its books in the sampling tick, so incidents arm the
     // trace sink and the timeline too.
     const bool incidentsOn = !incidentsDir.empty();
     if (config.trace || !tracePath.empty() || incidentsOn)
@@ -119,9 +119,8 @@ Observability::Observability(Machine &machine, ObserveConfig config)
     // so every registration above must be done.
     flight.configure(std::max<Cycles>(1, f.cycles(incidentWindowUs)),
                      tl.period(), incidentCap);
-    flight.bind(&tl, latencyOn ? &p.latency : nullptr);
+    flight.bind(&p.trace, &tl, latencyOn ? &p.latency : nullptr);
     flight.enable();
-    p.trace.setFlightRecorder(&flight);
     FlightRecorder *fr = &flight;
     tl.addPostSampleHook([fr](Cycles now) { fr->onSample(now); });
     const TimelineSampler *tlp = &tl;

@@ -265,13 +265,17 @@ renderIncidentSummary(const FlightRecorder &flight,
 
     TextTable t({"incident", "trigger us", "window us", "records",
                  "crit path", "top blame-diff term", "sources"});
+    bool truncated = false;
     for (std::size_t i = 0; i < flight.incidentCount(); ++i) {
         const FlightIncident &inc = flight.incident(i);
+        truncated = truncated || inc.truncated;
         const DiffReport diff =
             diffBlame(inc.blame, flight.referenceBlame());
+        // Rows sort by descending delta, so the top row is the largest
+        // growth; when nothing grew there is no growth to name.
         const DiffRow *top = diff.top();
         std::string topTerm = "-";
-        if (top != nullptr && top->delta() != 0) {
+        if (top != nullptr && top->delta() > 0) {
             topTerm = top->name + " +" +
                       formatCycles(static_cast<double>(top->delta())) +
                       " cy";
@@ -289,7 +293,8 @@ renderIncidentSummary(const FlightRecorder &flight,
                   formatFixed(freq.us(inc.begin), 2) + ".." +
                       formatFixed(freq.us(inc.end), 2) +
                       (inc.clipped ? " (clipped)" : ""),
-                  std::to_string(inc.records.size()),
+                  std::to_string(inc.records.size()) +
+                      (inc.truncated ? " (truncated)" : ""),
                   std::to_string(inc.critical.steps.size()) + " steps",
                   topTerm, sources});
     }
@@ -304,6 +309,9 @@ renderIncidentSummary(const FlightRecorder &flight,
             << formatFixed(freq.us(flight.referenceEnd()), 2)
             << " us])";
     oss << "\n" << t.render();
+    if (truncated)
+        oss << "Truncated windows lost records to trace ring overwrite"
+               " (raise VIRTSIM_TRACE_CAPACITY)\n";
     return oss.str();
 }
 

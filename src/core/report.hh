@@ -82,10 +82,12 @@ std::string renderLatencySummary(const RequestTracker &latency,
 /**
  * Multi-line summary of a flight recorder's captured incidents for
  * bench stdout: one row per incident with the trigger instant, window
- * bounds, record count, critical-path coverage and the top blame-diff
- * term vs the healthy reference — the "what changed" headline without
- * opening the incident JSON. Empty string when nothing was captured
- * and nothing was dropped.
+ * bounds, record count, critical-path coverage and the term that grew
+ * most vs the healthy reference ("-" when none grew) — the "what
+ * changed" headline without opening the incident JSON. A truncated
+ * window is marked in the records column and adds a line naming
+ * VIRTSIM_TRACE_CAPACITY, the ring size that bounds windows. Empty
+ * string when nothing was captured and nothing was dropped.
  */
 std::string renderIncidentSummary(const FlightRecorder &flight,
                                   const Frequency &freq);

@@ -1,23 +1,15 @@
 #include "sim/flight.hh"
 
 #include <algorithm>
-#include <bit>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <ostream>
 #include <sstream>
-#include <tuple>
 
 #include "sim/log.hh"
 
 namespace virtsim {
-
-void
-flightRecordBridge(FlightRecorder &fr, const TraceRecord &r)
-{
-    fr.record(r);
-}
 
 namespace {
 
@@ -82,124 +74,7 @@ FlightRecorder::configure(Cycles windowHalf, Cycles period,
     // first sampling tick past end, so now - begin <= 2W + period.
     // The slack absorbs coarse tick alignment.
     _retention = 2 * window + 8 * period;
-    keyShift = static_cast<unsigned>(std::bit_width(period)) - 1;
     cap = incidentCap;
-}
-
-void
-FlightRecorder::Store::allocate()
-{
-    ring = std::make_unique<TraceRecord[]>(windowCapacity);
-    order = std::make_unique<Link[]>(windowCapacity + 1);
-    expiry = std::make_unique<Link[]>(windowCapacity + wheelBuckets);
-    clear();
-}
-
-void
-FlightRecorder::Store::clear()
-{
-    freeHead = noSlot;
-    fresh = 0;
-    wheelLo = 0;
-    count = 0;
-    total = 0;
-    forced = 0;
-    maxForcedWhen = 0;
-    if (!ring)
-        return;
-    // Empty chains are self-linked sentinels. Slots are handed out
-    // fresh before any is recycled, so stale slot links need no sweep.
-    order[windowCapacity] = Link{windowCapacity, windowCapacity};
-    for (std::size_t b = windowCapacity; b < windowCapacity + wheelBuckets;
-         ++b) {
-        const auto u = static_cast<std::uint16_t>(b);
-        expiry[b] = Link{u, u};
-    }
-}
-
-void
-FlightRecorder::Store::append(std::uint16_t slot, std::uint64_t key)
-{
-    constexpr std::uint16_t tail = windowCapacity;
-    const std::uint16_t last = order[tail].prev;
-    order[slot] = Link{last, tail};
-    order[last].next = slot;
-    order[tail].prev = slot;
-
-    if (key < wheelLo)
-        key = wheelLo;
-    const auto head = static_cast<std::uint16_t>(
-        windowCapacity + (key & (wheelBuckets - 1)));
-    const std::uint16_t first = expiry[head].next;
-    expiry[slot] = Link{head, first};
-    expiry[first].prev = slot;
-    expiry[head].next = slot;
-}
-
-void
-FlightRecorder::Store::unlink(std::uint16_t slot)
-{
-    const Link o = order[slot];
-    order[o.prev].next = o.next;
-    order[o.next].prev = o.prev;
-    const Link e = expiry[slot];
-    expiry[e.prev].next = e.next;
-    expiry[e.next].prev = e.prev;
-    --count;
-}
-
-void
-FlightRecorder::Store::drop(std::uint16_t slot)
-{
-    unlink(slot);
-    order[slot].next = freeHead;
-    freeHead = slot;
-}
-
-void
-FlightRecorder::Store::dropStale(std::size_t head, Cycles cut)
-{
-    for (std::size_t x = expiry[head].next; x != head;) {
-        const std::size_t next = expiry[x].next;
-        if (ring[x].when < cut)
-            drop(static_cast<std::uint16_t>(x));
-        x = next;
-    }
-}
-
-void
-FlightRecorder::Store::evictBefore(Cycles cut, std::uint64_t hiKey)
-{
-    // Pop oldest-first by insertion. Records may be stamped out of
-    // when-order (frontier charging future-dates GIC and span stamps;
-    // completion-time stamping back-dates whole spans), so a
-    // young-stamped record at the head stops this fast path early —
-    // which only under-evicts.
-    while (count > 0 && ring[oldest()].when < cut)
-        drop(oldest());
-    // When under-eviction has let the store grow near capacity, drop
-    // every stale record wherever it sits; the order chain keeps the
-    // survivors' relative order.
-    if (count < windowCapacity - windowCapacity / 4)
-        return;
-    if (hiKey < wheelLo) {
-        // The clock ran backwards past a previous compaction: records
-        // filed under wheelLo may be stale, so check all.
-        for (std::uint16_t x = oldest(); x != windowCapacity;) {
-            const std::uint16_t next = order[x].next;
-            if (ring[x].when < cut)
-                drop(x);
-            x = next;
-        }
-        return;
-    }
-    // Every stale record is filed under a key in [wheelLo, hiKey]; one
-    // wheel turn covers all keys when the range is wider.
-    const std::uint64_t keys =
-        std::min<std::uint64_t>(hiKey - wheelLo + 1, wheelBuckets);
-    for (std::uint64_t k = wheelLo; k < wheelLo + keys; ++k)
-        dropStale(windowCapacity + (k & (wheelBuckets - 1)), cut);
-    wheelLo = hiKey;
 }
 
 void
@@ -207,8 +82,6 @@ FlightRecorder::enable()
 {
     VIRTSIM_ASSERT(window > 0 && _period > 0,
                    "FlightRecorder::enable() before configure()");
-    if (!store.ring)
-        store.allocate();
     nGauges = timeline ? timeline->gaugeCount() : 0;
     rowCap = static_cast<std::size_t>(_retention / _period) + 4;
     rowWhen = std::make_unique<Cycles[]>(rowCap);
@@ -222,46 +95,11 @@ FlightRecorder::enable()
 }
 
 void
-FlightRecorder::pushRecord(const TraceRecord &r)
-{
-    Store &s = store;
-    std::uint16_t slot;
-    if (s.count == windowCapacity) {
-        // Overwriting a record retention has not evicted yet: the
-        // window it belonged to may capture incomplete. Count it and
-        // remember how recent the loss was so capture can flag it.
-        slot = s.oldest();
-        const TraceRecord &old = s.ring[slot];
-        ++s.forced;
-        if (old.when > s.maxForcedWhen)
-            s.maxForcedWhen = old.when;
-        s.unlink(slot);
-    } else if (s.freeHead != noSlot) {
-        slot = s.freeHead;
-        s.freeHead = s.order[slot].next;
-    } else {
-        slot = static_cast<std::uint16_t>(s.fresh++);
-    }
-    s.ring[slot] = r;
-    // Saturating when + retention: the stamp's expiry instant.
-    const Cycles expires = r.when > UINT64_MAX - _retention
-                               ? UINT64_MAX
-                               : r.when + _retention;
-    s.append(slot, expires >> keyShift);
-    ++s.count;
-    ++s.total;
-}
-
-void
 FlightRecorder::evict(Cycles now)
 {
     if (now <= _retention)
         return;
     const Cycles cut = now - _retention;
-    // A record is stale iff when + R < now, so its wheel key is at
-    // most this.
-    const std::uint64_t hiKey = (now - 1) >> keyShift;
-    store.evictBefore(cut, hiKey);
     while (rowCount > 0) {
         const std::size_t tail =
             (rowHead + rowCap - rowCount) % rowCap;
@@ -288,43 +126,6 @@ FlightRecorder::appendRow(Cycles now)
     }
     rowHead = (rowHead + 1) % rowCap;
     ++rowCount;
-}
-
-std::vector<TraceRecord>
-FlightRecorder::collectWindow(Cycles begin, Cycles end) const
-{
-    // Canonical merge: the TraceSink::forEachMerged key, with the
-    // write position breaking (when, kind, track) ties.
-    struct Ref
-    {
-        TraceRecord rec;
-        std::uint64_t pos;
-    };
-    std::vector<Ref> refs;
-    const Store &s = store;
-    if (s.ring) {
-        std::uint64_t pos = s.total - s.count;
-        for (std::uint16_t x = s.oldest(); x != windowCapacity;
-             x = s.order[x].next, ++pos) {
-            const TraceRecord &r = s.ring[x];
-            if (r.when < begin || r.when > end)
-                continue;
-            refs.push_back(Ref{r, pos});
-        }
-    }
-    std::sort(refs.begin(), refs.end(), [](const Ref &a, const Ref &b) {
-        const std::uint8_t ka =
-            a.rec.kind == TraceKind::EdgeOut ? 0 : 1;
-        const std::uint8_t kb =
-            b.rec.kind == TraceKind::EdgeOut ? 0 : 1;
-        return std::tie(a.rec.when, ka, a.rec.track, a.pos) <
-               std::tie(b.rec.when, kb, b.rec.track, b.pos);
-    });
-    std::vector<TraceRecord> out;
-    out.reserve(refs.size());
-    for (const Ref &r : refs)
-        out.push_back(r.rec);
-    return out;
 }
 
 void
@@ -423,8 +224,8 @@ FlightRecorder::capture(Pending &p, bool clipped)
     inc.begin = p.begin;
     inc.end = p.end;
     inc.clipped = clipped;
-    inc.truncated =
-        store.forced > 0 && store.maxForcedWhen >= inc.begin;
+    inc.truncated = trace && trace->dropped() > 0 &&
+                    trace->newestDroppedWhen() >= inc.begin;
 
     inc.records = collectWindow(inc.begin, inc.end);
 
@@ -513,12 +314,6 @@ FlightRecorder::incident(std::size_t i) const
     VIRTSIM_ASSERT(i < incidents.size(),
                    "incident index out of range");
     return incidents[i];
-}
-
-std::size_t
-FlightRecorder::retainedRecords() const
-{
-    return store.count;
 }
 
 std::string
@@ -687,7 +482,6 @@ FlightRecorder::writeAnnotationEvents(std::ostream &os,
 void
 FlightRecorder::reset()
 {
-    store.clear();
     rowHead = 0;
     rowCount = 0;
     pendings.clear();

@@ -5,28 +5,28 @@
  *
  * The interesting behavior in the paper's multicore results — IPI
  * storms, LR maintenance bursts, vhost wakeup stalls — is transient:
- * by the time a 256-VM overload run exports its rings, the trace
- * context surrounding a watchdog anomaly has long been overwritten.
- * The FlightRecorder fixes that by retaining a *sliding simulated-time
- * window* of trace records, timeline tick rows and latency-phase
- * cumulatives independently of the export rings, and freezing that
- * window into a structured incident the instant a trigger fires.
+ * by the time a 256-VM overload run exports, the trace context
+ * surrounding a watchdog anomaly has long been overwritten. The
+ * FlightRecorder fixes that by freezing a *simulated-time window* of
+ * the machine's trace ring, timeline tick rows and latency-phase
+ * cumulatives into a structured incident when a trigger fires.
  *
- * Cost model mirrors TraceSink: the stamping tee (record()) is one
- * predictable branch while disabled and ring stores while enabled —
- * zero allocation. All bookkeeping (eviction, reference sealing,
- * incident capture) runs in a timeline post-sample hook at
- * period-aligned simulated instants.
+ * The recorder keeps no copy of the trace: an incident reads its
+ * records straight out of the bound TraceSink, so the ring's capacity
+ * (VIRTSIM_TRACE_CAPACITY) bounds how much of a window survives. The
+ * only state it stores per tick is a row of gauge values and latency
+ * cumulatives, which the trace ring does not carry. All bookkeeping
+ * (tick rows, reference sealing, incident capture) runs in a timeline
+ * post-sample hook at period-aligned simulated instants, so the
+ * stamping path pays nothing for the recorder.
  *
  * Window model: a trigger at simulated time t freezes [t−W, t+W]
  * (W = 100 us, set by core/observe, which arms the recorder).
- * Records are retained for R = 2W + 8·period behind the sampling
- * clock, which always covers a full window at the moment it is
- * captured: capture happens at the first sampling tick strictly
- * after t+W, i.e. at now ≤ t+W+period, and now − (t−W) ≤ 2W+period
- * < R. Span End records may be stamped *ahead* of the event that
- * produced them (frontier charging), so eviction is driven by the
- * sampling clock only — never by stamped record times.
+ * Capture happens at the first sampling tick strictly after t+W, so
+ * tick rows are kept for R = 2W + 8·period behind the sampling clock,
+ * which always covers a full window at capture: now ≤ t+W+period and
+ * now − (t−W) ≤ 2W+period < R. A window is flagged truncated when the
+ * ring overwrote a record stamped at or after its begin.
  *
  * Trigger sources: watchdog anomaly open/close (TimelineSampler's
  * anomaly hook) and SLO burn breach (SloEngine's breach hook).
@@ -74,7 +74,7 @@ struct FlightIncident
     /** Run ended before the post-trigger half of the window elapsed;
      *  end was clamped to the final time. */
     bool clipped = false;
-    /** The window ring overwrote records stamped at/after begin — the
+    /** The trace ring overwrote records stamped at/after begin — the
      *  window may be missing context (surfaced, never silent). */
     bool truncated = false;
 
@@ -109,68 +109,51 @@ struct FlightIncident
 };
 
 /**
- * The always-on flight recorder. Owned by a world (Testbed /
- * FleetWorld — the SloEngine pattern), fed by the TraceSink tee
- * (TraceSink::setFlightRecorder) and by a timeline post-sample hook.
+ * The always-on flight recorder. Owned by the observability harness
+ * (core/observe), driven by a timeline post-sample hook and reading
+ * its windows from the machine's TraceSink.
  *
- * Setup order: configure() the window, bind() the timeline and
- * request tracker, then enable() *last* — after every gauge is
+ * Setup order: configure() the window, bind() the trace sink, timeline
+ * and request tracker, then enable() *last* — after every gauge is
  * registered (installTimeline) — since enable() sizes the tick-row
  * storage from the bound timeline's gauge count.
  */
 class FlightRecorder
 {
   public:
-    /** Window capacity (records). A saturated world does wrap it:
-     *  every 16-VM open-loop overload run overwrites live records and
-     *  exports truncated windows. */
-    static constexpr std::size_t windowCapacity = 1u << 15;
-    /** Expiry-wheel buckets (see Store). */
-    static constexpr std::size_t wheelBuckets = 1u << 12;
-
     FlightRecorder() = default;
     FlightRecorder(const FlightRecorder &) = delete;
     FlightRecorder &operator=(const FlightRecorder &) = delete;
 
     /**
      * Set the window half-width W, the timeline period driving the
-     * maintenance hook, and the captured-incident cap. Retention is
-     * derived (2W + 8·period). Call before enable().
+     * maintenance hook, and the captured-incident cap. Tick-row
+     * retention is derived (2W + 8·period). Call before enable().
      */
     void configure(Cycles windowHalf, Cycles period,
                    std::uint32_t incidentCap);
 
-    /** Bind the gauge source and the latency tracker (either may be
-     *  null: the matching incident sections export empty). */
+    /** Bind the record source, the gauge source and the latency
+     *  tracker (any may be null: the matching incident sections
+     *  export empty). */
     void
-    bind(const TimelineSampler *tl, const RequestTracker *lat)
+    bind(const TraceSink *sink, const TimelineSampler *tl,
+         const RequestTracker *lat)
     {
+        trace = sink;
         timeline = tl;
         tracker = lat;
     }
 
-    /** Arm recording. Allocates the window ring and tick-row
-     *  storage; call after configure()/bind() and after the bound
-     *  timeline registered every gauge. */
+    /** Arm recording. Allocates the tick-row storage; call after
+     *  configure()/bind() and after the bound timeline registered
+     *  every gauge. */
     void enable();
 
     bool enabled() const { return _enabled; }
 
     Cycles windowHalf() const { return window; }
     Cycles retention() const { return _retention; }
-
-    /** @name Stamping tee
-     *  Hot path, called for every TraceSink push. Disabled: one
-     *  predictable branch. Enabled: ring stores only. */
-    ///@{
-    void
-    record(const TraceRecord &r)
-    {
-        if (!_enabled) [[likely]]
-            return;
-        pushRecord(r);
-    }
-    ///@}
 
     /**
      * Open a pending incident around simulated instant `now`.
@@ -187,10 +170,10 @@ class FlightRecorder
 
     /**
      * Window maintenance, run as a timeline post-sample hook at every
-     * sampling tick: evict records and tick rows past retention,
-     * append the tick row (gauge values + latency cumulatives), seal
-     * the healthy reference window once 2W of run has elapsed, and
-     * capture any pending incident whose window has fully elapsed.
+     * sampling tick: drop tick rows past retention, append the tick
+     * row (gauge values + latency cumulatives), seal the healthy
+     * reference window once 2W of run has elapsed, and capture any
+     * pending incident whose window has fully elapsed.
      */
     void onSample(Cycles now);
 
@@ -202,15 +185,6 @@ class FlightRecorder
     const FlightIncident &incident(std::size_t i) const;
     /** Trigger firings lost to the incident cap. */
     std::uint64_t incidentsDropped() const { return _dropped; }
-
-    /** Records currently retained. */
-    std::size_t retainedRecords() const;
-
-    /** Retained records stamped in [begin, end], canonically sorted
-     *  (when, EdgeOut-first, track, insertion rank) — what
-     *  an incident over that window freezes. */
-    std::vector<TraceRecord> collectWindow(Cycles begin,
-                                           Cycles end) const;
 
     /** The healthy reference window, once sealed. */
     bool referenceSealed() const { return refSealed; }
@@ -235,66 +209,12 @@ class FlightRecorder
     void writeAnnotationEvents(std::ostream &os,
                                const Frequency &freq) const;
 
-    /** Drop records, rows, incidents, pendings and the reference;
-     *  keep configuration, binding, segmentation and the enabled
-     *  flag (the Probe::reset() contract). */
+    /** Drop rows, incidents, pendings and the reference; keep
+     *  configuration, binding and the enabled flag (the
+     *  Probe::reset() contract). */
     void reset();
 
   private:
-    /** Doubly linked chain node; 16 bits address every slot and
-     *  sentinel of the store. */
-    struct Link
-    {
-        std::uint16_t prev = 0;
-        std::uint16_t next = 0;
-    };
-    static constexpr std::uint16_t noSlot = 0xffff;
-    static_assert(windowCapacity + wheelBuckets <= noSlot,
-                  "flight store links are 16-bit");
-
-    /**
-     * The retained records. Records sit in a slot pool threaded on
-     * two chains. The order chain keeps insertion order: eviction's
-     * fast path and overwrite-oldest pop its head, and
-     * collectWindow's tiebreak is a record's rank on it. The expiry
-     * chains form a bucket wheel keyed by (when + retention) >>
-     * keyShift, so a compaction visits only the buckets that can hold
-     * stale records — O(dropped + buckets passed) — with a per-record
-     * check that keeps stamps one or more wheel turns ahead exact.
-     */
-    struct Store
-    {
-        std::unique_ptr<TraceRecord[]> ring; ///< slot pool
-        /** Insertion order; sentinel at index windowCapacity. */
-        std::unique_ptr<Link[]> order;
-        /** Wheel chains; bucket b's sentinel at windowCapacity + b. */
-        std::unique_ptr<Link[]> expiry;
-        std::uint16_t freeHead = noSlot; ///< recycled slots via order
-        std::size_t fresh = 0;   ///< slots [fresh, capacity) never used
-        /** Lowest wheel key that can hold a stale record; pushes
-         *  keyed below it file under it. */
-        std::uint64_t wheelLo = 0;
-        std::size_t count = 0; ///< live records
-        std::uint64_t total = 0;  ///< records ever written
-        std::uint64_t forced = 0; ///< overwrites of unevicted records
-        Cycles maxForcedWhen = 0; ///< newest stamp lost to overwrite
-
-        void allocate();
-        void clear();
-        std::uint16_t
-        oldest() const
-        {
-            return order[windowCapacity].next;
-        }
-        void append(std::uint16_t slot, std::uint64_t key);
-        void unlink(std::uint16_t slot);
-        void drop(std::uint16_t slot);
-        void dropStale(std::size_t head, Cycles cut);
-        /** Drop records stamped before `cut`; every stale record is
-         *  filed under a wheel key at most `hiKey`. */
-        void evictBefore(Cycles cut, std::uint64_t hiKey);
-    };
-
     /** A trigger whose post-window has not elapsed yet. */
     struct Pending
     {
@@ -304,24 +224,29 @@ class FlightRecorder
         std::vector<std::string> sources;
     };
 
-    void pushRecord(const TraceRecord &r);
+    /** Trace records stamped in [begin, end], canonically sorted —
+     *  what an incident over that window freezes. Empty when no
+     *  sink is bound. */
+    std::vector<TraceRecord>
+    collectWindow(Cycles begin, Cycles end) const
+    {
+        return trace ? trace->mergedWindow(begin, end)
+                     : std::vector<TraceRecord>{};
+    }
+
     void evict(Cycles now);
     void appendRow(Cycles now);
     void sealReference(Cycles now);
     void capture(Pending &p, bool clipped);
 
+    const TraceSink *trace = nullptr;
     const TimelineSampler *timeline = nullptr;
     const RequestTracker *tracker = nullptr;
 
     Cycles window = 0;     ///< half-width W
     Cycles _period = 0;
     Cycles _retention = 0; ///< 2W + 8·period
-    /** Wheel bucket width 2^keyShift: the largest power of two not
-     *  above the period, so a push keys with a shift, not a divide. */
-    unsigned keyShift = 0;
     std::uint32_t cap = 0; ///< captured-incident cap
-
-    Store store;
 
     /** Tick-row ring: per-tick gauge values and latency cumulatives,
      *  laid out flat (row r at r·stride). */

@@ -152,7 +152,7 @@ TraceSink::mergeLess(const MergeRef &a, const MergeRef &b)
 }
 
 std::vector<TraceSink::MergeRef>
-TraceSink::mergeOrder(std::uint64_t mark) const
+TraceSink::mergeOrder(std::uint64_t mark, Cycles begin, Cycles end) const
 {
     const std::size_t n = size();
     const std::uint64_t first = _total - n;
@@ -163,6 +163,8 @@ TraceSink::mergeOrder(std::uint64_t mark) const
         const std::size_t slot =
             slotOf(static_cast<std::size_t>(i - first));
         const TraceRecord &r = ring[slot];
+        if (r.when < begin || r.when > end)
+            continue;
         order.push_back({r.when, i, static_cast<std::uint32_t>(slot),
                          r.track,
                          static_cast<std::uint8_t>(
@@ -172,6 +174,17 @@ TraceSink::mergeOrder(std::uint64_t mark) const
     // deterministic.
     std::sort(order.begin(), order.end(), mergeLess);
     return order;
+}
+
+std::vector<TraceRecord>
+TraceSink::mergedWindow(Cycles begin, Cycles end) const
+{
+    const std::vector<MergeRef> order = mergeOrder(0, begin, end);
+    std::vector<TraceRecord> out;
+    out.reserve(order.size());
+    for (const MergeRef &m : order)
+        out.push_back(ring[m.slot]);
+    return out;
 }
 
 void

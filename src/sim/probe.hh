@@ -46,6 +46,7 @@
 
 namespace virtsim {
 
+/** Captured incident windows annotate Chrome-trace exports. */
 class FlightRecorder;
 
 /**
@@ -130,11 +131,6 @@ struct TraceRecord
 
 static_assert(sizeof(TraceRecord) == 24, "TraceRecord grew");
 
-/** Feed one record into a flight recorder's window ring.
- *  Defined in sim/flight.cc; declared here so TraceSink::push can tee
- *  without including the flight header (probe.hh sits below it). */
-void flightRecordBridge(FlightRecorder &fr, const TraceRecord &r);
-
 /**
  * Streaming consumer of trace records. Attach one to a TraceSink with
  * setObserver() to see every record as it is pushed — the basis of
@@ -186,15 +182,16 @@ class TraceSink
 
     std::size_t capacity() const { return cap; }
 
-    /** Drop all records, the dropped/truncated counts and the edge
-     *  token sequence; capacity, the enabled flag and any attached
-     *  observer are retained. */
+    /** Drop all records, the dropped/truncated counts, the newest
+     *  dropped stamp and the edge token sequence; capacity, the
+     *  enabled flag and any attached observer are retained. */
     void
     clear()
     {
         head = 0;
         _total = 0;
         truncated = 0;
+        newestDropped = 0;
         edgeSeq = 0;
         obsMark = 0;
     }
@@ -226,17 +223,16 @@ class TraceSink
      */
     std::uint64_t truncatedSpans() const { return truncated; }
 
+    /** Newest stamp among the records ring wrap overwrote; 0 while
+     *  dropped() is 0. A window [begin, end] may be missing records
+     *  iff dropped() > 0 and this is at or after begin. */
+    Cycles newestDroppedWhen() const { return newestDropped; }
+
     /** Attach (or detach, with nullptr) a streaming observer that
      *  sees every record pushed while the sink is enabled. */
     void setObserver(TraceObserver *o) { obs = o; }
 
     TraceObserver *observer() const { return obs; }
-
-    /** Tee every pushed record into a flight recorder's sliding
-     *  window (or stop, with nullptr). */
-    void setFlightRecorder(FlightRecorder *fr) { flight_ = fr; }
-
-    FlightRecorder *flightRecorder() const { return flight_; }
 
     /**
      * Switch observer dispatch from inline (at every push — the
@@ -403,6 +399,11 @@ class TraceSink
             fn(ring[m.slot]);
     }
 
+    /** Retained records stamped in [begin, end], in the canonical
+     *  order of forEachMerged(). Cold path, like forEachMerged(). */
+    std::vector<TraceRecord> mergedWindow(Cycles begin,
+                                          Cycles end) const;
+
     /** First tap stamp of the given flow, if retained. */
     std::optional<Cycles> find(std::uint64_t flow, TapId tap) const;
 
@@ -432,8 +433,10 @@ class TraceSink
     static bool mergeLess(const MergeRef &a, const MergeRef &b);
 
     /** Canonical order over the retained records written at or
-     *  after the total() watermark `mark`. */
-    std::vector<MergeRef> mergeOrder(std::uint64_t mark) const;
+     *  after the total() watermark `mark` and stamped in
+     *  [begin, end]. */
+    std::vector<MergeRef> mergeOrder(std::uint64_t mark, Cycles begin = 0,
+                                     Cycles end = ~Cycles{0}) const;
 
     /** Ring slot of the i-th retained record. */
     std::size_t
@@ -455,12 +458,12 @@ class TraceSink
                  old.cat == TraceCat::Tap)) {
                 ++truncated;
             }
+            if (old.when > newestDropped)
+                newestDropped = old.when;
         }
         ring[head] = r;
         head = (head + 1) & (cap - 1);
         ++_total;
-        if (flight_)
-            flightRecordBridge(*flight_, r);
         if (obs && !obsDeferred)
             obs->onTraceRecord(r);
     }
@@ -474,10 +477,10 @@ class TraceSink
     std::size_t head = 0;         ///< next write position
     std::uint64_t _total = 0;     ///< records ever written
     std::uint64_t truncated = 0;  ///< span opens lost to overwrite
+    Cycles newestDropped = 0;     ///< newest stamp lost to overwrite
     std::uint64_t edgeSeq = 0;    ///< last edge token issued
     std::uint64_t obsMark = 0;    ///< total already flushed to obs
     TraceObserver *obs = nullptr; ///< streaming consumer, not owned
-    FlightRecorder *flight_ = nullptr; ///< window tee, not owned
     bool obsDeferred = false;     ///< deliver at flushObserver() only
     bool _enabled = false;
 };

@@ -114,7 +114,7 @@ class TimelineSampler
      * after every gauge has been read and the watchdog rules have been
      * evaluated. Same quiescence and determinism contract as
      * addSampleHook(); the flight recorder folds its window
-     * maintenance (eviction, reference sealing, incident finalization)
+     * maintenance (tick rows, reference sealing, incident capture)
      * here. Kept by resetSeries().
      */
     void addPostSampleHook(SampleHookFn fn);

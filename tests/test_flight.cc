@@ -1,115 +1,24 @@
 /**
  * @file
- * Flight-recorder tests: sliding-window retention behind the sampling
- * clock (differentially against a compacting-ring reference model),
- * trigger capture with source merging, overwrite surfacing, the
- * fleet's incident export, the pinned saturated overload world, the
- * zero-alloc disabled stamp path, and env validation.
+ * Flight-recorder tests: trigger capture with source merging over a
+ * small trace ring, windows and truncation differentially against a
+ * model that keeps every pushed record, the stderr incident summary,
+ * the fleet's incident export and the pinned saturated overload world.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <atomic>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
-#include <new>
 #include <sstream>
 #include <string>
 #include <tuple>
 #include <vector>
 
-// ---------------------------------------------------------------------
-// Allocation counter (the test_latency idiom): the disabled flight
-// stamp must be one predicted branch — never an allocation.
-// ---------------------------------------------------------------------
-
-namespace {
-
-std::atomic<std::uint64_t> g_news{0};
-
-void *
-countedMalloc(std::size_t size) noexcept
-{
-    g_news.fetch_add(1, std::memory_order_relaxed);
-    return std::malloc(size ? size : 1);
-}
-
-void *
-countedAlloc(std::size_t size)
-{
-    if (void *p = countedMalloc(size))
-        return p;
-    throw std::bad_alloc();
-}
-
-} // namespace
-
-void *
-operator new(std::size_t size)
-{
-    return countedAlloc(size);
-}
-
-void *
-operator new[](std::size_t size)
-{
-    return countedAlloc(size);
-}
-
-// The nothrow forms too (std::stable_sort takes its buffer from
-// them): every form must pair with the free() below, or a sanitizer
-// runtime's own nothrow new meets this file's delete.
-void *
-operator new(std::size_t size, const std::nothrow_t &) noexcept
-{
-    return countedMalloc(size);
-}
-
-void *
-operator new[](std::size_t size, const std::nothrow_t &) noexcept
-{
-    return countedMalloc(size);
-}
-
-void
-operator delete(void *p, const std::nothrow_t &) noexcept
-{
-    std::free(p);
-}
-
-void
-operator delete[](void *p, const std::nothrow_t &) noexcept
-{
-    std::free(p);
-}
-
-void
-operator delete(void *p) noexcept
-{
-    std::free(p);
-}
-
-void
-operator delete(void *p, std::size_t) noexcept
-{
-    std::free(p);
-}
-
-void
-operator delete[](void *p) noexcept
-{
-    std::free(p);
-}
-
-void
-operator delete[](void *p, std::size_t) noexcept
-{
-    std::free(p);
-}
-
 #include "core/fleet.hh"
+#include "core/report.hh"
 #include "sim/flight.hh"
 #include "sim/probe.hh"
 #include "sim/random.hh"
@@ -148,13 +57,35 @@ class ScopedEnv
     bool had = false;
 };
 
-TraceRecord
-rec(Cycles when, TraceKind kind = TraceKind::Instant,
-    std::uint16_t track = 0)
+TapId
+testTap()
 {
     static const TapId tap = internTap("test.flight.tap");
-    return TraceRecord{when, 0, tap, track, kind, TraceCat::Op};
+    return tap;
 }
+
+/** A recorder bound to a small trace ring, the way core/observe binds
+ *  one to the machine's sink: W = 500, period 100. */
+struct Rig
+{
+    TraceSink sink;
+    FlightRecorder fr;
+
+    explicit Rig(std::uint32_t incidentCap = 4)
+    {
+        sink.setCapacity(1024);
+        sink.enable();
+        fr.configure(/*windowHalf=*/500, /*period=*/100, incidentCap);
+        fr.bind(&sink, nullptr, nullptr);
+        fr.enable();
+    }
+
+    void
+    stamp(Cycles when)
+    {
+        sink.instant(when, testTap(), TraceCat::Op, 0);
+    }
+};
 
 std::string
 slurp(const std::string &path)
@@ -188,104 +119,55 @@ overloadFleet()
 }
 
 /**
- * Reference model for retention: one ring with the plain
- * order-preserving O(ring) compaction — the simplest statement of the
- * eviction semantics. The expiry-indexed recorder must match it
- * record for record.
+ * Reference model: keeps every record pushed into a ring of `cap`
+ * slots. The ring retains the last `cap` writes, so a window is those
+ * writes stamped in [begin, end] in canonical order (when,
+ * EdgeOut-first, track, absolute write index), and it is truncated
+ * iff an earlier, overwritten write was stamped at or after begin.
  */
-struct RefRing
+struct FullHistory
 {
-    static constexpr std::size_t cap = FlightRecorder::windowCapacity;
-    std::vector<TraceRecord> ring = std::vector<TraceRecord>(cap);
-    std::size_t head = 0;
-    std::size_t count = 0;
-    std::uint64_t total = 0;
-    std::uint64_t forced = 0;
-    Cycles maxForcedWhen = 0;
-    std::uint64_t compactions = 0;
+    std::size_t cap = 0;
+    std::vector<TraceRecord> all;
 
-    void
-    push(const TraceRecord &r)
+    std::size_t
+    firstRetained() const
     {
-        constexpr std::size_t mask = cap - 1;
-        if (count == cap) {
-            const TraceRecord &old = ring[head];
-            ++forced;
-            if (old.when > maxForcedWhen)
-                maxForcedWhen = old.when;
-            --count;
-        }
-        ring[head] = r;
-        head = (head + 1) & mask;
-        ++count;
-        ++total;
+        return all.size() > cap ? all.size() - cap : 0;
     }
 
-    void
-    evict(Cycles now, Cycles retention)
+    std::vector<TraceRecord>
+    window(Cycles begin, Cycles end) const
     {
-        if (now <= retention)
-            return;
-        const Cycles cut = now - retention;
-        constexpr std::size_t mask = cap - 1;
-        while (count > 0) {
-            const std::size_t tail = (head + cap - count) & mask;
-            if (ring[tail].when >= cut)
-                break;
-            --count;
-        }
-        if (count >= cap - cap / 4) {
-            ++compactions;
-            const std::size_t start = (head + cap - count) & mask;
-            std::size_t kept = 0;
-            for (std::size_t i = 0; i < count; ++i) {
-                const TraceRecord &r = ring[(start + i) & mask];
-                if (r.when < cut)
-                    continue;
-                ring[(start + kept) & mask] = r;
-                ++kept;
-            }
-            head = (start + kept) & mask;
-            count = kept;
-        }
+        std::vector<std::size_t> idx;
+        for (std::size_t i = firstRetained(); i < all.size(); ++i)
+            if (all[i].when >= begin && all[i].when <= end)
+                idx.push_back(i);
+        auto key = [this](std::size_t i) {
+            const TraceRecord &r = all[i];
+            return std::make_tuple(
+                r.when, r.kind == TraceKind::EdgeOut ? 0 : 1, r.track,
+                i);
+        };
+        std::sort(idx.begin(), idx.end(),
+                  [&key](std::size_t a, std::size_t b) {
+                      return key(a) < key(b);
+                  });
+        std::vector<TraceRecord> out;
+        for (std::size_t i : idx)
+            out.push_back(all[i]);
+        return out;
     }
 
-    struct Ref
+    bool
+    truncated(Cycles begin) const
     {
-        TraceRecord rec;
-        std::uint64_t pos;
-    };
-
-    void
-    collect(Cycles begin, Cycles end, std::vector<Ref> &out) const
-    {
-        constexpr std::size_t mask = cap - 1;
-        for (std::size_t i = 0; i < count; ++i) {
-            const TraceRecord &r = ring[(head + cap - count + i) & mask];
-            if (r.when >= begin && r.when <= end)
-                out.push_back(Ref{r, total - count + i});
-        }
+        for (std::size_t i = 0; i < firstRetained(); ++i)
+            if (all[i].when >= begin)
+                return true;
+        return false;
     }
 };
-
-/** The reference canonical order over a RefRing's window. */
-std::vector<TraceRecord>
-refWindow(const RefRing &ring, Cycles begin, Cycles end)
-{
-    std::vector<RefRing::Ref> refs;
-    ring.collect(begin, end, refs);
-    std::sort(refs.begin(), refs.end(),
-              [](const RefRing::Ref &a, const RefRing::Ref &b) {
-                  const int ka = a.rec.kind == TraceKind::EdgeOut ? 0 : 1;
-                  const int kb = b.rec.kind == TraceKind::EdgeOut ? 0 : 1;
-                  return std::tie(a.rec.when, ka, a.rec.track, a.pos) <
-                         std::tie(b.rec.when, kb, b.rec.track, b.pos);
-              });
-    std::vector<TraceRecord> out;
-    for (const RefRing::Ref &r : refs)
-        out.push_back(r.rec);
-    return out;
-}
 
 bool
 sameRecords(const std::vector<TraceRecord> &a,
@@ -317,146 +199,17 @@ fnv1a(const std::string &bytes)
 } // namespace
 
 // ---------------------------------------------------------------------
-// Retention
-// ---------------------------------------------------------------------
-
-TEST(FlightRetention, EvictsOnTheBarrierClockOnly)
-{
-    FlightRecorder fr;
-    fr.configure(/*windowHalf=*/500, /*period=*/100,
-                 /*incidentCap=*/4);
-    fr.enable();
-    // R = 2W + 8 * period = 1800.
-    EXPECT_EQ(fr.retention(), 1800u);
-
-    for (Cycles t = 0; t < 1000; t += 100)
-        fr.record(rec(t));
-    ASSERT_EQ(fr.retainedRecords(), 10u);
-
-    // A barrier tick inside the retention horizon evicts nothing...
-    fr.onSample(1000);
-    EXPECT_EQ(fr.retainedRecords(), 10u);
-
-    // ...one far past it drops every record behind now - R.
-    fr.onSample(3000);
-    EXPECT_EQ(fr.retainedRecords(), 0u);
-}
-
-TEST(FlightRetention, OutOfOrderStampsStayUntilStale)
-{
-    FlightRecorder fr;
-    fr.configure(500, 100, 4);
-    fr.enable();
-
-    // A young-stamped record written first blocks the tail fast
-    // path; the stale records behind it must still go once the
-    // segment nears capacity (the compaction path), and the young
-    // record itself must survive.
-    fr.record(rec(100000));
-    const std::size_t fill = FlightRecorder::windowCapacity -
-                             FlightRecorder::windowCapacity / 4 + 8;
-    for (std::size_t i = 1; i < fill; ++i)
-        fr.record(rec(10));
-    ASSERT_EQ(fr.retainedRecords(), fill);
-
-    fr.onSample(50000); // cut = 48200: everything but the young one
-    EXPECT_EQ(fr.retainedRecords(), 1u);
-}
-
-TEST(FlightRetention, ExpiryIndexMatchesCompactingRing)
-{
-    // Driven with in-order stamps, stamps back-dated past retention,
-    // and stamps future-dated beyond the expiry wheel (which keep the
-    // ring saturated and force overwrites). After
-    // every tick the recorder must hold exactly the reference's
-    // records in the same canonical order, and every captured window
-    // must agree on truncation.
-    constexpr Cycles W = 500, P = 100;
-    FlightRecorder fr;
-    fr.configure(W, P, /*incidentCap=*/1000);
-    fr.enable();
-    const Cycles R = fr.retention();
-    // Bucket width is 64 cycles here (largest power of two <= P).
-    const Cycles wheelSpan = FlightRecorder::wheelBuckets * 64;
-    RefRing ref;
-
-    Random rng(2024);
-    static const TapId taps[] = {internTap("test.flight.diff.a"),
-                                 internTap("test.flight.diff.b")};
-    Cycles now = 0;
-    std::uint64_t seq = 0;
-    std::size_t captured = 0;
-    bool sawForced = false;
-    for (int tick = 0; tick < 300; ++tick) {
-        for (int i = 0; i < 700; ++i) {
-            Cycles when;
-            const double u = rng.uniform();
-            if (u < 0.62) {
-                when = now + rng.below(300);
-            } else if (u < 0.72) {
-                const Cycles back = R + rng.below(6000);
-                when = now > back ? now - back : rng.below(50);
-            } else if (u < 0.86) {
-                when = now + wheelSpan + rng.below(4 * wheelSpan);
-            } else {
-                when = now + rng.below(60000);
-            }
-            when -= when % 10; // coarse stamps: plenty of key ties
-            const TraceRecord r{
-                when, ++seq, taps[rng.below(2)],
-                static_cast<std::uint16_t>(rng.below(3)),
-                rng.chance(0.3) ? TraceKind::EdgeOut : TraceKind::Instant,
-                TraceCat::Op};
-            fr.record(r);
-            ref.push(r);
-        }
-        // Mostly period-aligned ticks; some off-grid, one long jump
-        // past a whole wheel turn, and one step backwards.
-        if (tick == 240)
-            now += 3 * wheelSpan;
-        else if (tick == 270)
-            now -= 40 * P;
-        else
-            now += P + (tick % 7 == 3 ? rng.below(P) : 0);
-        if (tick % 9 == 0)
-            fr.trigger(now, "tick");
-        fr.onSample(now);
-        ref.evict(now, R);
-        sawForced = sawForced || ref.forced > 0;
-        ASSERT_EQ(fr.retainedRecords(), ref.count) << "tick " << tick;
-        ASSERT_TRUE(sameRecords(fr.collectWindow(0, UINT64_MAX),
-                                refWindow(ref, 0, UINT64_MAX)))
-            << "tick " << tick;
-        for (; captured < fr.incidentCount(); ++captured) {
-            const FlightIncident &inc = fr.incident(captured);
-            const bool truncated =
-                ref.forced > 0 && ref.maxForcedWhen >= inc.begin;
-            EXPECT_EQ(inc.truncated, truncated) << "tick " << tick;
-            EXPECT_TRUE(sameRecords(
-                inc.records, refWindow(ref, inc.begin, inc.end)))
-                << "tick " << tick;
-        }
-    }
-    // The drive really compacted, saturated and captured windows.
-    EXPECT_GT(ref.compactions, 50u);
-    EXPECT_TRUE(sawForced);
-    EXPECT_GT(captured, 10u);
-}
-
-// ---------------------------------------------------------------------
 // Trigger capture
 // ---------------------------------------------------------------------
 
 TEST(FlightCapture, FreezesWindowAroundTriggerAndMergesSources)
 {
-    FlightRecorder fr;
-    fr.configure(500, 100, 4);
-    fr.enable();
-
-    fr.record(rec(1400)); // outside [1500, 2500]
-    fr.record(rec(1600));
-    fr.record(rec(2400));
-    fr.record(rec(2600)); // outside
+    Rig rig;
+    FlightRecorder &fr = rig.fr;
+    rig.stamp(1400); // outside [1500, 2500]
+    rig.stamp(1600);
+    rig.stamp(2400);
+    rig.stamp(2600); // outside
 
     fr.trigger(2000, "slo.rtt_p99.burn");
     fr.onAnomaly(2000, "slo.rtt_p99", true);
@@ -489,10 +242,9 @@ TEST(FlightCapture, FreezesWindowAroundTriggerAndMergesSources)
 
 TEST(FlightCapture, FinalizeClipsPendingWindows)
 {
-    FlightRecorder fr;
-    fr.configure(500, 100, 4);
-    fr.enable();
-    fr.record(rec(1900));
+    Rig rig;
+    FlightRecorder &fr = rig.fr;
+    rig.stamp(1900);
     fr.trigger(2000, "watchdog.x.open");
     fr.finalize(2200); // run ended before 2500
     ASSERT_EQ(fr.incidentCount(), 1u);
@@ -517,17 +269,136 @@ TEST(FlightCapture, CapCountsDroppedTriggers)
 
 TEST(FlightCapture, RingOverwriteSurfacesAsTruncated)
 {
-    FlightRecorder fr;
-    fr.configure(500, 100, 4);
-    fr.enable();
-    // The ring holds windowCapacity records; pushing past that with
-    // in-window stamps forces overwrites which must mark the window.
-    for (std::size_t i = 0; i < FlightRecorder::windowCapacity + 64; ++i)
-        fr.record(rec(5000));
-    fr.trigger(5000, "watchdog.x.open");
-    fr.onSample(5600);
-    ASSERT_EQ(fr.incidentCount(), 1u);
-    EXPECT_TRUE(fr.incident(0).truncated);
+    // Fill the ring with `writes` records stamped `at`, then capture
+    // the window around `trigger`; W = 500.
+    auto capture = [](Cycles at, std::size_t writes, Cycles trigger) {
+        Rig rig;
+        for (std::size_t i = 0; i < writes; ++i)
+            rig.stamp(at);
+        rig.fr.trigger(trigger, "watchdog.x.open");
+        rig.fr.onSample(trigger + 600);
+        EXPECT_EQ(rig.fr.incidentCount(), 1u);
+        return rig.fr.incident(0);
+    };
+    const std::size_t over = 1024 + 64;
+    // Overwritten stamps before begin (4500) cost the window nothing;
+    // one at begin or later marks it.
+    EXPECT_FALSE(capture(4499, over, 5000).truncated);
+    EXPECT_TRUE(capture(4500, over, 5000).truncated);
+    const FlightIncident live = capture(5000, over, 5000);
+    EXPECT_TRUE(live.truncated);
+    EXPECT_EQ(live.records.size(), 1024u);
+    // A window starting at 0 is clean while nothing was overwritten.
+    EXPECT_FALSE(capture(0, 1024, 100).truncated);
+}
+
+TEST(FlightCapture, WindowsMatchFullHistoryModel)
+{
+    // In-order, back-dated and future-dated stamps, in busy stretches
+    // that wrap the ring inside a window and quiet ones that do not,
+    // with a trigger every 9 ticks. Every captured incident must hold
+    // exactly the model's window and agree on truncation.
+    Rig rig(/*incidentCap=*/1000);
+    TraceSink &sink = rig.sink;
+    FlightRecorder &fr = rig.fr;
+    FullHistory ref;
+    ref.cap = sink.capacity();
+
+    Random rng(2024);
+    static const TapId taps[] = {internTap("test.flight.diff.a"),
+                                 internTap("test.flight.diff.b")};
+    Cycles now = 0;
+    std::size_t captured = 0, truncated = 0;
+    for (int tick = 0; tick < 400; ++tick) {
+        const int pushes = (tick / 40) % 2 == 0 ? 250 : 12;
+        for (int i = 0; i < pushes; ++i) {
+            Cycles when;
+            const double u = rng.uniform();
+            if (u < 0.7) {
+                when = now + rng.below(300);
+            } else if (u < 0.85) {
+                const Cycles back = rng.below(3000);
+                when = now > back ? now - back : 0;
+            } else {
+                when = now + rng.below(3000);
+            }
+            when -= when % 10; // coarse stamps: plenty of key ties
+            const TapId tap = taps[rng.below(2)];
+            const auto track = static_cast<std::uint16_t>(rng.below(3));
+            if (rng.chance(0.3)) {
+                const std::uint64_t token =
+                    sink.edgeOut(when, tap, TraceCat::Op, track);
+                ref.all.push_back(TraceRecord{when, token, tap, track,
+                                              TraceKind::EdgeOut,
+                                              TraceCat::Op});
+            } else {
+                const std::uint64_t arg = rng.next();
+                sink.instant(when, tap, TraceCat::Op, track, arg);
+                ref.all.push_back(TraceRecord{when, arg, tap, track,
+                                              TraceKind::Instant,
+                                              TraceCat::Op});
+            }
+        }
+        now += 100; // the period
+        if (tick % 9 == 0)
+            fr.trigger(now, "tick");
+        fr.onSample(now);
+        for (; captured < fr.incidentCount(); ++captured) {
+            const FlightIncident &inc = fr.incident(captured);
+            EXPECT_EQ(inc.truncated, ref.truncated(inc.begin))
+                << "tick " << tick;
+            EXPECT_TRUE(sameRecords(inc.records,
+                                    ref.window(inc.begin, inc.end)))
+                << "tick " << tick;
+            truncated += inc.truncated ? 1 : 0;
+        }
+    }
+    // The drive wrapped the ring and captured windows both ways.
+    EXPECT_GT(sink.dropped(), 0u);
+    EXPECT_GT(captured, 30u);
+    EXPECT_GT(truncated, 0u);
+    EXPECT_LT(truncated, captured);
+}
+
+// ---------------------------------------------------------------------
+// Incident summary
+// ---------------------------------------------------------------------
+
+TEST(IncidentSummary, AllShrunkDiffNamesNoTerm)
+{
+    // The reference window holds a 900-cycle span, the incident window
+    // a 100-cycle one: every blame-diff row is negative, so there is no
+    // growth to headline.
+    Rig rig;
+    const TapId busy = internTap("test.flight.busy");
+    rig.sink.span(0, 900, busy, TraceCat::Op, 0);
+    rig.fr.onSample(1000); // seals the reference over [0, 1000]
+    rig.sink.span(2600, 2700, busy, TraceCat::Op, 0);
+    rig.fr.trigger(3000, "watchdog.x.open");
+    rig.fr.onSample(3600);
+    ASSERT_EQ(rig.fr.incidentCount(), 1u);
+
+    const std::string s =
+        renderIncidentSummary(rig.fr, Frequency(2.4));
+    EXPECT_EQ(s.find("+-"), std::string::npos) << s;
+    EXPECT_EQ(s.find("test.flight.busy"), std::string::npos) << s;
+    EXPECT_NE(s.find(" -  watchdog.x.open"), std::string::npos) << s;
+    EXPECT_EQ(s.find("truncated"), std::string::npos) << s;
+    EXPECT_EQ(s.find("VIRTSIM_TRACE_CAPACITY"), std::string::npos) << s;
+}
+
+TEST(IncidentSummary, MarksTruncatedWindowsAndNamesTheRingSize)
+{
+    Rig rig;
+    for (std::size_t i = 0; i < rig.sink.capacity() + 64; ++i)
+        rig.stamp(5000);
+    rig.fr.trigger(5000, "watchdog.x.open");
+    rig.fr.onSample(5600);
+    const std::string s =
+        renderIncidentSummary(rig.fr, Frequency(2.4));
+    EXPECT_NE(s.find("1024 (truncated)"), std::string::npos) << s;
+    EXPECT_NE(s.find("raise VIRTSIM_TRACE_CAPACITY"), std::string::npos)
+        << s;
 }
 
 // ---------------------------------------------------------------------
@@ -563,7 +434,7 @@ TEST(FlightFleet, SaturatedOverloadWorldIsPinned)
     // The 16-VM open-loop overload world (60 us mean interarrival, 4x
     // bursts, 150 transactions per connection, arrival seed 168),
     // with incidents and latency exported. It fills the
-    // flight ring and tracks 16 CPUs; the digests pin both exports
+    // trace ring and tracks 16 CPUs; the digests pin both exports
     // byte for byte. A change that alters them on purpose updates the
     // values and says why.
     const std::string dir = ::testing::TempDir() + "flight_pin";
@@ -602,32 +473,4 @@ TEST(FlightFleet, SaturatedOverloadWorldIsPinned)
     EXPECT_EQ(fnv1a(latJson), 0xda8e999e63566987ULL);
     std::remove(incident.c_str());
     std::remove(latencyFile.c_str());
-}
-
-// ---------------------------------------------------------------------
-// Fast path
-// ---------------------------------------------------------------------
-
-TEST(FlightFastPath, DisabledStampAllocatesNothing)
-{
-    FlightRecorder fr; // never enabled
-    const TraceRecord r = rec(123);
-    const std::uint64_t before = g_news.load();
-    for (int i = 0; i < 4096; ++i)
-        fr.record(r);
-    EXPECT_EQ(g_news.load(), before);
-    EXPECT_EQ(fr.retainedRecords(), 0u);
-}
-
-TEST(FlightFastPath, EnabledStampAllocatesNothing)
-{
-    FlightRecorder fr;
-    fr.configure(500, 100, 4);
-    fr.enable();
-    const TraceRecord r = rec(123);
-    fr.record(r); // first touch
-    const std::uint64_t before = g_news.load();
-    for (int i = 0; i < 4096; ++i)
-        fr.record(r);
-    EXPECT_EQ(g_news.load(), before);
 }

@@ -291,6 +291,35 @@ TEST(TraceSink, RingWrapIsCountedNeverSilent)
     EXPECT_EQ(seen[1], 9u);
 }
 
+TEST(TraceSink, NewestDroppedStampTracksTheMaximum)
+{
+    // Flight-recorder windows judge truncation by the newest stamp the
+    // ring overwrote, whatever order the stamps were written in.
+    const TapId tap = internTap("probe.test.newest_dropped");
+    TraceSink sink;
+    sink.setCapacity(4);
+    sink.enable();
+    for (Cycles t : {50, 900, 10, 20})
+        sink.instant(t, tap, TraceCat::Sched);
+    EXPECT_EQ(sink.dropped(), 0u);
+    EXPECT_EQ(sink.newestDroppedWhen(), 0u);
+    sink.instant(30, tap, TraceCat::Sched); // overwrites 50
+    EXPECT_EQ(sink.newestDroppedWhen(), 50u);
+    sink.instant(40, tap, TraceCat::Sched); // overwrites 900
+    EXPECT_EQ(sink.newestDroppedWhen(), 900u);
+    sink.instant(60, tap, TraceCat::Sched); // overwrites 10
+    EXPECT_EQ(sink.newestDroppedWhen(), 900u);
+
+    sink.clear();
+    EXPECT_EQ(sink.newestDroppedWhen(), 0u);
+    for (Cycles t : {1, 2, 3, 4, 5})
+        sink.instant(t, tap, TraceCat::Sched);
+    EXPECT_EQ(sink.newestDroppedWhen(), 1u);
+
+    sink.setCapacity(8);
+    EXPECT_EQ(sink.newestDroppedWhen(), 0u);
+}
+
 TEST(TraceSink, TruncatedSpansAreCountedNotMispaired)
 {
     // When the ring wraps over a span's opening edge (a Begin, or the
