@@ -49,32 +49,6 @@ BM_EventQueueScheduleRun(benchmark::State &state)
 }
 BENCHMARK(BM_EventQueueScheduleRun);
 
-/** Timer-like usage: most scheduled events are cancelled before they
- *  fire (TCP retransmit timers, watchdogs). Schedules 1000 events,
- *  cancels three of every four, drains the rest. */
-void
-BM_EventQueueScheduleCancel(benchmark::State &state)
-{
-    for (auto _ : state) {
-        EventQueue eq;
-        int fired = 0;
-        std::vector<EventId> ids;
-        ids.reserve(1000);
-        for (int i = 0; i < 1000; ++i) {
-            ids.push_back(eq.scheduleAt(static_cast<Cycles>(i),
-                                        [&fired] { ++fired; }));
-        }
-        for (std::size_t i = 0; i < ids.size(); ++i) {
-            if (i % 4 != 0)
-                eq.cancel(ids[i]);
-        }
-        eq.run();
-        benchmark::DoNotOptimize(fired);
-    }
-    state.SetItemsProcessed(state.iterations() * 1000);
-}
-BENCHMARK(BM_EventQueueScheduleCancel);
-
 /** Steady-state churn: a fixed population of self-rescheduling event
  *  chains, the shape of a long simulation (every handler schedules
  *  its successor). Exercises slot recycling with a warm arena. */
@@ -463,38 +437,6 @@ BM_FlightCaptureFullRing(benchmark::State &state)
     }
 }
 BENCHMARK(BM_FlightCaptureFullRing)->Unit(benchmark::kMicrosecond);
-
-/** Cancel-heavy phases (timer retargets, teardown bursts) leave dead
- *  entries in the heap; past the half-dead threshold cancel()
- *  compacts in place. This measures the full churn cycle: bulk
- *  schedule, 3/4 cancelled (crossing the compaction threshold), then
- *  draining the survivors against a heap whose sift depth tracks the
- *  live population. */
-void
-BM_EventQueueCancelCompact(benchmark::State &state)
-{
-    EventQueue eq;
-    std::vector<EventId> ids;
-    ids.reserve(4096);
-    std::uint64_t compactions = 0;
-    for (auto _ : state) {
-        ids.clear();
-        const Cycles base = eq.now() + 1;
-        for (int i = 0; i < 4096; ++i) {
-            ids.push_back(eq.scheduleAt(
-                base + static_cast<Cycles>(i), [] {}));
-        }
-        for (int i = 0; i < 4096; ++i) {
-            if (i % 4 != 0)
-                eq.cancel(ids[static_cast<std::size_t>(i)]);
-        }
-        eq.run();
-        compactions = eq.compactions();
-    }
-    benchmark::DoNotOptimize(compactions);
-    state.SetItemsProcessed(state.iterations() * 4096);
-}
-BENCHMARK(BM_EventQueueCancelCompact);
 
 /** A fleet's event shape: 16 CPUs, each with a completion backlog of
  *  ~1.6k events behind its frontier (fleet_observed's measured

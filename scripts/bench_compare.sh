@@ -54,6 +54,10 @@ base_path, max_pct = sys.argv[1], float(sys.argv[2])
 cur_paths = sys.argv[3:]
 
 
+# Each benchmark's time unit as it reports it (ns, us, ms).
+units = {}
+
+
 def bests(paths):
     out = {}
     for path in paths:
@@ -69,7 +73,16 @@ def bests(paths):
                                 b["real_time"])
             elif b.get("aggregate_name") == "mean":
                 out.setdefault(b["run_name"], b["real_time"])
+            else:
+                continue
+            units[b["run_name"]] = b.get("time_unit", "ns")
     return out
+
+
+def fmt(v):
+    # Whole numbers for large readings, three significant digits for
+    # small ones (a 0.12 ms benchmark must not print as 0).
+    return f"{v:.0f}" if v >= 100 else f"{v:.3g}"
 
 
 base, cur = bests([base_path]), bests(cur_paths)
@@ -98,7 +111,8 @@ for name in sorted(base):
     if delta > max_pct:
         flag = f"  <-- exceeds +{max_pct:.0f}% budget"
         failed = True
-    print(f"  {name}: {b:.0f} -> {c:.0f} ns ({delta:+.1f}%){flag}")
+    print(f"  {name}: {fmt(b)} -> {fmt(c)} {units[name]} "
+          f"({delta:+.1f}%){flag}")
 
 if missing:
     # A benchmark present in the baseline but absent from the fresh

@@ -424,6 +424,108 @@ CausalAnalyzer::reset()
 
 namespace {
 
+/**
+ * Innermost-containing-span lookups over a graph's nodes. Nodes are
+ * sorted by (track, t0), and each links back to the nearest earlier
+ * node on its track that ends later than it does. A query walks back
+ * from its start time along those links, so it skips every run of
+ * nodes that end before it does (a root's earlier children, say) in
+ * one step, and stops once no earlier node could be shorter than the
+ * best found: near-linear for the nested spans traces hold, where an
+ * all-pairs scan is quadratic.
+ */
+class SpanIndex
+{
+  public:
+    explicit SpanIndex(const std::vector<CausalGraph::Node> &nodes)
+    {
+        for (std::size_t i = 0; i < nodes.size(); ++i) {
+            const CausalGraph::Node &n = nodes[i];
+            entries.push_back(
+                Entry{n.track, n.t0, n.t1, static_cast<int>(i), -1});
+        }
+        std::sort(entries.begin(), entries.end(),
+                  [](const Entry &a, const Entry &b) {
+                      return std::tie(a.track, a.t0, a.node) <
+                             std::tie(b.track, b.t0, b.node);
+                  });
+        // Previous-longer links, by a monotonic stack per track.
+        std::vector<int> stack;
+        for (std::size_t i = 0; i < entries.size(); ++i) {
+            Entry &e = entries[i];
+            if (i > 0 && entries[i - 1].track != e.track)
+                stack.clear();
+            while (!stack.empty() &&
+                   entries[static_cast<std::size_t>(stack.back())].t1 <=
+                       e.t1) {
+                stack.pop_back();
+            }
+            e.longer = stack.empty() ? -1 : stack.back();
+            stack.push_back(static_cast<int>(i));
+        }
+    }
+
+    /**
+     * The node on @p track that contains [q0, q1] (t0 <= q0 and
+     * t1 >= q1), other than @p exclude, with the least duration; ties
+     * go to the lowest node index. -1 if none does.
+     */
+    int
+    innermost(std::uint16_t track, Cycles q0, Cycles q1,
+              int exclude) const
+    {
+        // The last entry at or before (track, q0).
+        int k = static_cast<int>(
+                    std::partition_point(entries.begin(), entries.end(),
+                                         [&](const Entry &e) {
+                                             return std::tie(e.track,
+                                                             e.t0) <=
+                                                    std::tie(track, q0);
+                                         }) -
+                    entries.begin()) -
+                1;
+        int best = -1;
+        Cycles bestDur = 0;
+        while (k >= 0 && entries[static_cast<std::size_t>(k)].track ==
+                             track) {
+            const Entry &e = entries[static_cast<std::size_t>(k)];
+            if (e.t1 < q1) {
+                // Nodes between e and e.longer end no later than e.
+                k = e.longer;
+                continue;
+            }
+            // e and every node before it that contains the query start
+            // no later than e, so they last at least q1 - e.t0. With
+            // q0 <= q1 that difference is exact.
+            if (best >= 0 && q0 <= q1 && q1 - e.t0 > bestDur)
+                break;
+            const Cycles dur = e.t1 - e.t0;
+            if (e.node != exclude &&
+                (best < 0 || dur < bestDur ||
+                 (dur == bestDur && e.node < best))) {
+                best = e.node;
+                bestDur = dur;
+            }
+            --k;
+        }
+        return best;
+    }
+
+  private:
+    struct Entry
+    {
+        std::uint16_t track;
+        Cycles t0;
+        Cycles t1;
+        int node;
+        /** The nearest earlier entry on this track with a later t1,
+         *  or -1. */
+        int longer;
+    };
+
+    std::vector<Entry> entries;
+};
+
 /** Shared graph construction over any record source: the retained
  *  sink ring (buildCausalGraph) or a frozen record array (the flight
  *  recorder's incident windows). @p forEach invokes its callback once
@@ -444,12 +546,13 @@ buildGraphImpl(ForEach &&forEach)
 
     struct EdgeHalf
     {
+        std::uint64_t token;
         std::uint32_t tap;
         std::uint16_t track;
         Cycles when;
     };
-    std::map<std::uint64_t, EdgeHalf> outs;
-    std::map<std::uint64_t, EdgeHalf> ins;
+    std::vector<EdgeHalf> outs;
+    std::vector<EdgeHalf> ins;
 
     forEach([&](const TraceRecord &r) {
         switch (r.kind) {
@@ -473,76 +576,63 @@ buildGraphImpl(ForEach &&forEach)
             break;
           }
           case TraceKind::EdgeOut:
-            outs[r.arg] = EdgeHalf{r.tap.raw(), r.track, r.when};
+            outs.push_back(EdgeHalf{r.arg, r.tap.raw(), r.track, r.when});
             break;
           case TraceKind::EdgeIn:
-            ins[r.arg] = EdgeHalf{r.tap.raw(), r.track, r.when};
+            ins.push_back(EdgeHalf{r.arg, r.tap.raw(), r.track, r.when});
             break;
           case TraceKind::Instant:
             break;
         }
     });
 
-    // Innermost containing node on a track: minimal duration wins.
-    auto innermost = [&g](std::uint16_t track, Cycles t,
-                          int exclude) -> int {
-        int best = -1;
-        Cycles bestDur = 0;
-        for (std::size_t i = 0; i < g.nodes.size(); ++i) {
-            if (static_cast<int>(i) == exclude)
-                continue;
-            const CausalGraph::Node &n = g.nodes[i];
-            if (n.track != track || n.t0 > t || n.t1 < t)
-                continue;
-            const Cycles dur = n.t1 - n.t0;
-            if (best < 0 || dur < bestDur) {
-                best = static_cast<int>(i);
-                bestDur = dur;
-            }
-        }
-        return best;
-    };
-
+    const SpanIndex spans(g.nodes);
     for (std::size_t i = 0; i < g.nodes.size(); ++i) {
         CausalGraph::Node &n = g.nodes[i];
-        int best = -1;
-        Cycles bestDur = 0;
-        for (std::size_t j = 0; j < g.nodes.size(); ++j) {
-            if (j == i)
-                continue;
-            const CausalGraph::Node &p = g.nodes[j];
-            if (p.track != n.track || p.t0 > n.t0 || p.t1 < n.t1)
-                continue;
-            const Cycles dur = p.t1 - p.t0;
-            if (best < 0 || dur < bestDur) {
-                best = static_cast<int>(j);
-                bestDur = dur;
-            }
-        }
-        n.parent = best;
-        if (best >= 0)
-            g.nodes[static_cast<std::size_t>(best)].leaf = false;
+        n.parent = spans.innermost(n.track, n.t0, n.t1,
+                                   static_cast<int>(i));
+        if (n.parent >= 0)
+            g.nodes[static_cast<std::size_t>(n.parent)].leaf = false;
     }
 
-    for (const auto &[token, out] : outs) {
+    // Each token's halves in token order. A token stamped twice keeps
+    // its last stamp: the sort is stable, and unique over the reversed
+    // range keeps the first of each run it sees.
+    auto byToken = [](std::vector<EdgeHalf> &halves) {
+        std::stable_sort(halves.begin(), halves.end(),
+                         [](const EdgeHalf &a, const EdgeHalf &b) {
+                             return a.token < b.token;
+                         });
+        const auto kept = std::unique(
+            halves.rbegin(), halves.rend(),
+            [](const EdgeHalf &a, const EdgeHalf &b) {
+                return a.token == b.token;
+            });
+        halves.erase(halves.begin(), kept.base());
+    };
+    byToken(outs);
+    byToken(ins);
+    g.edges.reserve(outs.size());
+    auto in = ins.begin();
+    for (const EdgeHalf &out : outs) {
         CausalGraph::Edge e;
         e.name = tapName(TapId::fromRaw(out.tap));
-        e.token = token;
+        e.token = out.token;
         e.fromTrack = out.track;
         e.out = out.when;
-        e.fromNode = innermost(out.track, out.when, -1);
-        auto it = ins.find(token);
-        if (it != ins.end()) {
-            e.toTrack = it->second.track;
-            e.in = it->second.when;
-            e.toNode = innermost(it->second.track, it->second.when,
-                                 -1);
+        e.fromNode = spans.innermost(out.track, out.when, out.when, -1);
+        while (in != ins.end() && in->token < out.token)
+            ++in;
+        if (in != ins.end() && in->token == out.token) {
+            e.toTrack = in->track;
+            e.in = in->when;
+            e.toNode = spans.innermost(in->track, in->when, in->when, -1);
         }
         g.edges.push_back(std::move(e));
     }
-    // `outs` iterates in token order, which is stamping order. Re-sort
-    // edges by payload so downstream consumers (critical-path
-    // tie-breaks, incident JSON) depend only on what was recorded.
+    // Token order is stamping order. Re-sort edges by payload so
+    // downstream consumers (critical-path tie-breaks, incident JSON)
+    // depend only on what was recorded.
     std::sort(g.edges.begin(), g.edges.end(),
               [](const CausalGraph::Edge &a,
                  const CausalGraph::Edge &b) {
@@ -637,6 +727,15 @@ extractCriticalPath(const CausalGraph &g)
         }
     }
 
+    // (node, edge) for every edge that delivers into a node, so a
+    // node's incoming edges are one run, in edge order.
+    std::vector<std::pair<int, std::size_t>> into;
+    for (std::size_t e = 0; e < g.edges.size(); ++e) {
+        if (g.edges[e].toNode >= 0)
+            into.emplace_back(g.edges[e].toNode, e);
+    }
+    std::sort(into.begin(), into.end());
+
     std::vector<CriticalPathStep> rev;
     // A span may receive an edge from itself or from a span already
     // on the path (an intra-span LR hand-off, a ring of wakeups);
@@ -653,10 +752,11 @@ extractCriticalPath(const CausalGraph &g)
         // Prefer hopping through the causal edge that delivered
         // work into this span: continue on the originating track.
         int bestEdge = -1;
-        for (std::size_t e = 0; e < g.edges.size(); ++e) {
+        for (auto it = std::lower_bound(into.begin(), into.end(),
+                                        std::pair<int, std::size_t>{cur, 0});
+             it != into.end() && it->first == cur; ++it) {
+            const std::size_t e = it->second;
             const CausalGraph::Edge &ed = g.edges[e];
-            if (ed.toNode != cur)
-                continue;
             if (ed.fromNode >= 0 &&
                 seen[static_cast<std::size_t>(ed.fromNode)])
                 continue;

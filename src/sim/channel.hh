@@ -42,16 +42,15 @@ class ShardChannel
      * Schedule fn at absolute time `when`.
      * @pre when >= now() + latency() — the declared minimum latency
      *      is a contract, checked, not a hint.
-     * @return the event id (cancellable, exactly scheduleAt's).
      */
     template <typename F>
-    EventId
+    void
     send(Cycles when, F &&fn)
     {
         VIRTSIM_ASSERT(when >= q.now() + _latency, "channel '", _name,
                        "' send at ", when, " violates declared latency ",
                        _latency, " from time ", q.now());
-        return q.scheduleAt(when, std::forward<F>(fn));
+        q.scheduleAt(when, std::forward<F>(fn));
     }
 
     const std::string &name() const { return _name; }

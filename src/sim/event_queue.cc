@@ -1,6 +1,7 @@
 #include "sim/event_queue.hh"
 
 #include <algorithm>
+#include <limits>
 #include <utility>
 
 #include "sim/channel.hh"
@@ -28,7 +29,7 @@ EventQueue::channel(std::string name, Cycles latency)
 StreamId
 EventQueue::openStream()
 {
-    VIRTSIM_ASSERT(streams.size() < (std::size_t{1} << tagBits) - 1,
+    VIRTSIM_ASSERT(streams.size() < std::numeric_limits<StreamId>::max(),
                    "too many streams on one queue");
     streams.emplace_back();
     return static_cast<StreamId>(streams.size());
@@ -38,7 +39,7 @@ void
 EventQueue::Stream::grow()
 {
     // Unwrap into a ring twice the size; head restarts at 0.
-    std::vector<HeapEntry> bigger(ring.empty() ? 16 : ring.size() * 2);
+    std::vector<Key> bigger(ring.empty() ? 16 : ring.size() * 2);
     for (std::size_t i = 0; i < count; ++i)
         bigger[i] = ring[(head + i) & (ring.size() - 1)];
     ring = std::move(bigger);
@@ -48,16 +49,15 @@ EventQueue::Stream::grow()
 void
 EventQueue::siftUp(std::size_t pos)
 {
-    const HeapEntry e = heap[pos];
-    const Key k = keyOf(e);
+    const Key k = heap[pos];
     while (pos > 0) {
         const std::size_t parent = (pos - 1) / heapArity;
-        if (k >= keyOf(heap[parent]))
+        if (k >= heap[parent])
             break;
         heap[pos] = heap[parent];
         pos = parent;
     }
-    heap[pos] = e;
+    heap[pos] = k;
 }
 
 std::size_t
@@ -66,8 +66,8 @@ EventQueue::leastChild(std::size_t first, std::size_t n) const
     if (first + heapArity <= n) [[likely]] {
         // A two-round tournament of selects: which child wins is data,
         // not control flow, so a random heap costs no mispredictions.
-        const Key k0 = keyOf(heap[first]), k1 = keyOf(heap[first + 1]);
-        const Key k2 = keyOf(heap[first + 2]), k3 = keyOf(heap[first + 3]);
+        const Key k0 = heap[first], k1 = heap[first + 1];
+        const Key k2 = heap[first + 2], k3 = heap[first + 3];
         const bool b01 = k1 < k0, b23 = k3 < k2;
         const std::size_t i01 = first + b01, i23 = first + 2 + b23;
         const Key k01 = b01 ? k1 : k0, k23 = b23 ? k3 : k2;
@@ -79,37 +79,18 @@ EventQueue::leastChild(std::size_t first, std::size_t n) const
     // The one node with fewer than four children.
     std::size_t best = first;
     for (std::size_t c = first + 1; c < n; ++c) {
-        if (keyOf(heap[c]) < keyOf(heap[best]))
+        if (heap[c] < heap[best])
             best = c;
     }
     return best;
 }
 
 void
-EventQueue::siftDown(std::size_t pos)
-{
-    const HeapEntry e = heap[pos];
-    const Key k = keyOf(e);
-    const std::size_t n = heap.size();
-    for (;;) {
-        const std::size_t first = pos * heapArity + 1;
-        if (first >= n)
-            break;
-        const std::size_t best = leastChild(first, n);
-        if (keyOf(heap[best]) >= k)
-            break;
-        heap[pos] = heap[best];
-        pos = best;
-    }
-    heap[pos] = e;
-}
-
-void
-EventQueue::replaceTop(const HeapEntry &e)
+EventQueue::replaceTop(Key k)
 {
     // Floyd's bottom-up pop: walk the hole from the root to a leaf
-    // along the least children without comparing against e, then
-    // place e there and sift it up. A replacement usually belongs
+    // along the least children without comparing against k, then
+    // place k there and sift it up. A replacement usually belongs
     // near the bottom, so this does about one compare per level
     // where a plain sift-down does two.
     const std::size_t n = heap.size();
@@ -119,23 +100,23 @@ EventQueue::replaceTop(const HeapEntry &e)
         heap[pos] = heap[best];
         pos = best;
     }
-    heap[pos] = e;
+    heap[pos] = k;
     siftUp(pos);
 }
 
 void
 EventQueue::popTop()
 {
-    const HeapEntry moved = heap.back();
+    const Key moved = heap.back();
     heap.pop_back();
     if (!heap.empty())
         replaceTop(moved);
 }
 
 void
-EventQueue::advanceStream(std::uint32_t tag)
+EventQueue::advanceStream(StreamId id)
 {
-    Stream &st = streams[tag - 1];
+    Stream &st = streams[id - 1];
     if (st.count == 0) {
         st.inHeap = false;
         popTop();
@@ -146,48 +127,11 @@ EventQueue::advanceStream(std::uint32_t tag)
     replaceTop(st.pop());
 }
 
-void
-EventQueue::purgeTop()
-{
-    // deadCount == 0 is the common case and skips the per-pop arena
-    // generation probe entirely.
-    while (deadCount != 0 && !heap.empty()) {
-        const HeapEntry &top = heap.front();
-        if (slotAt(top.slot).gen == top.gen)
-            return; // live
-        popTop();
-        --deadCount;
-    }
-}
-
-void
-EventQueue::compact()
-{
-    // Keep only entries whose slot generation still matches (live),
-    // then rebuild heap order bottom-up (Floyd): O(n) over the live
-    // population, versus O(dead * log n) to drain them via purgeTop.
-    std::size_t out = 0;
-    for (const HeapEntry &e : heap) {
-        if (slotAt(e.slot).gen == e.gen)
-            heap[out++] = e;
-    }
-    heap.resize(out);
-    deadCount = 0;
-    if (!heap.empty()) {
-        for (std::size_t i = (heap.size() - 1) / heapArity + 1; i-- > 0;)
-            siftDown(i);
-    }
-    ++_compactions;
-}
-
 std::size_t
 EventQueue::runBefore(Cycles bound)
 {
     std::size_t fired = 0;
-    for (;;) {
-        purgeTop();
-        if (heap.empty() || heap.front().when >= bound)
-            break;
+    while (!heap.empty() && whenOf(heap.front()) < bound) {
         step();
         ++fired;
     }
@@ -205,12 +149,8 @@ EventQueue::run()
 Cycles
 EventQueue::runUntil(Cycles limit)
 {
-    for (;;) {
-        purgeTop();
-        if (heap.empty() || heap.front().when > limit)
-            break;
+    while (!heap.empty() && whenOf(heap.front()) <= limit)
         step();
-    }
     if (_now < limit)
         _now = limit;
     return _now;
@@ -219,52 +159,42 @@ EventQueue::runUntil(Cycles limit)
 bool
 EventQueue::step()
 {
-    purgeTop();
     if (heap.empty())
         return false;
-    const HeapEntry top = heap.front();
-    VIRTSIM_ASSERT(top.when >= _now, "event in the past");
-    _now = top.when;
-    if (const std::uint32_t tag = top.seq & (seqStep - 1); tag != 0)
-        [[unlikely]] {
-        advanceStream(tag);
+    const Key top = heap.front();
+    const Cycles when = whenOf(top);
+    VIRTSIM_ASSERT(when >= _now, "event in the past");
+    _now = when;
+    const std::uint32_t slot = slotOf(top);
+    Slot &s = slotAt(slot);
+    if (s.stream != 0) [[unlikely]] {
+        advanceStream(s.stream);
     } else {
         popTop();
     }
     // Fire the callback where it sits: chunks never move, so slots
     // the callback allocates (arena growth included) leave it in
-    // place. Bumping gen first makes the event's own id stale, so
-    // cancelling it from inside returns false; the slot joins the
-    // free list only once the call is over.
-    Slot &s = slotAt(top.slot);
-    ++s.gen;
+    // place. The slot joins the free list only once the call is over.
     --liveCount;
     s.fn();
     s.fn.reset();
-    freeSlots.push_back(top.slot);
+    freeSlots.push_back(slot);
     return true;
 }
 
 void
 EventQueue::clear()
 {
-    while (!heap.empty()) {
-        const HeapEntry &e = heap.back();
-        Slot &s = slotAt(e.slot);
-        if (s.gen == e.gen)
-            releaseSlot(e.slot, s);
-        heap.pop_back();
-    }
+    for (const Key k : heap)
+        releaseSlot(slotOf(k));
+    heap.clear();
     for (Stream &st : streams) {
-        while (st.count != 0) {
-            const HeapEntry e = st.pop();
-            releaseSlot(e.slot, slotAt(e.slot));
-        }
+        while (st.count != 0)
+            releaseSlot(slotOf(st.pop()));
         st.last = 0;
         st.inHeap = false;
     }
     liveCount = 0;
-    deadCount = 0;
 }
 
 } // namespace virtsim

@@ -22,37 +22,42 @@
  *    (InlineFunction::assign), and step() calls it in place, then
  *    destroys it and frees the slot once it returns. The capture is
  *    never relocated; it stays valid while the callback schedules
- *    (and so grows the arena), cancels or clears.
- *  - The ready queue is a 4-ary implicit min-heap whose entries
- *    carry their (time, seq) sort key inline: sifting compares and
- *    moves small contiguous PODs and never dereferences the arena.
- *    The 4-ary layout halves the tree depth of a binary heap and
- *    keeps each sift level within two cache lines. The least of
- *    four children is picked by comparing (time, seq) as one
- *    128-bit key, with selects rather than branches. A pop is
- *    Floyd's bottom-up one: the hole walks from the root to a leaf
- *    along the least children, and the replacement entry is placed
- *    there and sifts up, typically not far.
- *  - cancel() is O(1) lazy deletion: the slot is recycled
- *    immediately and the heap entry is discarded when it surfaces,
- *    detected by a per-slot generation count.
+ *    (and so grows the arena) or clears.
+ *  - A pending event is one unsigned 128-bit key,
+ *    `when << 64 | seq << 24 | slot`: the time in the high half,
+ *    then a 40-bit scheduling sequence number, then the 24-bit arena
+ *    slot of its callback. seq is unique per queue, so the slot bits
+ *    never change the order of two keys, and one integer compare is
+ *    the whole (time, seq) order. 40 bits allow ~1.1e12 schedules per
+ *    queue and 24 bits ~16.7 M events in flight; both limits are
+ *    checked.
+ *  - The ready queue is a 4-ary implicit min-heap of these keys.
+ *    Sifting compares and moves 16-byte integers and never
+ *    dereferences the arena; the four children of a node share one
+ *    cache line. The least of them is picked with selects rather
+ *    than branches. A pop is Floyd's bottom-up one: the hole walks
+ *    from the root to a leaf along the least children, and the
+ *    replacement key is placed there and sifts up, typically not
+ *    far.
  *  - In-order streams keep backlogs out of the heap. A stream is a
  *    sequence of events whose times never decrease, such as a CPU's
  *    completions scheduled at its ever-advancing frontier
  *    (PhysicalCpu::run). Only the stream's earliest event sits in
  *    the heap; the rest wait in the stream's FIFO ring, each with the
- *    (time, seq) key it was given when scheduled. When the head
- *    fires, its successor replaces it at the heap top. The
- *    order is exact: every waiting event's key is above its stream's
- *    head, which is in the heap, so the heap top is still the least
- *    key of all pending events, and events fire in the same total
- *    (time, seq) order as if each had been pushed by scheduleAt. A
- *    heap entry's seq carries the stream in its low 16 bits (0 for
- *    plain events), which leaves the order unchanged and costs the
- *    plain path nothing but one [[unlikely]] branch in step().
- *    Stream events cannot be cancelled.
+ *    key it was given when scheduled. When the head fires, its
+ *    successor replaces it at the heap top. The order is exact:
+ *    every waiting event's key is above its stream's head, which is
+ *    in the heap, so the heap top is still the least key of all
+ *    pending events, and events fire in the same total (time, seq)
+ *    order as if each had been pushed by scheduleAt. The stream an
+ *    event belongs to (0 for plain events) is stored in its arena
+ *    slot, which step() reads anyway to fire the callback; the plain
+ *    path pays one [[unlikely]] branch.
  *
- * In steady state scheduleAt/scheduleOn/step/cancel never touch the
+ * Events cannot be cancelled: a component that may retract work
+ * keeps its own generation check (TimerBank in hw/vtimer does).
+ *
+ * In steady state scheduleAt/scheduleOn/step never touch the
  * allocator; the only allocations are arena chunks, stream rings and
  * amortized heap-vector growth up to the run's high-water mark of
  * in-flight events.
@@ -78,14 +83,6 @@ class ShardChannel;
  *  stored inline; oversized captures fail to compile. */
 using EventFn = InlineFunction<void()>;
 
-/** Handle to a scheduled event, usable to cancel it. Stale handles
- *  (event already fired, cancelled, or cleared) are detected via a
- *  per-slot generation count and are safe to cancel again. */
-using EventId = std::uint64_t;
-
-/** Never names an event. */
-inline constexpr EventId invalidEventId = 0;
-
 /** Names an in-order stream of one EventQueue (EventQueue::openStream);
  *  0 is never a stream. */
 using StreamId = std::uint16_t;
@@ -109,37 +106,29 @@ class EventQueue
     /** Current simulated time in cycles. */
     Cycles now() const { return _now; }
 
-    /** Number of events not yet fired (cancelled events excluded),
-     *  stream backlogs included. */
+    /** Number of events not yet fired, stream backlogs included. */
     std::size_t pending() const { return liveCount; }
 
     /**
      * Schedule fn to run at absolute time when.
      * @pre when >= now(), otherwise the simulation would go backwards.
-     * @return a handle that can cancel the event while pending.
      */
     template <typename F>
-    EventId
+    void
     scheduleAt(Cycles when, F &&fn)
     {
         VIRTSIM_ASSERT(when >= _now, "scheduling into the past: when=",
                        when, " now=", _now);
-        const std::uint32_t slot = allocSlot();
-        Slot &s = slotAt(slot);
-        s.fn.assign(std::forward<F>(fn));
-        heap.push_back(HeapEntry{when, nextSeq, slot, s.gen});
-        nextSeq += seqStep;
+        heap.push_back(place(when, 0, std::forward<F>(fn)));
         siftUp(heap.size() - 1);
-        ++liveCount;
-        return idOf(slot, s.gen);
     }
 
     /** Schedule fn to run delay cycles from now. */
     template <typename F>
-    EventId
+    void
     scheduleAfter(Cycles delay, F &&fn)
     {
-        return scheduleAt(_now + delay, std::forward<F>(fn));
+        scheduleAt(_now + delay, std::forward<F>(fn));
     }
 
     /**
@@ -147,8 +136,7 @@ class EventQueue
      * decrease (a CPU's completions behind its frontier). Opening
      * allocates the stream's bookkeeping only; its ring allocates on
      * the first event that has to wait behind another.
-     * @return the stream's id, never 0. Streams survive clear() and
-     *         reset().
+     * @return the stream's id, never 0. Streams survive clear().
      */
     StreamId openStream();
 
@@ -157,7 +145,6 @@ class EventQueue
      * the (time, sequence) order scheduleAt would give it; only the
      * stream's earliest event occupies the heap.
      * @pre when >= now() and when >= the stream's previous event.
-     *      Stream events cannot be cancelled.
      */
     template <typename F>
     void
@@ -172,71 +159,26 @@ class EventQueue
                        " goes backwards: when=", when, " after ",
                        st.last);
         st.last = when;
-        const std::uint32_t slot = allocSlot();
-        Slot &s = slotAt(slot);
-        s.fn.assign(std::forward<F>(fn));
-        const HeapEntry e{when, nextSeq | id, slot, s.gen};
-        nextSeq += seqStep;
-        ++liveCount;
+        const Key k = place(when, id, std::forward<F>(fn));
         if (st.inHeap) {
-            st.push(e);
+            st.push(k);
         } else {
             st.inHeap = true;
-            heap.push_back(e);
+            heap.push_back(k);
             siftUp(heap.size() - 1);
         }
     }
 
-    /**
-     * Cancel a pending event in O(1) amortized. The slot is recycled
-     * immediately; the heap entry is discarded lazily. When dead
-     * entries come to outnumber live ones (cancel-heavy phases: timer
-     * churn, teardown bursts), the heap is compacted in place so
-     * sift depth tracks the live population instead of the cancel
-     * history.
-     * @return true if the event was still pending (and is now gone);
-     *         false for already-fired, already-cancelled, or cleared
-     *         events (stale handles are harmless).
-     */
-    bool
-    cancel(EventId id)
-    {
-        const std::uint32_t slot =
-            static_cast<std::uint32_t>(id & 0xffffffffu);
-        if (slot >= slotCount)
-            return false;
-        Slot &s = slotAt(slot);
-        if (idOf(slot, s.gen) != id)
-            return false; // stale: already fired, cancelled, cleared
-        releaseSlot(slot, s);
-        --liveCount;
-        ++deadCount;
-        if (deadCount * 2 > heap.size() && heap.size() >= compactFloor)
-            compact();
-        return true;
-    }
-
-    /** Cancelled entries still occupying heap slots (reclaimed by
-     *  compaction or as they surface). */
-    std::size_t deadEntries() const { return deadCount; }
-
-    /** Heap slots in use, live plus dead (for hygiene tests). Of a
-     *  stream only its earliest event is counted. */
+    /** Heap slots in use (for hygiene tests). Of a stream only its
+     *  earliest event is counted. */
     std::size_t heapSize() const { return heap.size(); }
 
-    /** Times the heap was compacted to purge dead entries. */
-    std::uint64_t compactions() const { return _compactions; }
-
-    /**
-     * Earliest pending event's timestamp, or noPendingEvent when the
-     * queue is drained. Dead entries surfacing at the top are purged
-     * as a side effect.
-     */
+    /** Earliest pending event's timestamp, or noPendingEvent when the
+     *  queue is drained. */
     Cycles
-    nextEventTime()
+    nextEventTime() const
     {
-        purgeTop();
-        return heap.empty() ? noPendingEvent : heap.front().when;
+        return heap.empty() ? noPendingEvent : whenOf(heap.front());
     }
 
     /**
@@ -280,52 +222,48 @@ class EventQueue
     bool step();
 
     /** Drop all pending events, stream backlogs included (used
-     *  between experiment repetitions). Arena slots are retained and
-     *  recycled by later schedules. */
+     *  between experiment repetitions). The clock stays where it is;
+     *  arena slots are retained and recycled by later schedules. */
     void clear();
 
     /**
      * Declare a named latency edge on this queue (sim/channel.hh).
      * Redeclaring a name — a harness rebuilding its world on a
      * long-lived queue — returns the existing channel with the
-     * tighter of the two latencies. Channels survive clear() and
-     * reset().
+     * tighter of the two latencies. Channels survive clear().
      * @return a stable reference, valid for the queue's lifetime.
      */
     ShardChannel &channel(std::string name, Cycles latency);
 
-    /** clear() plus rewind simulated time and the tie-break sequence
-     *  to zero, so a recycled queue schedules and fires in exactly
-     *  the order a newly constructed one would. Arena slot
-     *  generations persist, which only changes EventId encodings —
-     *  never firing order or simulated timing. */
-    void
-    reset()
+  private:
+    /** A pending event: `when << 64 | seq << slotBits | slot`. One
+     *  compare orders two events; seq is unique, so this is a total
+     *  order and heap pops are fully deterministic. */
+    using Key = unsigned __int128;
+
+    static constexpr unsigned slotBits = 24;
+    /** Arena slots, hence events in flight, one queue can hold. */
+    static constexpr std::size_t maxSlots = std::size_t{1} << slotBits;
+    /** Schedules one queue can make: seq fills the 40 bits of the low
+     *  half above the slot. */
+    static constexpr std::uint64_t maxSeq = std::uint64_t{1}
+                                            << (64 - slotBits);
+
+    static Cycles whenOf(Key k) { return static_cast<Cycles>(k >> 64); }
+
+    static std::uint32_t
+    slotOf(Key k)
     {
-        clear();
-        _now = 0;
-        nextSeq = 0;
+        return static_cast<std::uint32_t>(k & (maxSlots - 1));
     }
 
-  private:
-    /** Heap entry: sort key plus the arena slot holding the
-     *  callback. POD-small so sifting stays in contiguous memory and
-     *  never dereferences the arena; gen detects entries whose event
-     *  was cancelled (the slot has moved on). */
-    struct HeapEntry
-    {
-        Cycles when;
-        std::uint64_t seq;
-        std::uint32_t slot;
-        std::uint32_t gen;
-    };
-
-    /** One arena cell: the callback and its reuse generation. Kept
-     *  minimal so the arena stays cache-dense. */
+    /** One arena cell: the callback and the stream it was scheduled
+     *  on (0 for plain events). Kept minimal so the arena stays
+     *  cache-dense. */
     struct Slot
     {
         EventFn fn;
-        std::uint32_t gen = 0;
+        StreamId stream = 0;
     };
 
     /** One in-order stream. Its earliest event sits in the heap;
@@ -333,56 +271,53 @@ class EventQueue
      *  when scheduled. */
     struct Stream
     {
-        std::vector<HeapEntry> ring; ///< power-of-two capacity or empty
-        std::size_t head = 0;        ///< index of the oldest waiter
-        std::size_t count = 0;       ///< waiters (head excluded)
-        Cycles last = 0;             ///< latest time scheduled
-        bool inHeap = false;         ///< the stream has a heap entry
+        std::vector<Key> ring;  ///< power-of-two capacity or empty
+        std::size_t head = 0;   ///< index of the oldest waiter
+        std::size_t count = 0;  ///< waiters (head excluded)
+        Cycles last = 0;        ///< latest time scheduled
+        bool inHeap = false;    ///< the stream has a heap entry
 
         void
-        push(const HeapEntry &e)
+        push(Key k)
         {
             if (count == ring.size())
                 grow();
-            ring[(head + count) & (ring.size() - 1)] = e;
+            ring[(head + count) & (ring.size() - 1)] = k;
             ++count;
         }
 
-        HeapEntry
+        Key
         pop()
         {
-            const HeapEntry e = ring[head];
+            const Key k = ring[head];
             head = (head + 1) & (ring.size() - 1);
             --count;
-            return e;
+            return k;
         }
 
         void grow();
     };
 
     static constexpr std::size_t heapArity = 4;
-    /** Minimum heap size before cancel() considers compaction; below
-     *  this, dead entries drain fast enough through purgeTop(). */
-    static constexpr std::size_t compactFloor = 64;
     /** Slots per arena chunk; chunks are allocated on demand and
      *  never move or shrink. */
     static constexpr std::size_t chunkShift = 6;
     static constexpr std::size_t chunkSlots = 1u << chunkShift;
-    /** A heap entry's seq is the scheduling sequence number shifted
-     *  past a 16-bit stream tag (0 for plain events), so the tag
-     *  never changes the order of two entries. */
-    static constexpr unsigned tagBits = 16;
-    static constexpr std::uint64_t seqStep = std::uint64_t{1} << tagBits;
 
-    /** An entry's (time, sequence) sort key as one unsigned 128-bit
-     *  integer, so one compare orders two entries. seq is unique, so
-     *  this is a total order and heap pops are fully deterministic. */
-    using Key = unsigned __int128;
-
-    static Key
-    keyOf(const HeapEntry &e)
+    /** Build fn in a fresh arena slot tagged with stream and return
+     *  the event's key; the caller files it in the heap or a ring. */
+    template <typename F>
+    Key
+    place(Cycles when, StreamId stream, F &&fn)
     {
-        return Key{e.when} << 64 | e.seq;
+        VIRTSIM_ASSERT(nextSeq < maxSeq, "event sequence exhausted after ",
+                       nextSeq, " schedules");
+        const std::uint32_t slot = allocSlot();
+        Slot &s = slotAt(slot);
+        s.fn.assign(std::forward<F>(fn));
+        s.stream = stream;
+        ++liveCount;
+        return Key{when} << 64 | Key{nextSeq++ << slotBits | slot};
     }
 
     Slot &
@@ -399,42 +334,30 @@ class EventQueue
             freeSlots.pop_back();
             return slot;
         }
-        if (slotCount == chunks.size() * chunkSlots)
+        if (slotCount == chunks.size() * chunkSlots) {
+            VIRTSIM_ASSERT(slotCount < maxSlots, "more than ", maxSlots,
+                           " events in flight");
             chunks.push_back(std::make_unique<Slot[]>(chunkSlots));
+        }
         return static_cast<std::uint32_t>(slotCount++);
     }
 
-    /** Recycle a slot: destroy the callback and bump gen so any
-     *  outstanding EventId / heap entry for it turns stale. step()
-     *  does the same in two halves around the call. */
+    /** Destroy a pending event's callback and recycle its slot. */
     void
-    releaseSlot(std::uint32_t slot, Slot &s)
+    releaseSlot(std::uint32_t slot)
     {
-        s.fn.reset();
-        ++s.gen;
+        slotAt(slot).fn.reset();
         freeSlots.push_back(slot);
-    }
-
-    static EventId
-    idOf(std::uint32_t slot, std::uint32_t gen)
-    {
-        // gen+1 in the high half keeps every valid id nonzero.
-        return (static_cast<EventId>(gen) + 1) << 32 | slot;
     }
 
     /** Pop the top heap entry (which must exist). */
     void popTop();
-    /** Replace the top heap entry (which must exist) with e. */
-    void replaceTop(const HeapEntry &e);
-    /** Replace the top heap entry, the head of stream tag, with the
+    /** Replace the top heap entry (which must exist) with k. */
+    void replaceTop(Key k);
+    /** Replace the top heap entry, the head of stream id, with the
      *  stream's next event, or pop it if the stream has none. */
-    void advanceStream(std::uint32_t tag);
-    /** Discard cancelled entries surfacing at the top. */
-    void purgeTop();
-    /** Drop every dead entry and re-heapify the survivors. */
-    void compact();
+    void advanceStream(StreamId id);
     void siftUp(std::size_t pos);
-    void siftDown(std::size_t pos);
     /** Index of the least of the children [first, n) of one node;
      *  first < n. */
     std::size_t leastChild(std::size_t first, std::size_t n) const;
@@ -443,12 +366,10 @@ class EventQueue
     std::vector<std::unique_ptr<Slot[]>> chunks;
     std::size_t slotCount = 0;
     std::vector<std::uint32_t> freeSlots; ///< LIFO free slot stack
-    std::vector<HeapEntry> heap;          ///< 4-ary implicit min-heap
-    std::size_t liveCount = 0;            ///< pending minus cancelled
-    std::size_t deadCount = 0;            ///< cancelled entries in heap
+    std::vector<Key> heap;                ///< 4-ary implicit min-heap
+    std::size_t liveCount = 0;            ///< events not yet fired
     Cycles _now = 0;
-    std::uint64_t nextSeq = 0;            ///< advances by seqStep
-    std::uint64_t _compactions = 0;
+    std::uint64_t nextSeq = 0;
     std::vector<Stream> streams; ///< by id - 1
     std::vector<std::unique_ptr<ShardChannel>> channels;
 };

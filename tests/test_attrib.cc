@@ -3,14 +3,20 @@
  * Tests for the causal attribution engine (sim/attrib): cross-CPU
  * edge linking, critical-path extraction on a hand-built trace with
  * known blame totals, differential report sign and ordering, the
- * Table III exactness contract, and byte-identical reports across
- * sweep widths.
+ * Table III exactness contract, byte-identical reports across sweep
+ * widths, and the graph builder's span lookups against an all-pairs
+ * reference.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <map>
+#include <random>
 #include <sstream>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "core/hypercall_breakdown.hh"
@@ -256,4 +262,193 @@ TEST(CausalAnalyzer, FoldedExportIsSortedAndResetForgets)
     const BlameReport rep = an.report();
     EXPECT_TRUE(rep.terms.empty());
     EXPECT_EQ(rep.operations, 0u);
+}
+
+// ---------------------------------------------------------------------
+// Differential test of the graph builder's span lookups against an
+// all-pairs reference.
+// ---------------------------------------------------------------------
+
+namespace {
+
+/** The all-pairs reference: the node on @p track containing
+ *  [q0, q1], other than @p exclude, with the least duration, the
+ *  lowest index on ties; -1 if none. */
+int
+referenceInnermost(const std::vector<CausalGraph::Node> &nodes,
+                   std::uint16_t track, Cycles q0, Cycles q1, int exclude)
+{
+    int best = -1;
+    Cycles bestDur = 0;
+    for (std::size_t i = 0; i < nodes.size(); ++i) {
+        const CausalGraph::Node &n = nodes[i];
+        if (static_cast<int>(i) == exclude || n.track != track ||
+            n.t0 > q0 || n.t1 < q1) {
+            continue;
+        }
+        const Cycles dur = n.t1 - n.t0;
+        if (best < 0 || dur < bestDur) {
+            best = static_cast<int>(i);
+            bestDur = dur;
+        }
+    }
+    return best;
+}
+
+/**
+ * A seeded random record stream: nested, overlapping, identical and
+ * zero-length spans on several tracks (noTrack among them), and edges
+ * that are linked, self-directed (out and in on one span), dangling
+ * (out without in, in without out) or stamped twice, stamped mostly
+ * on span boundaries.
+ */
+std::vector<TraceRecord>
+randomGraphRecords(std::uint64_t seed)
+{
+    static const TapId taps[] = {internTap("attrib.diff.a"),
+                                 internTap("attrib.diff.b"),
+                                 internTap("attrib.diff.c")};
+    static const std::uint16_t tracks[] = {0, 1, 2, noTrack};
+    std::mt19937_64 rng(seed);
+    struct Stamp
+    {
+        TraceRecord r;
+        int order; ///< Begin before End before edges at one instant
+    };
+    std::vector<Stamp> stamps;
+    std::vector<Cycles> bounds;
+    auto stamp = [&stamps](Cycles when, std::uint64_t arg, TapId tap,
+                           std::uint16_t track, TraceKind kind, int order) {
+        stamps.push_back(Stamp{
+            TraceRecord{when, arg, tap, track, kind, TraceCat::Switch},
+            order});
+    };
+
+    struct Span
+    {
+        Cycles t0, t1;
+        TapId tap;
+        std::uint16_t track;
+    };
+    std::vector<Span> spans;
+    const int nSpans = 20 + static_cast<int>(rng() % 200);
+    for (int i = 0; i < nSpans; ++i) {
+        if (!spans.empty() && rng() % 8 == 0) {
+            spans.push_back(spans[rng() % spans.size()]); // identical
+            continue;
+        }
+        const Cycles t0 = rng() % 1000;
+        const Cycles len = rng() % 6 == 0 ? 0 : rng() % (rng() % 2 ? 30 : 400);
+        spans.push_back(Span{t0, t0 + len, taps[rng() % 3],
+                             tracks[rng() % 4]});
+    }
+    for (const Span &sp : spans) {
+        stamp(sp.t0, 0, sp.tap, sp.track, TraceKind::Begin, 0);
+        stamp(sp.t1, 0, sp.tap, sp.track, TraceKind::End, 1);
+        bounds.push_back(sp.t0);
+        bounds.push_back(sp.t1);
+    }
+
+    auto edgeTime = [&] {
+        return rng() % 2 ? bounds[rng() % bounds.size()] : rng() % 1400;
+    };
+    const std::uint64_t nEdges = 10 + rng() % 150;
+    for (std::uint64_t token = 1; token <= nEdges; ++token) {
+        const TapId tap = edgeIpiTap();
+        const std::uint64_t shape = rng() % 8;
+        if (shape == 0) {
+            // A self-edge: out and in inside one span.
+            const Span &sp = spans[rng() % spans.size()];
+            stamp(sp.t0, token, tap, sp.track, TraceKind::EdgeOut, 2);
+            stamp(sp.t1, token, tap, sp.track, TraceKind::EdgeIn, 2);
+            continue;
+        }
+        const Cycles out = edgeTime();
+        if (shape != 1) // shape 1: an in with no out
+            stamp(out, token, tap, tracks[rng() % 4], TraceKind::EdgeOut, 2);
+        if (shape != 2) { // shape 2: an out with no in
+            stamp(std::max(out, edgeTime()), token, tap, tracks[rng() % 4],
+                  TraceKind::EdgeIn, 2);
+        }
+        if (shape == 3) { // one half stamped a second time
+            stamp(edgeTime(), token, tap, tracks[rng() % 4],
+                  rng() % 2 ? TraceKind::EdgeOut : TraceKind::EdgeIn, 2);
+        }
+    }
+
+    std::stable_sort(stamps.begin(), stamps.end(),
+                     [](const Stamp &a, const Stamp &b) {
+                         return std::tie(a.r.when, a.order) <
+                                std::tie(b.r.when, b.order);
+                     });
+    std::vector<TraceRecord> records;
+    for (const Stamp &s : stamps)
+        records.push_back(s.r);
+    return records;
+}
+
+} // namespace
+
+TEST(CausalGraph, SpanLookupsMatchAllPairsReference)
+{
+    std::size_t parented = 0, anchored = 0;
+    for (std::uint64_t seed = 1; seed <= 200; ++seed) {
+        const std::vector<TraceRecord> records = randomGraphRecords(seed);
+        const CausalGraph g =
+            buildCausalGraphFromRecords(records.data(), records.size());
+        ASSERT_FALSE(g.nodes.empty()) << "seed " << seed;
+        // Each token's halves as the stream leaves them: the last
+        // stamp wins.
+        std::map<std::uint64_t, const TraceRecord *> outs, ins;
+        for (const TraceRecord &r : records) {
+            if (r.kind == TraceKind::EdgeOut)
+                outs[r.arg] = &r;
+            else if (r.kind == TraceKind::EdgeIn)
+                ins[r.arg] = &r;
+        }
+        ASSERT_EQ(g.edges.size(), outs.size()) << "seed " << seed;
+
+        std::vector<bool> leaf(g.nodes.size(), true);
+        for (std::size_t i = 0; i < g.nodes.size(); ++i) {
+            const CausalGraph::Node &n = g.nodes[i];
+            const int want = referenceInnermost(
+                g.nodes, n.track, n.t0, n.t1, static_cast<int>(i));
+            ASSERT_EQ(n.parent, want) << "seed " << seed << " node " << i;
+            if (want >= 0) {
+                leaf[static_cast<std::size_t>(want)] = false;
+                ++parented;
+            }
+        }
+        for (std::size_t i = 0; i < g.nodes.size(); ++i)
+            ASSERT_EQ(g.nodes[i].leaf, leaf[i]) << "seed " << seed;
+
+        for (const CausalGraph::Edge &e : g.edges) {
+            ASSERT_TRUE(outs.count(e.token)) << "seed " << seed;
+            const TraceRecord &out = *outs[e.token];
+            ASSERT_EQ(e.out, out.when) << "seed " << seed;
+            ASSERT_EQ(e.fromTrack, out.track) << "seed " << seed;
+            ASSERT_EQ(e.fromNode, referenceInnermost(g.nodes, out.track,
+                                                     out.when, out.when, -1))
+                << "seed " << seed << " token " << e.token;
+            const auto in = ins.find(e.token);
+            if (in == ins.end()) {
+                ASSERT_EQ(e.toNode, -1) << "seed " << seed;
+                continue;
+            }
+            ASSERT_EQ(e.in, in->second->when) << "seed " << seed;
+            ASSERT_EQ(e.toTrack, in->second->track) << "seed " << seed;
+            ASSERT_EQ(e.toNode,
+                      referenceInnermost(g.nodes, e.toTrack, e.in, e.in, -1))
+                << "seed " << seed << " token " << e.token;
+            anchored += e.fromNode >= 0;
+        }
+        // The walk over these graphs must terminate and stay inside
+        // them, self-edges and dangling edges included.
+        const CriticalPath path = extractCriticalPath(g);
+        EXPECT_FALSE(path.steps.empty());
+    }
+    // Enough parents and anchored edges occurred for the comparison
+    // to mean something.
+    EXPECT_GT(parented, 1000u);
+    EXPECT_GT(anchored, 1000u);
 }

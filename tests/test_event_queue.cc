@@ -199,70 +199,6 @@ TEST(EventQueue, SameCycleFifoUnderHeavyChurn)
     }
 }
 
-TEST(EventQueue, CancelPreventsFiring)
-{
-    EventQueue eq;
-    int fired = 0;
-    const EventId a = eq.scheduleAt(10, [&] { fired += 1; });
-    const EventId b = eq.scheduleAt(20, [&] { fired += 10; });
-    eq.scheduleAt(30, [&] { fired += 100; });
-    EXPECT_EQ(eq.pending(), 3u);
-    EXPECT_TRUE(eq.cancel(b));
-    EXPECT_EQ(eq.pending(), 2u);
-    EXPECT_FALSE(eq.cancel(b)) << "double cancel must be a no-op";
-    eq.run();
-    EXPECT_EQ(fired, 101);
-    EXPECT_FALSE(eq.cancel(a)) << "cancelling a fired event is stale";
-    EXPECT_FALSE(eq.cancel(invalidEventId));
-}
-
-TEST(EventQueue, CancelledSlotIsSafelyReused)
-{
-    EventQueue eq;
-    int fired = 0;
-    const EventId a = eq.scheduleAt(10, [&] { fired += 1; });
-    EXPECT_TRUE(eq.cancel(a));
-    // The recycled slot hosts a new event; the stale handle must not
-    // be able to cancel it.
-    eq.scheduleAt(10, [&] { fired += 10; });
-    EXPECT_FALSE(eq.cancel(a));
-    eq.run();
-    EXPECT_EQ(fired, 10);
-}
-
-TEST(EventQueue, CancelFromWithinCallback)
-{
-    EventQueue eq;
-    int fired = 0;
-    EventId victim = invalidEventId;
-    eq.scheduleAt(5, [&] {
-        ++fired;
-        EXPECT_TRUE(eq.cancel(victim));
-    });
-    victim = eq.scheduleAt(6, [&] { fired += 100; });
-    eq.scheduleAt(7, [&] { ++fired; });
-    eq.run();
-    EXPECT_EQ(fired, 2);
-    EXPECT_EQ(eq.now(), 7u);
-}
-
-TEST(EventQueue, RunUntilSkipsCancelledFrontier)
-{
-    // A cancelled event below the limit must not cause runUntil to
-    // fire events beyond the limit.
-    EventQueue eq;
-    int fired = 0;
-    const EventId a = eq.scheduleAt(5, [&] { fired += 1; });
-    eq.scheduleAt(50, [&] { fired += 100; });
-    eq.cancel(a);
-    eq.runUntil(10);
-    EXPECT_EQ(fired, 0);
-    EXPECT_EQ(eq.now(), 10u);
-    EXPECT_EQ(eq.pending(), 1u);
-    eq.run();
-    EXPECT_EQ(fired, 100);
-}
-
 TEST(EventQueueDeath, SchedulingIntoThePastPanics)
 {
     EventQueue eq;
@@ -296,80 +232,6 @@ TEST_P(EventQueueOrderTest, PermutedInsertionFiresSorted)
 
 INSTANTIATE_TEST_SUITE_P(Seeds, EventQueueOrderTest,
                          ::testing::Range(0, 10));
-
-TEST(EventQueueCompaction, CancelChurnReclaimsDeadEntries)
-{
-    EventQueue eq;
-    std::vector<EventId> ids;
-    int fired = 0;
-    // 200 events, then cancel 150: dead entries outnumber live ones,
-    // so cancel() must compact in place instead of letting the heap
-    // carry the cancel history to the end of the run.
-    for (int i = 0; i < 200; ++i) {
-        ids.push_back(eq.scheduleAt(
-            static_cast<Cycles>(10 + i), [&fired] { ++fired; }));
-    }
-    for (int i = 0; i < 150; ++i)
-        EXPECT_TRUE(eq.cancel(ids[static_cast<std::size_t>(i)]));
-    EXPECT_GE(eq.compactions(), 1u);
-    // The invariant compaction maintains: dead entries never
-    // outnumber live ones, so sift depth tracks the live population
-    // (without compaction this heap would be 150 dead / 50 live).
-    EXPECT_LE(eq.deadEntries() * 2, eq.heapSize());
-    EXPECT_EQ(eq.heapSize(), eq.pending() + eq.deadEntries());
-    EXPECT_EQ(eq.pending(), 50u);
-    eq.run();
-    EXPECT_EQ(fired, 50);
-}
-
-TEST(EventQueueCompaction, FiringOrderSurvivesCompaction)
-{
-    EventQueue eq;
-    // Interleave schedule/cancel churn (timer-retarget pattern), then
-    // verify the survivors still fire in (time, insertion) order.
-    unsigned state = 12345u;
-    std::vector<EventId> pending;
-    std::vector<Cycles> fired;
-    for (int round = 0; round < 50; ++round) {
-        for (int i = 0; i < 20; ++i) {
-            state = state * 1664525u + 1013904223u;
-            pending.push_back(eq.scheduleAt(
-                state % 5000,
-                [&fired, &eq] { fired.push_back(eq.now()); }));
-        }
-        // Cancel three quarters of what this round scheduled.
-        for (int i = 0; i < 15; ++i) {
-            state = state * 1664525u + 1013904223u;
-            eq.cancel(pending[pending.size() - 1 -
-                              state % pending.size() % 20]);
-        }
-    }
-    const std::size_t live = eq.pending();
-    EXPECT_GE(eq.compactions(), 1u);
-    eq.run();
-    EXPECT_EQ(fired.size(), live);
-    for (std::size_t i = 1; i < fired.size(); ++i)
-        EXPECT_LE(fired[i - 1], fired[i]);
-    EXPECT_EQ(eq.deadEntries(), 0u);
-}
-
-TEST(EventQueueCompaction, SmallHeapsSkipCompaction)
-{
-    EventQueue eq;
-    // Below the compaction floor the dead entries just ride along
-    // (compacting a tiny heap costs more than it saves) and are
-    // reclaimed as they surface during the run.
-    std::vector<EventId> ids;
-    for (int i = 0; i < 20; ++i)
-        ids.push_back(eq.scheduleAt(static_cast<Cycles>(i + 1), [] {}));
-    for (int i = 0; i < 15; ++i)
-        eq.cancel(ids[static_cast<std::size_t>(i)]);
-    EXPECT_EQ(eq.compactions(), 0u);
-    EXPECT_EQ(eq.deadEntries(), 15u);
-    eq.run();
-    EXPECT_EQ(eq.deadEntries(), 0u);
-    EXPECT_EQ(eq.pending(), 0u);
-}
 
 TEST(ShardChannel, RedeclarationReusesAndTightens)
 {
@@ -574,7 +436,7 @@ fillBacklog(EventQueue &eq, const std::vector<StreamId> &ids, int *live)
 
 } // namespace
 
-TEST(EventQueueStream, ClearAndResetDestroyBackloggedCallbacks)
+TEST(EventQueueStream, ClearDestroysBackloggedCallbacks)
 {
     int live = 0;
     EventQueue eq;
@@ -591,13 +453,15 @@ TEST(EventQueueStream, ClearAndResetDestroyBackloggedCallbacks)
 
     // After clear() the clock stays; a stream may restart below its
     // dropped events' times as long as it is not in the past.
+    const Cycles at = eq.now();
     fillBacklog(eq, ids, &live);
-    eq.reset();
+    eq.clear();
     EXPECT_EQ(live, 0);
-    EXPECT_EQ(eq.now(), 0u);
+    EXPECT_EQ(eq.now(), at);
+    EXPECT_EQ(eq.heapSize(), 0u);
 }
 
-TEST(EventQueueStream, RerunAfterResetMatchesFreshQueue)
+TEST(EventQueueStream, RerunAfterClearMatchesFreshQueue)
 {
     EventQueue recycled;
     {
@@ -606,8 +470,12 @@ TEST(EventQueueStream, RerunAfterResetMatchesFreshQueue)
             warm.schedule(0);
         recycled.runUntil(20); // leave backlogs behind
     }
-    recycled.reset();
+    recycled.clear();
+    // The fresh queue starts at the recycled one's clock; from there
+    // recycled slots, a sequence that kept counting and the warm-up's
+    // streams must change nothing about what fires when.
     EventQueue fresh;
+    fresh.advanceClockTo(recycled.now());
     // A workload opens its own streams; the recycled queue keeps the
     // warm-up's five too, so the two use different ids.
     StreamWorkload a(recycled, true, 5), b(fresh, true, 5);
@@ -620,6 +488,29 @@ TEST(EventQueueStream, RerunAfterResetMatchesFreshQueue)
     ASSERT_GT(a.log.size(), 150u);
     EXPECT_EQ(a.log, b.log);
     EXPECT_EQ(recycled.now(), fresh.now());
+}
+
+TEST(EventQueue, SameCycleTiesIgnoreRecycledSlotNumbers)
+{
+    // Grow the arena past 65,536 slots and drain it: the free list
+    // then hands slots out in descending order while the sequence
+    // keeps ascending. Same-cycle ties must still fire in scheduling
+    // order, so the slot bits below the sequence never decide one.
+    constexpr int n = 70000;
+    EventQueue eq;
+    for (int i = 0; i < n; ++i)
+        eq.scheduleAt(1, [] {});
+    eq.run();
+    std::vector<int> order;
+    order.reserve(n);
+    for (int i = 0; i < n; ++i)
+        eq.scheduleAt(2, [&order, i] { order.push_back(i); });
+    const StreamId id = eq.openStream();
+    eq.scheduleOn(id, 2, [&order, n] { order.push_back(n); });
+    eq.run();
+    ASSERT_EQ(order.size(), static_cast<std::size_t>(n) + 1);
+    for (int i = 0; i <= n; ++i)
+        ASSERT_EQ(order[static_cast<std::size_t>(i)], i);
 }
 
 TEST(EventQueueStreamDeath, SchedulingBeforeTheStreamsLastEventPanics)
@@ -643,9 +534,9 @@ namespace {
 
 /**
  * Drives one queue through a seeded random mix of plain and stream
- * events, same-cycle ties, nested schedules from inside callbacks and
- * cancel bursts that force compaction, mirroring every pending event
- * in a std::set keyed on (time, scheduling order).
+ * events, same-cycle ties and nested schedules from inside callbacks,
+ * mirroring every pending event in a std::set keyed on (time,
+ * scheduling order).
  */
 struct DifferentialWorkload
 {
@@ -675,25 +566,9 @@ struct DifferentialWorkload
             // Mostly a wide spread, often a tie with the current cycle
             // or its neighbours.
             when = eq.now() + (rng() % 3 == 0 ? rng() % 3 : rng() % 400);
-            cancellable.push_back({eq.scheduleAt(when, fn), {when, seq}});
+            eq.scheduleAt(when, fn);
         }
         reference.insert({when, seq});
-    }
-
-    /** Cancel n random plain events, fired or not: the queue and the
-     *  reference must agree on which were still pending. */
-    void
-    cancelSome(std::size_t n)
-    {
-        for (; n > 0 && !cancellable.empty(); --n) {
-            const std::size_t i = rng() % cancellable.size();
-            const auto [id, key] = cancellable[i];
-            cancellable[i] = cancellable.back();
-            cancellable.pop_back();
-            const bool wasPending = reference.erase(key) == 1;
-            if (eq.cancel(id) != wasPending)
-                ++mismatches;
-        }
     }
 
     void
@@ -709,8 +584,6 @@ struct DifferentialWorkload
             for (std::uint64_t c = rng() % 3; c > 0; --c)
                 schedule(depth + 1);
         }
-        if (rng() % 4 == 0)
-            cancelSome(1);
     }
 
     /** The queue's observable state matches the reference's. */
@@ -727,7 +600,6 @@ struct DifferentialWorkload
     Cycles streamLast[nStreams] = {};
     std::uint64_t nextSeq = 0;
     std::set<Key> reference;
-    std::vector<std::pair<EventId, Key>> cancellable;
     std::size_t fired = 0;
     std::size_t mismatches = 0;
 };
@@ -736,7 +608,6 @@ struct DifferentialWorkload
 
 TEST(EventQueueDifferential, FiresInReferenceSetOrder)
 {
-    std::uint64_t compactions = 0;
     for (std::uint64_t seed = 1; seed <= 12; ++seed) {
         DifferentialWorkload w(seed);
         EventQueue &eq = w.eq;
@@ -744,11 +615,6 @@ TEST(EventQueueDifferential, FiresInReferenceSetOrder)
         for (int round = 0; round < 60; ++round) {
             for (int i = 0; i < 40; ++i)
                 w.schedule(0);
-            // Every fourth round a cancel burst: with the heap well
-            // past the compaction floor this tips dead entries over
-            // half of it.
-            if (round % 4 == 3)
-                w.cancelSome(w.cancellable.size() * 3 / 4);
             const std::size_t before = w.fired;
             const Cycles start = eq.now();
             const Cycles bound = start + drains() % 200;
@@ -781,9 +647,7 @@ TEST(EventQueueDifferential, FiresInReferenceSetOrder)
         w.expectInStep(seed);
         EXPECT_TRUE(w.reference.empty());
         EXPECT_GT(w.fired, 2000u);
-        compactions += eq.compactions();
     }
-    EXPECT_GT(compactions, 0u) << "the workload never compacted";
 }
 
 // ---------------------------------------------------------------------
@@ -807,23 +671,6 @@ TEST(EventQueueInPlace, ArenaGrowthDuringACallbackLeavesItsCaptureIntact)
     eq.run();
     EXPECT_EQ(seen, tag);
     EXPECT_EQ(fired, 1500);
-}
-
-TEST(EventQueueInPlace, CancellingTheFiringEventReturnsFalse)
-{
-    EventQueue eq;
-    EventId self = invalidEventId;
-    bool cancelled = true;
-    std::size_t pendingInside = 99;
-    self = eq.scheduleAt(5, [&] {
-        pendingInside = eq.pending();
-        cancelled = eq.cancel(self);
-    });
-    eq.scheduleAt(6, [] {});
-    eq.run();
-    EXPECT_FALSE(cancelled);
-    EXPECT_EQ(pendingInside, 1u) << "a firing event is no longer pending";
-    EXPECT_EQ(eq.now(), 6u);
 }
 
 TEST(EventQueueInPlace, ACallbackMayClearItsOwnQueue)

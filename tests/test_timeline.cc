@@ -221,12 +221,13 @@ class JsonChecker
 };
 
 /** Keep the event queue alive for `n` dummy events spaced `step`
- *  cycles apart so the sampler has something to sample across. */
+ *  cycles apart from now so the sampler has something to sample
+ *  across. */
 void
 scheduleDummies(EventQueue &eq, int n, Cycles step)
 {
     for (int i = 1; i <= n; ++i)
-        eq.scheduleAt(static_cast<Cycles>(i) * step, [] {});
+        eq.scheduleAt(eq.now() + static_cast<Cycles>(i) * step, [] {});
 }
 
 } // namespace
@@ -442,11 +443,11 @@ TEST(Timeline, ResetSeriesKeepsRegistrationsAndConfiguration)
     EXPECT_TRUE(tl.enabled());
     EXPECT_EQ(tl.period(), 50u);
 
-    // And sampling resumes identically on a rewound queue.
-    eq.reset();
-    scheduleDummies(eq, 4, 50);
-    tl.ensureScheduled(eq);
-    eq.run();
+    // And sampling resumes identically on a fresh queue.
+    EventQueue rerun;
+    scheduleDummies(rerun, 4, 50);
+    tl.ensureScheduled(rerun);
+    rerun.run();
     ASSERT_EQ(tl.sampleCount(0), 1u);
     EXPECT_EQ(tl.samplesFor(0)[0].when, 0u);
     EXPECT_EQ(tl.samplesFor(0)[0].value, 1);
@@ -550,9 +551,10 @@ TEST(TimelineFastPath, EnabledSteadyStateAllocatesNothing)
     tl.enable(10);
 
     auto schedule_workload = [&] {
+        const Cycles base = eq.now();
         scheduleDummies(eq, 50, 10);
         for (int i = 0; i < 50; ++i) {
-            eq.scheduleAt(static_cast<Cycles>(i) * 10 + 5,
+            eq.scheduleAt(base + static_cast<Cycles>(i) * 10 + 5,
                           [&level, &cum, i] {
                               level = i % 7;
                               cum += i;
@@ -567,8 +569,8 @@ TEST(TimelineFastPath, EnabledSteadyStateAllocatesNothing)
     tl.ensureScheduled(eq);
     eq.run();
 
+    // The drained queue carries on from where it stopped.
     tl.resetSeries();
-    eq.reset();
     level = 0;
     cum = 0;
     schedule_workload();
