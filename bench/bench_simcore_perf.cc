@@ -242,33 +242,6 @@ BM_Figure4SweepParallel(benchmark::State &state)
 }
 BENCHMARK(BM_Figure4SweepParallel)->Unit(benchmark::kMillisecond);
 
-/** Repeated small sweeps over a fixed configuration set on the
- *  persistent pool: after the first iteration every cell is a
- *  pool-thread wake instead of a thread spawn, plus a full world
- *  construction. */
-void
-BM_SweepPoolReuse(benchmark::State &state)
-{
-    setenv("VIRTSIM_JOBS", "4", 1);
-    const std::vector<SutKind> kinds = {
-        SutKind::KvmArm, SutKind::XenArm,
-        SutKind::KvmX86, SutKind::XenX86};
-    for (auto _ : state) {
-        const auto cells = parallelSweep(kinds, [](SutKind kind) {
-            TestbedConfig tc;
-            tc.kind = kind;
-            Testbed tb(tc);
-            MicrobenchSuite suite(tb);
-            return suite.run(MicroOp::Hypercall, 20).cycles.mean();
-        });
-        benchmark::DoNotOptimize(cells.data());
-    }
-    unsetenv("VIRTSIM_JOBS");
-    state.SetItemsProcessed(state.iterations() *
-                            static_cast<std::int64_t>(kinds.size()));
-}
-BENCHMARK(BM_SweepPoolReuse)->Unit(benchmark::kMillisecond);
-
 /** The dead-probe fast path: stamping against a disabled sink must
  *  cost one predictable branch per call (and allocate nothing — the
  *  tests assert that part). This is the per-event overhead every

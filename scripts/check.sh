@@ -14,10 +14,11 @@
 #            test_attrib), which shift and cast raw 24-byte records;
 #            standalone UBSan catches what ASan's interceptors mask.
 #   tsan:    (--with-tsan) ThreadSanitizer in build-tsan/ — runs the
-#            suites that drive the parallel sweep runner's thread
-#            pool (test_sweep, test_testbed, test_figure, test_attrib,
-#            test_microbench). Metrics counters are plain integers, so
-#            this pass is what shows no world is shared by workers.
+#            suites that drive parallel sweeps, each a fork/join of
+#            helper threads (test_sweep, test_testbed, test_figure,
+#            test_attrib, test_microbench). Metrics counters are plain
+#            integers, so this pass is what shows no world is shared
+#            by threads.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -72,8 +73,8 @@ if [[ "$with_tsan" == 1 ]]; then
     cmake --build build-tsan -j "$jobs" \
           --target test_sweep test_testbed test_figure \
                    test_attrib test_microbench
-    # The sweep pool is the one multithreaded part of the simulator;
-    # force four jobs so the suites exercise it even on a single-core
+    # Parallel sweeps are the one multithreaded part of the simulator;
+    # force four jobs so the suites exercise them even on a single-core
     # host (TSan interleaves threads regardless of core count).
     VIRTSIM_JOBS=4 TSAN_OPTIONS=halt_on_error=1 \
         ctest --test-dir build-tsan --output-on-failure -j "$jobs" \

@@ -554,6 +554,19 @@ buildGraphImpl(ForEach &&forEach)
     std::vector<EdgeHalf> outs;
     std::vector<EdgeHalf> ins;
 
+    // Each distinct tap's name, looked up once: tapName() takes the
+    // intern table's lock and copies the name. Indexed by raw tap id;
+    // empty until looked up (interned names are never empty).
+    std::vector<std::string> names;
+    auto nameOf = [&names](std::uint32_t raw) -> const std::string & {
+        if (raw >= names.size())
+            names.resize(raw + 1);
+        std::string &name = names[raw];
+        if (name.empty())
+            name = tapName(TapId::fromRaw(raw));
+        return name;
+    };
+
     forEach([&](const TraceRecord &r) {
         switch (r.kind) {
           case TraceKind::Begin:
@@ -564,7 +577,7 @@ buildGraphImpl(ForEach &&forEach)
                 if (it->tap == r.tap.raw() &&
                     it->track == r.track) {
                     CausalGraph::Node n;
-                    n.name = tapName(r.tap);
+                    n.name = nameOf(r.tap.raw());
                     n.track = r.track;
                     n.t0 = it->t0;
                     n.t1 = r.when;
@@ -616,7 +629,7 @@ buildGraphImpl(ForEach &&forEach)
     auto in = ins.begin();
     for (const EdgeHalf &out : outs) {
         CausalGraph::Edge e;
-        e.name = tapName(TapId::fromRaw(out.tap));
+        e.name = nameOf(out.tap);
         e.token = out.token;
         e.fromTrack = out.track;
         e.out = out.when;

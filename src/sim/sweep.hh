@@ -1,14 +1,13 @@
 /**
  * @file
- * Deterministic parallel sweep runner over a persistent worker pool.
+ * Deterministic parallel sweep runner: a fork/join per call.
  *
  * The large experiment sweeps — Figure 4's twelve workloads x five
  * configurations, the ablation grids, the Table II microbenchmark
  * matrix — are embarrassingly parallel: every cell builds its own
  * Testbed with its own EventQueue and PRNG and shares nothing with
- * its neighbors. parallelSweep() farms such cells out to a pool of
- * host threads while keeping the output *bit-identical* to a serial
- * run:
+ * its neighbors. parallelSweep() farms such cells out to host threads
+ * while keeping the output *bit-identical* to a serial run:
  *
  *  - tasks are handed out by an atomic index (no work stealing, no
  *    reordering queues), and
@@ -17,75 +16,41 @@
  *    interleaving — any scheduling of the same tasks yields the same
  *    output bytes.
  *
- * Worker threads are created lazily on the first parallel sweep and
- * persist for the life of the process: back-to-back sweeps (the
- * bench harness, parameter grids, repeated Figure 4 runs) reuse the
- * same threads instead of paying spawn/join per call. A sweep that
- * throws sets an abort flag so the remaining task indices are
- * abandoned rather than drained; the first exception is rethrown on
- * the calling thread.
+ * Each parallel sweep starts its helper threads, drains the index on
+ * the calling thread alongside them, and joins them before it
+ * returns; no thread outlives the call. A cell costs milliseconds and
+ * a thread start tens of microseconds, so there is nothing to reuse
+ * across sweeps. A sweep that throws sets an abort flag so the
+ * remaining task indices are abandoned rather than drained; the first
+ * exception is rethrown on the calling thread after the join.
  *
  * Thread count comes from the VIRTSIM_JOBS environment variable
- * (default: std::thread::hardware_concurrency). VIRTSIM_JOBS=1
- * forces the plain serial path — same code the harness always ran —
- * which is also used automatically for single-item sweeps and for
- * sweeps nested inside a sweep task.
+ * (default: std::thread::hardware_concurrency), capped at the number
+ * of tasks and at 256. VIRTSIM_JOBS=1 forces the plain serial path —
+ * same code the harness always ran — which is also used automatically
+ * for single-item sweeps and for sweeps nested inside a sweep task.
  */
 
 #ifndef VIRTSIM_SIM_SWEEP_HH
 #define VIRTSIM_SIM_SWEEP_HH
 
 #include <cstddef>
-#include <cstdint>
 #include <functional>
 #include <vector>
 
 namespace virtsim {
 
-class MetricsRegistry;
-
-/** Worker-thread count a sweep will use: VIRTSIM_JOBS if set (must
- *  be a positive integer), else hardware_concurrency, else 1. Read
- *  per call so tests and benches can adjust the environment. */
+/** Thread count a sweep will use: VIRTSIM_JOBS if set (must be a
+ *  positive integer), else hardware_concurrency, else 1. Read per
+ *  call so tests and benches can adjust the environment. */
 int sweepJobs();
-
-/**
- * Counters describing the persistent sweep pool, for tests and for
- * publishing into a MetricsRegistry. All values are cumulative over
- * the life of the process.
- */
-struct SweepPoolStats
-{
-    /** Persistent worker threads currently alive (never shrinks). */
-    std::size_t threads = 0;
-    /** runIndexed() calls that dispatched through the pool. */
-    std::uint64_t parallelSweeps = 0;
-    /** runIndexed() calls that took the serial path. */
-    std::uint64_t serialSweeps = 0;
-    /** Tasks completed without throwing (pool and serial paths). */
-    std::uint64_t tasksExecuted = 0;
-    /** Worker job pickups (how often a sleeping worker was handed a
-     *  sweep; compare against parallelSweeps to see reuse). */
-    std::uint64_t workerWakes = 0;
-};
-
-/** Snapshot of the pool counters. */
-SweepPoolStats sweepPoolStats();
-
-/**
- * Publish the pool counters into machine-domain metrics
- * ("sweep.pool.threads", "sweep.pool.parallel_sweeps", ...).
- * Explicit opt-in: pool totals are process-wide and scheduling
- * dependent, so they are never mixed into per-testbed snapshots
- * (which must stay byte-identical across VIRTSIM_JOBS).
- */
-void publishSweepPoolStats(MetricsRegistry &metrics);
 
 namespace sweep_detail {
 
-/** Run task(0..n-1), spreading across up to jobs pool workers;
+/** Run task(0..n-1) on up to jobs threads, the caller included;
  *  serial when jobs <= 1. A throwing task aborts the remaining
- *  indices; the first exception is rethrown after the sweep quiesces. */
+ *  indices; the first exception is rethrown after every thread has
+ *  been joined. */
 void runIndexed(std::size_t n,
                 const std::function<void(std::size_t)> &task,
                 int jobs);

@@ -7,10 +7,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstdlib>
+#include <fstream>
+#include <mutex>
+#include <set>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/appbench.hh"
@@ -134,9 +140,10 @@ TEST(Sweep, JobsEnvControlsWorkerCount)
 
 TEST(Sweep, InvalidJobsEnvIsFatal)
 {
-    // Earlier tests may have started persistent pool workers;
-    // threadsafe style re-executes the death test from scratch
-    // instead of forking a multithreaded process.
+    // Sweeps join their threads before returning, but a sanitizer
+    // runtime may keep a background thread of its own; threadsafe
+    // style re-executes the death test from scratch instead of
+    // forking a multithreaded process.
     testing::FLAGS_gtest_death_test_style = "threadsafe";
     // fatal() exits with status 1 after printing the offending value;
     // zero, negative, non-numeric and empty are all rejected.
@@ -148,35 +155,94 @@ TEST(Sweep, InvalidJobsEnvIsFatal)
     }
 }
 
-TEST(Sweep, PoolPersistsAcrossBackToBackSweeps)
+TEST(Sweep, NestedSweepRunsInlineOnTheCaller)
 {
-    ScopedJobs env("4");
-    auto task = [](std::size_t i) { return i + 1; };
+    constexpr std::size_t outer = 4;
+    constexpr std::size_t inner = 8;
+    auto square = [](std::size_t i) { return i * i; };
+    const auto serial = parallelSweepIndexed(inner, square, 1);
 
-    (void)parallelSweepIndexed(32, task);
-    const SweepPoolStats after_first = sweepPoolStats();
-    EXPECT_GE(after_first.threads, 3u); // caller + 3 helpers at jobs=4
-    EXPECT_GE(after_first.parallelSweeps, 1u);
-
-    (void)parallelSweepIndexed(32, task);
-    (void)parallelSweepIndexed(32, task);
-    const SweepPoolStats after_more = sweepPoolStats();
-
-    // Reuse, not respawn: two more sweeps ran without growing the
-    // pool, and every task completed.
-    EXPECT_EQ(after_more.threads, after_first.threads);
-    EXPECT_EQ(after_more.parallelSweeps, after_first.parallelSweeps + 2);
-    EXPECT_EQ(after_more.tasksExecuted, after_first.tasksExecuted + 64);
+    struct Cell
+    {
+        std::vector<std::size_t> results;
+        bool sameThread = true;
+    };
+    const auto cells = parallelSweepIndexed(
+        outer,
+        [&](std::size_t) {
+            const std::thread::id self = std::this_thread::get_id();
+            Cell c;
+            c.results = parallelSweepIndexed(
+                inner,
+                [&](std::size_t i) {
+                    // Long enough that helper threads, had the inner
+                    // sweep started any, would claim some indices.
+                    std::this_thread::sleep_for(
+                        std::chrono::milliseconds(1));
+                    if (std::this_thread::get_id() != self)
+                        c.sameThread = false;
+                    return square(i);
+                },
+                4);
+            return c;
+        },
+        4);
+    ASSERT_EQ(cells.size(), outer);
+    for (const Cell &c : cells) {
+        EXPECT_EQ(c.results, serial);
+        EXPECT_TRUE(c.sameThread);
+    }
 }
 
-TEST(Sweep, SerialPathIsCountedSeparately)
+namespace {
+
+/** Threads in this process per /proc/self/status, or 0 where that
+ *  file is unavailable. */
+std::size_t
+processThreads()
 {
-    const SweepPoolStats before = sweepPoolStats();
-    (void)parallelSweepIndexed(8, [](std::size_t i) { return i; }, 1);
-    const SweepPoolStats after = sweepPoolStats();
-    EXPECT_EQ(after.serialSweeps, before.serialSweeps + 1);
-    EXPECT_EQ(after.parallelSweeps, before.parallelSweeps);
-    EXPECT_EQ(after.tasksExecuted, before.tasksExecuted + 8);
+    std::ifstream status("/proc/self/status");
+    std::string line;
+    while (std::getline(status, line)) {
+        if (line.rfind("Threads:", 0) == 0)
+            return std::stoul(line.substr(8));
+    }
+    return 0;
+}
+
+} // namespace
+
+TEST(Sweep, NeverStartsMoreThreadsThanCells)
+{
+    constexpr std::size_t n = 3;
+    const std::size_t before = processThreads();
+    std::mutex m;
+    std::set<std::thread::id> ids;
+    std::size_t peak = 0;
+    std::atomic<std::size_t> started{0};
+    (void)parallelSweepIndexed(
+        n,
+        [&](std::size_t i) {
+            // Hold each task until all three are in flight (bounded,
+            // so a narrower sweep fails the id count instead of
+            // hanging), then count the threads alive at that moment.
+            started.fetch_add(1);
+            const auto deadline =
+                std::chrono::steady_clock::now() + std::chrono::seconds(10);
+            while (started.load() < n &&
+                   std::chrono::steady_clock::now() < deadline)
+                std::this_thread::yield();
+            const std::size_t alive = processThreads();
+            std::lock_guard<std::mutex> g(m);
+            ids.insert(std::this_thread::get_id());
+            peak = std::max(peak, alive);
+            return i;
+        },
+        8);
+    EXPECT_EQ(ids.size(), n); // three cells at jobs=8 run three wide
+    if (before > 0) {
+        EXPECT_LE(peak, before + n - 1); // the caller plus two helpers
+    }
 }
 
 TEST(Sweep, ThrowAbortsRemainingTasks)
