@@ -4,8 +4,9 @@
  * edge linking, critical-path extraction on a hand-built trace with
  * known blame totals, differential report sign and ordering, the
  * Table III exactness contract, byte-identical reports across sweep
- * widths, and the graph builder's span lookups against an all-pairs
- * reference.
+ * widths, the graph builder's span lookups against an all-pairs
+ * reference, and the streaming analyzer against the map-based one it
+ * replaced.
  */
 
 #include <gtest/gtest.h>
@@ -451,4 +452,455 @@ TEST(CausalGraph, SpanLookupsMatchAllPairsReference)
     // to mean something.
     EXPECT_GT(parented, 1000u);
     EXPECT_GT(anchored, 1000u);
+}
+
+// ---------------------------------------------------------------------
+// Differential test of the streaming analyzer against the map-based
+// implementation it replaced.
+// ---------------------------------------------------------------------
+
+namespace {
+
+/**
+ * The map-based streaming analyzer, kept as the reference: per-track
+ * maps, blame keyed by raw tap id in a map, folds keyed by whole
+ * raw-id stack paths, and every descendant path copied into each
+ * parent. Counts how often its pending flush and its edge eviction
+ * run, so the test can show its streams reach both.
+ */
+class MapReferenceAnalyzer
+{
+  public:
+    std::size_t flushes = 0;
+    std::size_t evictions = 0;
+
+    void
+    onTraceRecord(const TraceRecord &r)
+    {
+        switch (r.kind) {
+          case TraceKind::Begin:
+            tracks[r.track].opens.push_back(Open{r.tap.raw(), r.when});
+            return;
+          case TraceKind::End:
+            completeSpan(tracks[r.track], r);
+            return;
+          case TraceKind::EdgeOut:
+            outstanding[r.arg] = EdgeOrigin{r.when, r.tap.raw()};
+            if (outstanding.size() > edgeCap) {
+                outstanding.erase(outstanding.begin());
+                ++edgesDangling;
+                ++evictions;
+            }
+            return;
+          case TraceKind::EdgeIn: {
+            auto it = outstanding.find(r.arg);
+            if (it == outstanding.end()) {
+                ++edgesDangling;
+                return;
+            }
+            const Cycles flight =
+                r.when >= it->second.when ? r.when - it->second.when : 0;
+            BlameTerm &term = blame[r.tap.raw()];
+            term.cycles += flight;
+            term.count += 1;
+            folded[std::vector<std::uint32_t>{r.tap.raw()}] += flight;
+            ++edgesLinked;
+            outstanding.erase(it);
+            return;
+          }
+          case TraceKind::Instant:
+            return;
+        }
+    }
+
+    BlameReport
+    report()
+    {
+        flushAll();
+        BlameReport rep;
+        rep.label = "stream";
+        rep.operations = operations;
+        rep.edgesLinked = edgesLinked;
+        rep.edgesDangling = edgesDangling + outstanding.size();
+        for (const auto &[raw, term] : blame) {
+            BlameTerm t = term;
+            t.name = tapName(TapId::fromRaw(raw));
+            rep.terms.push_back(std::move(t));
+        }
+        std::sort(rep.terms.begin(), rep.terms.end(),
+                  [](const BlameTerm &a, const BlameTerm &b) {
+                      return a.name < b.name;
+                  });
+        return rep;
+    }
+
+    std::string
+    writeFolded(const std::string &root)
+    {
+        flushAll();
+        std::vector<std::string> lines;
+        for (const auto &[path, cycles] : folded) {
+            std::string line = root;
+            for (std::uint32_t raw : path) {
+                if (!line.empty())
+                    line += ";";
+                line += tapName(TapId::fromRaw(raw));
+            }
+            line += ' ';
+            line += std::to_string(cycles);
+            lines.push_back(std::move(line));
+        }
+        std::sort(lines.begin(), lines.end());
+        std::string out;
+        for (const std::string &line : lines)
+            out += line + "\n";
+        return out;
+    }
+
+  private:
+    using FoldMap = std::map<std::vector<std::uint32_t>, Cycles>;
+
+    struct Span
+    {
+        std::uint32_t tap = 0;
+        Cycles t0 = 0;
+        Cycles t1 = 0;
+        Cycles self = 0;
+        FoldMap frags;
+    };
+
+    struct Open
+    {
+        std::uint32_t tap = 0;
+        Cycles t0 = 0;
+    };
+
+    struct Track
+    {
+        std::vector<Open> opens;
+        std::vector<Span> pending;
+    };
+
+    struct EdgeOrigin
+    {
+        Cycles when = 0;
+        std::uint32_t tap = 0;
+    };
+
+    static constexpr std::size_t pendingCap = 96;
+    static constexpr std::size_t edgeCap = 4096;
+
+    void
+    completeSpan(Track &tr, const TraceRecord &r)
+    {
+        const std::uint32_t tap = r.tap.raw();
+        auto open = tr.opens.end();
+        for (auto it = tr.opens.rbegin(); it != tr.opens.rend(); ++it) {
+            if (it->tap == tap) {
+                open = std::next(it).base();
+                break;
+            }
+        }
+        if (open == tr.opens.end())
+            return;
+
+        Span s;
+        s.tap = tap;
+        s.t0 = open->t0;
+        s.t1 = r.when;
+        s.self = s.t1 >= s.t0 ? s.t1 - s.t0 : 0;
+        tr.opens.erase(open);
+
+        for (auto it = tr.pending.begin(); it != tr.pending.end();) {
+            if (it->t0 >= s.t0 && it->t1 <= s.t1) {
+                const Cycles dur = it->t1 >= it->t0 ? it->t1 - it->t0 : 0;
+                s.self = s.self > dur ? s.self - dur : 0;
+                std::vector<std::uint32_t> path{it->tap};
+                s.frags[path] += it->self;
+                for (auto &[sub, cycles] : it->frags) {
+                    path.resize(1);
+                    path.insert(path.end(), sub.begin(), sub.end());
+                    s.frags[path] += cycles;
+                }
+                it = tr.pending.erase(it);
+            } else {
+                ++it;
+            }
+        }
+
+        BlameTerm &term = blame[tap];
+        term.cycles += s.self;
+        term.count += 1;
+
+        if (r.cat == TraceCat::Op) {
+            ++operations;
+            finalizeRoot(s);
+            return;
+        }
+        tr.pending.push_back(std::move(s));
+        if (tr.pending.size() > pendingCap) {
+            ++flushes;
+            flushTrack(tr, pendingCap / 2);
+        }
+    }
+
+    void
+    finalizeRoot(const Span &s)
+    {
+        std::vector<std::uint32_t> path{s.tap};
+        folded[path] += s.self;
+        for (const auto &[sub, cycles] : s.frags) {
+            path.resize(1);
+            path.insert(path.end(), sub.begin(), sub.end());
+            folded[path] += cycles;
+        }
+    }
+
+    void
+    flushTrack(Track &tr, std::size_t keep)
+    {
+        while (tr.pending.size() > keep) {
+            finalizeRoot(tr.pending.front());
+            tr.pending.erase(tr.pending.begin());
+        }
+    }
+
+    void
+    flushAll()
+    {
+        for (auto &[id, tr] : tracks)
+            flushTrack(tr, 0);
+    }
+
+    std::map<std::uint16_t, Track> tracks;
+    std::map<std::uint64_t, EdgeOrigin> outstanding;
+    std::map<std::uint32_t, BlameTerm> blame;
+    FoldMap folded;
+    std::uint64_t operations = 0;
+    std::uint64_t edgesLinked = 0;
+    std::uint64_t edgesDangling = 0;
+};
+
+/**
+ * A seeded random record stream for the streaming analyzer: nested,
+ * overlapping, identical and zero-length spans on several tracks
+ * (noTrack among them), Op envelopes, Begins with no End and Ends
+ * with no Begin, instants, spans and edge origins emitted after their
+ * time, and edges that are linked, dangling, stamped twice, or arrive
+ * out of token order. Every third seed adds
+ * a span enclosing 100-300 children on one track, past the pending
+ * cap; every fourth adds a burst of over 4,096 outstanding edges,
+ * past the edge cap.
+ */
+std::vector<TraceRecord>
+randomStreamRecords(std::uint64_t seed)
+{
+    static const TapId taps[] = {
+        internTap("attrib.stream.a"), internTap("attrib.stream.b"),
+        internTap("attrib.stream.c"), internTap("attrib.stream.d"),
+        internTap("attrib.stream.op")};
+    static const TapId edgeTaps[] = {edgeIpiTap(), edgeLrTap(),
+                                     edgeWireTap()};
+    static const std::uint16_t tracks[] = {0, 1, 2, 7, noTrack};
+    std::mt19937_64 rng(seed);
+    auto pick = [&rng](std::size_t n) {
+        return static_cast<std::size_t>(rng() % n);
+    };
+    struct Stamp
+    {
+        TraceRecord r;
+        Cycles at;  ///< when it is emitted: its time, or later
+        int order;  ///< Begin before End before edges at one instant
+    };
+    std::vector<Stamp> stamps;
+    auto stamp = [&stamps](Cycles when, std::uint64_t arg, TapId tap,
+                           std::uint16_t track, TraceKind kind,
+                           TraceCat cat, int order, Cycles late = 0) {
+        stamps.push_back(Stamp{TraceRecord{when, arg, tap, track, kind, cat},
+                               when + late, order});
+    };
+
+    struct Span
+    {
+        Cycles t0, t1;
+        TapId tap;
+        std::uint16_t track;
+        TraceCat cat;
+    };
+    std::vector<Span> spans;
+    const std::size_t nSpans = 30 + pick(300);
+    for (std::size_t i = 0; i < nSpans; ++i) {
+        const std::size_t shape = pick(8);
+        if (!spans.empty() && shape == 0) {
+            spans.push_back(spans[pick(spans.size())]); // identical
+        } else if (!spans.empty() && shape <= 3) {
+            // Nested inside an earlier span, mostly on its track.
+            const Span &outer = spans[pick(spans.size())];
+            const Cycles t0 = outer.t0 + pick(outer.t1 - outer.t0 + 1);
+            spans.push_back(Span{t0, t0 + pick(outer.t1 - t0 + 1),
+                                 taps[pick(4)],
+                                 pick(6) ? outer.track : tracks[pick(5)],
+                                 TraceCat::Switch});
+        } else {
+            const Cycles t0 = pick(2000);
+            const Cycles len =
+                pick(6) == 0 ? 0 : pick(pick(2) ? 30 : 400);
+            spans.push_back(Span{t0, t0 + len, taps[pick(5)],
+                                 tracks[pick(5)],
+                                 pick(8) == 0 ? TraceCat::Op
+                                              : TraceCat::Switch});
+        }
+    }
+    if (seed % 3 == 0) {
+        // One envelope over more children than the pending cap holds;
+        // some children have a zero-length child of their own.
+        const std::uint16_t track = tracks[pick(5)];
+        const std::size_t kids = 100 + pick(200);
+        const Cycles base = 3000;
+        spans.push_back(Span{base, base + 4 * kids + 4, taps[pick(5)], track,
+                             pick(2) ? TraceCat::Op : TraceCat::Switch});
+        for (std::size_t k = 0; k < kids; ++k) {
+            const Cycles t0 = base + 4 * k + 1;
+            spans.push_back(
+                Span{t0, t0 + 2, taps[pick(4)], track, TraceCat::Switch});
+            if (pick(3) == 0) {
+                spans.push_back(Span{t0 + 1, t0 + 1, taps[pick(4)], track,
+                                     TraceCat::Switch});
+            }
+        }
+    }
+    for (const Span &sp : spans) {
+        // One span in four is emitted whole once it is over, as
+        // TraceSink::span() does: its Begin comes out of time order.
+        const Cycles late = pick(4) ? 0 : sp.t1 - sp.t0 + pick(50);
+        stamp(sp.t0, 0, sp.tap, sp.track, TraceKind::Begin, sp.cat, 0, late);
+        if (pick(16) != 0) { // else a Begin with no End
+            stamp(sp.t1, 0, sp.tap, sp.track, TraceKind::End, sp.cat, 1,
+                  late > 0 ? late - (sp.t1 - sp.t0) : 0);
+        }
+    }
+    for (std::size_t i = pick(4); i > 0; --i) {
+        // An End with no Begin, and an instant.
+        stamp(pick(2000), 0, taps[pick(5)], tracks[pick(5)],
+              TraceKind::End, TraceCat::Switch, 1);
+        stamp(pick(2000), 0, taps[pick(5)], tracks[pick(5)],
+              TraceKind::Instant, TraceCat::Tap, 1);
+    }
+
+    // Edges: token order is stamping order only by accident, since
+    // each token's out time is random.
+    std::uint64_t token = 0;
+    for (std::size_t i = 10 + pick(200); i > 0; --i) {
+        ++token;
+        const TapId tap = edgeTaps[pick(3)];
+        const Cycles out = pick(2500);
+        const Cycles in = pick(4) ? out + pick(300) : pick(2500);
+        const std::size_t shape = pick(8);
+        if (shape != 1) // 1: an in with no out
+            stamp(out, token, tap, tracks[pick(5)], TraceKind::EdgeOut,
+                  TraceCat::Irq, 2, pick(4) ? 0 : pick(100));
+        if (shape != 2) { // 2: an out with no in
+            stamp(in, token, shape == 4 ? edgeTaps[pick(3)] : tap,
+                  tracks[pick(5)], TraceKind::EdgeIn, TraceCat::Irq, 2);
+        }
+        if (shape == 3) { // one half stamped a second time
+            stamp(pick(2500), token, tap, tracks[pick(5)],
+                  pick(2) ? TraceKind::EdgeOut : TraceKind::EdgeIn,
+                  TraceCat::Irq, 2);
+        }
+    }
+    if (seed % 4 == 1) {
+        // More outstanding edges than the cap, their tokens presented
+        // out of order (adjacent pairs swapped), then ins for a random
+        // subset: the evicted smallest tokens dangle, the rest link.
+        const std::size_t burst = 4096 + 50 + pick(400);
+        std::vector<std::uint64_t> order(burst);
+        for (std::size_t j = 0; j < burst; ++j)
+            order[j] = token + 1 + j;
+        for (std::size_t j = 0; j + 1 < burst; j += 2) {
+            if (pick(2))
+                std::swap(order[j], order[j + 1]);
+        }
+        const Cycles base = 5000;
+        for (std::size_t j = 0; j < burst; ++j) {
+            stamp(base + j, order[j], edgeWireTap(), tracks[pick(5)],
+                  TraceKind::EdgeOut, TraceCat::Io, 2);
+            if (pick(3) == 0) {
+                stamp(base + burst + pick(burst), order[j], edgeWireTap(),
+                      tracks[pick(5)], TraceKind::EdgeIn, TraceCat::Io, 2);
+            }
+        }
+    }
+
+    std::stable_sort(stamps.begin(), stamps.end(),
+                     [](const Stamp &a, const Stamp &b) {
+                         return std::tie(a.at, a.order) <
+                                std::tie(b.at, b.order);
+                     });
+    std::vector<TraceRecord> records;
+    for (const Stamp &s : stamps)
+        records.push_back(s.r);
+    return records;
+}
+
+/** Report JSON and folded bytes of both analyzers over @p records,
+ *  with an extra report() halfway through on some seeds (later
+ *  records then see the pending spans it flushed as roots). */
+void
+expectSameAttribution(CausalAnalyzer &an, MapReferenceAnalyzer &ref,
+                      const std::vector<TraceRecord> &records,
+                      std::uint64_t seed)
+{
+    const bool midReport = seed % 5 == 2;
+    for (std::size_t i = 0; i < records.size(); ++i) {
+        if (midReport && i == records.size() / 2) {
+            ASSERT_EQ(an.report().toJson(), ref.report().toJson())
+                << "seed " << seed << " halfway";
+        }
+        an.onTraceRecord(records[i]);
+        ref.onTraceRecord(records[i]);
+    }
+    ASSERT_EQ(an.report().toJson(), ref.report().toJson())
+        << "seed " << seed;
+    const std::string root = seed % 2 ? "sut" : "";
+    std::ostringstream folded;
+    an.writeFolded(folded, root);
+    ASSERT_EQ(folded.str(), ref.writeFolded(root)) << "seed " << seed;
+}
+
+} // namespace
+
+TEST(CausalAnalyzer, StreamMatchesMapReference)
+{
+    std::size_t flushes = 0, evictions = 0, foldedLines = 0;
+    for (std::uint64_t seed = 1; seed <= 120; ++seed) {
+        const std::vector<TraceRecord> records = randomStreamRecords(seed);
+        CausalAnalyzer an("stream");
+        MapReferenceAnalyzer ref;
+        expectSameAttribution(an, ref, records, seed);
+        flushes += ref.flushes;
+        evictions += ref.evictions;
+        const std::string folded = ref.writeFolded("");
+        foldedLines += static_cast<std::size_t>(
+            std::count(folded.begin(), folded.end(), '\n'));
+
+        // reset() forgets everything: the same analyzer then matches
+        // a fresh reference over another stream alone.
+        an.reset();
+        const BlameReport empty = an.report();
+        EXPECT_TRUE(empty.terms.empty());
+        EXPECT_EQ(empty.operations, 0u);
+        EXPECT_EQ(empty.edgesLinked, 0u);
+        EXPECT_EQ(empty.edgesDangling, 0u);
+        std::ostringstream none;
+        an.writeFolded(none, "sut");
+        EXPECT_TRUE(none.str().empty()) << "seed " << seed;
+        MapReferenceAnalyzer fresh;
+        expectSameAttribution(an, fresh, randomStreamRecords(seed + 1000),
+                              seed + 1000);
+    }
+    // Both bounded paths ran, and the folds were not trivial.
+    EXPECT_GT(flushes, 40u);
+    EXPECT_GT(evictions, 1000u);
+    EXPECT_GT(foldedLines, 2000u);
 }
