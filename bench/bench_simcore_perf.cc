@@ -10,6 +10,7 @@
 
 #include <cstdlib>
 #include <memory>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -22,6 +23,7 @@
 #include "hw/cost_model.hh"
 #include "hw/cpu.hh"
 #include "hw/machine.hh"
+#include "sim/attrib.hh"
 #include "sim/event_queue.hh"
 #include "sim/flight.hh"
 #include "sim/latency.hh"
@@ -410,6 +412,40 @@ BM_FlightCaptureFullRing(benchmark::State &state)
     }
 }
 BENCHMARK(BM_FlightCaptureFullRing)->Unit(benchmark::kMicrosecond);
+
+/** The attribution sink's enabled path alone: one KVM ARM Table II
+ *  world's whole record stream (the full microbenchmark suite,
+ *  recorded once) pushed through a fresh CausalAnalyzer, then its
+ *  report and folded-stack export. Items are records. */
+void
+BM_AttribStream(benchmark::State &state)
+{
+    struct Recorder : TraceObserver
+    {
+        std::vector<TraceRecord> records;
+        void onTraceRecord(const TraceRecord &r) override
+        {
+            records.push_back(r);
+        }
+    } rec;
+    Testbed tb(TestbedConfig{.kind = SutKind::KvmArm});
+    tb.trace().enable();
+    tb.trace().setObserver(&rec);
+    MicrobenchSuite(tb).runAll();
+    tb.trace().setObserver(nullptr);
+    for (auto _ : state) {
+        CausalAnalyzer an("kvm_arm");
+        for (const TraceRecord &r : rec.records)
+            an.onTraceRecord(r);
+        std::ostringstream folded;
+        an.writeFolded(folded, an.label());
+        benchmark::DoNotOptimize(an.report().terms.data());
+        benchmark::DoNotOptimize(folded.str().data());
+    }
+    state.SetItemsProcessed(state.iterations() *
+                            static_cast<std::int64_t>(rec.records.size()));
+}
+BENCHMARK(BM_AttribStream)->Unit(benchmark::kMicrosecond);
 
 /** A fleet's event shape: 16 CPUs, each with a completion backlog of
  *  ~1.6k events behind its frontier (fleet_observed's measured

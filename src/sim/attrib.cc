@@ -10,20 +10,6 @@
 
 namespace virtsim {
 
-namespace {
-
-std::string
-fmtRow(const char *name, std::uint64_t cycles, std::uint64_t count)
-{
-    char buf[160];
-    std::snprintf(buf, sizeof(buf), "  %-32s %12llu cy %10llu x\n",
-                  name, static_cast<unsigned long long>(cycles),
-                  static_cast<unsigned long long>(count));
-    return buf;
-}
-
-} // namespace
-
 TapId
 edgeIpiTap()
 {
@@ -101,18 +87,19 @@ BlameReport::render() const
 
     // Rank by cycles for reading; ties fall back to the name order
     // the terms are stored in, so rendering stays deterministic.
-    std::vector<const BlameTerm *> ranked;
-    ranked.reserve(terms.size());
-    for (const BlameTerm &t : terms)
-        ranked.push_back(&t);
+    std::vector<BlameTerm> ranked = terms;
     std::stable_sort(ranked.begin(), ranked.end(),
-                     [](const BlameTerm *a, const BlameTerm *b) {
-                         if (a->cycles != b->cycles)
-                             return a->cycles > b->cycles;
-                         return a->name < b->name;
+                     [](const BlameTerm &a, const BlameTerm &b) {
+                         return a.cycles > b.cycles;
                      });
-    for (const BlameTerm *t : ranked)
-        out += fmtRow(t->name.c_str(), t->cycles, t->count);
+    for (const BlameTerm &t : ranked) {
+        char buf[160];
+        std::snprintf(buf, sizeof(buf), "  %-32s %12llu cy %10llu x\n",
+                      t.name.c_str(),
+                      static_cast<unsigned long long>(t.cycles),
+                      static_cast<unsigned long long>(t.count));
+        out += buf;
+    }
     return out;
 }
 
@@ -171,19 +158,21 @@ diffBlame(const BlameReport &a, const BlameReport &b)
     DiffReport d;
     d.aLabel = a.label;
     d.bLabel = b.label;
-    std::map<std::string, DiffRow> merged;
-    for (const BlameTerm &t : a.terms) {
-        DiffRow &r = merged[t.name];
-        r.name = t.name;
-        r.a = t.cycles;
+    // Both term lists are sorted by name: merge them.
+    auto ia = a.terms.begin(), ib = b.terms.begin();
+    while (ia != a.terms.end() || ib != b.terms.end()) {
+        const bool inA = ib == b.terms.end() ||
+                         (ia != a.terms.end() && ia->name <= ib->name);
+        const bool inB = ia == a.terms.end() ||
+                         (ib != b.terms.end() && ib->name <= ia->name);
+        DiffRow r;
+        r.name = inA ? ia->name : ib->name;
+        if (inA)
+            r.a = (ia++)->cycles;
+        if (inB)
+            r.b = (ib++)->cycles;
+        d.rows.push_back(std::move(r));
     }
-    for (const BlameTerm &t : b.terms) {
-        DiffRow &r = merged[t.name];
-        r.name = t.name;
-        r.b = t.cycles;
-    }
-    for (auto &[name, row] : merged)
-        d.rows.push_back(row);
     std::stable_sort(d.rows.begin(), d.rows.end(),
                      [](const DiffRow &x, const DiffRow &y) {
                          if (x.delta() != y.delta())
@@ -198,25 +187,24 @@ CausalAnalyzer::CausalAnalyzer(std::string label)
 {
 }
 
-CausalAnalyzer::Track &
-CausalAnalyzer::track(std::uint16_t id)
-{
-    return tracks[id];
-}
-
 void
 CausalAnalyzer::onTraceRecord(const TraceRecord &r)
 {
     switch (r.kind) {
       case TraceKind::Begin:
-        track(r.track).opens.push_back(
-            Open{r.tap.raw(), r.when, r.arg});
+      case TraceKind::End: {
+        // The + 1 wraps noTrack (0xffff) round to slot 0.
+        const std::size_t slot = static_cast<std::uint16_t>(r.track + 1);
+        if (slot >= tracks.size())
+            tracks.resize(slot + 1);
+        if (r.kind == TraceKind::Begin)
+            tracks[slot].opens.push_back(Open{r.tap.raw(), r.when});
+        else
+            completeSpan(tracks[slot], r);
         return;
-      case TraceKind::End:
-        completeSpan(track(r.track), r);
-        return;
+      }
       case TraceKind::EdgeOut:
-        outstanding[r.arg] = EdgeOrigin{r.when, r.tap.raw()};
+        outstanding[r.arg] = r.when;
         if (outstanding.size() > edgeCap) {
             outstanding.erase(outstanding.begin());
             ++_edgesDangling;
@@ -229,18 +217,13 @@ CausalAnalyzer::onTraceRecord(const TraceRecord &r)
             return;
         }
         // Blame the in-flight latency on the edge tap (IPI flight,
-        // LR write-to-ack, wire delay, wakeup queueing).
-        const Cycles flight =
-            r.when >= it->second.when ? r.when - it->second.when : 0;
-        BlameTerm &term = blame[r.tap.raw()];
-        term.cycles += flight;
-        term.count += 1;
-        // In-flight time is not on any span stack; surface it in the
-        // flamegraph as a root-level frame so edge-dominated worlds
-        // (device wires, vIRQ delivery) still produce folds.
-        Fold &cell = folded[std::vector<std::uint32_t>{r.tap.raw()}];
-        cell.cycles += flight;
-        cell.count += 1;
+        // LR write-to-ack, wire delay, wakeup queueing). In-flight
+        // time is not on any span stack; surface it in the flamegraph
+        // as a root-level frame so edge-dominated worlds (device
+        // wires, vIRQ delivery) still produce folds.
+        const Cycles flight = r.when >= it->second ? r.when - it->second : 0;
+        charge(r.tap.raw(), flight);
+        fold(intern(r.tap.raw(), noNode), flight);
         ++_edgesLinked;
         outstanding.erase(it);
         return;
@@ -250,59 +233,81 @@ CausalAnalyzer::onTraceRecord(const TraceRecord &r)
     }
 }
 
+std::uint32_t
+CausalAnalyzer::intern(std::uint32_t tap, std::uint32_t rest)
+{
+    // A one-frame stack is found by its tap, a longer one among the
+    // stacks already interned over the same rest.
+    if (rest == noNode && tap >= tops.size())
+        tops.resize(tap + 1, noNode);
+    // (Re-read after push_back, which may move nodes.)
+    auto head = [&]() -> std::uint32_t & {
+        return rest == noNode ? tops[tap] : nodes[rest].above;
+    };
+    for (std::uint32_t n = head(); n != noNode; n = nodes[n].next) {
+        if (nodes[n].tap == tap)
+            return n;
+    }
+    nodes.push_back(Node{tap, rest, noNode, head()});
+    return head() = static_cast<std::uint32_t>(nodes.size() - 1);
+}
+
+void
+CausalAnalyzer::charge(std::uint32_t tap, Cycles cycles)
+{
+    if (tap >= blame.size())
+        blame.resize(tap + 1);
+    blame[tap].cycles += cycles;
+    blame[tap].count += 1;
+}
+
+void
+CausalAnalyzer::fold(std::uint32_t node, Cycles cycles)
+{
+    nodes[node].cycles += cycles;
+    nodes[node].folded = true;
+}
+
 void
 CausalAnalyzer::completeSpan(Track &tr, const TraceRecord &r)
 {
-    // Match the innermost open Begin with the same tap.
+    // Match the innermost open Begin with the same tap; an End with
+    // none is dropped.
     const std::uint32_t tap = r.tap.raw();
-    auto open = tr.opens.end();
-    for (auto it = tr.opens.rbegin(); it != tr.opens.rend(); ++it) {
-        if (it->tap == tap) {
-            open = std::next(it).base();
-            break;
-        }
-    }
-    if (open == tr.opens.end()) {
-        ++_unmatched;
+    const auto open =
+        std::find_if(tr.opens.rbegin(), tr.opens.rend(),
+                     [tap](const Open &o) { return o.tap == tap; });
+    if (open == tr.opens.rend())
         return;
-    }
 
     Span s;
-    s.tap = tap;
+    s.node = intern(tap, noNode);
     s.t0 = open->t0;
     s.t1 = r.when;
     s.self = s.t1 >= s.t0 ? s.t1 - s.t0 : 0;
-    tr.opens.erase(open);
+    tr.opens.erase(std::next(open).base());
 
     // Containment parenting: children were emitted (and completed)
     // before this span and lie inside its interval — consume them,
-    // subtracting their duration from our self time and folding
-    // their stacks under ours.
-    for (auto it = tr.pending.begin(); it != tr.pending.end();) {
-        if (it->t0 >= s.t0 && it->t1 <= s.t1) {
-            const Cycles dur =
-                it->t1 >= it->t0 ? it->t1 - it->t0 : 0;
+    // subtracting their duration from our self time and re-rooting
+    // their stacks under our frame. None can if every pending span
+    // starts before this one (the common case: a leaf).
+    if (tr.latestT0 >= s.t0) {
+        fragBuf.clear();
+        std::erase_if(tr.pending, [&](const Span &c) {
+            if (c.t0 < s.t0 || c.t1 > s.t1)
+                return false;
+            const Cycles dur = c.t1 >= c.t0 ? c.t1 - c.t0 : 0;
             s.self = s.self > dur ? s.self - dur : 0;
-            std::vector<std::uint32_t> path{it->tap};
-            Fold &leaf = s.frags[path];
-            leaf.cycles += it->self;
-            leaf.count += 1;
-            for (auto &[sub, f] : it->frags) {
-                path.resize(1);
-                path.insert(path.end(), sub.begin(), sub.end());
-                Fold &cell = s.frags[path];
-                cell.cycles += f.cycles;
-                cell.count += f.count;
-            }
-            it = tr.pending.erase(it);
-        } else {
-            ++it;
-        }
+            fragBuf.push_back(Frag{intern(tap, c.node), c.self});
+            for (const Frag &f : c.frags)
+                fragBuf.push_back(Frag{intern(tap, f.node), f.cycles});
+            return true;
+        });
+        s.frags.assign(fragBuf.begin(), fragBuf.end());
     }
 
-    BlameTerm &term = blame[tap];
-    term.cycles += s.self;
-    term.count += 1;
+    charge(tap, s.self);
 
     if (r.cat == TraceCat::Op) {
         // Guest-visible operations never nest; finalize immediately
@@ -312,6 +317,7 @@ CausalAnalyzer::completeSpan(Track &tr, const TraceRecord &r)
         return;
     }
 
+    tr.latestT0 = std::max(tr.latestT0, s.t0);
     tr.pending.push_back(std::move(s));
     if (tr.pending.size() > pendingCap)
         flushTrack(tr, pendingCap / 2);
@@ -320,49 +326,37 @@ CausalAnalyzer::completeSpan(Track &tr, const TraceRecord &r)
 void
 CausalAnalyzer::finalizeRoot(const Span &s)
 {
-    std::vector<std::uint32_t> path{s.tap};
-    Fold &leaf = folded[path];
-    leaf.cycles += s.self;
-    leaf.count += 1;
-    for (const auto &[sub, f] : s.frags) {
-        path.resize(1);
-        path.insert(path.end(), sub.begin(), sub.end());
-        Fold &cell = folded[path];
-        cell.cycles += f.cycles;
-        cell.count += f.count;
-    }
+    fold(s.node, s.self);
+    for (const Frag &f : s.frags)
+        fold(f.node, f.cycles);
 }
 
 void
 CausalAnalyzer::flushTrack(Track &tr, std::size_t keep)
 {
-    while (tr.pending.size() > keep) {
-        finalizeRoot(tr.pending.front());
-        tr.pending.erase(tr.pending.begin());
-    }
-}
-
-void
-CausalAnalyzer::flushAll()
-{
-    for (auto &[id, tr] : tracks)
-        flushTrack(tr, 0);
+    const std::size_t n =
+        tr.pending.size() > keep ? tr.pending.size() - keep : 0;
+    for (std::size_t i = 0; i < n; ++i)
+        finalizeRoot(tr.pending[i]);
+    tr.pending.erase(tr.pending.begin(), tr.pending.begin() + n);
 }
 
 BlameReport
 CausalAnalyzer::report(const TraceSink *sink)
 {
-    flushAll();
+    for (Track &tr : tracks)
+        flushTrack(tr, 0);
     BlameReport rep;
     rep.label = _label;
     rep.operations = _operations;
     rep.edgesLinked = _edgesLinked;
     rep.edgesDangling = _edgesDangling + outstanding.size();
     rep.truncatedSpans = sink ? sink->truncatedSpans() : 0;
-    for (const auto &[raw, term] : blame) {
-        BlameTerm t = term;
-        t.name = tapName(TapId::fromRaw(raw));
-        rep.terms.push_back(std::move(t));
+    for (std::uint32_t raw = 0; raw < blame.size(); ++raw) {
+        if (blame[raw].count == 0)
+            continue; // no span or edge of this tap
+        rep.terms.push_back(blame[raw]);
+        rep.terms.back().name = tapName(TapId::fromRaw(raw));
     }
     // Sort by name: raw ids are interning-order and differ across
     // sweep workers; names do not.
@@ -376,18 +370,20 @@ CausalAnalyzer::report(const TraceSink *sink)
 void
 CausalAnalyzer::writeFolded(std::ostream &os, const std::string &root)
 {
-    flushAll();
+    for (Track &tr : tracks)
+        flushTrack(tr, 0);
     std::vector<std::string> lines;
-    lines.reserve(folded.size());
-    for (const auto &[path, f] : folded) {
+    for (std::uint32_t id = 0; id < nodes.size(); ++id) {
+        if (!nodes[id].folded)
+            continue; // only ever under a longer stack's root frame
         std::string line = root;
-        for (std::uint32_t raw : path) {
+        for (std::uint32_t f = id; f != noNode; f = nodes[f].rest) {
             if (!line.empty())
                 line += ";";
-            line += tapName(TapId::fromRaw(raw));
+            line += tapName(TapId::fromRaw(nodes[f].tap));
         }
         line += ' ';
-        line += std::to_string(f.cycles);
+        line += std::to_string(nodes[id].cycles);
         lines.push_back(std::move(line));
     }
     // Lexicographic by the *name* path, deterministic across runs.
@@ -415,11 +411,11 @@ CausalAnalyzer::reset()
     tracks.clear();
     outstanding.clear();
     blame.clear();
-    folded.clear();
+    nodes.clear();
+    tops.clear();
     _operations = 0;
     _edgesLinked = 0;
     _edgesDangling = 0;
-    _unmatched = 0;
 }
 
 namespace {
@@ -554,17 +550,15 @@ buildGraphImpl(ForEach &&forEach)
     std::vector<EdgeHalf> outs;
     std::vector<EdgeHalf> ins;
 
-    // Each distinct tap's name, looked up once: tapName() takes the
-    // intern table's lock and copies the name. Indexed by raw tap id;
-    // empty until looked up (interned names are never empty).
-    std::vector<std::string> names;
-    auto nameOf = [&names](std::uint32_t raw) -> const std::string & {
-        if (raw >= names.size())
-            names.resize(raw + 1);
-        std::string &name = names[raw];
-        if (name.empty())
-            name = tapName(TapId::fromRaw(raw));
-        return name;
+    // Name index by raw tap id: marked when a node or edge uses the
+    // tap, then numbered in name order once every tap is known.
+    static constexpr std::uint32_t unused = 0xffffffff;
+    std::vector<std::uint32_t> rank;
+    auto use = [&rank](std::uint32_t raw) {
+        if (raw >= rank.size())
+            rank.resize(raw + 1, unused);
+        rank[raw] = 0;
+        return raw;
     };
 
     forEach([&](const TraceRecord &r) {
@@ -576,12 +570,8 @@ buildGraphImpl(ForEach &&forEach)
             for (auto it = opens.rbegin(); it != opens.rend(); ++it) {
                 if (it->tap == r.tap.raw() &&
                     it->track == r.track) {
-                    CausalGraph::Node n;
-                    n.name = nameOf(r.tap.raw());
-                    n.track = r.track;
-                    n.t0 = it->t0;
-                    n.t1 = r.when;
-                    g.nodes.push_back(std::move(n));
+                    g.nodes.push_back(CausalGraph::Node{
+                        use(r.tap.raw()), r.track, it->t0, r.when});
                     opens.erase(std::next(it).base());
                     break;
                 }
@@ -629,7 +619,7 @@ buildGraphImpl(ForEach &&forEach)
     auto in = ins.begin();
     for (const EdgeHalf &out : outs) {
         CausalGraph::Edge e;
-        e.name = nameOf(out.tap);
+        e.name = use(out.tap);
         e.token = out.token;
         e.fromTrack = out.track;
         e.out = out.when;
@@ -643,6 +633,23 @@ buildGraphImpl(ForEach &&forEach)
         }
         g.edges.push_back(std::move(e));
     }
+    // Each tap used is named once (tapName() takes the intern table's
+    // lock and copies), and nodes and edges then hold name ranks.
+    std::vector<std::pair<std::string, std::uint32_t>> named;
+    for (std::uint32_t raw = 0; raw < rank.size(); ++raw) {
+        if (rank[raw] != unused)
+            named.emplace_back(tapName(TapId::fromRaw(raw)), raw);
+    }
+    std::sort(named.begin(), named.end());
+    for (auto &[name, raw] : named) {
+        rank[raw] = static_cast<std::uint32_t>(g.names.size());
+        g.names.push_back(std::move(name));
+    }
+    for (CausalGraph::Node &n : g.nodes)
+        n.name = rank[n.name];
+    for (CausalGraph::Edge &e : g.edges)
+        e.name = rank[e.name];
+
     // Token order is stamping order. Re-sort edges by payload so
     // downstream consumers (critical-path tie-breaks, incident JSON)
     // depend only on what was recorded.
@@ -689,26 +696,18 @@ CriticalPath::render() const
                   static_cast<unsigned long long>(unattributed()));
     std::string out = head;
     for (const CriticalPathStep &s : steps) {
-        char buf[192];
-        if (s.track == noTrack) {
-            std::snprintf(buf, sizeof(buf),
-                          "  %s %-32s [%llu..%llu] +%llu cy\n",
-                          s.isEdge ? "~>" : "  ", s.name.c_str(),
-                          static_cast<unsigned long long>(s.t0),
-                          static_cast<unsigned long long>(s.t1),
-                          static_cast<unsigned long long>(s.t1 -
-                                                          s.t0));
-        } else {
-            std::snprintf(buf, sizeof(buf),
-                          "  %s cpu%u %-32s [%llu..%llu] +%llu cy\n",
-                          s.isEdge ? "~>" : "  ",
-                          static_cast<unsigned>(s.track),
-                          s.name.c_str(),
-                          static_cast<unsigned long long>(s.t0),
-                          static_cast<unsigned long long>(s.t1),
-                          static_cast<unsigned long long>(s.t1 -
-                                                          s.t0));
+        char cpu[16] = "";
+        if (s.track != noTrack) {
+            std::snprintf(cpu, sizeof(cpu), "cpu%u ",
+                          static_cast<unsigned>(s.track));
         }
+        char buf[192];
+        std::snprintf(buf, sizeof(buf),
+                      "  %s %s%-32s [%llu..%llu] +%llu cy\n",
+                      s.isEdge ? "~>" : "  ", cpu, s.name.c_str(),
+                      static_cast<unsigned long long>(s.t0),
+                      static_cast<unsigned long long>(s.t1),
+                      static_cast<unsigned long long>(s.t1 - s.t0));
         out += buf;
     }
     return out;
@@ -721,23 +720,20 @@ extractCriticalPath(const CausalGraph &g)
     if (g.nodes.empty())
         return path;
 
-    // The operation ends where the last span ends; among spans tied
-    // on end time prefer the innermost (shortest), deterministically.
-    int cur = -1;
-    for (std::size_t i = 0; i < g.nodes.size(); ++i) {
-        const CausalGraph::Node &n = g.nodes[i];
-        if (cur < 0) {
+    // Whether node a finishes after node b; on equal end times the
+    // innermost (shortest) wins, then the lower name, deterministically.
+    auto later = [&g](std::size_t a, int b) {
+        const CausalGraph::Node &x = g.nodes[a];
+        const CausalGraph::Node &y = g.nodes[static_cast<std::size_t>(b)];
+        return std::tuple(x.t1, y.t1 - y.t0, y.name) >
+               std::tuple(y.t1, x.t1 - x.t0, x.name);
+    };
+
+    // The operation ends where the last span ends.
+    int cur = 0;
+    for (std::size_t i = 1; i < g.nodes.size(); ++i) {
+        if (later(i, cur))
             cur = static_cast<int>(i);
-            continue;
-        }
-        const CausalGraph::Node &b =
-            g.nodes[static_cast<std::size_t>(cur)];
-        const Cycles nd = n.t1 - n.t0;
-        const Cycles bd = b.t1 - b.t0;
-        if (n.t1 > b.t1 || (n.t1 == b.t1 && nd < bd) ||
-            (n.t1 == b.t1 && nd == bd && n.name < b.name)) {
-            cur = static_cast<int>(i);
-        }
     }
 
     // (node, edge) for every edge that delivers into a node, so a
@@ -760,7 +756,7 @@ extractCriticalPath(const CausalGraph &g)
         const CausalGraph::Node &n =
             g.nodes[static_cast<std::size_t>(cur)];
         rev.push_back(
-            CriticalPathStep{n.name, n.track, n.t0, n.t1, false});
+            CriticalPathStep{g.names[n.name], n.track, n.t0, n.t1, false});
 
         // Prefer hopping through the causal edge that delivered
         // work into this span: continue on the originating track.
@@ -782,7 +778,7 @@ extractCriticalPath(const CausalGraph &g)
         if (bestEdge >= 0) {
             const CausalGraph::Edge &ed =
                 g.edges[static_cast<std::size_t>(bestEdge)];
-            rev.push_back(CriticalPathStep{ed.name, ed.toTrack,
+            rev.push_back(CriticalPathStep{g.names[ed.name], ed.toTrack,
                                            ed.out, ed.in, true});
             cur = ed.fromNode;
             if (cur >= 0)
@@ -794,19 +790,8 @@ extractCriticalPath(const CausalGraph &g)
         int prev = -1;
         for (std::size_t j = 0; j < g.nodes.size(); ++j) {
             const CausalGraph::Node &p = g.nodes[j];
-            if (p.track != n.track || p.t1 > n.t0 || seen[j]) {
-                continue;
-            }
-            if (prev < 0) {
-                prev = static_cast<int>(j);
-                continue;
-            }
-            const CausalGraph::Node &b =
-                g.nodes[static_cast<std::size_t>(prev)];
-            const Cycles pd = p.t1 - p.t0;
-            const Cycles bd = b.t1 - b.t0;
-            if (p.t1 > b.t1 || (p.t1 == b.t1 && pd < bd) ||
-                (p.t1 == b.t1 && pd == bd && p.name < b.name)) {
+            if (p.track == n.track && p.t1 <= n.t0 && !seen[j] &&
+                (prev < 0 || later(j, prev))) {
                 prev = static_cast<int>(j);
             }
         }

@@ -138,11 +138,17 @@ DiffReport diffBlame(const BlameReport &a, const BlameReport &b);
 
 /**
  * Streaming attribution engine. Attach to a sink with
- * `sink.setObserver(&analyzer)`; it maintains per-track span stacks
- * and a bounded pending window, assigns each completed span's self
- * time (duration minus contained children) to its tap, folds stacks
- * for flamegraph export, and times cross-CPU edges. Memory is
- * bounded by track count and the pending cap, not run length.
+ * `sink.setObserver(&analyzer)`; it keeps per-track span stacks and a
+ * bounded pending window, assigns each completed span's self time
+ * (duration minus contained children) to its tap, folds stacks for
+ * flamegraph export, and times cross-CPU edges.
+ *
+ * Every table is flat: tracks by track id, blame by raw tap id, and
+ * folds as interned stack nodes with one cycle counter each. A node
+ * is a stack's root frame plus the node of the stack beneath it, so a
+ * pending span's descendant stacks re-root under an enclosing span
+ * with one intern each. Memory is bounded by the track count, the
+ * pending cap and the distinct stack nodes, not by run length.
  *
  * One analyzer per sink: sweep cells own their own Testbed, sink and
  * analyzer, so reports are deterministic under VIRTSIM_JOBS > 1.
@@ -179,42 +185,47 @@ class CausalAnalyzer : public TraceObserver
     void reset();
 
   private:
-    struct Fold
+    static constexpr std::uint32_t noNode = 0xffffffff;
+
+    /** One interned stack: its root frame's tap, and the stack under
+     *  that frame (noNode for a one-frame stack). */
+    struct Node
     {
-        Cycles cycles = 0;
-        std::uint64_t count = 0;
+        std::uint32_t tap = 0;
+        std::uint32_t rest = noNode;
+        std::uint32_t above = noNode; ///< first stack with this rest
+        std::uint32_t next = noNode;  ///< next stack with the same rest
+        Cycles cycles = 0;   ///< self time folded at this stack
+        bool folded = false; ///< reached as a root stack: exported
     };
 
-    /** Raw-id stack path -> accumulated self time. Rendered by name
-     *  (and re-sorted) only at export time. */
-    using FoldMap = std::map<std::vector<std::uint32_t>, Fold>;
+    /** A stack's self time, not yet folded. */
+    struct Frag
+    {
+        std::uint32_t node = 0;
+        Cycles cycles = 0;
+    };
 
     struct Span
     {
-        std::uint32_t tap = 0;
+        std::uint32_t node = 0; ///< the span's own one-frame stack
         Cycles t0 = 0;
         Cycles t1 = 0;
-        Cycles self = 0; ///< duration minus consumed children
-        FoldMap frags;   ///< descendant stacks, relative to this span
+        Cycles self = 0;         ///< duration minus consumed children
+        std::vector<Frag> frags; ///< descendants, under this frame
     };
 
     struct Open
     {
         std::uint32_t tap = 0;
         Cycles t0 = 0;
-        std::uint64_t arg = 0;
     };
 
     struct Track
     {
         std::vector<Open> opens;    ///< Begin seen, End pending
         std::vector<Span> pending;  ///< completed, awaiting a parent
-    };
-
-    struct EdgeOrigin
-    {
-        Cycles when = 0;
-        std::uint32_t tap = 0;
+        Cycles latestT0 = 0; ///< no pending span starts after this
     };
 
     /** Pending spans kept per track before the oldest are flushed as
@@ -222,25 +233,27 @@ class CausalAnalyzer : public TraceObserver
      *  bounds memory on pathological streams. */
     static constexpr std::size_t pendingCap = 96;
 
-    /** Outstanding edge-origin cap; beyond it the oldest tokens are
+    /** Outstanding edge-origin cap; beyond it the smallest tokens are
      *  dropped as dangling. */
     static constexpr std::size_t edgeCap = 4096;
 
-    Track &track(std::uint16_t id);
+    std::uint32_t intern(std::uint32_t tap, std::uint32_t rest);
+    void charge(std::uint32_t tap, Cycles cycles);
+    void fold(std::uint32_t node, Cycles cycles);
     void completeSpan(Track &tr, const TraceRecord &r);
     void finalizeRoot(const Span &s);
     void flushTrack(Track &tr, std::size_t keep);
-    void flushAll();
 
     std::string _label;
-    std::map<std::uint16_t, Track> tracks;
-    std::map<std::uint64_t, EdgeOrigin> outstanding; ///< by token
-    std::map<std::uint32_t, BlameTerm> blame; ///< by raw tap id
-    FoldMap folded;
+    std::vector<Track> tracks; ///< slot 0 is noTrack, track t is t + 1
+    std::map<std::uint64_t, Cycles> outstanding; ///< out time by token
+    std::vector<BlameTerm> blame; ///< by raw tap id, named at report
+    std::vector<Node> nodes;
+    std::vector<std::uint32_t> tops; ///< one-frame stack by raw tap id
+    std::vector<Frag> fragBuf; ///< a parent's frags, sized once copied
     std::uint64_t _operations = 0;
     std::uint64_t _edgesLinked = 0;
     std::uint64_t _edgesDangling = 0;
-    std::uint64_t _unmatched = 0; ///< Ends with no open Begin
 };
 
 /**
@@ -248,13 +261,14 @@ class CausalAnalyzer : public TraceObserver
  * retained ring (take a `sink.total()` watermark before the op and
  * pass it as @p mark). Nodes are spans parented by per-track
  * containment; edges pair EdgeOut/EdgeIn records by token and anchor
- * into the innermost containing node on each side.
+ * into the innermost containing node on each side. Nodes and edges
+ * name their tap by an index into the graph's sorted name table.
  */
 struct CausalGraph
 {
     struct Node
     {
-        std::string name;
+        std::uint32_t name = 0; ///< index into names
         std::uint16_t track = noTrack;
         Cycles t0 = 0;
         Cycles t1 = 0;
@@ -264,7 +278,7 @@ struct CausalGraph
 
     struct Edge
     {
-        std::string name;
+        std::uint32_t name = 0; ///< index into names
         std::uint64_t token = 0;
         std::uint16_t fromTrack = noTrack;
         std::uint16_t toTrack = noTrack;
@@ -276,6 +290,9 @@ struct CausalGraph
 
     std::vector<Node> nodes;
     std::vector<Edge> edges;
+    /** Each distinct tap's name once, sorted: name indices order as
+     *  the names do. */
+    std::vector<std::string> names;
 };
 
 CausalGraph buildCausalGraph(const TraceSink &sink,
