@@ -375,7 +375,7 @@ CausalAnalyzer::writeFolded(std::ostream &os, const std::string &root)
     std::vector<std::string> lines;
     for (std::uint32_t id = 0; id < nodes.size(); ++id) {
         if (!nodes[id].folded)
-            continue; // only ever under a longer stack's root frame
+            continue; // interned only as the rest of a longer stack
         std::string line = root;
         for (std::uint32_t f = id; f != noNode; f = nodes[f].rest) {
             if (!line.empty())

@@ -148,7 +148,7 @@ DiffReport diffBlame(const BlameReport &a, const BlameReport &b);
  * is a stack's root frame plus the node of the stack beneath it, so a
  * pending span's descendant stacks re-root under an enclosing span
  * with one intern each. Memory is bounded by the track count, the
- * pending cap and the distinct stack nodes, not by run length.
+ * pending and edge caps and the distinct stack nodes, not run length.
  *
  * One analyzer per sink: sweep cells own their own Testbed, sink and
  * analyzer, so reports are deterministic under VIRTSIM_JOBS > 1.
