@@ -125,28 +125,6 @@ BM_EventQueueDeepChurn(benchmark::State &state)
 }
 BENCHMARK(BM_EventQueueDeepChurn);
 
-/** clear()-then-reschedule between repetitions, as the experiment
- *  harness does; checks arena recycling after bulk teardown. */
-void
-BM_EventQueueClearReschedule(benchmark::State &state)
-{
-    EventQueue eq;
-    int fired = 0;
-    for (auto _ : state) {
-        for (int i = 0; i < 256; ++i)
-            eq.scheduleAfter(static_cast<Cycles>(i + 1),
-                             [&fired] { ++fired; });
-        eq.clear();
-        for (int i = 0; i < 256; ++i)
-            eq.scheduleAfter(static_cast<Cycles>(i + 1),
-                             [&fired] { ++fired; });
-        eq.run();
-        benchmark::DoNotOptimize(fired);
-    }
-    state.SetItemsProcessed(state.iterations() * 512);
-}
-BENCHMARK(BM_EventQueueClearReschedule);
-
 void
 BM_WorldSwitchSaveRestore(benchmark::State &state)
 {

@@ -5,9 +5,9 @@
 # Usage: scripts/check.sh [--with-tsan]
 #
 #   tier-1:  cmake + build + ctest in build/        (the seed gate),
-#            no file under tests/ may be git-ignored, and every
-#            VIRTSIM_* variable src/ reads is in README's knob list
-#            (scripts/check_knobs.sh)
+#            no file under tests/ may be git-ignored, and the
+#            VIRTSIM_* variables src/ reads are exactly README's knob
+#            list (scripts/check_knobs.sh)
 #   asan:    AddressSanitizer+UBSan ctest in build-asan/
 #   ubsan:   standalone UndefinedBehaviorSanitizer in build-ubsan/ —
 #            runs the trace/attribution tests (test_probe,

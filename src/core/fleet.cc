@@ -2,13 +2,11 @@
 
 #include <memory>
 #include <optional>
-#include <string>
 #include <vector>
 
 #include "core/observe.hh"
 #include "hw/gic.hh"
 #include "hw/machine.hh"
-#include "sim/channel.hh"
 #include "sim/env.hh"
 #include "sim/latency.hh"
 #include "sim/log.hh"
@@ -33,7 +31,7 @@ struct FleetConn
     std::uint64_t completed = 0;
 };
 
-/** The running world: machine, channels, connections. */
+/** The running world: machine, queue, connections. */
 struct FleetWorld
 {
     FleetConfig cfg;
@@ -42,13 +40,11 @@ struct FleetWorld
     std::unique_ptr<Machine> mach;
     Gic *gic = nullptr;
     Cycles wire = 0;
-    std::vector<ShardChannel *> req; ///< per-CPU client -> server
-    std::vector<ShardChannel *> rsp; ///< per-CPU server -> client
     std::vector<FleetConn> conns;
     std::uint64_t transactions = 0;
 
-    /** Every sink, armed once the machine and its channels exist;
-     *  exports carry the "fleet" tag. */
+    /** Every sink, armed once the machine exists; exports carry the
+     *  "fleet" tag. */
     std::optional<Observability> obs;
 
     /** The causal span taps the request path stamps, so an incident
@@ -116,12 +112,6 @@ struct FleetWorld
         gic = static_cast<Gic *>(&mach->irqChip());
         wire = mach->freq().cycles(cfg.wireUs);
 
-        for (int i = 0; i < cfg.nCpus; ++i) {
-            const std::string n = "cpu" + std::to_string(i);
-            req.push_back(&eq.channel("fleet.req." + n, wire));
-            rsp.push_back(&eq.channel("fleet.rsp." + n, wire));
-        }
-
         // The run drains in sampled stretches, so the analyzer takes
         // its records at each flush, in canonical merged order.
         ObserveConfig oc;
@@ -175,10 +165,9 @@ struct FleetWorld
         // in the incident window's causal graph.
         const std::uint64_t token = mach->trace().edgeOut(
             depart, edgeWireTap(), TraceCat::Io, clientTrack());
-        req[static_cast<std::size_t>(cpu)]->send(
-            at, [this, connIdx, cpu, at, token] {
-                serveRequest(connIdx, cpu, at, token);
-            });
+        eq.scheduleAt(at, [this, connIdx, cpu, at, token] {
+            serveRequest(connIdx, cpu, at, token);
+        });
     }
 
     /** The server side of one transaction on its CPU: NIC
@@ -239,12 +228,10 @@ struct FleetWorld
                 trace.span(t, done, serveTap, TraceCat::Op, trk);
                 const std::uint64_t rtok = trace.edgeOut(
                     done, edgeWireTap(), TraceCat::Io, trk);
-                rsp[static_cast<std::size_t>(cpu)]->send(
-                    done + wire,
-                    [this, connIdx, tr = done + wire, sentAt, rtok] {
-                        completeTransaction(connIdx, tr, sentAt,
-                                            rtok);
-                    });
+                eq.scheduleAt(done + wire, [this, connIdx, tr = done + wire,
+                                            sentAt, rtok] {
+                    completeTransaction(connIdx, tr, sentAt, rtok);
+                });
             });
     }
 

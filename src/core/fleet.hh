@@ -7,10 +7,8 @@
  * instance per core; this world models that shape directly — a bank
  * of server CPUs each serving a set of persistent request/response
  * connections from a client behind the 10 GbE wire. The per-CPU
- * request streams interact only through the wire, declared as
- * per-CPU latency edges "fleet.req.cpu<i>" (client -> cpu) and
- * "fleet.rsp.cpu<i>" (cpu -> client) whose latency is the wire's
- * one-way flight time.
+ * request streams interact only through the wire: a request or
+ * response is scheduled one wire flight after it departs.
  *
  * The world runs on one EventQueue. With the timeline armed (any of
  * the latency, trace, timeline or incident exports), the run stops at

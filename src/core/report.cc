@@ -120,16 +120,6 @@ formatCycles(double cycles)
 }
 
 std::string
-formatFixed(double value, int digits)
-{
-    std::ostringstream oss;
-    oss.setf(std::ios::fixed);
-    oss.precision(digits);
-    oss << value;
-    return oss.str();
-}
-
-std::string
 renderSparkline(const TimelineSampler &timeline, std::size_t gauge,
                 std::size_t width)
 {
@@ -321,13 +311,7 @@ formatDelta(double measured, double reference)
     if (reference == 0.0)
         return "n/a";
     const double pct = (measured - reference) / reference * 100.0;
-    std::ostringstream oss;
-    oss.setf(std::ios::fixed);
-    oss.precision(1);
-    if (pct >= 0)
-        oss << "+";
-    oss << pct << "%";
-    return oss.str();
+    return (pct >= 0 ? "+" : "") + formatFixed(pct, 1) + "%";
 }
 
 } // namespace virtsim

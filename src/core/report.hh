@@ -11,6 +11,8 @@
 #include <string>
 #include <vector>
 
+#include "sim/format.hh"
+
 namespace virtsim {
 
 class FlightRecorder;
@@ -44,9 +46,6 @@ class TextTable
 
 /** 6500 -> "6,500" (the paper's cycle-count formatting). */
 std::string formatCycles(double cycles);
-
-/** Fixed-point decimal with n digits. */
-std::string formatFixed(double value, int digits);
 
 /** Percentage delta vs a reference ("+8.3%"). */
 std::string formatDelta(double measured, double reference);

@@ -246,8 +246,6 @@ Testbed::buildVirtualized()
             onVmRx(t, pkt);
     };
 
-    // Backend wake and kick edges join the queue's channel table.
-    hv->declareShardChannels(eq);
     hv->start();
 }
 

@@ -99,12 +99,6 @@ Hypervisor::start()
     }
 }
 
-Cycles
-Hypervisor::chargeGuest(Cycles t, Vcpu &v, Cycles work)
-{
-    return mach.cpu(v.pcpu()).charge(t, work);
-}
-
 VgicDistributor &
 Hypervisor::dist(Vm &vm)
 {

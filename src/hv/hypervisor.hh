@@ -77,7 +77,6 @@ class Hypervisor
     Machine &machine() { return mach; }
     MetricsDomain &counters() { return mach.counters(); }
     EventQueue &queue() { return mach.queue(); }
-    WorldSwitchEngine &switchEngine() { return wse; }
 
     /** The machine's trace sink (the engine's spans go there too). */
     TraceSink &trace() { return mach.trace(); }
@@ -106,19 +105,6 @@ class Hypervisor
      *  per-VM timeline gauges (world-switch rate, per-VCPU run
      *  state); overrides must call it. */
     virtual void start();
-
-    /**
-     * Declare this hypervisor family's cross-CPU interactions as
-     * latency edges on the queue the machine runs on (KVM's
-     * ioeventfd kick). The interrupt chip's IPI edge — which carries
-     * VCPU kicks, virtual IPIs and Xen's event-channel notifications —
-     * and the wire's legs are declared by those components. Harnesses
-     * call this after the I/O backends are attached and before
-     * start(); declarations are idempotent by channel name, so a
-     * rebuild on a long-lived queue is safe. The base implementation
-     * declares nothing.
-     */
-    virtual void declareShardChannels(EventQueue &) {}
 
     /**
      * Tap id of this family's per-VM world-switch counter
@@ -205,7 +191,6 @@ class Hypervisor
 
     /** @name Policy knobs */
     ///@{
-    VirqDistribution virqDistribution() const { return virqDist; }
     void setVirqDistribution(VirqDistribution d) { virqDist = d; }
     ///@}
 
@@ -217,17 +202,6 @@ class Hypervisor
      * I/O events, not a measured transition.
      */
     virtual void blockVcpu(Vcpu &v) = 0;
-
-    /**
-     * Charge plain guest execution (application / guest kernel work)
-     * on the VCPU's physical CPU. Runs at native speed: CPU and
-     * memory virtualization are handled in hardware (Section V:
-     * "CPU and memory virtualization has been highly optimized
-     * directly in hardware ... performed largely without the
-     * hypervisor's involvement").
-     * @return completion time.
-     */
-    Cycles chargeGuest(Cycles t, Vcpu &v, Cycles work);
 
   protected:
     /** Pick the VCPU that receives the next device virtual IRQ. */

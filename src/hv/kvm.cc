@@ -350,17 +350,6 @@ KvmHypervisor::ioSignalIn(Cycles t, Vcpu &v, Done done)
 }
 
 void
-KvmHypervisor::declareShardChannels(EventQueue &eq)
-{
-    if (!_vhost)
-        return;
-    // Guest tx kick: any VCPU may trap and signal the ioeventfd; the
-    // worker sees it no sooner than the kthread notify latency.
-    chIoeventfd =
-        &eq.channel("kvm.ioeventfd", params.vhostNotifyLatency);
-}
-
-void
 KvmHypervisor::attachVirtualNic(Vm &vm, VhostBackend::Params vp)
 {
     VIRTSIM_ASSERT(!_vhost, "only one virtual NIC supported");
@@ -480,10 +469,7 @@ KvmHypervisor::guestTransmit(Cycles t, Vcpu &v, const Packet &pkt,
                      pkt.seq);
     }
     txPumpActive = true;
-    if (chIoeventfd)
-        chIoeventfd->send(t3, [this, t3] { pumpTx(t3); });
-    else
-        queue().scheduleAt(t3, [this, t3] { pumpTx(t3); });
+    queue().scheduleAt(t3, [this, t3] { pumpTx(t3); });
 }
 
 void

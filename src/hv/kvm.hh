@@ -59,7 +59,6 @@ class KvmHypervisor : public Hypervisor
 
     void start() override;
     TapId worldSwitchTap() const override;
-    void declareShardChannels(EventQueue &eq) override;
 
     void hypercall(Cycles t, Vcpu &v, Done done) override;
     void irqControllerTrap(Cycles t, Vcpu &v, Done done) override;
@@ -121,9 +120,6 @@ class KvmHypervisor : public Hypervisor
     /** Receiver-side actions waiting for a reschedule IPI, per CPU. */
     std::vector<std::deque<std::function<void(Cycles)>>> kickActions;
     std::unique_ptr<VhostBackend> _vhost;
-    /** Guest-kick-to-worker channel ("kvm.ioeventfd"); null until
-     *  declareShardChannels. */
-    ShardChannel *chIoeventfd = nullptr;
     Vm *netVm = nullptr;
     NetstackCosts net;
     /** Per-packet transmit completions, keyed by packet seq. */

@@ -34,8 +34,7 @@ chipTaps()
 
 IrqChip::IrqChip(EventQueue &eq, const CostModel &cm,
                  MetricsDomain &counters, Probe *probe)
-    : eq(eq), cm(cm), counters(counters), probe(probe),
-      ipi(eq.channel("ipi", cm.ipiFlight))
+    : eq(eq), cm(cm), counters(counters), probe(probe)
 {
 }
 
@@ -63,6 +62,10 @@ IrqChip::raisePpi(Cycles t, PcpuId cpu, IrqId irq)
 void
 IrqChip::sendIpi(Cycles t, PcpuId target, IrqId irq)
 {
+    // The one latency is added below; a departure in the past would
+    // deliver sooner than ipiFlight after now.
+    VIRTSIM_ASSERT(t >= eq.now(), "IPI sent at ", t, " before now ",
+                   eq.now());
     counters.counter(chipTaps().ipiSent).inc();
     std::uint64_t token = 0;
     if (probe) {
@@ -76,7 +79,7 @@ IrqChip::sendIpi(Cycles t, PcpuId target, IrqId irq)
     // track.
     VIRTSIM_ASSERT(handler, "no physical IRQ handler installed");
     const Cycles td = t + cm.ipiFlight;
-    ipi.send(td, [this, td, target, irq, token] {
+    eq.scheduleAt(td, [this, td, target, irq, token] {
         if (probe) {
             probe->trace.edgeIn(td, token, edgeIpiTap(),
                                 TraceCat::Irq,

@@ -32,7 +32,6 @@
 #include <vector>
 
 #include "hw/cost_model.hh"
-#include "sim/channel.hh"
 #include "sim/event_queue.hh"
 #include "sim/probe.hh"
 #include "sim/types.hh"
@@ -103,8 +102,6 @@ class IrqChip
     Probe *probe; ///< may be null (standalone chip)
     Handler handler;
     std::map<IrqId, PcpuId> routes;
-    /** Every IPI travels this edge; its latency is ipiFlight. */
-    ShardChannel &ipi;
 };
 
 /**
@@ -149,13 +146,6 @@ class Gic : public IrqChip
     /** Cycle cost of programming one list register. */
     Cycles lrWriteCost() const { return cm.listRegWrite; }
 
-    /** Cycle cost of reading back all virtual-interface state
-     *  (GICH_*), the dominant term of the Table III VGIC row. */
-    Cycles vgicStateReadCost() const
-    {
-        return cm.cost(RegClass::Vgic).save;
-    }
-
     std::array<ListReg, numListRegs> &listRegs(PcpuId cpu);
     ///@}
 
@@ -179,9 +169,6 @@ class Gic : public IrqChip
     /** @return true if any list register holds a pending/active virq. */
     bool anyVirqLive(PcpuId cpu) const;
     ///@}
-
-    /** Cost of the guest ack register read. */
-    Cycles guestAckCost() const { return cm.irqChipRegAccess; }
 
   private:
     std::vector<std::array<ListReg, numListRegs>> lrs;

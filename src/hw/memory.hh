@@ -56,8 +56,6 @@ class MainMemory
      */
     Cycles copyCost(std::uint32_t bytes);
 
-    std::size_t liveBuffers() const { return buffers.size(); }
-
   private:
     struct Buffer
     {

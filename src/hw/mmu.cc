@@ -87,8 +87,6 @@ struct MmuTaps
     TapId tlbMiss = internTap("mmu.tlb_miss");
     TapId stage2Fault = internTap("mmu.stage2_fault");
     TapId broadcastInvalidate = internTap("mmu.broadcast_invalidate");
-    TapId broadcastInvalidateVmid =
-        internTap("mmu.broadcast_invalidate_vmid");
 };
 
 const MmuTaps &
@@ -147,18 +145,6 @@ Mmu::invalidatePageBroadcast(VmId vmid, Ipa ipa)
     // x86: IPI shootdown; initiator waits for acknowledgements from
     // every other CPU (the documented reason Xen x86 gave up on
     // zero-copy grants).
-    return cm.tlbInvalidateBroadcast +
-           static_cast<Cycles>(tlbs.size() - 1) * cm.ipiFlight;
-}
-
-Cycles
-Mmu::invalidateVmidBroadcast(VmId vmid)
-{
-    for (auto &t : tlbs)
-        t.invalidateVmid(vmid);
-    counters.counter(mmuTaps().broadcastInvalidateVmid).inc();
-    if (cm.arch == Arch::Arm)
-        return cm.tlbInvalidateBroadcast;
     return cm.tlbInvalidateBroadcast +
            static_cast<Cycles>(tlbs.size() - 1) * cm.ipiFlight;
 }

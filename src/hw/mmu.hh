@@ -139,9 +139,6 @@ class Mmu
      */
     Cycles invalidatePageBroadcast(VmId vmid, Ipa ipa);
 
-    /** Invalidate a whole VMID on every CPU. @return initiator cost. */
-    Cycles invalidateVmidBroadcast(VmId vmid);
-
     Tlb &tlb(PcpuId cpu) { return tlbs.at(static_cast<std::size_t>(cpu)); }
 
     int numCpus() const { return static_cast<int>(tlbs.size()); }

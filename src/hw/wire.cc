@@ -24,9 +24,7 @@ wireTaps()
 
 Wire::Wire(EventQueue &eq, MetricsDomain &counters,
            Cycles one_way_latency, Probe *probe)
-    : counters(counters), latency(one_way_latency), probe(probe),
-      chToServer(eq.channel("wire.to_server", one_way_latency)),
-      chToClient(eq.channel("wire.to_client", one_way_latency))
+    : counters(counters), latency(one_way_latency), probe(probe), eq(eq)
 {
 }
 
@@ -34,11 +32,13 @@ void
 Wire::sendToServer(Cycles t, const Packet &pkt)
 {
     VIRTSIM_ASSERT(toServer, "wire has no server endpoint");
+    VIRTSIM_ASSERT(t >= eq.now(), "wire send at ", t, " before now ",
+                   eq.now());
     counters.counter(wireTaps().toServer).inc();
     std::uint64_t token = 0;
     if (probe)
         token = probe->trace.edgeOut(t, edgeWireTap(), TraceCat::Io);
-    chToServer.send(t + latency, [this, t, pkt, token] {
+    eq.scheduleAt(t + latency, [this, t, pkt, token] {
         if (probe) {
             probe->trace.edgeIn(t + latency, token, edgeWireTap(),
                                 TraceCat::Io);
@@ -56,11 +56,13 @@ void
 Wire::sendToClient(Cycles t, const Packet &pkt)
 {
     VIRTSIM_ASSERT(toClient, "wire has no client endpoint");
+    VIRTSIM_ASSERT(t >= eq.now(), "wire send at ", t, " before now ",
+                   eq.now());
     counters.counter(wireTaps().toClient).inc();
     std::uint64_t token = 0;
     if (probe)
         token = probe->trace.edgeOut(t, edgeWireTap(), TraceCat::Io);
-    chToClient.send(t + latency, [this, t, pkt, token] {
+    eq.scheduleAt(t + latency, [this, t, pkt, token] {
         if (probe) {
             probe->trace.edgeIn(t + latency, token, edgeWireTap(),
                                 TraceCat::Io);

@@ -16,7 +16,6 @@
 #include <functional>
 
 #include "hw/nic.hh"
-#include "sim/channel.hh"
 #include "sim/event_queue.hh"
 #include "sim/probe.hh"
 #include "sim/types.hh"
@@ -40,10 +39,11 @@ class Wire
     void setServerEndpoint(Endpoint e) { toServer = std::move(e); }
     void setClientEndpoint(Endpoint e) { toClient = std::move(e); }
 
-    /** Client -> server direction. */
+    /** Client -> server direction; the packet arrives at
+     *  t + oneWayLatency(). @pre t >= now. */
     void sendToServer(Cycles t, const Packet &pkt);
 
-    /** Server -> client direction. */
+    /** Server -> client direction. @pre t >= now. */
     void sendToClient(Cycles t, const Packet &pkt);
 
     Cycles oneWayLatency() const { return latency; }
@@ -54,10 +54,7 @@ class Wire
     Probe *probe; ///< may be null (standalone wire)
     Endpoint toServer;
     Endpoint toClient;
-    /** The two legs, declared on the queue as "wire.to_server" and
-     *  "wire.to_client" with the one-way latency. */
-    ShardChannel &chToServer;
-    ShardChannel &chToClient;
+    EventQueue &eq;
 };
 
 } // namespace virtsim

@@ -1,30 +1,13 @@
 #include "sim/event_queue.hh"
 
-#include <algorithm>
 #include <limits>
 #include <utility>
-
-#include "sim/channel.hh"
 
 namespace virtsim {
 
 EventQueue::EventQueue() = default;
 
 EventQueue::~EventQueue() = default;
-
-ShardChannel &
-EventQueue::channel(std::string name, Cycles latency)
-{
-    for (auto &ch : channels) {
-        if (ch->_name == name) {
-            ch->_latency = std::min(ch->_latency, latency);
-            return *ch;
-        }
-    }
-    channels.push_back(std::unique_ptr<ShardChannel>(
-        new ShardChannel(*this, std::move(name), latency)));
-    return *channels.back();
-}
 
 StreamId
 EventQueue::openStream()
@@ -180,21 +163,6 @@ EventQueue::step()
     s.fn.reset();
     freeSlots.push_back(slot);
     return true;
-}
-
-void
-EventQueue::clear()
-{
-    for (const Key k : heap)
-        releaseSlot(slotOf(k));
-    heap.clear();
-    for (Stream &st : streams) {
-        while (st.count != 0)
-            releaseSlot(slotOf(st.pop()));
-        st.last = 0;
-        st.inHeap = false;
-    }
-    liveCount = 0;
 }
 
 } // namespace virtsim

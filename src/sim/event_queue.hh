@@ -10,6 +10,12 @@
  * hard to achieve on real hardware via pinning and interrupt
  * isolation, and which we get for free here.
  *
+ * Each world builds its one queue once and destroys it with the
+ * world; destroying a queue destroys every pending callback, stream
+ * backlogs included. There is no reset. A cross-CPU interaction (an
+ * IPI's flight, the wire's one-way latency) is a cost its sender adds
+ * to the departure time before calling scheduleAt.
+ *
  * The implementation is built for throughput:
  *
  *  - Callbacks live in non-allocating inline storage
@@ -22,7 +28,7 @@
  *    (InlineFunction::assign), and step() calls it in place, then
  *    destroys it and frees the slot once it returns. The capture is
  *    never relocated; it stays valid while the callback schedules
- *    (and so grows the arena) or clears.
+ *    (and so grows the arena).
  *  - A pending event is one unsigned 128-bit key,
  *    `when << 64 | seq << 24 | slot`: the time in the high half,
  *    then a 40-bit scheduling sequence number, then the 24-bit arena
@@ -68,7 +74,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "sim/inline_function.hh"
@@ -76,8 +81,6 @@
 #include "sim/types.hh"
 
 namespace virtsim {
-
-class ShardChannel;
 
 /** Callback type fired when an event's time arrives. Captures are
  *  stored inline; oversized captures fail to compile. */
@@ -136,7 +139,7 @@ class EventQueue
      * decrease (a CPU's completions behind its frontier). Opening
      * allocates the stream's bookkeeping only; its ring allocates on
      * the first event that has to wait behind another.
-     * @return the stream's id, never 0. Streams survive clear().
+     * @return the stream's id, never 0.
      */
     StreamId openStream();
 
@@ -192,20 +195,6 @@ class EventQueue
     std::size_t runBefore(Cycles bound);
 
     /**
-     * Advance the clock to t without firing anything.
-     * @pre no pending event earlier than t. No-op when already past.
-     */
-    void
-    advanceClockTo(Cycles t)
-    {
-        VIRTSIM_ASSERT(nextEventTime() >= t,
-                       "advanceClockTo(", t, ") would skip an event at ",
-                       nextEventTime());
-        if (_now < t)
-            _now = t;
-    }
-
-    /**
      * Run events until the queue drains.
      * @return the final simulated time.
      */
@@ -220,20 +209,6 @@ class EventQueue
 
     /** Fire exactly one event, if any. @return true if one fired. */
     bool step();
-
-    /** Drop all pending events, stream backlogs included (used
-     *  between experiment repetitions). The clock stays where it is;
-     *  arena slots are retained and recycled by later schedules. */
-    void clear();
-
-    /**
-     * Declare a named latency edge on this queue (sim/channel.hh).
-     * Redeclaring a name — a harness rebuilding its world on a
-     * long-lived queue — returns the existing channel with the
-     * tighter of the two latencies. Channels survive clear().
-     * @return a stable reference, valid for the queue's lifetime.
-     */
-    ShardChannel &channel(std::string name, Cycles latency);
 
   private:
     /** A pending event: `when << 64 | seq << slotBits | slot`. One
@@ -342,14 +317,6 @@ class EventQueue
         return static_cast<std::uint32_t>(slotCount++);
     }
 
-    /** Destroy a pending event's callback and recycle its slot. */
-    void
-    releaseSlot(std::uint32_t slot)
-    {
-        slotAt(slot).fn.reset();
-        freeSlots.push_back(slot);
-    }
-
     /** Pop the top heap entry (which must exist). */
     void popTop();
     /** Replace the top heap entry (which must exist) with k. */
@@ -371,7 +338,6 @@ class EventQueue
     Cycles _now = 0;
     std::uint64_t nextSeq = 0;
     std::vector<Stream> streams; ///< by id - 1
-    std::vector<std::unique_ptr<ShardChannel>> channels;
 };
 
 } // namespace virtsim

@@ -7,56 +7,10 @@
 #include <ostream>
 #include <sstream>
 
+#include "sim/format.hh"
 #include "sim/log.hh"
 
 namespace virtsim {
-
-namespace {
-
-/** Same fixed-precision formatting as the other exporters so merged
- *  artifacts line up byte-for-byte. */
-std::string
-flFormatUs(double us)
-{
-    char buf[48];
-    std::snprintf(buf, sizeof(buf), "%.4f", us);
-    return buf;
-}
-
-std::string
-flJsonEscape(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size() + 2);
-    for (char c : s) {
-        switch (c) {
-          case '"':
-            out += "\\\"";
-            break;
-          case '\\':
-            out += "\\\\";
-            break;
-          case '\n':
-            out += "\\n";
-            break;
-          case '\t':
-            out += "\\t";
-            break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x",
-                              static_cast<unsigned>(c));
-                out += buf;
-            } else {
-                out += c;
-            }
-        }
-    }
-    return out;
-}
-
-} // namespace
 
 void
 FlightRecorder::configure(Cycles windowHalf, Cycles period,
@@ -324,25 +278,25 @@ FlightRecorder::renderIncidentJson(std::size_t i,
     const FlightIncident &inc = incident(i);
     std::ostringstream os;
     os << "{\"schema\":\"virtsim-incident-1\""
-       << ",\"world\":\"" << flJsonEscape(world) << "\""
+       << ",\"world\":\"" << jsonEscape(world) << "\""
        << ",\"seq\":" << inc.seq
-       << ",\"frequency_ghz\":" << flFormatUs(freq.ghz())
-       << ",\"window_us\":" << flFormatUs(freq.us(window));
+       << ",\"frequency_ghz\":" << formatFixed(freq.ghz(), 4)
+       << ",\"window_us\":" << formatFixed(freq.us(window), 4);
 
     os << ",\n\"trigger\":{\"at_cycles\":" << inc.triggerAt
-       << ",\"at_us\":" << flFormatUs(freq.us(inc.triggerAt))
+       << ",\"at_us\":" << formatFixed(freq.us(inc.triggerAt), 4)
        << ",\"sources\":[";
     for (std::size_t s = 0; s < inc.sources.size(); ++s) {
         if (s)
             os << ",";
-        os << "\"" << flJsonEscape(inc.sources[s]) << "\"";
+        os << "\"" << jsonEscape(inc.sources[s]) << "\"";
     }
     os << "]}";
 
     os << ",\n\"window\":{\"begin_cycles\":" << inc.begin
-       << ",\"begin_us\":" << flFormatUs(freq.us(inc.begin))
+       << ",\"begin_us\":" << formatFixed(freq.us(inc.begin), 4)
        << ",\"end_cycles\":" << inc.end
-       << ",\"end_us\":" << flFormatUs(freq.us(inc.end))
+       << ",\"end_us\":" << formatFixed(freq.us(inc.end), 4)
        << ",\"clipped\":" << (inc.clipped ? "true" : "false")
        << ",\"truncated\":" << (inc.truncated ? "true" : "false")
        << ",\"records\":" << inc.records.size() << "}";
@@ -354,7 +308,7 @@ FlightRecorder::renderIncidentJson(std::size_t i,
         const CriticalPathStep &st = inc.critical.steps[s];
         if (s)
             os << ",";
-        os << "\n{\"name\":\"" << flJsonEscape(st.name) << "\""
+        os << "\n{\"name\":\"" << jsonEscape(st.name) << "\""
            << ",\"track\":" << st.track << ",\"t0\":" << st.t0
            << ",\"t1\":" << st.t1 << ",\"edge\":"
            << (st.isEdge ? "true" : "false") << "}";
@@ -375,7 +329,7 @@ FlightRecorder::renderIncidentJson(std::size_t i,
         const DiffRow &row = diff.rows[r];
         if (r)
             os << ",";
-        os << "\n{\"name\":\"" << flJsonEscape(row.name) << "\""
+        os << "\n{\"name\":\"" << jsonEscape(row.name) << "\""
            << ",\"incident_cycles\":" << row.a
            << ",\"reference_cycles\":" << row.b
            << ",\"delta_cycles\":" << row.delta() << "}";
@@ -387,7 +341,7 @@ FlightRecorder::renderIncidentJson(std::size_t i,
         const FlightIncident::GaugeSeries &gs = inc.gauges[g];
         if (g)
             os << ",";
-        os << "\n{\"name\":\"" << flJsonEscape(gs.name) << "\""
+        os << "\n{\"name\":\"" << jsonEscape(gs.name) << "\""
            << ",\"track\":" << gs.track << ",\"samples\":[";
         for (std::size_t s = 0; s < gs.samples.size(); ++s) {
             if (s)
@@ -413,9 +367,9 @@ FlightRecorder::renderIncidentJson(std::size_t i,
            << to_string(static_cast<LatencyPhase>(p)) << "\""
            << ",\"window_count\":" << ps.windowCount
            << ",\"window_sum_cycles\":" << ps.windowSum
-           << ",\"window_mean_us\":" << flFormatUs(meanUs)
-           << ",\"p50_us\":" << flFormatUs(freq.us(ps.p50))
-           << ",\"p99_us\":" << flFormatUs(freq.us(ps.p99)) << "}";
+           << ",\"window_mean_us\":" << formatFixed(meanUs, 4)
+           << ",\"p50_us\":" << formatFixed(freq.us(ps.p50), 4)
+           << ",\"p99_us\":" << formatFixed(freq.us(ps.p99), 4) << "}";
     }
     os << "]}";
 
@@ -466,13 +420,13 @@ FlightRecorder::writeAnnotationEvents(std::ostream &os,
             sources += s;
         }
         os << ",\n{\"ph\":\"X\",\"pid\":0,\"tid\":0,\"ts\":"
-           << flFormatUs(freq.us(inc.begin)) << ",\"dur\":"
-           << flFormatUs(freq.us(inc.end - inc.begin))
+           << formatFixed(freq.us(inc.begin), 4) << ",\"dur\":"
+           << formatFixed(freq.us(inc.end - inc.begin), 4)
            << ",\"name\":\"incident #" << inc.seq
            << "\",\"cat\":\"incident\",\"args\":{\"sources\":\""
-           << flJsonEscape(sources) << "\"}}";
+           << jsonEscape(sources) << "\"}}";
         os << ",\n{\"ph\":\"i\",\"pid\":0,\"tid\":0,\"ts\":"
-           << flFormatUs(freq.us(inc.triggerAt))
+           << formatFixed(freq.us(inc.triggerAt), 4)
            << ",\"name\":\"incident.trigger\",\"s\":\"g\""
            << ",\"cat\":\"incident\",\"args\":{\"seq\":" << inc.seq
            << "}}";

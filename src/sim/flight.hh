@@ -153,7 +153,6 @@ class FlightRecorder
     bool enabled() const { return _enabled; }
 
     Cycles windowHalf() const { return window; }
-    Cycles retention() const { return _retention; }
 
     /**
      * Open a pending incident around simulated instant `now`.

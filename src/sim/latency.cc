@@ -2,9 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 #include <sstream>
 
+#include "sim/format.hh"
 #include "sim/units.hh"
 
 namespace virtsim {
@@ -201,19 +201,9 @@ RequestTracker::reset()
 {
     for (auto &h : table)
         h.reset();
-    lastId = 0;
 }
 
 namespace {
-
-/** %.4f without locale surprises (matches the timeline exporter). */
-std::string
-latFormatUs(double us)
-{
-    char buf[64];
-    std::snprintf(buf, sizeof(buf), "%.4f", us);
-    return std::string(buf);
-}
 
 void
 writeHistJson(std::ostream &os, const LatencyHistogram &h,
@@ -225,17 +215,17 @@ writeHistJson(std::ostream &os, const LatencyHistogram &h,
            << ",\"max_cycles\":" << h.max()
            << ",\"sum_cycles\":" << h.sum()
            << ",\"mean_us\":"
-           << latFormatUs(f.us(h.sum()) /
-                          static_cast<double>(h.count()))
+           << formatFixed(f.us(h.sum()) /
+                          static_cast<double>(h.count()), 4)
            << ",\"p50_cycles\":" << h.p50()
            << ",\"p90_cycles\":" << h.p90()
            << ",\"p99_cycles\":" << h.p99()
            << ",\"p999_cycles\":" << h.p999()
-           << ",\"p50_us\":" << latFormatUs(f.us(h.p50()))
-           << ",\"p90_us\":" << latFormatUs(f.us(h.p90()))
-           << ",\"p99_us\":" << latFormatUs(f.us(h.p99()))
-           << ",\"p999_us\":" << latFormatUs(f.us(h.p999()))
-           << ",\"max_us\":" << latFormatUs(f.us(h.max()));
+           << ",\"p50_us\":" << formatFixed(f.us(h.p50()), 4)
+           << ",\"p90_us\":" << formatFixed(f.us(h.p90()), 4)
+           << ",\"p99_us\":" << formatFixed(f.us(h.p99()), 4)
+           << ",\"p999_us\":" << formatFixed(f.us(h.p999()), 4)
+           << ",\"max_us\":" << formatFixed(f.us(h.max()), 4);
     }
     // Sparse nonzero buckets: validators recompute quantiles and
     // violation mass from these and cross-check the fields above.

@@ -257,10 +257,6 @@ class RequestTracker
 
     int cpus() const { return _cpus; }
 
-    /** Fresh request id (client side). */
-    std::uint64_t nextRequestId() { return ++lastId; }
-    std::uint64_t requestsIssued() const { return lastId; }
-
     /** Record one phase latency for a request served by `cpu`. The
      *  hot path: one predicted branch when disabled, zero-alloc
      *  bucket increments when enabled. */
@@ -319,7 +315,6 @@ class RequestTracker
 
     int _cpus = 0;
     bool _enabled = false;
-    std::uint64_t lastId = 0;
     /** [slotOf(cpu, phase)], sized by configure(). */
     std::vector<LatencyHistogram> table;
 };

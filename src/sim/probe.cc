@@ -1,7 +1,6 @@
 #include "sim/probe.hh"
 
 #include <algorithm>
-#include <cstdio>
 #include <deque>
 #include <fstream>
 #include <mutex>
@@ -9,6 +8,7 @@
 #include <unordered_map>
 
 #include "sim/flight.hh"
+#include "sim/format.hh"
 #include "sim/log.hh"
 
 namespace virtsim {
@@ -32,49 +32,6 @@ internTable()
 {
     static InternTable table;
     return table;
-}
-
-/** Format cycles as microseconds with fixed sub-ns precision, so
- *  exported JSON is byte-stable. */
-std::string
-formatUs(double us)
-{
-    char buf[48];
-    std::snprintf(buf, sizeof(buf), "%.4f", us);
-    return buf;
-}
-
-std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size() + 2);
-    for (char c : s) {
-        switch (c) {
-          case '"':
-            out += "\\\"";
-            break;
-          case '\\':
-            out += "\\\\";
-            break;
-          case '\n':
-            out += "\\n";
-            break;
-          case '\t':
-            out += "\\t";
-            break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x",
-                              static_cast<unsigned>(c));
-                out += buf;
-            } else {
-                out += c;
-            }
-        }
-    }
-    return out;
 }
 
 } // namespace
@@ -198,43 +155,6 @@ TraceSink::flushObserver()
         obs->onTraceRecord(ring[m.slot]);
 }
 
-std::optional<Cycles>
-TraceSink::find(std::uint64_t flow, TapId tap) const
-{
-    const std::size_t n = size();
-    for (std::size_t i = 0; i < n; ++i) {
-        const TraceRecord &r = at(i);
-        if (r.kind == TraceKind::Instant && r.cat == TraceCat::Tap &&
-            r.tap == tap && r.arg == flow) {
-            return r.when;
-        }
-    }
-    return std::nullopt;
-}
-
-std::optional<Cycles>
-TraceSink::between(std::uint64_t flow, TapId from, TapId to) const
-{
-    const std::size_t n = size();
-    std::optional<Cycles> t0;
-    for (std::size_t i = 0; i < n; ++i) {
-        const TraceRecord &r = at(i);
-        if (r.kind != TraceKind::Instant || r.cat != TraceCat::Tap ||
-            r.arg != flow) {
-            continue;
-        }
-        if (!t0) {
-            if (r.tap == from)
-                t0 = r.when;
-            continue;
-        }
-        // First `from` found: pair with the nearest following `to`.
-        if (r.tap == to && r.when >= *t0)
-            return r.when - *t0;
-    }
-    return std::nullopt;
-}
-
 void
 writeChromeTrace(std::ostream &os, const TraceSink &sink,
                  const Frequency &freq, const std::string &process,
@@ -291,7 +211,7 @@ writeChromeTrace(std::ostream &os, const TraceSink &sink,
             if (!out)
                 os << ",\"bp\":\"e\"";
             os << ",\"pid\":0,\"tid\":" << r.track
-               << ",\"ts\":" << formatUs(freq.us(r.when))
+               << ",\"ts\":" << formatFixed(freq.us(r.when), 4)
                << ",\"id\":" << it->second << ",\"name\":\""
                << jsonEscape(tapName(r.tap)) << "\",\"cat\":\""
                << to_string(r.cat) << "\"}";
@@ -301,7 +221,7 @@ writeChromeTrace(std::ostream &os, const TraceSink &sink,
                          : r.kind == TraceKind::End ? "E"
                                                     : "i";
         os << ",\n{\"ph\":\"" << ph << "\",\"pid\":0,\"tid\":"
-           << r.track << ",\"ts\":" << formatUs(freq.us(r.when))
+           << r.track << ",\"ts\":" << formatFixed(freq.us(r.when), 4)
            << ",\"name\":\"" << jsonEscape(tapName(r.tap))
            << "\",\"cat\":\"" << to_string(r.cat) << "\"";
         if (r.kind == TraceKind::Instant)
@@ -459,11 +379,9 @@ MetricsSnapshot::render() const
                std::to_string(r.value) + "\n";
     }
     for (const HistogramRow &r : histograms) {
-        char buf[64];
-        std::snprintf(buf, sizeof(buf), "%.1f", r.mean);
         out += r.domain + "/" + r.name + " : n=" +
                std::to_string(r.count) + " min=" +
-               std::to_string(r.min) + " mean=" + buf +
+               std::to_string(r.min) + " mean=" + formatFixed(r.mean, 1) +
                " max=" + std::to_string(r.max) + "\n";
     }
     return out;
@@ -538,14 +456,12 @@ MetricsSnapshot::toJson() const
         if (!first)
             out += ",";
         first = false;
-        char mean[64];
-        std::snprintf(mean, sizeof(mean), "%.4f", r.mean);
         out += "{\"domain\":\"" + jsonEscape(r.domain) +
                "\",\"name\":\"" + jsonEscape(r.name) +
                "\",\"count\":" + std::to_string(r.count) +
                ",\"min\":" + std::to_string(r.min) +
                ",\"max\":" + std::to_string(r.max) +
-               ",\"mean\":" + mean + "}";
+               ",\"mean\":" + formatFixed(r.mean, 4) + "}";
     }
     out += "]}";
     return out;

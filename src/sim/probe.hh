@@ -32,7 +32,6 @@
 #include <cstdint>
 #include <iosfwd>
 #include <memory>
-#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -215,11 +214,11 @@ class TraceSink
 
     /**
      * Spans whose opening edge (a Begin, or the `from` stamp of a
-     * Tap pair) was overwritten by ring wrap. Post-hoc pairing such
-     * as between() would otherwise silently pair the surviving close
-     * with a *later* open; this counter makes that hazard visible —
-     * reports and the exporter surface it, and Probe::syncTraceHealth
-     * publishes it into the metrics snapshot.
+     * Tap pair) was overwritten by ring wrap. Post-hoc pairing of
+     * the retained records would otherwise silently pair the
+     * surviving close with a *later* open; this counter makes that
+     * hazard visible — reports and the exporter surface it, and
+     * Probe::syncTraceHealth publishes it into the metrics snapshot.
      */
     std::uint64_t truncatedSpans() const { return truncated; }
 
@@ -242,7 +241,6 @@ class TraceSink
      * sampling instant.
      */
     void setObserverDeferred(bool on) { obsDeferred = on; }
-    bool observerDeferred() const { return obsDeferred; }
 
     /**
      * Deliver every not-yet-delivered record to the observer in
@@ -403,20 +401,6 @@ class TraceSink
      *  order of forEachMerged(). Cold path, like forEachMerged(). */
     std::vector<TraceRecord> mergedWindow(Cycles begin,
                                           Cycles end) const;
-
-    /** First tap stamp of the given flow, if retained. */
-    std::optional<Cycles> find(std::uint64_t flow, TapId tap) const;
-
-    /**
-     * Duration between two tap stamps of the same flow: the first
-     * `from` stamp paired with the nearest *following* `to` stamp.
-     * Repeated stamps of the same flow (retries, multi-packet
-     * transactions) therefore pair up causally instead of matching a
-     * stale earlier `to`.
-     * @return nullopt if either stamp is missing.
-     */
-    std::optional<Cycles> between(std::uint64_t flow, TapId from,
-                                  TapId to) const;
     ///@}
 
   private:
@@ -451,7 +435,7 @@ class TraceSink
         if (_total >= cap) {
             // About to overwrite: losing a span's opening edge makes
             // post-hoc pairing unsound, so count it instead of
-            // letting between()/analysis mispair silently.
+            // letting analysis mispair silently.
             const TraceRecord &old = ring[head];
             if (old.kind == TraceKind::Begin ||
                 (old.kind == TraceKind::Instant &&

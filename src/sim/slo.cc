@@ -1,9 +1,9 @@
 #include "sim/slo.hh"
 
 #include <cmath>
-#include <cstdio>
 #include <sstream>
 
+#include "sim/format.hh"
 #include "sim/probe.hh"
 #include "sim/timeline.hh"
 
@@ -129,18 +129,6 @@ SloEngine::publish(MetricsRegistry &metrics) const
     }
 }
 
-namespace {
-
-std::string
-sloFormat(double v, int digits)
-{
-    char buf[64];
-    std::snprintf(buf, sizeof(buf), "%.*f", digits, v);
-    return std::string(buf);
-}
-
-} // namespace
-
 std::string
 SloEngine::verdictsJson(const Frequency &freq) const
 {
@@ -153,19 +141,19 @@ SloEngine::verdictsJson(const Frequency &freq) const
         first = false;
         os << "\n{\"name\":\"" << v.spec.name << "\",\"phase\":\""
            << to_string(v.spec.phase) << "\",\"quantile\":"
-           << sloFormat(v.spec.quantile, 4)
+           << formatFixed(v.spec.quantile, 4)
            << ",\"threshold_cycles\":" << v.spec.thresholdCycles
            << ",\"threshold_us\":"
-           << sloFormat(freq.us(v.spec.thresholdCycles), 4)
+           << formatFixed(freq.us(v.spec.thresholdCycles), 4)
            << ",\"max_violation_fraction\":"
-           << sloFormat(v.spec.maxViolationFraction, 6)
+           << formatFixed(v.spec.maxViolationFraction, 6)
            << ",\"requests\":" << v.requests
            << ",\"violations\":" << v.violations
            << ",\"violation_fraction\":"
-           << sloFormat(v.violationFraction(), 6)
+           << formatFixed(v.violationFraction(), 6)
            << ",\"observed_quantile_cycles\":" << v.observedQuantile
            << ",\"observed_quantile_us\":"
-           << sloFormat(freq.us(v.observedQuantile), 4)
+           << formatFixed(freq.us(v.observedQuantile), 4)
            << ",\"windows\":" << v.windows << ",\"burnt_windows\":"
            << v.burntWindows << ",\"pass\":"
            << (v.pass() ? "true" : "false") << "}";

@@ -1,59 +1,16 @@
 #include "sim/timeline.hh"
 
-#include <cstdio>
 #include <ostream>
 #include <sstream>
 
 #include "sim/event_queue.hh"
+#include "sim/format.hh"
 #include "sim/log.hh"
 #include "sim/probe.hh"
 
 namespace virtsim {
 
 namespace {
-
-/** Same fixed-precision formatting as the TraceSink exporter, so
- *  merged counter events line up byte-for-byte with span timestamps. */
-std::string
-tlFormatUs(double us)
-{
-    char buf[48];
-    std::snprintf(buf, sizeof(buf), "%.4f", us);
-    return buf;
-}
-
-std::string
-tlJsonEscape(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size() + 2);
-    for (char c : s) {
-        switch (c) {
-          case '"':
-            out += "\\\"";
-            break;
-          case '\\':
-            out += "\\\\";
-            break;
-          case '\n':
-            out += "\\n";
-            break;
-          case '\t':
-            out += "\\t";
-            break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x",
-                              static_cast<unsigned>(c));
-                out += buf;
-            } else {
-                out += c;
-            }
-        }
-    }
-    return out;
-}
 
 const char *
 kindName(TimelineSampler::GaugeKind k)
@@ -367,7 +324,7 @@ TimelineSampler::renderJson(const Frequency &freq) const
     std::ostringstream os;
     os << "{\"schema\":\"virtsim-timeline-1\""
        << ",\"period_cycles\":" << _period
-       << ",\"frequency_ghz\":" << tlFormatUs(freq.ghz())
+       << ",\"frequency_ghz\":" << formatFixed(freq.ghz(), 4)
        << ",\"ticks\":" << _ticks
        << ",\"dropped_samples\":" << _dropped << ",\"series\":[";
     bool firstSeries = true;
@@ -375,7 +332,7 @@ TimelineSampler::renderJson(const Frequency &freq) const
         if (!firstSeries)
             os << ",";
         firstSeries = false;
-        os << "{\"name\":\"" << tlJsonEscape(s.name) << "\""
+        os << "{\"name\":\"" << jsonEscape(s.name) << "\""
            << ",\"track\":" << s.track << ",\"kind\":\""
            << kindName(s.kind) << "\",\"samples\":[";
         for (std::uint32_t i = 0; i < s.used; ++i) {
@@ -393,7 +350,7 @@ TimelineSampler::renderJson(const Frequency &freq) const
         if (i)
             os << ",";
         const Anomaly &a = anomalyBuf[i];
-        os << "{\"rule\":\"" << tlJsonEscape(rules[a.rule].name)
+        os << "{\"rule\":\"" << jsonEscape(rules[a.rule].name)
            << "\",\"begin_cycles\":" << a.begin
            << ",\"end_cycles\":" << a.end << ",\"peak\":" << a.peak
            << "}";
@@ -416,7 +373,7 @@ TimelineSampler::renderCsv(const Frequency &freq) const
             out += ",";
             out += std::to_string(s.samples[i].when);
             out += ",";
-            out += tlFormatUs(freq.us(s.samples[i].when));
+            out += formatFixed(freq.us(s.samples[i].when), 4);
             out += ",";
             out += std::to_string(s.samples[i].value);
             out += "\n";
@@ -430,10 +387,10 @@ TimelineSampler::writeCounterEvents(std::ostream &os,
                                     const Frequency &freq) const
 {
     for (const Series &s : series) {
-        const std::string name = tlJsonEscape(s.name);
+        const std::string name = jsonEscape(s.name);
         for (std::uint32_t i = 0; i < s.used; ++i) {
             os << ",\n{\"ph\":\"C\",\"pid\":0,\"tid\":0,\"ts\":"
-               << tlFormatUs(freq.us(s.samples[i].when))
+               << formatFixed(freq.us(s.samples[i].when), 4)
                << ",\"name\":\"" << name << "\",\"args\":{\"value\":"
                << s.samples[i].value << "}}";
         }

@@ -51,6 +51,27 @@ TEST_F(GicFixture, IpiArrivesAfterFlight)
     EXPECT_EQ(when, 1000 + cm.ipiFlight);
 }
 
+TEST(IrqChipDeath, IpiSentBeforeNowDies)
+{
+    // The IPI's one latency is added to its departure time, so a
+    // departure in the past would arrive sooner than ipiFlight after
+    // the sending instant.
+    ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+    EXPECT_DEATH(
+        {
+            EventQueue eq;
+            CostModel cm = CostModel::armAtlas();
+            MetricsDomain counters("test");
+            Gic gic(eq, cm, counters, 4);
+            gic.setPhysIrqHandler([](Cycles, PcpuId, IrqId) {});
+            eq.scheduleAt(50, [&gic] {
+                gic.sendIpi(49, 3, sgiRescheduleIrq);
+            });
+            eq.run();
+        },
+        "IPI sent at 49 before now 50");
+}
+
 TEST_F(GicFixture, VirqLifecycle)
 {
     // Inject -> pending; ack -> active; complete -> free, at the

@@ -113,6 +113,30 @@ TEST(Wire, DeliversBothDirectionsWithLatency)
     EXPECT_EQ(client_at, 1200u);
 }
 
+TEST(WireDeath, SendBeforeNowDies)
+{
+    // The one-way latency is added to the departure time, so a
+    // departure in the past would arrive sooner than the latency
+    // after the sending instant.
+    ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+    const auto sendAt = [](bool toServer) {
+        EventQueue eq;
+        MetricsDomain counters("test");
+        Wire wire(eq, counters, 1000);
+        wire.setServerEndpoint([](Cycles, const Packet &) {});
+        wire.setClientEndpoint([](Cycles, const Packet &) {});
+        eq.scheduleAt(50, [&wire, toServer] {
+            if (toServer)
+                wire.sendToServer(49, Packet{});
+            else
+                wire.sendToClient(49, Packet{});
+        });
+        eq.run();
+    };
+    EXPECT_DEATH(sendAt(true), "wire send at 49 before now 50");
+    EXPECT_DEATH(sendAt(false), "wire send at 49 before now 50");
+}
+
 TEST(MainMemory, OwnershipAndCopyCosts)
 {
     CostModel cm = CostModel::armAtlas();

@@ -169,7 +169,7 @@ TEST_F(BackendFixture, NetbackTxChargesDom0AndEmitsFrame)
     EXPECT_GT(m.cpu(np.dom0Pcpu).busyCycles(), 0u);
 }
 
-TEST(TraceSink, StampsAndIntervals)
+TEST(TraceSink, StampsOnlyWhileEnabled)
 {
     const TapId recv = internTap("test.recv");
     const TapId send = internTap("test.send");
@@ -180,29 +180,8 @@ TEST(TraceSink, StampsAndIntervals)
     sink.stamp(150, 1, send);
     sink.stamp(120, 2, recv);
     EXPECT_EQ(sink.size(), 3u);
-    EXPECT_EQ(sink.find(1, recv).value(), 100u);
-    EXPECT_EQ(sink.between(1, recv, send).value(), 50u);
-    EXPECT_FALSE(sink.between(1, send, recv).has_value());
-    EXPECT_FALSE(sink.find(3, recv).has_value());
     sink.clear();
     EXPECT_EQ(sink.size(), 0u);
-}
-
-TEST(TraceSink, BetweenPairsNearestFollowingStamp)
-{
-    // Regression: a retried transaction stamps the same taps twice.
-    // `between` must pair the first `from` with the nearest
-    // *following* `to`, not a stale earlier one or the global first.
-    const TapId from = internTap("test.pair.from");
-    const TapId to = internTap("test.pair.to");
-    TraceSink sink;
-    sink.enable();
-    sink.stamp(50, 7, to);    // stale `to` before any `from`
-    sink.stamp(100, 7, from);
-    sink.stamp(130, 7, to);   // the causal partner
-    sink.stamp(200, 7, from); // retry pair, must be ignored
-    sink.stamp(260, 7, to);
-    EXPECT_EQ(sink.between(7, from, to).value(), 30u);
 }
 
 TEST(Report, TextTableAlignsAndCounts)
@@ -230,6 +209,8 @@ TEST(Report, Formatting)
     EXPECT_EQ(formatCycles(11557), "11,557");
     EXPECT_EQ(formatCycles(1234567), "1,234,567");
     EXPECT_EQ(formatFixed(1.347, 2), "1.35");
+    // Longer than any fixed buffer: never truncated.
+    EXPECT_EQ(formatFixed(1e70, 2).size(), 74u);
     EXPECT_EQ(formatDelta(110, 100), "+10.0%");
     EXPECT_EQ(formatDelta(95, 100), "-5.0%");
     EXPECT_EQ(formatDelta(1, 0), "n/a");
