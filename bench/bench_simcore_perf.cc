@@ -30,7 +30,6 @@
 #include "sim/probe.hh"
 #include "sim/slo.hh"
 #include "sim/sweep.hh"
-#include "sim/timeline.hh"
 
 using namespace virtsim;
 
@@ -249,27 +248,6 @@ BM_DeadProbeStamp(benchmark::State &state)
     state.SetItemsProcessed(state.iterations() * 4000);
 }
 BENCHMARK(BM_DeadProbeStamp);
-
-/** The dead-timeline fast path: ensureScheduled() against a disabled
- *  sampler is the per-run cost every un-sampled workload pays. Like
- *  BM_DeadProbeStamp it must stay one predictable branch per call;
- *  the tests assert the allocation-free part. */
-void
-BM_DeadTimelineTick(benchmark::State &state)
-{
-    EventQueue eq;
-    TimelineSampler timeline; // never enabled
-    std::int64_t level = 0;
-    timeline.addGauge("bench.deadtimeline",
-                      [&level] { return level; });
-    for (auto _ : state) {
-        for (int i = 0; i < 1000; ++i)
-            timeline.ensureScheduled(eq);
-        benchmark::DoNotOptimize(timeline);
-    }
-    state.SetItemsProcessed(state.iterations() * 1000);
-}
-BENCHMARK(BM_DeadTimelineTick);
 
 /** The dead-latency fast path: record() against a disabled tracker is
  *  the per-phase cost every un-tracked run pays — it must stay one

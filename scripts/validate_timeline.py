@@ -4,8 +4,10 @@
 Usage: scripts/validate_timeline.py FILE [FILE...]
 
 Checks each file against the "virtsim-timeline-1" schema (required
-keys, monotone non-negative sample timestamps, well-formed series and
-anomaly records) and — unless --allow-anomalies is given — fails when
+keys, well-formed series and anomaly records, sample timestamps that
+are non-negative multiples of period_cycles and strictly increase
+within a series, so no series holds two samples at one instant) and —
+unless --allow-anomalies is given — fails when
 the watchdog recorded any anomaly. CI runs this over the paper-bench
 timeline artifacts so a saturated LR file or a wedged VCPU in a
 Table II / Table V configuration fails the build.
@@ -45,6 +47,7 @@ def validate(path, allow_anomalies):
     if doc["period_cycles"] < 1:
         errors.append(f"{path}: non-positive period_cycles")
 
+    period = doc["period_cycles"]
     names = set()
     for s in doc["series"]:
         for key in REQUIRED_SERIES:
@@ -73,6 +76,16 @@ def validate(path, allow_anomalies):
                     errors.append(
                         f"{path}: series '{name}' timestamps not "
                         "monotone non-negative")
+                    break
+                if when == prev:
+                    errors.append(
+                        f"{path}: series '{name}' holds two samples "
+                        f"at cycle {when}")
+                    break
+                if period >= 1 and when % period != 0:
+                    errors.append(
+                        f"{path}: series '{name}' sample at cycle "
+                        f"{when} is off the {period}-cycle period")
                     break
                 prev = when
 

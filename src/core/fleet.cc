@@ -305,25 +305,6 @@ struct FleetWorld
         });
     }
 
-    /**
-     * Run the queue dry, sampling the timeline (when armed) at every
-     * period-aligned instant. The deferred trace observer is flushed
-     * after every stretch between two instants and once at the end.
-     * @return the final simulated time.
-     */
-    Cycles
-    drain()
-    {
-        TimelineSampler &tl = mach->probe().timeline;
-        TraceSink *trace = &mach->trace();
-        if (tl.enabled())
-            tl.runSampled(eq, [trace] { trace->flushObserver(); });
-        else
-            eq.run();
-        trace->flushObserver();
-        return eq.now();
-    }
-
     FleetResult
     run()
     {
@@ -347,7 +328,7 @@ struct FleetWorld
         }
 
         FleetResult r;
-        r.finalTime = drain();
+        r.finalTime = obs->drain();
         r.transactions = transactions;
         r.sloBreaches = obs->sloBreaches();
         r.anomalies = mach->probe().timeline.anomalyCount();

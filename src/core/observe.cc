@@ -148,6 +148,20 @@ Observability::attribution()
     return *attrib;
 }
 
+Cycles
+Observability::drain()
+{
+    EventQueue &eq = m.queue();
+    TimelineSampler &tl = m.probe().timeline;
+    TraceSink *trace = &m.trace();
+    if (tl.enabled())
+        tl.runSampled(eq, [trace] { trace->flushObserver(); });
+    else
+        eq.run();
+    trace->flushObserver();
+    return eq.now();
+}
+
 void
 Observability::reset()
 {

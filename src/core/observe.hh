@@ -50,8 +50,8 @@ struct ObserveConfig
      *  above it, judged over 2 ms burn windows. */
     std::vector<SloSpec> slos;
     double sloP99Us = 0;
-    /** The analyzer sees records only at TraceSink::flushObserver()
-     *  (a world that drains its queue in sampled stretches). */
+    /** The analyzer sees records only at TraceSink::flushObserver(),
+     *  which drain() calls after every sampled stretch. */
     bool deferAnalyzer = false;
     /** Arm a sink without its export (no file is written). */
     bool trace = false;
@@ -92,6 +92,16 @@ class Observability
     {
         return slo.armed() ? slo.breaches() : 0;
     }
+
+    /**
+     * Run the machine's queue dry. With the timeline armed the queue
+     * stops at every period-aligned instant for a sample
+     * (TimelineSampler::runSampled); otherwise it runs straight
+     * through. The deferred trace observer is flushed after every
+     * stretch between two instants and once at the end.
+     * @return the final simulated time.
+     */
+    Cycles drain();
 
     /** Forget run-scoped sink state (SLO windows, flight recorder,
      *  blame) after the probe itself was reset. */

@@ -199,15 +199,9 @@ class Testbed
     Cycles wireLatency() const { return wire_->oneWayLatency(); }
     ///@}
 
-    /** Drain the event queue. @return final simulated time. */
-    Cycles
-    run()
-    {
-        // One predicted branch when sampling is off; otherwise arm
-        // the first sampling tick before the queue starts draining.
-        server->probe().timeline.ensureScheduled(eq);
-        return eq.run();
-    }
+    /** Drain the event queue, sampling the timeline when it is
+     *  armed (Observability::drain). @return final simulated time. */
+    Cycles run() { return obs->drain(); }
 
     /** The machine's timeline sampler (gauge series + watchdog). */
     TimelineSampler &timeline() { return server->probe().timeline; }

@@ -63,22 +63,6 @@ Tlb::invalidatePage(VmId vmid, Ipa ipa)
                     order.end());
 }
 
-void
-Tlb::invalidateVmid(VmId vmid)
-{
-    // Key layout places the vmid in the high bits; filter by re-check.
-    for (auto it = order.begin(); it != order.end();) {
-        const std::uint64_t k = *it;
-        if ((k >> 40) ==
-            static_cast<std::uint64_t>(static_cast<std::uint32_t>(vmid))) {
-            entries.erase(k);
-            it = order.erase(it);
-        } else {
-            ++it;
-        }
-    }
-}
-
 namespace {
 
 struct MmuTaps

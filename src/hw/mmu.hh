@@ -92,9 +92,6 @@ class Tlb
     /** Invalidate one page of one VMID. */
     void invalidatePage(VmId vmid, Ipa ipa);
 
-    /** Invalidate everything belonging to a VMID. */
-    void invalidateVmid(VmId vmid);
-
     std::size_t size() const { return entries.size(); }
 
   private:

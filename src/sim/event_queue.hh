@@ -187,9 +187,9 @@ class EventQueue
     /**
      * Fire every event with timestamp strictly below bound, leaving
      * the clock at the last fired event (unlike runUntil, the clock
-     * is NOT advanced to the bound). The fleet runs to each timeline
-     * sampling instant this way, so a sample at t sees every event
-     * below t and none at or after it.
+     * is NOT advanced to the bound). TimelineSampler::runSampled
+     * runs to each sampling instant this way, so a sample at t sees
+     * every event below t and none at or after it.
      * @return number of events fired.
      */
     std::size_t runBefore(Cycles bound);

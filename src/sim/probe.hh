@@ -237,8 +237,8 @@ class TraceSink
      * Switch observer dispatch from inline (at every push — the
      * classic streaming mode) to deferred: records accumulate in the
      * ring and are delivered in canonical merged order by
-     * flushObserver(), which the fleet calls at every timeline
-     * sampling instant.
+     * flushObserver(), which a world's drain (Observability::drain)
+     * calls after every stretch between two sampling instants.
      */
     void setObserverDeferred(bool on) { obsDeferred = on; }
 

@@ -1,5 +1,6 @@
 #include "sim/timeline.hh"
 
+#include <algorithm>
 #include <ostream>
 #include <sstream>
 
@@ -127,20 +128,6 @@ TimelineSampler::ruleName(std::uint32_t r) const
 }
 
 void
-TimelineSampler::scheduleOn(EventQueue &eq)
-{
-    if (scheduled)
-        return;
-    scheduled = true;
-    // Ticks land on period-aligned simulated timestamps, so the
-    // sample instants do not depend on when the sampler was armed.
-    const Cycles now = eq.now();
-    const Cycles first =
-        (now % _period == 0) ? now : ((now / _period) + 1) * _period;
-    eq.scheduleAt(first, [this, &eq] { tick(eq); });
-}
-
-void
 TimelineSampler::store(Series &s, Cycles now, std::int64_t value)
 {
     // Change deduplication: a gauge that sits at the same level for
@@ -245,33 +232,20 @@ TimelineSampler::runSampled(EventQueue &eq,
                             InlineFunction<void()> afterStretch)
 {
     VIRTSIM_ASSERT(_enabled, "runSampled() on a disabled sampler");
-    Cycles tickAt = (eq.now() + _period - 1) / _period * _period;
+    // Instants land on period multiples, so they do not depend on when
+    // the sampler was armed. A drain that ended on a multiple already
+    // sampled it; nextTick carries on past it.
+    nextTick = std::max(nextTick,
+                        (eq.now() + _period - 1) / _period * _period);
     for (Cycles next;
          (next = eq.nextEventTime()) != noPendingEvent;) {
-        for (; tickAt <= next; tickAt += _period)
-            sampleTick(tickAt);
-        eq.runBefore(tickAt);
+        for (; nextTick <= next; nextTick += _period)
+            sampleTick(nextTick);
+        eq.runBefore(nextTick);
         if (afterStretch)
             afterStretch();
     }
     return eq.now();
-}
-
-void
-TimelineSampler::tick(EventQueue &eq)
-{
-    scheduled = false;
-    if (!_enabled)
-        return;
-    const Cycles now = eq.now();
-    sampleTick(now);
-    // step() retires the firing event before invoking it, so
-    // pending() here counts only *other* live events: reschedule
-    // while real work remains, and let run() drain otherwise.
-    if (eq.pending() > 0) {
-        scheduled = true;
-        eq.scheduleAt(now + _period, [this, &eq] { tick(eq); });
-    }
 }
 
 void
@@ -315,7 +289,7 @@ TimelineSampler::resetSeries()
     _anomaliesDropped = 0;
     _dropped = 0;
     _ticks = 0;
-    scheduled = false;
+    nextTick = 0;
 }
 
 std::string

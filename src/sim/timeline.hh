@@ -7,15 +7,17 @@
  * *state over time* — how deep the NIC ring sits, which exception
  * level each CPU occupies, how full the GIC list registers are.
  * Components register lightweight gauge providers at construction;
- * a TimelineSampler scheduled on the event kernel reads every gauge
- * at a fixed simulated-time period and accumulates fixed-capacity POD
- * series. Because sampling happens at simulated timestamps driven by
- * the deterministic event queue, the exported series are byte-
- * identical across VIRTSIM_JOBS.
+ * runSampled() drains the event queue in stretches, stopping at every
+ * period-aligned simulated instant to read every gauge into
+ * fixed-capacity POD series. The sampler schedules no event of its
+ * own, so it reads the model without becoming part of it. Because the
+ * instants are simulated timestamps of the deterministic event queue,
+ * the exported series are byte-identical across VIRTSIM_JOBS.
  *
- * Cost model mirrors TraceSink: when disabled, the only per-run cost
- * is one predictable branch in ensureScheduled(); when enabled, the
- * sampling tick touches preallocated arrays only — no heap traffic.
+ * Cost model mirrors TraceSink: when disabled, a world's drain
+ * (Observability::drain) runs its queue straight through and the
+ * sampler costs nothing; when enabled, a sampling tick touches
+ * preallocated arrays only — no heap traffic.
  *
  * The Watchdog layers declarative rules over the live series
  * ("value >= threshold sustained for N cycles") and records
@@ -23,9 +25,10 @@
  * a saturated LR file or a ring-drop burst fails CI instead of
  * silently skewing a table.
  *
- * Include-cycle note: event_queue.hh includes probe.hh which includes
- * this header, so EventQueue and MetricsRegistry are forward-declared
- * and everything that needs their definitions lives in timeline.cc.
+ * Include-cycle note: probe.hh includes this header and defines
+ * MetricsRegistry, so MetricsRegistry (and EventQueue, to keep this
+ * header light) are forward-declared and everything that needs their
+ * definitions lives in timeline.cc.
  */
 
 #ifndef VIRTSIM_SIM_TIMELINE_HH
@@ -148,36 +151,12 @@ class TimelineSampler
     Cycles period() const { return _period; }
 
     /**
-     * Schedule the next sampling tick if sampling is enabled and no
-     * tick is pending. Called at the top of every Testbed::run(); the
-     * disabled path is a single predicted branch.
-     */
-    void
-    ensureScheduled(EventQueue &eq)
-    {
-        if (!_enabled) [[likely]]
-            return;
-        scheduleOn(eq);
-    }
-
-    /**
-     * Take one sample of every gauge at simulated instant `now`, as
-     * the in-queue tick does but without touching an event queue.
-     * The fleet drives this between runs of its queue to each
-     * period-aligned instant: a sample at instant t reads state
-     * after all events with time < t and before any event at
-     * time >= t.
-     * No-op while disabled. Do not mix with the in-queue tick chain
-     * in one run.
-     */
-    void sampleTick(Cycles now);
-
-    /**
      * Run `eq` dry, stopping at every period-aligned instant t from
-     * eq.now() on to sampleTick(t): each sample sees every event
-     * below t and none at or after t. `afterStretch`, if set, runs
-     * after each stretch of events between two instants. Do not mix
-     * with the in-queue tick chain in one run.
+     * eq.now() on to take one sample of every gauge: each sample sees
+     * every event below t and none at or after t. No sample is taken
+     * once the queue has drained, and an instant an earlier drain
+     * already sampled is not sampled again. `afterStretch`, if set,
+     * runs after each stretch of events between two instants.
      * @pre enabled()
      * @return the final simulated time.
      */
@@ -271,8 +250,8 @@ class TimelineSampler
         bool droppedOpen = false;
     };
 
-    void scheduleOn(EventQueue &eq);
-    void tick(EventQueue &eq);
+    /** Take one sample of every gauge at simulated instant `now`. */
+    void sampleTick(Cycles now);
     void store(Series &s, Cycles now, std::int64_t value);
     void evaluateRules(Cycles now);
 
@@ -288,8 +267,9 @@ class TimelineSampler
     std::uint64_t _ticks = 0;
     Cycles _period = 0;
     bool _enabled = false;
-    /** A sampling tick is sitting in the event queue. */
-    bool scheduled = false;
+    /** The next period-aligned instant runSampled() owes a sample;
+     *  kept across drains, cleared by resetSeries(). */
+    Cycles nextTick = 0;
 };
 
 } // namespace virtsim

@@ -208,16 +208,6 @@ TEST(Tlb, CapacityEvicts)
     EXPECT_TRUE(tlb.lookup(1, 5));
 }
 
-TEST(Tlb, InvalidateVmidIsSelective)
-{
-    Tlb tlb(16);
-    tlb.fill(1, 0x10);
-    tlb.fill(2, 0x20);
-    tlb.invalidateVmid(1);
-    EXPECT_FALSE(tlb.lookup(1, 0x10));
-    EXPECT_TRUE(tlb.lookup(2, 0x20));
-}
-
 TEST(Mmu, TranslateChargesWalkOnMissOnly)
 {
     CostModel cm = CostModel::armAtlas();

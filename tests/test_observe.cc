@@ -101,8 +101,7 @@ TEST(TaggedPath, IncidentAndFileTagsComeFromOneSanitiser)
             m.probe().latency.record(0, LatencyPhase::Rtt, 1000);
         });
     }
-    m.probe().timeline.ensureScheduled(eq);
-    eq.run();
+    obs.drain();
     EXPECT_GE(obs.sloBreaches(), 1u);
     obs.finish(eq.now());
 

@@ -230,6 +230,18 @@ scheduleDummies(EventQueue &eq, int n, Cycles step)
         eq.scheduleAt(eq.now() + static_cast<Cycles>(i) * step, [] {});
 }
 
+/** No series holds two samples at one instant. */
+void
+expectOneSamplePerInstant(const TimelineSampler &tl)
+{
+    for (std::size_t g = 0; g < tl.gaugeCount(); ++g) {
+        const TimelineSample *s = tl.samplesFor(g);
+        for (std::uint32_t i = 1; i < tl.sampleCount(g); ++i)
+            EXPECT_LT(s[i - 1].when, s[i].when)
+                << tl.gaugeName(g) << " sample " << i;
+    }
+}
+
 } // namespace
 
 TEST(Timeline, SamplesGaugesWithChangeDedup)
@@ -245,8 +257,7 @@ TEST(Timeline, SamplesGaugesWithChangeDedup)
     eq.scheduleAt(250, [&level] { level = 7; });
     eq.scheduleAt(650, [&level] { level = 0; });
     scheduleDummies(eq, 10, 100);
-    tl.ensureScheduled(eq);
-    eq.run();
+    tl.runSampled(eq);
 
     ASSERT_EQ(tl.gaugeCount(), 1u);
     // Dedup: only value *changes* store — 0 at t=0, 7 at t=300 (first
@@ -265,7 +276,7 @@ TEST(Timeline, SamplesGaugesWithChangeDedup)
 
 TEST(Timeline, RunSampledSeesEventsBelowTheInstantOnly)
 {
-    // The sample-at-t rule the fleet runs on: the sample at t reads
+    // The sample-at-t rule every world drains by: the sample at t reads
     // the model after every event below t and before any event at t.
     EventQueue eq;
     TimelineSampler tl;
@@ -306,8 +317,7 @@ TEST(Timeline, RateGaugeStoresPerPeriodDeltas)
                       [&cumulative] { cumulative += 5; });
     }
     scheduleDummies(eq, 6, 100);
-    tl.ensureScheduled(eq);
-    eq.run();
+    tl.runSampled(eq);
 
     // First tick emits 0 (no prior reading), then 5,5,5, then 0.
     ASSERT_GE(tl.sampleCount(0), 3u);
@@ -337,8 +347,7 @@ TEST(Timeline, WatchdogFiresOnSustainedViolationOnly)
     eq.scheduleAt(1050, [&depth] { depth = 12; });
     eq.scheduleAt(1550, [&depth] { depth = 0; });
     scheduleDummies(eq, 20, 100);
-    tl.ensureScheduled(eq);
-    eq.run();
+    tl.runSampled(eq);
 
     ASSERT_EQ(tl.anomalyCount(), 1u);
     const TimelineSampler::Anomaly &a = tl.anomalies()[0];
@@ -360,8 +369,7 @@ TEST(Timeline, InstantRuleFiresOnFirstOffendingSample)
     eq.scheduleAt(250, [&v] { v = 9; });
     eq.scheduleAt(350, [&v] { v = 0; });
     scheduleDummies(eq, 5, 100);
-    tl.ensureScheduled(eq);
-    eq.run();
+    tl.runSampled(eq);
 
     ASSERT_EQ(tl.anomalyCount(), 1u);
     EXPECT_EQ(tl.anomalies()[0].begin, 300u);
@@ -399,8 +407,7 @@ TEST(Timeline, AnomalyBufferSaturationIsCountedNotSilent)
         eq.scheduleAt(200 * i + 250, [&v] { v = 0; });
     }
     scheduleDummies(eq, 2 * excursions + 2, 100);
-    tl.ensureScheduled(eq);
-    eq.run();
+    tl.runSampled(eq);
 
     EXPECT_EQ(tl.anomalyCount(), TimelineSampler::anomalyCapacity);
     EXPECT_EQ(tl.anomaliesDropped(),
@@ -429,8 +436,7 @@ TEST(Timeline, ResetSeriesKeepsRegistrationsAndConfiguration)
     tl.enable(50);
 
     scheduleDummies(eq, 4, 50);
-    tl.ensureScheduled(eq);
-    eq.run();
+    tl.runSampled(eq);
     EXPECT_GT(tl.sampleCount(0), 0u);
 
     tl.resetSeries();
@@ -446,25 +452,53 @@ TEST(Timeline, ResetSeriesKeepsRegistrationsAndConfiguration)
     // And sampling resumes identically on a fresh queue.
     EventQueue rerun;
     scheduleDummies(rerun, 4, 50);
-    tl.ensureScheduled(rerun);
-    rerun.run();
+    tl.runSampled(rerun);
     ASSERT_EQ(tl.sampleCount(0), 1u);
     EXPECT_EQ(tl.samplesFor(0)[0].when, 0u);
     EXPECT_EQ(tl.samplesFor(0)[0].value, 1);
 }
 
-TEST(Timeline, DisabledSamplerNeverSchedules)
+TEST(Timeline, DisabledSamplerTakesNoTickThroughTheDrain)
 {
-    EventQueue eq;
-    TimelineSampler tl;
-    std::int64_t v = 0;
-    tl.addGauge("test.v", [&v] { return v; });
+    // A world whose timeline is not armed drains straight through:
+    // the sampler reads no gauge and stores nothing.
+    Testbed tb(TestbedConfig{});
+    const TimelineSampler &tl = tb.timeline();
+    ASSERT_FALSE(tl.enabled());
+    ASSERT_GT(tl.gaugeCount(), 0u);
 
-    scheduleDummies(eq, 3, 100);
-    tl.ensureScheduled(eq); // disabled: must be a no-op
-    eq.run();
+    scheduleDummies(tb.queue(), 3, 100);
+    EXPECT_EQ(tb.run(), 300u);
     EXPECT_EQ(tl.tickCount(), 0u);
     EXPECT_EQ(tl.sampleCount(0), 0u);
+}
+
+TEST(Timeline, DrainEndingOnAPeriodMultipleIsNotSampledAgain)
+{
+    // The first drain's last event sits on the instant 200, which it
+    // sampled (reading 5) before the event moved the level to 7. The
+    // next drain must not sample 200 a second time.
+    EventQueue eq;
+    TimelineSampler tl;
+    std::int64_t level = 0;
+    tl.addGauge("test.level", [&level] { return level; });
+    std::vector<Cycles> instants;
+    tl.addSampleHook([&instants](Cycles now) { instants.push_back(now); });
+    tl.enable(100);
+
+    eq.scheduleAt(150, [&level] { level = 5; });
+    eq.scheduleAt(200, [&level] { level = 7; });
+    EXPECT_EQ(tl.runSampled(eq), 200u);
+    eq.scheduleAt(250, [] {});
+    EXPECT_EQ(tl.runSampled(eq), 250u);
+    EXPECT_EQ(instants, (std::vector<Cycles>{0, 100, 200}));
+    expectOneSamplePerInstant(tl);
+
+    // A later drain takes the next instant it owes.
+    eq.scheduleAt(320, [] {});
+    EXPECT_EQ(tl.runSampled(eq), 320u);
+    EXPECT_EQ(instants, (std::vector<Cycles>{0, 100, 200, 300}));
+    EXPECT_EQ(tl.tickCount(), 4u);
 }
 
 TEST(Timeline, RenderJsonIsWellFormedAndCarriesSchema)
@@ -479,8 +513,7 @@ TEST(Timeline, RenderJsonIsWellFormedAndCarriesSchema)
 
     eq.scheduleAt(150, [&v] { v = 3; });
     scheduleDummies(eq, 4, 100);
-    tl.ensureScheduled(eq);
-    eq.run();
+    tl.runSampled(eq);
 
     const Frequency f(2.4);
     const std::string json = tl.renderJson(f);
@@ -508,8 +541,7 @@ TEST(Timeline, CounterEventsMergeIntoChromeTrace)
 
     eq.scheduleAt(150, [&v] { v = 4; });
     scheduleDummies(eq, 3, 100);
-    tl.ensureScheduled(eq);
-    eq.run();
+    tl.runSampled(eq);
 
     std::ostringstream os;
     writeChromeTrace(os, sink, Frequency(2.4), "test", &tl);
@@ -526,18 +558,25 @@ TEST(Timeline, CounterEventsMergeIntoChromeTrace)
 
 TEST(TimelineFastPath, DisabledPathAllocatesNothing)
 {
-    EventQueue eq;
-    TimelineSampler tl;
-    std::int64_t v = 0;
-    tl.addGauge("test.v", [&v] { return v; });
+    // The drain of a world with no timeline armed runs its queue
+    // straight through; past the event arena's warm-up it allocates
+    // nothing.
+    Testbed tb(TestbedConfig{});
+    ASSERT_FALSE(tb.timeline().enabled());
+    EventQueue &eq = tb.queue();
+    eq.scheduleAt(eq.now() + 1, [] {});
+    tb.run();
 
     const std::uint64_t before =
         g_news.load(std::memory_order_relaxed);
-    for (int i = 0; i < 100000; ++i)
-        tl.ensureScheduled(eq);
+    for (int i = 0; i < 10000; ++i) {
+        eq.scheduleAt(eq.now() + 1, [] {});
+        tb.run();
+    }
     const std::uint64_t after =
         g_news.load(std::memory_order_relaxed);
     EXPECT_EQ(after, before);
+    EXPECT_EQ(tb.timeline().tickCount(), 0u);
 }
 
 TEST(TimelineFastPath, EnabledSteadyStateAllocatesNothing)
@@ -566,8 +605,7 @@ TEST(TimelineFastPath, EnabledSteadyStateAllocatesNothing)
     // mark and stores the first samples; an identically shaped second
     // run is pure steady state and must not allocate.
     schedule_workload();
-    tl.ensureScheduled(eq);
-    eq.run();
+    tl.runSampled(eq);
 
     // The drained queue carries on from where it stopped.
     tl.resetSeries();
@@ -576,8 +614,7 @@ TEST(TimelineFastPath, EnabledSteadyStateAllocatesNothing)
     schedule_workload();
     const std::uint64_t before =
         g_news.load(std::memory_order_relaxed);
-    tl.ensureScheduled(eq);
-    eq.run();
+    tl.runSampled(eq);
     const std::uint64_t after =
         g_news.load(std::memory_order_relaxed);
     EXPECT_EQ(after, before);
@@ -629,6 +666,43 @@ TEST(Timeline, ExportsAreIdenticalAcrossSweepWidths)
                   std::string::npos)
             << "column " << i << " sampled nothing";
         EXPECT_EQ(serial[i], wide[i]) << "column " << i;
+    }
+}
+
+TEST(Timeline, BackToBackTestbedRunsSampleEachInstantOnce)
+{
+    // Workloads drain one testbed several times between resets (the
+    // microbenchmark's uncounted VM switch back, for one): no series
+    // may hold two samples at one instant.
+    TestbedConfig tc;
+    tc.timeline = true;
+    Testbed tb(tc);
+    EventQueue &eq = tb.queue();
+    const Cycles period = tb.timeline().period();
+    // Drains that end off a period multiple, on one, and past several.
+    for (const Cycles dt : {Cycles{1}, period - 1, period / 2, 3 * period}) {
+        eq.scheduleAt(eq.now() + dt, [] {});
+        tb.run();
+    }
+    EXPECT_GT(tb.timeline().tickCount(), 0u);
+    expectOneSamplePerInstant(tb.timeline());
+}
+
+TEST(Timeline, TestbedRunTakesNoTickAfterTheQueueDrains)
+{
+    // The last event, not a sampling tick, sets the clock run()
+    // returns: arming the timeline must not move it.
+    TestbedConfig tc;
+    tc.timeline = true;
+    Testbed tb(tc);
+    const TimelineSampler &tl = tb.timeline();
+    const Cycles last = tl.period() + 5;
+    tb.queue().scheduleAt(last, [] {});
+    EXPECT_EQ(tb.run(), last);
+    EXPECT_EQ(tl.tickCount(), 2u); // at 0 and at one period
+    for (std::size_t g = 0; g < tl.gaugeCount(); ++g) {
+        for (std::uint32_t i = 0; i < tl.sampleCount(g); ++i)
+            EXPECT_LE(tl.samplesFor(g)[i].when, last) << tl.gaugeName(g);
     }
 }
 
