@@ -165,9 +165,8 @@ Testbed::buildNative()
             if (irq == spiNicIrq) {
                 PhysicalCpu &c = server->cpu(cpu);
                 const Cycles t1 = c.charge(t, net.irqPath);
-                const auto aggs = groDrain(server->nic(),
-                                           net.groFrames);
-                for (const auto &agg : aggs) {
+                groDrain(server->nic(), net.groFrames, rxAggs);
+                for (const auto &agg : rxAggs) {
                     if (onHostRx)
                         onHostRx(t1, agg);
                     if (onVmRx)
@@ -186,7 +185,7 @@ Testbed::buildNative()
                 if (!q.empty()) {
                     Done d = std::move(q.front());
                     q.pop_front();
-                    eq.scheduleAt(t1, [t1, d] { d(t1); });
+                    eq.scheduleAt(t1, [t1, d = std::move(d)] { d(t1); });
                 }
                 return;
             }

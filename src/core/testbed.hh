@@ -236,10 +236,12 @@ class Testbed
     std::uint64_t txSeq = 0;
     /** Native-mode pending IPI completions per CPU. */
     std::array<std::deque<Done>, 8> nativeIpiDone;
+    /** GRO aggregates of the native NIC interrupt being handled. */
+    std::vector<Packet> rxAggs;
 };
 
 // Compatibility for perfbench, whose sources are frozen with the
-// benchmark definition; ROADMAP item 6 deletes this block together
+// benchmark definition; ROADMAP item 10 deletes this block together
 // with perfbench's testbed-cache probes. Every world is built cold:
 // an "acquire" is a construction, and the cache counters read zero.
 using TestbedLease = std::unique_ptr<Testbed>;

@@ -22,6 +22,84 @@ struct AppTaps
     TapId completed = internTap("app.completed");
 };
 
+/** What the client of runRequestResponse tracks per open flow. */
+struct ClientFlow
+{
+    /** Response bytes still expected. */
+    std::int64_t expecting = 0;
+    /** Last time the flow made progress (for RTO). */
+    Cycles lastProgress = 0;
+    /** Response bytes received since the last delayed ack. */
+    std::uint64_t acked = 0;
+    bool live = false;
+};
+
+/**
+ * The client's open flows. Flow ids are issued in ascending order, so
+ * the flows from the oldest open one to the newest sit in one vector
+ * indexed by id, and iterating it visits them in ascending id order.
+ * Closed flows at the front are reclaimed in place, so the storage is
+ * reused across requests.
+ */
+class ClientFlows
+{
+  public:
+    /** Open the next flow, which must be one past the newest. */
+    ClientFlow &
+    open(std::uint64_t flow)
+    {
+        VIRTSIM_ASSERT(flow == base + slots.size(),
+                       "flow ", flow, " opened out of order");
+        slots.push_back(ClientFlow{});
+        slots.back().live = true;
+        return slots.back();
+    }
+
+    /** @return the open flow with this id, or nullptr. */
+    ClientFlow *
+    find(std::uint64_t flow)
+    {
+        if (flow < base || flow - base >= slots.size())
+            return nullptr;
+        ClientFlow &f = slots[flow - base];
+        return f.live ? &f : nullptr;
+    }
+
+    void
+    close(ClientFlow &f)
+    {
+        f.live = false;
+        while (head < slots.size() && !slots[head].live)
+            ++head;
+        if (head == slots.size()) {
+            base += head;
+            slots.clear();
+            head = 0;
+        } else if (head >= 64 && 2 * head >= slots.size()) {
+            base += head;
+            slots.erase(slots.begin(),
+                        slots.begin() + static_cast<long>(head));
+            head = 0;
+        }
+    }
+
+    /** Call fn(id, flow) on every open flow, in ascending id order. */
+    template <typename F>
+    void
+    forEach(F &&fn)
+    {
+        for (std::size_t i = head; i < slots.size(); ++i) {
+            if (slots[i].live)
+                fn(base + i, slots[i]);
+        }
+    }
+
+  private:
+    std::vector<ClientFlow> slots; ///< slots[i] is flow base + i
+    std::uint64_t base = 1;
+    std::size_t head = 0; ///< slots before it are closed
+};
+
 } // namespace
 
 double
@@ -137,19 +215,16 @@ runRequestResponse(Testbed &tb, const ServerAppParams &p)
     std::uint64_t completed = 0;
     std::uint64_t completed_in_window = 0;
     std::uint64_t retransmits = 0;
-    // Remaining response bytes the client expects, per flow.
-    std::map<std::uint64_t, std::int64_t> expecting;
-    // Last time each outstanding flow made progress (for RTO).
-    std::map<std::uint64_t, Cycles> lastProgress;
+    ClientFlows flows;
 
     auto issue_request = [&](Cycles t) {
         Packet req;
         req.flow = next_flow++;
         req.bytes = p.requestBytes;
         req.born = t;
-        expecting[req.flow] =
-            static_cast<std::int64_t>(p.responseBytes);
-        lastProgress[req.flow] = t;
+        ClientFlow &fl = flows.open(req.flow);
+        fl.expecting = static_cast<std::int64_t>(p.responseBytes);
+        fl.lastProgress = t;
         tb.clientSend(t, req);
     };
 
@@ -159,20 +234,19 @@ runRequestResponse(Testbed &tb, const ServerAppParams &p)
     const Cycles rto = f.cycles(
         4000.0 + 8.0 * p.concurrency * p.appWorkUs / tb.width());
     std::function<void(Cycles)> rto_sweep = [&](Cycles t) {
-        for (auto &kv : expecting) {
-            if (t - lastProgress[kv.first] > rto) {
+        flows.forEach([&](std::uint64_t id, ClientFlow &fl) {
+            if (t - fl.lastProgress > rto) {
                 Packet req;
-                req.flow = kv.first;
+                req.flow = id;
                 req.bytes = p.requestBytes;
                 req.born = t;
-                kv.second =
-                    static_cast<std::int64_t>(p.responseBytes);
-                lastProgress[kv.first] = t;
+                fl.expecting = static_cast<std::int64_t>(p.responseBytes);
+                fl.lastProgress = t;
                 ++retransmits;
                 counters.counter(taps.retransmits).inc();
                 tb.clientSend(t, req);
             }
-        }
+        });
         if (t < t_end + rto) {
             tb.queue().scheduleAt(t + rto / 2, [&rto_sweep, t, rto] {
                 rto_sweep(t + rto / 2);
@@ -215,11 +289,12 @@ runRequestResponse(Testbed &tb, const ServerAppParams &p)
             // estimate to bite; short per-connection response bursts
             // still go out at full TSO size (unlike the MAERTS
             // stream).
-            auto segs = tsoSegments(p.responseBytes, net.tsoBytes);
-            tb.queue().scheduleAt(t2, [&, t2, worker, flow,
-                                       segs = std::move(segs)] {
+            const TsoSegments segs =
+                tsoSegments(p.responseBytes, net.tsoBytes);
+            tb.queue().scheduleAt(t2, [&, t2, worker, flow, segs] {
                 Cycles t_tx = t2;
-                for (const std::uint32_t bytes : segs) {
+                for (std::uint32_t i = 0; i < segs.count; ++i) {
+                    const std::uint32_t bytes = segs.bytes(i);
                     const int frames = framesFor(bytes);
                     t_tx = tb.charge(
                         t_tx, worker,
@@ -239,20 +314,19 @@ runRequestResponse(Testbed &tb, const ServerAppParams &p)
     // Client: tracks response completion, sends delayed acks, and
     // keeps the closed loop going. Fully deterministic so native and
     // virtualized runs are exactly comparable.
-    std::map<std::uint64_t, std::uint64_t> acked;
     tb.onClientRx = [&](Cycles t, const Packet &pkt) {
-        auto it = expecting.find(pkt.flow);
-        if (it == expecting.end())
+        ClientFlow *fl = flows.find(pkt.flow);
+        if (fl == nullptr)
             return;
-        it->second -= static_cast<std::int64_t>(pkt.bytes);
-        lastProgress[pkt.flow] = t;
+        fl->expecting -= static_cast<std::int64_t>(pkt.bytes);
+        fl->lastProgress = t;
         // Delayed-ack traffic back to the server: one ack per
         // 1/acksPerResponse of the response.
         if (p.acksPerResponse > 0 && p.responseBytes > 0) {
             const std::uint64_t ack_every =
                 p.responseBytes /
                 static_cast<std::uint64_t>(p.acksPerResponse);
-            auto &a = acked[pkt.flow];
+            std::uint64_t &a = fl->acked;
             a += pkt.bytes;
             int nth = 0;
             while (a >= ack_every && ack_every > 0) {
@@ -269,11 +343,9 @@ runRequestResponse(Testbed &tb, const ServerAppParams &p)
                 });
             }
         }
-        if (it->second > 0)
+        if (fl->expecting > 0)
             return;
-        expecting.erase(it);
-        acked.erase(pkt.flow);
-        lastProgress.erase(pkt.flow);
+        flows.close(*fl);
         ++completed;
         counters.counter(taps.completed).inc();
         if (t >= t_start && t < t_end)

@@ -100,13 +100,12 @@ constexpr KvmParams kvmX86{
     .rxWindowIsCpuBusy = true,
 };
 
-constexpr ArchTraits armTraits{"ARM", xenArm, kvmArm, "host", 0x405700,
+constexpr ArchTraits armTraits{"ARM", xenArm, kvmArm, 0x405700,
                                ppiVtimerIrq, true};
 constexpr ArchTraits armVheTraits{"ARM (VHE)", xenArm, kvmArmVhe,
-                                  "host-el2", 0x405700, ppiVtimerIrq,
-                                  true};
-constexpr ArchTraits x86Traits{"x86", xenX86, kvmX86, "host", 0x860000,
-                               -1, false};
+                                  0x405700, ppiVtimerIrq, true};
+constexpr ArchTraits x86Traits{"x86", xenX86, kvmX86, 0x860000, -1,
+                               false};
 
 /** Host EL1 state a split-mode exit makes live again. */
 constexpr std::initializer_list<RegClass> hostEl1State = {

@@ -28,7 +28,8 @@ grantTaps()
 } // namespace
 
 GrantTable::GrantTable(Machine &m, Vm &granter)
-    : mach(m), granter(granter)
+    : mach(m), granter(granter),
+      granterOwner(m.memory().intern(granter.name()))
 {
 }
 
@@ -36,7 +37,7 @@ GrantRef
 GrantTable::grant(BufferId buf, bool readonly)
 {
     VIRTSIM_ASSERT(mach.memory().valid(buf), "granting invalid buffer");
-    VIRTSIM_ASSERT(mach.memory().owner(buf) == granter.name(),
+    VIRTSIM_ASSERT(mach.memory().ownerId(buf) == granterOwner,
                    "vm ", granter.name(), " granting buffer it does not"
                    " own (owner: ", mach.memory().owner(buf), ")");
     const GrantRef ref = nextRef++;

@@ -93,6 +93,7 @@ class GrantTable
 
     Machine &mach;
     Vm &granter;
+    OwnerId granterOwner; ///< granter's tag in machine memory
     std::map<GrantRef, Entry> grants;
     GrantRef nextRef = 1;
 };

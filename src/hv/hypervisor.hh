@@ -35,6 +35,65 @@ namespace virtsim {
 /** Completion continuation carrying the finish time. */
 using Done = std::function<void(Cycles)>;
 
+/**
+ * Per-frame transmit state waiting for its frame to reach the wire,
+ * keyed by the packet seq (Testbed::send numbers frames in ascending
+ * order). Frames leave in the order they were posted, except that one
+ * posted while a backlog drains can overtake it, so take() scans from
+ * the oldest entry and nearly always stops there. Taken entries are
+ * reclaimed in place: the storage is reused and a steady stream of
+ * frames allocates nothing.
+ */
+template <typename T>
+class TxPending
+{
+  public:
+    void
+    add(std::uint64_t seq, T value)
+    {
+        entries.push_back(Entry{seq, std::move(value)});
+    }
+
+    /** Move the entry for @p seq into @p out and drop it.
+     *  @return false (and @p out untouched) when there is none. */
+    bool
+    take(std::uint64_t seq, T &out)
+    {
+        for (std::size_t i = head; i < entries.size(); ++i) {
+            if (entries[i].seq != seq)
+                continue;
+            out = std::move(entries[i].value);
+            if (i == head)
+                ++head;
+            else
+                entries.erase(entries.begin() + static_cast<long>(i));
+            if (head == entries.size()) {
+                entries.clear();
+                head = 0;
+            } else if (head >= 64 && 2 * head >= entries.size()) {
+                entries.erase(entries.begin(),
+                              entries.begin() + static_cast<long>(head));
+                head = 0;
+            }
+            return true;
+        }
+        return false;
+    }
+
+    /** Entries added and not yet taken. */
+    std::size_t size() const { return entries.size() - head; }
+
+  private:
+    struct Entry
+    {
+        std::uint64_t seq;
+        T value;
+    };
+
+    std::vector<Entry> entries;
+    std::size_t head = 0; ///< entries before it are taken
+};
+
 /** Hypervisor structural design, per the paper's Figure 1. */
 enum class HvType
 {

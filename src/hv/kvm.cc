@@ -99,7 +99,6 @@ KvmHypervisor::start()
                 v.setLoaded(true);
                 v.setState(VcpuState::Running);
                 mach.cpu(v.pcpu()).regs() = v.savedRegs();
-                mach.cpu(v.pcpu()).setContext(v.name());
             }
         }
     }
@@ -116,7 +115,6 @@ KvmHypervisor::exitToHost(Cycles t, Vcpu &v)
     const Cycles c = pol->exitToHost(cpu, v.savedRegs(), ctx.regs, t);
     ctx.inVm = false;
     v.setState(VcpuState::InHyp);
-    cpu.setContext(pol->hostContext);
     counters().counter(kvmTaps().vmExits).inc();
     const Cycles tr = cpu.charge(t, c);
     if (pol->tracesTransitions)
@@ -139,7 +137,6 @@ KvmHypervisor::enterVm(Cycles t, Vcpu &v)
     ctx.loaded = &v;
     v.setLoaded(true);
     v.setState(VcpuState::Running);
-    cpu.setContext(v.name());
     counters().counter(kvmTaps().vmEntries).inc();
     const Cycles tr = cpu.charge(t, c);
     if (pol->tracesTransitions)
@@ -157,7 +154,7 @@ KvmHypervisor::hypercall(Cycles t, Vcpu &v, Done done)
     counters().counter(kvmTaps().hypercalls).inc();
     vmMetrics(v.vm()).summary(kvmTaps().trapHypercall).add(t3 - t);
     trace().span(t, t3, kvmTaps().opHypercall, TraceCat::Op, track(v));
-    queue().scheduleAt(t3, [t3, done] { done(t3); });
+    queue().scheduleAt(t3, [t3, done = std::move(done)] { done(t3); });
 }
 
 void
@@ -171,7 +168,7 @@ KvmHypervisor::irqControllerTrap(Cycles t, Vcpu &v, Done done)
     counters().counter(kvmTaps().irqchipTraps).inc();
     vmMetrics(v.vm()).summary(kvmTaps().trapIrqchip).add(t3 - t);
     trace().span(t, t3, kvmTaps().opIrqTrap, TraceCat::Op, track(v));
-    queue().scheduleAt(t3, [t3, done] { done(t3); });
+    queue().scheduleAt(t3, [t3, done = std::move(done)] { done(t3); });
 }
 
 Cycles
@@ -187,7 +184,7 @@ KvmHypervisor::flushAndResume(Cycles t, Vcpu &v, Done done)
         counters().counter(kvmTaps().spuriousWakeup).inc();
     const Cycles ta = cpu.charge(
         te, mach.costs().irqChipRegAccess + params.guestIrqDispatch);
-    queue().scheduleAt(ta, [ta, done] { done(ta); });
+    queue().scheduleAt(ta, [ta, done = std::move(done)] { done(ta); });
     // After the handler runs the guest completes the interrupt. This
     // trails the measurement endpoint (handler entry), as in the
     // paper's methodology.
@@ -213,21 +210,24 @@ KvmHypervisor::injectVirq(Cycles t, Vcpu &v, IrqId virq, Done done)
         // Target is executing guest code: kick it with a physical
         // IPI; the receiver-side action completes the injection.
         kickActions[static_cast<std::size_t>(v.pcpu())].push_back(
-            [this, &v, done](Cycles th) { flushAndResume(th, v, done); });
+            [this, &v, done = std::move(done)](Cycles th) mutable {
+                flushAndResume(th, v, std::move(done));
+            });
         mach.irqChip().sendIpi(t, v.pcpu(), sgiRescheduleIrq);
         break;
       case VcpuState::Idle:
         // Blocked VCPU thread: the full wake path — cross-CPU
         // wake_up, idle exit, schedule, KVM run-loop re-entry — then
         // world switch in.
-        flushAndResume(cpu.charge(t, params.vcpuWakeFromIdle), v, done);
+        flushAndResume(cpu.charge(t, params.vcpuWakeFromIdle), v,
+                       std::move(done));
         break;
       case VcpuState::InHyp: {
         // Already in the hypervisor on its pcpu; the pending virq
         // rides along with the next VM entry. Approximate the
         // residual cost with the flush that entry will perform.
         const Cycles tw = cpu.charge(t, mach.costs().listRegWrite);
-        queue().scheduleAt(tw, [tw, done] { done(tw); });
+        queue().scheduleAt(tw, [tw, done = std::move(done)] { done(tw); });
         break;
       }
     }
@@ -251,7 +251,8 @@ KvmHypervisor::virtualIpi(Cycles t, Vcpu &src, Vcpu &dst, Done done)
     vmMetrics(src.vm()).summary(kvmTaps().trapVipi).add(t2 - t);
     // The operation envelope closes when the receiver dispatches its
     // handler — after every constituent span, as attribution needs.
-    Done wrapped = [this, t, tr = track(src), done](Cycles ta) {
+    Done wrapped = [this, t, tr = track(src),
+                    done = std::move(done)](Cycles ta) {
         trace().span(t, ta, kvmTaps().opVipi, TraceCat::Op, tr);
         done(ta);
     };
@@ -267,7 +268,7 @@ KvmHypervisor::virqComplete(Cycles t, Vcpu &v, Done done)
         // interface, Table II: 71 cycles; x86 with vAPIC).
         const Cycles t1 =
             mach.cpu(v.pcpu()).charge(t, pol->completeActive(v.pcpu()));
-        queue().scheduleAt(t1, [t1, done] { done(t1); });
+        queue().scheduleAt(t1, [t1, done = std::move(done)] { done(t1); });
         return;
     }
     // Without vAPIC the EOI write traps — the ARM vs x86 contrast of
@@ -277,7 +278,7 @@ KvmHypervisor::virqComplete(Cycles t, Vcpu &v, Done done)
     const Cycles t3 = enterVm(t2, v);
     counters().counter(kvmTaps().virqCompleteTrap).inc();
     vmMetrics(v.vm()).summary(kvmTaps().trapEoi).add(t3 - t);
-    queue().scheduleAt(t3, [t3, done] { done(t3); });
+    queue().scheduleAt(t3, [t3, done = std::move(done)] { done(t3); });
 }
 
 void
@@ -299,7 +300,7 @@ KvmHypervisor::vmSwitch(Cycles t, Vcpu &from, Vcpu &to, Done done)
     counters().counter(kvmTaps().vmSwitches).inc();
     vmMetrics(to.vm()).summary(kvmTaps().trapVmSwitch).add(t3 - t);
     trace().span(t, t3, kvmTaps().opVmSwitch, TraceCat::Op, track(from));
-    queue().scheduleAt(t3, [t3, done] { done(t3); });
+    queue().scheduleAt(t3, [t3, done = std::move(done)] { done(t3); });
 }
 
 void
@@ -315,7 +316,7 @@ KvmHypervisor::ioSignalOut(Cycles t, Vcpu &v, Done done)
             cpu.charge(t, pol->trapHw() + params.ioeventfdSignal);
         cpu.charge(t2, pol->resumeCost());
         trace().span(t, t2, kvmTaps().opIoOut, TraceCat::Op, track(v));
-        queue().scheduleAt(t2, [t2, done] { done(t2); });
+        queue().scheduleAt(t2, [t2, done = std::move(done)] { done(t2); });
         return;
     }
     // Guest kick -> trap -> host ioeventfd signal -> vhost worker
@@ -328,7 +329,7 @@ KvmHypervisor::ioSignalOut(Cycles t, Vcpu &v, Done done)
     const Cycles t3 = worker.charge(t2, params.vhostNotifyLatency);
     vmMetrics(v.vm()).summary(kvmTaps().trapIoOut).add(t3 - t);
     trace().span(t, t3, kvmTaps().opIoOut, TraceCat::Op, track(v));
-    queue().scheduleAt(t3, [t3, done] { done(t3); });
+    queue().scheduleAt(t3, [t3, done = std::move(done)] { done(t3); });
 }
 
 void
@@ -342,7 +343,8 @@ KvmHypervisor::ioSignalIn(Cycles t, Vcpu &v, Done done)
     counters().counter(kvmTaps().ioSignalIn).inc();
     if (pol->tracesTransitions)
         trace().instant(t, kvmTaps().ioIn, TraceCat::Io, track(v));
-    Done wrapped = [this, t, tr = track(v), done](Cycles ta) {
+    Done wrapped = [this, t, tr = track(v),
+                    done = std::move(done)](Cycles ta) {
         trace().span(t, ta, kvmTaps().opIoIn, TraceCat::Op, tr);
         done(ta);
     };
@@ -377,8 +379,9 @@ KvmHypervisor::deliverPacketToVm(Cycles t, Vm &vm, const Packet &pkt,
                         pkt.seq);
     }
     _vhost->hostRxToGuest(t, pkt, true,
-                          [this, &vm, pkt, done](Cycles tr) {
-                              notifyGuestRx(tr, vm, pkt, done);
+                          [this, &vm, pkt,
+                           done = std::move(done)](Cycles tr) mutable {
+                              notifyGuestRx(tr, vm, pkt, std::move(done));
                           });
 }
 
@@ -390,7 +393,7 @@ KvmHypervisor::notifyGuestRx(Cycles t, Vm &vm, const Packet &pkt,
     Vcpu &v = vm.vcpu(target);
     PhysicalCpu &cpu = mach.cpu(v.pcpu());
 
-    auto guest_pop = [this, &vm, pkt, done](Cycles tg) {
+    auto guest_pop = [this, &vm, pkt, done = std::move(done)](Cycles tg) {
         // Guest driver reaps the used descriptor and reposts it.
         bool ok = false;
         VirtioDesc d;
@@ -412,7 +415,9 @@ KvmHypervisor::notifyGuestRx(Cycles t, Vm &vm, const Packet &pkt,
         // cost that saturates VCPU0 in Section V.
         counters().counter(kvmTaps().rxNotificationSuppressed).inc();
         const Cycles tg = cpu.charge(t, params.guestDriverRxPop);
-        queue().scheduleAt(tg, [tg, guest_pop] { guest_pop(tg); });
+        queue().scheduleAt(tg, [tg, guest_pop = std::move(guest_pop)] {
+            guest_pop(tg);
+        });
         return;
     }
     rxQuietUntil = t + mach.freq().cycles(2.5);
@@ -420,11 +425,16 @@ KvmHypervisor::notifyGuestRx(Cycles t, Vm &vm, const Packet &pkt,
     // Interrupt path: irqfd from the vhost worker, then wake/kick.
     PhysicalCpu &worker = mach.cpu(_vhost->params().workerPcpu);
     const Cycles t1 = worker.charge(t, params.irqfdInject);
-    injectVirq(t1, v, spiNicIrq, [this, &v, guest_pop](Cycles ti) {
-        const Cycles tg =
-            mach.cpu(v.pcpu()).charge(ti, params.guestDriverRxPop);
-        queue().scheduleAt(tg, [tg, guest_pop] { guest_pop(tg); });
-    });
+    injectVirq(t1, v, spiNicIrq,
+               [this, &v, guest_pop = std::move(guest_pop)](
+                   Cycles ti) mutable {
+                   const Cycles tg = mach.cpu(v.pcpu()).charge(
+                       ti, params.guestDriverRxPop);
+                   queue().scheduleAt(
+                       tg, [tg, guest_pop = std::move(guest_pop)] {
+                           guest_pop(tg);
+                       });
+               });
 }
 
 void
@@ -448,7 +458,7 @@ KvmHypervisor::guestTransmit(Cycles t, Vcpu &v, const Packet &pkt,
     d.pkt = pkt;
     const Cycles c = _vhost->txRing().guestPost(d) + params.txPost;
     const Cycles t0 = cpu.charge(t, c);
-    txDone[pkt.seq] = std::move(done);
+    txDone.add(pkt.seq, std::move(done));
 
     if (txPumpActive) {
         // Backend is actively draining the ring: notification
@@ -481,12 +491,9 @@ KvmHypervisor::pumpTx(Cycles t)
     }
     _vhost->txFromGuest(t, [this](Cycles td, const Packet &pkt) {
         // Physical datalink-tx point: the paper's "send" tap.
-        auto it = txDone.find(pkt.seq);
-        if (it != txDone.end()) {
-            Done done = std::move(it->second);
-            txDone.erase(it);
+        Done done;
+        if (txDone.take(pkt.seq, done))
             done(td);
-        }
         mach.nic().transmit(td, pkt);
         while (!txBacklog.empty() && !_vhost->txRing().availFull()) {
             auto item = std::move(txBacklog.front());
@@ -559,7 +566,8 @@ KvmHypervisor::handleNicIrq(Cycles t, PcpuId cpu)
     const Cycles t1 = mach.cpu(cpu).charge(t, net.irqPath);
     // Drain the rx queue, GRO-coalescing same-flow frames into
     // aggregates the stack processes as one unit.
-    for (const auto &agg : groDrain(mach.nic(), net.groFrames)) {
+    groDrain(mach.nic(), net.groFrames, rxAggs);
+    for (const auto &agg : rxAggs) {
         if (onHostDatalinkRx)
             onHostDatalinkRx(t1, agg);
         deliverPacketToVm(t1, *netVm, agg, [](Cycles) {});
@@ -576,7 +584,6 @@ KvmHypervisor::blockVcpu(Vcpu &v)
     // PCPU is in host context awaiting a wakeup.
     ctx.inVm = false;
     v.setState(VcpuState::Idle);
-    mach.cpu(v.pcpu()).setContext("host (vcpu blocked)");
 }
 
 } // namespace virtsim

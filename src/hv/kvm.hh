@@ -32,7 +32,6 @@
 #define VIRTSIM_HV_KVM_HH
 
 #include <deque>
-#include <map>
 #include <memory>
 
 #include "hv/hypervisor.hh"
@@ -88,6 +87,9 @@ class KvmHypervisor : public Hypervisor
     /** Attach paravirtual networking (virtio + vhost) to a VM. */
     void attachVirtualNic(Vm &vm, VhostBackend::Params params);
 
+    /** Transmitted frames whose completion has not fired yet. */
+    std::size_t txInFlight() const { return txDone.size(); }
+
     /** Software path costs on this machine's ISA (and VHE mode). */
     const KvmParams &params;
 
@@ -123,7 +125,7 @@ class KvmHypervisor : public Hypervisor
     Vm *netVm = nullptr;
     NetstackCosts net;
     /** Per-packet transmit completions, keyed by packet seq. */
-    std::map<std::uint64_t, Done> txDone;
+    TxPending<Done> txDone;
     /** Whether the vhost worker is actively draining the tx ring
      *  (guest kicks are suppressed while it is). */
     bool txPumpActive = false;
@@ -133,6 +135,8 @@ class KvmHypervisor : public Hypervisor
     Cycles rxQuietUntil = 0;
     /** Frames waiting for tx ring space (virtio backpressure). */
     std::deque<std::pair<Vcpu *, std::pair<Packet, Done>>> txBacklog;
+    /** GRO aggregates of the NIC interrupt being handled. */
+    std::vector<Packet> rxAggs;
 };
 
 } // namespace virtsim

@@ -23,7 +23,8 @@ virtioTaps()
 } // namespace
 
 VirtioQueue::VirtioQueue(Machine &m, Vm &guest, std::size_t capacity)
-    : mach(m), guest(guest), capacity(capacity)
+    : mach(m), guestOwner(m.memory().intern(guest.name())),
+      capacity(capacity)
 {
 }
 
@@ -32,7 +33,7 @@ VirtioQueue::guestPost(const VirtioDesc &desc)
 {
     VIRTSIM_ASSERT(!availFull(), "virtqueue overflow");
     VIRTSIM_ASSERT(desc.buf == invalidBuffer ||
-                   mach.memory().owner(desc.buf) == guest.name(),
+                   mach.memory().ownerId(desc.buf) == guestOwner,
                    "guest posting buffer it does not own");
     avail.push_back(desc);
     mach.counters().counter(virtioTaps().guestPost).inc();

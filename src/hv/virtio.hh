@@ -70,7 +70,7 @@ class VirtioQueue
 
   private:
     Machine &mach;
-    Vm &guest;
+    OwnerId guestOwner; ///< guest's tag in machine memory
     std::size_t capacity;
     std::deque<VirtioDesc> avail;
     std::deque<VirtioDesc> used;

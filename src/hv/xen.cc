@@ -107,14 +107,11 @@ XenHypervisor::start()
                 v.setLoaded(true);
                 v.setState(VcpuState::Running);
                 mach.cpu(v.pcpu()).regs() = v.savedRegs();
-                mach.cpu(v.pcpu()).setContext(v.name());
             }
         }
     }
-    for (int i = 0; i < _dom0->numVcpus(); ++i) {
+    for (int i = 0; i < _dom0->numVcpus(); ++i)
         _dom0->vcpu(i).setState(VcpuState::Idle);
-        mach.cpu(_dom0->vcpu(i).pcpu()).setContext("idle-domain");
-    }
 }
 
 Cycles
@@ -178,7 +175,6 @@ XenHypervisor::switchDomains(Cycles t, Vcpu *from, Vcpu &to,
     s.inGuest = true;
     to.setLoaded(true);
     to.setState(VcpuState::Running);
-    cpu.setContext(to.name());
     counters().counter(xenTaps().domainSwitches).inc();
     const Cycles tr = cpu.charge(t, c);
     if (pol->tracesTransitions) {
@@ -220,7 +216,7 @@ XenHypervisor::hypercall(Cycles t, Vcpu &v, Done done)
     counters().counter(xenTaps().hypercalls).inc();
     vmMetrics(v.vm()).summary(xenTaps().trapHypercall).add(t2 - t);
     trace().span(t, t2, xenTaps().opHypercall, TraceCat::Op, track(v));
-    queue().scheduleAt(t2, [t2, done] { done(t2); });
+    queue().scheduleAt(t2, [t2, done = std::move(done)] { done(t2); });
 }
 
 void
@@ -234,7 +230,7 @@ XenHypervisor::irqControllerTrap(Cycles t, Vcpu &v, Done done)
     counters().counter(xenTaps().irqchipTraps).inc();
     vmMetrics(v.vm()).summary(xenTaps().trapIrqchip).add(t3 - t);
     trace().span(t, t3, xenTaps().opIrqTrap, TraceCat::Op, track(v));
-    queue().scheduleAt(t3, [t3, done] { done(t3); });
+    queue().scheduleAt(t3, [t3, done = std::move(done)] { done(t3); });
 }
 
 Cycles
@@ -260,7 +256,7 @@ XenHypervisor::injectIntoRunning(Cycles t, Vcpu &v, Done done)
 
     const Cycles t1 = cpu.charge(t, c);
     const IrqId acked = pol->ack(v.pcpu(), t1);
-    queue().scheduleAt(t1, [t1, done] { done(t1); });
+    queue().scheduleAt(t1, [t1, done = std::move(done)] { done(t1); });
     // Completion trails the handler.
     cpu.charge(t1, pol->completeAfterHandler(v.pcpu(), acked,
                                              params.eoiEmulation));
@@ -289,20 +285,22 @@ XenHypervisor::injectVirq(Cycles t, Vcpu &v, IrqId virq, Done done)
     if (s.current == &v && s.inGuest) {
         // Running target: physical IPI so the target PCPU programs
         // its own virtual interface.
-        kick(t, v.pcpu(), [this, &v, done](Cycles th) {
-            injectIntoRunning(th, v, done);
+        kick(t, v.pcpu(), [this, &v, done = std::move(done)](
+                              Cycles th) mutable {
+            injectIntoRunning(th, v, std::move(done));
         });
         return;
     }
     // Blocked / descheduled target: wake it (possibly switching the
     // PCPU away from the idle domain), then it takes the virq.
-    kick(t, v.pcpu(), [this, &v, done](Cycles th) {
+    kick(t, v.pcpu(), [this, &v, done = std::move(done)](
+                          Cycles th) mutable {
         const Cycles tr = ensureRunning(th, v);
         PhysicalCpu &cpu = mach.cpu(v.pcpu());
         const Cycles ta = cpu.charge(
             tr, mach.costs().irqChipRegAccess + params.guestIrqDispatch);
         const IrqId acked = pol->ack(v.pcpu(), ta);
-        queue().scheduleAt(ta, [ta, done] { done(ta); });
+        queue().scheduleAt(ta, [ta, done = std::move(done)] { done(ta); });
         cpu.charge(ta, pol->complete(v.pcpu(), acked));
     });
 }
@@ -322,7 +320,8 @@ XenHypervisor::virtualIpi(Cycles t, Vcpu &src, Vcpu &dst, Done done)
     if (pol->tracesTransitions)
         vmMetrics(src.vm()).summary(xenTaps().trapVipi).add(t2 - t);
     // Operation envelope closes when the receiver dispatches.
-    Done wrapped = [this, t, tr = track(src), done](Cycles ta) {
+    Done wrapped = [this, t, tr = track(src),
+                    done = std::move(done)](Cycles ta) {
         trace().span(t, ta, xenTaps().opVipi, TraceCat::Op, tr);
         done(ta);
     };
@@ -338,7 +337,7 @@ XenHypervisor::virqComplete(Cycles t, Vcpu &v, Done done)
         // for both hypervisors), or x86 with vAPIC.
         const Cycles t1 =
             mach.cpu(v.pcpu()).charge(t, pol->completeActive(v.pcpu()));
-        queue().scheduleAt(t1, [t1, done] { done(t1); });
+        queue().scheduleAt(t1, [t1, done = std::move(done)] { done(t1); });
         return;
     }
     const Cycles t1 = trapToXen(t, v);
@@ -346,7 +345,7 @@ XenHypervisor::virqComplete(Cycles t, Vcpu &v, Done done)
     const Cycles t3 = resumeVm(t2, v);
     counters().counter(xenTaps().virqCompleteTrap).inc();
     vmMetrics(v.vm()).summary(xenTaps().trapEoi).add(t3 - t);
-    queue().scheduleAt(t3, [t3, done] { done(t3); });
+    queue().scheduleAt(t3, [t3, done = std::move(done)] { done(t3); });
 }
 
 void
@@ -364,7 +363,7 @@ XenHypervisor::vmSwitch(Cycles t, Vcpu &from, Vcpu &to, Done done)
     counters().counter(xenTaps().vmSwitches).inc();
     vmMetrics(to.vm()).summary(xenTaps().trapVmSwitch).add(t2 - t);
     trace().span(t, t2, xenTaps().opVmSwitch, TraceCat::Op, track(from));
-    queue().scheduleAt(t2, [t2, done] { done(t2); });
+    queue().scheduleAt(t2, [t2, done = std::move(done)] { done(t2); });
 }
 
 Cycles
@@ -391,10 +390,12 @@ XenHypervisor::ioSignalOut(Cycles t, Vcpu &v, Done done)
     if (pol->tracesTransitions)
         vmMetrics(v.vm()).summary(xenTaps().trapIoOut).add(t2 - t);
 
-    kick(t2, dom0Vcpu().pcpu(), [this, t, tr = track(v), done](Cycles th) {
+    kick(t2, dom0Vcpu().pcpu(), [this, t, tr = track(v),
+                                 done = std::move(done)](
+                                    Cycles th) mutable {
         const Cycles t3 =
             dom0TakeEvent(th, params.guestIrqDispatch + params.backendDequeue);
-        queue().scheduleAt(t3, [this, t, tr, t3, done] {
+        queue().scheduleAt(t3, [this, t, tr, t3, done = std::move(done)] {
             trace().span(t, t3, xenTaps().opIoOut, TraceCat::Op, tr);
             done(t3);
         });
@@ -415,7 +416,8 @@ XenHypervisor::ioSignalIn(Cycles t, Vcpu &v, Done done)
     const Cycles t1 = trapToXen(tr, d0);
     const Cycles t2 = mach.cpu(d0.pcpu()).charge(t1, evtchn->notify(portDomU));
     counters().counter(xenTaps().ioSignalIn).inc();
-    Done wrapped = [this, t, tr = track(v), done](Cycles ta) {
+    Done wrapped = [this, t, tr = track(v),
+                    done = std::move(done)](Cycles ta) {
         trace().span(t, ta, xenTaps().opIoIn, TraceCat::Op, tr);
         done(ta);
     };
@@ -428,6 +430,7 @@ XenHypervisor::attachVirtualNic(Vm &vm, NetbackBackend::Params np)
 {
     VIRTSIM_ASSERT(!_netback, "only one virtual NIC supported");
     netVm = &vm;
+    netVmOwner = mach.memory().intern(vm.name());
     _netback = std::make_unique<NetbackBackend>(mach, *_dom0, vm, net,
                                                 np);
     portDomU = evtchn->allocate();
@@ -436,7 +439,7 @@ XenHypervisor::attachVirtualNic(Vm &vm, NetbackBackend::Params np)
     // netfront keeping its rx ring full.
     for (int i = 0; i < 256; ++i) {
         PvRequest req;
-        const BufferId buf = mach.memory().alloc(vm.name(), 4096);
+        const BufferId buf = mach.memory().alloc(netVmOwner, 4096);
         req.gref = _netback->grantTable().grant(buf, false);
         _netback->rxRing().frontPost(req);
     }
@@ -454,8 +457,9 @@ XenHypervisor::deliverPacketToVm(Cycles t, Vm &vm, const Packet &pkt,
                         pkt.seq);
     }
     _netback->dom0RxToDomU(t, pkt, true,
-                           [this, &vm, pkt, done](Cycles tr) {
-                               notifyGuestRx(tr, vm, pkt, done);
+                           [this, &vm, pkt,
+                            done = std::move(done)](Cycles tr) mutable {
+                               notifyGuestRx(tr, vm, pkt, std::move(done));
                            });
 }
 
@@ -467,7 +471,8 @@ XenHypervisor::notifyGuestRx(Cycles t, Vm &vm, const Packet &pkt,
     Vcpu &v = vm.vcpu(target);
     const int frames = framesFor(pkt.bytes);
 
-    auto guest_pop = [this, &vm, pkt, frames, done, target](Cycles ti) {
+    auto guest_pop = [this, &vm, pkt, frames, done = std::move(done),
+                      target](Cycles ti) mutable {
         // Event-channel upcall demux precedes the frontend's ring
         // work; the frontend then reaps one response (and re-grants +
         // reposts a buffer) per wire frame.
@@ -481,7 +486,8 @@ XenHypervisor::notifyGuestRx(Cycles t, Vm &vm, const Packet &pkt,
             c += params.guestDriverRxPop;
         }
         const Cycles tg = mach.cpu(vm.vcpu(target).pcpu()).charge(ti, c);
-        queue().scheduleAt(tg, [this, tg, &vm, pkt, done] {
+        queue().scheduleAt(tg, [this, tg, &vm, pkt,
+                                done = std::move(done)] {
             if (onGuestRx)
                 onGuestRx(tg, vm, pkt);
             done(tg);
@@ -499,7 +505,9 @@ XenHypervisor::notifyGuestRx(Cycles t, Vm &vm, const Packet &pkt,
     PhysicalCpu &dcpu = mach.cpu(_netback->params().dom0Pcpu);
     const Cycles t1 = dcpu.charge(t, evtchn->notify(portDomU));
     injectVirq(t1, v, spiNicIrq,
-               [guest_pop](Cycles ti) { guest_pop(ti); });
+               [guest_pop = std::move(guest_pop)](Cycles ti) mutable {
+                   guest_pop(ti);
+               });
 }
 
 void
@@ -514,6 +522,8 @@ XenHypervisor::guestTransmit(Cycles t, Vcpu &v, const Packet &pkt,
         counters().counter(xenTaps().txBackpressure).inc();
         return;
     }
+    VIRTSIM_ASSERT(&v.vm() == netVm, "guestTransmit: ", v.name(),
+                   " is not on the vNIC's VM");
     PhysicalCpu &cpu = mach.cpu(v.pcpu());
 
     // Frontend: grant each page of the payload, then post the
@@ -521,14 +531,13 @@ XenHypervisor::guestTransmit(Cycles t, Vcpu &v, const Packet &pkt,
     const std::uint32_t pages = (pkt.bytes + 4095) / 4096;
     PvRequest req;
     req.pkt = pkt;
-    const BufferId buf = mach.memory().alloc(v.vm().name(), pkt.bytes);
+    const BufferId buf = mach.memory().alloc(netVmOwner, pkt.bytes);
     req.gref = _netback->grantTable().grant(buf, true);
     Cycles c = static_cast<Cycles>(pages == 0 ? 1 : pages) *
                params.grantSetup;
     c += _netback->txRing().frontPost(req);
     const Cycles t0 = cpu.charge(t, c);
-    txDone[pkt.seq] = std::move(done);
-    txBufs[pkt.seq] = std::make_pair(req.gref, buf);
+    txPending.add(pkt.seq, TxFrame{std::move(done), req.gref, buf});
 
     if (txPumpActive) {
         counters().counter(xenTaps().txKickSuppressed).inc();
@@ -562,17 +571,11 @@ XenHypervisor::pumpTx(Cycles t)
         return;
     }
     _netback->domUTx(t, [this](Cycles td, const Packet &pkt) {
-        auto it = txDone.find(pkt.seq);
-        if (it != txDone.end()) {
-            Done done = std::move(it->second);
-            txDone.erase(it);
-            done(td);
-        }
-        auto bit = txBufs.find(pkt.seq);
-        if (bit != txBufs.end()) {
-            _netback->grantTable().end(bit->second.first);
-            mach.memory().free(bit->second.second);
-            txBufs.erase(bit);
+        TxFrame f;
+        if (txPending.take(pkt.seq, f)) {
+            f.done(td);
+            _netback->grantTable().end(f.gref);
+            mach.memory().free(f.buf);
         }
         mach.nic().transmit(td, pkt);
         while (!txBacklog.empty() && !_netback->txRing().full()) {
@@ -593,7 +596,6 @@ XenHypervisor::idle(Vcpu &v)
     s.inGuest = false;
     v.setLoaded(false);
     v.setState(VcpuState::Idle);
-    mach.cpu(v.pcpu()).setContext("idle-domain");
 }
 
 void
@@ -673,7 +675,8 @@ XenHypervisor::handleNicIrq(Cycles t, PcpuId cpu)
     // Dom0's physical driver drains the NIC, GRO-coalescing.
     PhysicalCpu &dcpu = mach.cpu(dom0Vcpu().pcpu());
     Cycles tcur = t3;
-    for (const auto &agg : groDrain(mach.nic(), net.groFrames)) {
+    groDrain(mach.nic(), net.groFrames, rxAggs);
+    for (const auto &agg : rxAggs) {
         if (onHostDatalinkRx)
             onHostDatalinkRx(tcur, agg);
         deliverPacketToVm(tcur, *netVm, agg, [](Cycles) {});
@@ -691,7 +694,6 @@ XenHypervisor::forceDom0Running()
     s.inGuest = true;
     d0.setLoaded(true);
     d0.setState(VcpuState::Running);
-    mach.cpu(d0.pcpu()).setContext(d0.name());
 }
 
 void

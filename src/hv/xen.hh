@@ -26,7 +26,6 @@
 #define VIRTSIM_HV_XEN_HH
 
 #include <deque>
-#include <map>
 #include <memory>
 
 #include "hv/hypervisor.hh"
@@ -105,6 +104,9 @@ class XenHypervisor : public Hypervisor
 
     NetbackBackend *netback() { return _netback.get(); }
 
+    /** Transmitted frames whose completion has not fired yet. */
+    std::size_t txInFlight() const { return txPending.size(); }
+
     /** Software path costs on this machine's ISA. */
     const XenParams &params;
 
@@ -163,9 +165,16 @@ class XenHypervisor : public Hypervisor
     int portDom0 = -1; ///< event channel: frontend -> backend
     Vm *netVm = nullptr;
     NetstackCosts net;
-    std::map<std::uint64_t, Done> txDone;
-    /** Per-packet (grant ref, buffer) released at tx completion. */
-    std::map<std::uint64_t, std::pair<GrantRef, BufferId>> txBufs;
+    /** Per-packet transmit state, released at tx completion. */
+    struct TxFrame
+    {
+        Done done;
+        GrantRef gref = 0;
+        BufferId buf = invalidBuffer;
+    };
+    TxPending<TxFrame> txPending;
+    /** Memory owner tag of netVm, whose buffers the frontend grants. */
+    OwnerId netVmOwner = 0;
     bool txPumpActive = false;
     /** End of the current NAPI-poll window: rx events landing
      *  inside it ride the in-progress notification instead of
@@ -173,6 +182,8 @@ class XenHypervisor : public Hypervisor
     Cycles rxQuietUntil = 0;
     /** Frames waiting for tx ring space (netfront backpressure). */
     std::deque<std::pair<Vcpu *, std::pair<Packet, Done>>> txBacklog;
+    /** GRO aggregates of the NIC interrupt being handled. */
+    std::vector<Packet> rxAggs;
     std::uint64_t idleGen = 0;
 };
 

@@ -21,7 +21,6 @@
 
 #include <array>
 #include <cstdint>
-#include <string>
 #include <utility>
 #include <vector>
 
@@ -112,15 +111,10 @@ class PhysicalCpu
     double utilization(Cycles now) const;
     ///@}
 
-    /** @name Mode and context tracking */
+    /** @name Mode tracking */
     ///@{
     CpuMode mode() const { return _mode; }
     void setMode(CpuMode m) { _mode = m; }
-
-    /** Debug label of what is currently running ("vm0/vcpu1",
-     *  "dom0", "host", "idle-domain", ...). */
-    const std::string &context() const { return _context; }
-    void setContext(std::string c) { _context = std::move(c); }
     ///@}
 
     /** Live architectural register values. */
@@ -137,7 +131,6 @@ class PhysicalCpu
     Cycles _busy = 0;
     StreamId stream = 0; ///< opened on the first run()
     CpuMode _mode;
-    std::string _context = "idle";
     RegFile _regs;
 };
 

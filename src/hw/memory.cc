@@ -27,11 +27,31 @@ MainMemory::MainMemory(const CostModel &cm, MetricsDomain &counters)
 {
 }
 
-BufferId
-MainMemory::alloc(const std::string &owner, std::uint32_t bytes)
+OwnerId
+MainMemory::intern(const std::string &owner)
 {
-    const BufferId id = nextId++;
-    buffers[id] = Buffer{owner, bytes};
+    for (std::size_t i = 0; i < owners.size(); ++i) {
+        if (owners[i] == owner)
+            return static_cast<OwnerId>(i);
+    }
+    owners.push_back(owner);
+    return static_cast<OwnerId>(owners.size() - 1);
+}
+
+BufferId
+MainMemory::alloc(OwnerId owner, std::uint32_t bytes)
+{
+    VIRTSIM_ASSERT(owner < owners.size(), "unknown buffer owner ", owner);
+    BufferId id;
+    if (!freed.empty()) {
+        id = freed.back();
+        freed.pop_back();
+    } else {
+        id = static_cast<BufferId>(buffers.size());
+        buffers.emplace_back();
+    }
+    buffers[static_cast<std::size_t>(id)] = Buffer{bytes, owner, true};
+    ++live;
     counters.counter(memTaps().buffersAllocated).inc();
     return id;
 }
@@ -39,29 +59,42 @@ MainMemory::alloc(const std::string &owner, std::uint32_t bytes)
 void
 MainMemory::free(BufferId id)
 {
-    VIRTSIM_ASSERT(buffers.erase(id) > 0, "double free of buffer ", id);
+    VIRTSIM_ASSERT(valid(id), "double free of buffer ", id);
+    buffers[static_cast<std::size_t>(id)].live = false;
+    freed.push_back(id);
+    --live;
 }
 
 bool
 MainMemory::valid(BufferId id) const
 {
-    return buffers.count(id) > 0;
+    return id >= 0 && static_cast<std::size_t>(id) < buffers.size() &&
+           buffers[static_cast<std::size_t>(id)].live;
+}
+
+const MainMemory::Buffer &
+MainMemory::get(BufferId id, const char *what) const
+{
+    VIRTSIM_ASSERT(valid(id), what, " of invalid buffer ", id);
+    return buffers[static_cast<std::size_t>(id)];
+}
+
+OwnerId
+MainMemory::ownerId(BufferId id) const
+{
+    return get(id, "owner").owner;
 }
 
 const std::string &
 MainMemory::owner(BufferId id) const
 {
-    auto it = buffers.find(id);
-    VIRTSIM_ASSERT(it != buffers.end(), "owner of invalid buffer ", id);
-    return it->second.owner;
+    return owners[get(id, "owner").owner];
 }
 
 std::uint32_t
 MainMemory::size(BufferId id) const
 {
-    auto it = buffers.find(id);
-    VIRTSIM_ASSERT(it != buffers.end(), "size of invalid buffer ", id);
-    return it->second.bytes;
+    return get(id, "size").bytes;
 }
 
 Cycles

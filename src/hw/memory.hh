@@ -8,14 +8,19 @@
  * memory (enabling zero-copy virtio), while Xen's Dom0 can only reach
  * VM memory through explicit grants (forcing copies). Buffer
  * ownership checks in virtio/grant code enforce exactly that.
+ *
+ * Owner names are interned once into small integer tags, so the
+ * per-packet alloc/free and ownership checks compare integers and a
+ * freed buffer's slot is reused: the registry allocates only while it
+ * grows past its high-water mark.
  */
 
 #ifndef VIRTSIM_HW_MEMORY_HH
 #define VIRTSIM_HW_MEMORY_HH
 
 #include <cstdint>
-#include <map>
 #include <string>
+#include <vector>
 
 #include "hw/cost_model.hh"
 #include "sim/probe.hh"
@@ -28,6 +33,9 @@ using BufferId = int;
 
 inline constexpr BufferId invalidBuffer = -1;
 
+/** Interned buffer-owner name (MainMemory::intern). */
+using OwnerId = std::uint16_t;
+
 /**
  * Main memory of a machine.
  */
@@ -36,18 +44,29 @@ class MainMemory
   public:
     MainMemory(const CostModel &cm, MetricsDomain &counters);
 
-    /**
-     * Allocate a buffer owned by the named domain ("vm0", "dom0",
-     * "host", ...).
-     */
-    BufferId alloc(const std::string &owner, std::uint32_t bytes);
+    /** Tag of the named domain ("vm0", "dom0", "host", ...),
+     *  registering the name on first use. */
+    OwnerId intern(const std::string &owner);
+
+    /** Allocate a buffer owned by the tagged domain. A freed buffer's
+     *  id may be handed out again. */
+    BufferId alloc(OwnerId owner, std::uint32_t bytes);
+    BufferId
+    alloc(const std::string &owner, std::uint32_t bytes)
+    {
+        return alloc(intern(owner), bytes);
+    }
 
     void free(BufferId id);
 
     bool valid(BufferId id) const;
 
+    OwnerId ownerId(BufferId id) const;
     const std::string &owner(BufferId id) const;
     std::uint32_t size(BufferId id) const;
+
+    /** Buffers allocated and not yet freed. */
+    std::size_t liveBuffers() const { return live; }
 
     /**
      * Cycle cost of copying n bytes (the caller charges it to the CPU
@@ -59,14 +78,20 @@ class MainMemory
   private:
     struct Buffer
     {
-        std::string owner;
-        std::uint32_t bytes;
+        std::uint32_t bytes = 0;
+        OwnerId owner = 0;
+        bool live = false;
     };
+
+    /** The buffer behind a valid id; panics naming @p what otherwise. */
+    const Buffer &get(BufferId id, const char *what) const;
 
     const CostModel &cm;
     MetricsDomain &counters;
-    std::map<BufferId, Buffer> buffers;
-    BufferId nextId = 0;
+    std::vector<std::string> owners; ///< indexed by OwnerId
+    std::vector<Buffer> buffers;     ///< indexed by BufferId
+    std::vector<BufferId> freed;     ///< slots to reuse, last freed first
+    std::size_t live = 0;
 };
 
 } // namespace virtsim

@@ -13,21 +13,15 @@ framesFor(std::uint64_t bytes)
                             NetstackCosts::mtuBytes);
 }
 
-std::vector<std::uint32_t>
+TsoSegments
 tsoSegments(std::uint64_t bytes, std::uint32_t seg_bytes)
 {
     VIRTSIM_ASSERT(seg_bytes > 0, "zero TSO segment size");
-    std::vector<std::uint32_t> segs;
-    std::uint64_t left = bytes;
-    while (left > 0) {
-        const std::uint32_t take = static_cast<std::uint32_t>(
-            left > seg_bytes ? seg_bytes : left);
-        segs.push_back(take);
-        left -= take;
-    }
-    if (segs.empty())
-        segs.push_back(0);
-    return segs;
+    if (bytes == 0)
+        return {1, seg_bytes, 0};
+    const std::uint64_t count = (bytes + seg_bytes - 1) / seg_bytes;
+    return {static_cast<std::uint32_t>(count), seg_bytes,
+            static_cast<std::uint32_t>(bytes - (count - 1) * seg_bytes)};
 }
 
 int
@@ -37,10 +31,10 @@ groAggregates(int frame_count, int gro_frames)
     return (frame_count + gro_frames - 1) / gro_frames;
 }
 
-std::vector<Packet>
-groDrain(Nic &nic, int gro_frames)
+void
+groDrain(Nic &nic, int gro_frames, std::vector<Packet> &aggs)
 {
-    std::vector<Packet> aggs;
+    aggs.clear();
     Packet pkt;
     int frames_in_agg = 0;
     while (nic.popRx(pkt)) {
@@ -57,7 +51,6 @@ groDrain(Nic &nic, int gro_frames)
             frames_in_agg = 1;
         }
     }
-    return aggs;
 }
 
 } // namespace virtsim

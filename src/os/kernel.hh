@@ -40,11 +40,26 @@ struct LinuxConfig
 int framesFor(std::uint64_t bytes);
 
 /**
- * Split a payload into TSO segments of at most seg_bytes.
- * @return per-segment byte counts (last may be short).
+ * A payload split into TSO segments: every segment but the last
+ * carries seg_bytes, the last the remainder. An empty payload is one
+ * empty segment.
  */
-std::vector<std::uint32_t> tsoSegments(std::uint64_t bytes,
-                                       std::uint32_t seg_bytes);
+struct TsoSegments
+{
+    std::uint32_t count;
+    std::uint32_t segBytes;
+    std::uint32_t lastBytes;
+
+    /** Bytes of segment @p i (0 <= i < count). */
+    std::uint32_t
+    bytes(std::uint32_t i) const
+    {
+        return i + 1 < count ? segBytes : lastBytes;
+    }
+};
+
+/** Split a payload into TSO segments of at most seg_bytes. */
+TsoSegments tsoSegments(std::uint64_t bytes, std::uint32_t seg_bytes);
 
 /** Number of GRO aggregates the stack sees for frame_count frames. */
 int groAggregates(int frame_count, int gro_frames);
@@ -52,9 +67,11 @@ int groAggregates(int frame_count, int gro_frames);
 /**
  * Drain a NIC's rx queue, coalescing consecutive same-flow frames
  * into GRO aggregates of at most gro_frames frames / 64 KiB.
- * @return the aggregates, in arrival order.
+ * @param aggs receives the aggregates in arrival order; whatever it
+ *        held before is cleared first. Callers keep one buffer per
+ *        NIC handler so that its storage is reused across interrupts.
  */
-std::vector<Packet> groDrain(Nic &nic, int gro_frames);
+void groDrain(Nic &nic, int gro_frames, std::vector<Packet> &aggs);
 
 } // namespace virtsim
 

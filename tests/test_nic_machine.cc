@@ -196,11 +196,15 @@ TEST(KernelHelpers, FramesForAndTsoSegments)
     EXPECT_EQ(framesFor(1501), 2);
     EXPECT_EQ(framesFor(41 * 1024), 28);
 
-    const auto segs = tsoSegments(5000, 2048);
-    ASSERT_EQ(segs.size(), 3u);
-    EXPECT_EQ(segs[0], 2048u);
-    EXPECT_EQ(segs[2], 904u);
-    EXPECT_EQ(tsoSegments(0, 2048).size(), 1u);
+    const TsoSegments segs = tsoSegments(5000, 2048);
+    ASSERT_EQ(segs.count, 3u);
+    EXPECT_EQ(segs.bytes(0), 2048u);
+    EXPECT_EQ(segs.bytes(1), 2048u);
+    EXPECT_EQ(segs.bytes(2), 904u);
+    EXPECT_EQ(tsoSegments(4096, 2048).count, 2u);
+    EXPECT_EQ(tsoSegments(4096, 2048).bytes(1), 2048u);
+    EXPECT_EQ(tsoSegments(0, 2048).count, 1u);
+    EXPECT_EQ(tsoSegments(0, 2048).bytes(0), 0u);
 }
 
 TEST(KernelHelpers, GroAggregates)
@@ -221,11 +225,37 @@ TEST(KernelHelpers, GroDrainMergesSameFlowDataOnly)
     m.nic().receiveFromWire(0, mkPacket(7, 60));
     m.nic().receiveFromWire(0, mkPacket(8, 1500));
     eq.run();
-    const auto aggs = groDrain(m.nic(), 21);
+    std::vector<Packet> aggs;
+    groDrain(m.nic(), 21, aggs);
     ASSERT_EQ(aggs.size(), 3u);
     EXPECT_EQ(aggs[0].bytes, 4500u); // merged data
     EXPECT_EQ(aggs[1].bytes, 60u);   // ack passes through
     EXPECT_EQ(aggs[2].flow, 8u);
+}
+
+TEST(KernelHelpers, GroDrainClearsTheBufferFirst)
+{
+    EventQueue eq;
+    Machine m(eq, MachineConfig::hpMoonshotM400());
+    m.irqChip().setPhysIrqHandler([](Cycles, PcpuId, IrqId) {});
+    for (int i = 0; i < 3; ++i)
+        m.nic().receiveFromWire(0, mkPacket(7, 1500));
+    eq.run();
+    std::vector<Packet> aggs;
+    groDrain(m.nic(), 21, aggs);
+    ASSERT_EQ(aggs.size(), 1u);
+
+    // The next drain reuses the buffer: the previous interrupt's
+    // aggregate must not be delivered again, nor absorb new frames.
+    m.nic().receiveFromWire(eq.now(), mkPacket(7, 1500));
+    eq.run();
+    groDrain(m.nic(), 21, aggs);
+    ASSERT_EQ(aggs.size(), 1u);
+    EXPECT_EQ(aggs[0].bytes, 1500u);
+
+    // An empty rx queue leaves the buffer empty.
+    groDrain(m.nic(), 21, aggs);
+    EXPECT_TRUE(aggs.empty());
 }
 
 /** Property: NIC serialization is linear in bytes at 10 Gbps. */
