@@ -41,6 +41,18 @@ countedAlloc(std::size_t size)
     throw std::bad_alloc();
 }
 
+void *
+countedAlignedAlloc(std::size_t size, std::align_val_t align)
+{
+    g_news.fetch_add(1, std::memory_order_relaxed);
+    const auto a = static_cast<std::size_t>(align);
+    // aligned_alloc takes a nonzero multiple of the alignment.
+    const std::size_t rounded = size == 0 ? a : (size + a - 1) / a * a;
+    if (void *p = std::aligned_alloc(a, rounded))
+        return p;
+    throw std::bad_alloc();
+}
+
 std::uint64_t
 news()
 {
@@ -81,6 +93,42 @@ operator delete(void *p, std::size_t) noexcept
 
 void
 operator delete[](void *p, std::size_t) noexcept
+{
+    std::free(p);
+}
+
+void *
+operator new(std::size_t size, std::align_val_t align)
+{
+    return countedAlignedAlloc(size, align);
+}
+
+void *
+operator new[](std::size_t size, std::align_val_t align)
+{
+    return countedAlignedAlloc(size, align);
+}
+
+void
+operator delete(void *p, std::align_val_t) noexcept
+{
+    std::free(p);
+}
+
+void
+operator delete[](void *p, std::align_val_t) noexcept
+{
+    std::free(p);
+}
+
+void
+operator delete(void *p, std::size_t, std::align_val_t) noexcept
+{
+    std::free(p);
+}
+
+void
+operator delete[](void *p, std::size_t, std::align_val_t) noexcept
 {
     std::free(p);
 }
