@@ -87,10 +87,13 @@ BM_EventQueueChurn(benchmark::State &state)
 }
 BENCHMARK(BM_EventQueueChurn);
 
-/** BM_EventQueueChurn at fleet_closed's heap depth: 2,048
- *  self-rescheduling chains with strides spread over 1-4,096 cycles,
- *  so every pop sifts through a six-level heap and the surfacing
- *  chains arrive in no particular order. */
+/** BM_EventQueueChurn with 2,048 self-rescheduling chains whose
+ *  strides spread over 1-4,096 cycles: about 500 keys in each of the
+ *  calendar's four nearest 1,024-cycle buckets, so every bucket is
+ *  sorted at some length and a quarter of the reschedules are binary
+ *  inserts into the current one. The calendar's crowded case:
+ *  fleet_closed holds as many events but spreads them over 2^11-2^16
+ *  cycles, a few per bucket. */
 void
 BM_EventQueueDeepChurn(benchmark::State &state)
 {
@@ -407,7 +410,7 @@ BENCHMARK(BM_AttribStream)->Unit(benchmark::kMicrosecond);
  *  ~1.6k events behind its frontier (fleet_observed's measured
  *  depth), plus 512 plain arrival events. Every completion goes
  *  through PhysicalCpu::run, so only each CPU's earliest completion
- *  sits in the event heap. */
+ *  is filed in the event calendar. */
 void
 BM_EventQueueCpuBacklog(benchmark::State &state)
 {

@@ -311,7 +311,12 @@ formatDelta(double measured, double reference)
     if (reference == 0.0)
         return "n/a";
     const double pct = (measured - reference) / reference * 100.0;
-    return (pct >= 0 ? "+" : "") + formatFixed(pct, 1) + "%";
+    // Appended piecewise: GCC 12's -Wrestrict misfires on the
+    // operator+ chain at -O3.
+    std::string out = pct >= 0 ? "+" : "";
+    out += formatFixed(pct, 1);
+    out += '%';
+    return out;
 }
 
 } // namespace virtsim

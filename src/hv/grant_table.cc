@@ -1,5 +1,7 @@
 #include "hv/grant_table.hh"
 
+#include <algorithm>
+
 #include "sim/log.hh"
 
 namespace virtsim {
@@ -33,6 +35,42 @@ GrantTable::GrantTable(Machine &m, Vm &granter)
 {
 }
 
+GrantTable::Entry *
+GrantTable::find(GrantRef ref)
+{
+    if (ref >= base) {
+        const auto i = static_cast<std::size_t>(ref - base);
+        return i < window.size() && window[i].live ? &window[i] : nullptr;
+    }
+    const auto it = settledAt(ref);
+    return it != settled.end() && it->first == ref ? &it->second
+                                                    : nullptr;
+}
+
+std::vector<std::pair<GrantRef, GrantTable::Entry>>::iterator
+GrantTable::settledAt(GrantRef ref)
+{
+    return std::lower_bound(
+        settled.begin(), settled.end(), ref,
+        [](const auto &e, GrantRef r) { return e.first < r; });
+}
+
+void
+GrantTable::compact()
+{
+    const std::size_t drop = window.size() / 2;
+    for (std::size_t i = 0; i < drop; ++i) {
+        if (window[i].live) {
+            settled.emplace_back(base + static_cast<GrantRef>(i),
+                                 window[i]);
+            --liveInWindow;
+        }
+    }
+    window.erase(window.begin(),
+                 window.begin() + static_cast<long>(drop));
+    base += static_cast<GrantRef>(drop);
+}
+
 GrantRef
 GrantTable::grant(BufferId buf, bool readonly)
 {
@@ -40,8 +78,13 @@ GrantTable::grant(BufferId buf, bool readonly)
     VIRTSIM_ASSERT(mach.memory().ownerId(buf) == granterOwner,
                    "vm ", granter.name(), " granting buffer it does not"
                    " own (owner: ", mach.memory().owner(buf), ")");
-    const GrantRef ref = nextRef++;
-    grants[ref] = Entry{buf, readonly, false};
+    // Amortized O(1): the window is compacted only once at least
+    // half of it is free.
+    if (window.size() >= 64 && 2 * liveInWindow <= window.size())
+        compact();
+    const GrantRef ref = base + static_cast<GrantRef>(window.size());
+    window.push_back(Entry{buf, readonly, false, true});
+    ++liveInWindow;
     mach.counters().counter(grantTaps().granted).inc();
     return ref;
 }
@@ -49,20 +92,24 @@ GrantTable::grant(BufferId buf, bool readonly)
 void
 GrantTable::end(GrantRef ref)
 {
-    auto it = grants.find(ref);
-    VIRTSIM_ASSERT(it != grants.end(), "ending unknown grant ", ref);
-    VIRTSIM_ASSERT(!it->second.mapped,
-                   "ending grant ", ref, " while still mapped");
-    grants.erase(it);
+    Entry *e = find(ref);
+    VIRTSIM_ASSERT(e, "ending unknown grant ", ref);
+    VIRTSIM_ASSERT(!e->mapped, "ending grant ", ref, " while still mapped");
+    if (ref >= base) {
+        e->live = false;
+        --liveInWindow;
+    } else {
+        settled.erase(settledAt(ref));
+    }
 }
 
 Cycles
 GrantTable::map(GrantRef ref)
 {
-    auto it = grants.find(ref);
-    VIRTSIM_ASSERT(it != grants.end(), "mapping unknown grant ", ref);
-    VIRTSIM_ASSERT(!it->second.mapped, "double map of grant ", ref);
-    it->second.mapped = true;
+    Entry *e = find(ref);
+    VIRTSIM_ASSERT(e, "mapping unknown grant ", ref);
+    VIRTSIM_ASSERT(!e->mapped, "double map of grant ", ref);
+    e->mapped = true;
     mach.counters().counter(grantTaps().maps).inc();
     mach.trace().instant(mach.queue().now(), grantTaps().map,
                          TraceCat::Io, noTrack,
@@ -73,10 +120,10 @@ GrantTable::map(GrantRef ref)
 Cycles
 GrantTable::unmap(GrantRef ref)
 {
-    auto it = grants.find(ref);
-    VIRTSIM_ASSERT(it != grants.end(), "unmapping unknown grant ", ref);
-    VIRTSIM_ASSERT(it->second.mapped, "unmap of unmapped grant ", ref);
-    it->second.mapped = false;
+    Entry *e = find(ref);
+    VIRTSIM_ASSERT(e, "unmapping unknown grant ", ref);
+    VIRTSIM_ASSERT(e->mapped, "unmap of unmapped grant ", ref);
+    e->mapped = false;
     mach.counters().counter(grantTaps().unmaps).inc();
     mach.trace().instant(mach.queue().now(), grantTaps().unmap,
                          TraceCat::Io, noTrack,
@@ -85,15 +132,14 @@ GrantTable::unmap(GrantRef ref)
     // translation on every physical CPU before the page can be
     // considered private again.
     const Cycles tlb = mach.mmu().invalidatePageBroadcast(
-        granter.id(), static_cast<Ipa>(it->second.buf));
+        granter.id(), static_cast<Ipa>(e->buf));
     return grantUnmapFixedCost() + tlb;
 }
 
 Cycles
 GrantTable::copy(GrantRef ref, std::uint32_t bytes)
 {
-    auto it = grants.find(ref);
-    VIRTSIM_ASSERT(it != grants.end(), "copy via unknown grant ", ref);
+    VIRTSIM_ASSERT(find(ref), "copy via unknown grant ", ref);
     mach.counters().counter(grantTaps().copies).inc();
     mach.trace().instant(mach.queue().now(), grantTaps().copy,
                          TraceCat::Io, noTrack, bytes);
@@ -103,8 +149,8 @@ GrantTable::copy(GrantRef ref, std::uint32_t bytes)
 bool
 GrantTable::isMapped(GrantRef ref) const
 {
-    auto it = grants.find(ref);
-    return it != grants.end() && it->second.mapped;
+    const Entry *e = find(ref);
+    return e && e->mapped;
 }
 
 Cycles

@@ -22,7 +22,8 @@
 #define VIRTSIM_HV_GRANT_TABLE_HH
 
 #include <cstdint>
-#include <map>
+#include <utility>
+#include <vector>
 
 #include "hw/machine.hh"
 #include "hv/vm.hh"
@@ -69,7 +70,11 @@ class GrantTable
     ///@}
 
     bool isMapped(GrantRef ref) const;
-    std::size_t activeGrants() const { return grants.size(); }
+    std::size_t
+    activeGrants() const
+    {
+        return liveInWindow + settled.size();
+    }
 
     /** @name Cost constants
      *  [calibrated] against the paper's ">3 us per grant copy". */
@@ -89,13 +94,35 @@ class GrantTable
         BufferId buf;
         bool readonly;
         bool mapped = false;
+        bool live = false;
     };
+
+    /** The live grant ref, or nullptr. */
+    Entry *find(GrantRef ref);
+    const Entry *
+    find(GrantRef ref) const
+    {
+        return const_cast<GrantTable *>(this)->find(ref);
+    }
+    /** First settled entry with a ref not below ref. */
+    std::vector<std::pair<GrantRef, Entry>>::iterator
+    settledAt(GrantRef ref);
+    /** Drop the window's oldest half, moving its live grants to
+     *  settled. */
+    void compact();
 
     Machine &mach;
     Vm &granter;
     OwnerId granterOwner; ///< granter's tag in machine memory
-    std::map<GrantRef, Entry> grants;
-    GrantRef nextRef = 1;
+    /** Refs are handed out in increasing order, so most grants live
+     *  in a window: window[i] is ref base + i. A grant that outlives
+     *  half the window (netfront's pre-posted rx buffers) moves to
+     *  settled, kept in ascending ref order, so the window keeps
+     *  sliding and allocates nothing in steady state. */
+    std::vector<Entry> window;
+    GrantRef base = 1;
+    std::vector<std::pair<GrantRef, Entry>> settled;
+    std::size_t liveInWindow = 0;
 };
 
 } // namespace virtsim

@@ -357,6 +357,9 @@ KvmHypervisor::attachVirtualNic(Vm &vm, VhostBackend::Params vp)
     VIRTSIM_ASSERT(!_vhost, "only one virtual NIC supported");
     netVm = &vm;
     _vhost = std::make_unique<VhostBackend>(mach, vm, net, vp);
+    _vhost->setRxSink([this](Cycles t, const Packet &pkt, Done done) {
+        notifyGuestRx(t, *netVm, pkt, std::move(done));
+    });
     // The frontend pre-posts rx descriptors backed by guest buffers,
     // exactly like virtio-net keeps its rx ring replenished.
     for (int i = 0; i < 256; ++i) {
@@ -378,11 +381,7 @@ KvmHypervisor::deliverPacketToVm(Cycles t, Vm &vm, const Packet &pkt,
         trace().instant(t, kvmTaps().rxDeliver, TraceCat::Io, noTrack,
                         pkt.seq);
     }
-    _vhost->hostRxToGuest(t, pkt, true,
-                          [this, &vm, pkt,
-                           done = std::move(done)](Cycles tr) mutable {
-                              notifyGuestRx(tr, vm, pkt, std::move(done));
-                          });
+    _vhost->hostRxToGuest(t, pkt, true, std::move(done));
 }
 
 void

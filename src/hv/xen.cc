@@ -433,6 +433,9 @@ XenHypervisor::attachVirtualNic(Vm &vm, NetbackBackend::Params np)
     netVmOwner = mach.memory().intern(vm.name());
     _netback = std::make_unique<NetbackBackend>(mach, *_dom0, vm, net,
                                                 np);
+    _netback->setRxSink([this](Cycles t, const Packet &pkt, Done done) {
+        notifyGuestRx(t, *netVm, pkt, std::move(done));
+    });
     portDomU = evtchn->allocate();
     portDom0 = evtchn->allocate();
     // Frontend pre-grants rx buffers and posts the requests, like
@@ -456,11 +459,7 @@ XenHypervisor::deliverPacketToVm(Cycles t, Vm &vm, const Packet &pkt,
         trace().instant(t, xenTaps().rxDeliver, TraceCat::Io, noTrack,
                         pkt.seq);
     }
-    _netback->dom0RxToDomU(t, pkt, true,
-                           [this, &vm, pkt,
-                            done = std::move(done)](Cycles tr) mutable {
-                               notifyGuestRx(tr, vm, pkt, std::move(done));
-                           });
+    _netback->dom0RxToDomU(t, pkt, true, std::move(done));
 }
 
 void

@@ -89,7 +89,7 @@ class PhysicalCpu
      * charge() and then run fn at the completion time, on this CPU's
      * in-order stream of the event queue (EventQueue::scheduleOn):
      * completions never go backwards, so the CPU's backlog waits
-     * outside the event heap.
+     * outside the event calendar.
      */
     template <typename F>
     void

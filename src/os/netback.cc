@@ -207,10 +207,13 @@ NetbackBackend::pumpRx(Cycles t)
     }
     const Cycles done = cpu.charge(t, cost);
     if (copied > 0) {
-        mach.queue().scheduleAt(done,
-                                [done, ready = std::move(ready)] {
-                                    ready(done);
-                                });
+        mach.queue().scheduleAt(
+            done, [this, done, pkt, ready = std::move(ready)]() mutable {
+                if (rxSink)
+                    rxSink(done, pkt, std::move(ready));
+                else
+                    ready(done);
+            });
     }
     mach.queue().scheduleAt(done, [this, done] { pumpRx(done); });
 }

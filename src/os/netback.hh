@@ -71,12 +71,20 @@ class NetbackBackend
     /**
      * Receive path inside Dom0: from the Dom0 datalink-rx point
      * (caller stamps it) through stack, bridge, netback and the grant
-     * copy into a DomU buffer. ready(t) fires when the response is on
-     * the PV ring and netback would notify the frontend.
+     * copy into a DomU buffer. When the response is on the PV ring
+     * and netback would notify the frontend, the frame and ready go
+     * to the rx sink (setRxSink), or ready(t) fires if none is set.
      */
     void dom0RxToDomU(Cycles t, const Packet &pkt,
                       bool aggregate_leader,
                       std::function<void(Cycles)> ready);
+
+    /** Takes each delivered frame with the continuation dom0RxToDomU
+     *  was given (the hypervisor's guest notification). Set once, so
+     *  no frame wraps its continuation in another closure. */
+    using RxSink = std::function<void(Cycles, const Packet &,
+                                      std::function<void(Cycles)>)>;
+    void setRxSink(RxSink sink) { rxSink = std::move(sink); }
 
     /** Depth of the netback rx work queue (for tests). */
     std::size_t rxBacklogDepth() const { return rxJobs.size(); }
@@ -140,6 +148,7 @@ class NetbackBackend
     XenPvRing rx;
     XenPvRing tx;
     std::deque<RxJob> rxJobs;
+    RxSink rxSink;
     bool rxPumpActive = false;
     bool txFresh = true;
     bool rxFresh = true;

@@ -137,10 +137,14 @@ VhostBackend::pumpRx(Cycles t)
     cost += mach.freq().cycles(p.vhostRxWorkUs);
     cost += rx.hostPushUsed(desc);
     const Cycles done = worker.charge(t, cost);
-    mach.queue().scheduleAt(done,
-                            [done, ready = std::move(job.ready)] {
-                                ready(done);
-                            });
+    mach.queue().scheduleAt(
+        done, [this, done, pkt = job.pkt,
+               ready = std::move(job.ready)]() mutable {
+            if (rxSink)
+                rxSink(done, pkt, std::move(ready));
+            else
+                ready(done);
+        });
     mach.queue().scheduleAt(done, [this, done] { pumpRx(done); });
 }
 

@@ -67,8 +67,9 @@ class VhostBackend
      * Receive path: a frame the host driver has already pulled from
      * the NIC (datalink-rx stamped by the caller) travels through the
      * host stack, bridge and tap to the vhost worker, which places it
-     * in the guest's rx ring. ready(t) fires when the worker has
-     * pushed the descriptor and would signal the guest.
+     * in the guest's rx ring. When the worker has pushed the
+     * descriptor and would signal the guest, the frame and ready go
+     * to the rx sink (setRxSink), or ready(t) fires if none is set.
      * @param t time at which host stack processing may start
      * @param aggregate_leader true for the first frame of a GRO
      *        aggregate (pays the full stack traversal); false for
@@ -76,6 +77,13 @@ class VhostBackend
      */
     void hostRxToGuest(Cycles t, const Packet &pkt, bool aggregate_leader,
                        std::function<void(Cycles)> ready);
+
+    /** Takes each placed frame with the continuation hostRxToGuest
+     *  was given (the hypervisor's guest notification). Set once, so
+     *  no frame wraps its continuation in another closure. */
+    using RxSink = std::function<void(Cycles, const Packet &,
+                                      std::function<void(Cycles)>)>;
+    void setRxSink(RxSink sink) { rxSink = std::move(sink); }
 
     /**
      * Transmit path: guest descriptors are already in the tx ring;
@@ -116,6 +124,7 @@ class VhostBackend
     VirtioQueue rx;
     VirtioQueue tx;
     std::deque<RxJob> rxJobs;
+    RxSink rxSink;
     bool rxPumpActive = false;
     static constexpr std::size_t rxJobCap = 256;
     Cycles lastRxAt = 0;

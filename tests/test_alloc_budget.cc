@@ -253,14 +253,15 @@ TEST(AllocBudget, TableTwoOperations)
 TEST(AllocBudget, TcpRrTransaction)
 {
     // What one transaction has to allocate: the reply's datalink-tx
-    // continuation, the closures carrying the request through the
-    // backend to the guest driver, and the kick action that wakes the
-    // netserver (Xen also wakes Dom0 for the reply).
+    // continuation, the guest driver's closure for the request (the
+    // backend hands the continuation through without wrapping it)
+    // and the kick action that wakes the netserver (Xen also wakes
+    // Dom0 for the reply; its grants take no allocation).
     const struct
     {
         SutKind kind;
         double budget;
-    } budgets[] = {{SutKind::KvmArm, 3.5}, {SutKind::XenArm, 6.0}};
+    } budgets[] = {{SutKind::KvmArm, 2.5}, {SutKind::XenArm, 4.0}};
     for (const auto &b : budgets) {
         const std::uint64_t shortRun = rrAllocs(b.kind, 100);
         const std::uint64_t longRun = rrAllocs(b.kind, 300);
@@ -276,13 +277,13 @@ TEST(AllocBudget, TcpRrTransaction)
 TEST(AllocBudget, ApacheRequest)
 {
     // A request is one inbound request frame, a 41 KiB response and
-    // nine delayed acks, each inbound frame carried by the rx
-    // closures above.
+    // nine delayed acks, each inbound frame carried by the guest
+    // driver's closure above.
     const struct
     {
         SutKind kind;
         double budget;
-    } budgets[] = {{SutKind::KvmArm, 27.0}, {SutKind::XenArm, 28.0}};
+    } budgets[] = {{SutKind::KvmArm, 17.0}, {SutKind::XenArm, 17.0}};
     for (const auto &b : budgets) {
         const AppRun shortRun = apacheRun(b.kind, 0.02);
         const AppRun longRun = apacheRun(b.kind, 0.04);

@@ -302,7 +302,7 @@ TEST(EventQueueStream, MergedOrderMatchesPlainQueueUnderRandomLoad)
         ASSERT_GT(a.log.size(), 300u);
         ASSERT_EQ(a.log, b.log) << "seed " << seed;
         EXPECT_EQ(subject.pending(), 0u);
-        EXPECT_EQ(subject.heapSize(), 0u);
+        EXPECT_EQ(subject.calendarSize(), 0u);
     }
 }
 
@@ -319,7 +319,7 @@ TEST(EventQueueStream, BacklogStaysOutOfTheHeap)
     std::vector<Cycles> fired;
     auto probe = [&] {
         fired.push_back(eq.now());
-        maxHeap = std::max(maxHeap, eq.heapSize());
+        maxHeap = std::max(maxHeap, eq.calendarSize());
     };
     for (std::size_t i = 0; i < backlog; ++i) {
         for (std::size_t s = 0; s < streams; ++s)
@@ -328,12 +328,12 @@ TEST(EventQueueStream, BacklogStaysOutOfTheHeap)
     for (std::size_t i = 0; i < plain; ++i)
         eq.scheduleAt((i * 7919) % (backlog * 10), probe);
     EXPECT_EQ(eq.pending(), streams * backlog + plain);
-    EXPECT_LE(eq.heapSize(), streams + plain);
+    EXPECT_LE(eq.calendarSize(), streams + plain);
     eq.run();
     ASSERT_EQ(fired.size(), streams * backlog + plain);
     EXPECT_TRUE(std::is_sorted(fired.begin(), fired.end()));
     EXPECT_LE(maxHeap, streams + plain);
-    EXPECT_EQ(eq.heapSize(), 0u);
+    EXPECT_EQ(eq.calendarSize(), 0u);
 }
 
 namespace {
@@ -375,7 +375,7 @@ TEST(EventQueueStream, DestructionDestroysBackloggedCallbacks)
         EXPECT_EQ(live, 3 * 40 + 5);
         eq.runUntil(10);
         // Stream backlogs wait outside the heap.
-        EXPECT_LT(eq.heapSize(), eq.pending());
+        EXPECT_LT(eq.calendarSize(), eq.pending());
         EXPECT_EQ(live, static_cast<int>(eq.pending()));
     }
     // Each pending capture was destroyed exactly once: a leak leaves
@@ -417,50 +417,90 @@ TEST(EventQueueStreamDeath, SchedulingBeforeTheStreamsLastEventPanics)
 
 // ---------------------------------------------------------------------
 // Differential test against a reference that shares no code with the
-// heap: a std::set of (time, sequence) keys. The stream tests above
-// compare two queues built on the same heap, so a heap bug that
+// calendar: a std::set of (time, sequence) keys. The stream tests above
+// compare two queues built on the same calendar, so a bug that
 // misorders events would misorder both alike; here every firing must
 // be the set's least key.
 // ---------------------------------------------------------------------
 
 namespace {
 
+/** The calendar's geometry, restated: buckets of 2^10 cycles, a
+ *  window of 2^10 buckets. */
+constexpr Cycles bucketCycles = Cycles{1} << 10;
+constexpr Cycles windowCycles = Cycles{1} << 20;
+
 /**
  * Drives one queue through a seeded random mix of plain and stream
  * events, same-cycle ties and nested schedules from inside callbacks,
  * mirroring every pending event in a std::set keyed on (time,
- * scheduling order).
+ * scheduling order). A narrow workload keeps every delay inside the
+ * current bucket or the next; a wide one also files into near buckets
+ * across the window, at the window's end and up to eight windows out
+ * (the far tier), on plain events and stream successors alike.
  */
 struct DifferentialWorkload
 {
     using Key = std::pair<Cycles, std::uint64_t>;
     static constexpr int nStreams = 3;
 
-    explicit DifferentialWorkload(std::uint64_t seed) : rng(seed)
+    DifferentialWorkload(std::uint64_t seed, bool wide)
+        : rng(seed), wide(wide)
     {
         for (int s = 0; s < nStreams; ++s)
             streams.push_back(eq.openStream());
     }
 
-    /** Schedule one event, plain or on a stream, near now. */
+    Cycles
+    plainDelay()
+    {
+        if (!wide)
+            return rng() % 3 == 0 ? rng() % 3 : rng() % 400;
+        switch (rng() % 6) {
+          case 0:
+            return rng() % 3;
+          case 1:
+            return rng() % bucketCycles;
+          case 2:
+            return rng() % (64 * bucketCycles);
+          case 3:
+            return windowCycles - bucketCycles + rng() % (2 * bucketCycles);
+          default:
+            return rng() % (8 * windowCycles);
+        }
+    }
+
+    Cycles
+    streamStep()
+    {
+        if (wide && rng() % 4 == 0)
+            return rng() % (2 * windowCycles);
+        return rng() % 4;
+    }
+
+    /** Schedule one event, plain or on a stream. */
     void
     schedule(int depth)
     {
-        const std::uint64_t seq = nextSeq++;
-        auto fn = [this, seq, depth] { fire(seq, depth); };
         const std::uint64_t pick = rng() % 8;
-        Cycles when;
         if (pick < nStreams) {
             Cycles &last = streamLast[pick];
-            last = std::max(last, eq.now()) + rng() % 4;
-            when = last;
-            eq.scheduleOn(streams[pick], when, fn);
+            last = std::max(last, eq.now()) + streamStep();
+            const std::uint64_t seq = nextSeq++;
+            eq.scheduleOn(streams[pick], last,
+                          [this, seq, depth] { fire(seq, depth); });
+            reference.insert({last, seq});
         } else {
-            // Mostly a wide spread, often a tie with the current cycle
-            // or its neighbours.
-            when = eq.now() + (rng() % 3 == 0 ? rng() % 3 : rng() % 400);
-            eq.scheduleAt(when, fn);
+            scheduleAt(eq.now() + plainDelay(), depth);
         }
+    }
+
+    /** Schedule one plain event at when. */
+    void
+    scheduleAt(Cycles when, int depth)
+    {
+        const std::uint64_t seq = nextSeq++;
+        eq.scheduleAt(when, [this, seq, depth] { fire(seq, depth); });
         reference.insert({when, seq});
     }
 
@@ -479,16 +519,25 @@ struct DifferentialWorkload
         }
     }
 
+    Cycles
+    referenceNext() const
+    {
+        return reference.empty() ? noPendingEvent
+                                 : reference.begin()->first;
+    }
+
     /** The queue's observable state matches the reference's. */
     void
     expectInStep(std::uint64_t seed) const
     {
         ASSERT_EQ(eq.pending(), reference.size()) << "seed " << seed;
         ASSERT_EQ(mismatches, 0u) << "seed " << seed;
+        ASSERT_EQ(eq.nextEventTime(), referenceNext()) << "seed " << seed;
     }
 
     EventQueue eq;
     std::mt19937_64 rng;
+    bool wide;
     std::vector<StreamId> streams;
     Cycles streamLast[nStreams] = {};
     std::uint64_t nextSeq = 0;
@@ -497,50 +546,104 @@ struct DifferentialWorkload
     std::size_t mismatches = 0;
 };
 
+/** Rounds of scheduling from outside, a bounded drain, then a peek
+ *  and a schedule between now and the peeked key, which is still
+ *  below every pending key. */
+void
+runDifferential(std::uint64_t seed, bool wide)
+{
+    DifferentialWorkload w(seed, wide);
+    EventQueue &eq = w.eq;
+    std::mt19937_64 drains(seed * 104729);
+    const Cycles span = wide ? 2 * windowCycles : 200;
+    for (int round = 0; round < 60; ++round) {
+        for (int i = 0; i < 40; ++i)
+            w.schedule(0);
+        const std::size_t before = w.fired;
+        const Cycles start = eq.now();
+        const Cycles bound = start + drains() % span;
+        switch (drains() % 3) {
+          case 0: {
+            const std::size_t n = eq.runBefore(bound);
+            EXPECT_EQ(n, w.fired - before);
+            ASSERT_TRUE(w.reference.empty() ||
+                        w.reference.begin()->first >= bound);
+            break;
+          }
+          case 1:
+            eq.runUntil(bound);
+            ASSERT_EQ(eq.now(), bound);
+            ASSERT_TRUE(w.reference.empty() ||
+                        w.reference.begin()->first > bound);
+            break;
+          default:
+            for (int k = 0; k < 25; ++k)
+                eq.step();
+            break;
+        }
+        w.expectInStep(seed);
+        const Cycles peeked = eq.nextEventTime();
+        if (peeked != noPendingEvent && peeked > eq.now()) {
+            w.scheduleAt(eq.now() + drains() % (peeked - eq.now()), 3);
+            w.expectInStep(seed);
+            ASSERT_LT(eq.nextEventTime(), peeked) << "seed " << seed;
+        }
+    }
+    eq.run();
+    w.expectInStep(seed);
+    EXPECT_TRUE(w.reference.empty());
+    EXPECT_EQ(eq.calendarSize(), 0u);
+    EXPECT_GT(w.fired, 2000u);
+    if (wide) {
+        // Time ran through many windows, so the bucket ring wrapped
+        // round many times and far keys moved into it.
+        EXPECT_GT(eq.now(), 16 * windowCycles) << "seed " << seed;
+    }
+}
+
 } // namespace
 
 TEST(EventQueueDifferential, FiresInReferenceSetOrder)
 {
-    for (std::uint64_t seed = 1; seed <= 12; ++seed) {
-        DifferentialWorkload w(seed);
-        EventQueue &eq = w.eq;
-        std::mt19937_64 drains(seed * 104729);
-        for (int round = 0; round < 60; ++round) {
-            for (int i = 0; i < 40; ++i)
-                w.schedule(0);
-            const std::size_t before = w.fired;
-            const Cycles start = eq.now();
-            const Cycles bound = start + drains() % 200;
-            switch (drains() % 3) {
-              case 0: {
-                const std::size_t n = eq.runBefore(bound);
-                EXPECT_EQ(n, w.fired - before);
-                ASSERT_TRUE(w.reference.empty() ||
-                            w.reference.begin()->first >= bound);
-                break;
-              }
-              case 1:
-                eq.runUntil(bound);
-                ASSERT_EQ(eq.now(), bound);
-                ASSERT_TRUE(w.reference.empty() ||
-                            w.reference.begin()->first > bound);
-                break;
-              default:
-                for (int k = 0; k < 25; ++k)
-                    eq.step();
-                break;
-            }
-            w.expectInStep(seed);
-            ASSERT_EQ(eq.nextEventTime(),
-                      w.reference.empty() ? noPendingEvent
-                                          : w.reference.begin()->first)
-                << "seed " << seed;
+    for (std::uint64_t seed = 1; seed <= 12; ++seed)
+        runDifferential(seed, false);
+}
+
+TEST(EventQueueDifferential, FarTierAndWindowWrapFireInReferenceSetOrder)
+{
+    for (std::uint64_t seed = 1; seed <= 12; ++seed)
+        runDifferential(seed, true);
+}
+
+TEST(EventQueueDifferential, CrowdedBucketFiresInReferenceSetOrder)
+{
+    // Thousands of keys in one bucket, hundreds in one cycle, filed
+    // while the bucket is ahead and again once it is current: each
+    // must land in order among keys already sorted there, at either
+    // end or in the middle.
+    DifferentialWorkload w(7, false);
+    EventQueue &eq = w.eq;
+    const Cycles bucket = 5 * bucketCycles;
+    std::mt19937_64 rng(99);
+    for (int i = 0; i < 3000; ++i)
+        w.scheduleAt(bucket + rng() % bucketCycles, 3);
+    for (int i = 0; i < 400; ++i)
+        w.scheduleAt(bucket + 17, 3);
+    eq.runUntil(bucket + 100);
+    w.expectInStep(7);
+    for (int i = 0; i < 2000; ++i) {
+        const Cycles when = i % 4 == 0 ? eq.now()
+                                       : eq.now() + rng() % (bucketCycles / 2);
+        w.scheduleAt(when, 3);
+        if (i % 50 == 0) {
+            eq.step();
+            w.expectInStep(7);
         }
-        eq.run();
-        w.expectInStep(seed);
-        EXPECT_TRUE(w.reference.empty());
-        EXPECT_GT(w.fired, 2000u);
     }
+    eq.run();
+    w.expectInStep(7);
+    EXPECT_TRUE(w.reference.empty());
+    EXPECT_EQ(w.fired, 5400u);
 }
 
 // ---------------------------------------------------------------------

@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "hv/grant_table.hh"
 #include "hv/virtio.hh"
 #include "hv/xen_pv.hh"
@@ -92,6 +94,43 @@ TEST_F(IoFixture, GrantLifecycle)
     EXPECT_FALSE(gt.isMapped(ref));
     gt.end(ref);
     EXPECT_EQ(gt.activeGrants(), 0u);
+}
+
+TEST_F(IoFixture, LongLivedGrantsKeepTheirRefsAsTheTableSlides)
+{
+    // netfront's shape: long-lived rx grants, then many short-lived
+    // tx grants that each end before the next. Refs keep counting up
+    // by one, the long-lived grants stay usable after the short-lived
+    // ones have slid the table's window far past them, and an ended
+    // ref is unknown whether it ended in the window or after moving
+    // out of it.
+    GrantTable gt(m, guest);
+    const BufferId buf = m.memory().alloc("vm0", 4096);
+    std::vector<GrantRef> rx;
+    for (int i = 0; i < 100; ++i)
+        rx.push_back(gt.grant(buf, false));
+    GrantRef last = rx.back();
+    for (int i = 0; i < 5000; ++i) {
+        const GrantRef tx = gt.grant(buf, true);
+        EXPECT_EQ(tx, last + 1);
+        last = tx;
+        gt.copy(tx, 64);
+        gt.end(tx);
+    }
+    EXPECT_EQ(gt.activeGrants(), rx.size());
+    for (std::size_t i = 0; i < rx.size(); ++i) {
+        EXPECT_EQ(rx[i], static_cast<GrantRef>(i) + 1);
+        gt.map(rx[i]);
+        EXPECT_TRUE(gt.isMapped(rx[i]));
+        gt.unmap(rx[i]);
+        if (i % 2 == 0)
+            gt.end(rx[i]);
+    }
+    EXPECT_EQ(gt.activeGrants(), rx.size() / 2);
+    EXPECT_DEATH(gt.end(rx[0]), "unknown grant");
+    EXPECT_DEATH(gt.end(last), "unknown grant");
+    EXPECT_FALSE(gt.isMapped(rx[0]));
+    gt.copy(rx[1], 1);
 }
 
 TEST_F(IoFixture, GrantCopyPaysOver3usEvenForOneByte)
